@@ -11,6 +11,7 @@ from benchlib import run_once
 
 from repro.bench.harness import run_serve_loadgen, scale_preset
 from repro.bench.reporting import format_table
+from repro.serve import ServeConfig
 
 _REQUESTS = {"small": 60, "half": 200, "full": 500}
 _RATES = (50.0, 200.0)
@@ -23,8 +24,8 @@ def test_serve_poisson_sweep(benchmark):
         out = {}
         for rate in _RATES:
             report, _ = run_serve_loadgen(
-                "mobilenet_v1", requests=requests, devices=2, rate=rate,
-                functional=False, reduced=True, seed=0)
+                "mobilenet_v1", ServeConfig(devices=2, functional=False),
+                requests=requests, rate=rate, reduced=True, seed=0)
             out[rate] = report
         return out
 

@@ -40,7 +40,6 @@ from repro.analysis.graph_lint import lint_graph
 from repro.analysis.plan_verify import verify_plan
 from repro.analysis.protocol import GridModel, ProtocolModel, explore_protocol
 from repro.analysis.replay import (
-    ReplayTask,
     replay_tasks_from_chrome_trace,
     replay_trace,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "GridModel",
     "ProtocolModel",
     "explore_protocol",
-    "ReplayTask",
     "replay_trace",
     "replay_tasks_from_chrome_trace",
     "validate_rewrite",

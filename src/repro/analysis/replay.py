@@ -2,10 +2,10 @@
 
 The small-model checker (:mod:`repro.analysis.protocol`) proves the tag
 protocol correct in the abstract; this pass checks that a *real* run obeyed
-it.  It consumes the task records of a
-:class:`~repro.profiling.TraceCollector` (or a Chrome-trace JSON exported
-from one) plus the :class:`ExecutionPlan` that produced the run, and
-asserts, for every memoized subgraph:
+it.  It consumes the device's stamped :class:`~repro.gpusim.trace.Task`
+stream (``TraceCollector.records``, or tasks rebuilt from a Chrome-trace
+JSON exported from one) plus the :class:`ExecutionPlan` that produced the
+run, and asserts, for every memoized subgraph:
 
 * **exactly once** -- no (node, brick, batch) was computed twice, and every
   exit brick of every exit node was computed;
@@ -22,34 +22,32 @@ asserts, for every memoized subgraph:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, cast
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.core.plan import ExecutionPlan, SubgraphPlan
+from repro.gpusim.trace import Task
 from repro.graph.regions import Region
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.bricked import BrickGrid
     from repro.graph.ir import Graph
 
-__all__ = ["ReplayTask", "replay_trace", "replay_tasks_from_chrome_trace"]
+    class _BrickTask(Protocol):
+        """How the checks below see a ``Task`` that passed ``replay_trace``'s
+        filter: the identity fields they read are known to be set."""
+
+        seq: int
+        node_id: int
+        brick: tuple[int, ...]
+        batch_index: int
+        worker: int
+        start_s: float
+        end_s: float
+
+__all__ = ["replay_trace", "replay_tasks_from_chrome_trace"]
 
 _PASS = "trace-replay"
-
-
-@dataclass(frozen=True)
-class ReplayTask:
-    """The slice of a task record the replay checker needs."""
-
-    seq: int
-    node_id: int
-    subgraph_index: int | None
-    brick: tuple[int, ...]
-    batch_index: int
-    worker: int
-    start_s: float
-    end_s: float
 
 
 def _diag(report: AnalysisReport, code: str, message: str,
@@ -60,25 +58,8 @@ def _diag(report: AnalysisReport, code: str, message: str,
                           subgraph_index=subgraph_index))
 
 
-def _as_replay_tasks(records: Iterable) -> list[ReplayTask]:
-    """Adapt ``TaskRecord``-shaped objects (brick-stamped, memoized) to
-    :class:`ReplayTask`."""
-    out = []
-    for r in records:
-        if getattr(r, "strategy", None) != "memoized":
-            continue
-        if getattr(r, "brick", None) is None or r.node_id is None:
-            continue
-        out.append(ReplayTask(
-            seq=r.seq, node_id=r.node_id, subgraph_index=r.subgraph_index,
-            brick=tuple(r.brick),
-            batch_index=r.batch_index if r.batch_index is not None else 0,
-            worker=r.worker, start_s=r.start_s, end_s=r.end_s))
-    return out
-
-
-def replay_tasks_from_chrome_trace(doc: Mapping) -> list[ReplayTask]:
-    """Reconstruct replay tasks from an exported Chrome-trace JSON object."""
+def replay_tasks_from_chrome_trace(doc: Mapping) -> list[Task]:
+    """Rebuild the memoized brick tasks of an exported Chrome-trace JSON."""
     out = []
     for e in doc.get("traceEvents", ()):
         if e.get("ph") != "X" or e.get("cat") != "memoized":
@@ -86,27 +67,28 @@ def replay_tasks_from_chrome_trace(doc: Mapping) -> list[ReplayTask]:
         args = e.get("args", {})
         if "brick" not in args or "node_id" not in args:
             continue
-        out.append(ReplayTask(
-            seq=args["seq"], node_id=args["node_id"],
-            subgraph_index=args.get("subgraph"),
+        out.append(Task(
+            label=e.get("name", ""), seq=args["seq"], node_id=args["node_id"],
+            subgraph_index=args.get("subgraph"), strategy="memoized",
             brick=tuple(args["brick"]), batch_index=args.get("batch", 0),
             worker=e.get("tid", 0),
             start_s=e["ts"] / 1e6, end_s=(e["ts"] + e["dur"]) / 1e6))
     return out
 
 
-def replay_trace(plan: ExecutionPlan, records: Iterable) -> AnalysisReport:
+def replay_trace(plan: ExecutionPlan, records: Iterable[Task]) -> AnalysisReport:
     """Verify a run's memoized task stream against ``plan``.
 
     ``records`` may be ``TraceCollector.records`` or the output of
-    :func:`replay_tasks_from_chrome_trace`.
+    :func:`replay_tasks_from_chrome_trace`; tasks that are not memoized
+    brick computations are ignored.
     """
     report = AnalysisReport()
-    tasks = (list(records) if records and isinstance(next(iter(records), None), ReplayTask)
-             else _as_replay_tasks(records))
-    by_sub: dict[int | None, list[ReplayTask]] = {}
-    for t in tasks:
-        by_sub.setdefault(t.subgraph_index, []).append(t)
+    by_sub: dict[int | None, list[_BrickTask]] = {}
+    for t in records:
+        if (t.strategy == "memoized" and t.brick is not None
+                and t.node_id is not None and t.batch_index is not None):
+            by_sub.setdefault(t.subgraph_index, []).append(cast("_BrickTask", t))
 
     checked = 0
     for sub in plan.subgraphs:
@@ -134,7 +116,7 @@ def _grids(graph: "Graph", sub: SubgraphPlan) -> dict[int, "BrickGrid"]:
     return grids
 
 
-def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
+def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[_BrickTask],
                      report: AnalysisReport) -> None:
     members = set(sub.subgraph.node_ids)
     grids = _grids(graph, sub)
@@ -145,7 +127,7 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
         return
 
     # Index the producer of every (node, brick, batch); flag duplicates.
-    producer: dict[tuple[int, tuple[int, ...], int], ReplayTask] = {}
+    producer: dict[tuple[int, tuple[int, ...], int], _BrickTask] = {}
     for t in sorted(tasks, key=lambda t: t.seq):
         node = graph.node(t.node_id)
         if t.node_id not in members:

@@ -20,19 +20,22 @@ EXPERIMENTS.md records which scale produced the reported numbers.
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from dataclasses import replace
+
+from typing import TYPE_CHECKING
 
 from repro.bench.reporting import BreakdownRow
 from repro.core.engine import BrickDLEngine
-from repro.core.plan import ExecutionPlan, Strategy
+from repro.core.plan import ExecutionPlan, Strategy, adapt_sectors
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
 from repro.baselines.conventional import ConventionalExecutor
 from repro.graph.ir import Graph
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
+
+if TYPE_CHECKING:  # pragma: no cover - types only (repro.serve is imported lazily)
+    from repro.serve import ServeConfig
 
 __all__ = ["scale_preset", "run_brickdl", "run_conventional", "adapt_sectors",
            "record_bench_manifest", "run_serve_loadgen"]
@@ -46,26 +49,6 @@ def scale_preset() -> str:
     if scale not in _SCALES:
         raise ValueError(f"BRICKDL_SCALE must be one of {_SCALES}, got {scale!r}")
     return scale
-
-
-def adapt_sectors(spec: GPUSpec, plan: ExecutionPlan) -> GPUSpec:
-    """Match cache-residency tracking granularity to the brick size.
-
-    Bricks are the unit of data movement in merged execution; tracking L2
-    residency at a fraction of a brick wastes simulation time without
-    changing any transaction count (those are byte-derived).  Clamped so
-    degenerate plans cannot produce absurd sectors.
-    """
-    brick_bytes = []
-    for sub in plan.subgraphs:
-        if not sub.is_merged:
-            continue
-        channels = max(sub.subgraph.graph.node(n).spec.channels for n in sub.subgraph.node_ids)
-        brick_bytes.append(channels * math.prod(sub.brick_shape) * 4)
-    if not brick_bytes:
-        return spec
-    sector = min(max(min(brick_bytes), spec.l2_sector_bytes), 256 * 1024)
-    return replace(spec, l2_sector_bytes=sector, l1_sector_bytes=min(sector, 16 * 1024))
 
 
 def run_brickdl(
@@ -171,74 +154,40 @@ def record_bench_manifest(
 
 def run_serve_loadgen(
     model: str,
+    config: "ServeConfig",
     requests: int = 200,
-    devices: int = 2,
     mode: str = "poisson",
     rate: float = 100.0,
     concurrency: int = 8,
-    max_batch: int = 8,
-    max_wait_s: float = 0.02,
-    queue_depth: int = 64,
-    cache_capacity: int = 16,
-    saturation_policy: str = "degrade",
-    functional: bool = True,
-    strategy: Strategy | None = None,
-    brick: int | None = None,
-    timeout_s: float | None = None,
     seed: int = 0,
     verify: int = 0,
     spec: GPUSpec = A100,
     manifest: "str | os.PathLike | None" = None,
     trace: "str | os.PathLike | None" = None,
     latency_csv: "str | os.PathLike | None" = None,
-    straggler_device: int | None = None,
-    straggler_delay_s: float = 0.0,
-    slo_objective: float = 0.99,
-    slo_latency_target_s: float | None = None,
-    batching: str = "head",
-    autoscale: "tuple[int, int] | None" = None,
     **build_kwargs,
 ):
     """Serve one zoo model under synthetic traffic; returns ``(report, server)``.
 
     The shared path of the ``repro loadgen`` CLI, the CI serve-smoke and
     obs-smoke jobs, and ``benchmarks/bench_serve.py``, so a committed smoke
-    threshold and a local run exercise the same code.  ``manifest``
-    optionally names a file to receive the session's serving
+    threshold and a local run exercise the same code.  ``config`` is the
+    session's :class:`~repro.serve.ServeConfig` (fleet size, batching, SLO
+    objective, straggler injection, autoscaler); ``manifest`` optionally
+    names a file to receive the session's serving
     :class:`~repro.metrics.RunManifest`.
 
     ``trace`` enables request-scoped distributed tracing (``repro.obs``):
     the JSONL span log lands at the given path, and a flight recorder dumps
     ``flightrec-<reason>.json`` next to it on error/reject/timeout/SLO
-    breach.  ``latency_csv`` dumps one row per request.  ``straggler_*``
-    inject wall-clock delay on one device; the ``slo_*`` knobs set the
-    burn-rate objective (see :class:`repro.metrics.slo.SLOConfig`).
+    breach.  ``latency_csv`` dumps one row per request.
     """
     from pathlib import Path
 
     from repro.models import zoo
-    from repro.serve import InferenceServer, ServeConfig, loadgen
+    from repro.serve import InferenceServer, loadgen
 
     graph = zoo.build(model, **build_kwargs)
-    autoscaler = None
-    if autoscale is not None:
-        from repro.serve import AutoscalerConfig
-
-        lo, hi = autoscale
-        autoscaler = AutoscalerConfig(min_devices=lo, max_devices=hi)
-        devices = lo
-    config = ServeConfig(
-        devices=devices, max_batch=max_batch, max_wait_s=max_wait_s,
-        queue_depth=queue_depth, cache_capacity=cache_capacity,
-        saturation_policy=saturation_policy, functional=functional,
-        strategy=strategy, brick=brick, default_timeout_s=timeout_s,
-        slo_objective=slo_objective,
-        slo_latency_target_s=slo_latency_target_s,
-        straggler_device=straggler_device,
-        straggler_delay_s=straggler_delay_s,
-        batching=batching,
-        autoscaler=autoscaler,
-    )
     tracer = None
     if trace is not None:
         from repro.obs import FlightRecorder, Tracer

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.plan import adapt_sectors
 from repro.gpusim.spec import A100
 
 
@@ -63,7 +64,6 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.bench.harness import adapt_sectors
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
@@ -92,7 +92,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.bench.harness import adapt_sectors
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
@@ -126,7 +125,6 @@ def _sanitized_run(graph, plan, strategy, brick):
     engine result (carrying ``sanitizer_report``)."""
     import numpy as np
 
-    from repro.bench.harness import adapt_sectors
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
 
@@ -188,7 +186,6 @@ def cmd_lint(args) -> int:
         doc = json.loads(pathlib.Path(args.replay).read_text())
         report.extend(replay_trace(plan, replay_tasks_from_chrome_trace(doc)))
     elif args.run:
-        from repro.bench.harness import adapt_sectors
         from repro.gpusim.device import Device
         from repro.profiling import TraceCollector
 
@@ -407,29 +404,36 @@ def _parse_straggler(value: str | None) -> tuple[int | None, float]:
     return int(dev), float(ms) / 1e3
 
 
-def _parse_autoscale(value: str | None) -> "tuple[int, int] | None":
-    """``MIN:MAX`` -> autoscaler device bounds; ``None`` -> fixed fleet."""
-    if value is None:
-        return None
-    lo, sep, hi = value.partition(":")
-    if not sep:
-        raise SystemExit(f"--autoscale expects MIN:MAX, got {value!r}")
-    return int(lo), int(hi)
+def _serve_config(args):
+    """The serving session config shared by ``serve``, ``loadgen`` and
+    ``top``: each flag maps to its :class:`ServeConfig` field once."""
+    from repro.serve import AutoscalerConfig, ServeConfig
 
-
-def _obs_kwargs(args) -> dict:
-    """Tracing / SLO / fault-injection kwargs shared by serve and loadgen."""
     straggler_device, straggler_delay_s = _parse_straggler(args.straggler)
-    return {
-        "trace": args.trace,
-        "straggler_device": straggler_device,
-        "straggler_delay_s": straggler_delay_s,
-        "slo_objective": args.slo_objective,
-        "slo_latency_target_s": (None if args.slo_latency_ms is None
-                                 else args.slo_latency_ms / 1e3),
-        "batching": args.batching,
-        "autoscale": _parse_autoscale(args.autoscale),
-    }
+    devices, autoscaler = args.devices, None
+    if args.autoscale is not None:
+        lo, sep, hi = args.autoscale.partition(":")
+        if not sep:
+            raise SystemExit(f"--autoscale expects MIN:MAX, got {args.autoscale!r}")
+        devices = int(lo)
+        autoscaler = AutoscalerConfig(min_devices=devices, max_devices=int(hi))
+    return ServeConfig(
+        devices=devices, max_batch=args.max_batch,
+        max_wait_s=args.max_wait_ms / 1e3, queue_depth=args.queue_depth,
+        cache_capacity=args.cache_capacity,
+        saturation_policy=args.on_saturation,
+        functional=not args.profile, strategy=_strategy(args),
+        brick=args.brick,
+        default_timeout_s=(None if args.timeout_ms is None
+                           else args.timeout_ms / 1e3),
+        slo_objective=args.slo_objective,
+        slo_latency_target_s=(None if args.slo_latency_ms is None
+                              else args.slo_latency_ms / 1e3),
+        straggler_device=straggler_device,
+        straggler_delay_s=straggler_delay_s,
+        batching=args.batching,
+        autoscaler=autoscaler,
+    )
 
 
 def _print_obs_summary(args, server) -> None:
@@ -452,14 +456,10 @@ def cmd_serve(args) -> int:
     from repro.bench.harness import run_serve_loadgen
 
     report, server = run_serve_loadgen(
-        args.model, requests=args.requests, devices=args.devices,
+        args.model, _serve_config(args), requests=args.requests,
         mode="closed", concurrency=min(4, args.requests or 1),
-        max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
-        queue_depth=args.queue_depth, cache_capacity=args.cache_capacity,
-        functional=not args.profile, strategy=_strategy(args),
-        brick=args.brick, timeout_s=None if args.timeout_ms is None else args.timeout_ms / 1e3,
-        seed=args.seed, manifest=args.manifest,
-        **_obs_kwargs(args), **_serve_build_kwargs(args))
+        seed=args.seed, manifest=args.manifest, trace=args.trace,
+        **_serve_build_kwargs(args))
     stats = server.stats()
     print(f"served {stats['requests']['completed']} requests on "
           f"{args.devices} simulated device(s): "
@@ -483,16 +483,11 @@ def cmd_loadgen(args) -> int:
     from repro.bench.harness import run_serve_loadgen
 
     report, server = run_serve_loadgen(
-        args.model, requests=args.requests, devices=args.devices,
+        args.model, _serve_config(args), requests=args.requests,
         mode=args.mode, rate=args.rate, concurrency=args.concurrency,
-        max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
-        queue_depth=args.queue_depth, cache_capacity=args.cache_capacity,
-        saturation_policy=args.on_saturation,
-        functional=not args.profile, strategy=_strategy(args),
-        brick=args.brick, timeout_s=None if args.timeout_ms is None else args.timeout_ms / 1e3,
         seed=args.seed, verify=args.verify, manifest=args.manifest,
-        latency_csv=args.latency_csv,
-        **_obs_kwargs(args), **_serve_build_kwargs(args))
+        trace=args.trace, latency_csv=args.latency_csv,
+        **_serve_build_kwargs(args))
     print(report.render())
     _print_obs_summary(args, server)
     if args.latency_csv:
@@ -506,23 +501,10 @@ def cmd_top(args) -> int:
     """Live serve-fleet dashboard: traffic runs while the terminal refreshes."""
     from repro.models import zoo
     from repro.obs import run_top
-    from repro.serve import InferenceServer, ServeConfig
+    from repro.serve import InferenceServer
 
-    straggler_device, straggler_delay_s = _parse_straggler(args.straggler)
     graph = zoo.build(args.model, **_serve_build_kwargs(args))
-    config = ServeConfig(
-        devices=args.devices, max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3, queue_depth=args.queue_depth,
-        cache_capacity=args.cache_capacity,
-        functional=not args.profile, strategy=_strategy(args),
-        brick=args.brick,
-        slo_objective=args.slo_objective,
-        slo_latency_target_s=(None if args.slo_latency_ms is None
-                              else args.slo_latency_ms / 1e3),
-        straggler_device=straggler_device,
-        straggler_delay_s=straggler_delay_s,
-    )
-    server = InferenceServer(graph, config=config)
+    server = InferenceServer(graph, config=_serve_config(args))
     report = run_top(server, refresh_s=args.refresh_ms / 1e3,
                      requests=args.requests, mode=args.mode, rate=args.rate,
                      concurrency=args.concurrency, seed=args.seed)
@@ -781,6 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--latency-csv", default=None, metavar="OUT.csv",
                             help="write one row per request: arrival/admitted/"
                                  "batched/completed, deadline attainment, trace id")
+        else:
+            sp.set_defaults(on_saturation="degrade")
         sp.set_defaults(fn=fn)
 
     top = sub.add_parser(
@@ -808,7 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--straggler", default=None, metavar="DEV:MS")
     top.add_argument("--slo-objective", type=float, default=0.99)
     top.add_argument("--slo-latency-ms", type=float, default=None)
-    top.set_defaults(fn=cmd_top)
+    # Not flags of ``top``: the shared config helper reads them as fixed.
+    top.set_defaults(fn=cmd_top, timeout_ms=None, on_saturation="degrade",
+                     batching="head", autoscale=None)
 
     sc = sub.add_parser(
         "scenario",

@@ -564,10 +564,6 @@ class BrickDLEngine:
         boundary[nid] = new
         return new
 
-    def _dense_values(self, device, node: Node, boundary) -> np.ndarray:
-        handle = self._ensure_dense(device, node.node_id, boundary, functional=True)
-        return handle.require_data()
-
     def _retire(self, device, sub: SubgraphPlan, boundary, remaining) -> None:
         """Release boundary buffers whose consumers have all executed."""
         members = set(sub.subgraph.node_ids)

@@ -11,12 +11,14 @@ and tests can interrogate *why* the model decided what it did.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
+from repro.gpusim.spec import GPUSpec
 from repro.graph.ir import Graph
 from repro.graph.traversal import SubgraphView
 
-__all__ = ["Strategy", "SubgraphPlan", "ExecutionPlan"]
+__all__ = ["Strategy", "SubgraphPlan", "ExecutionPlan", "adapt_sectors"]
 
 
 class Strategy(enum.Enum):
@@ -86,3 +88,23 @@ class ExecutionPlan:
                  f"({self.merged_count} merged)"]
         lines += ["  " + s.describe() for s in self.subgraphs]
         return "\n".join(lines)
+
+
+def adapt_sectors(spec: GPUSpec, plan: ExecutionPlan) -> GPUSpec:
+    """Match cache-residency tracking granularity to the brick size.
+
+    Bricks are the unit of data movement in merged execution; tracking L2
+    residency at a fraction of a brick wastes simulation time without
+    changing any transaction count (those are byte-derived).  Clamped so
+    degenerate plans cannot produce absurd sectors.
+    """
+    brick_bytes = []
+    for sub in plan.subgraphs:
+        if not sub.is_merged:
+            continue
+        channels = max(sub.subgraph.graph.node(n).spec.channels for n in sub.subgraph.node_ids)
+        brick_bytes.append(channels * math.prod(sub.brick_shape) * 4)
+    if not brick_bytes:
+        return spec
+    sector = min(max(min(brick_bytes), spec.l2_sector_bytes), 256 * 1024)
+    return replace(spec, l2_sector_bytes=sector, l1_sector_bytes=min(sector, 16 * 1024))

@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.core.engine import BrickDLEngine
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
-from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
+from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan, adapt_sectors
 from repro.graph.ir import Graph
 from repro.graph.traversal import materialize_subgraph
 from repro.gpusim.device import Device
@@ -113,7 +113,6 @@ def _profile_subgraph(
     config: PerfModelConfig,
 ) -> float | None:
     """Simulated time of one subgraph under one configuration (None = inapplicable)."""
-    from repro.bench.harness import adapt_sectors
     from repro.core.wavefront import is_chain_subgraph
 
     if strategy is Strategy.WAVEFRONT and not is_chain_subgraph(sub.subgraph):

@@ -9,7 +9,8 @@ execution exploits), and finally call :meth:`finish` to obtain the
 
 Observability: the device maintains per-worker lane clocks and stamps every
 submitted task with an issue-order ``(start_s, end_s)`` from the
-``spec.task_time`` model, so each run yields a timeline.  Attached observers
+``spec.task_time`` model plus its submission index and counter delta, so
+each run yields a timeline of self-describing tasks.  Attached observers
 (see :mod:`repro.profiling`) are notified of allocations and discards, task
 submissions (with the task's own counter delta), functional kernel values
 (:meth:`note_values`), synchronizations, attribution scopes, and run
@@ -206,11 +207,15 @@ class Device:
         if self._trace_ctx is not None:
             task.trace = self._trace_ctx
 
+        task.seq = len(self._tasks)
         self._tasks.append(task)
         deltas = (c.l1_txns - before[0], c.l2_txns - before[1],
                   c.dram_read_txns - before[2], c.dram_write_txns - before[3],
                   self.atomics.compulsory - before[4],
                   self.atomics.conflict - before[5])
+        task.l1_txns = deltas[0]
+        task.l2_txns = deltas[1]
+        task.dram_txns = deltas[2] + deltas[3]
         row = self._metric_row(task.node_id)
         for counter, delta in zip(row, deltas):
             if delta:
@@ -219,7 +224,7 @@ class Device:
         row[-1].value += task.flops
         if self.observers:
             delta_map = dict(zip(_TASK_METRICS, deltas))
-            delta_map["dram_txns"] = deltas[2] + deltas[3]
+            delta_map["dram_txns"] = task.dram_txns
             for obs in self.observers:
                 obs.on_task_submit(self, task, delta_map)
 
@@ -244,32 +249,6 @@ class Device:
 
     def add_overhead(self, seconds: float) -> None:
         self._extra_overhead += seconds
-
-    # -- incremental attribution ------------------------------------------------
-    def snapshot(self) -> tuple:
-        """Opaque cursor of the counters, for per-phase attribution."""
-        c = self.memory.counters
-        return (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns,
-                self.atomics.compulsory, self.atomics.conflict,
-                len(self._tasks), self._sync_count, self._extra_overhead)
-
-    def delta_since(self, snap: tuple) -> dict:
-        """Counter growth since :meth:`snapshot` (for phase breakdowns)."""
-        c = self.memory.counters
-        tasks = self._tasks[snap[6]:]
-        return {
-            "l1_txns": c.l1_txns - snap[0],
-            "l2_txns": c.l2_txns - snap[1],
-            "dram_txns": (c.dram_read_txns - snap[2]) + (c.dram_write_txns - snap[3]),
-            "atomics_compulsory": self.atomics.compulsory - snap[4],
-            "atomics_conflict": self.atomics.conflict - snap[5],
-            "num_tasks": len(tasks),
-            "flops": float(sum(t.flops for t in tasks)),
-            "syncs": self._sync_count - snap[7],
-            "overhead_s": self._extra_overhead - snap[8],
-            "dram_time_s": ((c.dram_read_txns - snap[2]) + (c.dram_write_txns - snap[3]))
-                           / self.spec.txn_rate,
-        }
 
     # -- results ------------------------------------------------------------
     @property

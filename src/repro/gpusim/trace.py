@@ -209,6 +209,10 @@ class Task:
       by the device at submit time if the executor did not choose one);
     * ``start_s`` / ``end_s`` -- issue-order timeline position, assigned by
       the device from the ``spec.task_time`` model;
+    * ``seq`` / ``l1_txns`` / ``l2_txns`` / ``dram_txns`` -- submission index
+      and the counter delta this task produced in the memory hierarchy,
+      stamped by the device at submit time: the submitted task *is* the
+      run's task record (profiling, replay and tracing read it directly);
     * ``brick`` / ``batch_index`` -- for brick-granular tasks (the merged
       executors), the grid position and batch sample this task computes:
       the identity the trace-replay checker uses to assert the
@@ -248,6 +252,10 @@ class Task:
     # the device when a serve-layer trace context is active (see
     # ``Device.set_trace_context``); ``None`` on untraced runs.
     trace: tuple[str, str] | None = None
+    seq: int | None = None
+    l1_txns: int = 0
+    l2_txns: int = 0
+    dram_txns: int = 0
 
     def acquire(self, token: tuple) -> None:
         """Stamp an acquire edge: this task synchronized with ``token``'s

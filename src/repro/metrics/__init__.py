@@ -52,12 +52,10 @@ from repro.metrics.registry import (
     MetricsRegistry,
     Sample,
 )
-from repro.metrics.slo import BurnAlert, BurnRateMonitor, SLOConfig, burn_rate
 
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Sample",
     "LABEL_HIERARCHY", "LATENCY_BUCKETS_S", "BATCH_BUCKETS",
-    "SLOConfig", "BurnAlert", "BurnRateMonitor", "burn_rate",
     "BottleneckReport", "RooflinePoint", "COMPONENTS",
     "attribute_run", "attribute_subgraphs", "attribution_table",
     "RunManifest", "MANIFEST_VERSION", "manifest_from_result",

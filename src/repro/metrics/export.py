@@ -23,6 +23,7 @@ import re
 from typing import TYPE_CHECKING
 
 from repro.metrics.registry import LABEL_HIERARCHY, MetricsRegistry
+from repro.profiling.observer import DeviceObserver
 
 if TYPE_CHECKING:  # pragma: no cover - types only (gpusim imports repro.metrics)
     from repro.gpusim.device import Device, RunMetrics
@@ -115,7 +116,7 @@ def write_metrics_csv(registry: MetricsRegistry,
     return path
 
 
-class CounterTrackSampler:
+class CounterTrackSampler(DeviceObserver):
     """Device observer that samples cumulative cache/atomic levels over time.
 
     At every task completion (and at finish) it records the current level of
@@ -143,26 +144,13 @@ class CounterTrackSampler:
             if not track or track[-1][1] != value:
                 track.append((time_s, float(value)))
 
-    # -- DeviceObserver interface (duck-typed) ------------------------------
-    def on_alloc(self, device, buffer):
-        pass
-
-    def on_discard(self, device, buffer):
-        pass
-
-    def on_scope_begin(self, device, subgraph_index, strategy):
-        pass
-
-    def on_scope_end(self, device, subgraph_index, strategy):
+    def on_scope_end(self, device: "Device", subgraph_index, strategy) -> None:
         self._sample(device, device.now_s)
 
     def on_task_submit(self, device: "Device", task: "Task", delta) -> None:
         self._sample(device, task.end_s or device.now_s)
 
-    def on_task_values(self, device, task, node_id, values):
-        pass
-
-    def on_sync(self, device, time_s: float):
+    def on_sync(self, device: "Device", time_s: float) -> None:
         self._sample(device, time_s)
 
     def on_finish(self, device: "Device", metrics: "RunMetrics") -> None:

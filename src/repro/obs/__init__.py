@@ -12,8 +12,8 @@ Pieces:
   deterministic ids, JSONL sink;
 * :mod:`~repro.obs.recorder` -- bounded flight-recorder ring, dumped once
   per fault reason (error/reject/timeout/slo_breach);
-* :mod:`~repro.obs.slo` -- multi-window burn-rate alerting over the
-  deadline-attainment objective (math in :mod:`repro.metrics.slo`);
+* :mod:`~repro.obs.slo` -- the SLO config and multi-window burn-rate
+  alerting over the deadline-attainment objective;
 * :mod:`~repro.obs.export` -- completeness invariants, span trees, and
   the merged Perfetto export;
 * :mod:`~repro.obs.top` -- the ``repro top`` live dashboard.

@@ -31,7 +31,7 @@ from repro.obs.context import Span, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.recorder import FlightRecorder
-    from repro.profiling.collector import TaskRecord
+    from repro.gpusim.trace import Task
 
 __all__ = ["Tracer"]
 
@@ -150,11 +150,11 @@ class Tracer:
         return entry
 
     # -- device-task fan-in --------------------------------------------------
-    def emit_task_spans(self, records: "Iterable[TaskRecord]", parent: Span,
+    def emit_task_spans(self, records: "Iterable[Task]", parent: Span,
                         max_spans: int = 2048, **attrs) -> int:
-        """Turn an engine run's task records into child spans of ``parent``.
+        """Turn an engine run's tasks into child spans of ``parent``.
 
-        Task records carry *simulated* device times; each is scaled into the
+        Tasks carry *simulated* device times; each is scaled into the
         parent execute span's wall-clock window so the merged Perfetto view
         lines serve spans and device lanes up on one axis (the unscaled sim
         times ride along as ``sim_start_s``/``sim_end_s`` attrs).  Records
@@ -178,7 +178,7 @@ class Tracer:
                 seq=r.seq, node_id=r.node_id, subgraph=r.subgraph_index,
                 strategy=r.strategy, worker=r.worker,
                 sim_start_s=r.start_s, sim_end_s=r.end_s,
-                dram_txns=r.dram_txns, flops=r.flops,
+                dram_txns=r.dram_txns, flops=float(r.flops),
                 brick=r.brick, batch_index=r.batch_index, **attrs)
             self.end_span(span, end_s=parent.start_s + r.end_s * scale)
             emitted += 1

@@ -4,8 +4,8 @@ The paper validates BrickDL by reading Nsight Compute counters: per-level
 transaction counts, atomic traffic, and per-subgraph time breakdowns
 (section 4).  This package is the reproduction's equivalent substrate: an
 observer API on the simulated :class:`~repro.gpusim.device.Device`, a
-default :class:`TraceCollector` that records every task with structured
-identity and exact counter attribution, and exporters to Chrome-trace /
+default :class:`TraceCollector` that keeps every submitted task with its
+structured identity and exact counter attribution, and exporters to Chrome-trace /
 Perfetto JSON and CSV.
 
 Typical use::
@@ -22,7 +22,7 @@ Typical use::
 or from the command line: ``repro profile resnet50 --trace run.json``.
 """
 
-from repro.profiling.collector import AllocEvent, SyncEvent, TaskRecord, TraceCollector
+from repro.profiling.collector import AllocEvent, SyncEvent, TraceCollector
 from repro.profiling.observer import DeviceObserver
 from repro.profiling.export import (
     chrome_trace,
@@ -34,7 +34,6 @@ from repro.profiling.export import (
 __all__ = [
     "DeviceObserver",
     "TraceCollector",
-    "TaskRecord",
     "AllocEvent",
     "SyncEvent",
     "chrome_trace",

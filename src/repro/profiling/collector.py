@@ -1,9 +1,10 @@
 """The default trace collector: per-task records and attribution rollups.
 
 :class:`TraceCollector` is a :class:`~repro.profiling.observer.DeviceObserver`
-that accumulates one :class:`TaskRecord` per submitted task (identity,
-timeline position, counter deltas) plus the *residual* counter growth that
-happens outside any task -- the memoized scheduler's bulk conflict-CAS
+that keeps every submitted :class:`~repro.gpusim.trace.Task` -- the device
+has already stamped identity, timeline position and counter deltas on it,
+so the task is its own record -- plus the *residual* counter growth that
+happens outside any task: the memoized scheduler's bulk conflict-CAS
 accounting, recursion overhead, and the final write-back flush.  Every
 transaction and atomic the device counts lands in exactly one record or one
 residual bucket, so the rollups reconcile exactly with the run's
@@ -11,8 +12,8 @@ residual bucket, so the rollups reconcile exactly with the run's
 
 * :meth:`per_node` -- attribution by graph node (the trace-level analogue of
   reading Nsight Compute counters per kernel, paper section 4),
-* :meth:`per_subgraph` -- attribution by plan entry, same keys as the
-  engine's historical ``Device.delta_since`` dicts,
+* :meth:`per_subgraph` -- attribution by plan entry, the rows
+  :meth:`EngineResult.attribution_table` renders,
 * :meth:`totals` -- whole-run sums for reconciliation checks.
 """
 
@@ -27,42 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpusim.device import Device, RunMetrics
     from repro.gpusim.trace import Buffer, Task
 
-__all__ = ["TaskRecord", "AllocEvent", "SyncEvent", "TraceCollector"]
+__all__ = ["AllocEvent", "SyncEvent", "TraceCollector"]
 
 _COUNTER_KEYS = ("l1_txns", "l2_txns", "dram_txns",
                  "atomics_compulsory", "atomics_conflict")
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """One task's identity, timeline position, and counter attribution."""
-
-    seq: int
-    label: str
-    node_id: int | None
-    subgraph_index: int | None
-    strategy: str | None
-    worker: int
-    start_s: float
-    end_s: float
-    flops: float
-    calls: int
-    l1_txns: int
-    l2_txns: int
-    dram_txns: int
-    atomics_compulsory: int
-    atomics_conflict: int
-    bytes_read: int
-    bytes_written: int
-    brick: tuple[int, ...] | None = None
-    batch_index: int | None = None
-    # Serve-layer trace provenance ``(trace_id, parent_span_id)``, carried
-    # through from the task stamp; ``None`` on untraced runs.
-    trace: tuple[str, str] | None = None
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 @dataclass(frozen=True)
@@ -86,10 +55,10 @@ def _zero_residual() -> dict:
 
 
 class TraceCollector(DeviceObserver):
-    """Accumulates task records, residuals, and allocation/sync events."""
+    """Accumulates submitted tasks, residuals, and allocation/sync events."""
 
     def __init__(self) -> None:
-        self.records: list[TaskRecord] = []
+        self.records: list[Task] = []
         self.allocs: list[AllocEvent] = []
         self.syncs: list[SyncEvent] = []
         # Residual counter growth outside any task, keyed by subgraph index
@@ -154,28 +123,7 @@ class TraceCollector(DeviceObserver):
                        delta: Mapping[str, int]) -> None:
         self.spec = device.spec
         self._settle(device, self._active_scope()[0], task_delta=delta)
-        self.records.append(TaskRecord(
-            seq=len(self.records),
-            label=task.label,
-            node_id=task.node_id,
-            subgraph_index=task.subgraph_index,
-            strategy=task.strategy,
-            worker=task.worker if task.worker is not None else 0,
-            start_s=task.start_s or 0.0,
-            end_s=task.end_s or 0.0,
-            flops=float(task.flops),
-            calls=task.calls,
-            l1_txns=delta.get("l1_txns", 0),
-            l2_txns=delta.get("l2_txns", 0),
-            dram_txns=delta.get("dram_txns", 0),
-            atomics_compulsory=delta.get("atomics_compulsory", 0),
-            atomics_conflict=delta.get("atomics_conflict", 0),
-            bytes_read=task.bytes_read,
-            bytes_written=task.bytes_written,
-            brick=task.brick,
-            batch_index=task.batch_index,
-            trace=task.trace,
-        ))
+        self.records.append(task)
 
     def on_sync(self, device: "Device", time_s: float) -> None:
         self.syncs.append(SyncEvent(time_s, self._active_scope()[0]))
@@ -231,9 +179,7 @@ class TraceCollector(DeviceObserver):
     def per_subgraph(self, count: int | None = None) -> list[dict]:
         """Per-plan-entry attribution, one dict per subgraph index.
 
-        Same keys as the historical ``Device.delta_since`` dicts the engine
-        used to build by hand, so :meth:`EngineResult.attribution_table`
-        renders unchanged.
+        The rows :meth:`EngineResult.attribution_table` renders.
         """
         indices = [r.subgraph_index for r in self.records if r.subgraph_index is not None]
         indices += [k for k in self.residuals if isinstance(k, int)]

@@ -70,7 +70,7 @@ def chrome_trace(collector: TraceCollector,
             "dram_txns": r.dram_txns,
             "l2_txns": r.l2_txns,
             "l1_txns": r.l1_txns,
-            "flops": r.flops,
+            "flops": float(r.flops),
             "calls": r.calls,
             "bytes_read": r.bytes_read,
             "bytes_written": r.bytes_written,

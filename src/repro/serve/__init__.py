@@ -22,7 +22,6 @@ Entry points: :class:`InferenceServer` (async API), :func:`loadgen` /
 """
 
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig, DevicePool, ScaleEvent
-from repro.serve.batcher import DynamicBatcher, batch_bucket
 from repro.serve.loadgen import LoadgenReport, loadgen, run_loadgen
 from repro.serve.plancache import CachePartition, CompiledEntry, PlanCache, PlanKey
 from repro.serve.request import (
@@ -33,14 +32,13 @@ from repro.serve.request import (
     TenantQuotaError,
 )
 from repro.serve.scenarios import SCENARIOS, Scenario, ScenarioReport, TenantSpec, run_scenario
-from repro.serve.scheduler import AdmissionQueue, FleetBatcher, PriorityClass
+from repro.serve.scheduler import AdmissionQueue, FleetBatcher, PriorityClass, batch_bucket
 from repro.serve.server import InferenceServer, ServeConfig
 from repro.serve.vtime import VirtualTimeLoop, run_virtual
 
 __all__ = [
     "InferenceServer", "ServeConfig",
-    "DynamicBatcher", "batch_bucket",
-    "PriorityClass", "AdmissionQueue", "FleetBatcher",
+    "PriorityClass", "AdmissionQueue", "FleetBatcher", "batch_bucket",
     "PlanCache", "PlanKey", "CompiledEntry", "CachePartition",
     "AutoscalerConfig", "Autoscaler", "DevicePool", "ScaleEvent",
     "InferenceRequest", "InferenceResponse",

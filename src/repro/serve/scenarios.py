@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.plan import adapt_sectors
 from repro.errors import ExecutionError
 from repro.gpusim.spec import A100, GPUSpec
 from repro.serve.autoscaler import AutoscalerConfig
@@ -359,7 +360,6 @@ def _plan_arrivals(scenario: Scenario, seed: int, requests: int,
 def _calibrate(graphs: Mapping[str, object], spec: GPUSpec,
                max_batch: int) -> float:
     """Simulated service seconds of one full batch (max over models)."""
-    from repro.bench.harness import adapt_sectors
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
 

@@ -14,9 +14,11 @@ longer coalescing window.  This module provides:
   classes, all sharing a single depth bound so backpressure stays global;
 * :class:`FleetBatcher` -- forms model-homogeneous batches from the
   highest-rank non-empty class, coalescing inside the head request's wait
-  window exactly like the PR-5 :class:`~repro.serve.batcher.DynamicBatcher`
-  -- and *preempts* a lower class's coalescing window when higher-rank work
-  arrives mid-wait.
+  window (Clipper-style: greedy up to ``max_batch``, never holding the head
+  longer than its class's ``max_wait_s`` or its own deadline) -- and
+  *preempts* a lower class's coalescing window when higher-rank work
+  arrives mid-wait.  :func:`batch_bucket` then rounds batch sizes up to a
+  power of two so the plan cache holds O(log max_batch) plans.
 
 EDF invariant (tested by hypothesis): within a formed batch, requests are
 ordered by non-decreasing deadline, with deadline-free requests last in
@@ -32,12 +34,12 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.serve.request import InferenceRequest
 
 __all__ = ["PriorityClass", "AdmissionQueue", "FleetBatcher",
-           "DEFAULT_CLASS", "edf_key"]
+           "batch_bucket", "edf_key"]
 
 _BATCHING_MODES = ("head", "edf")
 
@@ -62,9 +64,6 @@ class PriorityClass:
                 f"got {self.batching!r}")
         if self.max_wait_s is not None and self.max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
-
-
-DEFAULT_CLASS = PriorityClass()
 
 
 def edf_key(req: InferenceRequest) -> tuple[float, int]:
@@ -216,16 +215,26 @@ class AdmissionQueue:
             return False
 
 
+def batch_bucket(n: int, max_batch: int) -> int:
+    """Smallest power of two >= ``n``, capped at ``max_batch``."""
+    if n < 1:
+        raise ValueError(f"batch size must be >= 1, got {n}")
+    bucket = 1
+    while bucket < n:
+        bucket *= 2
+    return min(bucket, max(max_batch, n))
+
+
 class FleetBatcher:
     """Form class-aware, model-homogeneous batches off an admission queue.
 
-    Head-anchored semantics match :class:`~repro.serve.batcher
-    .DynamicBatcher`: the wait window anchors at the head request (its
-    class's ``max_wait_s`` and its own deadline govern the flush).  EDF
-    classes pick heads and coalesce in deadline order instead of arrival
-    order.  When a strictly higher-rank class gets work while a preemptible
-    class is still coalescing, the window flushes early so the urgent class
-    reaches a device next -- ``on_preempt`` observes every such cut.
+    The wait window anchors at the head request (its class's ``max_wait_s``
+    and its own deadline govern the flush), so a steady trickle cannot
+    starve the first arrival.  EDF classes pick heads and coalesce in
+    deadline order instead of arrival order.  When a strictly higher-rank
+    class gets work while a preemptible class is still coalescing, the
+    window flushes early so the urgent class reaches a device next --
+    ``on_preempt`` observes every such cut.
     """
 
     def __init__(
@@ -233,7 +242,6 @@ class FleetBatcher:
         queue: AdmissionQueue,
         max_batch: int = 8,
         max_wait_s: float = 0.01,
-        deadline_slack_s: float = 0.0,
         on_preempt: Callable[[PriorityClass, PriorityClass, int], None] | None = None,
     ) -> None:
         if max_batch < 1:
@@ -243,7 +251,6 @@ class FleetBatcher:
         self.queue = queue
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.deadline_slack_s = deadline_slack_s
         self.on_preempt = on_preempt
         self.batches_formed = 0
         self.preemptions = 0
@@ -253,7 +260,7 @@ class FleetBatcher:
         wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
         flush_at = now_s + wait
         if head.deadline_s is not None:
-            flush_at = min(flush_at, head.deadline_s - self.deadline_slack_s)
+            flush_at = min(flush_at, head.deadline_s)
         return flush_at
 
     async def next_batch(self) -> tuple[PriorityClass, list[InferenceRequest]]:
@@ -298,12 +305,3 @@ class FleetBatcher:
 
     def drain_nowait(self) -> list[InferenceRequest]:
         return self.queue.drain_nowait()
-
-
-def validate_classes(classes: Iterable[PriorityClass]) -> tuple[PriorityClass, ...]:
-    """Dataclass-level validation for a class set (used by ServeConfig)."""
-    out = tuple(classes)
-    names = [c.name for c in out]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate priority class names: {names}")
-    return out

@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.engine import BrickDLEngine
-from repro.core.plan import Strategy
+from repro.core.plan import Strategy, adapt_sectors
 from repro.errors import ExecutionError
 from repro.graph.ir import Graph
 from repro.gpusim.device import Device
@@ -62,10 +62,8 @@ from repro.metrics import (
     RunManifest,
     manifest_from_serve,
 )
-from repro.metrics.slo import SLOConfig
-from repro.obs.slo import SLOMonitor
+from repro.obs.slo import SLOConfig, SLOMonitor
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig, DevicePool
-from repro.serve.batcher import batch_bucket
 from repro.serve.plancache import CompiledEntry, PlanCache, PlanKey
 from repro.serve.request import (
     InferenceRequest,
@@ -74,7 +72,12 @@ from repro.serve.request import (
     ServerClosedError,
     TenantQuotaError,
 )
-from repro.serve.scheduler import AdmissionQueue, FleetBatcher, PriorityClass
+from repro.serve.scheduler import (
+    AdmissionQueue,
+    FleetBatcher,
+    PriorityClass,
+    batch_bucket,
+)
 
 __all__ = ["ServeConfig", "InferenceServer"]
 
@@ -120,8 +123,6 @@ class ServeConfig:
     # "thread": simulate in a worker thread (wall-clock serving).
     # "inline": simulate on the loop, charge sim time as virtual sleep.
     execution: str = "thread"
-    # Virtual service seconds charged per simulated second (inline mode).
-    service_time_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.devices < 1:
@@ -142,9 +143,6 @@ class ServeConfig:
             raise ValueError(
                 f"execution must be one of {_EXECUTION_MODES}, "
                 f"got {self.execution!r}")
-        if self.service_time_scale < 0:
-            raise ValueError(f"service_time_scale must be >= 0, "
-                             f"got {self.service_time_scale}")
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate priority class names: {names}")
@@ -176,7 +174,6 @@ class InferenceServer:
         config: ServeConfig = ServeConfig(),
         registry: MetricsRegistry | None = None,
         tracer=None,
-        slo: SLOConfig | None = None,
     ) -> None:
         graphs = self._normalize_graphs(graph)
         for g in graphs:
@@ -213,9 +210,8 @@ class InferenceServer:
         self.tracer = tracer
         self.recorder = tracer.recorder if tracer is not None else None
         self.slo = SLOMonitor(
-            slo if slo is not None else SLOConfig(
-                objective=config.slo_objective,
-                latency_target_s=config.slo_latency_target_s),
+            SLOConfig(objective=config.slo_objective,
+                      latency_target_s=config.slo_latency_target_s),
             registry=self.registry, tracer=tracer, recorder=self.recorder)
         if config.functional:
             for g in graphs:
@@ -478,7 +474,7 @@ class InferenceServer:
     def _autoscale_signals(self) -> tuple[int, float]:
         depth = self._queue.qsize() if self._queue is not None else 0
         window = self.config.autoscaler.burn_window_s
-        burn = self.slo.monitor.burn(window, self._loop_time())
+        burn = self.slo.burn(window, self._loop_time())
         return depth, burn
 
     async def _device_loop(self, index: int, queue: asyncio.Queue) -> None:
@@ -522,9 +518,8 @@ class InferenceServer:
             return await asyncio.to_thread(
                 self._execute, batch, bucket, strategy, span, device)
         result = self._execute(batch, bucket, strategy, span, device)
-        delay = result[3] * self.config.service_time_scale
-        if delay > 0:
-            await asyncio.sleep(delay)
+        if result[3] > 0:
+            await asyncio.sleep(result[3])
         return result
 
     async def _serve_batch(self, batch: list[InferenceRequest], device: int) -> None:
@@ -568,27 +563,9 @@ class InferenceServer:
             self.registry.counter("serve_requests_on_cached_plan").inc(len(batch))
         now = loop.time()
         for i, req in enumerate(batch):
-            self._resolve(req, InferenceResponse(
-                request_id=req.request_id,
-                output=None if outputs is None else _primary(outputs, i),
-                outputs=None if outputs is None else _slice(outputs, i),
-                batch_size=len(batch),
-                batch_bucket=bucket,
-                cache_hit=hit,
-                degraded=False,
-                timed_out=False,
-                device=device,
-                latency_s=now - req.enqueued_s,
-                sim_time_s=sim_s,
-                trace_id=req.trace.trace_id if req.trace is not None else None,
-                deadline_met=req.deadline_s is None or now <= req.deadline_s,
-                admitted_s=req.enqueued_s,
-                batched_s=req.batched_s,
-                completed_s=now,
-                model=req.model,
-                tenant=req.tenant,
-                priority=req.priority,
-            ))
+            self._respond(req, outputs, i, len(batch), bucket, hit,
+                          degraded=False, timed_out=False, device=device,
+                          sim_s=sim_s, now=now)
 
     async def _serve_fallback(self, req: InferenceRequest, timed_out: bool,
                               device: int = -1) -> None:
@@ -614,28 +591,9 @@ class InferenceServer:
         if hit:
             self.cached_plan_requests += 1
             self.registry.counter("serve_requests_on_cached_plan").inc()
-        now = loop.time()
-        self._resolve(req, InferenceResponse(
-            request_id=req.request_id,
-            output=None if outputs is None else _primary(outputs, 0),
-            outputs=None if outputs is None else _slice(outputs, 0),
-            batch_size=1,
-            batch_bucket=bucket,
-            cache_hit=hit,
-            degraded=True,
-            timed_out=timed_out,
-            device=device,
-            latency_s=now - req.enqueued_s,
-            sim_time_s=sim_s,
-            trace_id=req.trace.trace_id if req.trace is not None else None,
-            deadline_met=req.deadline_s is None or now <= req.deadline_s,
-            admitted_s=req.enqueued_s,
-            batched_s=req.batched_s,
-            completed_s=now,
-            model=req.model,
-            tenant=req.tenant,
-            priority=req.priority,
-        ))
+        self._respond(req, outputs, 0, 1, bucket, hit, degraded=True,
+                      timed_out=timed_out, device=device, sim_s=sim_s,
+                      now=loop.time())
 
     def _trace_failure(self, exc: Exception, batch: list[InferenceRequest],
                        span, device: int) -> None:
@@ -673,6 +631,33 @@ class InferenceServer:
             return asyncio.get_running_loop().time()
         except RuntimeError:
             return time.monotonic()
+
+    def _respond(self, req: InferenceRequest, outputs, index: int,
+                 batch_size: int, bucket: int, hit: bool, *, degraded: bool,
+                 timed_out: bool, device: int, sim_s: float, now: float) -> None:
+        """Build request ``req``'s response (slice ``index`` of the batch
+        ``outputs``) and resolve it."""
+        self._resolve(req, InferenceResponse(
+            request_id=req.request_id,
+            output=None if outputs is None else _primary(outputs, index),
+            outputs=None if outputs is None else _slice(outputs, index),
+            batch_size=batch_size,
+            batch_bucket=bucket,
+            cache_hit=hit,
+            degraded=degraded,
+            timed_out=timed_out,
+            device=device,
+            latency_s=now - req.enqueued_s,
+            sim_time_s=sim_s,
+            trace_id=req.trace.trace_id if req.trace is not None else None,
+            deadline_met=req.deadline_s is None or now <= req.deadline_s,
+            admitted_s=req.enqueued_s,
+            batched_s=req.batched_s,
+            completed_s=now,
+            model=req.model,
+            tenant=req.tenant,
+            priority=req.priority,
+        ))
 
     def _resolve(self, req: InferenceRequest, response: InferenceResponse) -> None:
         self.completed += 1
@@ -712,9 +697,8 @@ class InferenceServer:
             self.registry.histogram(
                 "serve_stage_s", buckets=LATENCY_BUCKETS_S, stage="service",
             ).observe(response.completed_s - response.batched_s)
-        self.slo.observe(response.completed_s, good=response.deadline_met,
-                         trace_id=response.trace_id,
-                         latency_s=response.latency_s)
+        self.slo.observe(response.completed_s, good=good,
+                         trace_id=response.trace_id)
         if self.tracer is not None and req.trace is not None:
             if response.batched_s is not None:
                 self.tracer.record_span(
@@ -782,8 +766,6 @@ class InferenceServer:
         return result.outputs, bucket, hit, result.metrics.total_time
 
     def _compile(self, key: PlanKey) -> CompiledEntry:
-        from repro.bench.harness import adapt_sectors
-
         engine = BrickDLEngine(
             self.graphs[key.model], spec=key.spec,
             strategy_override=key.strategy, brick_override=key.brick,

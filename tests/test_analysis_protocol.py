@@ -95,6 +95,25 @@ class TestReplay:
         report = replay_trace(plan, tasks)
         assert report.ok, report.summary("chrome roundtrip")
 
+    def test_one_shot_iterable_is_replayed_whole(self, resnet_run):
+        """Regression: the old type sniff peeked with ``next(iter(records))``
+        and so dropped the first task of a generator."""
+        plan, trace = resnet_run
+        report = replay_trace(plan, (r for r in trace.records))
+        assert report.ok, report.summary("generator replay")
+
+    def test_chrome_trace_roundtrip_still_rejects_mutants(self, resnet_run):
+        plan, trace = resnet_run
+        tasks = replay_tasks_from_chrome_trace(chrome_trace(trace))
+        assert all(t.strategy == "memoized" and t.brick is not None for t in tasks)
+        dup = replace(tasks[0], seq=len(trace.records))
+        assert replay_trace(plan, tasks + [dup]).by_code("replay.double-compute")
+        exit_ids = {eid for sub in plan.subgraphs if sub.strategy.value == "memoized"
+                    for eid in sub.subgraph.exit_ids}
+        victim = next(t for t in tasks if t.node_id in exit_ids)
+        dropped = [t for t in tasks if t is not victim]
+        assert replay_trace(plan, dropped).by_code("replay.missing-brick")
+
     def _memo_records(self, trace):
         return [r for r in trace.records
                 if r.strategy == "memoized" and r.brick is not None]

@@ -9,7 +9,6 @@ import math
 import pytest
 
 from repro.metrics import MetricsRegistry
-from repro.metrics.slo import BurnRateMonitor, SLOConfig, burn_rate
 from repro.obs import (
     FlightRecorder,
     Tracer,
@@ -22,6 +21,7 @@ from repro.obs import (
     run_top,
 )
 from repro.obs.context import Span
+from repro.obs.slo import SLOConfig, SLOMonitor, burn_rate
 from repro.serve import InferenceServer, QueueSaturatedError, ServeConfig, loadgen
 from repro.serve.loadgen import LATENCY_CSV_COLUMNS, run_loadgen
 
@@ -62,30 +62,66 @@ def test_slo_config_validation():
         SLOConfig(burn_threshold=0.0)
 
 
+def _oracle_alerts(events, config):
+    """Brute-force reference: after every event, rescan the whole history
+    for each window pair (no pruning, no shared scans); each pair fires
+    once.  Returns ``(time_s, short_burn, long_burn)`` per alert."""
+    fired, out = set(), []
+    for n, (now, _) in enumerate(events, start=1):
+        seen = events[:n]
+        for pair in config.windows:
+            counts = []
+            for window in pair:
+                inside = [g for t, g in seen if t >= now - window]
+                counts.append((sum(not g for g in inside), len(inside)))
+            burns = [burn_rate(bad, total, config.objective)
+                     for bad, total in counts]
+            if (pair not in fired and counts[0][1] >= config.min_events
+                    and min(burns) > config.burn_threshold):
+                fired.add(pair)
+                out.append((now, *burns))
+    return out
+
+
+def _observe_all(monitor, events):
+    return [a for now, good in events for a in monitor.observe(now, good)]
+
+
 def test_burn_monitor_alert_needs_both_windows_and_latches():
     config = SLOConfig(objective=0.9, windows=((1.0, 10.0),),
                        burn_threshold=5.0, min_events=4)
-    monitor = BurnRateMonitor(config)
-    # Old good traffic keeps the long window healthy...
-    for i in range(40):
-        monitor.record(i * 0.2, good=True)
-    monitor.record(8.0, good=False)
-    assert monitor.check(8.0) == []      # long window burn still low
+    registry = MetricsRegistry()
+    monitor = SLOMonitor(config, registry=registry)
+    # Old good traffic keeps the long window healthy through a bad burst...
+    healthy = ([(i * 0.2, True) for i in range(40)]
+               + [(8.0 + i * 0.01, False) for i in range(6)])
+    assert _observe_all(monitor, healthy) == []   # long window burn still low
+    assert monitor.burn(1.0, 8.05) > 5.0 > monitor.burn(10.0, 8.05)
     # ...until the failure rate sustains across both windows.
-    for i in range(40):
-        monitor.record(20.0 + i * 0.2, good=False)
-    alerts = monitor.check(28.0)
-    assert len(alerts) == 1
+    failing = [(20.0 + i * 0.2, False) for i in range(40)]
+    alerts = _observe_all(monitor, failing)
+    assert len(alerts) == 1              # latched: one alert per window pair
     assert alerts[0].short_burn > 5.0 and alerts[0].long_burn > 5.0
-    assert monitor.check(29.0) == []     # latched: one alert per window pair
+    assert monitor.observe(29.0, False) == []
+    assert [(a.time_s, a.short_burn, a.long_burn) for a in alerts] == \
+        _oracle_alerts(healthy + failing, config)
+    # The gauges carry the same burns the alert test saw last.
+    gauges = {s.label_dict()["window"]: s.value for s in registry.samples()
+              if s.name == "slo_burn_rate"}
+    assert gauges == {"1s": monitor.burn(1.0, 29.0),
+                      "10s": monitor.burn(10.0, 29.0)}
+    stats = monitor.stats()
+    assert stats["alerts_fired"] == 1 and stats["events"] == 87
+    assert stats["alerts"] == [alerts[0].as_dict()]
 
 
 def test_burn_monitor_min_events_guard():
-    monitor = BurnRateMonitor(SLOConfig(objective=0.5, min_events=10,
-                                        burn_threshold=1.0))
-    for i in range(9):
-        monitor.record(float(i) * 0.01, good=False)
-    assert monitor.check(0.1) == []      # 9 events < min_events
+    config = SLOConfig(objective=0.5, min_events=10, burn_threshold=1.0)
+    monitor = SLOMonitor(config)
+    events = [(float(i) * 0.01, False) for i in range(9)]
+    assert _observe_all(monitor, events) == []   # 9 events < min_events
+    assert _oracle_alerts(events, config) == []
+    assert len(monitor.observe(0.09, False)) == 1   # the tenth arms it
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ trace-export schema, run-to-run determinism, and the CLI/harness wiring."""
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,24 @@ class TestCollector:
         # attribute to a concrete graph node.
         assert sum(r.node_id is not None for r in collector.records) >= len(collector.records) * 0.9
 
+    @pytest.mark.parametrize("strategy",
+                             [Strategy.PADDED, Strategy.MEMOIZED, Strategy.CUDNN])
+    def test_records_are_the_device_tasks_themselves(self, strategy):
+        """No copy layer: the collector keeps the very Task objects the device
+        stamped, for merged and fallback subgraphs alike."""
+        engine = BrickDLEngine(small_chain_graph(size=32), strategy_override=strategy)
+        plan = engine.compile()
+        assert strategy in {s.strategy for s in plan.subgraphs}
+        device = Device(A100)
+        result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+        records = result.trace.records
+        assert len(records) == len(device.tasks) > 0
+        for i, task in enumerate(device.tasks):
+            assert records[i] is task
+            assert task.seq == i
+        assert strategy.value in {t.strategy for t in records}
+        assert sum(t.dram_txns for t in records) <= result.metrics.memory.dram_txns
+
     def test_timeline_well_nested_per_lane(self, profiled_run):
         _, _, collector, _ = profiled_run
         lanes = {}
@@ -123,6 +142,15 @@ class TestExporters:
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"]["spec"] == A100.name
         assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
+
+    def test_chrome_trace_flops_serialize_as_floats(self, profiled_run):
+        """Executors hand the device integer flop counts; the exported JSON
+        text must still spell them as floats (``12.0``, not ``12``)."""
+        _, _, collector, _ = profiled_run
+        assert any(isinstance(r.flops, int) for r in collector.records)
+        text = json.dumps(chrome_trace(collector))
+        assert '"flops": ' in text
+        assert re.search(r'"flops": \d+[,}]', text) is None
 
     def test_chrome_trace_events_schema(self, profiled_run):
         graph, _, collector, _ = profiled_run

@@ -9,10 +9,12 @@ from repro.core.plan import Strategy
 from repro.gpusim.spec import A100, GPUSpec
 from repro.metrics import MetricsRegistry
 from repro.serve import (
-    DynamicBatcher,
+    AdmissionQueue,
+    FleetBatcher,
     InferenceServer,
     PlanCache,
     PlanKey,
+    PriorityClass,
     QueueSaturatedError,
     ServeConfig,
     batch_bucket,
@@ -60,54 +62,61 @@ def test_batch_bucket_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# dynamic batcher
+# fleet batcher over one default class (the single-model batching contract)
 # ---------------------------------------------------------------------------
+
+def _default_queue():
+    return AdmissionQueue([PriorityClass()])
+
 
 def test_batcher_coalesces_queued_requests():
     async def scenario():
         loop = asyncio.get_running_loop()
-        queue = asyncio.Queue()
-        batcher = DynamicBatcher(queue, max_batch=4, max_wait_s=0.05)
+        queue = _default_queue()
+        batcher = FleetBatcher(queue, max_batch=4, max_wait_s=0.05)
         for i in range(6):
-            queue.put_nowait(_request(loop, i))
-        first = await batcher.next_batch()
-        second = await batcher.next_batch()
-        return first, second
+            queue.put_nowait(_request(loop, i), "standard")
+        _, first = await batcher.next_batch()
+        _, second = await batcher.next_batch()
+        return first, second, batcher.batches_formed
 
-    first, second = asyncio.run(scenario())
+    first, second, formed = asyncio.run(scenario())
     assert [r.request_id for r in first] == [0, 1, 2, 3]  # capped at max_batch
     assert [r.request_id for r in second] == [4, 5]       # flushed on timeout
+    assert formed == 2
+    assert all(r.batched_s is not None for r in first + second)
 
 
 def test_batcher_head_anchored_wait_admits_stragglers():
     async def scenario():
         loop = asyncio.get_running_loop()
-        queue = asyncio.Queue()
-        batcher = DynamicBatcher(queue, max_batch=8, max_wait_s=0.2)
-        queue.put_nowait(_request(loop, 0))
+        queue = _default_queue()
+        batcher = FleetBatcher(queue, max_batch=8, max_wait_s=0.2)
+        queue.put_nowait(_request(loop, 0), "standard")
 
         async def straggler():
             await asyncio.sleep(0.02)
-            queue.put_nowait(_request(loop, 1))
+            queue.put_nowait(_request(loop, 1), "standard")
 
         task = asyncio.create_task(straggler())
-        batch = await batcher.next_batch()
+        cls, batch = await batcher.next_batch()
         await task
-        return batch
+        return cls, batch
 
-    batch = asyncio.run(scenario())
+    cls, batch = asyncio.run(scenario())
+    assert cls.name == "standard"
     assert [r.request_id for r in batch] == [0, 1]
 
 
 def test_batcher_flushes_early_for_head_deadline():
     async def scenario():
         loop = asyncio.get_running_loop()
-        queue = asyncio.Queue()
+        queue = _default_queue()
         # max_wait is huge; only the head's deadline can trigger the flush.
-        batcher = DynamicBatcher(queue, max_batch=8, max_wait_s=10.0)
-        queue.put_nowait(_request(loop, 0, deadline_s=0.03))
+        batcher = FleetBatcher(queue, max_batch=8, max_wait_s=10.0)
+        queue.put_nowait(_request(loop, 0, deadline_s=0.03), "standard")
         t0 = loop.time()
-        batch = await batcher.next_batch()
+        _, batch = await batcher.next_batch()
         return batch, loop.time() - t0
 
     batch, waited = asyncio.run(scenario())
@@ -116,11 +125,11 @@ def test_batcher_flushes_early_for_head_deadline():
 
 
 def test_batcher_validates_parameters():
-    queue = asyncio.Queue()
+    queue = _default_queue()
     with pytest.raises(ValueError):
-        DynamicBatcher(queue, max_batch=0)
+        FleetBatcher(queue, max_batch=0)
     with pytest.raises(ValueError):
-        DynamicBatcher(queue, max_wait_s=-1.0)
+        FleetBatcher(queue, max_wait_s=-1.0)
 
 
 # ---------------------------------------------------------------------------
