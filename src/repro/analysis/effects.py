@@ -376,6 +376,8 @@ class _Analyzer:
         self.persistent_written = 0
         self.outputs = {n.node_id for n in self.graph.output_nodes}
         self.tail = _Traffic(self.line)
+        # Shape-only, so derived once per node rather than once per brick.
+        self._weight_nbytes: dict[int, int] = {}
         for node in self.graph.input_nodes:
             self.fmt[node.node_id] = None
             self.buf_name[node.node_id] = f"{self.graph.name}/{node.name}"
@@ -437,14 +439,16 @@ class _Analyzer:
         self._span(name, 0, nbytes)
 
     def _weight_read(self, tr: _Traffic, weights_used: set[int], nid: int) -> None:
-        node = self.graph.node(nid)
-        input_specs = [self.graph.node(i).spec for i in node.inputs]
-        nbytes = node.op.weight_bytes(input_specs)
+        nbytes = self._weight_nbytes.get(nid)
+        if nbytes is None:
+            node = self.graph.node(nid)
+            input_specs = [self.graph.node(i).spec for i in node.inputs]
+            nbytes = self._weight_nbytes[nid] = node.op.weight_bytes(input_specs)
         if nbytes:
             tr.weight(nbytes, first_touch=nid not in weights_used)
             if nid not in weights_used:
                 weights_used.add(nid)
-                self._span(f"{self.graph.name}/{node.name}/w", 0, nbytes)
+                self._span(f"{self.graph.name}/{self.graph.node(nid).name}/w", 0, nbytes)
 
     # -- entry layout & conversions -----------------------------------------
     def _convert_to_bricks(self, tr: _Traffic, se: SubgraphEffects, eid: int,
@@ -713,18 +717,13 @@ class _Analyzer:
                  for nid in view.node_ids}
         weights_used: set[int] = set()
 
-        def model_deps(nid: int, region: Region) -> list[tuple[int, tuple[int, ...]]]:
-            deps: list[tuple[int, tuple[int, ...]]] = []
-            for need, pred in zip(self._model_needs(geom, nid, region),
-                                  graph.node(nid).inputs):
-                if pred not in members or need is None:
-                    continue
-                deps.extend((pred, dp) for dp in grids[pred].overlap_plan(need))
-            return deps
-
         # Demand closure from the exit goals -- exactly the brick set the
         # recursive executor computes (exactly once, via the 3-state tags).
-        demanded: set[tuple[int, tuple[int, ...]]] = set()
+        # Each demanded brick keeps its region, model needs and per-input
+        # member dependency bricks for the emission loop below.
+        demanded: dict[tuple[int, tuple[int, ...]],
+                       tuple[Region, list[Region | None],
+                             list[Sequence[tuple[int, ...]]]]] = {}
         stack: list[tuple[int, tuple[int, ...]]] = []
         for eid in view.exit_ids:
             stack.extend((eid, g) for g in _all_gpos(grids[eid]))
@@ -732,10 +731,16 @@ class _Analyzer:
             key = stack.pop()
             if key in demanded:
                 continue
-            demanded.add(key)
             nid, gpos = key
             region = grids[nid].brick_region(gpos, clipped=True)
-            stack.extend(model_deps(nid, region))
+            needs = self._model_needs(geom, nid, region)
+            dep_bricks: list[Sequence[tuple[int, ...]]] = [
+                grids[pred].overlap_plan(need)
+                if pred in members and need is not None else ()
+                for need, pred in zip(needs, graph.node(nid).inputs)]
+            demanded[key] = (region, needs, dep_bricks)
+            for pred, bricks in zip(graph.node(nid).inputs, dep_bricks):
+                stack.extend((pred, dp) for dp in bricks)
 
         writers = {key for key in demanded
                    if not self._skipped(key[0], key[1], grids[key[0]].grid_shape)}
@@ -744,8 +749,7 @@ class _Analyzer:
             if (nid, gpos) not in writers:
                 continue  # seeded skip: consumers below still read this brick
             node = graph.node(nid)
-            region = grids[nid].brick_region(gpos, clipped=True)
-            model_needs = self._model_needs(geom, nid, region)
+            region, model_needs, dep_bricks = demanded[(nid, gpos)]
             true_needs, _ = geom_true.needs(nid, region)
             read_entries: list[int] = []
             for input_index, pred in enumerate(node.inputs):
@@ -762,7 +766,7 @@ class _Analyzer:
                     # proof obligation is writer existence (dangling reads).
                     per_brick = pspec.channels * math.prod(brick_shape) * pspec.itemsize
                     offsets = []
-                    for dp in grids[pred].overlap_plan(need):
+                    for dp in dep_bricks[input_index]:
                         if (pred, dp) not in writers:
                             viol.add("effects.race",
                                      f"node {nid} brick {gpos} reads {pred} brick "

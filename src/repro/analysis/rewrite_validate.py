@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.errors import ReproError
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Graph, Node, same_weights
 from repro.graph.ops import BatchNorm, Bias, FusedOp, OpSpec, Pool
 
 if TYPE_CHECKING:
@@ -204,19 +204,16 @@ def _provably_identity(node: Node) -> bool:
         return (all(k == 1 for k in op.kernel)
                 and all(s == 1 for s in op.stride)
                 and all(p == 0 for p in op.padding))
+    # Only attached arrays can prove a value; a described-but-undrawn weight
+    # is a seeded random stream, never an identity.
+    w = {k: v for k, v in node.weights.items() if isinstance(v, np.ndarray)}
+    if len(w) != len(node.weights):
+        return False
     if isinstance(op, BatchNorm):
-        w = node.weights
         return bool(w) and bool(np.all(w["scale"] == 1.0)) and not np.any(w["shift"])
     if isinstance(op, Bias):
-        w = node.weights
         return bool(w) and not np.any(w["bias"])
     return False
-
-
-def _same_weight_values(a: dict, b: dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(w is b[k] or np.array_equal(w, b[k]) for k, w in a.items())
 
 
 def _check_removals(ctx: _Context) -> None:
@@ -302,7 +299,7 @@ def _check_merge(ctx: _Context, entry: "RemovedNode", node: Node) -> None:
                  f"layouts differ ({node.spec} vs {twin.spec})",
                  node_id=node.node_id)
         return
-    if not _same_weight_values(twin.weights, node.weights):
+    if not same_weights(twin.weights, node.weights):
         ctx.diag("rewrite.merge-mismatch",
                  f"node {entry.name!r} was merged into {twin.name!r} but their "
                  f"weights differ", node_id=node.node_id)
@@ -381,7 +378,7 @@ def _check_fusions(ctx: _Context) -> None:
                      node_id=host.node_id)
             continue
         expected = FusedOp.join_weights(expected_weights)
-        if not _same_weight_values(expected, host.weights):
+        if not same_weights(expected, host.weights):
             ctx.diag("rewrite.fused-weights",
                      f"host {host_name!r} weights do not match the absorbed "
                      f"chain's weights", node_id=host.node_id)
@@ -424,14 +421,12 @@ def _check_dataflow(ctx: _Context) -> None:
                      f"(its original producers after removal resolution)",
                      node_id=node.node_id)
         if ctx.shares_weights:
-            if (node.weights.keys() != original.weights.keys()
-                    or any(node.weights[k] is not original.weights[k]
-                           for k in original.weights)):
+            if not same_weights(original.weights, node.weights, shared=True):
                 ctx.diag("rewrite.weights-not-shared",
                          f"node {node.name!r} does not share its weight arrays "
                          f"with the source graph (rule declares "
                          f"shares_weights)", node_id=node.node_id)
-        elif not _same_weight_values(original.weights, node.weights):
+        elif not same_weights(original.weights, node.weights):
             ctx.diag("rewrite.weights-changed",
                      f"node {node.name!r} weights differ from the source "
                      f"graph", node_id=node.node_id)

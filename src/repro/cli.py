@@ -48,7 +48,6 @@ def cmd_models(args) -> int:
     print(f"{'model':14s} {'nodes':>6s} {'GFLOP':>8s} {'act MB':>8s} {'params MB':>10s}")
     for name in MODELS:
         g = build(name)
-        g.init_weights()
         print(f"{name:14s} {len(g):6d} {g.total_flops() / 1e9:8.2f} "
               f"{g.activation_bytes() / 1e6:8.1f} {g.weight_bytes() / 1e6:10.1f}")
     return 0

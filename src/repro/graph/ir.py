@@ -12,8 +12,9 @@ consume them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +22,90 @@ from repro.errors import GraphError, ShapeError
 from repro.graph.ops import InputOp, OpSpec
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["Node", "Graph"]
+__all__ = ["Node", "Graph", "WeightDraw", "WeightDesc", "weight_array", "same_weights"]
+
+
+class WeightDraw:
+    """One seeded weight stream: the sequential ``default_rng(seed)`` walk
+    over the ``(op, input_specs)`` entries declared on it.
+
+    Declaring costs nothing; :meth:`arrays` runs the walk once and caches
+    it, so every graph holding a :class:`WeightDesc` of this draw receives
+    the *same array objects*.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._entries: list[tuple[OpSpec, tuple[TensorSpec, ...]]] = []
+        self._arrays: list[dict[str, np.ndarray]] | None = None
+        self._lock = threading.Lock()
+
+    def declare(self, op: OpSpec, input_specs: Sequence[TensorSpec]) -> dict[str, "WeightDesc"]:
+        """Append ``op`` to the walk; its weights, described not drawn.
+        Weightless ops draw nothing and take no position."""
+        shapes = op.weight_shapes(input_specs)
+        if not shapes:
+            return {}
+        position = len(self._entries)
+        self._entries.append((op, tuple(input_specs)))
+        return {key: WeightDesc(self, position, key, shape) for key, shape in shapes.items()}
+
+    def arrays(self) -> list[dict[str, np.ndarray]]:
+        """Per-position weight dicts, drawn on first use."""
+        with self._lock:
+            if self._arrays is None:
+                rng = np.random.default_rng(self.seed)
+                self._arrays = [op.init_weights(specs, rng) for op, specs in self._entries]
+            return self._arrays
+
+
+@dataclass(frozen=True)
+class WeightDesc:
+    """A seeded weight that has been described but not drawn: entry
+    ``position`` of ``draw``, weight ``key``, of ``shape``.  Equal
+    descriptions (draws compare by identity) denote one array."""
+
+    draw: WeightDraw = field(repr=False)
+    position: int
+    key: str
+    shape: tuple[int, ...]
+
+    def resolve(self) -> np.ndarray:
+        return self.draw.arrays()[self.position][self.key]
+
+
+def weight_array(weight: "np.ndarray | WeightDesc") -> np.ndarray:
+    """The array a ``node.weights`` value stands for (draws a description)."""
+    return weight.resolve() if isinstance(weight, WeightDesc) else weight
+
+
+def same_weights(a: Mapping[str, "np.ndarray | WeightDesc"],
+                 b: Mapping[str, "np.ndarray | WeightDesc"], *,
+                 shared: bool = False) -> bool:
+    """The one weight-equality primitive (rules, transforms, validator).
+
+    Same object or same description => same values, with nothing drawn;
+    two *different* descriptions are conservatively unequal (distinct
+    positions of a random stream -- sound for every caller, which then
+    merely declines to merge / reports a change).  A description against a
+    real array resolves and compares; attached arrays compare by value.
+    ``shared=True`` demands the same array *object* instead of equal values,
+    so a resolved and an unresolved view of one description still pass.
+    """
+    if a.keys() != b.keys():
+        return False
+    for key, x in a.items():
+        y = b[key]
+        if x is y:
+            continue
+        if isinstance(x, WeightDesc) and isinstance(y, WeightDesc):
+            if x != y:
+                return False
+            continue
+        x, y = weight_array(x), weight_array(y)
+        if x is not y and (shared or not np.array_equal(x, y)):
+            return False
+    return True
 
 
 @dataclass
@@ -42,7 +126,10 @@ class Node:
     spec:
         Inferred output tensor spec.
     weights:
-        Materialized weight arrays (empty until ``Graph.init_weights``).
+        Per-key weights: arrays once attached or drawn, :class:`WeightDesc`
+        descriptions after ``Graph.describe_weights`` (what the rewrite
+        rules leave behind), empty before either.  Only
+        ``Graph.init_weights`` turns descriptions into arrays.
     """
 
     node_id: int
@@ -50,7 +137,7 @@ class Node:
     op: OpSpec
     inputs: tuple[int, ...]
     spec: TensorSpec
-    weights: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    weights: dict[str, np.ndarray | WeightDesc] = field(default_factory=dict, repr=False)
 
     @property
     def is_input(self) -> bool:
@@ -144,17 +231,30 @@ class Graph:
         return iter(self._nodes)
 
     # -- weights ---------------------------------------------------------------
-    def init_weights(self, seed: int = 0) -> None:
-        """Materialize deterministic weights for every node (idempotent)."""
-        rng = np.random.default_rng(seed)
+    def _input_specs(self, node: Node) -> list[TensorSpec]:
+        return [self._nodes[i].spec for i in node.inputs]
+
+    def describe_weights(self, seed: int = 0) -> None:
+        """Declare deterministic weights for every node that has none, as
+        one :class:`WeightDraw` in node order, without drawing (idempotent).
+        Graphs rebuilt from this one carry the descriptions along, so they
+        resolve to the arrays this graph resolves to."""
+        draw = WeightDraw(seed)
         for node in self._nodes:
             if not node.weights:
-                input_specs = [self._nodes[i].spec for i in node.inputs]
-                node.weights = node.op.init_weights(input_specs, rng)
+                node.weights = draw.declare(node.op, self._input_specs(node))
+
+    def init_weights(self, seed: int = 0) -> None:
+        """Materialize deterministic weights for every node (idempotent):
+        declare what is missing, then resolve every description."""
+        self.describe_weights(seed)
+        for node in self._nodes:
+            if any(isinstance(w, WeightDesc) for w in node.weights.values()):
+                node.weights = {k: weight_array(w) for k, w in node.weights.items()}
 
     def weight_bytes(self) -> int:
-        """Total parameter footprint in bytes (weights must be initialized)."""
-        return sum(w.nbytes for n in self._nodes for w in n.weights.values())
+        """Total parameter footprint in bytes (analytic: nothing is drawn)."""
+        return sum(n.op.weight_bytes(self._input_specs(n)) for n in self._nodes)
 
     # -- analysis helpers --------------------------------------------------------
     def structural_errors(self) -> list[GraphError]:
@@ -222,8 +322,7 @@ class Graph:
     def total_flops(self) -> int:
         total = 0
         for node in self._nodes:
-            input_specs = [self._nodes[i].spec for i in node.inputs]
-            total += node.op.flops(input_specs, node.spec.num_elements)
+            total += node.op.flops(self._input_specs(node), node.spec.num_elements)
         return total
 
     def summary(self) -> str:

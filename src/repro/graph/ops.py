@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +50,10 @@ __all__ = [
     "flatten_stages",
     "normalize_tuple",
 ]
+
+#: A ``node.weights`` value: an array, or a description of one not yet drawn
+#: (:class:`repro.graph.ir.WeightDesc`) -- regrouping never looks inside.
+_W = TypeVar("_W")
 
 
 def normalize_tuple(value: int | Sequence[int], ndim: int, name: str) -> tuple[int, ...]:
@@ -689,9 +693,9 @@ class FusedOp(OpSpec):
                 weights[prefix + key] = value
         return weights
 
-    def split_weights(self, weights: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+    def split_weights(self, weights: Mapping[str, _W]) -> list[dict[str, _W]]:
         """Partition a fused weight dict into one dict per stage."""
-        per_stage: list[dict[str, np.ndarray]] = [{} for _ in self.stages]
+        per_stage: list[dict[str, _W]] = [{} for _ in self.stages]
         for key, value in weights.items():
             for i in range(len(self.epilogue), 0, -1):
                 prefix = self.stage_prefix(i)
@@ -703,9 +707,9 @@ class FusedOp(OpSpec):
         return per_stage
 
     @staticmethod
-    def join_weights(stage_weights: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    def join_weights(stage_weights: Sequence[Mapping[str, _W]]) -> dict[str, _W]:
         """Inverse of :meth:`split_weights`: prefix and merge per-stage dicts."""
-        joined: dict[str, np.ndarray] = {}
+        joined: dict[str, _W] = {}
         for i, stage in enumerate(stage_weights):
             prefix = FusedOp.stage_prefix(i)
             for key, value in stage.items():

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph import ops as ops_module
-from repro.graph.ir import Graph
+from repro.graph.ir import Graph, weight_array
 from repro.graph.ops import FusedOp, InputOp, OpSpec
 from repro.graph.tensorspec import TensorSpec
 
@@ -103,8 +103,9 @@ def save_graph(graph: Graph, path: str | pathlib.Path, weights: bool = True) -> 
     path = pathlib.Path(path)
     path.write_text(json.dumps(graph_to_dict(graph), indent=1))
     if weights:
+        # Described weights are drawn here: the artifact holds values.
         arrays = {
-            f"{n.name}/{key}": w
+            f"{n.name}/{key}": weight_array(w)
             for n in graph.nodes for key, w in n.weights.items()
         }
         if arrays:

@@ -17,14 +17,17 @@ exercisable in one system:
 
 All passes rebuild the graph (the IR is append-only) and preserve output
 names, so optimized graphs remain drop-in replacements; numerical
-equivalence is covered by the test suite.
+equivalence is covered by the test suite.  Dead-node elimination, CSE and
+rebatching are the :mod:`repro.rewrite.rules` rules under their historical
+call signatures; only :func:`fold_batchnorm` (a numeric refold, which no
+bit-exact rule can express) lives here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Graph, Node, WeightDesc
 from repro.graph.ops import BatchNorm, Bias, Conv
 
 __all__ = [
@@ -37,10 +40,11 @@ __all__ = [
 ]
 
 
-def clone_weights(node: Node) -> dict[str, np.ndarray]:
+def clone_weights(node: Node) -> dict[str, np.ndarray | WeightDesc]:
     """The audited weight clone every graph rebuild goes through.
 
-    Returns a *fresh dict* holding the *same arrays*: the new graph can gain
+    Returns a *fresh dict* holding the *same arrays* (or the same
+    descriptions, which resolve to the same arrays): the new graph can gain
     or replace entries (``load_graph`` restores, rules fold) without leaking
     into the source graph, while the arrays themselves stay shared -- weights
     are batch- and rewrite-independent, and sharing is what keeps rebuilt
@@ -50,31 +54,10 @@ def clone_weights(node: Node) -> dict[str, np.ndarray]:
     return dict(node.weights)
 
 
-def _rebuild(graph: Graph, skip: dict[int, int], name_suffix: str) -> Graph:
-    """Rebuild ``graph`` redirecting consumers of ``skip``'s keys to their
-    replacement ids (in old-graph numbering); skipped nodes are dropped."""
-    out = Graph(f"{graph.name}")
-    mapping: dict[int, Node] = {}
-
-    def resolve(old_id: int) -> Node:
-        while old_id in skip:
-            old_id = skip[old_id]
-        return mapping[old_id]
-
-    for node in graph.nodes:
-        if node.node_id in skip:
-            continue
-        if node.is_input:
-            new = out.input(node.spec, name=node.name)
-        else:
-            inputs = [resolve(i) for i in node.inputs]
-            new = out.add(node.op, inputs, name=node.name)
-            new.weights = clone_weights(node)
-        mapping[node.node_id] = new
-    for o in graph.output_nodes:
-        out.mark_output(resolve(o.node_id))
-    out.validate()
-    return out
+def _applied(rule, graph: Graph) -> Graph:
+    """``rule``'s rewritten graph, or ``graph`` itself when it does not fire."""
+    rewrite = rule.apply(graph)
+    return graph if rewrite is None else rewrite.graph
 
 
 def rebatch_graph(graph: Graph, batch: int) -> Graph:
@@ -92,8 +75,7 @@ def rebatch_graph(graph: Graph, batch: int) -> Graph:
         raise ValueError(f"batch must be >= 1, got {batch}")
     from repro.rewrite.rules import RebatchRule
 
-    rewrite = RebatchRule(batch).apply(graph)
-    return graph if rewrite is None else rewrite.graph
+    return _applied(RebatchRule(batch), graph)
 
 
 def fold_batchnorm(graph: Graph) -> Graph:
@@ -170,64 +152,24 @@ def fold_batchnorm(graph: Graph) -> Graph:
 
 
 def eliminate_dead_nodes(graph: Graph) -> Graph:
-    """Drop nodes from which no graph output is reachable."""
-    live: set[int] = set()
-    stack = [n.node_id for n in graph.output_nodes]
-    while stack:
-        nid = stack.pop()
-        if nid in live:
-            continue
-        live.add(nid)
-        stack.extend(graph.node(nid).inputs)
-    dead = {n.node_id for n in graph.nodes if n.node_id not in live and not n.is_input}
-    if not dead:
-        return graph
-    out = Graph(graph.name)
-    mapping: dict[int, Node] = {}
-    for node in graph.nodes:
-        if node.node_id in dead:
-            continue
-        if node.is_input:
-            mapping[node.node_id] = out.input(node.spec, name=node.name)
-        else:
-            new = out.add(node.op, [mapping[i] for i in node.inputs], name=node.name)
-            new.weights = clone_weights(node)
-            mapping[node.node_id] = new
-    for o in graph.output_nodes:
-        out.mark_output(mapping[o.node_id])
-    out.validate()
-    return out
+    """Drop nodes from which no graph output is reachable
+    (:class:`repro.rewrite.rules.PruneDeadNodes`)."""
+    from repro.rewrite.rules import PruneDeadNodes
+
+    return _applied(PruneDeadNodes(), graph)
 
 
 def eliminate_common_subexpressions(graph: Graph) -> Graph:
-    """Merge nodes with identical ops, inputs, and weights.
+    """Merge nodes with identical ops, inputs, and weights
+    (:class:`repro.rewrite.rules.LayoutAwareCSE`).
 
     Ops are frozen dataclasses, so structural equality is exact; weights are
-    compared by array identity or value.  Output nodes keep their names.
+    compared by :func:`repro.graph.ir.same_weights`.  Output nodes keep
+    their names.
     """
-    graph.init_weights()
-    seen: dict = {}
-    skip: dict[int, int] = {}
-    output_ids = {n.node_id for n in graph.output_nodes}
-    for node in graph.nodes:
-        if node.is_input or node.node_id in output_ids:
-            continue
-        resolved_inputs = tuple(skip.get(i, i) for i in node.inputs)
-        key = (node.op, resolved_inputs)
-        prior = seen.get(key)
-        if prior is not None and _same_weights(graph.node(prior).weights, node.weights):
-            skip[node.node_id] = prior
-        else:
-            seen[key] = node.node_id
-    if not skip:
-        return graph
-    return _rebuild(graph, skip, "cse")
+    from repro.rewrite.rules import LayoutAwareCSE
 
-
-def _same_weights(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(w is b[k] or np.array_equal(w, b[k]) for k, w in a.items())
+    return _applied(LayoutAwareCSE(), graph)
 
 
 def optimize(graph: Graph) -> Graph:

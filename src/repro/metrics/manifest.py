@@ -25,6 +25,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -54,8 +55,10 @@ _SPEC_FIELDS = ("name", "num_sms", "l1_bytes", "l2_bytes", "dram_bandwidth",
                 "spin_interval_s", "dram_txn_rate")
 
 
+@functools.cache
 def git_sha() -> str | None:
-    """HEAD of the repository containing this package, if resolvable."""
+    """HEAD of the repository containing this package, if resolvable
+    (one ``git rev-parse`` per process, not per manifest)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Graph, Node, same_weights
 from repro.graph.ops import BatchNorm, Bias, Conv, FusedOp, OpSpec, Pool, flatten_stages
 from repro.graph.transforms import clone_weights
 from repro.rewrite.rule import RemovedNode, Rewrite, Rule
@@ -97,13 +97,7 @@ def _live_ids(graph: Graph) -> set[int]:
     return live
 
 
-def _same_weights(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(w is b[k] or np.array_equal(w, b[k]) for k, w in a.items())
-
-
-def _stage_split(node: Node) -> tuple[tuple[OpSpec, ...], list[dict[str, np.ndarray]]]:
+def _stage_split(node: Node) -> tuple[tuple[OpSpec, ...], list[dict]]:
     """A node's plain-op pipeline and the matching per-stage weight dicts."""
     if isinstance(node.op, FusedOp):
         return node.op.stages, node.op.split_weights(node.weights)
@@ -122,7 +116,7 @@ class FoldConvBatchNorm(Rule):
     name = "fold-conv-bn"
 
     def apply(self, graph: Graph) -> Rewrite | None:
-        graph.init_weights()
+        graph.describe_weights()
         output_ids = {n.node_id for n in graph.output_nodes}
         claimed: set[int] = set()
         forward: dict[int, int] = {}
@@ -194,7 +188,7 @@ class FusePointwiseChains(Rule):
             if len(chain) < 2:
                 continue
             stages: tuple[OpSpec, ...] = ()
-            stage_weights: list[dict[str, np.ndarray]] = []
+            stage_weights: list[dict] = []
             for member in chain:
                 s, w = _stage_split(member)
                 stages = stages + s
@@ -238,9 +232,9 @@ class PruneIdentityOps(Rule):
 
     Matches 1x1/stride-1/unpadded pooling windows, BatchNorm with
     materialized ``scale == 1`` and ``shift == 0``, and all-zero Bias.
-    Weight-carrying candidates only match when their weights are present --
-    the rule never materializes weights itself, so profile-mode graphs
-    pass through untouched."""
+    Weight-carrying candidates only match when their weights are present as
+    arrays -- the rule never materializes weights itself, so profile-mode
+    and described-but-undrawn graphs pass through untouched."""
 
     name = "prune-identity"
 
@@ -251,12 +245,13 @@ class PruneIdentityOps(Rule):
             return (all(k == 1 for k in op.kernel)
                     and all(s == 1 for s in op.stride)
                     and all(p == 0 for p in op.padding))
+        w = node.weights
+        if not w or not all(isinstance(v, np.ndarray) for v in w.values()):
+            return False
         if isinstance(op, BatchNorm):
-            w = node.weights
-            return bool(w) and bool(np.all(w["scale"] == 1.0)) and not np.any(w["shift"])
+            return bool(np.all(w["scale"] == 1.0)) and not np.any(w["shift"])
         if isinstance(op, Bias):
-            w = node.weights
-            return bool(w) and not np.any(w["bias"])
+            return not np.any(w["bias"])
         return False
 
     def apply(self, graph: Graph) -> Rewrite | None:
@@ -285,7 +280,7 @@ class LayoutAwareCSE(Rule):
     name = "cse"
 
     def apply(self, graph: Graph) -> Rewrite | None:
-        graph.init_weights()
+        graph.describe_weights()
         output_ids = {n.node_id for n in graph.output_nodes}
         seen: dict = {}
         forward: dict[int, int] = {}
@@ -298,7 +293,7 @@ class LayoutAwareCSE(Rule):
             prior = seen.get(key)
             if prior is not None:
                 twin = graph.node(prior)
-                if twin.spec == node.spec and _same_weights(twin.weights, node.weights):
+                if twin.spec == node.spec and same_weights(twin.weights, node.weights):
                     forward[node.node_id] = prior
                     removed.append(RemovedNode(node.name, "merged", into=twin.name))
                     continue

@@ -242,6 +242,24 @@ class TestManifest:
         with pytest.raises(ValueError):
             RunManifest.from_dict({"version": 999, "model": "x"})
 
+    def test_git_sha_shells_out_once_per_process(self, monkeypatch):
+        import subprocess
+
+        from repro.metrics import manifest as manifest_module
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        manifest_module.git_sha.cache_clear()
+        result, _ = run_graph(small_chain_graph(size=48))
+        shas = {manifest_from_result("chain", result, A100).git_sha for _ in range(3)}
+        assert len(calls) == 1 and shas == {manifest_module.git_sha()}
+
 
 # ---------------------------------------------------------------------------
 # Manifest diff: the perf gate
