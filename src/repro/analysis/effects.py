@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.core.bricked import BrickGrid
+from repro.core.bricked import BrickGrid, bricked_nbytes
 from repro.core.geometry import SubgraphGeometry
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
 from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
@@ -287,10 +287,7 @@ class _Traffic:
 
 def _layout_nbytes(spec: "TensorSpec", layout: tuple[int, ...] | None) -> int:
     """Backing-buffer size of an activation in the given layout."""
-    if layout is None:
-        return spec.nbytes
-    grid = BrickGrid(spec.spatial, layout)
-    return spec.batch * grid.num_bricks * spec.channels * math.prod(layout) * spec.itemsize
+    return spec.nbytes if layout is None else bricked_nbytes(spec, layout)
 
 
 def _flat_index(gpos: tuple[int, ...], grid_shape: tuple[int, ...]) -> int:
@@ -579,8 +576,8 @@ class _Analyzer:
                          f"entry {eid} produced in epoch {self.produced_epoch[eid]} "
                          f"but consumed in epoch {epoch0} without a barrier")
 
-        geom = SubgraphGeometry(view)
-        geom_true = SubgraphGeometry(view) if self.mutation.active else geom
+        geom = SubgraphGeometry(view, brick_shape)
+        geom_true = SubgraphGeometry(view, brick_shape) if self.mutation.active else geom
 
         if strategy is Strategy.PADDED:
             self._padded(sub, se, tr, viol, geom, geom_true, entry_layout,

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.core.brick import Brick, BrickInfo, BrickMap
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["BrickGrid", "BrickedTensor"]
+__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "flat_bricks"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ class BrickGrid:
         grid = tuple(-(-e // b) for e, b in zip(self.extents, self.brick_shape))
         object.__setattr__(self, "_grid_shape", grid)
         object.__setattr__(self, "_num_bricks", math.prod(grid))
-        object.__setattr__(self, "_overlap_plans", {})
+        object.__setattr__(self, "strides", tuple(
+            math.prod(grid[d + 1:]) for d in range(len(grid))))
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -73,47 +75,43 @@ class BrickGrid:
         if clipped:
             # Brick origins are never negative, so clipping only trims the
             # high side (overhanging boundary bricks).
-            return Region(
+            return Region.trusted(tuple(
                 Interval(p * b, min(p * b + b, e))
                 for p, b, e in zip(grid_pos, self.brick_shape, self.extents)
-            )
-        return Region(
+            ))
+        return Region.trusted(tuple(
             Interval(p * b, p * b + b) for p, b in zip(grid_pos, self.brick_shape)
-        )
+        ))
 
-    def bricks_overlapping(self, region: Region) -> Iterator[tuple[int, ...]]:
-        """Grid positions of all bricks intersecting ``region`` (clipped to
-        the feature map: out-of-map halo has no brick to read)."""
-        yield from self.overlap_plan(region)
+    def flat(self, grid_pos: Sequence[int]) -> int:
+        """Row-major (logical) index of the brick at ``grid_pos``."""
+        return sum(map(operator.mul, grid_pos, self.strides))
+
+    def axis_bricks(self, axis: int, lo: int, hi: int) -> range:
+        """Brick indices along ``axis`` overlapping ``[lo, hi)`` (clipped to
+        the feature map: out-of-map halo has no brick to read).  Overlap is
+        separable, so every brick set is a product of these ranges."""
+        lo, hi = max(lo, 0), min(hi, self.extents[axis])
+        if hi <= lo:
+            return range(0)
+        b = self.brick_shape[axis]
+        return range(lo // b, -(-hi // b))
+
+    def axis_terms(self, axis: int, lo: int, hi: int) -> tuple[int, ...]:
+        """:meth:`axis_bricks` times this axis' row-major stride: one term per
+        axis sums to a brick's flat (logical) index."""
+        stride = self.strides[axis]
+        return tuple(i * stride for i in self.axis_bricks(axis, lo, hi))
 
     def overlap_plan(self, region: Region) -> tuple[tuple[int, ...], ...]:
-        """Materialized (and memoized) :meth:`bricks_overlapping` result.
+        """Grid positions of all bricks intersecting ``region``, row-major:
+        the Region view over the per-axis :meth:`axis_bricks` ranges."""
+        if len(region) != len(self.extents):
+            raise LayoutError(f"region rank {len(region)} vs grid rank {len(self.extents)}")
+        return tuple(itertools.product(
+            *(self.axis_bricks(d, iv.lo, iv.hi) for d, iv in enumerate(region))))
 
-        Executors resolve the same halo regions once per brick per batch
-        sample; the distinct regions per grid are few, so caching the
-        materialized tuples removes the region algebra from the hot path.
-        """
-        plan = self._overlap_plans.get(region)
-        if plan is None:
-            clipped = region.clip(self.extents)
-            if clipped.is_empty():
-                plan = ()
-            else:
-                ranges = [
-                    range(max(0, iv.lo // b), min(g, -(-iv.hi // b)))
-                    for iv, b, g in zip(clipped, self.brick_shape, self._grid_shape)
-                ]
-                plan = tuple(itertools.product(*ranges))
-            self._overlap_plans[region] = plan
-        return plan
-
-    def grid_region_for(self, region: Region) -> Region:
-        """The brick-grid-coordinate box covering ``region`` (clipped)."""
-        clipped = region.clip(self.extents)
-        return Region(
-            Interval(max(0, iv.lo // b), min(g, -(-iv.hi // b)))
-            for iv, b, g in zip(clipped, self.brick_shape, self.grid_shape)
-        )
+    bricks_overlapping = overlap_plan
 
 
 class BrickedTensor:
@@ -258,3 +256,21 @@ class BrickedTensor:
             dst = (slice(None), *overlap.slices(origin=brick_origin))
             src = (slice(None), *overlap.slices(origin=[iv.lo for iv in region]))
             self.storage[batch, phys][dst] = values[src]
+
+
+def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Flat (row-major) indices of a box of bricks given, per axis, its brick
+    indices times the grid stride (:meth:`BrickGrid.axis_terms`): every sum
+    of one term per axis, in row-major order."""
+    flat: Sequence[int] = (0,)
+    for terms in axis_terms:
+        flat = [f + t for f in flat for t in terms]
+    return flat
+
+
+def bricked_nbytes(spec: TensorSpec, brick_shape: Sequence[int]) -> int:
+    """Bytes of the buffer backing ``spec`` in brick layout: every brick is
+    stored in full, overhanging boundary bricks included."""
+    grid = BrickGrid(spec.spatial, tuple(brick_shape))
+    return (spec.batch * grid.num_bricks * spec.channels
+            * math.prod(grid.brick_shape) * spec.itemsize)

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.bricked import BrickedTensor
+from repro.core.bricked import BrickedTensor, bricked_nbytes
 from repro.core.halo import padding_growth
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.core.memoized import MemoizedBrickExecutor
@@ -401,34 +401,17 @@ class BrickDLEngine:
                 entries[eid] = handle
             else:
                 entries[eid] = self._ensure_bricked(device, eid, sub.brick_shape, boundary, functional)
-        strategy = sub.strategy
-        if strategy is Strategy.WAVEFRONT:
-            from repro.core.wavefront import WavefrontBrickExecutor, is_chain_subgraph
+        from repro.core.wavefront import WavefrontBrickExecutor, is_chain_subgraph
 
-            if not is_chain_subgraph(sub.subgraph):
-                strategy = Strategy.MEMOIZED  # branches need the dynamic runtime
-        if strategy is Strategy.PADDED:
-            executor = PaddedBrickExecutor(
-                subgraph=sub.subgraph, brick_shape=sub.brick_shape, device=device,
-                entries=entries, weight_buffers=weight_buffers, functional=functional,
-            )
-            exits = executor.run()
-        elif strategy is Strategy.WAVEFRONT:
-            from repro.core.wavefront import WavefrontBrickExecutor
-
-            executor = WavefrontBrickExecutor(
-                subgraph=sub.subgraph, brick_shape=sub.brick_shape, device=device,
-                entries=entries, weight_buffers=weight_buffers, functional=functional,
-            )
-            exits = executor.run()
-            for nid, handle in executor.memo.items():
-                if nid not in exits:
-                    device.discard(handle.buffer)
-        else:
-            executor = MemoizedBrickExecutor(
-                sub.subgraph, sub.brick_shape, device, entries, weight_buffers, functional,
-            )
-            exits = executor.run()
+        executor_cls = {Strategy.PADDED: PaddedBrickExecutor,
+                        Strategy.WAVEFRONT: WavefrontBrickExecutor}.get(
+                            sub.strategy, MemoizedBrickExecutor)
+        if executor_cls is WavefrontBrickExecutor and not is_chain_subgraph(sub.subgraph):
+            executor_cls = MemoizedBrickExecutor  # branches need the dynamic runtime
+        executor = executor_cls(sub.subgraph, sub.brick_shape, device, entries,
+                                weight_buffers, functional)
+        exits = executor.run()
+        if executor_cls is not PaddedBrickExecutor:
             # Interior memo tensors die with the subgraph: discard without
             # write-back (they never leave L2 -- the merged-execution payoff).
             for nid, handle in executor.memo.items():
@@ -516,9 +499,8 @@ class BrickDLEngine:
             return handle
         node = self.graph.node(nid)
         shape = tuple(min(b, e) for b, e in zip(brick_shape, node.spec.spatial))
-        nbricks = math.prod(-(-e // b) for e, b in zip(node.spec.spatial, shape))
-        nbytes = node.spec.batch * nbricks * node.spec.channels * math.prod(shape) * node.spec.itemsize
-        buf = device.allocate(f"{node.name}/bricked", nbytes, transient=True)
+        buf = device.allocate(f"{node.name}/bricked", bricked_nbytes(node.spec, shape),
+                              transient=True)
         new = BrickedHandle.create(node.spec, shape, buf, functional)
         # Brick creation cost (the paper notes it is minimal): one sweep of
         # the source plus per-brick writes so the brick-class residency model
@@ -526,10 +508,9 @@ class BrickDLEngine:
         task = Task(label=f"to-bricks/{node.name}", node_id=nid)
         task.read(handle.buffer, 0, handle.buffer.nbytes, dense=True)
         task.acquire(buffer_token(handle.buffer))
-        phys = new._region_physical(Region.from_extents(new.grid.extents))
-        per_brick = new.brick_nbytes
+        whole = Region.from_extents(new.grid.extents)
         for n in range(node.spec.batch):
-            task.write_batch(buf, (n * new.grid.num_bricks + phys) * per_brick, per_brick)
+            task.write_batch(buf, new.region_offsets(n, whole), new.brick_nbytes)
         # No barrier separates this conversion from the consuming brick
         # tasks: the whole-buffer token is the launch-ordering edge the
         # executors acquire.
@@ -551,10 +532,9 @@ class BrickDLEngine:
         is_output = nid in {n.node_id for n in self.graph.output_nodes}
         buf = device.allocate(f"{node.name}/dense", node.spec.nbytes, transient=not is_output)
         task = Task(label=f"from-bricks/{node.name}", node_id=nid)
-        phys = handle._region_physical(Region.from_extents(handle.grid.extents))
-        per_brick = handle.brick_nbytes
+        whole = Region.from_extents(handle.grid.extents)
         for n in range(node.spec.batch):
-            task.read_batch(handle.buffer, (n * handle.grid.num_bricks + phys) * per_brick, per_brick)
+            task.read_batch(handle.buffer, handle.region_offsets(n, whole), handle.brick_nbytes)
         task.acquire(buffer_token(handle.buffer))
         task.write(buf, 0, node.spec.nbytes, dense=True)
         task.release(buffer_token(buf))

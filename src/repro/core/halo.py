@@ -19,13 +19,16 @@ Two consumers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
 
+from repro.core.bricked import BrickGrid
+from repro.core.geometry import ClosureRow, SubgraphGeometry
 from repro.errors import PlanError
 from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
 
-__all__ = ["HaloAnalysis", "required_regions", "padding_growth", "chain_padded_sizes"]
+__all__ = ["required_regions", "padding_growth", "chain_padded_sizes"]
 
 
 def required_regions(subgraph: SubgraphView, exit_id: int, out_region: Region) -> dict[int, Region]:
@@ -33,32 +36,11 @@ def required_regions(subgraph: SubgraphView, exit_id: int, out_region: Region) -
 
     Returns ``{node_id: Region}`` in the node's own (absolute, unclipped)
     output coordinates, for every member node and every *entry* node that
-    feeds the computation.  Implemented as the paper's queue-based reverse
-    traversal, taking region hulls when a node feeds multiple consumers
-    inside the subgraph (branches share the enlarged requirement).
+    feeds the computation: the paper's queue-based reverse traversal
+    (:class:`~repro.core.geometry.SubgraphGeometry`, which tabulates it per
+    axis for the executors), hulling where a node feeds several consumers.
     """
-    graph = subgraph.graph
-    members = set(subgraph.node_ids)
-    if exit_id not in members:
-        raise PlanError(f"exit {exit_id} is not a member of the subgraph")
-
-    required: dict[int, Region] = {exit_id: out_region}
-    # Reverse topological order: member ids descending (ids are topo-ordered).
-    queue = sorted(members | set(subgraph.entry_ids), reverse=True)
-    for nid in queue:
-        if nid not in required or nid not in members:
-            continue
-        node = graph.node(nid)
-        region = required[nid]
-        input_specs = [graph.node(i).spec for i in node.inputs]
-        for input_index, pred in enumerate(node.inputs):
-            maps = node.op.rf_maps(input_specs, input_index)
-            need = Region(m.in_interval(iv) for m, iv in zip(maps, region))
-            if pred in required:
-                required[pred] = required[pred].hull(need)
-            else:
-                required[pred] = need
-    return required
+    return SubgraphGeometry(subgraph).required(exit_id, out_region)
 
 
 def padding_growth(subgraph: SubgraphView, exit_id: int | None, brick_shape: tuple[int, ...]) -> float:
@@ -75,45 +57,30 @@ def padding_growth(subgraph: SubgraphView, exit_id: int | None, brick_shape: tup
     """
     graph = subgraph.graph
     exit_ids = [exit_id] if exit_id is not None else list(subgraph.exit_ids)
-    node_ids = list(subgraph.node_ids) + list(subgraph.entry_ids)
+    geom = SubgraphGeometry(subgraph, brick_shape)
 
     padded_elems = 0
     for eid in exit_ids:
         extents = graph.node(eid).spec.spatial
         if len(brick_shape) != len(extents):
             raise PlanError(f"brick rank {len(brick_shape)} vs exit spatial rank {len(extents)}")
-        from repro.core.bricked import BrickGrid  # local import to avoid a cycle
-
-        grid = BrickGrid(extents, brick_shape)
-
-        # The interval algebra is separable per spatial dimension
-        # (in_interval, hull and clip all act dimension-wise), so instead of
-        # running the reverse traversal for every brick (O(bricks x nodes)),
-        # run it once per grid index per dimension and combine
-        # multiplicatively:
+        table = geom.closure_table(eid)
+        # Closure rows compose per axis, so the bricks whose rows are all
+        # clean sum multiplicatively without being enumerated:
         #   padded_elems(node) = prod_d ( sum_i clipped_len_{d,i}(node) ).
-        per_dim_lens: list[dict[int, list[int]]] = []
-        for d, (extent, b, g) in enumerate(zip(extents, brick_shape, grid.grid_shape)):
-            lens: dict[int, list[int]] = {nid: [] for nid in node_ids}
-            for i in range(g):
-                out_iv = Region.from_bounds([i * b], [min((i + 1) * b, extent)])
-                required = _required_1d(subgraph, eid, d, out_iv[0])
-                for nid in node_ids:
-                    if nid in required:
-                        spec = graph.node(nid).spec
-                        lens[nid].append(required[nid].clip(spec.spatial[d]).length)
-                    else:
-                        lens[nid].append(0)
-            per_dim_lens.append(lens)
-
-        for nid in node_ids:
-            total = 1
-            for lens in per_dim_lens:
-                total *= sum(lens[nid])
-            padded_elems += total
+        # Bricks touching a void row (an empty need: see repro.core.geometry)
+        # do not decompose and are summed one by one.
+        clean = [[r for r in rows if not r.void] for rows in table]
+        sums = [[sum(lens) for lens in zip(*map(_lengths, rows))] for rows in clean]
+        padded_elems += sum(map(math.prod, zip(*sums)))
+        if any(len(c) < len(rows) for c, rows in zip(clean, table)):
+            for gpos in itertools.product(*(range(len(rows)) for rows in table)):
+                if any(rows[i].void for rows, i in zip(table, gpos)):
+                    padded_elems += sum(map(math.prod, zip(*map(
+                        _lengths, geom.closure_rows(eid, gpos)))))
 
     exact_elems = 0
-    for nid in node_ids:
+    for nid in list(subgraph.node_ids) + list(subgraph.entry_ids):
         spec = graph.node(nid).spec
         exact_elems += int(spec.num_elements // (spec.batch * spec.channels))
     if exact_elems == 0:
@@ -121,22 +88,9 @@ def padding_growth(subgraph: SubgraphView, exit_id: int | None, brick_shape: tup
     return padded_elems / exact_elems - 1.0
 
 
-def _required_1d(subgraph: SubgraphView, exit_id: int, dim: int, out_iv) -> dict[int, "object"]:
-    """One-dimensional slice of :func:`required_regions` along ``dim``."""
-    graph = subgraph.graph
-    members = set(subgraph.node_ids)
-    required = {exit_id: out_iv}
-    for nid in sorted(members | set(subgraph.entry_ids), reverse=True):
-        if nid not in required or nid not in members:
-            continue
-        node = graph.node(nid)
-        iv = required[nid]
-        input_specs = [graph.node(i).spec for i in node.inputs]
-        for input_index, pred in enumerate(node.inputs):
-            m = node.op.rf_maps(input_specs, input_index)[dim]
-            need = m.in_interval(iv)
-            required[pred] = required[pred].hull(need) if pred in required else need
-    return required
+def _lengths(row: ClosureRow) -> list[int]:
+    """Clipped length of every closure node along the row's axis."""
+    return [r.length for r in (*row.members.values(), *row.entries.values())]
 
 
 def chain_padded_sizes(subgraph: SubgraphView, exit_id: int, brick_shape: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
@@ -149,8 +103,6 @@ def chain_padded_sizes(subgraph: SubgraphView, exit_id: int, brick_shape: tuple[
     """
     graph = subgraph.graph
     exit_node = graph.node(exit_id)
-    from repro.core.bricked import BrickGrid
-
     grid = BrickGrid(exit_node.spec.spatial, brick_shape)
     # A central brick: the grid's middle position.
     center = tuple(g // 2 for g in grid.grid_shape)
@@ -159,22 +111,3 @@ def chain_padded_sizes(subgraph: SubgraphView, exit_id: int, brick_shape: tuple[
     for nid in sorted(required, reverse=True):
         out.append((graph.node(nid).name, required[nid].shape))
     return out
-
-
-@dataclass(frozen=True)
-class HaloAnalysis:
-    """Cached halo analysis of one subgraph for one brick geometry."""
-
-    subgraph: SubgraphView
-    exit_id: int
-    brick_shape: tuple[int, ...]
-    delta: float
-
-    @classmethod
-    def analyze(cls, subgraph: SubgraphView, exit_id: int, brick_shape: tuple[int, ...]) -> "HaloAnalysis":
-        return cls(
-            subgraph=subgraph,
-            exit_id=exit_id,
-            brick_shape=tuple(brick_shape),
-            delta=padding_growth(subgraph, exit_id, tuple(brick_shape)),
-        )

@@ -16,14 +16,15 @@ overlapping brick in full (the brick is the unit of data movement).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.brick import BrickMap
-from repro.core.bricked import BrickedTensor, BrickGrid
+from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes, flat_bricks
 from repro.errors import ExecutionError
 from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
@@ -39,10 +40,6 @@ class DenseHandle:
     spec: TensorSpec
     buffer: Buffer
     data: np.ndarray | None = None
-
-    @property
-    def functional(self) -> bool:
-        return self.data is not None
 
     def require_data(self) -> np.ndarray:
         if self.data is None:
@@ -112,11 +109,11 @@ class BrickedHandle:
     grid: BrickGrid
     buffer: Buffer
     data: BrickedTensor | None = None
-    # Per-region physical-brick-index vectors (see _region_physical): the
-    # executors resolve the same few halo regions for every batch sample and
-    # every consumer, so the translation from region to brick offsets is
-    # cached once per region.
-    _region_phys: dict = field(default_factory=dict, repr=False, compare=False)
+    brick_nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.brick_nbytes = (self.spec.channels * math.prod(self.grid.brick_shape)
+                             * self.spec.itemsize)
 
     @classmethod
     def create(
@@ -131,43 +128,35 @@ class BrickedHandle:
         data = BrickedTensor(spec, brick_shape, brick_map) if functional else None
         return cls(spec=spec, grid=grid, buffer=buffer, data=data)
 
-    @property
-    def functional(self) -> bool:
-        return self.data is not None
-
-    @property
-    def brick_nbytes(self) -> int:
-        cached = self._region_phys.get("__brick_nbytes__")
-        if cached is None:
-            cached = self.spec.channels * math.prod(self.grid.brick_shape) * self.spec.itemsize
-            self._region_phys["__brick_nbytes__"] = cached
-        return cached
-
     def nbytes(self) -> int:
-        return self.spec.batch * self.grid.num_bricks * self.brick_nbytes
+        return bricked_nbytes(self.spec, self.grid.brick_shape)
 
     def physical(self, grid_pos: tuple[int, ...]) -> int:
         if self.data is not None:
             return self.data.brick_map.physical(grid_pos)
-        # Profile mode: identity brick map.
-        idx = 0
-        for p, g in zip(grid_pos, self.grid.grid_shape):
-            idx = idx * g + p
-        return idx
+        return self.grid.flat(grid_pos)  # profile mode: identity brick map
 
     def brick_offset(self, batch: int, grid_pos: tuple[int, ...]) -> int:
         return (batch * self.grid.num_bricks + self.physical(grid_pos)) * self.brick_nbytes
 
-    def _region_physical(self, region: Region) -> np.ndarray:
-        """Physical brick indices (int64 vector) of the bricks overlapping
-        ``region``, memoized per region."""
-        phys = self._region_phys.get(region)
-        if phys is None:
-            plan = self.grid.overlap_plan(region)
-            phys = np.fromiter((self.physical(g) for g in plan),
-                               dtype=np.int64, count=len(plan))
-            self._region_phys[region] = phys
-        return phys
+    def flat_offsets(self, batch: int, flat: Sequence[int]) -> list[int]:
+        """Byte offsets of the bricks with the given flat (row-major logical)
+        indices; the brick map (identity in profile mode) makes them physical."""
+        if self.data is not None:
+            flat = self.data.brick_map.physical_flat(flat)
+        base = batch * self.grid.num_bricks
+        nbytes = self.brick_nbytes
+        return [(base + f) * nbytes for f in flat]
+
+    def brick_offsets(self, batch: int, axis_terms: Sequence[Sequence[int]]) -> list[int]:
+        """Byte offsets of a box of bricks, row-major, from its per-axis
+        stride terms (:meth:`BrickGrid.axis_terms`, or a geometry table row)."""
+        return self.flat_offsets(batch, flat_bricks(axis_terms))
+
+    def region_offsets(self, batch: int, region: Region) -> list[int]:
+        """:meth:`brick_offsets` of every brick overlapping ``region``."""
+        return self.brick_offsets(batch, [
+            self.grid.axis_terms(d, iv.lo, iv.hi) for d, iv in enumerate(region)])
 
     # -- access emission ------------------------------------------------------
     def emit_region_read(self, task: Task, batch: int, region: Region) -> int:
@@ -178,16 +167,9 @@ class BrickedHandle:
         ``Access`` rows are unchanged, and the task additionally carries the
         columnar span for the vectorized memory path.
         """
-        phys = self._region_physical(region)
-        if phys.size == 0:
-            return 0
-        nbytes = self.brick_nbytes
-        offsets = (batch * self.grid.num_bricks + phys) * nbytes
-        task.read_batch(self.buffer, offsets, nbytes)
-        return int(phys.size)
-
-    def emit_brick_read(self, task: Task, batch: int, grid_pos: tuple[int, ...]) -> None:
-        task.read(self.buffer, self.brick_offset(batch, grid_pos), self.brick_nbytes)
+        offsets = self.region_offsets(batch, region)
+        task.read_batch(self.buffer, offsets, self.brick_nbytes)
+        return len(offsets)
 
     def emit_brick_write(self, task: Task, batch: int, grid_pos: tuple[int, ...]) -> None:
         task.write(self.buffer, self.brick_offset(batch, grid_pos), self.brick_nbytes)
@@ -205,4 +187,4 @@ class BrickedHandle:
 
     def bricks(self) -> Iterator[tuple[int, ...]]:
         """All grid positions, row-major."""
-        yield from self.grid.bricks_overlapping(Region.from_extents(self.grid.extents))
+        return itertools.product(*(range(g) for g in self.grid.grid_shape))

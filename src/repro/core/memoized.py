@@ -22,14 +22,14 @@ emergent property of the schedule, not an input.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.geometry import SubgraphGeometry
-from repro.core.handles import BrickedHandle
+from repro.core.bricked import bricked_nbytes, flat_bricks
+from repro.core.geometry import SubgraphGeometry, patch_geometry
+from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
 from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
@@ -55,8 +55,11 @@ class _Frame:
     nid: int
     gpos: tuple[int, ...]
     batch: int
-    deps: list[tuple[int, tuple[int, ...]]] | None = None
-    blocked: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    index: int  # of this brick's tag in ``states[nid]``
+    # Member bricks this brick reads as (node, grid position, flat index)
+    # -- None until first scanned -- and those not yet seen complete.
+    deps: list[tuple[int, tuple[int, ...], int]] | None = None
+    pending: list[tuple[int, tuple[int, ...], int]] = field(default_factory=list)
 
 
 class MemoizedBrickExecutor:
@@ -67,7 +70,7 @@ class MemoizedBrickExecutor:
         subgraph: SubgraphView,
         brick_shape: tuple[int, ...],
         device: Device,
-        entries: dict[int, BrickedHandle],
+        entries: dict[int, BrickedHandle | DenseHandle],
         weight_buffers: dict[int, Buffer],
         functional: bool = True,
     ) -> None:
@@ -79,31 +82,23 @@ class MemoizedBrickExecutor:
         self.functional = functional
         self.graph = subgraph.graph
         self.members = set(subgraph.node_ids)
-        self.geom = SubgraphGeometry(subgraph)
         for eid in subgraph.entry_ids:
             if eid not in entries:
                 raise ExecutionError(f"memoized executor missing entry handle for node {eid}")
+        # Per-axis tables (see repro.core.geometry): dependency scan, read
+        # emission and sync stamping resolve a brick from one row per axis.
+        self.geom = SubgraphGeometry(subgraph, self.brick_shape, entries)
 
         # Memo storage: a bricked tensor per member node.
         self.memo: dict[int, BrickedHandle] = {}
         self.states: dict[int, bytearray] = {}
         for nid in subgraph.node_ids:
             node = self.graph.node(nid)
-            grid_bricks = math.prod(-(-e // b) for e, b in zip(node.spec.spatial, self.brick_shape))
-            nbytes = node.spec.batch * grid_bricks * node.spec.channels * math.prod(self.brick_shape) * node.spec.itemsize
-            buf = self.device.allocate(f"{node.name}/memo", nbytes, transient=True)
-            self.memo[nid] = BrickedHandle.create(node.spec, self.brick_shape, buf, self.functional)
-            self.states[nid] = bytearray(node.spec.batch * grid_bricks)
-        # Per-brick geometry memo tables (see repro.core.geometry): the
-        # scheduler resolves each (node, grid position) several times -- the
-        # dependency scan, the sync stamping, and the task emission -- and
-        # every batch sample repeats the same geometry, so these tables turn
-        # the per-brick region algebra into dict hits.
-        self._tmpl: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        self._dep_cache: dict[tuple[int, tuple[int, ...]],
-                              list[tuple[int, tuple[int, ...]]]] = {}
-        self._flat_geom = {nid: (h.grid.grid_shape, h.grid.num_bricks)
-                           for nid, h in self.memo.items()}
+            buf = self.device.allocate(f"{node.name}/memo",
+                                       bricked_nbytes(node.spec, self.brick_shape), transient=True)
+            handle = BrickedHandle.create(node.spec, self.brick_shape, buf, self.functional)
+            self.memo[nid] = handle
+            self.states[nid] = bytearray(node.spec.batch * handle.grid.num_bricks)
 
         # Scheduler time quantum: set adaptively from the first task so a
         # brick computation spans a handful of rounds regardless of scale
@@ -137,8 +132,6 @@ class MemoizedBrickExecutor:
         wave = int(HALO_NEIGHBORHOOD_BRICKS * device.spec.num_sms * min(1.0, 3.0 / depth))
         self._recent_capacity = max(8 * l2_bricks, wave, 64)
         self._recent: "OrderedDict[tuple[int, int], None]" = OrderedDict()
-        self._round = 0
-        self._busy_rounds = 0
         self._durations: list[float] = []
 
     # -- public ----------------------------------------------------------------
@@ -147,7 +140,7 @@ class MemoizedBrickExecutor:
         num_workers = self.device.spec.num_sms
         # Clustered assignment: each worker owns a contiguous chunk of exit
         # bricks (the paper's clustered thread blocks).
-        chunks: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(num_workers)]
+        chunks: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(num_workers)]
         per = -(-len(goals) // num_workers) if goals else 1
         for i, g in enumerate(goals):
             chunks[min(i // per, num_workers - 1)].append(g)
@@ -158,9 +151,6 @@ class MemoizedBrickExecutor:
         active = [w for w in workers if w.queue]
 
         while active:
-            self._round += 1
-            if any(w.busy for w in active):
-                self._busy_rounds += 1
             still = []
             for w in active:
                 self._step(w)
@@ -201,25 +191,24 @@ class MemoizedBrickExecutor:
             w.busy -= 1
             w.busy_turns += 1
             if w.busy == 0:
-                nid, gpos, batch = w.computing
-                self._set_state(nid, gpos, batch, _COMPLETE)
-                w.stack.pop()
+                done = w.stack.pop()  # the brick this worker was computing
+                self.states[done.nid][done.index] = _COMPLETE
             return
 
         if not w.stack:
             while w.queue:
-                nid, gpos, batch = w.queue.pop()
-                state = self._get_state(nid, gpos, batch)
+                goal = w.queue.pop()
+                state = self.states[goal[0]][goal[3]]
                 self.total_visits += 1
                 if state == _NOT_STARTED:
-                    self._acquire(w, nid, gpos, batch)
+                    self._acquire(w, *goal)
                     return
                 if state == _IN_PROGRESS:
                     # Our exit brick is being produced by another worker;
                     # spin on it (conflict CAS) until it completes.
                     self.total_conflicts += self._spins_per_turn()
                     w.stall_turns += 1
-                    w.queue.append((nid, gpos, batch))
+                    w.queue.append(goal)
                     return
                 # _COMPLETE: someone already made it; take the next goal.
                 self.total_reuses += 1
@@ -227,16 +216,17 @@ class MemoizedBrickExecutor:
 
         frame = w.stack[-1]
         if frame.deps is None:
-            frame.deps = self._dependencies(frame.nid, frame.gpos, frame.batch)
+            frame.deps = frame.pending = self._dependencies(frame.nid, frame.gpos)
 
         # Scan pending dependencies; prefer state-0 work (descend), remember
         # in-progress blocks for later, and only stall when nothing else is
         # runnable.  Unscanned deps are retained for the next turn.
-        pending = frame.blocked + frame.deps
-        keep: list[tuple[int, tuple[int, ...]]] = []
+        pending = frame.pending
+        keep: list[tuple[int, tuple[int, ...], int]] = []
         for idx, dep in enumerate(pending):
-            dnid, dgpos = dep
-            state = self._get_state(dnid, dgpos, frame.batch)
+            dnid, dgpos, dflat = dep
+            dindex = frame.batch * self.memo[dnid].grid.num_bricks + dflat
+            state = self.states[dnid][dindex]
             self.total_visits += 1
             if state == _COMPLETE:
                 self.total_reuses += 1
@@ -247,12 +237,10 @@ class MemoizedBrickExecutor:
                 continue
             # state 0: descend into this dependency this turn; everything not
             # yet scanned stays pending.
-            frame.blocked = keep + pending[idx + 1:]
-            frame.deps = []
-            self._acquire(w, dnid, dgpos, frame.batch)
+            frame.pending = keep + pending[idx + 1:]
+            self._acquire(w, dnid, dgpos, frame.batch, dindex)
             return
-        frame.blocked = keep
-        frame.deps = []
+        frame.pending = keep
         if keep:
             w.stall_turns += 1
             return  # stall this turn; owners are progressing elsewhere
@@ -269,34 +257,18 @@ class MemoizedBrickExecutor:
             return 1
         return max(1, round(self._quantum / self.device.spec.spin_interval_s))
 
-    def _acquire(self, w: "_WorkerState", nid: int, gpos: tuple[int, ...], batch: int) -> None:
-        self._set_state(nid, gpos, batch, _IN_PROGRESS)
+    def _acquire(self, w: "_WorkerState", nid: int, gpos: tuple[int, ...], batch: int,
+                 index: int) -> None:
+        self.states[nid][index] = _IN_PROGRESS
         self.total_compulsory += 2  # acquire now, release at completion
-        w.stack.append(_Frame(nid=nid, gpos=gpos, batch=batch))
-
-    def _brick_geom(self, nid: int, gpos: tuple[int, ...]) -> tuple:
-        """(region, needs, offsets, flops) for one brick, memoized.
-
-        Pure geometry -- identical for every batch sample and every
-        resolution of the same (node, grid position) pair."""
-        key = (nid, gpos)
-        tmpl = self._tmpl.get(key)
-        if tmpl is None:
-            node = self.graph.node(nid)
-            region = self.memo[nid].grid.brick_region(gpos, clipped=True)
-            needs, offsets = self.geom.needs(nid, region)
-            flops = self.geom.flops(nid, node.spec.channels * region.size)
-            tmpl = (region, needs, offsets, flops)
-            self._tmpl[key] = tmpl
-        return tmpl
+        w.stack.append(_Frame(nid, gpos, batch, index))
 
     def _start_compute(self, w: "_WorkerState", frame: _Frame) -> None:
         node = self.graph.node(frame.nid)
         handle = self.memo[frame.nid]
-        # One need region and offset tuple per input: inputs may have
-        # differing halos, so each patch is aligned by its own
-        # receptive-field offsets.
-        region, needs, offsets, flops = self._brick_geom(frame.nid, frame.gpos)
+        # One row per axis, each with per-input needs and offsets: inputs may
+        # have differing halos, so each patch is aligned by its own offsets.
+        rows = self.geom.rows(frame.nid, frame.gpos)
 
         task = Task(label=f"memo/{node.name}/{frame.gpos}", node_id=frame.nid,
                     strategy="memoized", worker=w.index,
@@ -305,7 +277,7 @@ class MemoizedBrickExecutor:
             source = self.memo.get(pred) or self.entries.get(pred)
             if source is None:
                 raise ExecutionError(f"no source handle for predecessor {pred}")
-            self._read_bricks(task, source, frame.batch, needs[input_index])
+            self._read_bricks(task, source, frame.batch, input_index, rows)
         wb = self.weight_buffers.get(frame.nid)
         if wb is not None and wb.nbytes:
             task.read(wb, 0, wb.nbytes)
@@ -313,16 +285,16 @@ class MemoizedBrickExecutor:
         handle.emit_brick_write(task, frame.batch, frame.gpos)
         self._touch((handle.buffer.buffer_id, own_offset))
         self._stamp_sync(task, frame, own_offset)
-        task.flops = flops
+        task.flops = self.geom.flops(
+            frame.nid, node.spec.channels * math.prod([r.length for r in rows]))
         task.atomics_compulsory = 2
         task.visits = 0  # visits are tracked globally by the scheduler
 
         if self.functional:
+            region, needs, offsets = patch_geometry(rows, len(node.inputs))
             fill = pad_value_for(node.op)
-            patches = []
-            for need, pred in zip(needs, node.inputs):
-                source = self.memo.get(pred) or self.entries.get(pred)
-                patches.append(source.gather(frame.batch, need, fill))
+            patches = [(self.memo.get(pred) or self.entries.get(pred)).gather(frame.batch, need, fill)
+                       for need, pred in zip(needs, node.inputs)]
             values = apply_node_local(node.op, patches, node.weights, region.shape, offsets)
             handle.scatter(frame.batch, region, values)
 
@@ -334,7 +306,6 @@ class MemoizedBrickExecutor:
         if self._quantum is None:
             self._quantum = max(self.device.spec.call_overhead_s, duration / 4.0)
         w.busy = max(1, round(duration / self._quantum))
-        w.computing = (frame.nid, frame.gpos, frame.batch)
 
     def _stamp_sync(self, task: Task, frame: _Frame, own_offset: int) -> None:
         """Stamp the protocol's happens-before edges on a brick task.
@@ -348,9 +319,10 @@ class MemoizedBrickExecutor:
         sanitizer's race detector trusts nothing else.
         """
         handle = self.memo[frame.nid]
-        for dnid, dgpos in self._dependencies(frame.nid, frame.gpos, frame.batch):
+        for dnid, group in itertools.groupby(frame.deps, key=lambda dep: dep[0]):
             dep = self.memo[dnid]
-            task.acquire(brick_token(dep.buffer, dep.brick_offset(frame.batch, dgpos)))
+            for offset in dep.flat_offsets(frame.batch, [flat for _, _, flat in group]):
+                task.acquire(brick_token(dep.buffer, offset))
         for pred in self.graph.node(frame.nid).inputs:
             if pred not in self.members:
                 source = self.entries.get(pred)
@@ -370,66 +342,41 @@ class MemoizedBrickExecutor:
                 self._recent.popitem(last=False)
         return hot
 
-    def _read_bricks(self, task: Task, source, batch: int, need: Region) -> None:
+    def _read_bricks(self, task: Task, source, batch: int, input_index: int, rows) -> None:
         """Emit dep-brick reads, coalescing protocol-synchronized re-reads.
 
         Dense graph inputs are read directly with strided accesses (BrickDL
         forms bricks as the first layer's tasks stream the input)."""
         if not isinstance(source, BrickedHandle):
-            source.emit_region_read(task, batch, need)
+            source.emit_region_read(task, batch, Region.trusted(
+                tuple(r.edges[input_index].need for r in rows)))
             return
-        # Brick offsets come from the handle's cached per-region physical
-        # vector; the per-brick read rows stay individual (the hot flag is
-        # scheduler state, so rows within one region genuinely differ).
-        phys = source._region_physical(need)
-        if phys.size == 0:
-            return
-        nbytes = source.brick_nbytes
-        buffer = source.buffer
-        bid = buffer.buffer_id
-        for offset in ((batch * source.grid.num_bricks + phys) * nbytes).tolist():
-            hot = self._touch((bid, offset))
-            if hot:
-                self.coalesced_reads += 1
-            task.read(buffer, offset, nbytes, assume_l2=hot)
+        # The read rows stay individual (the hot flag is scheduler state, so
+        # rows within one region genuinely differ).
+        offsets = source.brick_offsets(batch, [r.edges[input_index].terms for r in rows])
+        bid = source.buffer.buffer_id
+        hot = [self._touch((bid, offset)) for offset in offsets]
+        self.coalesced_reads += sum(hot)
+        task.read_rows(source.buffer, offsets, source.brick_nbytes, hot)
 
     # -- dependencies -----------------------------------------------------------
-    def _dependencies(self, nid: int, gpos: tuple[int, ...], batch: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Member bricks this brick reads (entries are always available).
-
-        Batch-independent, so the result is memoized per (node, grid
-        position) and shared between the dependency scan and the sync
-        stamping.  Callers must not mutate the returned list."""
-        key = (nid, gpos)
-        deps = self._dep_cache.get(key)
-        if deps is None:
-            node = self.graph.node(nid)
-            _, needs, _, _ = self._brick_geom(nid, gpos)
-            deps = []
-            for input_index, pred in enumerate(node.inputs):
-                if pred not in self.members:
-                    continue
-                for dep_pos in self.memo[pred].grid.overlap_plan(needs[input_index]):
-                    deps.append((pred, dep_pos))
-            self._dep_cache[key] = deps
+    def _dependencies(self, nid: int, gpos: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+        """Member bricks this brick reads (entries are always available):
+        per member input, the product of its rows' per-axis brick ranges,
+        each with its flat (row-major) index."""
+        rows = self.geom.rows(nid, gpos)
+        deps = []
+        for input_index, pred in enumerate(self.graph.node(nid).inputs):
+            if pred in self.members:
+                edges = [r.edges[input_index] for r in rows]
+                deps.extend(zip(itertools.repeat(pred),
+                                itertools.product(*[e.bricks for e in edges]),
+                                flat_bricks([e.terms for e in edges])))
         return deps
 
-    # -- state ---------------------------------------------------------------
-    def _flat(self, nid: int, gpos: tuple[int, ...], batch: int) -> int:
-        grid, num_bricks = self._flat_geom[nid]
-        idx = 0
-        for p, g in zip(gpos, grid):
-            idx = idx * g + p
-        return batch * num_bricks + idx
-
-    def _get_state(self, nid: int, gpos: tuple[int, ...], batch: int) -> int:
-        return self.states[nid][self._flat(nid, gpos, batch)]
-
-    def _set_state(self, nid: int, gpos: tuple[int, ...], batch: int, state: int) -> None:
-        self.states[nid][self._flat(nid, gpos, batch)] = state
-
-    def _sink_goals(self) -> list[tuple[int, tuple[int, ...], int]]:
-        """Exit bricks in spatially clustered order.
+    def _sink_goals(self) -> list[tuple[int, tuple[int, ...], int, int]]:
+        """Exit bricks ``(node, grid position, batch, tag index)`` in
+        spatially clustered order.
 
         Goals are sorted by coarse cubic cluster so each worker's contiguous
         chunk is a compact spatial block rather than a row-major stripe:
@@ -450,17 +397,17 @@ class MemoizedBrickExecutor:
             def cluster_key(gpos: tuple[int, ...]) -> tuple:
                 return (tuple(p // side for p in gpos), gpos)
             for gpos in sorted(handle.bricks(), key=cluster_key):
+                flat = handle.grid.flat(gpos)
                 for n in range(batch):
-                    goals.append((eid, gpos, n))
+                    goals.append((eid, gpos, n, n * total + flat))
         return goals
 
 
 @dataclass
 class _WorkerState:
     index: int
-    queue: list[tuple[int, tuple[int, ...], int]]
+    queue: list[tuple[int, tuple[int, ...], int, int]]
     stack: list[_Frame] = field(default_factory=list)
     busy: int = 0
-    computing: tuple[int, tuple[int, ...], int] | None = None
     busy_turns: int = 0    # turns spent computing bricks
     stall_turns: int = 0   # turns spent spinning on in-progress bricks

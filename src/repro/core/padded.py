@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.geometry import SubgraphGeometry
-from repro.core.handles import BrickedHandle
+from repro.core.bricked import bricked_nbytes
+from repro.core.geometry import SubgraphGeometry, patch_geometry
+from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
 from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
@@ -60,16 +61,15 @@ class PaddedBrickExecutor:
     subgraph: SubgraphView
     brick_shape: tuple[int, ...]
     device: Device
-    entries: dict[int, BrickedHandle]
+    entries: dict[int, BrickedHandle | DenseHandle]
     weight_buffers: dict[int, Buffer]
     functional: bool = True
 
     def __post_init__(self) -> None:
-        # Memoized geometry (see repro.core.geometry): the reverse halo
-        # traversal and the per-layer receptive-field resolution depend only
-        # on (exit, brick), not on the batch sample, so every sample after
-        # the first replays dict hits.
-        self.geom = SubgraphGeometry(self.subgraph)
+        # Per-axis closure tables (see repro.core.geometry): the reverse halo
+        # traversal and the per-layer receptive-field resolution run once
+        # per (exit, axis, grid index); a brick task looks its rows up.
+        self.geom = SubgraphGeometry(self.subgraph, self.brick_shape, self.entries)
         self._members = set(self.subgraph.node_ids)
 
     def run(self) -> dict[int, BrickedHandle]:
@@ -80,7 +80,8 @@ class PaddedBrickExecutor:
 
         exits: dict[int, BrickedHandle] = {}
         for enode in self.subgraph.exits:
-            buf = self.device.allocate(f"{enode.name}/bricked", self._bricked_nbytes(enode.spec), transient=True)
+            buf = self.device.allocate(f"{enode.name}/bricked",
+                                       bricked_nbytes(enode.spec, self.brick_shape), transient=True)
             exits[enode.node_id] = BrickedHandle.create(enode.spec, self.brick_shape, buf, self.functional)
 
         scratch = self._allocate_scratch()
@@ -106,22 +107,13 @@ class PaddedBrickExecutor:
         return exits
 
     # -- internals -------------------------------------------------------------
-    def _bricked_nbytes(self, spec) -> int:
-        from repro.core.bricked import BrickGrid
-
-        grid = BrickGrid(spec.spatial, self.brick_shape)
-        return spec.batch * grid.num_bricks * spec.channels * math.prod(self.brick_shape) * spec.itemsize
-
     def _allocate_scratch(self) -> list[tuple[Buffer, dict[int, int]]]:
         """Per-worker scratch: one slot per member node, sized for the
         largest (interior) patch that node ever computes."""
         graph = self.subgraph.graph
         # Probe an interior exit brick to size the per-node patches.
         exit_id = self.subgraph.exit_ids[-1]
-        exit_spec = graph.node(exit_id).spec
-        from repro.core.bricked import BrickGrid
-
-        grid = BrickGrid(exit_spec.spatial, self.brick_shape)
+        grid = self.geom.grid(exit_id)
         center = tuple(g // 2 for g in grid.grid_shape)
         required = self.geom.required(exit_id, grid.brick_region(center))
         offsets: dict[int, int] = {}
@@ -148,8 +140,7 @@ class PaddedBrickExecutor:
     ) -> None:
         graph = self.subgraph.graph
         members = self._members
-        out_region = exit_handle.grid.brick_region(grid_pos, clipped=True)
-        required = self.geom.required(exit_id, out_region)
+        rows = self.geom.closure_rows(exit_id, grid_pos)
 
         task = Task(label=f"padded/{graph.node(exit_id).name}/{grid_pos}",
                     node_id=exit_id, strategy="padded", worker=worker,
@@ -159,37 +150,41 @@ class PaddedBrickExecutor:
         covered: dict[int, Region] = {}
 
         # Entry reads: whole overlapping bricks (halo copies).
-        for eid in self.subgraph.entry_ids:
-            if eid not in required:
-                continue
-            self.entries[eid].emit_region_read(task, batch, required[eid])
-            task.acquire(buffer_token(self.entries[eid].buffer))
-            covered[eid] = required[eid].clip(graph.node(eid).spec.spatial)
-            espec = graph.node(eid).spec
-            self._entry_read_bytes += espec.channels * covered[eid].size * espec.itemsize
+        for eid in rows[0].entries:
+            edges = [r.entries[eid] for r in rows]
+            handle = self.entries[eid]
+            if isinstance(handle, BrickedHandle):
+                task.read_batch(handle.buffer,
+                                handle.brick_offsets(batch, [e.terms for e in edges]),
+                                handle.brick_nbytes)
+            else:
+                handle.emit_region_read(task, batch, Region.trusted(tuple(e.need for e in edges)))
+            task.acquire(buffer_token(handle.buffer))
+            espec = handle.spec
+            self._entry_read_bytes += (espec.channels * math.prod([e.length for e in edges])
+                                       * espec.itemsize)
             if self.functional:
-                values[eid] = self.entries[eid].gather(batch, covered[eid])
+                covered[eid] = Region.trusted(tuple(e.need for e in edges)).clip(espec.spatial)
+                values[eid] = handle.gather(batch, covered[eid])
 
         calls = 0
-        for nid in self.subgraph.node_ids:
-            if nid not in required:
+        for nid in rows[0].members:
+            axis = [r.members[nid] for r in rows]
+            size = math.prod([a.length for a in axis])
+            if size == 0:
+                covered[nid] = patch_geometry(axis, 0)[0]
                 continue
             node = graph.node(nid)
             spec = node.spec
-            region = required[nid].clip(spec.spatial)
-            if region.is_empty():
-                covered[nid] = region
-                continue
-            needs, offsets_nd = self.geom.needs(nid, region)
             for input_index, pred in enumerate(node.inputs):
                 # Intermediate patches are thread-block private (registers /
                 # shared memory / L1): they never travel below the SM, but
                 # their volume shows up in the L1 (global) transaction count
                 # -- the paper's padded-brick overfetch.
                 if pred in members:
-                    need = needs[input_index]
                     pred_spec = graph.node(pred).spec
-                    nbytes = pred_spec.channels * need.clip(pred_spec.spatial).size * pred_spec.itemsize
+                    nbytes = (pred_spec.channels * pred_spec.itemsize
+                              * math.prod([a.edges[input_index].length for a in axis]))
                     task.read(scratch_buf, slots[pred], min(nbytes, scratch_buf.nbytes - slots[pred]),
                               on_chip=True)
 
@@ -197,27 +192,25 @@ class PaddedBrickExecutor:
             if wb is not None and wb.nbytes:
                 task.read(wb, 0, wb.nbytes)
 
-            out_bytes = spec.channels * region.size * spec.itemsize
+            out_bytes = spec.channels * size * spec.itemsize
             if nid == exit_id:
                 exit_handle.emit_brick_write(task, batch, grid_pos)
             else:
                 task.write(scratch_buf, slots[nid], min(out_bytes, scratch_buf.nbytes - slots[nid]),
                            on_chip=True)
-            task.flops += self.geom.flops(nid, spec.channels * region.size)
-            self._compute_elems += spec.channels * region.size
+            task.flops += self.geom.flops(nid, spec.channels * size)
+            self._compute_elems += spec.channels * size
             calls += 1
 
             if self.functional:
+                region, needs, offsets = patch_geometry(axis, len(node.inputs))
                 fill = pad_value_for(node.op)
-                patches = []
-                for need, pred in zip(needs, node.inputs):
-                    pred_covered = covered[pred]
-                    patches.append(_extract(values[pred], pred_covered, need, fill))
+                patches = [_extract(values[pred], covered[pred], need, fill)
+                           for need, pred in zip(needs, node.inputs)]
                 values[nid] = apply_node_local(
                     node.op, patches, node.weights, region.shape,
-                    offsets_nd if offsets_nd else (0,) * len(region),
-                )
-            covered[nid] = region
+                    offsets or (0,) * len(region))
+                covered[nid] = region
 
         task.calls = max(calls, 1)
         # Exits other than `exit_id` are materialized by their own brick loops.

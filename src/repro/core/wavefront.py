@@ -30,13 +30,15 @@ back to memoized bricks for non-chains.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from repro.core.geometry import SubgraphGeometry
+from repro.core.bricked import bricked_nbytes
+from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
-from repro.graph.regions import Interval
+from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Buffer, Task, brick_token, buffer_token
@@ -105,32 +107,14 @@ class WavefrontBrickExecutor:
         self.memo: dict[int, BrickedHandle] = {}
         for nid in self.subgraph.node_ids:
             node = graph.node(nid)
-            grid_bricks = math.prod(-(-e // b) for e, b in zip(node.spec.spatial, self.brick_shape))
-            nbytes = (node.spec.batch * grid_bricks * node.spec.channels
-                      * math.prod(self.brick_shape) * node.spec.itemsize)
-            buf = self.device.allocate(f"{node.name}/wave", nbytes, transient=True)
+            buf = self.device.allocate(f"{node.name}/wave",
+                                       bricked_nbytes(node.spec, self.brick_shape), transient=True)
             self.memo[nid] = BrickedHandle.create(node.spec, self.brick_shape, buf, self.functional)
         self.skew = skew_factor(self.subgraph, self.brick_shape)
         self.num_waves = 0
-        # Per-brick geometry memo (see repro.core.geometry): the wave
-        # placement pass and the per-sample compute pass resolve the same
-        # (node, grid position) regions, so the receptive-field algebra runs
-        # once per brick rather than once per resolution.
-        self.geom = SubgraphGeometry(self.subgraph)
-        self._tmpl: dict[tuple[int, tuple[int, ...]], tuple] = {}
-
-    def _brick_geom(self, nid: int, gpos: tuple[int, ...]) -> tuple:
-        """(region, needs, offsets, flops) for one brick, memoized."""
-        key = (nid, gpos)
-        tmpl = self._tmpl.get(key)
-        if tmpl is None:
-            node = self.subgraph.graph.node(nid)
-            region = self.memo[nid].grid.brick_region(gpos, clipped=True)
-            needs, offsets = self.geom.needs(nid, region)
-            flops = self.geom.flops(nid, node.spec.channels * region.size)
-            tmpl = (region, needs, offsets, flops)
-            self._tmpl[key] = tmpl
-        return tmpl
+        # Per-axis geometry tables (see repro.core.geometry), shared by the
+        # wave placement pass and the per-sample compute pass.
+        self.geom = SubgraphGeometry(self.subgraph, self.brick_shape, self.entries)
 
     def run(self) -> dict[int, BrickedHandle]:
         graph = self.subgraph.graph
@@ -156,10 +140,9 @@ class WavefrontBrickExecutor:
                 if member_pred is None:
                     w = gpos[0]
                 else:
-                    _, needs, _, _ = self._brick_geom(nid, gpos)
-                    source = self.memo[member_pred]
-                    dep_waves = [wave_of[(member_pred, dp)]
-                                 for dp in source.grid.overlap_plan(needs[idx])]
+                    rows = self.geom.rows(nid, gpos)
+                    dep_waves = [wave_of[(member_pred, dp)] for dp in itertools.product(
+                        *[r.edges[idx].bricks for r in rows])]
                     w = max(dep_waves) + 1 if dep_waves else 0
                 wave_of[(nid, gpos)] = w
                 waves.setdefault(w, []).append((nid, gpos))
@@ -183,15 +166,15 @@ class WavefrontBrickExecutor:
         node = graph.node(nid)
         handle = self.memo[nid]
         # Per-input needs/offsets: inputs may carry differing halos (skip
-        # adds); the geometry is shared with the wave-placement pass.
-        region, needs, offsets, flops = self._brick_geom(nid, gpos)
-        if region.is_empty():
+        # adds); the rows are shared with the wave-placement pass.
+        rows = self.geom.rows(nid, gpos)
+        size = math.prod([r.length for r in rows])
+        if size == 0:
             return
 
         task = Task(label=f"wave/{node.name}/{gpos}", node_id=nid, strategy="wavefront",
                     brick=gpos, batch_index=batch)
         for input_index, pred in enumerate(node.inputs):
-            need = needs[input_index]
             source = self.memo.get(pred) or self.entries.get(pred)
             if source is None:
                 raise ExecutionError(f"no source handle for predecessor {pred}")
@@ -202,31 +185,28 @@ class WavefrontBrickExecutor:
                 # is the protocol, so a broken skew factor surfaces as a
                 # happens-before race under the sanitizer.  All dep-brick
                 # reads are uniform, so they go out as one batch.
-                phys = source._region_physical(need)
-                if phys.size:
-                    nbytes = source.brick_nbytes
-                    task.read_batch(
-                        source.buffer,
-                        (batch * source.grid.num_bricks + phys) * nbytes,
-                        nbytes)
+                task.read_batch(
+                    source.buffer,
+                    source.brick_offsets(batch, [r.edges[input_index].terms for r in rows]),
+                    source.brick_nbytes)
                 if pred not in self.memo:
                     task.acquire(buffer_token(source.buffer))
             else:
-                source.emit_region_read(task, batch, need)
+                source.emit_region_read(task, batch, Region.trusted(
+                    tuple(r.edges[input_index].need for r in rows)))
                 task.acquire(buffer_token(source.buffer))
         wb = self.weight_buffers.get(nid)
         if wb is not None and wb.nbytes:
             task.read(wb, 0, wb.nbytes)
         own_offset = handle.brick_offset(batch, gpos)
         handle.emit_brick_write(task, batch, gpos)
-        task.flops = flops
+        task.flops = self.geom.flops(nid, node.spec.channels * size)
 
         if self.functional:
+            region, needs, offsets = patch_geometry(rows, len(node.inputs))
             fill = pad_value_for(node.op)
-            patches = []
-            for need, pred in zip(needs, node.inputs):
-                source = self.memo.get(pred) or self.entries.get(pred)
-                patches.append(source.gather(batch, need, fill))
+            patches = [(self.memo.get(pred) or self.entries.get(pred)).gather(batch, need, fill)
+                       for need, pred in zip(needs, node.inputs)]
             values = apply_node_local(node.op, patches, node.weights, region.shape, offsets)
             handle.scatter(batch, region, values)
         task.release(brick_token(handle.buffer, own_offset))

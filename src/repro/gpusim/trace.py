@@ -284,28 +284,22 @@ class Task:
             self.accesses.append(Access(buffer, offset, nbytes, write=True, reps=reps,
                                         dense=dense, on_chip=on_chip))
 
-    def _emit_batch(self, buffer: Buffer, offsets, nbytes: int, write: bool,
-                    dense: bool, on_chip: bool, assume_l2: bool) -> None:
-        offs = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
-        if offs.size == 0 or nbytes <= 0:
-            return
-        lo = int(offs.min())
-        hi = int(offs.max()) + nbytes
+    def _append_rows(self, buffer: Buffer, offsets: list[int], nbytes: int,
+                     write: bool, dense: bool, on_chip: bool, assume_l2) -> None:
+        """Append one contiguous ``nbytes`` access per offset; ``assume_l2``
+        yields one flag per row.  The run is bounds-checked once on its
+        extreme offsets (uniform nbytes, reps=()), so the rows are constructed
+        directly: ``__post_init__`` would only repeat the same comparisons."""
+        lo = min(offsets)
+        hi = max(offsets) + nbytes
         if lo < 0 or hi > buffer.nbytes:
             raise ValueError(
                 f"batch access [{lo}, {hi}) exceeds buffer "
                 f"{buffer.name!r} of {buffer.nbytes} bytes")
-        self.batch_spans.append(BatchSpan(
-            start=len(self.accesses), count=offs.size, buffer=buffer,
-            offsets=offs, nbytes=nbytes, write=write, dense=dense,
-            on_chip=on_chip, assume_l2=assume_l2))
-        # Rows are constructed directly: the whole batch was bounds-checked
-        # above (uniform nbytes, contiguous, reps=()), so re-validating per
-        # row in __post_init__ would only repeat the same comparisons.
         append = self.accesses.append
         new = Access.__new__
         sa = object.__setattr__
-        for off in offs.tolist():
+        for off, l2 in zip(offsets, assume_l2):
             a = new(Access)
             sa(a, "buffer", buffer)
             sa(a, "offset", off)
@@ -314,10 +308,33 @@ class Task:
             sa(a, "reps", ())
             sa(a, "dense", dense)
             sa(a, "on_chip", on_chip)
-            sa(a, "assume_l2", assume_l2)
+            sa(a, "assume_l2", l2)
             sa(a, "segments", 1)
             sa(a, "total_bytes", nbytes)
             append(a)
+
+    def _emit_batch(self, buffer: Buffer, offsets, nbytes: int, write: bool,
+                    dense: bool, on_chip: bool, assume_l2: bool) -> None:
+        offs = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
+        if offs.size == 0 or nbytes <= 0:
+            return
+        start = len(self.accesses)
+        self._append_rows(buffer, offs.tolist(), nbytes, write, dense, on_chip,
+                          itertools.repeat(assume_l2))
+        self.batch_spans.append(BatchSpan(
+            start=start, count=offs.size, buffer=buffer,
+            offsets=offs, nbytes=nbytes, write=write, dense=dense,
+            on_chip=on_chip, assume_l2=assume_l2))
+
+    def read_rows(self, buffer: Buffer, offsets: list[int], nbytes: int,
+                  assume_l2: list[bool]) -> None:
+        """One ``nbytes`` read per offset with a per-row ``assume_l2`` flag.
+
+        Same rows as :meth:`read` in a loop (no :class:`BatchSpan`: a span is
+        uniform and these flags are scheduler state that differs per row),
+        validated once per run like :meth:`read_batch`."""
+        if offsets and nbytes > 0:
+            self._append_rows(buffer, offsets, nbytes, False, False, False, assume_l2)
 
     def read_batch(self, buffer: Buffer, offsets, nbytes: int,
                    dense: bool = False, on_chip: bool = False,

@@ -83,9 +83,6 @@ class Interval:
             return True
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def contains_point(self, x: int) -> bool:
-        return self.lo <= x < self.hi
-
     def expand(self, lo_by: int, hi_by: int) -> "Interval":
         return Interval(self.lo - lo_by, self.hi + hi_by)
 
@@ -108,6 +105,12 @@ class Region(tuple):
             if iv.__class__ is not Interval and not isinstance(iv, Interval):
                 raise TypeError(f"Region expects Interval elements, got {type(iv).__name__}")
         return super().__new__(cls, ivs)
+
+    @classmethod
+    def trusted(cls, intervals: tuple[Interval, ...]) -> "Region":
+        """Wrap a tuple of :class:`Interval` the algebra itself produced,
+        skipping the per-element validation of the public constructor."""
+        return tuple.__new__(cls, intervals)
 
     @classmethod
     def from_bounds(cls, los: Sequence[int], his: Sequence[int]) -> "Region":
@@ -137,7 +140,7 @@ class Region(tuple):
 
     def intersect(self, other: "Region") -> "Region":
         self._check_rank(other)
-        return Region(a.intersect(b) for a, b in zip(self, other))
+        return Region.trusted(tuple(a.intersect(b) for a, b in zip(self, other)))
 
     def hull(self, other: "Region") -> "Region":
         self._check_rank(other)
@@ -145,15 +148,15 @@ class Region(tuple):
             return other
         if other.is_empty():
             return self
-        return Region(a.hull(b) for a, b in zip(self, other))
+        return Region.trusted(tuple(a.hull(b) for a, b in zip(self, other)))
 
     def clip(self, extents: Sequence[int]) -> "Region":
         self._check_len(extents)
-        return Region(iv.clip(int(e)) for iv, e in zip(self, extents))
+        return Region.trusted(tuple(iv.clip(int(e)) for iv, e in zip(self, extents)))
 
     def shift(self, offsets: Sequence[int]) -> "Region":
         self._check_len(offsets)
-        return Region(iv.shift(int(o)) for iv, o in zip(self, offsets))
+        return Region.trusted(tuple(iv.shift(int(o)) for iv, o in zip(self, offsets)))
 
     def contains(self, other: "Region") -> bool:
         self._check_rank(other)
@@ -207,17 +210,6 @@ class RFMap:
     def alpha_beta(self) -> tuple[int, int] | None:
         return None
 
-    def halo_per_side(self) -> tuple[int, int]:
-        """Extra input elements needed beyond an output-aligned window.
-
-        Returns ``(lo_halo, hi_halo)`` for a unit-stride view of the map; used
-        for reporting the paper's padding factors (``p_x = (k_eff - 1) / 2``
-        for odd centered kernels).  Strided maps report the halo of the
-        kernel footprint itself.
-        """
-        probe = self.in_interval(Interval(0, 1))
-        return (max(0, -probe.lo), max(0, probe.hi - 1))
-
     def local_out_offset(self, out_lo: int, in_lo: int) -> int:
         """Where absolute output position ``out_lo`` lands in the local output
         of a padding-free kernel applied to a patch starting at absolute input
@@ -266,10 +258,6 @@ class StencilMap(RFMap):
     def alpha_beta(self) -> tuple[int, int]:
         # input size for output block of size X: (X-1)*s + k_eff = s*X + (k_eff - s)
         return (self.stride, self.k_eff - self.stride)
-
-    def halo_per_side(self) -> tuple[int, int]:
-        # Halo beyond the stride-aligned window: (k_eff - 1) split by padding.
-        return (self.padding, max(0, self.k_eff - 1 - self.padding))
 
     def local_out_offset(self, out_lo: int, in_lo: int) -> int:
         # Local output j of a padding-free stencil over a patch at absolute
@@ -332,10 +320,6 @@ class TransposedMap(RFMap):
             return (1, self.kernel - 1)
         return None
 
-    def halo_per_side(self) -> tuple[int, int]:
-        probe = self.in_interval(Interval(0, 1))
-        return (max(0, -probe.lo), max(0, probe.hi - 1))
-
     def local_out_offset(self, out_lo: int, in_lo: int) -> int:
         # A padding-free transposed conv over a patch at absolute input
         # position ``in_lo`` produces local output j at absolute position
@@ -366,8 +350,9 @@ class GlobalMap(RFMap):
     def alpha_beta(self) -> None:
         return None
 
-    def halo_per_side(self) -> tuple[int, int]:
-        return (self.extent, self.extent)
+    def local_out_offset(self, out_lo: int, in_lo: int) -> int:
+        # The patch is the whole input, so the local output is the whole output.
+        return out_lo
 
 
 def compose_required(maps: Sequence[Sequence[RFMap]], out_region: Region) -> list[Region]:
