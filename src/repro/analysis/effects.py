@@ -1,10 +1,23 @@
 """Static effect analysis: schedule-independent proofs and traffic bounds.
 
 This pass abstractly interprets a compiled :class:`~repro.core.plan.ExecutionPlan`
-*without a device*: for every (subgraph, node, brick) it derives the read/write
-**region effect sets** from :class:`~repro.core.geometry.SubgraphGeometry` and the
-:mod:`repro.graph.regions` algebra, mirroring exactly the access streams the
-executors emit.  From those summaries it:
+*without a device*, mirroring exactly the access streams the executors emit.
+It derives them per axis **row**, not per brick: section 3.2 states the
+receptive-field contract per dimension,
+:class:`~repro.core.geometry.SubgraphGeometry` tabulates it as one row per
+(node, axis, grid index), a task is the product of one row per axis, and every
+quantity needed over a grid of tasks is separable -- a *product over axes* of
+per-row values (element, overlapped-brick and dense-segment counts, so a sum
+over bricks is a product over axes of per-row sums), a function of a few such
+products (``_txns``, ``task_time``: rows are grouped by the lengths that matter
+and each class tuple is visited once, with multiplicity), or a *conjunction
+over axes* (need containment, writer existence, wave order: decided per row,
+counted in closed form, with only violating bricks enumerated for the sample
+messages).  Three things are not per-axis: a padded brick on a ``void``
+closure row is taken one by one through ``closure_rows``; a memoized demand
+set, a union of consumer brick boxes that need not be a box, is an N-D boolean
+mask contracted with the per-axis row vectors; and ``collect_sets`` enumerates
+byte spans brick by brick, only when asked.  From the rows the pass:
 
 * (a) reconstructs the static happens-before structure each strategy's schedule
   induces -- the padded subgraph barrier, the memoized brick-token (CAS) edges,
@@ -43,19 +56,24 @@ the identical effect pattern -- races and coverage are batch-invariant.
 
 :class:`EffectMutation` seeds model-level corruptions (dropped dependency edge,
 shrunken halo, skipped writer brick) used by the test suite to show the proofs
-reject broken schedules with specific ``effects.*`` diagnostics.
+reject broken schedules with specific ``effects.*`` diagnostics.  It acts on
+the same rows the production path reads (a trimmed need, a removed edge, one
+cleared mask cell), so there is no second derivation for mutants.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.core.bricked import BrickGrid, bricked_nbytes
-from repro.core.geometry import SubgraphGeometry
+from repro.core.geometry import ClosureRow, SubgraphGeometry
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
 from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
 from repro.graph.regions import Interval, Region
@@ -180,11 +198,6 @@ class EffectMutation:
     shrink_halo: int = 0
     skip_writer: tuple[int, int] | None = None
 
-    @property
-    def active(self) -> bool:
-        return (self.drop_dep_edge is not None or self.shrink_halo > 0
-                or self.skip_writer is not None)
-
 
 @dataclass
 class SubgraphEffects:
@@ -264,6 +277,7 @@ class _Traffic:
     l2_write_lines: int = 0
 
     def access(self, seg_nbytes: int, segs: int, *, write: bool, mult: int = 1) -> None:
+        """``segs`` contiguous segments of ``seg_nbytes`` each, ``mult`` times."""
         if seg_nbytes <= 0 or segs <= 0 or mult <= 0:
             return
         # Upper bound per segment: every contiguous segment misses at most
@@ -276,36 +290,23 @@ class _Traffic:
         else:
             self.read_ub += lines
 
-    def weight(self, nbytes: int, *, first_touch: bool) -> None:
+    def weight(self, nbytes: int, passes: int) -> None:
+        """One node's weights, read by ``passes`` tasks of one pin cycle."""
         # Pinned first touch: exactly ceil(nbytes/line) DRAM reads per pin
         # cycle -- contributes identically to the lower and upper bound.
         # Every read of a pinned buffer (first or not) passes through L2.
-        if first_touch:
-            self.weight_txns += _txns(nbytes, self.line)
-        self.weight_l2 += _txns(nbytes, self.line) + 1
+        self.weight_txns += _txns(nbytes, self.line)
+        self.weight_l2 += passes * (_txns(nbytes, self.line) + 1)
 
 
-def _layout_nbytes(spec: "TensorSpec", layout: tuple[int, ...] | None) -> int:
-    """Backing-buffer size of an activation in the given layout."""
-    return spec.nbytes if layout is None else bricked_nbytes(spec, layout)
+def _brick_nbytes(spec: "TensorSpec", grid: BrickGrid) -> int:
+    """Bytes of one (contiguous) brick of an activation stored on ``grid``."""
+    return spec.channels * math.prod(grid.brick_shape) * spec.itemsize
 
 
-def _flat_index(gpos: tuple[int, ...], grid_shape: tuple[int, ...]) -> int:
-    idx = 0
-    for p, g in zip(gpos, grid_shape):
-        idx = idx * g + p
-    return idx
-
-
-def _all_gpos(grid: BrickGrid) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(*(range(g) for g in grid.grid_shape))
-
-
-def _shrink(region: Region, k: int) -> Region:
-    """Trim ``k`` elements per side of every interval (never inverting)."""
-    return Region(
-        Interval(iv.lo + k, max(iv.lo + k, iv.hi - k)) for iv in region
-    )
+def _shrink(iv: Interval, k: int) -> Interval:
+    """Trim ``k`` elements per side (never inverting)."""
+    return Interval(iv.lo + k, max(iv.lo + k, iv.hi - k))
 
 
 def _dense_layout(spec: "TensorSpec") -> tuple[int, list[int]]:
@@ -321,26 +322,118 @@ def _dense_layout(spec: "TensorSpec") -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Task grids: a boolean cell mask and one row per axis index
+# ---------------------------------------------------------------------------
+#
+# The tasks a schedule runs over one node form a grid, and what a task touches
+# is the product of one row per axis.  These helpers sum, count, propagate and
+# test over the cells of an N-D boolean ``mask`` from the rows alone; their
+# ``Axes`` arguments hold, per axis, one value per grid index.
+
+Axes = Sequence[Sequence[Any]]
+Needs = Sequence[Sequence[Interval]]
+Ranges = Sequence[Sequence[range]]
+
+
+def _outer(flags: Axes) -> np.ndarray:
+    """The cells whose flag is set on every axis."""
+    return functools.reduce(np.logical_and.outer,
+                            [np.asarray(axis, dtype=bool) for axis in flags])
+
+
+def _contract(mask: np.ndarray, values: Axes) -> int:
+    """Sum over the cells of ``mask`` of the product of one value per axis
+    (int64: every such sum is bounded by a run's traffic or element total)."""
+    out = mask
+    for axis in reversed(values):
+        out = out @ np.asarray(axis, dtype=np.int64)
+    return int(out)
+
+
+def _classes(mask: np.ndarray, keys: Axes) -> Iterator[tuple[tuple[Any, ...], int]]:
+    """The distinct one-key-per-axis tuples over the cells of ``mask``, each
+    with the number of cells carrying it."""
+    distinct = [list(dict.fromkeys(axis)) for axis in keys]
+    ids = np.zeros((), dtype=np.int64)
+    for axis, found in zip(keys, distinct):
+        index = {key: i for i, key in enumerate(found)}
+        ids = np.add.outer(ids * len(found), np.array([index[key] for key in axis]))
+    counts = np.bincount(ids[mask], minlength=math.prod(map(len, distinct)))
+    for combo, count in zip(itertools.product(*distinct), counts.tolist()):
+        if count:
+            yield combo, count
+
+
+def _ranges(grid: BrickGrid, needs: Needs) -> list[list[range]]:
+    """Per row, the brick indices of ``grid`` its need overlaps: the bricks a
+    cell reads are the product of its rows' ranges."""
+    return [[grid.axis_bricks(a, iv.lo, iv.hi) for iv in axis] for a, axis in enumerate(needs)]
+
+
+def _dilate(mask: np.ndarray, ranges: Ranges, shape: tuple[int, ...]) -> np.ndarray:
+    """Union over the cells of ``mask`` of their brick boxes, on a grid of
+    ``shape``.  A union of products of ranges separates axis by axis; the
+    result need not be a box (two consumers whose ranges do not nest)."""
+    out = mask
+    for a, axis in enumerate(ranges):
+        lead = (slice(None),) * a
+        grown = np.zeros(out.shape[:a] + (shape[a],) + out.shape[a + 1:], dtype=bool)
+        for i, r in enumerate(axis):
+            grown[lead + (slice(r.start, r.stop),)] |= out[lead + (slice(i, i + 1),)]
+        out = grown
+    return out
+
+
+def _box_max(values: np.ndarray, ranges: Ranges) -> np.ndarray:
+    """Per cell, the maximum of ``values`` over its brick box (-1 if empty)."""
+    out = values
+    for a, axis in enumerate(ranges):
+        lead = (slice(None),) * a
+        out = np.stack([out[lead + (slice(r.start, r.stop),)].max(axis=a, initial=-1)
+                        for r in axis], axis=a)
+    return out
+
+
+def _gaps(mask: np.ndarray, true: Needs, model: Needs | None,
+          extents: Sequence[int]) -> np.ndarray | None:
+    """The cells of ``mask`` whose required region (``true``, clipped to the
+    producer's extents) is non-empty and not contained in the modeled one.
+    Containment is a conjunction over axes, so it is decided per row."""
+    if model is true:
+        return None
+    live = [[min(t.hi, e) > max(t.lo, 0) for t in axis] for axis, e in zip(true, extents)]
+    if model is None:
+        return mask & _outer(live)
+    ok = [[m.clip(e).contains(t.clip(e)) for m, t in zip(ms, ts)]
+          for ms, ts, e in zip(model, true, extents)]
+    return mask & _outer(live) & ~_outer(ok)
+
+
+# ---------------------------------------------------------------------------
 # The analyzer
 # ---------------------------------------------------------------------------
 
 
 class _Violations:
-    """Capped per-code violation collector for one subgraph."""
+    """Exact per-code violation counts and sample messages for one subgraph.
+
+    Only the first ``_MAX_DIAGS`` messages of a code in schedule order (the
+    sort key) are rendered, so a source hands over its total and no more than
+    its own first ``_MAX_DIAGS`` messages."""
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
-        self.samples: dict[str, list[str]] = {}
+        self.samples: dict[str, list[tuple[tuple[Any, ...], str]]] = {}
 
-    def add(self, code: str, message: str) -> None:
-        n = self.counts.get(code, 0)
-        self.counts[code] = n + 1
-        if n < _MAX_DIAGS:
-            self.samples.setdefault(code, []).append(message)
+    def found(self, code: str, count: int,
+              samples: Iterable[tuple[tuple[Any, ...], str]]) -> None:
+        if count:
+            self.counts[code] = self.counts.get(code, 0) + count
+            self.samples.setdefault(code, []).extend(samples)
 
     def flush(self, report: EffectReport, subgraph_index: int) -> None:
         for code, count in sorted(self.counts.items()):
-            for msg in self.samples[code]:
+            for _, msg in sorted(self.samples[code])[:_MAX_DIAGS]:
                 _diag(report, code, Severity.ERROR, msg, subgraph_index=subgraph_index)
             if count > _MAX_DIAGS:
                 _diag(report, code, Severity.ERROR,
@@ -348,138 +441,162 @@ class _Violations:
                       subgraph_index=subgraph_index)
 
 
+@dataclass
+class _Merged:
+    """One merged subgraph under analysis."""
+
+    view: "SubgraphView"
+    geom: SubgraphGeometry
+    grids: dict[int, BrickGrid]  # per member
+    se: SubgraphEffects
+    tr: _Traffic
+    viol: _Violations
+    batch: int
+
+
 class _Analyzer:
     """Shared run state: boundary layouts, epochs, and run totals."""
 
     def __init__(self, plan: ExecutionPlan, spec: GPUSpec, mutation: EffectMutation,
                  collect: bool, report: EffectReport) -> None:
-        self.plan = plan
         self.graph: "Graph" = plan.graph
         self.spec = spec
         self.line = spec.transaction_bytes
         self.mutation = mutation
         self.collect = collect
         self.report = report
-        # Boundary layout per produced node id: None = dense row-major,
-        # tuple = bricked with that brick shape.  Mirrors the engine's
-        # ``boundary`` handle dict.
-        self.fmt: dict[int, tuple[int, ...] | None] = {}
+        # Boundary layout per produced node id: None = dense row-major, else
+        # the brick grid it is stored on.  Mirrors the engine's ``boundary``
+        # handle dict.
+        self.fmt: dict[int, BrickGrid | None] = {}
         self.buf_name: dict[int, str] = {}
         # Epoch = number of device barriers before a task; two tasks in
         # different epochs are ordered by a synchronize().
         self.epoch = 0
-        self.seq = 0
         self.produced_epoch: dict[int, int] = {}
         self.persistent_written = 0
+        self.write_bytes = 0
         self.outputs = {n.node_id for n in self.graph.output_nodes}
-        self.tail = _Traffic(self.line)
-        # Shape-only, so derived once per node rather than once per brick.
-        self._weight_nbytes: dict[int, int] = {}
         for node in self.graph.input_nodes:
             self.fmt[node.node_id] = None
             self.buf_name[node.node_id] = f"{self.graph.name}/{node.name}"
             self.produced_epoch[node.node_id] = -1
 
     # -- small helpers -------------------------------------------------------
-    def _next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
     def _span(self, name: str, lo: int, hi: int) -> None:
         if self.collect:
             self.report.effect_sets.setdefault(name, EffectSet()).add(lo, hi)
 
-    def _task_time(self, se: SubgraphEffects, flops: float, calls: int) -> None:
+    def _tasks(self, se: SubgraphEffects, flops: float, calls: int, count: int = 1) -> None:
+        """``count`` tasks of ``flops`` in ``calls`` kernel invocations each."""
         t = self.spec.task_time(flops, calls)
-        se.task_time_sum += t
+        se.task_time_sum += t * count
         se.task_time_max = max(se.task_time_max, t)
-        se.num_tasks += 1
-        se.flops += flops
+        se.num_tasks += count
+        se.flops += flops * count
 
-    def _dense_access(self, tr: _Traffic, name: str, spec: "TensorSpec",
-                      region: Region, *, write: bool, mult: int = 1) -> None:
-        """A strided region read/write on a row-major buffer (all channels,
-        mirrored from ``DenseHandle._region_access``); traffic is charged
-        per batch sample (``mult``), effect spans recorded for all samples."""
-        clipped = region.clip(spec.spatial)
-        if clipped.is_empty():
-            return
-        plane, strides = _dense_layout(spec)
-        seg = clipped[-1].length * spec.itemsize
-        segs = spec.channels * math.prod(iv.length for iv in clipped[:-1])
-        tr.access(seg, segs, write=write, mult=mult)
-        if self.collect:
-            rel = sum(iv.lo * s for iv, s in zip(clipped, strides))
-            end = ((spec.channels - 1) * plane
-                   + sum((iv.hi - 1) * s for iv, s in zip(clipped, strides))
-                   + spec.itemsize)
-            for n in range(spec.batch):
-                base = n * spec.channels * plane
-                self._span(name, base + rel, base + end)
-
-    def _brick_access(self, tr: _Traffic, name: str, offsets: Sequence[int],
-                      nbytes: int, batch_stride: int, nbatch: int, *,
-                      write: bool) -> None:
-        """Whole-brick accesses at per-sample-0 ``offsets``, repeated (and
-        charged) for every batch sample."""
-        if not offsets:
-            return
-        tr.access(nbytes, len(offsets), write=write, mult=nbatch)
-        if self.collect:
-            for n in range(nbatch):
-                base = n * batch_stride
-                for off in offsets:
-                    self._span(name, base + off, base + off + nbytes)
+    def _weights(self, tr: _Traffic, nid: int, passes: int) -> None:
+        """``passes`` tasks of one subgraph each read ``nid``'s weights."""
+        node = self.graph.node(nid)
+        nbytes = node.op.weight_bytes([self.graph.node(i).spec for i in node.inputs])
+        if nbytes and passes:
+            tr.weight(nbytes, passes)
+            self._span(f"{self.graph.name}/{node.name}/w", 0, nbytes)
 
     def _full_access(self, tr: _Traffic, name: str, nbytes: int, *, write: bool) -> None:
         tr.access(nbytes, 1, write=write)
         self._span(name, 0, nbytes)
 
-    def _weight_read(self, tr: _Traffic, weights_used: set[int], nid: int) -> None:
-        nbytes = self._weight_nbytes.get(nid)
-        if nbytes is None:
-            node = self.graph.node(nid)
-            input_specs = [self.graph.node(i).spec for i in node.inputs]
-            nbytes = self._weight_nbytes[nid] = node.op.weight_bytes(input_specs)
-        if nbytes:
-            tr.weight(nbytes, first_touch=nid not in weights_used)
-            if nid not in weights_used:
-                weights_used.add(nid)
-                self._span(f"{self.graph.name}/{self.graph.node(nid).name}/w", 0, nbytes)
+    def _dense_grid(self, tr: _Traffic, name: str, spec: "TensorSpec", mask: np.ndarray,
+                    regions: Needs, *, write: bool, mult: int) -> None:
+        """One strided region access on a row-major buffer per cell of
+        ``mask`` (all channels, mirrored from ``DenseHandle._region_access``):
+        contiguous runs along the last axis, one per channel and leading
+        position, so the line count is a product over axes of per-row sums.
+        Traffic is charged per batch sample (``mult``); effect spans are
+        enumerated, cell by cell and for all samples, only when collecting."""
+        item = spec.itemsize
+        clipped = [[iv.clip(e) for iv in axis] for axis, e in zip(regions, spec.spatial)]
+        *lead, last = [[iv.length for iv in axis] for axis in clipped]
+        runs = spec.channels * mult
+        lines = runs * _contract(
+            mask, [*lead, [_txns(n * item, self.line) + 1 if n else 0 for n in last]])
+        if write:
+            tr.write_ub += lines
+            tr.write_bytes += runs * item * _contract(mask, [*lead, last])
+            tr.l2_write_lines += runs * _contract(
+                mask, [*lead, [_txns(n * item, self.line) for n in last]])
+        else:
+            tr.read_ub += lines
+        if self.collect:
+            plane, strides = _dense_layout(spec)
+            for cell in np.argwhere(mask).tolist():
+                box = [axis[i] for axis, i in zip(clipped, cell)]
+                if any(iv.is_empty() for iv in box):
+                    continue
+                rel = sum(iv.lo * s for iv, s in zip(box, strides))
+                end = ((spec.channels - 1) * plane
+                       + sum((iv.hi - 1) * s for iv, s in zip(box, strides)) + item)
+                for n in range(spec.batch):
+                    base = n * spec.channels * plane
+                    self._span(name, base + rel, base + end)
 
-    # -- entry layout & conversions -----------------------------------------
+    def _brick_spans(self, name: str, cells: np.ndarray, nbytes: int, nbatch: int) -> None:
+        """Whole-brick effect spans of the ``cells`` of a grid, per sample."""
+        if self.collect:
+            for flat in np.flatnonzero(cells).tolist():
+                for n in range(nbatch):
+                    lo = (n * cells.size + flat) * nbytes
+                    self._span(name, lo, lo + nbytes)
+
+    def _brick_reads(self, sg: _Merged, name: str, spec: "TensorSpec", grid: BrickGrid,
+                     mask: np.ndarray, ranges: Ranges) -> None:
+        """Every cell of ``mask`` reads the whole bricks of its box."""
+        nbytes = _brick_nbytes(spec, grid)
+        sg.tr.access(nbytes, _contract(mask, [[len(r) for r in axis] for axis in ranges]),
+                     write=False, mult=sg.batch)
+        if self.collect:
+            self._brick_spans(name, _dilate(mask, ranges, grid.grid_shape), nbytes, sg.batch)
+
+    def _entry_reads(self, sg: _Merged, eid: int, mask: np.ndarray, needs: Needs) -> None:
+        """Region reads against an entry in its current layout: strided
+        row-major segments when dense, whole overlapping bricks when bricked."""
+        spec = self.graph.node(eid).spec
+        grid = self.fmt[eid]
+        if grid is None:
+            self._dense_grid(sg.tr, self.buf_name[eid], spec, mask, needs,
+                             write=False, mult=sg.batch)
+        else:
+            self._brick_reads(sg, self.buf_name[eid], spec, grid, mask, _ranges(grid, needs))
+
+    # -- layout conversions --------------------------------------------------
     def _convert_to_bricks(self, tr: _Traffic, se: SubgraphEffects, eid: int,
-                           brick_shape: tuple[int, ...]) -> int:
-        """Mirror ``BrickDLEngine._ensure_bricked``; returns the conversion
-        task's sequence number (its whole-buffer token orders consumers)."""
+                           brick_shape: tuple[int, ...]) -> None:
+        """Mirror ``BrickDLEngine._ensure_bricked``.  No barrier orders the
+        conversion against its consumers: the executors acquire the new
+        buffer's whole-buffer token at the read itself."""
         node = self.graph.node(eid)
         spec = node.spec
-        shape = tuple(min(b, e) for b, e in zip(brick_shape, spec.spatial))
-        self._full_access(tr, self.buf_name[eid],
-                          _layout_nbytes(spec, self.fmt[eid]), write=False)
-        grid = BrickGrid(spec.spatial, shape)
-        per_brick = spec.channels * math.prod(shape) * spec.itemsize
-        offsets = [i * per_brick for i in range(grid.num_bricks)]
+        old = self.fmt[eid]
+        grid = BrickGrid(spec.spatial, tuple(min(b, e) for b, e in zip(brick_shape, spec.spatial)))
+        self._full_access(tr, self.buf_name[eid], spec.nbytes if old is None
+                          else bricked_nbytes(spec, old.brick_shape), write=False)
         name = f"{node.name}/bricked"
-        self._brick_access(tr, name, offsets, per_brick,
-                           grid.num_bricks * per_brick, spec.batch, write=True)
-        self.fmt[eid] = shape
+        tr.access(_brick_nbytes(spec, grid), grid.num_bricks, write=True, mult=spec.batch)
+        self._span(name, 0, bricked_nbytes(spec, grid.brick_shape))
+        self.fmt[eid] = grid
         self.buf_name[eid] = name
-        self._task_time(se, 0.0, 1)
-        return self._next_seq()
+        self._tasks(se, 0.0, 1)
 
-    def _convert_to_dense(self, tr: _Traffic, se: SubgraphEffects | None, eid: int) -> None:
+    def _convert_to_dense(self, tr: _Traffic, se: SubgraphEffects, eid: int) -> None:
         """Mirror ``BrickDLEngine._ensure_dense`` (no-op on dense handles)."""
-        layout = self.fmt[eid]
-        if layout is None:
+        grid = self.fmt[eid]
+        if grid is None:
             return
         node = self.graph.node(eid)
         spec = node.spec
-        grid = BrickGrid(spec.spatial, layout)
-        per_brick = spec.channels * math.prod(layout) * spec.itemsize
-        offsets = [i * per_brick for i in range(grid.num_bricks)]
-        self._brick_access(tr, self.buf_name[eid], offsets, per_brick,
-                           grid.num_bricks * per_brick, spec.batch, write=False)
+        tr.access(_brick_nbytes(spec, grid), grid.num_bricks, write=False, mult=spec.batch)
+        self._span(self.buf_name[eid], 0, bricked_nbytes(spec, grid.brick_shape))
         name = f"{node.name}/dense"
         self._full_access(tr, name, spec.nbytes, write=True)
         if eid in self.outputs:
@@ -487,63 +604,45 @@ class _Analyzer:
             self.persistent_written += spec.nbytes
         self.fmt[eid] = None
         self.buf_name[eid] = name
-        self._next_seq()
-        if se is not None:
-            self._task_time(se, 0.0, 1)
+        self._tasks(se, 0.0, 1)
 
-    def _entry_read(self, tr: _Traffic, name: str, spec: "TensorSpec",
-                    layout: tuple[int, ...] | None, region: Region,
-                    nbatch: int) -> None:
-        """A region read against an entry in its current layout: strided
-        row-major segments when dense, whole overlapping bricks when bricked."""
-        if layout is None:
-            self._dense_access(tr, name, spec, region, write=False, mult=nbatch)
-            return
-        grid = BrickGrid(spec.spatial, layout)
-        per_brick = spec.channels * math.prod(layout) * spec.itemsize
-        offsets = [_flat_index(g, grid.grid_shape) * per_brick
-                   for g in grid.overlap_plan(region)]
-        self._brick_access(tr, name, offsets, per_brick,
-                           grid.num_bricks * per_brick, nbatch, write=False)
+    # -- the seeded model ----------------------------------------------------
+    def _model_needs(self, true: Needs, dropped: bool) -> Needs | None:
+        """The model's version of ``true`` need rows: ``None`` for a dropped
+        edge, trimmed by ``shrink_halo``, else the very rows."""
+        if dropped:
+            return None
+        k = self.mutation.shrink_halo
+        return [[_shrink(iv, k) for iv in axis] for axis in true] if k else true
 
-    # -- mutation-aware geometry ---------------------------------------------
-    def _model_required(self, geom: SubgraphGeometry, exit_id: int,
-                        out_region: Region) -> dict[int, Region]:
-        req = geom.required(exit_id, out_region)
-        m = self.mutation
-        if not m.active:
-            return req
-        req = dict(req)
-        if m.shrink_halo:
-            req = {nid: (r if nid == exit_id else _shrink(r, m.shrink_halo))
-                   for nid, r in req.items()}
-        if m.drop_dep_edge is not None:
-            consumer, producer = m.drop_dep_edge
-            if consumer in req and producer != exit_id:
-                req.pop(producer, None)
-        return req
-
-    def _model_needs(self, geom: SubgraphGeometry, nid: int,
-                     region: Region) -> list[Region | None]:
-        """Per-input model need regions; ``None`` marks a dropped edge."""
-        needs, _ = geom.needs(nid, region)
-        m = self.mutation
-        out: list[Region | None] = []
-        for input_index, pred in enumerate(self.graph.node(nid).inputs):
-            if m.drop_dep_edge is not None and m.drop_dep_edge == (nid, pred):
-                out.append(None)
-                continue
-            need = needs[input_index]
-            if m.shrink_halo:
-                need = _shrink(need, m.shrink_halo)
-            out.append(need)
-        return out
-
-    def _skipped(self, nid: int, gpos: tuple[int, ...], grid_shape: tuple[int, ...]) -> bool:
+    def _skipped(self, nids: Container[int], grid: BrickGrid
+                 ) -> tuple[int | None, tuple[int, ...] | None]:
+        """``skip_writer`` as (node, cell of ``grid``) if it names one of
+        ``nids`` and a brick of the grid, else ``(None, None)``."""
         skip = self.mutation.skip_writer
-        return skip is not None and skip == (nid, _flat_index(gpos, grid_shape))
+        if skip is None or skip[0] not in nids or not 0 <= skip[1] < grid.num_bricks:
+            return None, None
+        return skip[0], tuple(int(i) for i in np.unravel_index(skip[1], grid.grid_shape))
 
-    # -- per-strategy builders ----------------------------------------------
+    def _read_coverage(self, viol: _Violations, mask: np.ndarray, true: Needs,
+                       model: Needs | None, extents: Sequence[int], what: str,
+                       key: tuple[Any, ...], origin: Sequence[int], tail: int) -> None:
+        """Proof obligation (c): the model's read of every cell covers what
+        the cell truly requires.  Samples name the first violating cells."""
+        gaps = _gaps(mask, true, model, extents)
+        if gaps is None or not gaps.any():
+            return
+        samples = []
+        for cell in np.argwhere(gaps)[:_MAX_DIAGS].tolist():
+            need = Region.trusted(tuple(axis[i] for axis, i in zip(true, cell)))
+            read = None if model is None else Region.trusted(
+                tuple(axis[i] for axis, i in zip(model, cell)))
+            gpos = tuple(o + i for o, i in zip(origin, cell))
+            samples.append(((*key, gpos, tail),
+                            f"{what} read {read} does not cover required region {need}"))
+        viol.found("effects.read-coverage", int(gaps.sum()), samples)
+
+    # -- merged subgraphs ----------------------------------------------------
     def merged(self, sub: SubgraphPlan) -> SubgraphEffects:
         strategy = sub.strategy
         view = sub.subgraph
@@ -557,396 +656,290 @@ class _Analyzer:
         viol = _Violations()
         graph = self.graph
         brick_shape = tuple(sub.brick_shape)
-        batch = graph.node(view.node_ids[0]).spec.batch
         epoch0 = self.epoch
 
-        # Entry layouts + any to-bricks conversions (ordered against the
-        # consuming tasks by the conversion buffer's whole-buffer token).
-        entry_layout: dict[int, tuple[int, ...] | None] = {}
-        conv_seq: dict[int, int] = {}
-        for eid in view.entry_ids:
-            layout = self.fmt[eid]
-            if layout is None or layout == brick_shape:
-                entry_layout[eid] = layout
-            else:
-                conv_seq[eid] = self._convert_to_bricks(tr, se, eid, brick_shape)
-                entry_layout[eid] = self.fmt[eid]
+        # Entry layouts + any to-bricks conversions.
+        for i, eid in enumerate(view.entry_ids):
+            grid = self.fmt[eid]
+            if grid is not None and grid.brick_shape != brick_shape:
+                self._convert_to_bricks(tr, se, eid, brick_shape)
             if self.produced_epoch[eid] >= epoch0:
-                viol.add("effects.race",
-                         f"entry {eid} produced in epoch {self.produced_epoch[eid]} "
-                         f"but consumed in epoch {epoch0} without a barrier")
+                viol.found("effects.race", 1, [(
+                    (0, i), f"entry {eid} produced in epoch {self.produced_epoch[eid]} "
+                            f"but consumed in epoch {epoch0} without a barrier")])
 
-        geom = SubgraphGeometry(view, brick_shape)
-        geom_true = SubgraphGeometry(view, brick_shape) if self.mutation.active else geom
-
+        grids = {nid: BrickGrid(graph.node(nid).spec.spatial, brick_shape)
+                 for nid in view.node_ids}
+        sg = _Merged(view, SubgraphGeometry(view, brick_shape), grids, se, tr, viol,
+                     graph.node(view.node_ids[0]).spec.batch)
         if strategy is Strategy.PADDED:
-            self._padded(sub, se, tr, viol, geom, geom_true, entry_layout,
-                         conv_seq, batch, epoch0)
-            exit_name = "bricked"
-        elif strategy is Strategy.WAVEFRONT:
-            self._wavefront(sub, se, tr, viol, geom, geom_true, entry_layout,
-                            conv_seq, batch, epoch0)
-            exit_name = "wave"
+            suffix = "bricked"
+            self._padded(sg)
         else:
-            self._memoized(sub, se, tr, viol, geom, geom_true, entry_layout,
-                           conv_seq, batch, epoch0)
-            exit_name = "memo"
+            suffix = "wave" if strategy is Strategy.WAVEFRONT else "memo"
+            self._bricked(sg, suffix, waves=strategy is Strategy.WAVEFRONT)
+        self.epoch = epoch0 + se.sync_count
 
         for eid in view.exit_ids:
-            self.fmt[eid] = brick_shape
-            self.buf_name[eid] = f"{graph.node(eid).name}/{exit_name}"
+            self.fmt[eid] = grids[eid]
+            self.buf_name[eid] = f"{graph.node(eid).name}/{suffix}"
             self.produced_epoch[eid] = self.epoch - 1
 
         viol.flush(self.report, sub.index)
-        se.race_free = not any(c in ("effects.race", "effects.multi-writer",
-                                     "effects.unordered-entry") for c in viol.counts)
+        se.race_free = "effects.race" not in viol.counts
         se.write_exact = "effects.write-coverage" not in viol.counts
         se.read_covered = "effects.read-coverage" not in viol.counts
-        self._close(sub, se, tr)
+        self._close(se, tr)
         return se
 
-    def _check_entry_order(self, viol: _Violations, conv_seq: Mapping[int, int],
-                           acquired: Iterable[int], read: Iterable[int]) -> None:
-        """Entry reads ordered against a same-epoch layout conversion only
-        via the conversion buffer's token (prior-epoch producers are ordered
-        by the inter-subgraph barrier, checked at subgraph entry)."""
-        acq = set(acquired)
-        for eid in read:
-            if eid in conv_seq and eid not in acq:
-                viol.add("effects.unordered-entry",
-                         f"read of entry {eid} is not ordered against its "
-                         f"same-epoch layout conversion (missing token acquire)")
-
-    def _read_coverage(self, viol: _Violations, nid: int,
-                       model: Region | None, true: Region,
-                       pred_spec: "TensorSpec", what: str) -> None:
-        true_c = true.clip(pred_spec.spatial)
-        if true_c.is_empty():
-            return
-        if model is None or not model.clip(pred_spec.spatial).contains(true_c):
-            viol.add("effects.read-coverage",
-                     f"node {nid}: modeled {what} read {model} does not cover "
-                     f"required region {true}")
-
-    def _padded(self, sub: SubgraphPlan, se: SubgraphEffects, tr: _Traffic,
-                viol: _Violations, geom: SubgraphGeometry, geom_true: SubgraphGeometry,
-                entry_layout: Mapping[int, tuple[int, ...] | None],
-                conv_seq: Mapping[int, int], batch: int, epoch0: int) -> None:
+    def _padded(self, sg: _Merged) -> None:
+        """One task per exit brick computes the brick's whole halo closure
+        (entries copied in, member patches recomputed in on-chip scratch),
+        then one barrier.  Closure rows compose per axis, so an exit's bricks
+        are accounted as one grid -- except a brick on a ``void`` row (see
+        :meth:`SubgraphGeometry.closure_rows`) and a seeded skip cell, which
+        are taken one by one."""
         graph = self.graph
-        view = sub.subgraph
-        brick_shape = tuple(sub.brick_shape)
-        weights_used: set[int] = set()
-        entry_ids = list(view.entry_ids)
-        for exit_id in [e.node_id for e in view.exits]:
-            espec = graph.node(exit_id).spec
-            grid = BrickGrid(espec.spatial, brick_shape)
-            per_brick = espec.channels * math.prod(brick_shape) * espec.itemsize
-            name = f"{graph.node(exit_id).name}/bricked"
-            written = 0
-            covered_elems = 0
-            for gpos in _all_gpos(grid):
-                if self._skipped(exit_id, gpos, grid.grid_shape):
+        computed = dict.fromkeys(sg.view.node_ids, 0)  # member -> tasks computing it
+        for order, exit_id in enumerate(sg.view.exit_ids):
+            spec = graph.node(exit_id).spec
+            grid = sg.grids[exit_id]
+            table = sg.geom.closure_table(exit_id)
+            single = ~_outer([[not row.void for row in axis] for axis in table])
+            # A member's "brick" in the padded schedule is its scratch patch
+            # inside the exit-brick task of the same flat index.
+            skipped, cell = self._skipped(computed, grid)
+            if cell is not None:
+                single[cell] = True
+            wrote = np.ones(grid.grid_shape, dtype=bool)
+            tasks, covered = self._padded_grid(sg, order, exit_id, table, ~single,
+                                               (0,) * grid.ndim, None, computed)
+            for gpos in map(tuple, np.argwhere(single).tolist()):
+                if gpos == cell and skipped == exit_id:
+                    wrote[gpos] = False
                     continue
-                out_region = grid.brick_region(gpos, clipped=True)
-                model_req = self._model_required(geom, exit_id, out_region)
-                true_req = geom_true.required(exit_id, out_region)
-                # Read coverage: the task's effect regions (entries copied in,
-                # member patches recomputed) must cover the true closure.
-                for nid, true_region in true_req.items():
-                    if nid == exit_id:
-                        continue
-                    self._read_coverage(viol, exit_id, model_req.get(nid), true_region,
-                                        graph.node(nid).spec, f"closure of node {nid}")
-                # Entry reads + whole-buffer token acquires (model effects).
-                read_entries = [eid for eid in entry_ids if eid in model_req]
-                for eid in read_entries:
-                    self._entry_read(tr, self.buf_name[eid], graph.node(eid).spec,
-                                     entry_layout[eid], model_req[eid], batch)
-                self._check_entry_order(viol, conv_seq, read_entries, read_entries)
-                # Member compute (scratch traffic is on-chip: L1 only).
-                flops = 0.0
-                calls = 0
-                for nid in view.node_ids:
-                    if nid not in model_req:
-                        continue
-                    nspec = graph.node(nid).spec
-                    region = model_req[nid].clip(nspec.spatial)
-                    if region.is_empty():
-                        continue
-                    if nid != exit_id and self._skipped(nid, gpos, grid.grid_shape):
-                        # A member's "brick" in the padded schedule is its
-                        # scratch patch inside this exit-brick task: skipping
-                        # the patch write leaves its consumers reading
-                        # unwritten scratch.
-                        viol.add("effects.race",
-                                 f"task for exit brick {gpos} skips the patch "
-                                 f"write of member {nid} that its consumers read")
-                        continue
-                    self._weight_read(tr, weights_used, nid)
-                    flops += geom.flops(nid, nspec.channels * region.size)
-                    calls += 1
-                self._brick_access(
-                    tr, name, [_flat_index(gpos, grid.grid_shape) * per_brick],
-                    per_brick, grid.num_bricks * per_brick, batch, write=True)
-                self._task_time(se, flops, max(calls, 1))
-                self._next_seq()
-                written += 1
-                covered_elems += out_region.size
-            if written < grid.num_bricks:
-                viol.add("effects.write-coverage",
-                         f"exit {exit_id}: {written}/{grid.num_bricks} bricks written")
-            elif covered_elems != math.prod(espec.spatial):
-                viol.add("effects.write-coverage",
-                         f"exit {exit_id}: write effects cover {covered_elems} "
-                         f"of {math.prod(espec.spatial)} elements")
-        se.sync_count = 1
-        self.epoch = epoch0 + 1
+                rows = [[row] for row in sg.geom.closure_rows(exit_id, gpos)]
+                one = self._padded_grid(sg, order, exit_id, rows,
+                                        np.ones((1,) * grid.ndim, dtype=bool), gpos,
+                                        skipped if gpos == cell else None, computed)
+                tasks, covered = tasks + one[0], covered + one[1]
+            nbytes = _brick_nbytes(spec, grid)
+            sg.tr.access(nbytes, tasks, write=True, mult=sg.batch)
+            self._brick_spans(f"{graph.node(exit_id).name}/bricked", wrote, nbytes, sg.batch)
+            if tasks < grid.num_bricks:
+                sg.viol.found("effects.write-coverage", 1, [(
+                    (1, order), f"exit {exit_id}: {tasks}/{grid.num_bricks} bricks written")])
+            elif covered != math.prod(spec.spatial):
+                sg.viol.found("effects.write-coverage", 1, [(
+                    (1, order), f"exit {exit_id}: write effects cover {covered} "
+                                f"of {math.prod(spec.spatial)} elements")])
+        for nid, passes in computed.items():
+            self._weights(sg.tr, nid, passes)
+        sg.se.sync_count = 1
 
-    def _memoized(self, sub: SubgraphPlan, se: SubgraphEffects, tr: _Traffic,
-                  viol: _Violations, geom: SubgraphGeometry, geom_true: SubgraphGeometry,
-                  entry_layout: Mapping[int, tuple[int, ...] | None],
-                  conv_seq: Mapping[int, int], batch: int, epoch0: int) -> None:
+    def _padded_grid(self, sg: _Merged, order: int, exit_id: int,
+                     rows: Sequence[Sequence[ClosureRow]], mask: np.ndarray,
+                     origin: tuple[int, ...], skipped: int | None,
+                     computed: dict[int, int]) -> tuple[int, int]:
+        """The exit-brick tasks on the cells of ``mask`` over closure ``rows``
+        (cell ``i`` is brick ``origin + i``); ``skipped`` names a member whose
+        patch write they omit.  Returns how many tasks there are and how many
+        exit elements they write."""
+        tasks = int(mask.sum())
+        if not tasks:
+            return 0, 0
         graph = self.graph
-        view = sub.subgraph
-        brick_shape = tuple(sub.brick_shape)
-        members = set(view.node_ids)
-        grids = {nid: BrickGrid(graph.node(nid).spec.spatial, brick_shape)
-                 for nid in view.node_ids}
-        weights_used: set[int] = set()
+        required = rows[0][0].required  # keyed alike in every row
+        drop = self.mutation.drop_dep_edge
+        dropped = (drop[1] if drop is not None and drop[0] in required
+                   and drop[1] != exit_id else None)
+        model: dict[int, Needs] = {}
+        for j, nid in enumerate(required):
+            true = [[row.required[nid] for row in axis] for axis in rows]
+            if nid == exit_id:
+                model[nid] = true
+                continue
+            needs = self._model_needs(true, nid == dropped)
+            # The task's effect regions (entries copied in, member patches
+            # recomputed) must cover the true closure.
+            self._read_coverage(sg.viol, mask, true, needs, graph.node(nid).spec.spatial,
+                                f"node {exit_id}: modeled closure of node {nid}",
+                                (1, order), origin, j)
+            if needs is not None:
+                model[nid] = needs
+
+        # Entry reads + whole-buffer token acquires (model effects).
+        for eid in sg.view.entry_ids:
+            if eid in model:
+                self._entry_reads(sg, eid, mask, model[eid])
+
+        # Member compute (scratch traffic is on-chip: L1 only).  Tasks whose
+        # members' clipped patch lengths agree on every axis cost the same.
+        members = [nid for nid in sg.view.node_ids if nid in model]
+        lengths = [[[iv.clip(e).length for iv in axis]
+                    for axis, e in zip(model[nid], graph.node(nid).spec.spatial)]
+                   for nid in members]
+        keys = [list(zip(*(lens[a] for lens in lengths))) for a in range(len(rows))]
+        for combo, count in _classes(mask, keys):
+            flops = 0.0
+            calls = 0
+            for j, nid in enumerate(members):
+                elems = math.prod(key[j] for key in combo)
+                if not elems:
+                    continue
+                if nid == skipped:
+                    sg.viol.found("effects.race", 1, [(
+                        (1, order, origin, j),
+                        f"task for exit brick {origin} skips the patch "
+                        f"write of member {nid} that its consumers read")])
+                    continue
+                computed[nid] += count
+                flops += sg.geom.flops(nid, graph.node(nid).spec.channels * elems)
+                calls += 1
+            self._tasks(sg.se, flops, max(calls, 1), count)
+        return tasks, _contract(mask, [[row.out.length for row in axis] for axis in rows])
+
+    def _bricked(self, sg: _Merged, suffix: str, *, waves: bool) -> None:
+        """One task per (member, brick), every brick computed exactly once:
+        demand-driven and ordered by brick tokens (memoized), or all bricks
+        on per-wave barriers (``waves``); buffers are named ``*/suffix``."""
+        graph = self.graph
+        view = sg.view
+        grids = sg.grids
+        tables = {nid: sg.geom.table(nid) for nid in view.node_ids}
+
+        # Per (member, input): the true need of every row, the model's (None
+        # = dropped edge) and, for a member producer, the bricks it overlaps.
+        true: dict[tuple[int, int], Needs] = {}
+        model: dict[tuple[int, int], Needs | None] = {}
+        ranges: dict[tuple[int, int], Ranges] = {}
+        for nid, table in tables.items():
+            for k, pred in enumerate(graph.node(nid).inputs):
+                true[nid, k] = [[row.edges[k].need for row in axis] for axis in table]
+                model[nid, k] = self._model_needs(
+                    true[nid, k], self.mutation.drop_dep_edge == (nid, pred))
+                if pred in grids:
+                    ranges[nid, k] = _ranges(grids[pred], model[nid, k] or [
+                        [Interval(0, 0)] * len(axis) for axis in table])
 
         # Demand closure from the exit goals -- exactly the brick set the
-        # recursive executor computes (exactly once, via the 3-state tags).
-        # Each demanded brick keeps its region, model needs and per-input
-        # member dependency bricks for the emission loop below.
-        demanded: dict[tuple[int, tuple[int, ...]],
-                       tuple[Region, list[Region | None],
-                             list[Sequence[tuple[int, ...]]]]] = {}
-        stack: list[tuple[int, tuple[int, ...]]] = []
-        for eid in view.exit_ids:
-            stack.extend((eid, g) for g in _all_gpos(grids[eid]))
-        while stack:
-            key = stack.pop()
-            if key in demanded:
+        # recursive executor computes (exactly once, via the 3-state tags):
+        # consumers before producers, each handing its demand on through the
+        # per-axis brick ranges of its rows.  The seeded skip removes a
+        # writer; its consumers still read the brick.
+        demand = {nid: np.full(grid.grid_shape, waves or nid in view.exit_ids)
+                  for nid, grid in grids.items()}
+        for nid in reversed(view.node_ids):
+            if waves or not demand[nid].any():
                 continue
-            nid, gpos = key
-            region = grids[nid].brick_region(gpos, clipped=True)
-            needs = self._model_needs(geom, nid, region)
-            dep_bricks: list[Sequence[tuple[int, ...]]] = [
-                grids[pred].overlap_plan(need)
-                if pred in members and need is not None else ()
-                for need, pred in zip(needs, graph.node(nid).inputs)]
-            demanded[key] = (region, needs, dep_bricks)
-            for pred, bricks in zip(graph.node(nid).inputs, dep_bricks):
-                stack.extend((pred, dp) for dp in bricks)
+            for k, pred in enumerate(graph.node(nid).inputs):
+                if pred in grids:
+                    demand[pred] |= _dilate(demand[nid], ranges[nid, k], grids[pred].grid_shape)
+        writers = dict(demand)
+        for nid, grid in grids.items():
+            cell = self._skipped((nid,), grid)[1]
+            if cell is not None:
+                writers[nid] = demand[nid].copy()
+                writers[nid][cell] = False
 
-        writers = {key for key in demanded
-                   if not self._skipped(key[0], key[1], grids[key[0]].grid_shape)}
-
-        for nid, gpos in sorted(demanded):
-            if (nid, gpos) not in writers:
-                continue  # seeded skip: consumers below still read this brick
-            node = graph.node(nid)
-            region, model_needs, dep_bricks = demanded[(nid, gpos)]
-            true_needs, _ = geom_true.needs(nid, region)
-            read_entries: list[int] = []
-            for input_index, pred in enumerate(node.inputs):
-                pspec = graph.node(pred).spec
-                self._read_coverage(viol, nid, model_needs[input_index],
-                                    true_needs[input_index], pspec,
-                                    f"need of input {pred}")
-                need = model_needs[input_index]
-                if need is None:
-                    continue
-                if pred in members:
-                    # Token-ordered brick reads: the dependency scan and the
-                    # acquire stamping derive from the same needs, so the
-                    # proof obligation is writer existence (dangling reads).
-                    per_brick = pspec.channels * math.prod(brick_shape) * pspec.itemsize
-                    offsets = []
-                    for dp in dep_bricks[input_index]:
-                        if (pred, dp) not in writers:
-                            viol.add("effects.race",
-                                     f"node {nid} brick {gpos} reads {pred} brick "
-                                     f"{dp} which no ordered task writes")
-                        offsets.append(_flat_index(dp, grids[pred].grid_shape) * per_brick)
-                    self._brick_access(tr, f"{graph.node(pred).name}/memo", offsets,
-                                       per_brick, grids[pred].num_bricks * per_brick,
-                                       batch, write=False)
-                else:
-                    self._entry_read(tr, self.buf_name[pred], pspec,
-                                     entry_layout[pred], need, batch)
-                    read_entries.append(pred)
-            self._check_entry_order(viol, conv_seq, read_entries, read_entries)
-            self._weight_read(tr, weights_used, nid)
-            per_brick = node.spec.channels * math.prod(brick_shape) * node.spec.itemsize
-            self._brick_access(
-                tr, f"{node.name}/memo",
-                [_flat_index(gpos, grids[nid].grid_shape) * per_brick],
-                per_brick, grids[nid].num_bricks * per_brick, batch, write=True)
-            self._task_time(se, geom.flops(nid, node.spec.channels * region.size), 1)
-            self._next_seq()
-
-        self._exit_write_coverage(viol, view, grids, writers)
-        se.sync_count = 1
-        self.epoch = epoch0 + 1
-
-    def _wavefront(self, sub: SubgraphPlan, se: SubgraphEffects, tr: _Traffic,
-                   viol: _Violations, geom: SubgraphGeometry, geom_true: SubgraphGeometry,
-                   entry_layout: Mapping[int, tuple[int, ...] | None],
-                   conv_seq: Mapping[int, int], batch: int, epoch0: int) -> None:
-        graph = self.graph
-        view = sub.subgraph
-        brick_shape = tuple(sub.brick_shape)
-        members = set(view.node_ids)
-        grids = {nid: BrickGrid(graph.node(nid).spec.spatial, brick_shape)
-                 for nid in view.node_ids}
-        weights_used: set[int] = set()
-
-        # Wave placement by dependency longest path, from the *model* needs
+        # Wave placement by dependency longest path from the *model* needs
         # (exactly the executor's derivation; only the first member input
-        # places, mirroring the chain executor).
-        wave_of: dict[tuple[int, tuple[int, ...]], int] = {}
-        max_wave = 0
-        for nid in view.node_ids:
-            node = graph.node(nid)
-            member_pred = next((i for i in node.inputs if i in members), None)
-            idx = node.inputs.index(member_pred) if member_pred is not None else -1
-            for gpos in _all_gpos(grids[nid]):
-                if member_pred is None:
-                    w = gpos[0]
-                else:
-                    region = grids[nid].brick_region(gpos, clipped=True)
-                    need = self._model_needs(geom, nid, region)[idx]
-                    dep_waves = ([] if need is None else
-                                 [wave_of[(member_pred, dp)]
-                                  for dp in grids[member_pred].overlap_plan(need)])
-                    w = max(dep_waves) + 1 if dep_waves else 0
-                wave_of[(nid, gpos)] = w
-                max_wave = max(max_wave, w)
-
-        writers = {key for key in wave_of
-                   if not self._skipped(key[0], key[1], grids[key[0]].grid_shape)}
+        # places, mirroring the chain executor): first-layer bricks stagger
+        # along axis 0, every other brick lands one wave after the latest
+        # brick of its box -- by induction a function of (node, gpos[0])
+        # wherever no row's range is empty.
+        wave: dict[int, np.ndarray] = {}
+        for nid in view.node_ids if waves else ():
+            inputs = graph.node(nid).inputs
+            k = next((k for k, pred in enumerate(inputs) if pred in grids), None)
+            if k is None:
+                shape = grids[nid].grid_shape
+                stagger = np.arange(shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+                wave[nid] = np.broadcast_to(stagger, shape)
+            else:
+                wave[nid] = _box_max(wave[inputs[k]], ranges[nid, k]) + 1
 
         for nid in view.node_ids:
             node = graph.node(nid)
-            for gpos in _all_gpos(grids[nid]):
-                if (nid, gpos) not in writers:
-                    continue
-                w = wave_of[(nid, gpos)]
-                region = grids[nid].brick_region(gpos, clipped=True)
-                model_needs = self._model_needs(geom, nid, region)
-                true_needs, _ = geom_true.needs(nid, region)
-                read_entries: list[int] = []
-                for input_index, pred in enumerate(node.inputs):
-                    pspec = graph.node(pred).spec
-                    self._read_coverage(viol, nid, model_needs[input_index],
-                                        true_needs[input_index], pspec,
-                                        f"need of input {pred}")
-                    need = model_needs[input_index]
-                    if need is None:
-                        continue
-                    if pred in members:
-                        # No token edges: the per-wave barrier is the whole
-                        # protocol, so every dependency brick must land on a
-                        # strictly earlier wave (and be written at all).
-                        per_brick = (pspec.channels * math.prod(brick_shape)
-                                     * pspec.itemsize)
-                        offsets = []
-                        for dp in grids[pred].overlap_plan(need):
-                            if (pred, dp) not in writers:
-                                viol.add("effects.race",
-                                         f"node {nid} brick {gpos} reads {pred} "
-                                         f"brick {dp} which no task writes")
-                            elif wave_of[(pred, dp)] >= w:
-                                viol.add("effects.race",
-                                         f"node {nid} brick {gpos} on wave {w} reads "
-                                         f"{pred} brick {dp} on wave "
-                                         f"{wave_of[(pred, dp)]} (no barrier between)")
-                            offsets.append(_flat_index(dp, grids[pred].grid_shape)
-                                           * per_brick)
-                        self._brick_access(tr, f"{graph.node(pred).name}/wave",
-                                           offsets, per_brick,
-                                           grids[pred].num_bricks * per_brick,
-                                           batch, write=False)
-                    else:
-                        self._entry_read(tr, self.buf_name[pred], pspec,
-                                         entry_layout[pred], need, batch)
-                        read_entries.append(pred)
-                self._check_entry_order(viol, conv_seq, read_entries, read_entries)
-                self._weight_read(tr, weights_used, nid)
-                per_brick = node.spec.channels * math.prod(brick_shape) * node.spec.itemsize
-                self._brick_access(
-                    tr, f"{node.name}/wave",
-                    [_flat_index(gpos, grids[nid].grid_shape) * per_brick],
-                    per_brick, grids[nid].num_bricks * per_brick, batch, write=True)
-                self._task_time(se, geom.flops(nid, node.spec.channels * region.size), 1)
-                self._next_seq()
-
-        self._exit_write_coverage(viol, view, grids, writers)
-        se.sync_count = max_wave + 1
-        self.epoch = epoch0 + max_wave + 1
-
-    def _exit_write_coverage(self, viol: _Violations, view: "SubgraphView",
-                             grids: Mapping[int, BrickGrid],
-                             writers: set[tuple[int, tuple[int, ...]]]) -> None:
-        """Exactly-once coverage of every materialized member: each brick has
-        one writer (structural: one task per (node, brick)) and the clipped
-        write effects tile the declared output region."""
-        graph = self.graph
-        for nid in view.node_ids:
-            grid = grids[nid]
-            spec = graph.node(nid).spec
-            missing = grid.num_bricks - sum(1 for g in _all_gpos(grid)
-                                            if (nid, g) in writers)
-            if nid in view.exit_ids and missing:
-                viol.add("effects.write-coverage",
-                         f"exit {nid}: {missing} of {grid.num_bricks} bricks "
-                         f"have no writer")
+            mask = writers[nid]
+            tasks = int(mask.sum())
+            sizes = [[row.length for row in axis] for axis in tables[nid]]
+            if nid in view.exit_ids:
+                # Exactly-once coverage of an exit: each brick has one writer
+                # (structural: one task per (node, brick)) and the clipped
+                # write effects tile the declared output region.
+                covered, total = _contract(mask, sizes), math.prod(node.spec.spatial)
+                if tasks < grids[nid].num_bricks:
+                    sg.viol.found("effects.write-coverage", 1, [(
+                        (nid,), f"exit {nid}: {grids[nid].num_bricks - tasks} of "
+                                f"{grids[nid].num_bricks} bricks have no writer")])
+                elif covered != total:
+                    sg.viol.found("effects.write-coverage", 1, [(
+                        (nid,), f"exit {nid}: write effects cover {covered} of {total} elements")])
+            if not tasks:
                 continue
-            covered = sum(grid.brick_region(g, clipped=True).size
-                          for g in _all_gpos(grid) if (nid, g) in writers)
-            if nid in view.exit_ids and covered != math.prod(spec.spatial):
-                viol.add("effects.write-coverage",
-                         f"exit {nid}: write effects cover {covered} of "
-                         f"{math.prod(spec.spatial)} elements")
+            for k, pred in enumerate(node.inputs):
+                pspec = graph.node(pred).spec
+                needs = model[nid, k]
+                self._read_coverage(sg.viol, mask, true[nid, k], needs, pspec.spatial,
+                                    f"node {nid}: modeled need of input {pred}",
+                                    (1, nid), (0,) * mask.ndim, k)
+                if needs is None:
+                    continue
+                if pred not in grids:
+                    self._entry_reads(sg, pred, mask, needs)
+                    continue
+                self._brick_reads(sg, f"{graph.node(pred).name}/{suffix}", pspec,
+                                  grids[pred], mask, ranges[nid, k])
+                self._read_order(sg, nid, k, mask, ranges[nid, k], demand[pred],
+                                 writers[pred], wave.get(nid), wave.get(pred))
+            self._weights(sg.tr, nid, tasks)
+            nbytes = _brick_nbytes(node.spec, grids[nid])
+            sg.tr.access(nbytes, tasks, write=True, mult=sg.batch)
+            self._brick_spans(f"{node.name}/{suffix}", mask, nbytes, sg.batch)
+            for lens, count in _classes(mask, sizes):
+                self._tasks(sg.se, sg.geom.flops(nid, node.spec.channels * math.prod(lens)),
+                            1, count)
+        sg.se.sync_count = max(int(w.max()) for w in wave.values()) + 1 if waves else 1
+
+    def _read_order(self, sg: _Merged, nid: int, k: int, mask: np.ndarray, ranges: Ranges,
+                    demand: np.ndarray, writers: np.ndarray, wave: np.ndarray | None,
+                    pred_wave: np.ndarray | None) -> None:
+        """Proof obligation (a) for the member-brick reads of input ``k``.
+        Memoized: the dependency scan and the acquire stamping derive from
+        the same needs, so what is left to prove is writer existence (no
+        dangling read).  Wavefront: no token edges -- the per-wave barrier is
+        the whole protocol, so every dependency brick must also land on a
+        strictly earlier wave.  Only violating bricks are enumerated."""
+        pred = self.graph.node(nid).inputs[k]
+        for cell in map(tuple, np.argwhere(demand & ~writers).tolist()):
+            readers = mask & _outer([[i in r for r in axis] for i, axis in zip(cell, ranges)])
+            sg.viol.found("effects.race", int(readers.sum()), [
+                ((1, nid, tuple(gpos), k, cell),
+                 f"node {nid} brick {tuple(gpos)} reads {pred} brick {cell} which no "
+                 f"{'' if wave is not None else 'ordered '}task writes")
+                for gpos in np.argwhere(readers)[:_MAX_DIAGS].tolist()])
+        if wave is None or pred_wave is None:
+            return
+        late = mask & (_box_max(np.where(writers, pred_wave, -1), ranges) >= wave)
+        for gpos in map(tuple, np.argwhere(late).tolist()):
+            for dep in itertools.product(*(axis[i] for axis, i in zip(ranges, gpos))):
+                if writers[dep] and pred_wave[dep] >= wave[gpos]:
+                    sg.viol.found("effects.race", 1, [(
+                        (1, nid, gpos, k, dep),
+                        f"node {nid} brick {gpos} on wave {wave[gpos]} reads {pred} brick "
+                        f"{dep} on wave {pred_wave[dep]} (no barrier between)")])
 
     # -- vendor-library fallback --------------------------------------------
     def fallback(self, sub: SubgraphPlan) -> SubgraphEffects:
-        from repro.baselines.fusion import FusionGroup
-        from repro.baselines.tiled import adaptive_tiles, group_flops_per_out_element
+        from repro.baselines.fusion import fuse_members
+        from repro.baselines.tiled import adaptive_tile, group_flops_per_out_element, tile_axes
 
         graph = self.graph
-        view = sub.subgraph
         se = SubgraphEffects(index=sub.index, strategy=Strategy.CUDNN.value)
         tr = _Traffic(self.line)
         viol = _Violations()
-        members = set(view.node_ids)
-
-        # Mirror of BrickDLEngine._fallback_groups (conv+pointwise fusion).
-        groups: list[FusionGroup] = []
-        absorbed: set[int] = set()
-        for nid in view.node_ids:
-            if nid in absorbed:
-                continue
-            group = FusionGroup(primary=graph.node(nid))
-            current = group.primary
-            while True:
-                consumers = list(graph.consumers(current.node_id))
-                if len(consumers) != 1 or consumers[0] not in members:
-                    break
-                nxt = graph.node(consumers[0])
-                if not nxt.op.is_pointwise:
-                    break
-                if any(i >= group.primary.node_id
-                       for i in nxt.inputs if i != current.node_id):
-                    break
-                group.fused.append(nxt)
-                absorbed.add(nxt.node_id)
-                current = nxt
-            groups.append(group)
-
-        weights_used: set[int] = set()
-        for group in groups:
+        for group in fuse_members(graph, sub.subgraph.node_ids):
             out = group.output
             group_ids = {n.node_id for n in group.nodes}
             for gnode in group.nodes:
@@ -962,45 +955,45 @@ class _Analyzer:
                     for pred in gnode.inputs:
                         if pred not in group_ids:
                             self._full_access(tr, self.buf_name[pred],
-                                              _layout_nbytes(graph.node(pred).spec, None),
-                                              write=False)
-                    self._weight_read(tr, weights_used, gnode.node_id)
+                                              graph.node(pred).spec.nbytes, write=False)
+                    self._weights(tr, gnode.node_id, 1)
                 self._full_access(tr, out_name, out.spec.nbytes, write=True)
-                self._task_time(se, fpe * out.spec.num_elements, 1)
-                self._next_seq()
+                self._tasks(se, fpe * out.spec.num_elements, 1)
             else:
+                # One task per tile of a product grid: tile regions, their
+                # halo-enlarged primary needs and their sizes are one row per
+                # axis index, like bricks.
                 tile = 16 if out.spec.spatial_ndim >= 3 else 32
-                tiles = list(adaptive_tiles(out.spec.spatial, tile, self.spec.num_sms))
+                tiles = tile_axes(out.spec.spatial,
+                                  adaptive_tile(out.spec.spatial, tile, self.spec.num_sms))
+                mask = np.ones([len(axis) for axis in tiles], dtype=bool)
                 primary = group.primary
                 primary_specs = [graph.node(i).spec for i in primary.inputs]
                 batch = out.spec.batch
-                covered = 0
-                for region in tiles:
-                    for input_index, pred in enumerate(primary.inputs):
-                        maps = primary.op.rf_maps(primary_specs, input_index)
-                        need = Region(m.in_interval(iv) for m, iv in zip(maps, region))
-                        self._dense_access(tr, self.buf_name[pred],
-                                           graph.node(pred).spec, need,
-                                           write=False, mult=batch)
-                    for fnode in group.fused:
-                        for pred in fnode.inputs:
-                            if pred not in group_ids:
-                                self._dense_access(tr, self.buf_name[pred],
-                                                   graph.node(pred).spec, region,
-                                                   write=False, mult=batch)
-                    for gnode in group.nodes:
-                        self._weight_read(tr, weights_used, gnode.node_id)
-                    self._dense_access(tr, out_name, out.spec, region,
-                                       write=True, mult=batch)
-                    self._task_time(se, fpe * out.spec.channels * region.size, 1)
-                    self._next_seq()
-                    covered += region.size
+                for input_index, pred in enumerate(primary.inputs):
+                    maps = primary.op.rf_maps(primary_specs, input_index)
+                    self._dense_grid(tr, self.buf_name[pred], graph.node(pred).spec, mask,
+                                     [[m.in_interval(iv) for iv in axis]
+                                      for m, axis in zip(maps, tiles)],
+                                     write=False, mult=batch)
+                for fnode in group.fused:
+                    for pred in fnode.inputs:
+                        if pred not in group_ids:
+                            self._dense_grid(tr, self.buf_name[pred], graph.node(pred).spec,
+                                             mask, tiles, write=False, mult=batch)
+                for gnode in group.nodes:
+                    self._weights(tr, gnode.node_id, mask.size)
+                self._dense_grid(tr, out_name, out.spec, mask, tiles, write=True, mult=batch)
+                sizes = [[iv.length for iv in axis] for axis in tiles]
+                for lens, count in _classes(mask, sizes):
+                    self._tasks(se, fpe * out.spec.channels * math.prod(lens), 1, count)
                 # Exactly-once coverage: row-major clipped tiles partition the
                 # output extents (disjoint by construction, verified by sum).
+                covered = _contract(mask, sizes)
                 if covered != math.prod(out.spec.spatial):
-                    viol.add("effects.write-coverage",
-                             f"group {out.node_id}: tiles cover {covered} of "
-                             f"{math.prod(out.spec.spatial)} elements")
+                    viol.found("effects.write-coverage", 1, [(
+                        (out.node_id,), f"group {out.node_id}: tiles cover {covered} of "
+                                        f"{math.prod(out.spec.spatial)} elements")])
             # One barrier per group orders it against the next (and the reads
             # of the producing conversions are token-acquired in-task).
             se.sync_count += 1
@@ -1014,11 +1007,11 @@ class _Analyzer:
         se.race_free = True  # per-group barriers + token-ordered conversions
         se.write_exact = "effects.write-coverage" not in viol.counts
         se.read_covered = True  # needs derived directly from rf_maps
-        self._close(sub, se, tr)
+        self._close(se, tr)
         return se
 
     # -- aggregation ---------------------------------------------------------
-    def _close(self, sub: SubgraphPlan, se: SubgraphEffects, tr: _Traffic) -> None:
+    def _close(self, se: SubgraphEffects, tr: _Traffic) -> None:
         se.dram_read_lb = tr.weight_txns
         se.dram_read_ub = tr.read_ub + tr.weight_txns
         se.dram_write_ub = tr.write_ub
@@ -1034,23 +1027,27 @@ class _Analyzer:
         r.total_flops += se.flops
         r.task_time_sum += se.task_time_sum
         r.task_time_max = max(r.task_time_max, se.task_time_max)
-        self._write_bytes = getattr(self, "_write_bytes", 0) + tr.write_bytes
+        self.write_bytes += tr.write_bytes
 
     def finish(self) -> None:
-        """Graph outputs are densified (mirroring ``BrickDLEngine.run``),
-        then run-level slack closes the upper bounds."""
+        """Graph outputs are densified (mirroring ``BrickDLEngine.run``): the
+        tail conversions are tasks of the run, not of any subgraph.  Run-level
+        slack then closes the upper bounds."""
         r = self.report
+        tail, tr = SubgraphEffects(index=len(r.subgraphs), strategy="tail"), _Traffic(self.line)
         for node in self.graph.output_nodes:
-            self._convert_to_dense(self.tail, None, node.node_id)
-        r.dram_read_ub += self.tail.read_ub
-        r.dram_write_ub += self.tail.write_ub
-        r.l2_lb += self.tail.l2_write_lines
-        r.l2_ub += self.tail.read_ub + self.tail.write_ub
-        write_bytes = getattr(self, "_write_bytes", 0) + self.tail.write_bytes
+            self._convert_to_dense(tr, tail, node.node_id)
+        r.num_tasks += tail.num_tasks
+        r.task_time_sum += tail.task_time_sum
+        r.task_time_max = max(r.task_time_max, tail.task_time_max)
+        r.dram_read_ub += tr.read_ub
+        r.dram_write_ub += tr.write_ub
+        r.l2_lb += tr.l2_write_lines
+        r.l2_ub += tr.read_ub + tr.write_ub
         # Write-back fragmentation: dirty bytes leave in eviction/flush chunks
         # whose per-event round-up is bounded by one extra line per written
         # line plus flat slack.
-        r.dram_write_ub += _txns(write_bytes, self.line) + _UB_SLACK
+        r.dram_write_ub += _txns(self.write_bytes + tr.write_bytes, self.line) + _UB_SLACK
         r.dram_read_ub += _UB_SLACK
         r.l2_ub += 2 * _UB_SLACK
         r.dram_write_lb = _txns(self.persistent_written, self.line)

@@ -13,10 +13,11 @@ gap BrickDL's merged execution targets (section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.graph.ir import Graph, Node
 
-__all__ = ["FusionGroup", "fuse_graph"]
+__all__ = ["FusionGroup", "fuse_graph", "fuse_members"]
 
 
 @dataclass
@@ -52,30 +53,31 @@ def fuse_graph(graph: Graph, enabled: bool = True) -> list[FusionGroup]:
     produced before this group's primary (so execution order stays valid for
     residual adds).
     """
+    return fuse_members(graph, [n.node_id for n in graph.nodes if not n.is_input], enabled)
+
+
+def fuse_members(graph: Graph, node_ids: Sequence[int], enabled: bool = True) -> list[FusionGroup]:
+    """:func:`fuse_graph` over ``node_ids`` only, in that order: a chain never
+    leaves them (the vendor-library fallback of one subgraph)."""
+    members = set(node_ids)
     groups: list[FusionGroup] = []
     absorbed: set[int] = set()
-    for node in graph.nodes:
-        if node.is_input or node.node_id in absorbed:
+    for nid in node_ids:
+        if nid in absorbed:
             continue
-        group = FusionGroup(primary=node)
-        if enabled:
-            _absorb_chain(graph, group, absorbed)
+        group = FusionGroup(primary=graph.node(nid))
+        current = group.primary
+        while enabled:
+            consumers = graph.consumers(current)
+            if len(consumers) != 1 or consumers[0] not in members:
+                break
+            nxt = graph.node(consumers[0])
+            if not nxt.op.is_pointwise:
+                break
+            if any(i >= group.primary.node_id for i in nxt.inputs if i != current.node_id):
+                break
+            group.fused.append(nxt)
+            absorbed.add(nxt.node_id)
+            current = nxt
         groups.append(group)
     return groups
-
-
-def _absorb_chain(graph: Graph, group: FusionGroup, absorbed: set[int]) -> None:
-    current = group.primary
-    while True:
-        consumers = graph.consumers(current)
-        if len(consumers) != 1:
-            return
-        nxt = graph.node(consumers[0])
-        if not nxt.op.is_pointwise:
-            return
-        others = [i for i in nxt.inputs if i != current.node_id]
-        if any(i >= group.primary.node_id for i in others):
-            return
-        group.fused.append(nxt)
-        absorbed.add(nxt.node_id)
-        current = nxt

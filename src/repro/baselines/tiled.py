@@ -34,17 +34,20 @@ from repro.kernels import apply_node_full
 __all__ = ["spatial_tiles", "slab_tiles", "run_group_tiled", "run_group_global", "compute_group_values"]
 
 
+def tile_axes(extents: tuple[int, ...], tile: tuple[int, ...]) -> list[list[Interval]]:
+    """Per axis, the tile intervals covering the extent: the tiles of a layer
+    are their product."""
+    return [[Interval(s, min(s + t, e)) for s in range(0, e, t)]
+            for e, t in zip(extents, tile)]
+
+
 def spatial_tiles(extents: tuple[int, ...], tile: tuple[int, ...]) -> Iterator[Region]:
     """Row-major enumeration of tile regions covering ``extents``."""
-    ranges = [range(0, e, t) for e, t in zip(extents, tile)]
-    for starts in itertools.product(*ranges):
-        yield Region(
-            Interval(s, min(s + t, e)) for s, t, e in zip(starts, tile, extents)
-        )
+    return map(Region, itertools.product(*tile_axes(extents, tile)))
 
 
-def adaptive_tiles(extents: tuple[int, ...], base_tile: int, num_sms: int) -> Iterator[Region]:
-    """Tiles sized to saturate the device: shrink the nominal tile until the
+def adaptive_tile(extents: tuple[int, ...], base_tile: int, num_sms: int) -> tuple[int, ...]:
+    """A tile sized to saturate the device: shrink the nominal tile until the
     grid offers at least ~2 thread blocks per SM (or the tile bottoms out)."""
     tile = base_tile
     while tile > 4:
@@ -52,7 +55,12 @@ def adaptive_tiles(extents: tuple[int, ...], base_tile: int, num_sms: int) -> It
         if count >= 2 * num_sms:
             break
         tile //= 2
-    return spatial_tiles(extents, tuple(min(tile, e) for e in extents))
+    return tuple(min(tile, e) for e in extents)
+
+
+def adaptive_tiles(extents: tuple[int, ...], base_tile: int, num_sms: int) -> Iterator[Region]:
+    """Row-major tile regions of the :func:`adaptive_tile` grid."""
+    return spatial_tiles(extents, adaptive_tile(extents, base_tile, num_sms))
 
 
 def slab_tiles(extents: tuple[int, ...], num_slabs: int) -> Iterator[Region]:

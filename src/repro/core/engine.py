@@ -425,6 +425,7 @@ class BrickDLEngine:
         with the same conv+pointwise fusion the cuDNN baseline enjoys."""
         # Imported here: repro.baselines also consumes repro.core (handles),
         # so the engine pulls the shared tiled machinery in lazily.
+        from repro.baselines.fusion import fuse_members
         from repro.baselines.tiled import (
             adaptive_tiles,
             compute_group_values,
@@ -434,7 +435,7 @@ class BrickDLEngine:
 
         graph = self.graph
         values: dict[int, np.ndarray] = {}
-        for group in self._fallback_groups(sub):
+        for group in fuse_members(graph, sub.subgraph.node_ids):
             node = group.output
             handles: dict[int, DenseHandle] = {}
             group_ids = {n.node_id for n in group.nodes}
@@ -461,36 +462,6 @@ class BrickDLEngine:
             device.synchronize()
             for gnode in group.nodes:
                 boundary[gnode.node_id] = out_handle
-
-    def _fallback_groups(self, sub: SubgraphPlan) -> list:
-        """Conv+pointwise fusion groups restricted to the subgraph members."""
-        from repro.baselines.fusion import FusionGroup
-
-        graph = self.graph
-        members = set(sub.subgraph.node_ids)
-        groups: list[FusionGroup] = []
-        absorbed: set[int] = set()
-        for nid in sub.subgraph.node_ids:
-            if nid in absorbed:
-                continue
-            node = graph.node(nid)
-            group = FusionGroup(primary=node)
-            current = node
-            while True:
-                consumers = [c for c in graph.consumers(current)]
-                if len(consumers) != 1 or consumers[0] not in members:
-                    break
-                nxt = graph.node(consumers[0])
-                if not nxt.op.is_pointwise:
-                    break
-                others = [i for i in nxt.inputs if i != current.node_id]
-                if any(i >= group.primary.node_id for i in others):
-                    break
-                group.fused.append(nxt)
-                absorbed.add(nxt.node_id)
-                current = nxt
-            groups.append(group)
-        return groups
 
     # -- representation management ------------------------------------------------
     def _ensure_bricked(self, device, nid: int, brick_shape, boundary, functional) -> BrickedHandle:

@@ -169,7 +169,8 @@ class SubgraphGeometry:
         for axis, (b, e) in enumerate(zip(grid.brick_shape, grid.extents)):
             yield axis, [Interval(lo, min(lo + b, e)) for lo in range(0, e, b)]
 
-    def _table(self, nid: int) -> tuple[list[AxisRow], ...]:
+    def table(self, nid: int) -> tuple[list[AxisRow], ...]:
+        """Per axis, the :class:`AxisRow` of every brick index of ``nid``."""
         table = self._tables.get(nid)
         if table is None:
             table = self._tables[nid] = tuple(
@@ -179,13 +180,13 @@ class SubgraphGeometry:
 
     def rows(self, nid: int, gpos: Sequence[int]) -> list[AxisRow]:
         """One :class:`AxisRow` per axis for the brick of ``nid`` at ``gpos``."""
-        return [rows[i] for rows, i in zip(self._table(nid), gpos)]
+        return [rows[i] for rows, i in zip(self.table(nid), gpos)]
 
     def needs(self, nid: int, region: Region) -> tuple[tuple[Region, ...],
                                                        tuple[tuple[int, ...], ...]]:
         """Per-input need regions and local patch offsets for one output
         region of ``nid``: the Region view over :meth:`rows`."""
-        table = self._table(nid) if self.brick_shape else None
+        table = self.table(nid) if self.brick_shape else None
         rows = [(table and _brick_row(table[axis], self.brick_shape[axis], iv))
                 or self.axis_row(nid, axis, iv) for axis, iv in enumerate(region)]
         return patch_geometry(rows, len(self.graph.node(nid).inputs))[1:]
