@@ -51,10 +51,6 @@ class Brick:
     def nbytes(self) -> int:
         return self.data.nbytes
 
-    @property
-    def spatial_shape(self) -> tuple[int, ...]:
-        return self.data.shape[1:]
-
     def __getitem__(self, index_in_brick: tuple[int, ...]) -> np.ndarray:
         """Per-element access: returns the channel vector at a spatial point."""
         return self.data[(slice(None), *index_in_brick)]
@@ -84,6 +80,9 @@ class BrickMap:
             if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
                 raise LayoutError("permutation must be a bijection over all bricks")
             self._to_physical = perm.copy()
+        # Physical slot by logical grid position: a box of bricks is one
+        # slice of this array (a view of ``_to_physical``).
+        self.slots = self._to_physical.reshape(self.grid_shape)
         self._to_logical = np.empty(n, dtype=np.int64)
         self._to_logical[self._to_physical] = np.arange(n, dtype=np.int64)
 
@@ -170,14 +169,14 @@ class BrickInfo:
     def __init__(self, brick_map: BrickMap) -> None:
         self.brick_map = brick_map
         self.directions = neighbor_offsets(len(brick_map.grid_shape))
-        n = brick_map.num_bricks
-        self.adjacency = np.full((n, len(self.directions)), -1, dtype=np.int64)
-        grid = brick_map.grid_shape
-        for grid_pos, phys in brick_map:
-            for d_idx, delta in enumerate(self.directions):
-                npos = tuple(p + dd for p, dd in zip(grid_pos, delta))
-                if all(0 <= p < g for p, g in zip(npos, grid)):
-                    self.adjacency[phys, d_idx] = brick_map.physical(npos)
+        self.adjacency = np.full((brick_map.num_bricks, len(self.directions)), -1, dtype=np.int64)
+        slots = brick_map.slots
+        for d_idx, delta in enumerate(self.directions):
+            # Bricks whose neighbor in this direction is inside the grid, and
+            # those neighbors: the same box of the slot grid, shifted.
+            here = tuple(slice(max(0, -d), g - max(0, d)) for d, g in zip(delta, slots.shape))
+            there = tuple(slice(max(0, d), g - max(0, -d)) for d, g in zip(delta, slots.shape))
+            self.adjacency[slots[here].ravel(), d_idx] = slots[there].ravel()
 
     def neighbor(self, physical_index: int, direction: tuple[int, ...]) -> int:
         """Physical index of the neighbor in ``direction`` (-1 if outside)."""

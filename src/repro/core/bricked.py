@@ -6,15 +6,22 @@ along batch and spatial dimensions, never channels -- section 3.2).  Bricks
 whose extent overhangs the feature map are masked with zeros (section 3.3.4).
 
 The storage order of bricks is governed by a :class:`~repro.core.brick.BrickMap`
-(identity by default), and neighbor access uses
-:class:`~repro.core.brick.BrickInfo` adjacency, exactly as in the paper's
-Fig. 6.  The class also provides the two primitives the merged executors
-need:
+(identity by default).  Values move per *axis*, not per brick: along one axis
+a copy between a patch and the bricks it overlaps is three slices
+(:func:`patch_spans`), so the primitives the merged executors need are a
+constant handful of NumPy calls whatever the number of bricks:
 
-* :meth:`gather_region` -- assemble a dense patch for an arbitrary absolute
-  region from the bricks it overlaps (with a neutral fill value beyond the
-  feature map): this is the *padded-brick* halo copy;
-* :meth:`scatter_region` -- write a computed dense patch back into bricks.
+* :meth:`BrickedTensor.gather` -- the dense patch over one need interval per
+  axis, a neutral fill value beyond the feature map (the halo *copy* of
+  section 3.2.1): the box of overlapped bricks is selected through the brick
+  map in one indexing operation -- the map is consulted once per box, not
+  once per brick -- interleaved into a dense block and placed with one slice
+  assignment.  ``gather_region`` is the same method, since a
+  :class:`~repro.graph.regions.Region` *is* one interval per axis, and
+  :meth:`~BrickedTensor.scatter_region` its inverse over the same spans;
+* :meth:`BrickedTensor.store_brick` -- one slice assignment of the brick a
+  task owns.  (The paper's per-brick neighbour table, Fig. 6(c), is built on
+  first read of :attr:`BrickedTensor.brick_info`; nothing here needs it.)
 
 Each brick's bytes are contiguous in the underlying buffer, which is what
 gives the layout its single-address-stream property in the simulator.
@@ -22,10 +29,11 @@ gives the layout its single-address-stream property in the simulator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +43,8 @@ from repro.core.brick import Brick, BrickInfo, BrickMap
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "flat_bricks"]
+__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "extract_patch", "flat_bricks", "gather_dense",
+           "patch_spans"]
 
 
 @dataclass(frozen=True)
@@ -44,31 +53,24 @@ class BrickGrid:
 
     extents: tuple[int, ...]
     brick_shape: tuple[int, ...]
+    # Derived once in __post_init__: read on every brick lookup in the
+    # executor hot path (the dataclass is frozen, hence the setattr there).
+    grid_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    num_bricks: int = field(init=False, repr=False, compare=False)
+    ndim: int = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.extents) != len(self.brick_shape):
             raise LayoutError(f"rank mismatch: extents {self.extents} vs brick {self.brick_shape}")
         if any(b < 1 for b in self.brick_shape) or any(e < 1 for e in self.extents):
             raise LayoutError(f"invalid grid geometry: {self}")
-        # Derived geometry is read on every brick lookup in the executor hot
-        # path; compute it once (the dataclass is frozen, hence the setattr).
         grid = tuple(-(-e // b) for e, b in zip(self.extents, self.brick_shape))
-        object.__setattr__(self, "_grid_shape", grid)
-        object.__setattr__(self, "_num_bricks", math.prod(grid))
+        object.__setattr__(self, "grid_shape", grid)
+        object.__setattr__(self, "num_bricks", math.prod(grid))
+        object.__setattr__(self, "ndim", len(grid))
         object.__setattr__(self, "strides", tuple(
             math.prod(grid[d + 1:]) for d in range(len(grid))))
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return self._grid_shape
-
-    @property
-    def num_bricks(self) -> int:
-        return self._num_bricks
-
-    @property
-    def ndim(self) -> int:
-        return len(self.extents)
 
     def brick_region(self, grid_pos: Sequence[int], clipped: bool = False) -> Region:
         """Absolute region covered by the brick at ``grid_pos``."""
@@ -132,22 +134,21 @@ class BrickedTensor:
             raise LayoutError(
                 f"brick map grid {self.brick_map.grid_shape} does not match {self.grid.grid_shape}"
             )
-        self.brick_info = BrickInfo(self.brick_map)
         # One contiguous slab: (N, num_bricks, C, *brick_shape).
         self.storage = np.zeros(
             (spec.batch, self.grid.num_bricks, spec.channels, *self.grid.brick_shape),
             dtype=spec.dtype,
         )
+        # A box of bricks (k_1..k_n, C, B_1..B_n) <-> (C, k_1, B_1, ..., k_n, B_n).
+        nd = self.grid.ndim
+        self._interleave = (nd, *(x for d in range(nd) for x in (d, nd + 1 + d)))
+
+    @functools.cached_property
+    def brick_info(self) -> BrickInfo:
+        """Per-brick neighbour adjacency (Fig. 6(c)), built on first read."""
+        return BrickInfo(self.brick_map)
 
     # -- geometry -----------------------------------------------------------
-    @property
-    def brick_shape(self) -> tuple[int, ...]:
-        return self.grid.brick_shape
-
-    @property
-    def num_bricks(self) -> int:
-        return self.grid.num_bricks
-
     @property
     def brick_nbytes(self) -> int:
         """Bytes of one brick: C * prod(brick_shape) * itemsize (contiguous)."""
@@ -175,87 +176,115 @@ class BrickedTensor:
     ) -> "BrickedTensor":
         """Decompose a dense ``(N, C, *spatial)`` array into bricks."""
         n, c = array.shape[:2]
-        spatial = array.shape[2:]
-        spec = TensorSpec(n, c, spatial, array.dtype)
-        bt = cls(spec, brick_shape, brick_map)
-        g, b = bt.grid.grid_shape, bt.grid.brick_shape
-        nd = len(b)
-        padded_spatial = tuple(gg * bb for gg, bb in zip(g, b))
-        if padded_spatial != spatial:
-            pad = [(0, 0), (0, 0)] + [(0, ps - s) for ps, s in zip(padded_spatial, spatial)]
-            array = np.pad(array, pad)
-        # (N, C, G1, B1, G2, B2, ...) -> (N, G1, G2, ..., C, B1, B2, ...)
-        split_shape = (n, c) + tuple(x for gb in zip(g, b) for x in gb)
-        v = array.reshape(split_shape)
-        grid_axes = tuple(2 + 2 * i for i in range(nd))
-        brick_axes = tuple(3 + 2 * i for i in range(nd))
-        v = v.transpose((0,) + grid_axes + (1,) + brick_axes)
-        logical = v.reshape(n, bt.grid.num_bricks, c, *b)
-        # Physical slot p holds the logical brick brick_map.logical(p).
-        order = bt.brick_map._to_logical
-        bt.storage[...] = logical[:, order]
+        bt = cls(TensorSpec(n, c, array.shape[2:], array.dtype), brick_shape, brick_map)
+        whole = Region.from_extents(bt.spec.spatial)
+        for batch in range(n):
+            bt.scatter_region(batch, whole, array[batch])
         return bt
 
     def to_dense(self) -> np.ndarray:
         """Reassemble the dense activation (mask padding removed)."""
-        n, c = self.spec.batch, self.spec.channels
-        g, b = self.grid.grid_shape, self.grid.brick_shape
-        nd = len(b)
-        logical = self.storage[:, self.brick_map._to_physical]
-        v = logical.reshape((n,) + g + (c,) + b)
-        # (N, G1.., C, B1..) -> (N, C, G1, B1, G2, B2, ...)
-        perm = (0, 1 + nd) + tuple(x for i in range(nd) for x in (1 + i, 2 + nd + i))
-        v = v.transpose(perm)
-        padded_spatial = tuple(gg * bb for gg, bb in zip(g, b))
-        dense = v.reshape((n, c) + padded_spatial)
-        crop = (slice(None), slice(None)) + tuple(slice(0, s) for s in self.spec.spatial)
-        return np.ascontiguousarray(dense[crop])
+        whole = Region.from_extents(self.spec.spatial)
+        return np.stack([self.gather(batch, whole) for batch in range(self.spec.batch)])
 
-    # -- region primitives -----------------------------------------------------
-    def gather_region(self, batch: int, region: Region, fill: float = 0.0) -> np.ndarray:
-        """Dense ``(C, *region.shape)`` patch of an absolute region.
+    # -- value movement ---------------------------------------------------------
+    def _dense(self, batch: int, slots: np.ndarray) -> np.ndarray:
+        """Dense ``(C, k_1*B_1, ..., k_n*B_n)`` copy of the box of bricks
+        stored at ``slots`` (a box of the brick map's slot grid)."""
+        return self.storage[batch, slots].transpose(self._interleave).reshape(
+            self.spec.channels, *(k * b for k, b in zip(slots.shape, self.grid.brick_shape)))
 
-        Parts of the region beyond the feature map get ``fill`` (implicit
-        zero padding of convolutions; ``-inf`` for max pooling).  This is the
-        halo *copy* of the padded-bricks strategy (section 3.2.1).
-        """
-        shape = (self.spec.channels, *region.shape)
-        out = np.full(shape, fill, dtype=self.spec.dtype)
-        if region.is_empty():
-            return out
-        valid = region.clip(self.spec.spatial)
-        if fill != 0.0 and not valid.is_empty():
-            # Mask padding inside overhanging bricks is zero, not `fill`.
-            out[(slice(None), *valid.slices(origin=[iv.lo for iv in region]))] = 0.0
-        for grid_pos in self.grid.bricks_overlapping(region):
-            brick_region = self.grid.brick_region(grid_pos, clipped=True)
-            overlap = brick_region.intersect(valid)
-            if overlap.is_empty():
-                continue
-            phys = self.brick_map.physical(grid_pos)
-            brick_origin = [iv.lo for iv in self.grid.brick_region(grid_pos)]
-            src = (slice(None), *overlap.slices(origin=brick_origin))
-            dst = (slice(None), *overlap.slices(origin=[iv.lo for iv in region]))
-            out[dst] = self.storage[batch, phys][src]
+    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
+        """Dense ``(C, *need lengths)`` patch over one absolute interval per
+        axis; parts beyond the feature map get ``fill`` (implicit zero padding
+        of convolutions; ``-inf`` for max pooling)."""
+        out = new_patch(self.spec.channels, needs, fill, self.spec.dtype)
+        spans = patch_spans(needs, self.grid.extents, self.grid.brick_shape)
+        if spans is not None:
+            box, src, dst = spans
+            out[dst] = self._dense(batch, self.brick_map.slots[box])[src]
         return out
 
+    gather_region = gather  # a Region is one need interval per axis
+
+    def store_brick(self, batch: int, grid_pos: Sequence[int], values: np.ndarray) -> None:
+        """Write the brick at ``grid_pos`` -- all a brick task ever writes --
+        from its dense ``(C, *clipped brick shape)`` values.  The overhang of
+        a boundary brick is never written, so its zero mask holds."""
+        grid = self.grid
+        lengths = [min(b, e - p * b) for p, b, e in zip(grid_pos, grid.brick_shape, grid.extents)]
+        if values.shape != (self.spec.channels, *lengths):
+            raise LayoutError(f"brick {tuple(grid_pos)} is {lengths}, got values {values.shape}")
+        self.storage[(batch, self.brick_map.slots[tuple(grid_pos)], slice(None),
+                      *map(slice, lengths))] = values
+
     def scatter_region(self, batch: int, region: Region, values: np.ndarray) -> None:
-        """Write a dense ``(C, *region.shape)`` patch into the bricks."""
+        """Write a dense ``(C, *region.shape)`` patch into the bricks: the
+        inverse of :meth:`gather` over the same spans (read the box, place
+        the in-map part, write the box back)."""
         if values.shape != (self.spec.channels, *region.shape):
             raise LayoutError(f"scatter shape {values.shape} vs region {region.shape}")
-        valid = region.clip(self.spec.spatial)
-        if valid.is_empty():
+        spans = patch_spans(region, self.grid.extents, self.grid.brick_shape)
+        if spans is None:
             return
-        for grid_pos in self.grid.bricks_overlapping(valid):
-            brick_region = self.grid.brick_region(grid_pos, clipped=True)
-            overlap = brick_region.intersect(valid)
-            if overlap.is_empty():
-                continue
-            phys = self.brick_map.physical(grid_pos)
-            brick_origin = [iv.lo for iv in self.grid.brick_region(grid_pos)]
-            dst = (slice(None), *overlap.slices(origin=brick_origin))
-            src = (slice(None), *overlap.slices(origin=[iv.lo for iv in region]))
-            self.storage[batch, phys][dst] = values[src]
+        box, src, dst = spans
+        slots = self.brick_map.slots[box]
+        dense = self._dense(batch, slots)
+        dense[src] = values[dst]
+        split = (x for kb in zip(slots.shape, self.grid.brick_shape) for x in kb)
+        self.storage[batch, slots] = dense.reshape(self.spec.channels, *split).transpose(
+            np.argsort(self._interleave))
+
+
+def patch_spans(needs: Sequence[Interval], extents: Sequence[int], brick_shape: Sequence[int]
+                ) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]] | None:
+    """How a ``(C, *need lengths)`` patch copies from / to the bricks it
+    overlaps: ``box`` indexes the overlapped bricks in the grid, ``dst`` the
+    part of the patch inside the feature map and ``src`` the same part inside
+    the ``(C, ...)`` concatenation of those bricks.  ``src`` stops at the
+    *extent*, not at the brick end, so the zero mask of an overhanging brick
+    never reaches a patch.  ``None`` when no point of the patch is inside the
+    map.  A dense array is the grid of one brick per axis."""
+    if len(needs) != len(extents):
+        raise LayoutError(f"patch rank {len(needs)} vs tensor rank {len(extents)}")
+    box, src, dst = [], [slice(None)], [slice(None)]
+    for need, extent, brick in zip(needs, extents, brick_shape):
+        lo, hi = max(need.lo, 0), min(need.hi, extent)
+        if hi <= lo:
+            return None
+        first = lo // brick
+        box.append(slice(first, -(-hi // brick)))
+        src.append(slice(lo - first * brick, hi - first * brick))
+        dst.append(slice(lo - need.lo, hi - need.lo))
+    return tuple(box), tuple(src), tuple(dst)
+
+
+def new_patch(channels: int, needs: Sequence[Interval], fill: float, dtype) -> np.ndarray:
+    """A ``(C, *need lengths)`` patch holding ``fill`` everywhere."""
+    shape = (channels, *(max(0, iv.hi - iv.lo) for iv in needs))
+    return np.zeros(shape, dtype) if fill == 0 else np.full(shape, fill, dtype)
+
+
+def gather_dense(data: np.ndarray, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
+    """:meth:`BrickedTensor.gather` out of a dense ``(C, *extents)`` array."""
+    out = new_patch(data.shape[0], needs, fill, data.dtype)
+    spans = patch_spans(needs, data.shape[1:], data.shape[1:])
+    if spans is not None:
+        _, src, dst = spans
+        out[dst] = data[src]
+    return out
+
+
+def extract_patch(values: np.ndarray, origin: Sequence[int], needs: Sequence[Interval],
+                  fill: float) -> np.ndarray:
+    """The patch over ``needs`` (absolute, one interval per axis) out of a
+    dense ``(C, ...)`` patch whose first element sits at ``origin``: a view
+    where that patch holds all of it, else a copy with ``fill`` (implicit
+    feature-map padding) beyond it."""
+    local = [Interval(need.lo - o, need.hi - o) for need, o in zip(needs, origin)]
+    if all(0 <= iv.lo and iv.hi <= n for iv, n in zip(local, values.shape[1:])):
+        return values[(slice(None), *(slice(iv.lo, iv.hi) for iv in local))]
+    return gather_dense(values, local, fill)
 
 
 def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:

@@ -13,8 +13,8 @@ index), and for the padded strategy's reverse halo closure (section 3.2.1,
 Fig. 4's per-axis ``B + 2p, B + 4p`` telescoping) a :class:`ClosureRow` per
 (exit, axis, grid index).  Executors index rows by grid position and
 assemble sizes as products of lengths, flat brick indices as sums of
-per-axis terms and -- in functional mode only -- ``Region`` objects from the
-rows' intervals; nothing on the per-brick path hashes a region.
+per-axis terms and -- in functional mode -- patches from the rows' need
+intervals; nothing on the per-brick path builds or hashes a region.
 :meth:`SubgraphGeometry.needs` / :meth:`~SubgraphGeometry.required` are
 Region-in/Region-out views over the same rows for the static analyses.
 
@@ -75,11 +75,12 @@ class ClosureRow:
 
 
 def patch_geometry(rows: Sequence[AxisRow], num_inputs: int
-                   ) -> tuple[Region, tuple[Region, ...], tuple[tuple[int, ...], ...]]:
-    """``(region, per-input need regions, per-input local offsets)`` of the
-    brick ``rows`` describe: what a functional-mode kernel call takes."""
-    return (Region.trusted(tuple(r.out for r in rows)),
-            tuple(Region.trusted(tuple(r.edges[k].need for r in rows)) for k in range(num_inputs)),
+                   ) -> tuple[tuple[int, ...], tuple[tuple[Interval, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``(out shape, per-input need intervals, per-input local offsets)`` of
+    the brick ``rows`` describe: what a functional-mode kernel call and the
+    gathers feeding it take."""
+    return (tuple(r.length for r in rows),
+            tuple(tuple(r.edges[k].need for r in rows) for k in range(num_inputs)),
             tuple(tuple(r.edges[k].offset for r in rows) for k in range(num_inputs)))
 
 
@@ -189,7 +190,8 @@ class SubgraphGeometry:
         table = self.table(nid) if self.brick_shape else None
         rows = [(table and _brick_row(table[axis], self.brick_shape[axis], iv))
                 or self.axis_row(nid, axis, iv) for axis, iv in enumerate(region)]
-        return patch_geometry(rows, len(self.graph.node(nid).inputs))[1:]
+        _, needs, offsets = patch_geometry(rows, len(self.graph.node(nid).inputs))
+        return tuple(Region.trusted(need) for need in needs), offsets
 
     # -- the padded closure --------------------------------------------------------
     def _traverse(self, exit_id: int, axes: Sequence[int],

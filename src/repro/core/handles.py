@@ -12,6 +12,12 @@ runs in two modes:
 :class:`BrickedHandle` also centralizes the translation from *regions* to
 *brick accesses*: reading a halo-expanded region means reading every
 overlapping brick in full (the brick is the unit of data movement).
+
+Values move through one signature on both handle types: ``gather(batch,
+needs, fill)`` takes one absolute need interval per axis -- a geometry row's
+``need``s or a :class:`~repro.graph.regions.Region`, which is exactly that --
+and copies by :func:`~repro.core.bricked.patch_spans` (a dense activation is
+the grid of one brick per axis); a brick task stores the one brick it owns.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.brick import BrickMap
-from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes, flat_bricks
+from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes, flat_bricks, gather_dense
 from repro.errors import ExecutionError
-from repro.graph.regions import Region
+from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer, Task
 
@@ -86,19 +92,10 @@ class DenseHandle:
     def emit_full_write(self, task: Task) -> None:
         task.write(self.buffer, 0, self.buffer.nbytes, dense=True)
 
-    def gather(self, batch: int, region: Region, fill: float = 0.0) -> np.ndarray:
-        """Dense ``(C, *region.shape)`` patch (API parity with BrickedHandle,
+    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
+        """Dense ``(C, *need lengths)`` patch (API parity with BrickedHandle,
         so merged executors can consume dense graph inputs directly)."""
-        data = self.require_data()
-        shape = (self.spec.channels, *region.shape)
-        out = np.full(shape, fill, dtype=self.spec.dtype)
-        valid = region.clip(self.spec.spatial)
-        if valid.is_empty():
-            return out
-        src = (batch, slice(None), *valid.slices())
-        dst = (slice(None), *valid.slices(origin=[iv.lo for iv in region]))
-        out[dst] = data[src]
-        return out
+        return gather_dense(self.require_data()[batch], needs, fill)
 
 
 @dataclass
@@ -175,15 +172,15 @@ class BrickedHandle:
         task.write(self.buffer, self.brick_offset(batch, grid_pos), self.brick_nbytes)
 
     # -- values ---------------------------------------------------------------
-    def gather(self, batch: int, region: Region, fill: float = 0.0) -> np.ndarray:
+    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
         if self.data is None:
             raise ExecutionError(f"gather on profile-mode handle {self.buffer.name!r}")
-        return self.data.gather_region(batch, region, fill)
+        return self.data.gather(batch, needs, fill)
 
-    def scatter(self, batch: int, region: Region, values: np.ndarray) -> None:
+    def store_brick(self, batch: int, grid_pos: tuple[int, ...], values: np.ndarray) -> None:
         if self.data is None:
-            raise ExecutionError(f"scatter on profile-mode handle {self.buffer.name!r}")
-        self.data.scatter_region(batch, region, values)
+            raise ExecutionError(f"store on profile-mode handle {self.buffer.name!r}")
+        self.data.store_brick(batch, grid_pos, values)
 
     def bricks(self) -> Iterator[tuple[int, ...]]:
         """All grid positions, row-major."""

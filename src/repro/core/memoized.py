@@ -273,10 +273,8 @@ class MemoizedBrickExecutor:
         task = Task(label=f"memo/{node.name}/{frame.gpos}", node_id=frame.nid,
                     strategy="memoized", worker=w.index,
                     brick=frame.gpos, batch_index=frame.batch)
-        for input_index, pred in enumerate(node.inputs):
-            source = self.memo.get(pred) or self.entries.get(pred)
-            if source is None:
-                raise ExecutionError(f"no source handle for predecessor {pred}")
+        sources = [self.memo.get(pred) or self.entries[pred] for pred in node.inputs]
+        for input_index, source in enumerate(sources):
             self._read_bricks(task, source, frame.batch, input_index, rows)
         wb = self.weight_buffers.get(frame.nid)
         if wb is not None and wb.nbytes:
@@ -291,12 +289,11 @@ class MemoizedBrickExecutor:
         task.visits = 0  # visits are tracked globally by the scheduler
 
         if self.functional:
-            region, needs, offsets = patch_geometry(rows, len(node.inputs))
+            shape, needs, offsets = patch_geometry(rows, len(sources))
             fill = pad_value_for(node.op)
-            patches = [(self.memo.get(pred) or self.entries.get(pred)).gather(frame.batch, need, fill)
-                       for need, pred in zip(needs, node.inputs)]
-            values = apply_node_local(node.op, patches, node.weights, region.shape, offsets)
-            handle.scatter(frame.batch, region, values)
+            patches = [source.gather(frame.batch, need, fill) for source, need in zip(sources, needs)]
+            values = apply_node_local(node.op, patches, node.weights, shape, offsets)
+            handle.store_brick(frame.batch, frame.gpos, values)
 
         self.device.submit(task)
         if self.functional:

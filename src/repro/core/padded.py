@@ -25,33 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bricked import bricked_nbytes
+from repro.core.bricked import bricked_nbytes, extract_patch
 from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
-from repro.graph.regions import Region
+from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Buffer, Task, brick_token, buffer_token
 from repro.kernels import apply_node_local, pad_value_for
 
 __all__ = ["PaddedBrickExecutor"]
-
-
-def _extract(
-    values: np.ndarray, covered: Region, needed: Region, fill: float
-) -> np.ndarray:
-    """Slice ``needed`` out of a patch stored over ``covered``, filling
-    out-of-coverage (implicit feature-map padding) with ``fill``."""
-    if covered.contains(needed):
-        return values[(slice(None), *needed.slices(origin=[iv.lo for iv in covered]))]
-    out = np.full((values.shape[0], *needed.shape), fill, dtype=values.dtype)
-    ov = needed.intersect(covered)
-    if not ov.is_empty():
-        dst = (slice(None), *ov.slices(origin=[iv.lo for iv in needed]))
-        src = (slice(None), *ov.slices(origin=[iv.lo for iv in covered]))
-        out[dst] = values[src]
-    return out
 
 
 @dataclass
@@ -146,8 +130,10 @@ class PaddedBrickExecutor:
                     node_id=exit_id, strategy="padded", worker=worker,
                     brick=grid_pos, batch_index=batch)
         scratch_buf, slots = scratch
+        # Private patches (functional mode): each covers its node's required
+        # interval clipped to the feature map, so it starts at ``origin``.
         values: dict[int, np.ndarray] = {}
-        covered: dict[int, Region] = {}
+        origin: dict[int, list[int]] = {}
 
         # Entry reads: whole overlapping bricks (halo copies).
         for eid in rows[0].entries:
@@ -164,15 +150,15 @@ class PaddedBrickExecutor:
             self._entry_read_bytes += (espec.channels * math.prod([e.length for e in edges])
                                        * espec.itemsize)
             if self.functional:
-                covered[eid] = Region.trusted(tuple(e.need for e in edges)).clip(espec.spatial)
-                values[eid] = handle.gather(batch, covered[eid])
+                origin[eid] = [max(e.need.lo, 0) for e in edges]
+                values[eid] = handle.gather(batch, [
+                    Interval(lo, lo + e.length) for lo, e in zip(origin[eid], edges)])
 
         calls = 0
         for nid in rows[0].members:
             axis = [r.members[nid] for r in rows]
             size = math.prod([a.length for a in axis])
             if size == 0:
-                covered[nid] = patch_geometry(axis, 0)[0]
                 continue
             node = graph.node(nid)
             spec = node.spec
@@ -203,19 +189,18 @@ class PaddedBrickExecutor:
             calls += 1
 
             if self.functional:
-                region, needs, offsets = patch_geometry(axis, len(node.inputs))
+                shape, needs, offsets = patch_geometry(axis, len(node.inputs))
                 fill = pad_value_for(node.op)
-                patches = [_extract(values[pred], covered[pred], need, fill)
+                patches = [extract_patch(values[pred], origin[pred], need, fill)
                            for need, pred in zip(needs, node.inputs)]
                 values[nid] = apply_node_local(
-                    node.op, patches, node.weights, region.shape,
-                    offsets or (0,) * len(region))
-                covered[nid] = region
+                    node.op, patches, node.weights, shape, offsets or (0,) * len(shape))
+                origin[nid] = [a.out.lo for a in axis]
 
         task.calls = max(calls, 1)
         # Exits other than `exit_id` are materialized by their own brick loops.
         if self.functional and exit_id in values:
-            exit_handle.scatter(batch, covered[exit_id], values[exit_id])
+            exit_handle.store_brick(batch, grid_pos, values[exit_id])
         task.release(brick_token(exit_handle.buffer,
                                  exit_handle.brick_offset(batch, grid_pos)))
         task.release(buffer_token(exit_handle.buffer))

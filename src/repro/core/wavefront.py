@@ -174,10 +174,8 @@ class WavefrontBrickExecutor:
 
         task = Task(label=f"wave/{node.name}/{gpos}", node_id=nid, strategy="wavefront",
                     brick=gpos, batch_index=batch)
-        for input_index, pred in enumerate(node.inputs):
-            source = self.memo.get(pred) or self.entries.get(pred)
-            if source is None:
-                raise ExecutionError(f"no source handle for predecessor {pred}")
+        sources = [self.memo.get(pred) or self.entries[pred] for pred in node.inputs]
+        for input_index, (pred, source) in enumerate(zip(node.inputs, sources)):
             if isinstance(source, BrickedHandle):
                 # Producer bricks completed on earlier waves; the wave
                 # schedule keeps the producing front L2-hot.  Member deps
@@ -203,12 +201,11 @@ class WavefrontBrickExecutor:
         task.flops = self.geom.flops(nid, node.spec.channels * size)
 
         if self.functional:
-            region, needs, offsets = patch_geometry(rows, len(node.inputs))
+            shape, needs, offsets = patch_geometry(rows, len(sources))
             fill = pad_value_for(node.op)
-            patches = [(self.memo.get(pred) or self.entries.get(pred)).gather(batch, need, fill)
-                       for need, pred in zip(needs, node.inputs)]
-            values = apply_node_local(node.op, patches, node.weights, region.shape, offsets)
-            handle.scatter(batch, region, values)
+            patches = [source.gather(batch, need, fill) for source, need in zip(sources, needs)]
+            values = apply_node_local(node.op, patches, node.weights, shape, offsets)
+            handle.store_brick(batch, gpos, values)
         task.release(brick_token(handle.buffer, own_offset))
         task.release(buffer_token(handle.buffer))
         self.device.submit(task)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.bricked import extract_patch
 from repro.core.halo import required_regions
 from repro.core.partition import partition_graph
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
@@ -246,8 +247,8 @@ class DistributedRunner:
                     need = Region(m.in_interval(iv) for m, iv in zip(maps, region))
                     offsets.append(tuple(m.local_out_offset(iv.lo, niv.lo)
                                          for m, iv, niv in zip(maps, region, need)))
-                    patches.append(_extract(values[pred], covered[pred], need, fill,
-                                            graph.node(pred).spec))
+                    patches.append(extract_patch(
+                        values[pred][0], [iv.lo for iv in covered[pred]], need, fill))
                 values[nid] = apply_node_local(node.op, patches, node.weights,
                                                region.shape, offsets)[None]
                 covered[nid] = region
@@ -274,14 +275,3 @@ class DistributedRunner:
             out[:, :, olo - need[0].lo:ohi - need[0].lo] = slab[(slice(None), slice(None),
                                                                  slice(olo - lo, ohi - lo), *rest)]
         return out
-
-
-def _extract(values: np.ndarray, covered: Region, needed: Region, fill: float, spec) -> np.ndarray:
-    """Slice ``needed`` out of a (N, C, *covered.shape) patch with fill."""
-    out = np.full((values.shape[1], *needed.shape), fill, dtype=values.dtype)
-    ov = needed.intersect(covered)
-    if not ov.is_empty():
-        dst = (slice(None), *ov.slices(origin=[iv.lo for iv in needed]))
-        src = (0, slice(None), *ov.slices(origin=[iv.lo for iv in covered]))
-        out[dst] = values[src]
-    return out

@@ -194,8 +194,8 @@ def test_brick_rows_equal_region_algebra(case):
         for gpos in all_bricks(grid):
             region = grid.brick_region(gpos, clipped=True)
             rows = geom.rows(nid, gpos)
-            row_region, row_needs, row_offsets = patch_geometry(rows, len(node.inputs))
-            assert row_region == region
+            row_shape, row_needs, row_offsets = patch_geometry(rows, len(node.inputs))
+            assert Region(r.out for r in rows) == region and row_shape == region.shape
             assert math.prod(r.length for r in rows) == region.size
             assert geom.flops(nid, node.spec.channels * region.size) == node.op.flops(
                 [graph.node(i).spec for i in node.inputs], node.spec.channels * region.size)
@@ -249,8 +249,8 @@ def check_closure(view, brick, entries):
                 axis = [r.members[nid] for r in rows]
                 clipped = required[nid].clip(graph.node(nid).spec.spatial)
                 inputs = graph.node(nid).inputs
-                row_region, row_needs, row_offsets = patch_geometry(axis, len(inputs))
-                assert row_region == clipped
+                row_shape, row_needs, row_offsets = patch_geometry(axis, len(inputs))
+                assert Region(a.out for a in axis) == clipped and row_shape == clipped.shape
                 assert math.prod(a.length for a in axis) == clipped.size
                 if clipped.is_empty():
                     continue

@@ -1,12 +1,16 @@
 """Brick, BrickMap, BrickInfo and BrickedTensor tests (paper Fig. 6)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.brick import Brick, BrickInfo, BrickMap, neighbor_offsets
-from repro.core.bricked import BrickedTensor, BrickGrid
+from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map, neighbor_offsets
+from repro.core.bricked import BrickedTensor, BrickGrid, gather_dense
 from repro.errors import LayoutError
-from repro.graph.regions import Region
+from repro.graph.regions import Interval, Region
 
 
 class TestBrickMap:
@@ -55,6 +59,30 @@ class TestBrickInfo:
 
     def test_offsets_3d(self):
         assert len(neighbor_offsets(3)) == 26
+
+    @pytest.mark.parametrize("grid", [(1,), (5,), (1, 1), (3, 4), (4, 1), (2, 3, 2), (1, 3, 1)])
+    @pytest.mark.parametrize("make_map", [BrickMap, morton_map], ids=["identity", "morton"])
+    def test_shifted_adjacency_equals_the_per_brick_walk(self, grid, make_map):
+        """The adjacency table is built with array shifts of the slot grid;
+        the reference is Fig. 6(c) spelled out brick by brick."""
+        bm = make_map(grid)
+        info = BrickInfo(bm)
+        expected = np.full((bm.num_bricks, len(info.directions)), -1, dtype=np.int64)
+        for grid_pos, phys in bm:
+            for d_idx, delta in enumerate(info.directions):
+                npos = tuple(p + dd for p, dd in zip(grid_pos, delta))
+                if all(0 <= p < g for p, g in zip(npos, grid)):
+                    expected[phys, d_idx] = bm.physical(npos)
+        np.testing.assert_array_equal(info.adjacency, expected)
+
+    def test_tensor_builds_it_on_first_read_only(self, monkeypatch):
+        built = []
+        monkeypatch.setattr("repro.core.bricked.BrickInfo",
+                            lambda brick_map: built.append(brick_map) or "info")
+        bt = BrickedTensor.from_dense(np.zeros((1, 1, 8, 8), np.float32), (4, 4))
+        bt.gather_region(0, Region.from_bounds([1, 1], [6, 6]))
+        assert built == []
+        assert bt.brick_info == bt.brick_info == "info" and built == [bt.brick_map]
 
 
 class TestBrickGrid:
@@ -135,3 +163,103 @@ class TestBrickedTensor:
         # Batches are the outermost stride; bricks contiguous within.
         assert bt.byte_offset(1, 0) == bt.grid.num_bricks * bt.brick_nbytes
         assert bt.byte_offset(0, 2) == 2 * bt.brick_nbytes
+
+
+# -- the per-axis copy primitive against a per-element oracle ------------------
+
+def _overhang_is_zero(bt: BrickedTensor) -> bool:
+    """The part of every boundary brick beyond the feature map (its mask)."""
+    for gpos in itertools.product(*(range(g) for g in bt.grid.grid_shape)):
+        inside = tuple(slice(0, iv.length) for iv in bt.grid.brick_region(gpos, clipped=True))
+        for n in range(bt.spec.batch):
+            masked = bt.brick(n, gpos).data.copy()
+            masked[(slice(None), *inside)] = 0
+            if masked.any():
+                return False
+    return True
+
+
+def _oracle_gather(dense, batch, region, fill):
+    """Point by point: the dense value inside the map, else ``fill``."""
+    out = np.full((dense.shape[1], *region.shape), fill, dtype=dense.dtype)
+    for point in itertools.product(*region):
+        if all(0 <= p < e for p, e in zip(point, dense.shape[2:])):
+            local = tuple(p - iv.lo for p, iv in zip(point, region))
+            out[(slice(None), *local)] = dense[(batch, slice(None), *point)]
+    return out
+
+
+def _oracle_scatter(dense, batch, region, values):
+    for point in itertools.product(*region):
+        if all(0 <= p < e for p, e in zip(point, dense.shape[2:])):
+            local = tuple(p - iv.lo for p, iv in zip(point, region))
+            dense[(batch, slice(None), *point)] = values[(slice(None), *local)]
+
+
+@st.composite
+def layout_case(draw):
+    """A rank 1-3 tensor (extents not multiples of the brick, bricks larger
+    than an extent) behind an identity, Morton or random brick map, plus
+    regions hanging off any side, wholly outside, or empty."""
+    rank = draw(st.integers(1, 3))
+    extents = tuple(draw(st.integers(1, 9)) for _ in range(rank))
+    brick = tuple(draw(st.integers(1, 5)) for _ in range(rank))
+    grid = BrickGrid(extents, brick)
+    kind = draw(st.sampled_from(["identity", "morton", "random"]))
+    brick_map = {"identity": lambda: None, "morton": lambda: morton_map(grid.grid_shape),
+                 "random": lambda: BrickMap(grid.grid_shape, draw(st.permutations(
+                     range(grid.num_bricks))))}[kind]()
+    interval = st.tuples(st.integers(-6, 12), st.integers(0, 8)).map(
+        lambda t: Interval(t[0], t[0] + t[1]))
+    regions = draw(st.lists(st.tuples(*[interval] * rank).map(Region), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2 ** 16))
+    return extents, brick, brick_map, regions, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_case(), st.sampled_from([0.0, -np.inf, 5.0]))
+def test_gather_and_scatter_equal_the_per_element_oracle(case, fill):
+    extents, brick, brick_map, regions, seed = case
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((2, 3, *extents)).astype(np.float32)
+    bt = BrickedTensor.from_dense(dense, brick, brick_map)
+    for region in regions:
+        batch = int(rng.integers(2))
+        expected = _oracle_gather(dense, batch, region, fill)
+        for patch in (bt.gather(batch, tuple(region), fill), bt.gather_region(batch, region, fill),
+                      gather_dense(dense[batch], region, fill)):
+            assert patch.shape == expected.shape and patch.dtype == expected.dtype
+            np.testing.assert_array_equal(patch, expected)
+        values = rng.standard_normal((3, *region.shape)).astype(np.float32)
+        bt.scatter_region(batch, region, values)
+        _oracle_scatter(dense, batch, region, values)
+        assert _overhang_is_zero(bt)
+        np.testing.assert_array_equal(bt.to_dense(), dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_case())
+def test_store_brick_equals_the_per_element_oracle(case):
+    extents, brick, brick_map, _, seed = case
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((2, 3, *extents)).astype(np.float32)
+    bt = BrickedTensor.from_dense(dense, brick, brick_map)
+    assert _overhang_is_zero(bt)
+    for gpos in itertools.product(*(range(g) for g in bt.grid.grid_shape)):
+        region = bt.grid.brick_region(gpos, clipped=True)
+        inside = (slice(None), *region.slices(origin=[iv.lo for iv in region]))
+        for n in range(2):  # from_dense put every brick in the slot the map names
+            np.testing.assert_array_equal(bt.brick(n, gpos).data[inside],
+                                          dense[(n, slice(None), *region.slices())])
+        batch = int(rng.integers(2))
+        values = rng.standard_normal((3, *region.shape)).astype(np.float32)
+        bt.store_brick(batch, gpos, values)
+        _oracle_scatter(dense, batch, region, values)
+        assert _overhang_is_zero(bt)
+        np.testing.assert_array_equal(bt.to_dense(), dense)
+        np.testing.assert_array_equal(bt.brick(batch, gpos).data[inside], values)
+    gpos = tuple(g - 1 for g in bt.grid.grid_shape)
+    with pytest.raises(LayoutError):  # a full brick's worth for a clipped brick, or vice versa
+        bt.store_brick(0, gpos, np.zeros((3, *(b + 1 for b in brick)), np.float32))
+    with pytest.raises(LayoutError):
+        bt.gather(0, (Interval(0, 1),) * (len(extents) + 1))

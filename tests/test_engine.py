@@ -158,3 +158,36 @@ class TestAttribution:
 
         assert main(["run", "vgg16", "--reduced", "--per-subgraph"]) == 0
         assert "attribution" in capsys.readouterr().out
+
+
+def test_functional_run_stays_under_200_own_calls_per_task():
+    """The functional twin of the benchmark's ``core.py_calls_per_task``: one
+    batch-2 functional run of reduced mobilenet_v1 under the profiler hook,
+    counting calls into ``src/repro`` only (NumPy's own Python helpers differ
+    between versions).  325 per device task while values moved per overlapped
+    brick, 161 with per-axis copies."""
+    import cProfile
+    import os
+
+    import repro
+    from repro.models import zoo
+
+    graph = zoo.build("mobilenet_v1", reduced=True, batch=2)
+    graph.init_weights()
+    engine = BrickDLEngine(graph)
+    plan = engine.compile()
+    x = np.random.default_rng(0).standard_normal(graph.input_nodes[0].spec.shape).astype(np.float32)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = engine.run(x, functional=True, plan=plan)
+    finally:
+        profiler.disable()
+    own = os.path.dirname(repro.__file__) + os.sep
+    calls = sum(entry.callcount for entry in profiler.getstats()
+                if getattr(entry.code, "co_filename", "").startswith(own))
+    per_task = calls / result.metrics.num_tasks
+    assert per_task <= 200, (
+        f"{per_task:.0f} calls into src/repro per device task (budget 200): per-brick Python is "
+        "back on the functional path -- the usual culprits are Region algebra "
+        "(graph/regions.py) and per-brick loops in core/bricked.py")

@@ -4,12 +4,14 @@ reference executor, protocol invariants, and emitted-metric sanity."""
 import numpy as np
 import pytest
 
-from repro.core.bricked import BrickedTensor
+from repro.core.bricked import BrickedTensor, extract_patch, gather_dense
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
 from repro.core.padded import PaddedBrickExecutor
 from repro.core.reference import ReferenceExecutor
+from repro.core.wavefront import WavefrontBrickExecutor
 from repro.graph.builder import GraphBuilder
+from repro.graph.regions import Interval
 from repro.graph.tensorspec import TensorSpec
 from repro.graph.traversal import subgraph_view
 from repro.gpusim.device import Device
@@ -18,12 +20,12 @@ from repro.gpusim.spec import A100, GPUSpec
 from testlib import input_for
 
 
-def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0):
+def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None):
     """Run the reference on the full graph; set up a merged executor over the
     named members with entries fed from reference activations."""
     g = make_graph()
     g.init_weights()
-    x = input_for(g, seed)
+    x = input_for(g, seed) if x is None else x
     refs = ReferenceExecutor(g).run_all(x)
     ids = [g.node(n).node_id for n in member_names]
     view = subgraph_view(g, ids)
@@ -98,6 +100,63 @@ class TestEquivalence:
         np.testing.assert_allclose(
             exits[out_id].data.to_dense(), refs[out_name], atol=1e-4, rtol=1e-4
         )
+
+
+EXECUTORS = [PaddedBrickExecutor, MemoizedBrickExecutor, WavefrontBrickExecutor]
+
+
+def clamped_entry():
+    b = GraphBuilder("g", TensorSpec(2, 3, (6, 6)))
+    b.conv(4, 3, padding=1, name="conv")
+    b.relu(name="out")
+    return b.finish()
+
+
+def padded_maxpools():
+    b = GraphBuilder("g", TensorSpec(2, 3, (7, 7)))
+    b.maxpool(3, stride=1, padding=1, name="pool1")
+    b.maxpool(3, stride=1, padding=1, name="out")
+    return b.finish()
+
+
+@pytest.mark.parametrize("executor_cls", EXECUTORS, ids=lambda cls: cls.__name__)
+class TestDataPathEdgeCases:
+    """Batch 2 against the reference on the corners of the per-axis copy:
+    whose brick size the slices use, and what a halo reads beyond the map."""
+
+    def _run(self, executor_cls, make_graph, members, brick, entry_brick, x=None):
+        g, view, device, entries, wb, refs = build_subgraph_fixture(
+            make_graph, members, brick=entry_brick, x=x)
+        exits = executor_cls(view, brick, device, entries, wb, functional=True).run()
+        return exits[g.node("out").node_id].data.to_dense(), refs["out"]
+
+    def test_entry_on_its_own_grid(self, executor_cls):
+        """The entry was bricked by a producer with brick 8 (one overhanging
+        brick over the 6x6 map); the consumer's bricks are 4.  The patch
+        slices must come from the *entry's* grid."""
+        out, ref = self._run(executor_cls, clamped_entry, ("conv", "out"), (4, 4), (8, 8))
+        np.testing.assert_allclose(out, ref, atol=1e-5, rtol=1e-5)
+
+    def test_max_pool_halo_never_reads_the_zero_mask(self, executor_cls):
+        """7x7 under brick 4: row / column 7 of the boundary bricks is zero
+        mask, and a padded 3x3 max-pool reads across it.  With an
+        all-negative input a single leaked zero would win the max."""
+        x = -1.0 - np.abs(np.random.default_rng(3).standard_normal((2, 3, 7, 7))).astype(np.float32)
+        out, ref = self._run(executor_cls, padded_maxpools, ("pool1", "out"), (4, 4), (4, 4), x)
+        assert (ref < 0).all()
+        np.testing.assert_array_equal(out, ref)
+
+
+def test_void_need_gathers_an_all_fill_patch_of_the_right_shape():
+    """A need that is empty along one axis only (PR 17's void rows: a kernel <
+    stride transposed conv) is the empty set: every source hands back a patch
+    with that axis of length 0, whatever the other axis asks for."""
+    x = np.arange(2 * 6 * 6, dtype=np.float32).reshape(1, 2, 6, 6)
+    needs = (Interval(3, 3), Interval(-1, 5))
+    for patch in (BrickedTensor.from_dense(x, (4, 4)).gather(0, needs, -np.inf),
+                  gather_dense(x[0], needs, -np.inf),
+                  extract_patch(x[0, :, 1:5, 0:4], (1, 0), needs, -np.inf)):
+        assert patch.shape == (2, 0, 6) and patch.dtype == np.float32
 
 
 class TestMemoizedProtocol:

@@ -20,7 +20,9 @@ import pytest
 from repro.core.bricked import BrickedTensor
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import HALO_NEIGHBORHOOD_BRICKS, MemoizedBrickExecutor
+from repro.core.padded import PaddedBrickExecutor
 from repro.core.reference import ReferenceExecutor
+from repro.core.wavefront import WavefrontBrickExecutor
 from repro.graph.builder import GraphBuilder
 from repro.graph.ops import Add, Concat
 from repro.graph.regions import Interval, RFMap
@@ -158,6 +160,25 @@ class TestExecutorPerInputOffsets:
         np.testing.assert_allclose(
             exits[out_id].data.to_dense(), refs["out"], atol=1e-4, rtol=1e-4
         )
+
+
+    @pytest.mark.parametrize("executor_cls", [
+        PaddedBrickExecutor, MemoizedBrickExecutor, WavefrontBrickExecutor],
+        ids=lambda cls: cls.__name__)
+    def test_every_executor_aligns_a_skip_add_at_batch_2(self, executor_cls):
+        """A chain whose two-input op reads a member (halo low) and an entry
+        (halo high): each patch keeps its own local offsets on the way from
+        the geometry rows to the kernel, ragged 10x10 map included."""
+        b = GraphBuilder("skip", TensorSpec(2, 4, (10, 10)))
+        x = b.current
+        body = b.conv(4, 3, padding=1, name="body")
+        b.relu(src=b.add(body, x, name="join"), name="out")
+        g = b.finish()
+        g.node("join").op = HaloAdd()
+        view, device, entries, wb, refs = _memoized_fixture(g, ("body", "join", "out"))
+        exits = executor_cls(view, (4, 4), device, entries, wb, functional=True).run()
+        np.testing.assert_allclose(
+            exits[g.node("out").node_id].data.to_dense(), refs["out"], atol=1e-5, rtol=1e-5)
 
 
 class TestCoalescingWindow:
