@@ -9,9 +9,10 @@ run, and asserts, for every memoized subgraph:
 
 * **exactly once** -- no (node, brick, batch) was computed twice, and every
   exit brick of every exit node was computed;
-* **happens-before** -- every member-brick dependency a task read (the same
-  receptive-field derivation the executor uses, recomputed here from the
-  graph) was produced by a task submitted strictly earlier.  Device lane
+* **happens-before** -- every member-brick dependency a task read
+  (:func:`~repro.core.bricktask.member_deps` over the same geometry rows the
+  scheduler resolved them from) was produced by a task submitted strictly
+  earlier.  Device lane
   clocks are per-worker, so cross-worker ordering is judged by submission
   order (``seq``), the order the simulated memory system observed; within
   one worker lane the timeline itself must also nest (producer end <=
@@ -22,15 +23,16 @@ run, and asserts, for every memoized subgraph:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, cast
+import itertools
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, cast
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.core.bricktask import member_deps
+from repro.core.geometry import SubgraphGeometry
 from repro.core.plan import ExecutionPlan, SubgraphPlan
 from repro.gpusim.trace import Task
-from repro.graph.regions import Region
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.bricked import BrickGrid
     from repro.graph.ir import Graph
 
     class _BrickTask(Protocol):
@@ -103,23 +105,9 @@ def replay_trace(plan: ExecutionPlan, records: Iterable[Task]) -> AnalysisReport
     return report
 
 
-def _grids(graph: "Graph", sub: SubgraphPlan) -> dict[int, "BrickGrid"]:
-    from repro.core.bricked import BrickGrid
-
-    grids = {}
-    for nid in sub.subgraph.node_ids:
-        spec = graph.node(nid).spec
-        if not spec.spatial:
-            continue
-        shape = tuple(min(b, e) for b, e in zip(sub.brick_shape, spec.spatial))
-        grids[nid] = BrickGrid(spec.spatial, shape)
-    return grids
-
-
 def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[_BrickTask],
                      report: AnalysisReport) -> None:
-    members = set(sub.subgraph.node_ids)
-    grids = _grids(graph, sub)
+    geom = SubgraphGeometry(sub.subgraph, sub.brick_shape)
     if not tasks:
         _diag(report, "replay.no-tasks",
               f"subgraph {sub.index} is memoized but the trace has no memoized "
@@ -130,12 +118,12 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[_BrickTask],
     producer: dict[tuple[int, tuple[int, ...], int], _BrickTask] = {}
     for t in sorted(tasks, key=lambda t: t.seq):
         node = graph.node(t.node_id)
-        if t.node_id not in members:
+        if t.node_id not in geom.members:
             _diag(report, "replay.foreign-node",
                   f"subgraph {sub.index}: memoized task for non-member node "
                   f"{node.name!r}", sub.index, t.node_id)
             continue
-        grid = grids.get(t.node_id)
+        grid = geom.grid(t.node_id)
         if grid is None or len(t.brick) != len(grid.grid_shape) or any(
                 not 0 <= p < g for p, g in zip(t.brick, grid.grid_shape)):
             _diag(report, "replay.invalid-brick",
@@ -160,25 +148,22 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[_BrickTask],
 
     # Exactly-once completeness: every exit brick must have been computed.
     for eid in sub.subgraph.exit_ids:
-        grid = grids.get(eid)
+        grid = geom.grid(eid)
         if grid is None:
             continue
-        spec = graph.node(eid).spec
-        missing = 0
-        for gpos in _all_bricks(grid.grid_shape):
-            for b in range(spec.batch):
-                if (eid, gpos, b) not in producer:
-                    missing += 1
+        missing = sum(
+            (eid, gpos, b) not in producer
+            for gpos in itertools.product(*map(range, grid.grid_shape))
+            for b in range(graph.node(eid).spec.batch))
         if missing:
             _diag(report, "replay.missing-brick",
                   f"subgraph {sub.index}: {missing} exit brick task(s) of "
                   f"{graph.node(eid).name!r} never ran", sub.index, eid)
 
     # Happens-before: every member-brick dependency was produced earlier.
-    for key, t in producer.items():
-        for dep_key in _member_deps(graph, members, grids, *key):
-            p = producer.get(dep_key)
-            dnid, dpos, _ = dep_key
+    for t in producer.values():
+        for dnid, dpos, _ in member_deps(geom, t.node_id, t.brick):
+            p = producer.get((dnid, dpos, t.batch_index))
             if p is None:
                 _diag(report, "replay.missing-producer",
                       f"subgraph {sub.index}: task {t.seq} read brick {dpos} of "
@@ -197,28 +182,3 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[_BrickTask],
                       f"subgraph {sub.index}: producer task {p.seq} and consumer "
                       f"task {t.seq} overlap on worker lane {t.worker}",
                       sub.index, t.node_id)
-
-
-def _all_bricks(grid_shape: Sequence[int]) -> list[tuple[int, ...]]:
-    positions: list[tuple[int, ...]] = [()]
-    for g in grid_shape:
-        positions = [p + (i,) for p in positions for i in range(g)]
-    return positions
-
-
-def _member_deps(graph: "Graph", members: set[int], grids: dict, nid: int,
-                 gpos: tuple[int, ...], batch: int) -> "set[tuple[int, tuple[int, ...], int]]":
-    """Member bricks the task for (nid, gpos, batch) reads -- the same
-    receptive-field derivation as ``MemoizedBrickExecutor._dependencies``,
-    recomputed from the graph."""
-    node = graph.node(nid)
-    grid = grids[nid]
-    region = grid.brick_region(gpos, clipped=True)
-    input_specs = [graph.node(i).spec for i in node.inputs]
-    for input_index, pred in enumerate(node.inputs):
-        if pred not in members:
-            continue
-        maps = node.op.rf_maps(input_specs, input_index)
-        need = Region(m.in_interval(iv) for m, iv in zip(maps, region))
-        for dep_pos in grids[pred].bricks_overlapping(need):
-            yield (pred, dep_pos, batch)

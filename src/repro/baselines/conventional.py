@@ -17,13 +17,13 @@ import numpy as np
 from repro.baselines.fusion import fuse_graph
 from repro.baselines.tiled import (
     adaptive_tiles,
+    allocate_weights,
+    bind_input,
     compute_group_values,
-    run_group_global,
-    run_group_tiled,
+    run_group,
     slab_tiles,
 )
 from repro.core.handles import DenseHandle
-from repro.errors import ExecutionError
 from repro.graph.ir import Graph
 from repro.graph.regions import Region
 from repro.gpusim.device import Device, RunMetrics
@@ -106,11 +106,11 @@ class ConventionalExecutor:
             buf = device.allocate(f"{graph.name}/{node.name}", node.spec.nbytes)
             data = None
             if functional:
-                data = self._bind_input(node, inputs)
+                data = bind_input(node, inputs)
                 values[node.node_id] = data
             handles[node.node_id] = DenseHandle(node.spec, buf, data)
 
-        weight_buffers = self._allocate_weights(device)
+        weight_buffers = allocate_weights(device, graph)
 
         for gi, group in enumerate(self.groups):
             out_node = group.output
@@ -128,11 +128,8 @@ class ConventionalExecutor:
                 if wb is not None:
                     device.memory.pin(wb)
 
-            if group.primary.op.is_global or not out_node.spec.spatial:
-                run_group_global(device, graph, group, handles, out_handle, weight_buffers, label=self.name)
-            else:
-                tiles = self._tiles(out_node.spec.spatial)
-                run_group_tiled(device, graph, group, handles, out_handle, tiles, weight_buffers, label=self.name)
+            run_group(device, graph, group, handles, out_handle, self._tiles, weight_buffers,
+                      label=self.name)
 
             for node in group.nodes:
                 wb = weight_buffers.get(node.node_id)
@@ -153,27 +150,3 @@ class ConventionalExecutor:
             metrics=device.finish(),
             num_groups=len(self.groups),
         )
-
-    # -- helpers ---------------------------------------------------------------
-    def _bind_input(self, node, inputs) -> np.ndarray:
-        if inputs is None:
-            raise ExecutionError("functional run requires input arrays")
-        if isinstance(inputs, np.ndarray):
-            arr = inputs
-        else:
-            arr = inputs[node.name]
-        arr = np.asarray(arr, dtype=node.spec.dtype)
-        if arr.shape != node.spec.shape:
-            raise ExecutionError(f"input {node.name!r}: expected {node.spec.shape}, got {arr.shape}")
-        return arr
-
-    def _allocate_weights(self, device: Device):
-        buffers = {}
-        for node in self.graph.nodes:
-            if node.is_input:
-                continue
-            input_specs = [self.graph.node(i).spec for i in node.inputs]
-            nbytes = node.op.weight_bytes(input_specs)
-            if nbytes:
-                buffers[node.node_id] = device.allocate(f"{self.graph.name}/{node.name}/w", nbytes)
-        return buffers

@@ -18,20 +18,45 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.baselines.fusion import FusionGroup
 from repro.core.handles import DenseHandle
 from repro.errors import ExecutionError
-from repro.graph.ir import Graph
+from repro.graph.ir import Graph, Node
 from repro.graph.regions import Interval, Region
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Buffer, Task, buffer_token
 from repro.kernels import apply_node_full
 
-__all__ = ["spatial_tiles", "slab_tiles", "run_group_tiled", "run_group_global", "compute_group_values"]
+__all__ = ["spatial_tiles", "slab_tiles", "run_group", "run_group_tiled", "run_group_global",
+           "compute_group_values", "bind_input", "allocate_weights"]
+
+
+def bind_input(node: Node, inputs: Mapping[str, np.ndarray] | np.ndarray | None) -> np.ndarray:
+    """The array a functional run feeds graph input ``node``."""
+    if inputs is None:
+        raise ExecutionError("functional run requires input arrays")
+    arr = inputs if isinstance(inputs, np.ndarray) else inputs[node.name]
+    arr = np.asarray(arr, dtype=node.spec.dtype)
+    if arr.shape != node.spec.shape:
+        raise ExecutionError(f"input {node.name!r}: expected {node.spec.shape}, got {arr.shape}")
+    return arr
+
+
+def allocate_weights(device: Device, graph: Graph) -> dict[int, Buffer]:
+    """One device buffer per node that carries weights."""
+    buffers = {}
+    for node in graph.nodes:
+        if node.is_input:
+            continue
+        input_specs = [graph.node(i).spec for i in node.inputs]
+        nbytes = node.op.weight_bytes(input_specs)
+        if nbytes:
+            buffers[node.node_id] = device.allocate(f"{graph.name}/{node.name}/w", nbytes)
+    return buffers
 
 
 def tile_axes(extents: tuple[int, ...], tile: tuple[int, ...]) -> list[list[Interval]]:
@@ -178,3 +203,15 @@ def run_group_global(
     task.flops = fpe * out_node.spec.num_elements
     device.submit(task)
     return 1
+
+
+def run_group(device: Device, graph: Graph, group: FusionGroup, handles: Mapping[int, DenseHandle],
+              out_handle: DenseHandle, tiles: Callable[[tuple[int, ...]], Iterator[Region]],
+              weight_buffers: Mapping[int, Buffer], label: str) -> int:
+    """Run a fusion group the vendor-library way: one whole-tensor task for
+    a global op (or an output without spatial dims), else one task per tile
+    of ``tiles(output extents)``."""
+    if group.primary.op.is_global or not out_handle.spec.spatial:
+        return run_group_global(device, graph, group, handles, out_handle, weight_buffers, label)
+    return run_group_tiled(device, graph, group, handles, out_handle,
+                           tiles(out_handle.spec.spatial), weight_buffers, label)

@@ -3,8 +3,10 @@
 * :mod:`repro.core.brick` / :mod:`repro.core.bricked` -- the brick data
   layout (Brick, BrickMap, BrickInfo; section 3.3.4),
 * :mod:`repro.core.halo` -- static halo analysis (section 3.2.1),
+* :mod:`repro.core.bricktask` -- what a brick task reads, writes, synchronizes
+  with and computes, under every merged schedule (section 3.2),
 * :mod:`repro.core.padded` / :mod:`repro.core.memoized` -- the two merged
-  execution strategies (sections 3.2.1-3.2.2),
+  execution strategies (sections 3.2.1-3.2.2), as schedules over it,
 * :mod:`repro.core.partition` -- DNN graph partitioning (section 3.3.1),
 * :mod:`repro.core.perfmodel` -- strategy / brick-size performance models
   (sections 3.3.2-3.3.3),

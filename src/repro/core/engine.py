@@ -41,7 +41,7 @@ from repro.core.perfmodel import (
 from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError, PlanError
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Graph
 from repro.graph.regions import Region
 from repro.graph.ops import Conv, ConvTranspose, FusedOp, Pool
 from repro.graph.traversal import SubgraphView
@@ -309,6 +309,9 @@ class BrickDLEngine:
         plan: ExecutionPlan | None = None,
         trace_ctx=None,
     ) -> EngineResult:
+        # Imported here: repro.baselines also consumes repro.core (handles),
+        # so the engine pulls the shared tiled machinery in lazily.
+        from repro.baselines.tiled import allocate_weights, bind_input
         from repro.profiling import TraceCollector
 
         graph = self.graph
@@ -336,10 +339,10 @@ class BrickDLEngine:
         boundary: dict[int, DenseHandle | BrickedHandle] = {}
         for node in graph.input_nodes:
             buf = device.allocate(f"{graph.name}/{node.name}", node.spec.nbytes)
-            data = self._bind_input(node, inputs) if functional else None
+            data = bind_input(node, inputs) if functional else None
             boundary[node.node_id] = DenseHandle(node.spec, buf, data)
 
-        weight_buffers = self._allocate_weights(device)
+        weight_buffers = allocate_weights(device, graph)
         remaining = {n.node_id: len(graph.consumers(n.node_id)) for n in graph.nodes}
         for n in graph.output_nodes:
             remaining[n.node_id] += 1
@@ -411,27 +414,20 @@ class BrickDLEngine:
         executor = executor_cls(sub.subgraph, sub.brick_shape, device, entries,
                                 weight_buffers, functional)
         exits = executor.run()
-        if executor_cls is not PaddedBrickExecutor:
-            # Interior memo tensors die with the subgraph: discard without
-            # write-back (they never leave L2 -- the merged-execution payoff).
-            for nid, handle in executor.memo.items():
-                if nid not in exits:
-                    device.discard(handle.buffer)
+        # Interior memo tensors die with the subgraph: discard without
+        # write-back (they never leave L2 -- the merged-execution payoff).
+        # Padded stores nothing but its exits.
+        for nid, handle in executor.stored.items():
+            if nid not in exits:
+                device.discard(handle.buffer)
         boundary.update(exits)
 
     # -- vendor-library fallback ------------------------------------------------
     def _run_fallback(self, device, sub: SubgraphPlan, boundary, weight_buffers, functional) -> None:
         """Un-bricked execution of a subgraph via tiled vendor-library calls,
         with the same conv+pointwise fusion the cuDNN baseline enjoys."""
-        # Imported here: repro.baselines also consumes repro.core (handles),
-        # so the engine pulls the shared tiled machinery in lazily.
         from repro.baselines.fusion import fuse_members
-        from repro.baselines.tiled import (
-            adaptive_tiles,
-            compute_group_values,
-            run_group_global,
-            run_group_tiled,
-        )
+        from repro.baselines.tiled import adaptive_tiles, compute_group_values, run_group
 
         graph = self.graph
         values: dict[int, np.ndarray] = {}
@@ -451,12 +447,10 @@ class BrickDLEngine:
             out_handle = DenseHandle(node.spec, out_buf, out_data)
             if functional:
                 values[node.node_id] = out_data
-            if group.primary.op.is_global or not node.spec.spatial:
-                run_group_global(device, graph, group, handles, out_handle, weight_buffers, label="fallback")
-            else:
-                tile = 16 if node.spec.spatial_ndim >= 3 else 32
-                tiles = adaptive_tiles(node.spec.spatial, tile, device.spec.num_sms)
-                run_group_tiled(device, graph, group, handles, out_handle, tiles, weight_buffers, label="fallback")
+            run_group(device, graph, group, handles, out_handle,
+                      lambda extents: adaptive_tiles(extents, 16 if len(extents) >= 3 else 32,
+                                                     device.spec.num_sms),
+                      weight_buffers, label="fallback")
             if functional:
                 device.note_values(None, node.node_id, out_data)
             device.synchronize()
@@ -526,24 +520,3 @@ class BrickDLEngine:
                 handle = boundary[eid]
                 if handle.buffer.transient:
                     device.discard(handle.buffer)
-
-    # -- shared helpers ------------------------------------------------------
-    def _bind_input(self, node: Node, inputs) -> np.ndarray:
-        if inputs is None:
-            raise ExecutionError("functional run requires input arrays")
-        arr = inputs if isinstance(inputs, np.ndarray) else inputs[node.name]
-        arr = np.asarray(arr, dtype=node.spec.dtype)
-        if arr.shape != node.spec.shape:
-            raise ExecutionError(f"input {node.name!r}: expected {node.spec.shape}, got {arr.shape}")
-        return arr
-
-    def _allocate_weights(self, device: Device):
-        buffers = {}
-        for node in self.graph.nodes:
-            if node.is_input:
-                continue
-            input_specs = [self.graph.node(i).spec for i in node.inputs]
-            nbytes = node.op.weight_bytes(input_specs)
-            if nbytes:
-                buffers[node.node_id] = device.allocate(f"{self.graph.name}/{node.name}/w", nbytes)
-        return buffers

@@ -106,8 +106,8 @@ class SubgraphGeometry:
         self.subgraph = subgraph
         self.graph = subgraph.graph
         self.brick_shape = tuple(brick_shape)
-        self._members = set(subgraph.node_ids)
-        self._reverse = sorted(self._members, reverse=True)
+        self.members = set(subgraph.node_ids)
+        self._reverse = sorted(self.members, reverse=True)
         self._grids: dict[int, BrickGrid | None] = {
             eid: getattr(handle, "grid", None) for eid, handle in (entries or {}).items()}
         self._rf: dict[int, list[tuple]] = {}
@@ -139,7 +139,7 @@ class SubgraphGeometry:
         if nid not in self._grids:
             self._grids[nid] = (
                 BrickGrid(self.graph.node(nid).spec.spatial, self.brick_shape)
-                if self.brick_shape and nid in self._members else None)
+                if self.brick_shape and nid in self.members else None)
         return self._grids[nid]
 
     # -- rows ------------------------------------------------------------------
@@ -202,7 +202,7 @@ class SubgraphGeometry:
         consumers.  A need that is empty along any traversed axis is the
         empty set and contributes nothing to a hull (``Region.hull``); the
         second result says whether that happened."""
-        if exit_id not in self._members:
+        if exit_id not in self.members:
             raise PlanError(f"exit {exit_id} is not a member of the subgraph")
         required = {exit_id: tuple(out)}
         void = False

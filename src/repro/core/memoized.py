@@ -22,20 +22,11 @@ emergent property of the schedule, not an input.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.bricked import bricked_nbytes, flat_bricks
-from repro.core.geometry import SubgraphGeometry, patch_geometry
-from repro.core.handles import BrickedHandle, DenseHandle
-from repro.errors import ExecutionError
-from repro.graph.regions import Region
-from repro.graph.traversal import SubgraphView
-from repro.gpusim.device import Device
-from repro.gpusim.trace import Buffer, Task, brick_token, buffer_token
-from repro.kernels import apply_node_local, pad_value_for
+from repro.core.bricktask import BrickTasks, Dep, member_deps
+from repro.core.handles import BrickedHandle
 
 __all__ = ["MemoizedBrickExecutor", "HALO_NEIGHBORHOOD_BRICKS"]
 
@@ -56,49 +47,24 @@ class _Frame:
     gpos: tuple[int, ...]
     batch: int
     index: int  # of this brick's tag in ``states[nid]``
-    # Member bricks this brick reads as (node, grid position, flat index)
-    # -- None until first scanned -- and those not yet seen complete.
-    deps: list[tuple[int, tuple[int, ...], int]] | None = None
-    pending: list[tuple[int, tuple[int, ...], int]] = field(default_factory=list)
+    # Member bricks this brick reads (None until first scanned) and those
+    # not yet seen complete.
+    deps: list[Dep] | None = None
+    pending: list[Dep] = field(default_factory=list)
 
 
-class MemoizedBrickExecutor:
+class MemoizedBrickExecutor(BrickTasks):
     """Executes one merged subgraph with the memoized-bricks strategy."""
 
-    def __init__(
-        self,
-        subgraph: SubgraphView,
-        brick_shape: tuple[int, ...],
-        device: Device,
-        entries: dict[int, BrickedHandle | DenseHandle],
-        weight_buffers: dict[int, Buffer],
-        functional: bool = True,
-    ) -> None:
-        self.subgraph = subgraph
-        self.brick_shape = tuple(brick_shape)
-        self.device = device
-        self.entries = entries
-        self.weight_buffers = weight_buffers
-        self.functional = functional
-        self.graph = subgraph.graph
-        self.members = set(subgraph.node_ids)
-        for eid in subgraph.entry_ids:
-            if eid not in entries:
-                raise ExecutionError(f"memoized executor missing entry handle for node {eid}")
-        # Per-axis tables (see repro.core.geometry): dependency scan, read
-        # emission and sync stamping resolve a brick from one row per axis.
-        self.geom = SubgraphGeometry(subgraph, self.brick_shape, entries)
+    strategy = "memoized"
 
-        # Memo storage: a bricked tensor per member node.
-        self.memo: dict[int, BrickedHandle] = {}
-        self.states: dict[int, bytearray] = {}
-        for nid in subgraph.node_ids:
-            node = self.graph.node(nid)
-            buf = self.device.allocate(f"{node.name}/memo",
-                                       bricked_nbytes(node.spec, self.brick_shape), transient=True)
-            handle = BrickedHandle.create(node.spec, self.brick_shape, buf, self.functional)
-            self.memo[nid] = handle
-            self.states[nid] = bytearray(node.spec.batch * handle.grid.num_bricks)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # Memo storage: a bricked tensor, and a tag per (sample, brick), per
+        # member node.
+        self.memo = self.stored
+        self.states = {nid: bytearray(self.batch * handle.grid.num_bricks)
+                       for nid, handle in self.memo.items()}
 
         # Scheduler time quantum: set adaptively from the first task so a
         # brick computation spans a handful of rounds regardless of scale
@@ -124,12 +90,12 @@ class MemoizedBrickExecutor:
         # halo neighborhood per worker), floored by a multiple of the L2's
         # own brick capacity.
         max_brick_bytes = max(h.brick_nbytes for h in self.memo.values())
-        l2_bricks = device.spec.l2_bytes // max(1, max_brick_bytes)
+        l2_bricks = self.device.spec.l2_bytes // max(1, max_brick_bytes)
         # Deeper merged regions interleave more layers' bricks through the
         # same concurrent window, diluting per-layer residency: the window
         # shrinks with the square root of the merge depth.
-        depth = max(1, subgraph.depth)
-        wave = int(HALO_NEIGHBORHOOD_BRICKS * device.spec.num_sms * min(1.0, 3.0 / depth))
+        depth = max(1, self.subgraph.depth)
+        wave = int(HALO_NEIGHBORHOOD_BRICKS * self.device.spec.num_sms * min(1.0, 3.0 / depth))
         self._recent_capacity = max(8 * l2_bricks, wave, 64)
         self._recent: "OrderedDict[tuple[int, int], None]" = OrderedDict()
         self._durations: list[float] = []
@@ -216,13 +182,13 @@ class MemoizedBrickExecutor:
 
         frame = w.stack[-1]
         if frame.deps is None:
-            frame.deps = frame.pending = self._dependencies(frame.nid, frame.gpos)
+            frame.deps = frame.pending = member_deps(self.geom, frame.nid, frame.gpos)
 
         # Scan pending dependencies; prefer state-0 work (descend), remember
         # in-progress blocks for later, and only stall when nothing else is
         # runnable.  Unscanned deps are retained for the next turn.
         pending = frame.pending
-        keep: list[tuple[int, tuple[int, ...], int]] = []
+        keep: list[Dep] = []
         for idx, dep in enumerate(pending):
             dnid, dgpos, dflat = dep
             dindex = frame.batch * self.memo[dnid].grid.num_bricks + dflat
@@ -264,112 +230,29 @@ class MemoizedBrickExecutor:
         w.stack.append(_Frame(nid, gpos, batch, index))
 
     def _start_compute(self, w: "_WorkerState", frame: _Frame) -> None:
-        node = self.graph.node(frame.nid)
-        handle = self.memo[frame.nid]
-        # One row per axis, each with per-input needs and offsets: inputs may
-        # have differing halos, so each patch is aligned by its own offsets.
-        rows = self.geom.rows(frame.nid, frame.gpos)
-
-        task = Task(label=f"memo/{node.name}/{frame.gpos}", node_id=frame.nid,
-                    strategy="memoized", worker=w.index,
-                    brick=frame.gpos, batch_index=frame.batch)
-        sources = [self.memo.get(pred) or self.entries[pred] for pred in node.inputs]
-        for input_index, source in enumerate(sources):
-            self._read_bricks(task, source, frame.batch, input_index, rows)
-        wb = self.weight_buffers.get(frame.nid)
-        if wb is not None and wb.nbytes:
-            task.read(wb, 0, wb.nbytes)
-        own_offset = handle.brick_offset(frame.batch, frame.gpos)
-        handle.emit_brick_write(task, frame.batch, frame.gpos)
-        self._touch((handle.buffer.buffer_id, own_offset))
-        self._stamp_sync(task, frame, own_offset)
-        task.flops = self.geom.flops(
-            frame.nid, node.spec.channels * math.prod([r.length for r in rows]))
-        task.atomics_compulsory = 2
-        task.visits = 0  # visits are tracked globally by the scheduler
-
-        if self.functional:
-            shape, needs, offsets = patch_geometry(rows, len(sources))
-            fill = pad_value_for(node.op)
-            patches = [source.gather(frame.batch, need, fill) for source, need in zip(sources, needs)]
-            values = apply_node_local(node.op, patches, node.weights, shape, offsets)
-            handle.store_brick(frame.batch, frame.gpos, values)
-
-        self.device.submit(task)
-        if self.functional:
-            self.device.note_values(task, frame.nid, values)
+        # The tag check is the synchronization: the task acquires exactly the
+        # dependency bricks this frame saw complete.
+        task = self.emit(frame.nid, frame.gpos, frame.batch,
+                         acquired=frame.deps, recent=self._touch, worker=w.index)
         duration = self.device.spec.task_time(task.flops, task.calls)
         self._durations.append(duration)
         if self._quantum is None:
             self._quantum = max(self.device.spec.call_overhead_s, duration / 4.0)
         w.busy = max(1, round(duration / self._quantum))
 
-    def _stamp_sync(self, task: Task, frame: _Frame, own_offset: int) -> None:
-        """Stamp the protocol's happens-before edges on a brick task.
-
-        Acquires: the tag-checked member dependency bricks (the consumer
-        side of each dep's completion CAS) plus the whole-buffer token of
-        every entry source read (kernel-launch ordering against the layout
-        conversion that produced it).  Releases: this brick's own completion
-        CAS and its memo buffer's whole-buffer token.  These mirror exactly
-        what the simulated protocol synchronizes with -- the execution
-        sanitizer's race detector trusts nothing else.
-        """
-        handle = self.memo[frame.nid]
-        for dnid, group in itertools.groupby(frame.deps, key=lambda dep: dep[0]):
-            dep = self.memo[dnid]
-            for offset in dep.flat_offsets(frame.batch, [flat for _, _, flat in group]):
-                task.acquire(brick_token(dep.buffer, offset))
-        for pred in self.graph.node(frame.nid).inputs:
-            if pred not in self.members:
-                source = self.entries.get(pred)
-                if source is not None:
-                    task.acquire(buffer_token(source.buffer))
-        task.release(brick_token(handle.buffer, own_offset))
-        task.release(buffer_token(handle.buffer))
-
     def _touch(self, key: tuple[int, int]) -> bool:
-        """Refresh a brick in the recency LRU; returns True if it was hot."""
+        """Refresh a brick (buffer id, byte offset) in the recency LRU;
+        returns True if it was hot.  A brick's own write is its first touch,
+        so every hot answer is a protocol-coalesced re-read."""
         hot = key in self._recent
         if hot:
             self._recent.move_to_end(key)
+            self.coalesced_reads += 1
         else:
             self._recent[key] = None
             if len(self._recent) > self._recent_capacity:
                 self._recent.popitem(last=False)
         return hot
-
-    def _read_bricks(self, task: Task, source, batch: int, input_index: int, rows) -> None:
-        """Emit dep-brick reads, coalescing protocol-synchronized re-reads.
-
-        Dense graph inputs are read directly with strided accesses (BrickDL
-        forms bricks as the first layer's tasks stream the input)."""
-        if not isinstance(source, BrickedHandle):
-            source.emit_region_read(task, batch, Region.trusted(
-                tuple(r.edges[input_index].need for r in rows)))
-            return
-        # The read rows stay individual (the hot flag is scheduler state, so
-        # rows within one region genuinely differ).
-        offsets = source.brick_offsets(batch, [r.edges[input_index].terms for r in rows])
-        bid = source.buffer.buffer_id
-        hot = [self._touch((bid, offset)) for offset in offsets]
-        self.coalesced_reads += sum(hot)
-        task.read_rows(source.buffer, offsets, source.brick_nbytes, hot)
-
-    # -- dependencies -----------------------------------------------------------
-    def _dependencies(self, nid: int, gpos: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
-        """Member bricks this brick reads (entries are always available):
-        per member input, the product of its rows' per-axis brick ranges,
-        each with its flat (row-major) index."""
-        rows = self.geom.rows(nid, gpos)
-        deps = []
-        for input_index, pred in enumerate(self.graph.node(nid).inputs):
-            if pred in self.members:
-                edges = [r.edges[input_index] for r in rows]
-                deps.extend(zip(itertools.repeat(pred),
-                                itertools.product(*[e.bricks for e in edges]),
-                                flat_bricks([e.terms for e in edges])))
-        return deps
 
     def _sink_goals(self) -> list[tuple[int, tuple[int, ...], int, int]]:
         """Exit bricks ``(node, grid position, batch, tag index)`` in
@@ -381,7 +264,6 @@ class MemoizedBrickExecutor:
         reuse distances) instead of across distant workers.
         """
         goals = []
-        batch = self.graph.node(self.subgraph.node_ids[0]).spec.batch
         num_workers = max(1, self.device.spec.num_sms)
         for eid in self.subgraph.exit_ids:
             handle = self.memo[eid]
@@ -395,7 +277,7 @@ class MemoizedBrickExecutor:
                 return (tuple(p // side for p in gpos), gpos)
             for gpos in sorted(handle.bricks(), key=cluster_key):
                 flat = handle.grid.flat(gpos)
-                for n in range(batch):
+                for n in range(self.batch):
                     goals.append((eid, gpos, n, n * total + flat))
         return goals
 

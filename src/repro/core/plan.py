@@ -94,9 +94,13 @@ def adapt_sectors(spec: GPUSpec, plan: ExecutionPlan) -> GPUSpec:
     """Match cache-residency tracking granularity to the brick size.
 
     Bricks are the unit of data movement in merged execution; tracking L2
-    residency at a fraction of a brick wastes simulation time without
-    changing any transaction count (those are byte-derived).  Clamped so
-    degenerate plans cannot produce absurd sectors.
+    residency at a fraction of a brick wastes simulation time.  L1 and DRAM
+    transaction counts and the modelled time do not move with the sector
+    (``tests/test_bench.py`` pins that over the zoo); ``l2_txns`` does, by a
+    few percent: it is charged per L1 miss, and whether a re-read inside a
+    task hits L1 is judged per (adapted) L1 sector.  Compare L2 counts only
+    between runs on the same spec.  Clamped so degenerate plans cannot
+    produce absurd sectors.
     """
     brick_bytes = []
     for sub in plan.subgraphs:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bricked import extract_patch
-from repro.core.halo import required_regions
+from repro.core.bricktask import kernel_step, require_values
+from repro.core.geometry import SubgraphGeometry
 from repro.core.partition import partition_graph
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
 from repro.distributed.comm import CommCounters, CommModel
@@ -38,7 +39,6 @@ from repro.errors import ExecutionError
 from repro.graph.ir import Graph
 from repro.graph.regions import Region
 from repro.gpusim.spec import A100, GPUSpec
-from repro.kernels import apply_node_local, pad_value_for
 
 __all__ = ["DistributedRunner", "DistributedResult"]
 
@@ -126,6 +126,8 @@ class DistributedRunner:
             graph.init_weights()
             if x is None:
                 raise ExecutionError("functional distributed run requires an input array")
+            for view in self.subgraphs:
+                require_values(graph, view.node_ids)
             x = np.asarray(x, dtype=np.float32)
 
         # Per boundary node: list over ranks of (row_lo, slab array|None).
@@ -142,6 +144,7 @@ class DistributedRunner:
         per_rank_flops = [0.0] * self.num_ranks
 
         for view in self.subgraphs:
+            geom = SubgraphGeometry(view)
             step_flops = [0.0] * self.num_ranks
             messages: list[int] = []
             for exit_id in view.exit_ids:
@@ -153,9 +156,8 @@ class DistributedRunner:
                         [olo] + [0] * (exit_node.spec.spatial_ndim - 1),
                         [ohi] + list(exit_node.spec.spatial[1:]),
                     )
-                    required = required_regions(view, exit_id, out_region)
                     patch, halo_rows, msg_sizes, flops = self._rank_compute(
-                        view, exit_id, rank, out_region, required, slabs, functional
+                        geom, exit_id, rank, out_region, slabs, functional
                     )
                     new_slabs.append((olo, ohi, patch))
                     halo_rows_total += halo_rows
@@ -188,17 +190,24 @@ class DistributedRunner:
         )
 
     # -- per-rank subgraph evaluation -----------------------------------------
-    def _rank_compute(self, view, exit_id, rank, out_region, required, slabs, functional):
+    def _rank_compute(self, geom, exit_id, rank, out_region, slabs, functional):
         """Evaluate one rank's output slab for one subgraph exit.
 
         Returns ``(patch, halo_rows, message_sizes, flops)``.
         """
         graph = self.graph
+        view = geom.subgraph
+        required = geom.required(exit_id, out_region)
         halo_rows = 0
         msg_sizes: list[int] = []
         flops = 0.0
+        # Per node, one sample's values over its (clipped) required region
+        # and that region's origin.
         values: dict[int, np.ndarray] = {}
-        covered: dict[int, Region] = {}
+        origin: dict[int, list[int]] = {}
+
+        def fetch(pred, need, fill):
+            return extract_patch(values[pred], origin[pred], need, fill)
 
         # Entry halos: rows needed beyond this rank's slab of each entry.
         for eid in view.entry_ids:
@@ -222,8 +231,8 @@ class DistributedRunner:
                     remaining -= take
                     neighbor += direction
             if functional:
-                values[eid] = self._gather_rows(eid, need, rank_slabs)
-                covered[eid] = need
+                values[eid] = self._gather_rows(eid, need, rank_slabs)[0]
+                origin[eid] = [iv.lo for iv in need]
 
         # Evaluate the subgraph on the halo-extended slab (one giant padded
         # brick), accumulating the per-rank flops including halo recompute.
@@ -234,31 +243,16 @@ class DistributedRunner:
             spec = node.spec
             region = required[nid].clip(spec.spatial)
             if region.is_empty():
-                covered[nid] = region
                 continue
-            input_specs = [graph.node(i).spec for i in node.inputs]
-            flops += node.op.flops(input_specs, spec.channels * region.size)
+            flops += geom.flops(nid, spec.channels * region.size)
             if functional:
-                fill = pad_value_for(node.op)
-                patches = []
-                offsets: list[tuple[int, ...]] = []
-                for input_index, pred in enumerate(node.inputs):
-                    maps = node.op.rf_maps(input_specs, input_index)
-                    need = Region(m.in_interval(iv) for m, iv in zip(maps, region))
-                    offsets.append(tuple(m.local_out_offset(iv.lo, niv.lo)
-                                         for m, iv, niv in zip(maps, region, need)))
-                    patches.append(extract_patch(
-                        values[pred][0], [iv.lo for iv in covered[pred]], need, fill))
-                values[nid] = apply_node_local(node.op, patches, node.weights,
-                                               region.shape, offsets)[None]
-                covered[nid] = region
+                values[nid] = kernel_step(node, region.shape, *geom.needs(nid, region), fetch)
+                origin[nid] = [iv.lo for iv in region]
 
         patch = None
         if functional:
-            exit_region = required[exit_id].clip(graph.node(exit_id).spec.spatial)
-            full = values[exit_id]
-            sl = out_region.slices(origin=[iv.lo for iv in exit_region])
-            patch = np.ascontiguousarray(full[(slice(None), slice(None), *sl)])
+            sl = out_region.slices(origin=origin[exit_id])
+            patch = np.ascontiguousarray(values[exit_id][(slice(None), *sl)])[None]
         return patch, halo_rows, msg_sizes, flops
 
     def _gather_rows(self, eid: int, need: Region, rank_slabs) -> np.ndarray:

@@ -11,7 +11,9 @@ from repro.bench.reporting import BreakdownRow, format_breakdowns, format_table
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
+from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
+from repro.models import zoo
 
 
 class TestMicrobench:
@@ -87,6 +89,24 @@ class TestHarness:
 
         plan = BrickDLEngine(small_chain_graph(size=24)).compile()  # all fallback
         assert adapt_sectors(A100, plan) is A100
+
+    @pytest.mark.parametrize("strategy", [Strategy.PADDED, Strategy.MEMOIZED])
+    @pytest.mark.parametrize("model", sorted(zoo.MODELS))
+    def test_adapt_sectors_can_move_l2_txns_and_nothing_else(self, model, strategy):
+        """The sector choice is residency-tracking granularity: L1 and DRAM
+        transactions are byte-derived and the modelled time follows them, so
+        they must not depend on it; the L2 count (one per sector touched)
+        may.  A run on the default ``Device(spec)`` and one on the adapted
+        spec the CLI / harness / server use therefore agree on everything
+        but ``l2_txns``."""
+        engine = BrickDLEngine(zoo.build(model, reduced=True), strategy_override=strategy)
+        plan = engine.compile()
+        plain = engine.run(functional=False, plan=plan, device=Device(engine.spec)).metrics
+        adapted = engine.run(functional=False, plan=plan,
+                             device=Device(adapt_sectors(engine.spec, plan))).metrics
+        for counter in ("l1_txns", "dram_read_txns", "dram_write_txns"):
+            assert getattr(plain.memory, counter) == getattr(adapted.memory, counter), counter
+        assert plain.total_time == adapted.total_time
 
 
 class TestReporting:

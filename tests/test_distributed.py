@@ -75,6 +75,17 @@ class TestValidation:
         with pytest.raises(ExecutionError):
             DistributedRunner(conv_trunk(), num_ranks=2).run(None, functional=True)
 
+    def test_kernel_below_stride_deconv_refused_in_functional_mode_only(self):
+        """Slabs go through the same kernel step as brick tasks, so the same
+        graphs are refused (it used to die in a NumPy broadcast)."""
+        b = GraphBuilder("holes", TensorSpec(1, 4, (8, 8)))
+        b.conv(4, 3, padding=1, name="conv")
+        b.deconv(4, 1, stride=2, name="up")
+        runner = DistributedRunner(b.finish(), num_ranks=2)
+        with pytest.raises(ExecutionError, match="'up'.*kernel .* < stride"):
+            runner.run(input_for(runner.graph))
+        assert runner.run(functional=False).compute_time_s > 0
+
 
 class TestCommunication:
     def test_single_rank_no_comm(self):

@@ -191,3 +191,27 @@ def test_functional_run_stays_under_200_own_calls_per_task():
         f"{per_task:.0f} calls into src/repro per device task (budget 200): per-brick Python is "
         "back on the functional path -- the usual culprits are Region algebra "
         "(graph/regions.py) and per-brick loops in core/bricked.py")
+
+
+@pytest.mark.parametrize("strategy", [Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT])
+def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
+    """A transposed conv with kernel < stride has output positions no input
+    feeds; the brick-local kernel step cannot place them (it used to die
+    mid-run in ``store_brick`` with a ``LayoutError``).  Functional merged
+    execution refuses the subgraph up front and names the node; profile mode
+    and the effect analysis handle the same plan."""
+    from repro.analysis import analyze_effects
+
+    b = GraphBuilder("holes", TensorSpec(1, 4, (8, 8)))
+    b.conv(4, 3, padding=1, name="conv")
+    b.deconv(4, 1, stride=2, name="up")
+    b.relu(name="act")
+    graph = b.finish()
+    engine = BrickDLEngine(graph, strategy_override=strategy, brick_override=4)
+    plan = engine.compile()
+    device = Device(A100)
+    with pytest.raises(ExecutionError, match=r"'up'.*kernel \(1, 1\) < stride \(2, 2\).*profile mode"):
+        engine.run(input_for(graph), plan=plan, device=device)
+    assert not device.tasks
+    assert engine.run(functional=False, plan=plan).metrics.num_tasks > 0
+    assert analyze_effects(plan).ok

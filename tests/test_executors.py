@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.bricked import BrickedTensor, extract_patch, gather_dense
+from repro.core.bricktask import member_deps
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
 from repro.core.padded import PaddedBrickExecutor
@@ -190,6 +191,37 @@ class TestMemoizedProtocol:
     def test_visits_at_least_deps(self):
         ex = self._run()
         assert ex.total_visits >= len(ex.device.tasks)
+
+
+def test_one_brick_task_under_tag_and_barrier_arguments():
+    """Schedules differ in when a brick runs and what orders it, not in the
+    brick: the same (node, brick, sample) emitted with the memoized
+    scheduler's arguments and with the wavefront's bare ones has the same
+    access rows and releases; only the acquired dependency bricks, the
+    certified-L2 flags, the worker lane and the CAS pair differ."""
+    g, view, device, entries, wb, _ = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
+    tasks = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=False)
+    nid, gpos = g.node("conv2").node_id, (1, 1)
+    deps = member_deps(tasks.geom, nid, gpos)
+    assert len(deps) == 9 and {d[0] for d in deps} == {g.node("relu1").node_id}
+
+    tagged = tasks.emit(nid, gpos, 0, acquired=deps, recent=lambda key: True, worker=5)
+    barrier = tasks.emit(nid, gpos, 0)
+
+    def rows(task, flag):
+        return [(a.buffer, a.offset, a.nbytes, a.write, a.reps, a.dense, a.on_chip)
+                + ((a.assume_l2,) if flag else ()) for a in task.accesses]
+
+    assert rows(tagged, False) == rows(barrier, False)
+    assert tagged.releases == barrier.releases and tagged.flops == barrier.flops
+    assert (tagged.label, tagged.brick, tagged.batch_index) == (barrier.label, gpos, 0)
+    assert rows(tagged, True) != rows(barrier, True)
+    assert not any(a.assume_l2 for a in barrier.accesses)
+    assert sum(a.assume_l2 for a in tagged.accesses) == len(deps)
+    brick_acquires = [t for t in tagged.acquires if t[0] == "brick"]
+    assert len(brick_acquires) == len(deps) and tagged.acquires[len(deps):] == barrier.acquires
+    assert (tagged.worker, tagged.atomics_compulsory) == (5, 2)
+    assert barrier.atomics_compulsory == 0
 
 
 class TestPaddedMetrics:

@@ -6,7 +6,8 @@ execution strategies, and -- the load-bearing part -- seeded-mutant tests
 proving each detector actually fires on the failure it exists for:
 
 * stripping the memoized protocol's acquire edges (a lost dependency edge)
-  trips the race detector;
+  trips the race detector, and so does a wavefront run without its per-wave
+  barrier;
 * skipping one halo brick write trips shadow memory as an uninitialized read;
 * a NaN-poisoned kernel is attributed to the correct (node, brick).
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.engine import BrickDLEngine
 from repro.core.handles import BrickedHandle
-from repro.core.memoized import MemoizedBrickExecutor
+from repro.core.bricktask import BrickTasks
 from repro.core.plan import Strategy
 from repro.errors import ExecutionError
 from repro.graph.builder import GraphBuilder
@@ -189,18 +190,30 @@ class TestMutants:
         g = conv_chain(16, 4, 2)
         assert sanitized_run(conv_chain(16, 4, 2), Strategy.MEMOIZED).sanitizer_report.ok
 
-        orig = MemoizedBrickExecutor._stamp_sync
+        orig = BrickTasks.sync
 
-        def no_acquires(self, task, frame, own_offset):
-            orig(self, task, frame, own_offset)
-            task.acquires.clear()  # the schedule stays correct; only HB edges go
+        def no_dependency_acquires(self, task, handle, own_offset, entry_sources, acquired=None):
+            # The schedule stays correct; only the HB edges to dep bricks go.
+            orig(self, task, handle, own_offset, entry_sources)
 
-        monkeypatch.setattr(MemoizedBrickExecutor, "_stamp_sync", no_acquires)
+        monkeypatch.setattr(BrickTasks, "sync", no_dependency_acquires)
         report = sanitized_run(g, Strategy.MEMOIZED).sanitizer_report
         races = report.by_code("sanitize.race-read")
         assert races, report.summary()
         assert not report.ok
         assert any("memo/" in d.detail["writer"] for d in races)
+
+    def test_wavefront_without_wave_barrier_trips_race_detector(self, monkeypatch):
+        """Wavefront tasks acquire no member bricks: the per-wave barrier is
+        the whole protocol, so without it every halo read is a race."""
+        g = conv_chain(16, 4, 2)
+        assert sanitized_run(conv_chain(16, 4, 2), Strategy.WAVEFRONT).sanitizer_report.ok
+
+        monkeypatch.setattr(Device, "synchronize", lambda self: None)
+        report = sanitized_run(g, Strategy.WAVEFRONT).sanitizer_report
+        races = report.by_code("sanitize.race-read")
+        assert races, report.summary()
+        assert any("wave/" in d.detail["writer"] for d in races)
 
     def test_skipped_halo_write_trips_shadow_memory(self, monkeypatch):
         g = conv_chain(16, 4, 2)
