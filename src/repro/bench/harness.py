@@ -62,7 +62,6 @@ def run_brickdl(
     trace: "str | os.PathLike | None" = None,
     verify: bool = False,
     manifest: "str | os.PathLike | None" = None,
-    sim_path: str | None = None,
 ) -> tuple[BreakdownRow, ExecutionPlan]:
     """Profile one BrickDL configuration; returns (row, plan).
 
@@ -85,7 +84,7 @@ def run_brickdl(
         strict=verify,
     )
     plan = engine.compile()
-    device = Device(adapt_sectors(spec, plan), sim_path=sim_path)
+    device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
     result = engine.run(inputs=None, functional=False, device=device, plan=plan)
     sim_wall_s = time.perf_counter() - t0
@@ -100,7 +99,7 @@ def run_brickdl(
 
         manifest_from_result(
             graph.name, result, device.spec, label=name, scale=scale_preset(),
-            wall={"sim_wall_s": round(sim_wall_s, 4), "sim_path": device.sim_path},
+            wall={"sim_wall_s": round(sim_wall_s, 4)},
         ).save(manifest)
     return BreakdownRow.from_metrics(name, result.metrics), plan
 
@@ -113,7 +112,6 @@ def record_bench_manifest(
     strategy: Strategy | None = None,
     brick: int | None = None,
     label: str | None = None,
-    sim_path: str | None = None,
     optimize: bool = False,
     rules=None,
     **build_kwargs,
@@ -135,7 +133,7 @@ def record_bench_manifest(
     engine = BrickDLEngine(graph, spec=spec, config=config,
                            strategy_override=strategy, brick_override=brick)
     plan = engine.compile(optimize=optimize or rules is not None, rules=rules)
-    device = Device(adapt_sectors(spec, plan), sim_path=sim_path)
+    device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
     result = engine.run(inputs=None, functional=False, device=device, plan=plan)
     sim_wall_s = time.perf_counter() - t0
@@ -144,7 +142,7 @@ def record_bench_manifest(
     manifest = manifest_from_result(
         model, result, device.spec, label=label, scale=scale_preset(),
         build_args=build_kwargs,
-        wall={"sim_wall_s": round(sim_wall_s, 4), "sim_path": device.sim_path},
+        wall={"sim_wall_s": round(sim_wall_s, 4)},
         rewrite=(engine.rewrite_report.manifest_dict()
                  if engine.rewrite_report is not None else None),
     )

@@ -316,9 +316,8 @@ def cmd_metrics(args) -> int:
             build_kwargs["image_size"] = args.image_size
         manifest, path = record_bench_manifest(
             args.model, out_dir=args.out, strategy=strategy, brick=args.brick,
-            label=args.label, sim_path=args.sim_path,
-            optimize=args.optimize, rules=_rewrite_batches(args.rules),
-            **build_kwargs)
+            label=args.label, optimize=args.optimize,
+            rules=_rewrite_batches(args.rules), **build_kwargs)
         print(manifest.summary())
         rw = manifest.rewrite
         if rw:
@@ -328,8 +327,7 @@ def cmd_metrics(args) -> int:
                   f"validated={rw.get('validated')}")
         wall = manifest.wall
         if wall:
-            print(f"  sim: {wall.get('sim_wall_s', 0.0):.3f} s wall "
-                  f"({wall.get('sim_path', '?')} path)")
+            print(f"  sim: {wall.get('sim_wall_s', 0.0):.3f} s wall")
         print(f"wrote {path}")
         return 0
 
@@ -675,8 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--reduced", action="store_true", help="use the test-scale config")
     rec.add_argument("--out", default=".", metavar="DIR",
                      help="directory for the manifest (default: cwd)")
-    rec.add_argument("--sim-path", choices=["scalar", "vectorized"], default=None,
-                     help="memory-accounting path (default: REPRO_SIM_PATH or vectorized)")
     rec.add_argument("--label", default=None,
                      help="manifest label / filename suffix (default: the strategy)")
     rec.add_argument("--optimize", action="store_true",
@@ -700,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list every compared metric, not just movements")
     dif.add_argument("--require-identical", action="store_true",
                      help="exit 1 unless every metric is bit-equal "
-                          "(the scalar/vectorized sim-path equivalence gate)")
+                          "(the tracing-off purity gate)")
     dif.set_defaults(fn=cmd_metrics)
 
     for name, fn, help_ in (

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator
 
 from repro.gpusim.atomics import AtomicCounters
 from repro.gpusim.memory import MemoryCounters, MemorySystem
-from repro.gpusim.simpath import VECTORIZED, active_path
 from repro.gpusim.spec import A100, GPUSpec
 from repro.gpusim.timing import TimeBreakdown, compute_breakdown
 from repro.gpusim.trace import Buffer, Task
@@ -63,14 +62,9 @@ class Device:
     """A simulated GPU for the duration of one execution run."""
 
     def __init__(self, spec: GPUSpec = A100, observers: Iterable = (),
-                 registry: MetricsRegistry | None = None,
-                 sim_path: str | None = None) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         self.spec = spec
         self.memory = MemorySystem(spec)
-        # scalar (per-access oracle) vs vectorized (batched) accounting;
-        # resolved from REPRO_SIM_PATH unless explicitly overridden.
-        self.sim_path = active_path(sim_path)
-        self._vectorized = self.sim_path == VECTORIZED
         self.atomics = AtomicCounters()
         self.observers: list = list(observers)
         # Always-on metrics: every run leaves a labelled registry, whether or
@@ -89,7 +83,7 @@ class Device:
         self._scope: tuple[int | None, str | None] = (None, None)
         # Serve-layer trace provenance ``(trace_id, parent_span_id)``; when
         # set, every submitted task is stamped with it.  One None-check per
-        # submit -- the vectorized accounting hot path is untouched.
+        # submit -- the accounting hot path is untouched.
         self._trace_ctx: tuple[str, str] | None = None
 
     def set_trace_context(self, trace_id: str | None,
@@ -181,11 +175,7 @@ class Device:
         before = (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns,
                   self.atomics.compulsory, self.atomics.conflict)
         self.memory.begin_task()
-        if self._vectorized:
-            self.memory.process_batch(task.accesses, task.batch_spans)
-        else:
-            for access in task.accesses:
-                self.memory.process(access)
+        self.memory.process_batch(task.accesses, task.batch_spans)
         self.atomics.compulsory += task.atomics_compulsory
         self.atomics.conflict += task.atomics_conflict
 

@@ -27,13 +27,6 @@ from repro.metrics.diff import (
     MetricDelta,
     diff_manifests,
 )
-from repro.metrics.export import (
-    CounterTrackSampler,
-    metrics_csv,
-    prometheus_textfile,
-    write_metrics_csv,
-    write_prometheus_textfile,
-)
 from repro.metrics.manifest import (
     MANIFEST_VERSION,
     RunManifest,
@@ -61,6 +54,4 @@ __all__ = [
     "RunManifest", "MANIFEST_VERSION", "manifest_from_result",
     "manifest_from_serve", "bench_manifest_path", "plan_digest",
     "DiffReport", "MetricDelta", "DEFAULT_TOLERANCES", "diff_manifests",
-    "CounterTrackSampler", "prometheus_textfile", "write_prometheus_textfile",
-    "metrics_csv", "write_metrics_csv",
 ]

@@ -135,7 +135,7 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)
     registry: dict = field(default_factory=dict)
     bottleneck: dict = field(default_factory=dict)
-    # Host-side wall-clock observations (simulator runtime, sim path).  Like
+    # Host-side wall-clock observations (simulator runtime).  Like
     # ``created``/``git_sha`` these are provenance, not modeled results: the
     # differ only compares ``metrics``, so wall times never gate CI.
     wall: dict = field(default_factory=dict)

@@ -15,7 +15,7 @@ Design notes
 ------------
 * Metrics are identified by ``(name, labels)``.  Labels are free-form
   string pairs; the canonical hierarchy above is a convention, not a
-  constraint -- exporters sort label keys for stable output.
+  constraint -- series keys sort the other labels for stable output.
 * Default labels are supplied by nested :meth:`MetricsRegistry.label_scope`
   contexts (the device pushes one per plan subgraph), so instrumentation
   sites only name what they locally know (e.g. ``node=...``).
@@ -37,7 +37,7 @@ from typing import Iterator, Mapping
 __all__ = ["Counter", "Gauge", "Histogram", "Sample", "MetricsRegistry",
            "LABEL_HIERARCHY"]
 
-# Canonical label hierarchy, coarse to fine (exporters order keys this way).
+# Canonical label hierarchy, coarse to fine (series keys order labels this way).
 LABEL_HIERARCHY = ("model", "strategy", "brick", "subgraph", "node")
 
 _KIND_COUNTER = "counter"
@@ -204,11 +204,11 @@ class Sample:
         return dict(self.labels)
 
 
-def _label_key(labels: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
-    """Canonical hashable form: hierarchy keys first, then the rest sorted."""
-    items = {str(k): str(v) for k, v in labels.items() if v is not None}
-    ordered = [(k, items.pop(k)) for k in LABEL_HIERARCHY if k in items]
-    ordered.extend(sorted(items.items()))
+def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """Canonical hashable form: hierarchy keys first, then the rest sorted.
+    Consumes ``labels``, the fresh all-string dict ``current_labels`` built."""
+    ordered = [(k, labels.pop(k)) for k in LABEL_HIERARCHY if k in labels]
+    ordered.extend(sorted(labels.items()))
     return tuple(ordered)
 
 
@@ -322,7 +322,9 @@ class MetricsRegistry:
         """
         want = {str(k): str(v) for k, v in match.items() if v is not None}
         acc = 0.0
-        for (mname, labels), metric in self._metrics.items():
+        # A snapshot: a serve worker thread may register a series (a plan
+        # cache's first miss) while the loop thread reads ``stats()``.
+        for (mname, labels), metric in list(self._metrics.items()):
             if mname != name:
                 continue
             have = dict(labels)
@@ -334,7 +336,8 @@ class MetricsRegistry:
     def series(self, name: str) -> dict[tuple[tuple[str, str], ...], float]:
         """All label-sets of one metric and their scalar values."""
         return {labels: (m.sum if isinstance(m, Histogram) else m.value)
-                for (mname, labels), m in self._metrics.items() if mname == name}
+                for (mname, labels), m in list(self._metrics.items())
+                if mname == name}
 
     def names(self) -> list[str]:
         return sorted(self._kinds)

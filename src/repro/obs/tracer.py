@@ -23,9 +23,8 @@ import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.context import Span, TraceContext
 
@@ -34,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.gpusim.trace import Task
 
 __all__ = ["Tracer"]
+
+# Device-task spans emitted per execute span; the rest are summarized.
+_MAX_TASK_SPANS = 2048
 
 
 def _clean(value):
@@ -123,18 +125,6 @@ class Tracer:
                                start_s=start_s, **attrs)
         return self.end_span(span, end_s=end_s, status=status)
 
-    @contextmanager
-    def span(self, name: str, parent: "Span | TraceContext | None" = None,
-             kind: str = "span", **attrs) -> Iterator[Span]:
-        s = self.start_span(name, parent=parent, kind=kind, **attrs)
-        try:
-            yield s
-        except BaseException:
-            self.end_span(s, status="error")
-            raise
-        else:
-            self.end_span(s)
-
     def event(self, name: str, ctx: "Span | TraceContext | None" = None,
               time_s: float | None = None, **attrs) -> dict:
         """Record a point-in-time event, optionally bound to a trace."""
@@ -151,14 +141,14 @@ class Tracer:
 
     # -- device-task fan-in --------------------------------------------------
     def emit_task_spans(self, records: "Iterable[Task]", parent: Span,
-                        max_spans: int = 2048, **attrs) -> int:
+                        **attrs) -> int:
         """Turn an engine run's tasks into child spans of ``parent``.
 
         Tasks carry *simulated* device times; each is scaled into the
         parent execute span's wall-clock window so the merged Perfetto view
         lines serve spans and device lanes up on one axis (the unscaled sim
         times ride along as ``sim_start_s``/``sim_end_s`` attrs).  Records
-        beyond ``max_spans`` are summarized in one overflow event rather
+        beyond the first 2048 are summarized in one overflow event rather
         than silently dropped.
         """
         records = list(records)
@@ -166,12 +156,7 @@ class Tracer:
             raise ValueError("emit_task_spans needs a finished parent span")
         sim_span = max((r.end_s for r in records), default=0.0)
         scale = (parent.end_s - parent.start_s) / sim_span if sim_span > 0 else 0.0
-        emitted = 0
-        for r in records:
-            if emitted >= max_spans:
-                self.event("task_spans_truncated", ctx=parent,
-                           dropped=len(records) - emitted, limit=max_spans)
-                break
+        for r in records[:_MAX_TASK_SPANS]:
             span = self.start_span(
                 r.label, parent=parent, kind="task",
                 start_s=parent.start_s + r.start_s * scale,
@@ -181,8 +166,11 @@ class Tracer:
                 dram_txns=r.dram_txns, flops=float(r.flops),
                 brick=r.brick, batch_index=r.batch_index, **attrs)
             self.end_span(span, end_s=parent.start_s + r.end_s * scale)
-            emitted += 1
-        return emitted
+        dropped = len(records) - _MAX_TASK_SPANS
+        if dropped > 0:
+            self.event("task_spans_truncated", ctx=parent, dropped=dropped,
+                       limit=_MAX_TASK_SPANS)
+        return min(len(records), _MAX_TASK_SPANS)
 
     # -- sinks ---------------------------------------------------------------
     def _record(self, entry: dict) -> None:

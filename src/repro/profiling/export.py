@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import pathlib
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.profiling.collector import TraceCollector
 
@@ -35,18 +35,11 @@ def _task_name(record, names: Mapping[int, str] | None) -> str:
 
 
 def chrome_trace(collector: TraceCollector,
-                 names: Mapping[int, str] | None = None,
-                 counter_tracks: Mapping[str, Sequence[tuple[float, float]]] | None = None) -> dict:
+                 names: Mapping[int, str] | None = None) -> dict:
     """Render the collected run as a Chrome Trace Event Format object.
 
     ``names`` optionally maps node ids to display names (e.g.
     ``{n.node_id: n.name for n in graph.nodes}``).
-
-    ``counter_tracks`` optionally layers extra counter ("C") tracks onto the
-    timeline: a mapping from track name to ``(time_s, value)`` samples, the
-    shape :class:`repro.metrics.CounterTrackSampler` produces.  Perfetto
-    renders each as its own counter lane alongside the built-in DRAM /
-    atomics / device-memory tracks.
     """
     events: list[dict] = [{
         "ph": "M", "pid": _PID, "tid": 0, "name": "process_name",
@@ -112,22 +105,15 @@ def chrome_trace(collector: TraceCollector,
         events.append({"ph": "i", "pid": _PID, "tid": 0, "name": name,
                        "ts": s.time_s * 1e6, "s": "g"})
 
-    for track, samples in (counter_tracks or {}).items():
-        for t, v in samples:
-            events.append({"ph": "C", "pid": _PID, "tid": 0, "name": track,
-                           "ts": t * 1e6, "args": {"value": v}})
-
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"generator": "repro.profiling",
                           "spec": collector.spec.name if collector.spec else None}}
 
 
 def write_chrome_trace(collector: TraceCollector, path: str | pathlib.Path,
-                       names: Mapping[int, str] | None = None,
-                       counter_tracks: Mapping[str, Sequence[tuple[float, float]]] | None = None,
-                       ) -> pathlib.Path:
+                       names: Mapping[int, str] | None = None) -> pathlib.Path:
     path = pathlib.Path(path)
-    path.write_text(json.dumps(chrome_trace(collector, names, counter_tracks)))
+    path.write_text(json.dumps(chrome_trace(collector, names)))
     return path
 
 

@@ -12,8 +12,8 @@ Two pieces:
   serve path already maintains: admission-queue depth (demand we have not
   started) and the short-window SLO burn rate (harm we are already doing).
   Crossing the scale-up threshold for ``hysteresis_ticks`` consecutive
-  ticks -- outside the post-scale ``cooldown_s`` -- grows the fleet by
-  ``step``; a drained queue with an all-idle fleet shrinks it.  Every
+  ticks -- outside the post-scale ``cooldown_s`` -- grows the fleet by one
+  device; a drained queue with an all-idle fleet shrinks it by one.  Every
   decision is recorded as a :class:`ScaleEvent`, counted in the registry
   (``serve_scale_events{direction=...}``), and traced as a root span of
   kind ``scale`` so Perfetto shows exactly when and why the fleet moved.
@@ -50,7 +50,6 @@ class AutoscalerConfig:
     scale_down_queue_per_device: float = 0.5
     hysteresis_ticks: int = 2         # consecutive ticks before acting
     cooldown_s: float = 1.0           # quiet period after any scale action
-    step: int = 1                     # devices added/removed per action
     burn_window_s: float = 5.0        # which burn window to read
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class AutoscalerConfig:
         if self.hysteresis_ticks < 1:
             raise ValueError(
                 f"hysteresis_ticks must be >= 1, got {self.hysteresis_ticks}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -258,26 +255,22 @@ class Autoscaler:
             return None
         if (want_up and self._up_ticks >= cfg.hysteresis_ticks
                 and size < cfg.max_devices):
-            delta = min(cfg.step, cfg.max_devices - size)
             reason = "burn" if burn_hot and not queue_hot else "queue_depth"
-            return self._scale(now_s, delta, depth, burn, reason)
+            return self._scale(now_s, "up", depth, burn, reason)
         if (want_down and self._down_ticks >= cfg.hysteresis_ticks
                 and size > cfg.min_devices):
-            delta = -min(cfg.step, size - cfg.min_devices)
-            return self._scale(now_s, delta, depth, burn, "idle")
+            return self._scale(now_s, "down", depth, burn, "idle")
         return None
 
-    def _scale(self, now_s: float, delta: int, depth: int, burn: float,
+    def _scale(self, now_s: float, direction: str, depth: int, burn: float,
                reason: str) -> ScaleEvent:
+        """Move the fleet by one device, ``"up"`` or ``"down"``."""
         before = self.pool.size
-        if delta > 0:
-            for _ in range(delta):
-                self.pool.spawn()
+        if direction == "up":
+            self.pool.spawn()
         else:
-            for _ in range(-delta):
-                self.pool.retire_one()
+            self.pool.retire_one()
         after = self.pool.size
-        direction = "up" if delta > 0 else "down"
         event = ScaleEvent(now_s, direction, before, after, reason,
                            depth, burn)
         self.events.append(event)

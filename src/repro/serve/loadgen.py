@@ -156,8 +156,13 @@ async def run_loadgen(
 
     verified = 0
     if verify and functional:
-        verified = _verify_sample(graph, server, responses, seed,
-                                  min(verify, len(responses)))
+        # Evenly spaced over the non-degraded responses.
+        indices = sorted(i for i, r in responses.items() if not r.degraded)
+        count = min(verify, len(responses)) if indices else 0
+        picked = [indices[int(i * (len(indices) - 1) / max(count - 1, 1))]
+                  for i in range(count)]
+        verified = verify_served(
+            server, [(i, responses[i]) for i in dict.fromkeys(picked)], seed)
 
     if latency_csv is not None:
         _write_latency_csv(latency_csv, t0, arrivals, responses, rejections)
@@ -224,37 +229,40 @@ def _write_latency_csv(path: "str | Path", t0: float,
                 ])
 
 
-def _verify_sample(graph, server: InferenceServer, responses, seed: int,
-                   count: int) -> int:
-    """Differential check: served outputs == single-shot engine outputs."""
+def verify_served(server: InferenceServer,
+                  picked: list[tuple[int, InferenceResponse]],
+                  seed: int) -> int:
+    """Differential check: served outputs == single-shot engine outputs.
+
+    ``picked`` is the caller's sample of ``(request index, response)``; each
+    is re-run single-shot from its seeded input on an engine built from the
+    server's own config, and must match bit for bit.  Callers sample
+    non-degraded responses only: a degraded one took the cuDNN-fallback
+    plan, a different (allclose but not bitwise-equal) arithmetic path, and
+    the bit-identity contract is batched-vs-single-shot on the *same* plan.
+    Returns how many were verified (all of ``picked``, or it raised).
+    """
     from repro.core.engine import BrickDLEngine
 
-    engine = BrickDLEngine(graph, spec=server.spec,
-                           strategy_override=server.config.strategy,
-                           brick_override=server.config.brick)
-    plan = engine.compile()
-    # Degraded responses took the cuDNN-fallback plan, a different (allclose
-    # but not bitwise-equal) arithmetic path; the bit-identity contract is
-    # for batched-vs-single-shot on the *same* plan.
-    indices = sorted(i for i, r in responses.items() if not r.degraded)
-    if not indices:
-        return 0
-    picked = [indices[int(i * (len(indices) - 1) / max(count - 1, 1))]
-              for i in range(count)]
-    verified = 0
-    for index in dict.fromkeys(picked):
+    engines = {}
+    for index, response in picked:
+        graph = server.graphs[response.model]
+        if response.model not in engines:
+            engine = BrickDLEngine(graph, spec=server.spec,
+                                   strategy_override=server.config.strategy,
+                                   brick_override=server.config.brick)
+            engines[response.model] = (engine, engine.compile())
+        engine, plan = engines[response.model]
         x = _request_input(graph, index, seed)
         single = engine.run(x, functional=True, plan=plan).outputs
-        served = responses[index].outputs
         for name, want in single.items():
-            got = served[name]
+            got = response.outputs[name]
             if not np.array_equal(got, want):
                 raise ExecutionError(
                     f"request {index}: served output {name!r} differs from "
                     f"single-shot (max |diff| "
                     f"{np.abs(got - want).max():.3e})")
-        verified += 1
-    return verified
+    return len(picked)
 
 
 def loadgen(server: InferenceServer, **kwargs) -> LoadgenReport:

@@ -84,6 +84,10 @@ class InferenceRequest:
     def expired(self, now_s: float) -> bool:
         return self.deadline_s is not None and now_s > self.deadline_s
 
+    @property
+    def trace_id(self) -> str | None:
+        return self.trace.trace_id if self.trace is not None else None
+
 
 @dataclass(frozen=True)
 class InferenceResponse:

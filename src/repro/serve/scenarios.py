@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.core.plan import adapt_sectors
 from repro.errors import ExecutionError
 from repro.gpusim.spec import A100, GPUSpec
 from repro.serve.autoscaler import AutoscalerConfig
-from repro.serve.loadgen import _request_input
+from repro.serve.loadgen import _request_input, verify_served
 from repro.serve.request import QueueSaturatedError, TenantQuotaError
 from repro.serve.scheduler import PriorityClass
 from repro.serve.server import InferenceServer, ServeConfig
@@ -513,8 +513,13 @@ def run_scenario(
 
     verified = 0
     if verify and config.functional:
-        verified = _verify_scenario(scenario, graphs, server, arrivals,
-                                    responses, seed, verify)
+        # Every step-th non-degraded response, in arrival order.
+        candidates = [a.index for a in arrivals if a.index in responses
+                      and not responses[a.index].degraded]
+        step = max(len(candidates) // verify, 1)
+        verified = verify_served(
+            server, [(i, responses[i]) for i in candidates[::step][:verify]],
+            seed)
 
     stats = server.stats()
     manifest = server.manifest(label=f"scenario-{scenario.name}")
@@ -535,33 +540,3 @@ def run_scenario(
         shed_by_reason=shed_by_reason,
         objectives=scenario.objectives,
     )
-
-
-def _verify_scenario(scenario: Scenario, graphs: Mapping, server,
-                     arrivals: Sequence[_Arrival], responses: Mapping,
-                     seed: int, count: int) -> int:
-    """Differential replay: served outputs == single-shot engine outputs."""
-    from repro.core.engine import BrickDLEngine
-
-    engines = {}
-    candidates = [a for a in arrivals
-                  if a.index in responses and not responses[a.index].degraded]
-    if not candidates:
-        return 0
-    step = max(len(candidates) // count, 1)
-    verified = 0
-    for arrival in candidates[::step][:count]:
-        if arrival.model not in engines:
-            engine = BrickDLEngine(graphs[arrival.model], spec=server.spec)
-            engines[arrival.model] = (engine, engine.compile())
-        engine, plan = engines[arrival.model]
-        x = _request_input(graphs[arrival.model], arrival.index, seed)
-        single = engine.run(x, functional=True, plan=plan).outputs
-        served = responses[arrival.index].outputs
-        for name, want in single.items():
-            if not np.array_equal(served[name], want):
-                raise ExecutionError(
-                    f"scenario {scenario.name}: request {arrival.index} "
-                    f"output {name!r} differs from single-shot")
-        verified += 1
-    return verified

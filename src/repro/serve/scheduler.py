@@ -53,7 +53,6 @@ class PriorityClass:
     batching: str = "head"        # "head" (arrival order) | "edf"
     max_wait_s: float | None = None       # coalescing window override
     default_timeout_s: float | None = None  # per-class deadline default
-    preemptible: bool = True      # higher-rank arrivals flush our window
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -181,17 +180,6 @@ class AdmissionQueue:
         self._size -= 1
         return req
 
-    def drain_nowait(self) -> list[InferenceRequest]:
-        """Empty every buffer (shutdown path), scheduling order."""
-        drained: list[InferenceRequest] = []
-        for cls in self.classes:
-            while True:
-                req = self.pop(cls.name)
-                if req is None:
-                    break
-                drained.append(req)
-        return drained
-
     async def wait_nonempty(self) -> None:
         while self.empty():
             self._arrival.clear()
@@ -232,7 +220,7 @@ class FleetBatcher:
     and its own deadline govern the flush), so a steady trickle cannot
     starve the first arrival.  EDF classes pick heads and coalesce in
     deadline order instead of arrival order.  When a strictly higher-rank
-    class gets work while a preemptible class is still coalescing, the
+    class gets work while a lower class is still coalescing, the
     window flushes early so the urgent class reaches a device next --
     ``on_preempt`` observes every such cut.
     """
@@ -288,7 +276,7 @@ class FleetBatcher:
             if not arrived:
                 break
             top = self.queue.top_class()
-            if (top is not None and top.rank < cls.rank and cls.preemptible):
+            if top is not None and top.rank < cls.rank:
                 # Urgent work arrived mid-window: stop coalescing and ship
                 # what we have so the higher class is next off the queue.
                 self.preemptions += 1
@@ -302,6 +290,3 @@ class FleetBatcher:
             req.batched_s = formed_at
         self.batches_formed += 1
         return cls, batch
-
-    def drain_nowait(self) -> list[InferenceRequest]:
-        return self.queue.drain_nowait()

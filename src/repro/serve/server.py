@@ -16,17 +16,21 @@ Request lifecycle::
                 GPUSpec, override) -- per-model quotas, isolated eviction
              -> BrickDLEngine.run on a fresh Device built from the cached
                 entry's sector-adapted spec
-             -> per-request response slices resolve the futures
+             -> InferenceServer._finish: the one place a request ends
 
-Degradation ladder: a request whose deadline expires while queued, or that
-arrives when the admission queue is saturated (policy ``degrade``), skips
-batching and runs single-shot through the cuDNN-fallback baseline path --
-the vendor-library execution the paper falls back to for unmergeable work
-(section 3.3.3) -- so the server sheds load by serving *slower, cheaper*
-rather than dropping.  Policy ``reject`` turns saturation into
-:class:`~repro.serve.request.QueueSaturatedError`; a tenant over its
-in-flight quota is always shed, as
-:class:`~repro.serve.request.TenantQuotaError`.
+A request ends in one of six ways, one row of the :class:`Outcome` table
+each: served from a merged batch; degraded (it arrived at a saturated
+queue, policy ``degrade``) or timed out (its deadline lapsed while queued),
+which both skip batching and run single-shot through the cuDNN-fallback
+baseline path -- the vendor-library execution the paper falls back to for
+unmergeable work (section 3.3.3), so the server sheds load by serving
+*slower, cheaper* rather than dropping; rejected at a saturated queue
+(policy ``reject``, :class:`~repro.serve.request.QueueSaturatedError`) or
+over its tenant's in-flight quota
+(:class:`~repro.serve.request.TenantQuotaError`); or failed, when the
+execution raised.  The row says which series move, how the root span
+closes, whether the request can count as good and what the caller gets;
+``_finish`` does it, and ``stats()`` reads the series back.
 
 Execution modes: ``thread`` (default) runs the CPU-bound simulation in a
 worker thread so the event loop keeps admitting -- wall-clock serving.
@@ -42,6 +46,7 @@ mode).  Serve-path metrics flow into a
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -58,6 +63,7 @@ from repro.gpusim.spec import A100, GPUSpec
 from repro.metrics import (
     BATCH_BUCKETS,
     LATENCY_BUCKETS_S,
+    Histogram,
     MetricsRegistry,
     RunManifest,
     manifest_from_serve,
@@ -156,12 +162,44 @@ class ServeConfig:
                     f"tenant quota for {tenant!r} must be >= 1, got {quota}")
 
 
-def _blank_class_stats() -> dict:
-    return {"completed": 0, "shed": 0, "good": 0, "total": 0}
+@dataclass(frozen=True)
+class Outcome:
+    """One way a request ends.  The six rows below are the whole table:
+    :meth:`InferenceServer._finish` does what the row it is handed says, and
+    nothing else decides what ending a request means."""
+
+    counters: tuple[str, ...] = ()   # session-wide counters bumped
+    # One more counter, labelled reason (if any) / tenant / class: what the
+    # per-class and per-tenant roll-ups read for requests with no response.
+    series: str | None = None
+    reason: str | None = None
+    status: str = "ok"   # root span; "ok" closes "deadline_missed" when late
+    # Can count as good (if it also met its deadline and the latency
+    # target); the other rows debit the SLO unconditionally.
+    can_be_good: bool = False
+    # With no response the caller gets this raised out of submit() itself,
+    # or (None) the execution's exception on its future.
+    raises: type[Exception] | None = None
+    degraded: bool = False   # the response's path flags
+    timed_out: bool = False
 
 
-def _blank_tenant_stats() -> dict:
-    return {"completed": 0, "shed": 0}
+SERVED = Outcome(("serve_requests_completed",), can_be_good=True)
+DEGRADED = Outcome(
+    SERVED.counters + ("serve_requests_degraded",),
+    can_be_good=True, degraded=True)
+TIMED_OUT = Outcome(
+    DEGRADED.counters + ("serve_requests_timed_out",),
+    can_be_good=True, degraded=True, timed_out=True)
+REJECTED_SATURATED = Outcome(
+    ("serve_requests_rejected",), "serve_requests_shed", "saturated",
+    status="rejected", raises=QueueSaturatedError)
+REJECTED_QUOTA = Outcome(
+    ("serve_requests_rejected",), "serve_requests_shed", "quota",
+    status="rejected", raises=TenantQuotaError)
+# This series only exists once something failed, so a clean session's
+# manifest (and its fingerprint) carries no trace of it.
+FAILED = Outcome(series="serve_requests_failed", status="error")
 
 
 class InferenceServer:
@@ -192,6 +230,11 @@ class InferenceServer:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
         self.registry.set_base(model=self.graph.name)
+        # The latency-bucketed histograms _finish writes and stats() reads;
+        # the per-tenant / class / model ones double as tallies (``count``
+        # is that dimension's completed requests).
+        self._hist = functools.partial(self.registry.histogram,
+                                       buckets=LATENCY_BUCKETS_S)
         self.cache = PlanCache(
             capacity=config.cache_capacity, registry=self.registry,
             quotas=config.cache_quotas,
@@ -202,7 +245,6 @@ class InferenceServer:
         classes = config.classes or (
             PriorityClass(name="standard", rank=0, batching=config.batching),)
         self.classes: dict[str, PriorityClass] = {c.name: c for c in classes}
-        self._class_list = classes
         self.default_class = config.default_class or classes[0].name
         # Observability: the tracer (and its flight recorder) are optional;
         # the SLO monitor is always on -- recording one outcome per request
@@ -228,20 +270,10 @@ class InferenceServer:
         self._started_s = 0.0
         self._stopped_s: float | None = None
 
-        # Request counters mirrored into the registry (kept as plain ints
-        # too so stats() never has to scan samples).
-        self.completed = 0
-        self.degraded = 0
-        self.timed_out = 0
-        self.rejected = 0
-        self.batches = 0
-        # Requests that rode an already-cached plan (no compile in their
-        # critical path) -- the request-weighted cache hit numerator.
-        self.cached_plan_requests = 0
-        # Fleet dimensions: plain-int rollups per class/tenant/model.
-        self._class_stats = {name: _blank_class_stats() for name in self.classes}
-        self._tenant_stats: dict[str, dict] = {}
-        self._model_stats = {name: {"completed": 0} for name in self.graphs}
+        # Good requests per class: the one number stats() reports that has
+        # no registry series (a series would move every manifest
+        # fingerprint).  Written only by _finish, like the series.
+        self._class_good = {name: 0 for name in self.classes}
         self._tenant_inflight: dict[str, int] = {}
 
     @staticmethod
@@ -260,7 +292,7 @@ class InferenceServer:
         if self._running:
             return self
         loop = asyncio.get_running_loop()
-        self._queue = AdmissionQueue(self._class_list,
+        self._queue = AdmissionQueue(tuple(self.classes.values()),
                                      depth=self.config.queue_depth)
         self._batcher = FleetBatcher(
             self._queue, max_batch=self.config.max_batch,
@@ -365,7 +397,7 @@ class InferenceServer:
         req.future.add_done_callback(self._pending.discard)
         quota = self._tenant_quota(tenant)
         if quota is not None and self._tenant_inflight.get(tenant, 0) >= quota:
-            self._reject(req, loop.time(), reason="quota")
+            self._reject(req, loop.time(), REJECTED_QUOTA)
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
         req.future.add_done_callback(
             lambda _f, t=tenant: self._release_tenant(t))
@@ -373,16 +405,16 @@ class InferenceServer:
             self._queue.put_nowait(req, cls.name)
         except asyncio.QueueFull:
             if self.config.saturation_policy == "reject":
-                self._reject(req, loop.time())
+                self._reject(req, loop.time(), REJECTED_SATURATED)
             # Graceful degradation: shed to the single-shot fallback path.
             self.registry.counter("serve_saturation_fallbacks").inc()
             if self.tracer is not None:
                 self.tracer.event("saturated", ctx=root,
                                   request_id=req.request_id, policy="degrade",
                                   queue_depth=self.config.queue_depth)
-            await self._serve_fallback(req, timed_out=False)
-            return await req.future
-        self._observe_queue_depth()
+            await self._serve_fallback(req, DEGRADED)
+        else:
+            self._observe_queue_depth()
         return await req.future
 
     def _tenant_quota(self, tenant: str) -> int | None:
@@ -398,48 +430,31 @@ class InferenceServer:
         else:
             self._tenant_inflight.pop(tenant, None)
 
-    def _tenant_stat(self, tenant: str) -> dict:
-        stat = self._tenant_stats.get(tenant)
-        if stat is None:
-            stat = self._tenant_stats[tenant] = _blank_tenant_stats()
-        return stat
-
     def _reject(self, req: InferenceRequest, now_s: float,
-                reason: str = "saturated") -> None:
-        """Shed one request by name: counters, SLO debit, flight dump, raise."""
-        self.rejected += 1
-        self.registry.counter("serve_requests_rejected").inc()
-        self.registry.counter(
-            "serve_requests_shed", reason=reason, tenant=req.tenant,
-            **{"class": req.priority}).inc()
-        cstats = self._class_stats[req.priority]
-        cstats["shed"] += 1
-        cstats["total"] += 1
-        self._tenant_stat(req.tenant)["shed"] += 1
-        trace_id = req.trace.trace_id if req.trace is not None else None
-        self.slo.observe(now_s, good=False, trace_id=trace_id)
-        if reason == "quota":
-            message = (f"request {req.request_id}: tenant {req.tenant!r} at "
-                       f"its in-flight quota "
-                       f"({self._tenant_quota(req.tenant)}); retry later")
+                outcome: Outcome) -> None:
+        """Shed one request by name: flight dump, event, terminal, raise."""
+        if outcome is REJECTED_QUOTA:
+            error = TenantQuotaError(
+                f"request {req.request_id}: tenant {req.tenant!r} at its "
+                f"in-flight quota ({self._tenant_quota(req.tenant)}); "
+                f"retry later",
+                tenant=req.tenant, request_id=req.request_id,
+                trace_id=req.trace_id)
         else:
-            message = (f"request {req.request_id}: admission queue full "
-                       f"({self.config.queue_depth}); retry later")
+            error = QueueSaturatedError(
+                f"request {req.request_id}: admission queue full "
+                f"({self.config.queue_depth}); retry later",
+                request_id=req.request_id, trace_id=req.trace_id)
         if self.recorder is not None:
-            self.recorder.trigger("reject", detail=message, trace_id=trace_id,
+            self.recorder.trigger("reject", detail=str(error),
+                                  trace_id=req.trace_id,
                                   request_id=req.request_id, time_s=now_s)
         if self.tracer is not None:
             self.tracer.event("reject", ctx=req.trace,
-                              request_id=req.request_id, reason=reason,
+                              request_id=req.request_id, reason=outcome.reason,
                               queue_depth=self.config.queue_depth)
-            self.tracer.end_span(req.trace, end_s=now_s, status="rejected")
-        req.future.cancel()
-        if reason == "quota":
-            raise TenantQuotaError(message, tenant=req.tenant,
-                                   request_id=req.request_id,
-                                   trace_id=trace_id) from None
-        raise QueueSaturatedError(message, request_id=req.request_id,
-                                  trace_id=trace_id) from None
+        self._finish(req, outcome, now_s, error=error)
+        raise error from None
 
     def _observe_queue_depth(self) -> None:
         depth = self._queue.qsize() if self._queue is not None else 0
@@ -490,8 +505,6 @@ class InferenceServer:
             expired = [r for r in batch if r.expired(now)]
             live = [r for r in batch if not r.expired(now)]
             for req in expired:
-                self.timed_out += 1
-                self.registry.counter("serve_requests_timed_out").inc()
                 if self.tracer is not None:
                     self.tracer.event(
                         "timeout", ctx=req.trace, request_id=req.request_id,
@@ -501,10 +514,9 @@ class InferenceServer:
                         "timeout",
                         detail=(f"request {req.request_id}: deadline lapsed "
                                 f"after {now - req.enqueued_s:.4f}s queued"),
-                        trace_id=(req.trace.trace_id if req.trace is not None
-                                  else None),
+                        trace_id=req.trace_id,
                         request_id=req.request_id, time_s=now)
-                await self._serve_fallback(req, timed_out=True, device=index)
+                await self._serve_fallback(req, TIMED_OUT, device=index)
             if live:
                 await self._serve_batch(live, index)
             self._pool.release(index)
@@ -513,14 +525,39 @@ class InferenceServer:
     async def _run_execute(self, batch: list[InferenceRequest], bucket: int,
                            strategy: Strategy | None, span, device: int):
         """Execute with the configured mode: worker thread (wall-clock) or
-        inline with simulated time charged as (virtual) loop sleep."""
-        if self.config.execution == "thread":
-            return await asyncio.to_thread(
-                self._execute, batch, bucket, strategy, span, device)
-        result = self._execute(batch, bucket, strategy, span, device)
-        if result[3] > 0:
-            await asyncio.sleep(result[3])
-        return result
+        inline with simulated time charged as (virtual) loop sleep.
+
+        An execution that raises ends every member of ``batch`` as FAILED
+        and returns ``None``: resolve, never wedge the worker.
+        """
+        try:
+            if self.config.execution == "thread":
+                return await asyncio.to_thread(
+                    self._execute, batch, bucket, strategy, span, device)
+            result = self._execute(batch, bucket, strategy, span, device)
+            if result[3] > 0:
+                await asyncio.sleep(result[3])
+            return result
+        except Exception as exc:
+            now = self._loop_time()
+            head = batch[0]
+            request_ids = [r.request_id for r in batch]
+            if self.tracer is not None:
+                self.tracer.event(
+                    "error", ctx=span if span is not None else head.trace,
+                    error=repr(exc), device=device, request_ids=request_ids)
+                if span is not None:
+                    self.tracer.end_span(span, end_s=now, status="error")
+            for req in batch:
+                self._finish(req, FAILED, now, error=exc)
+            if self.recorder is not None:
+                self.recorder.trigger(
+                    "error",
+                    detail=(f"batch on device {device} failed serving "
+                            f"request(s) {request_ids}: {exc!r}"),
+                    trace_id=head.trace_id,
+                    request_id=head.request_id, time_s=now)
+            return None
 
     async def _serve_batch(self, batch: list[InferenceRequest], device: int) -> None:
         loop = asyncio.get_running_loop()
@@ -534,97 +571,49 @@ class InferenceServer:
                 "batch", parent=batch[0].trace, kind="batch",
                 device=device, size=len(batch), model=batch[0].model,
                 request_ids=[r.request_id for r in batch],
-                member_traces=[r.trace.trace_id for r in batch
+                member_traces=[r.trace_id for r in batch
                                if r.trace is not None])
-        try:
-            outputs, bucket, hit, sim_s = await self._run_execute(
-                batch, batch_bucket(len(batch), self.config.max_batch),
-                None, batch_span, device)
-        except Exception as exc:  # resolve, never wedge the worker
-            self._trace_failure(exc, batch, batch_span, device)
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+        result = await self._run_execute(
+            batch, batch_bucket(len(batch), self.config.max_batch),
+            None, batch_span, device)
+        if result is None:
             return
+        _outputs, bucket, hit, sim_s = result
         if (self.config.straggler_delay_s > 0
                 and device == self.config.straggler_device):
             await asyncio.sleep(self.config.straggler_delay_s)
         if batch_span is not None:
             self.tracer.end_span(batch_span, bucket=bucket, cache_hit=hit,
                                  sim_time_s=round(sim_s, 6))
-        self.batches += 1
         self.registry.counter("serve_batches").inc()
         self.registry.counter("serve_device_batches", device=device).inc()
         self.registry.counter("serve_sim_time_s").inc(sim_s)
         self.registry.histogram("serve_batch_size",
                                 buckets=BATCH_BUCKETS).observe(len(batch))
-        if hit:
-            self.cached_plan_requests += len(batch)
-            self.registry.counter("serve_requests_on_cached_plan").inc(len(batch))
         now = loop.time()
         for i, req in enumerate(batch):
-            self._respond(req, outputs, i, len(batch), bucket, hit,
-                          degraded=False, timed_out=False, device=device,
-                          sim_s=sim_s, now=now)
+            self._finish(req, SERVED, now, result=result, index=i,
+                         size=len(batch), device=device)
 
-    async def _serve_fallback(self, req: InferenceRequest, timed_out: bool,
+    async def _serve_fallback(self, req: InferenceRequest, outcome: Outcome,
                               device: int = -1) -> None:
+        """One request single-shot through the cuDNN fallback; ``outcome``
+        is the rung of the degradation ladder that sent it here."""
         loop = asyncio.get_running_loop()
         fb_span = None
         if self.tracer is not None and req.trace is not None:
             fb_span = self.tracer.start_span(
                 "fallback", parent=req.trace, kind="batch", device=device,
-                request_id=req.request_id, timed_out=timed_out)
-        try:
-            outputs, bucket, hit, sim_s = await self._run_execute(
-                [req], 1, Strategy.CUDNN, fb_span, device)
-        except Exception as exc:
-            self._trace_failure(exc, [req], fb_span, device)
-            if not req.future.done():
-                req.future.set_exception(exc)
+                request_id=req.request_id, timed_out=outcome.timed_out)
+        result = await self._run_execute(
+            [req], 1, Strategy.CUDNN, fb_span, device)
+        if result is None:
             return
+        _outputs, _bucket, hit, sim_s = result
         if fb_span is not None:
             self.tracer.end_span(fb_span, cache_hit=hit,
                                  sim_time_s=round(sim_s, 6))
-        self.degraded += 1
-        self.registry.counter("serve_requests_degraded").inc()
-        if hit:
-            self.cached_plan_requests += 1
-            self.registry.counter("serve_requests_on_cached_plan").inc()
-        self._respond(req, outputs, 0, 1, bucket, hit, degraded=True,
-                      timed_out=timed_out, device=device, sim_s=sim_s,
-                      now=loop.time())
-
-    def _trace_failure(self, exc: Exception, batch: list[InferenceRequest],
-                       span, device: int) -> None:
-        """Record an execution failure: error spans, event, flight dump."""
-        if self.tracer is None:
-            for req in batch:
-                trace_id = req.trace.trace_id if req.trace is not None else None
-                self.slo.observe(self._loop_time(), good=False, trace_id=trace_id)
-            return
-        now = self.tracer.clock()
-        head = batch[0]
-        self.tracer.event("error", ctx=span if span is not None else head.trace,
-                          error=repr(exc), device=device,
-                          request_ids=[r.request_id for r in batch])
-        if span is not None:
-            self.tracer.end_span(span, end_s=now, status="error")
-        for req in batch:
-            trace_id = None
-            if req.trace is not None:
-                trace_id = req.trace.trace_id
-                self.tracer.end_span(req.trace, end_s=now, status="error",
-                                     error=repr(exc))
-            self.slo.observe(now, good=False, trace_id=trace_id)
-        if self.recorder is not None:
-            self.recorder.trigger(
-                "error",
-                detail=(f"batch on device {device} failed serving request(s) "
-                        f"{[r.request_id for r in batch]}: {exc!r}"),
-                trace_id=(head.trace.trace_id if head.trace is not None
-                          else None),
-                request_id=head.request_id, time_s=now)
+        self._finish(req, outcome, loop.time(), result=result, device=device)
 
     def _loop_time(self) -> float:
         try:
@@ -632,87 +621,105 @@ class InferenceServer:
         except RuntimeError:
             return time.monotonic()
 
-    def _respond(self, req: InferenceRequest, outputs, index: int,
-                 batch_size: int, bucket: int, hit: bool, *, degraded: bool,
-                 timed_out: bool, device: int, sim_s: float, now: float) -> None:
-        """Build request ``req``'s response (slice ``index`` of the batch
-        ``outputs``) and resolve it."""
-        self._resolve(req, InferenceResponse(
-            request_id=req.request_id,
-            output=None if outputs is None else _primary(outputs, index),
-            outputs=None if outputs is None else _slice(outputs, index),
-            batch_size=batch_size,
-            batch_bucket=bucket,
-            cache_hit=hit,
-            degraded=degraded,
-            timed_out=timed_out,
-            device=device,
-            latency_s=now - req.enqueued_s,
-            sim_time_s=sim_s,
-            trace_id=req.trace.trace_id if req.trace is not None else None,
-            deadline_met=req.deadline_s is None or now <= req.deadline_s,
-            admitted_s=req.enqueued_s,
-            batched_s=req.batched_s,
-            completed_s=now,
-            model=req.model,
-            tenant=req.tenant,
-            priority=req.priority,
-        ))
+    def _finish(self, req: InferenceRequest, outcome: Outcome, now: float, *,
+                result=None, index: int = 0, size: int = 1, device: int = -1,
+                error: Exception | None = None) -> None:
+        """The one terminal: however a request ends, it ends here, once.
 
-    def _resolve(self, req: InferenceRequest, response: InferenceResponse) -> None:
-        self.completed += 1
-        self.registry.counter("serve_requests_completed").inc()
-        path = "fallback" if response.degraded else "merged"
-        self.registry.histogram(
-            "serve_latency_s", buckets=LATENCY_BUCKETS_S, path=path,
-        ).observe(response.latency_s, exemplar=response.trace_id)
-        # Fleet dimensions: per-tenant / per-class / per-model series.
-        self.registry.counter("serve_tenant_requests",
-                              tenant=req.tenant).inc()
-        self.registry.histogram(
-            "serve_tenant_latency_s", buckets=LATENCY_BUCKETS_S,
-            tenant=req.tenant).observe(response.latency_s)
-        self.registry.histogram(
-            "serve_class_latency_s", buckets=LATENCY_BUCKETS_S,
-            **{"class": req.priority}).observe(response.latency_s)
-        self.registry.histogram(
-            "serve_model_latency_s", buckets=LATENCY_BUCKETS_S,
-            model=req.model).observe(response.latency_s)
-        good = response.deadline_met
+        Nothing else touches a request's future, debits the SLO, moves a
+        per-class / tenant / model series or closes a root span, so the
+        counters, the roll-ups, the SLO and the trace cannot disagree about
+        a session.  A request that is answered passes the execution's
+        ``result`` -- ``(outputs, bucket, cache_hit, sim_s)`` -- and its
+        place in it (``index`` of ``size`` riders on ``device``); any other
+        passes the ``error`` its caller gets instead.
+        """
+        registry = self.registry
+        trace_id = req.trace_id
+        latency_s = now - req.enqueued_s
+        deadline_met = req.deadline_s is None or now <= req.deadline_s
         target = self.slo.config.latency_target_s
-        if good and target is not None:
-            good = response.latency_s <= target
-        cstats = self._class_stats[req.priority]
-        cstats["completed"] += 1
-        cstats["total"] += 1
+        good = (outcome.can_be_good and deadline_met
+                and (target is None or latency_s <= target))
         if good:
-            cstats["good"] += 1
-        self._tenant_stat(req.tenant)["completed"] += 1
-        if req.model in self._model_stats:
-            self._model_stats[req.model]["completed"] += 1
-        if response.batched_s is not None:
-            self.registry.histogram(
-                "serve_stage_s", buckets=LATENCY_BUCKETS_S, stage="queued",
-            ).observe(response.batched_s - req.enqueued_s)
-            self.registry.histogram(
-                "serve_stage_s", buckets=LATENCY_BUCKETS_S, stage="service",
-            ).observe(response.completed_s - response.batched_s)
-        self.slo.observe(response.completed_s, good=good,
-                         trace_id=response.trace_id)
+            self._class_good[req.priority] += 1
+        for name in outcome.counters:
+            registry.counter(name).inc()
+        if outcome.series is not None:
+            registry.counter(outcome.series, reason=outcome.reason,
+                             tenant=req.tenant, **{"class": req.priority}).inc()
+        response = None
+        if result is not None:
+            outputs, bucket, hit, sim_s = result
+            response = InferenceResponse(
+                request_id=req.request_id,
+                output=None if outputs is None else _primary(outputs, index),
+                outputs=None if outputs is None else _slice(outputs, index),
+                batch_size=size,
+                batch_bucket=bucket,
+                cache_hit=hit,
+                degraded=outcome.degraded,
+                timed_out=outcome.timed_out,
+                device=device,
+                latency_s=latency_s,
+                sim_time_s=sim_s,
+                trace_id=trace_id,
+                deadline_met=deadline_met,
+                admitted_s=req.enqueued_s,
+                batched_s=req.batched_s,
+                completed_s=now,
+                model=req.model,
+                tenant=req.tenant,
+                priority=req.priority,
+            )
+            if hit:
+                # Rode an already-cached plan (no compile in its critical
+                # path): the request-weighted cache hit numerator.
+                registry.counter("serve_requests_on_cached_plan").inc()
+            self._hist(
+                "serve_latency_s",
+                path="fallback" if outcome.degraded else "merged",
+            ).observe(latency_s, exemplar=trace_id)
+            # Fleet dimensions: per-tenant / per-class / per-model series.
+            registry.counter("serve_tenant_requests", tenant=req.tenant).inc()
+            self._hist("serve_tenant_latency_s",
+                       tenant=req.tenant).observe(latency_s)
+            self._hist("serve_class_latency_s",
+                       **{"class": req.priority}).observe(latency_s)
+            self._hist("serve_model_latency_s",
+                       model=req.model).observe(latency_s)
+            if req.batched_s is not None:
+                self._hist("serve_stage_s", stage="queued").observe(
+                    req.batched_s - req.enqueued_s)
+                self._hist("serve_stage_s", stage="service").observe(
+                    now - req.batched_s)
+        self.slo.observe(now, good=good, trace_id=trace_id)
         if self.tracer is not None and req.trace is not None:
-            if response.batched_s is not None:
-                self.tracer.record_span(
-                    "queued", parent=req.trace, kind="stage",
-                    start_s=req.enqueued_s, end_s=response.batched_s)
-            self.tracer.end_span(
-                req.trace, end_s=response.completed_s,
-                status="ok" if response.deadline_met else "deadline_missed",
-                degraded=response.degraded or None,
-                timed_out=response.timed_out or None,
-                latency_s=round(response.latency_s, 6),
-                batch_size=response.batch_size, device=response.device)
-        if not req.future.done():
+            if response is None:
+                self.tracer.end_span(
+                    req.trace, end_s=now, status=outcome.status,
+                    error=repr(error) if outcome.raises is None else None)
+            else:
+                if req.batched_s is not None:
+                    self.tracer.record_span(
+                        "queued", parent=req.trace, kind="stage",
+                        start_s=req.enqueued_s, end_s=req.batched_s)
+                self.tracer.end_span(
+                    req.trace, end_s=now,
+                    status=(outcome.status if deadline_met
+                            else "deadline_missed"),
+                    degraded=outcome.degraded or None,
+                    timed_out=outcome.timed_out or None,
+                    latency_s=round(latency_s, 6),
+                    batch_size=size, device=device)
+        if req.future.done():   # the caller gave up on its submit()
+            return
+        if response is not None:
             req.future.set_result(response)
+        elif outcome.raises is not None:
+            req.future.cancel()   # submit() raises ``error`` itself
+        else:
+            req.future.set_exception(error)
 
     # In thread mode this runs in a worker thread (asyncio.to_thread):
     # everything here is CPU-bound simulation; the event loop keeps
@@ -722,8 +729,7 @@ class InferenceServer:
                  strategy: Strategy | None = None, parent_span=None,
                  device_index: int | None = None):
         strategy = strategy if strategy is not None else self.config.strategy
-        model = batch[0].model if batch[0].model in self.graphs \
-            else self.graph.name
+        model = batch[0].model   # submit() admits resident models only
         graph = self.graphs[model]
         key = PlanKey(model=model, batch_bucket=bucket,
                       spec=self.spec, strategy=strategy,
@@ -789,35 +795,36 @@ class InferenceServer:
 
     def latency_quantile(self, q: float) -> float:
         """``q``-quantile of served latencies, read off the registry."""
-        hists = [s for s in self.registry.samples()
-                 if s.name == "serve_latency_s" and s.histogram]
-        from repro.metrics.registry import Histogram
         merged = Histogram(buckets=LATENCY_BUCKETS_S)
-        for s in hists:
-            merged.merge_doc(s.histogram)
+        for s in self.registry.samples():
+            if s.name == "serve_latency_s" and s.histogram:
+                merged.merge_doc(s.histogram)
         return merged.quantile(q)
 
-    def _dimension_quantile(self, name: str, q: float, **labels) -> float:
-        return self.registry.histogram(
-            name, buckets=LATENCY_BUCKETS_S, **labels).quantile(q)
+    def _count(self, name: str, **match: object) -> int:
+        """A counter as the int ``stats()`` reports, summed over the series
+        matching the labels.  Reads without creating: a series nothing
+        bumped stays out of the manifest and out of its fingerprint."""
+        return int(self.registry.total(name, **match))
 
     def stats(self) -> dict:
         """Serve-path rollup (the ``metrics.serve`` block of the manifest)."""
         wall = self._wall_s()
         batch_hist = self.registry.histogram("serve_batch_size", buckets=BATCH_BUCKETS)
+        completed = self._count("serve_requests_completed")
         return {
             "requests": {
-                "completed": self.completed,
-                "degraded": self.degraded,
-                "timed_out": self.timed_out,
-                "rejected": self.rejected,
+                "completed": completed,
+                "degraded": self._count("serve_requests_degraded"),
+                "timed_out": self._count("serve_requests_timed_out"),
+                "rejected": self._count("serve_requests_rejected"),
             },
             "latency_s": {
                 "p50": self.latency_quantile(0.50),
                 "p99": self.latency_quantile(0.99),
             },
             "batches": {
-                "count": self.batches,
+                "count": self._count("serve_batches"),
                 "mean_size": batch_hist.mean,
                 "preemptions": (self._batcher.preemptions
                                 if self._batcher is not None else 0),
@@ -830,14 +837,15 @@ class InferenceServer:
                 # Fraction of requests whose batch rode an already-compiled
                 # plan: the serving-level number (a warm max-batch bucket
                 # serves 8 requests per lookup).
-                "request_hit_ratio": (self.cached_plan_requests / self.completed
-                                      if self.completed else 0.0),
+                "request_hit_ratio": (
+                    self._count("serve_requests_on_cached_plan") / completed
+                    if completed else 0.0),
                 "size": len(self.cache),
                 "partitions": self.cache.partition_stats(),
             },
             "sim_time_s": self.registry.counter("serve_sim_time_s").value,
             "wall_s": wall,
-            "throughput_rps": self.completed / wall if wall > 0 else 0.0,
+            "throughput_rps": completed / wall if wall > 0 else 0.0,
             "stages": self._stage_stats(),
             "slo": self.slo.stats(),
             "classes": self._class_rollup(),
@@ -855,43 +863,44 @@ class InferenceServer:
 
     def _class_rollup(self) -> dict:
         out = {}
-        for name in self.classes:
-            c = self._class_stats[name]
-            total = c["total"]
+        for name, cls in self.classes.items():
+            latency = self._hist("serve_class_latency_s", **{"class": name})
+            shed = self._count("serve_requests_shed", **{"class": name})
+            total = (latency.count + shed
+                     + self._count("serve_requests_failed", **{"class": name}))
             out[name] = {
-                "batching": self.classes[name].batching,
-                "completed": c["completed"],
-                "shed": c["shed"],
-                "shed_rate": c["shed"] / total if total else 0.0,
-                "attainment": c["good"] / total if total else 1.0,
-                "p50_s": self._dimension_quantile(
-                    "serve_class_latency_s", 0.50, **{"class": name}),
-                "p99_s": self._dimension_quantile(
-                    "serve_class_latency_s", 0.99, **{"class": name}),
+                "batching": cls.batching,
+                "completed": latency.count,
+                "shed": shed,
+                "shed_rate": shed / total if total else 0.0,
+                "attainment": (self._class_good[name] / total
+                               if total else 1.0),
+                "p50_s": latency.quantile(0.50),
+                "p99_s": latency.quantile(0.99),
             }
         return out
 
     def _tenant_rollup(self) -> dict:
-        out = {}
-        for name in sorted(self._tenant_stats):
-            t = self._tenant_stats[name]
-            out[name] = {
-                "completed": t["completed"],
-                "shed": t["shed"],
-                "p99_s": self._dimension_quantile(
-                    "serve_tenant_latency_s", 0.99, tenant=name),
-            }
-        return out
+        # Every tenant that completed or was shed at least once.
+        tenants = {dict(labels)["tenant"]
+                   for name in ("serve_tenant_requests", "serve_requests_shed")
+                   for labels in self.registry.series(name)}
+        return {
+            name: {
+                "completed": self._count("serve_tenant_requests", tenant=name),
+                "shed": self._count("serve_requests_shed", tenant=name),
+                "p99_s": self._hist("serve_tenant_latency_s",
+                                    tenant=name).quantile(0.99),
+            } for name in sorted(tenants)}
 
     def _model_rollup(self) -> dict:
         out = {}
         for name in self.graphs:
+            latency = self._hist("serve_model_latency_s", model=name)
             out[name] = {
-                "completed": self._model_stats[name]["completed"],
-                "p50_s": self._dimension_quantile(
-                    "serve_model_latency_s", 0.50, model=name),
-                "p99_s": self._dimension_quantile(
-                    "serve_model_latency_s", 0.99, model=name),
+                "completed": latency.count,
+                "p50_s": latency.quantile(0.50),
+                "p99_s": latency.quantile(0.99),
             }
         return out
 
@@ -905,10 +914,8 @@ class InferenceServer:
 
     def _stage_stats(self) -> dict:
         """Per-stage time breakdown (queued / service / compile)."""
-        queued = self.registry.histogram("serve_stage_s",
-                                         buckets=LATENCY_BUCKETS_S, stage="queued")
-        service = self.registry.histogram("serve_stage_s",
-                                          buckets=LATENCY_BUCKETS_S, stage="service")
+        queued = self._hist("serve_stage_s", stage="queued")
+        service = self._hist("serve_stage_s", stage="service")
         return {
             "queued_mean_ms": queued.mean * 1e3,
             "queued_p99_ms": queued.quantile(0.99) * 1e3,

@@ -1,4 +1,4 @@
-"""Metrics subsystem: registry, attribution, manifests, diff gate, exporters."""
+"""Metrics subsystem: registry, attribution, manifests, diff gate."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 from repro.metrics import (
     COMPONENTS,
-    CounterTrackSampler,
     DEFAULT_TOLERANCES,
     MetricsRegistry,
     RunManifest,
@@ -18,9 +17,7 @@ from repro.metrics import (
     attribute_subgraphs,
     diff_manifests,
     manifest_from_result,
-    metrics_csv,
     plan_digest,
-    prometheus_textfile,
 )
 from repro.distributed.comm import CommModel
 
@@ -340,52 +337,6 @@ class TestDiff:
         assert main(["metrics", "diff", str(base), str(worse),
                      "--tolerance", "bogus"]) == 2
 
-
-# ---------------------------------------------------------------------------
-# Exporters
-# ---------------------------------------------------------------------------
-
-class TestExporters:
-    def test_prometheus_textfile_format(self):
-        reg = MetricsRegistry()
-        reg.set_base(model="m")
-        reg.inc("dram_txns", 4, node=1)
-        reg.histogram("sizes", buckets=(10.0, 100.0)).observe(50.0)
-        text = prometheus_textfile(reg)
-        assert '# TYPE repro_dram_txns counter' in text
-        assert 'repro_dram_txns{model="m",node="1"} 4' in text
-        assert 'repro_sizes_bucket{model="m",le="100"} 1' in text
-        assert 'repro_sizes_bucket{model="m",le="+Inf"} 1' in text
-        assert 'repro_sizes_count{model="m"} 1' in text
-
-    def test_csv_has_hierarchy_columns(self):
-        reg = MetricsRegistry()
-        with reg.label_scope(strategy="padded", subgraph=2):
-            reg.inc("txns", 7, node=3)
-        text = metrics_csv(reg)
-        header, row = text.strip().splitlines()
-        assert header.startswith("name,kind,model,strategy,brick,subgraph,node")
-        assert "txns,counter,,padded,,2,3,7" in row
-
-    def test_counter_tracks_layer_onto_chrome_trace(self):
-        from repro.profiling import TraceCollector
-        from repro.profiling.export import chrome_trace
-
-        device = Device(A100)
-        sampler = device.attach(CounterTrackSampler())
-        collector = device.attach(TraceCollector())
-        run_graph(small_chain_graph(size=48), device=device)
-        assert sampler.tracks
-        assert any(samples for samples in sampler.tracks.values())
-        doc = chrome_trace(collector, counter_tracks=sampler.tracks)
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "C"}
-        assert "L2 miss bytes" in names
-        layered = [e for e in doc["traceEvents"]
-                   if e["ph"] == "C" and e["name"] == "L2 miss bytes"]
-        assert all("value" in e["args"] for e in layered)
-        # Samples are deduplicated: values change monotonically over time.
-        values = [e["args"]["value"] for e in layered]
-        assert values == sorted(values)
 
 # ---------------------------------------------------------------------------
 # Histogram quantile edge cases

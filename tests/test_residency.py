@@ -178,13 +178,20 @@ def _counters(result):
             m.atomics.compulsory, m.atomics.conflict, m.time.total)
 
 
-def _run(graph_fn, strategy, sim_path):
+def _run(graph_fn, strategy):
     from repro.core.engine import BrickDLEngine
 
     engine = BrickDLEngine(graph_fn(), strategy_override=strategy)
     plan = engine.compile()
-    device = Device(engine.spec, sim_path=sim_path)
+    device = Device(engine.spec)
     return engine.run(inputs=None, functional=False, device=device, plan=plan)
+
+
+def _per_access(self, accesses, batch_spans=()):
+    """The whole-run scalar oracle: every access through the exact
+    per-access walk, no signature memo, no batch spans."""
+    for access in accesses:
+        self.process(access)
 
 
 def chain_graph():
@@ -204,31 +211,33 @@ def branchy_graph():
 
 
 class TestSimPathEquivalence:
-    """The scalar oracle and the vectorized batch path are counter-identical
+    """``MemorySystem.process_batch`` is counter-identical to walking every
+    access through ``MemorySystem.process``.  The program only ever runs the
+    batched path; the whole-run scalar oracle is this class swapping it out
     (the distributed runner is analytic and has no memory system, so the
     three device-backed executors are the complete surface)."""
 
-    @pytest.mark.parametrize("strategy", ["padded", "memoized", "wavefront"])
-    def test_chain_all_executors(self, strategy):
+    @staticmethod
+    def _both_paths(graph_fn, strategy, monkeypatch):
         from repro.core.plan import Strategy
+        from repro.gpusim.memory import MemorySystem
 
-        s = Strategy(strategy)
-        scalar = _run(chain_graph, s, "scalar")
-        vector = _run(chain_graph, s, "vectorized")
-        assert _counters(scalar) == _counters(vector)
+        s = Strategy(strategy) if strategy else None
+        vector = _run(graph_fn, s)
+        monkeypatch.setattr(MemorySystem, "process_batch", _per_access)
+        scalar = _run(graph_fn, s)
+        return _counters(scalar), _counters(vector)
 
-    def test_model_zoo_planned(self):
-        scalar = _run(branchy_graph, None, "scalar")
-        vector = _run(branchy_graph, None, "vectorized")
-        assert _counters(scalar) == _counters(vector)
+    @pytest.mark.parametrize("strategy", ["padded", "memoized", "wavefront"])
+    def test_chain_all_executors(self, strategy, monkeypatch):
+        scalar, vector = self._both_paths(chain_graph, strategy, monkeypatch)
+        assert scalar == vector
 
-    def test_env_var_selects_path(self, monkeypatch):
-        from repro.gpusim.simpath import SCALAR, VECTORIZED, active_path
+    def test_model_zoo_planned(self, monkeypatch):
+        scalar, vector = self._both_paths(branchy_graph, None, monkeypatch)
+        assert scalar == vector
 
-        monkeypatch.delenv("REPRO_SIM_PATH", raising=False)
-        assert active_path() == VECTORIZED
-        monkeypatch.setenv("REPRO_SIM_PATH", "scalar")
-        assert active_path() == SCALAR
-        monkeypatch.setenv("REPRO_SIM_PATH", "nonsense")
-        with pytest.raises(ValueError):
-            active_path()
+    @pytest.mark.parametrize("strategy", ["padded", "memoized"])
+    def test_model_zoo_forced_strategy(self, strategy, monkeypatch):
+        scalar, vector = self._both_paths(branchy_graph, strategy, monkeypatch)
+        assert scalar == vector

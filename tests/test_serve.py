@@ -246,7 +246,8 @@ def test_serve_closed_loop_cache_warmup_and_stats():
     assert stats["plan_cache"]["misses"] <= 3  # buckets 1, 2, 4
     assert stats["plan_cache"]["hits"] > 0
     assert stats["plan_cache"]["request_hit_ratio"] > 0.5
-    assert stats["batches"]["count"] == server.batches > 0
+    assert stats["batches"]["count"] \
+        == server.registry.counter("serve_batches").value > 0
     assert stats["latency_s"]["p99"] >= stats["latency_s"]["p50"] > 0
     assert stats["throughput_rps"] > 0
     assert stats["sim_time_s"] > 0
@@ -285,7 +286,7 @@ def test_serve_backpressure_rejects_when_saturated():
     rejected = [r for r in results if isinstance(r, QueueSaturatedError)]
     assert len(served) + len(rejected) == 16
     assert rejected, "queue_depth=1 under a 16-burst must shed load"
-    assert server.rejected == len(rejected)
+    assert server.stats()["requests"]["rejected"] == len(rejected)
     assert not any(r.degraded for r in served)  # reject policy never degrades
 
 
@@ -302,7 +303,7 @@ def test_serve_saturation_degrades_to_fallback():
     assert len(results) == 16
     degraded = [r for r in results if r.degraded]
     assert degraded, "degrade policy must shed load via the fallback path"
-    assert server.rejected == 0
+    assert server.stats()["requests"]["rejected"] == 0
     assert all(r.batch_size == 1 for r in degraded)  # fallback is single-shot
 
 
@@ -318,10 +319,165 @@ def test_serve_timeout_degrades_to_fallback():
 
     results = asyncio.run(scenario())
     assert all(r.timed_out and r.degraded for r in results)
-    assert server.timed_out == 6
     stats = server.stats()
     assert stats["requests"]["timed_out"] == 6
+    assert server.registry.counter("serve_requests_timed_out").value == 6
     assert stats["requests"]["degraded"] == 6
+
+
+# ---------------------------------------------------------------------------
+# every request ends in one place: failures, and a mixed-outcome session
+# ---------------------------------------------------------------------------
+
+def _fail_engine_runs(monkeypatch, should_fail):
+    """Make ``BrickDLEngine.run`` raise whenever ``should_fail()`` is true."""
+    from repro.core.engine import BrickDLEngine
+
+    real_run = BrickDLEngine.run
+
+    def run(self, *args, **kwargs):
+        if should_fail():
+            raise RuntimeError("injected device fault")
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrickDLEngine, "run", run)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_failed_batch_is_accounted_once_and_server_keeps_serving(
+        traced, tmp_path, monkeypatch):
+    from repro.obs import FlightRecorder, Tracer, check_completeness
+
+    tracer = (Tracer(recorder=FlightRecorder(out_dir=tmp_path))
+              if traced else None)
+    server = InferenceServer(
+        small_chain_graph(name="serve_fail"), tracer=tracer,
+        config=ServeConfig(devices=1, max_batch=4, functional=False,
+                           max_wait_s=0.005))
+    runs = []
+    _fail_engine_runs(monkeypatch, lambda: runs.append(1) or len(runs) == 1)
+
+    async def scenario():
+        async with server:
+            first = await asyncio.gather(
+                *[server.submit(None) for _ in range(8)],
+                return_exceptions=True)
+            inflight = dict(server._tenant_inflight)
+            second = await asyncio.gather(
+                *[server.submit(None) for _ in range(4)])
+        return first, inflight, second
+
+    first, inflight, second = asyncio.run(scenario())
+    failed = [r for r in first if isinstance(r, Exception)]
+    assert len(failed) == 4                         # the whole first batch
+    assert all(isinstance(e, RuntimeError) and "injected" in str(e)
+               for e in failed)
+    assert len({id(e) for e in failed}) == 1        # the execution's own
+    assert inflight == {} and server._tenant_inflight == {}
+    assert not server._pending
+    # The second wave is served normally on the same server.
+    assert all(r.deadline_met and not r.degraded for r in second)
+
+    stats = server.stats()
+    assert "failed" not in stats["requests"]        # the manifest shape holds
+    assert stats["requests"] == {"completed": 8, "degraded": 0,
+                                 "timed_out": 0, "rejected": 0}
+    # Debited exactly once each, and every roll-up agrees with the SLO.
+    assert stats["slo"]["events"] == 12
+    assert stats["slo"]["attainment"] == pytest.approx(8 / 12)
+    cls = stats["classes"]["standard"]
+    assert cls["attainment"] == stats["slo"]["attainment"]
+    n_failed = server.registry.total("serve_requests_failed",
+                                     **{"class": "standard"})
+    assert cls["completed"] + cls["shed"] + n_failed == 12
+    assert n_failed == 4
+
+    if traced:
+        completeness = check_completeness(tracer.entries)
+        assert completeness.ok, completeness.problems
+        assert completeness.request_roots == 12
+        roots = [e for e in tracer.entries
+                 if e["type"] == "span" and e["kind"] == "request"]
+        errored = [r for r in roots if r["status"] == "error"]
+        assert len(errored) == 4
+        assert all("injected" in r["attrs"]["error"] for r in errored)
+        assert sum(r["status"] == "ok" for r in roots) == 8
+        errors = [e for e in tracer.entries
+                  if e["type"] == "event" and e["name"] == "error"]
+        assert len(errors) == 1                     # one failed batch
+        # ... and one flight dump for it, naming the batch's head request.
+        assert server.recorder.dumps["error"]["request_id"] == 0
+        assert (tmp_path / "flightrec-error.json").exists()
+
+
+def test_mixed_outcomes_each_request_reaches_the_terminal_once(monkeypatch):
+    """ok + quota reject + saturated reject + timed-out fallback + failure
+    in one session: one ``_finish`` per request, and every roll-up adds up."""
+    from repro.serve import TenantQuotaError, server as srv
+
+    server = profile_server(devices=1, max_batch=2, queue_depth=1,
+                            saturation_policy="reject",
+                            tenant_quotas={"greedy": 1})
+    finished = []
+    real_finish = server._finish
+
+    def finish(req, outcome, *args, **kwargs):
+        finished.append((req.request_id, outcome))
+        return real_finish(req, outcome, *args, **kwargs)
+
+    server._finish = finish
+    failing = []
+    _fail_engine_runs(monkeypatch, lambda: bool(failing))
+
+    async def scenario():
+        async with server:
+            # The second greedy request finds its tenant at quota.
+            quota = await asyncio.gather(
+                server.submit(None, tenant="greedy"),
+                server.submit(None, tenant="greedy"),
+                return_exceptions=True)
+            # queue_depth=1: the burst's first request queues, the rest shed.
+            burst = await asyncio.gather(
+                *[server.submit(None) for _ in range(3)],
+                return_exceptions=True)
+            late = await server.submit(None, timeout_s=0.0)
+            failing.append(True)
+            broken = (await asyncio.gather(server.submit(None),
+                                           return_exceptions=True))[0]
+            failing.clear()
+            ok = await server.submit(None)
+        return quota, burst, late, broken, ok
+
+    quota, burst, late, broken, ok = asyncio.run(scenario())
+    assert not isinstance(quota[0], Exception)
+    assert isinstance(quota[1], TenantQuotaError)
+    assert not isinstance(burst[0], Exception)
+    assert all(type(r) is QueueSaturatedError for r in burst[1:])
+    assert late.timed_out and late.degraded
+    assert isinstance(broken, RuntimeError)
+    assert not ok.degraded and ok.deadline_met
+
+    # One terminal call per request, with the outcome each one met.
+    assert sorted(rid for rid, _ in finished) == list(range(8))
+    assert [outcome for _, outcome in sorted(finished, key=lambda f: f[0])] == [
+        srv.SERVED, srv.REJECTED_QUOTA,
+        srv.SERVED, srv.REJECTED_SATURATED, srv.REJECTED_SATURATED,
+        srv.TIMED_OUT, srv.FAILED, srv.SERVED]
+
+    stats = server.stats()
+    assert stats["requests"] == {"completed": 4, "degraded": 1,
+                                 "timed_out": 1, "rejected": 3}
+    assert stats["slo"]["events"] == 8
+    cls = stats["classes"]["standard"]
+    assert (cls["completed"], cls["shed"]) == (4, 3)
+    assert cls["shed_rate"] == pytest.approx(3 / 8)
+    assert cls["attainment"] == stats["slo"]["attainment"]
+    assert server.registry.total("serve_requests_failed") == 1
+    assert stats["tenants"]["greedy"]["completed"] == 1
+    assert stats["tenants"]["greedy"]["shed"] == 1
+    assert stats["tenants"]["default"]["completed"] == 3
+    assert stats["tenants"]["default"]["shed"] == 2
+    assert server._tenant_inflight == {} and not server._pending
 
 
 def test_serve_metrics_land_in_manifest():
@@ -342,6 +498,8 @@ def test_serve_metrics_land_in_manifest():
     assert "serve_latency_s" in names
     assert "serve_batch_size" in names
     assert "serve_queue_depth" in names
+    # A clean session leaves no trace of the failure series.
+    assert "serve_requests_failed" not in names
 
 
 def test_loadgen_poisson_seeded_inputs_are_deterministic():
