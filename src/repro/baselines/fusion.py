@@ -35,11 +35,6 @@ class FusionGroup:
     def output(self) -> Node:
         return self.fused[-1] if self.fused else self.primary
 
-    @property
-    def num_kernels(self) -> int:
-        """Kernel launches this group costs (one: that is the point)."""
-        return 1
-
     def describe(self) -> str:
         ops = "+".join(n.op.kind for n in self.nodes)
         return f"[{self.primary.name}: {ops}]"

@@ -15,7 +15,7 @@ import pathlib
 
 from repro.bench.reporting import BreakdownRow
 
-__all__ = ["figure_to_csv", "figure_to_json", "write_figure", "write_trace"]
+__all__ = ["figure_to_csv", "figure_to_json", "write_figure"]
 
 _FIELDS = [f.name for f in dataclasses.fields(BreakdownRow)]
 
@@ -53,20 +53,3 @@ def write_figure(result, path: str | pathlib.Path) -> pathlib.Path:
     else:
         raise ValueError(f"unsupported export format {path.suffix!r} (use .csv or .json)")
     return path
-
-
-def write_trace(collector, path: str | pathlib.Path, names=None) -> pathlib.Path:
-    """Write a run's task timeline; the suffix picks the format.
-
-    ``.json`` emits Chrome-trace/Perfetto JSON, ``.csv`` the per-node
-    attribution summary.  ``collector`` is a
-    :class:`repro.profiling.TraceCollector` (e.g. ``EngineResult.trace``).
-    """
-    from repro.profiling import write_chrome_trace, write_summary_csv
-
-    path = pathlib.Path(path)
-    if path.suffix == ".csv":
-        return write_summary_csv(collector, path, names=names)
-    if path.suffix == ".json":
-        return write_chrome_trace(collector, path, names=names)
-    raise ValueError(f"unsupported trace format {path.suffix!r} (use .csv or .json)")

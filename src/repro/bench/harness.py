@@ -88,11 +88,11 @@ def run_brickdl(
     t0 = time.perf_counter()
     result = engine.run(inputs=None, functional=False, device=device, plan=plan)
     sim_wall_s = time.perf_counter() - t0
-    if trace is not None and result.trace is not None:
-        from repro.bench.export import write_trace
+    if trace is not None:
+        from repro.profiling import write_chrome_trace
 
-        write_trace(result.trace, trace,
-                    names={n.node_id: n.name for n in graph.nodes})
+        write_chrome_trace(result.trace, trace,
+                           names={n.node_id: n.name for n in graph.nodes})
     name = label or (f"brickdl/{strategy.value}" if strategy else "brickdl")
     if manifest is not None:
         from repro.metrics import manifest_from_result

@@ -94,14 +94,14 @@ def cmd_profile(args) -> int:
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
-    from repro.profiling import TraceCollector, write_chrome_trace, write_summary_csv
+    from repro.profiling import write_chrome_trace, write_summary_csv
 
     graph = _build_model(args)
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
     plan = engine.compile()
     device = Device(adapt_sectors(A100, plan))
-    trace = device.attach(TraceCollector())
     result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    trace = result.trace
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     print()
     print(result.attribution_table())
@@ -186,12 +186,10 @@ def cmd_lint(args) -> int:
         report.extend(replay_trace(plan, replay_tasks_from_chrome_trace(doc)))
     elif args.run:
         from repro.gpusim.device import Device
-        from repro.profiling import TraceCollector
 
         device = Device(adapt_sectors(A100, plan))
-        trace = device.attach(TraceCollector())
-        engine.run(inputs=None, functional=False, device=device, plan=plan)
-        report.extend(replay_trace(plan, trace.records))
+        result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+        report.extend(replay_trace(plan, result.trace.records))
     if args.sanitize:
         result = _sanitized_run(graph, plan, strategy, args.brick)
         report.extend(result.sanitizer_report)
@@ -369,7 +367,7 @@ def cmd_metrics(args) -> int:
                             tolerances=tolerances or None)
     print(report.render(verbose=args.verbose))
     if getattr(args, "require_identical", False):
-        # Equivalence mode (scalar vs vectorized sim path): every metric must
+        # Equivalence mode (the tracing-off purity gate): every metric must
         # be bit-equal; tolerances do not apply.
         moved = [d for d in report.deltas if d.new != d.base]
         missing = [w for w in report.warnings if "only in" in w]
@@ -459,7 +457,7 @@ def cmd_serve(args) -> int:
         **_serve_build_kwargs(args))
     stats = server.stats()
     print(f"served {stats['requests']['completed']} requests on "
-          f"{args.devices} simulated device(s): "
+          f"{stats['devices']['current']} simulated device(s): "
           f"p50 {stats['latency_s']['p50'] * 1e3:.1f} ms, "
           f"p99 {stats['latency_s']['p99'] * 1e3:.1f} ms, "
           f"plan cache {stats['plan_cache']['hits']}/{stats['plan_cache']['hits'] + stats['plan_cache']['misses']} hits "

@@ -105,11 +105,8 @@ class EngineResult:
         if self.trace is None:
             return "(no trace collected)"
         names = {n.node_id: n.name for n in self.plan.graph.nodes}
-        table = self.trace.per_node()
         rows = []
-        order = sorted((k for k in table if k is not None))
-        for nid in order + ([None] if None in table else []):
-            d = table[nid]
+        for nid, d in self.trace.per_node().items():
             rows.append([
                 "-" if nid is None else nid,
                 names.get(nid, d["label"]),

@@ -23,14 +23,6 @@ class CommCounters:
     steps: int = 0
     time_s: float = 0.0
 
-    def merged_with(self, other: "CommCounters") -> "CommCounters":
-        return CommCounters(
-            self.messages + other.messages,
-            self.bytes + other.bytes,
-            self.steps + other.steps,
-            self.time_s + other.time_s,
-        )
-
 
 @dataclass
 class CommModel:

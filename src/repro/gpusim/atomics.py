@@ -41,9 +41,6 @@ class AtomicCounters:
     def conflict_time(self, spec: GPUSpec) -> float:
         return self.conflict * spec.atomic_time_s
 
-    def merged_with(self, other: "AtomicCounters") -> "AtomicCounters":
-        return AtomicCounters(self.compulsory + other.compulsory, self.conflict + other.conflict)
-
 
 def cas_microbenchmark_time(
     spec: GPUSpec,

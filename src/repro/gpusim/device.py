@@ -12,11 +12,12 @@ submitted task with an issue-order ``(start_s, end_s)`` from the
 ``spec.task_time`` model plus its submission index and counter delta, so
 each run yields a timeline of self-describing tasks.  Attached observers
 (see :mod:`repro.profiling`) are notified of allocations and discards, task
-submissions (with the task's own counter delta), functional kernel values
-(:meth:`note_values`), synchronizations, attribution scopes, and run
-completion.  The timeline is an *issue-order* view for tracing; the
-authoritative end-to-end time remains the :class:`TimeBreakdown` makespan
-model, which additionally accounts for memory/compute overlap.
+submissions (the stamped task carries its own counter delta), functional
+kernel values (:meth:`note_values`), synchronizations, attribution scopes
+(where they snapshot :meth:`counter_state`), and run completion.  The
+timeline is an *issue-order* view for tracing; the authoritative end-to-end
+time remains the :class:`TimeBreakdown` makespan model, which additionally
+accounts for memory/compute overlap.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class RunMetrics:
     time: TimeBreakdown
     num_tasks: int
     total_flops: float
-
-    @property
-    def dram_time(self) -> float:
-        return self.time.dram
 
     @property
     def total_time(self) -> float:
@@ -108,7 +105,7 @@ class Device:
               brick: str | None = None) -> Iterator[None]:
         """Attribution scope: tasks submitted inside are stamped with the
         plan entry and strategy (unless the executor set them already), and
-        observers can attribute out-of-task counter growth to the scope.
+        its cost is the growth of :meth:`counter_state` between its two ends.
         The metrics registry gets matching ``(strategy, brick, subgraph)``
         default labels for everything recorded inside."""
         prev = self._scope
@@ -130,14 +127,12 @@ class Device:
         return max(self._lanes)
 
     def counter_state(self) -> dict[str, float]:
-        """Cumulative counters, for observers' attribution bookkeeping."""
+        """Cumulative counters, for observers to snapshot at scope boundaries."""
         c = self.memory.counters
         return {
             "l1_txns": c.l1_txns,
             "l2_txns": c.l2_txns,
             "dram_txns": c.dram_read_txns + c.dram_write_txns,
-            "dram_read_txns": c.dram_read_txns,
-            "dram_write_txns": c.dram_write_txns,
             "atomics_compulsory": self.atomics.compulsory,
             "atomics_conflict": self.atomics.conflict,
             "overhead_s": self._extra_overhead,
@@ -172,8 +167,7 @@ class Device:
     def submit(self, task: Task) -> None:
         """Run one fine-grained kernel invocation through the hierarchy."""
         c = self.memory.counters
-        before = (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns,
-                  self.atomics.compulsory, self.atomics.conflict)
+        before = (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns)
         self.memory.begin_task()
         self.memory.process_batch(task.accesses, task.batch_spans)
         self.atomics.compulsory += task.atomics_compulsory
@@ -201,8 +195,7 @@ class Device:
         self._tasks.append(task)
         deltas = (c.l1_txns - before[0], c.l2_txns - before[1],
                   c.dram_read_txns - before[2], c.dram_write_txns - before[3],
-                  self.atomics.compulsory - before[4],
-                  self.atomics.conflict - before[5])
+                  task.atomics_compulsory, task.atomics_conflict)
         task.l1_txns = deltas[0]
         task.l2_txns = deltas[1]
         task.dram_txns = deltas[2] + deltas[3]
@@ -212,11 +205,8 @@ class Device:
                 counter.value += delta
         row[-2].value += 1
         row[-1].value += task.flops
-        if self.observers:
-            delta_map = dict(zip(_TASK_METRICS, deltas))
-            delta_map["dram_txns"] = task.dram_txns
-            for obs in self.observers:
-                obs.on_task_submit(self, task, delta_map)
+        for obs in self.observers:
+            obs.on_task_submit(self, task)
 
     def note_values(self, task: Task | None, node_id: int | None, values) -> None:
         """Announce a functional-mode kernel result to the observers.

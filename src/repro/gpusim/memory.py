@@ -83,14 +83,6 @@ class MemoryCounters:
     def dram_bytes(self) -> int:
         return self.dram_txns * 32
 
-    def merged_with(self, other: "MemoryCounters") -> "MemoryCounters":
-        return MemoryCounters(
-            self.l1_txns + other.l1_txns,
-            self.l2_txns + other.l2_txns,
-            self.dram_read_txns + other.dram_read_txns,
-            self.dram_write_txns + other.dram_write_txns,
-        )
-
 
 class AnalyticResidency:
     """Per-buffer L2 residency for dense row-major activations.

@@ -54,20 +54,6 @@ class TimeBreakdown:
     atomics_conflict: float
     other: float
 
-    @property
-    def memory_side(self) -> tuple[float, float]:
-        """(dram, idle) -- the paper's "M" bar, stacked."""
-        return (self.dram, self.idle)
-
-    @property
-    def compute_side(self) -> tuple[float, float, float, float]:
-        """(compute, atomics compulsory, atomics conflict, other) -- "C" bar."""
-        return (self.compute, self.atomics_compulsory, self.atomics_conflict, self.other)
-
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        return TimeBreakdown(*(getattr(self, f) * factor for f in (
-            "total", "dram", "idle", "compute", "atomics_compulsory", "atomics_conflict", "other")))
-
 
 def compute_breakdown(
     spec: GPUSpec,

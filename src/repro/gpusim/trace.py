@@ -51,10 +51,6 @@ class Buffer:
     def new(name: str, nbytes: int, transient: bool = False) -> "Buffer":
         return Buffer(next(_buffer_ids), name, int(nbytes), transient)
 
-    @property
-    def kb(self) -> float:
-        return self.nbytes / 1024.0
-
 
 @dataclass(frozen=True)
 class Access:

@@ -51,11 +51,6 @@ class GraphBuilder:
         """The most recently produced node (the implicit chain cursor)."""
         return self._cursor
 
-    def at(self, node: Node) -> "GraphBuilder":
-        """Move the cursor (for building branches)."""
-        self._cursor = node
-        return self
-
     def _src(self, src: Node | None) -> Node:
         return src if src is not None else self._cursor
 

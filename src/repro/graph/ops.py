@@ -47,7 +47,6 @@ __all__ = [
     "Dense",
     "Softmax",
     "FusedOp",
-    "flatten_stages",
     "normalize_tuple",
 ]
 
@@ -715,8 +714,3 @@ class FusedOp(OpSpec):
             for key, value in stage.items():
                 joined[prefix + key] = value
         return joined
-
-
-def flatten_stages(op: OpSpec) -> tuple[OpSpec, ...]:
-    """The plain-operator pipeline an op computes: its fused stages, or itself."""
-    return op.stages if isinstance(op, FusedOp) else (op,)

@@ -159,9 +159,9 @@ def attribute_run(metrics: "RunMetrics", spec: "GPUSpec",
 
 
 def attribute_subgraphs(per_subgraph: Sequence[dict], spec: "GPUSpec",
-                        plan=None) -> list[BottleneckReport]:
+                        plan) -> list[BottleneckReport]:
     """Classify each plan entry from the engine's per-subgraph attribution
-    rows (``EngineResult.per_subgraph``).
+    rows (``EngineResult.per_subgraph``, aligned with ``plan.subgraphs``).
 
     Per-subgraph compute time is the balanced-makespan estimate
     ``busy_s / num_sms`` (exact per-task durations summed over the plan
@@ -170,25 +170,15 @@ def attribute_subgraphs(per_subgraph: Sequence[dict], spec: "GPUSpec",
     entry's measured scheduler overhead plus its synchronizations.
     """
     reports = []
-    for index, row in enumerate(per_subgraph):
-        if plan is not None and index < len(plan.subgraphs):
-            sub = plan.subgraphs[index]
-            label = f"subgraph {index} ({sub.strategy.value})"
-        else:
-            label = f"subgraph {index}"
-        dram = row.get("dram_time_s", row.get("dram_txns", 0) / spec.txn_rate)
-        compute = row.get("busy_s", 0.0) / max(1, spec.num_sms)
-        if not compute:
-            # Older rows without busy_s: rebuild from flops + per-task overhead.
-            compute = (row.get("num_tasks", 0) * spec.call_overhead_s
-                       + row.get("flops", 0.0) / spec.sm_flops) / max(1, spec.num_sms)
-        atomic = (row.get("atomics_compulsory", 0)
-                  + row.get("atomics_conflict", 0)) * spec.atomic_time_s
-        idle = row.get("overhead_s", 0.0) + row.get("syncs", 0) * spec.sync_time_s
+    for sub, row in zip(plan.subgraphs, per_subgraph):
+        label = f"subgraph {sub.index} ({sub.strategy.value})"
+        compute = row["busy_s"] / max(1, spec.num_sms)
+        atomic = (row["atomics_compulsory"] + row["atomics_conflict"]) * spec.atomic_time_s
+        idle = row["overhead_s"] + row["syncs"] * spec.sync_time_s
         reports.append(_classify(
-            label, spec, dram, compute, atomic, idle,
-            flops=row.get("flops", 0.0),
-            dram_bytes=row.get("dram_txns", 0) * spec.transaction_bytes,
+            label, spec, row["dram_time_s"], compute, atomic, idle,
+            flops=row["flops"],
+            dram_bytes=row["dram_txns"] * spec.transaction_bytes,
         ))
     return reports
 

@@ -5,18 +5,15 @@ transaction counts, atomic traffic, and per-subgraph time breakdowns
 (section 4).  This package is the reproduction's equivalent substrate: an
 observer API on the simulated :class:`~repro.gpusim.device.Device`, a
 default :class:`TraceCollector` that keeps every submitted task with its
-structured identity and exact counter attribution, and exporters to Chrome-trace /
-Perfetto JSON and CSV.
+structured identity and attributes counters exactly from one snapshot per
+scope boundary, and exporters to Chrome-trace / Perfetto JSON and CSV.
 
-Typical use::
+Typical use (the engine attaches the collector; ``result.trace`` is it)::
 
-    from repro.gpusim.device import Device
-    from repro.profiling import TraceCollector, write_chrome_trace
+    from repro.profiling import write_chrome_trace
 
-    device = Device()
-    trace = device.attach(TraceCollector())
-    result = engine.run(inputs=None, functional=False, device=device)
-    write_chrome_trace(trace, "run.json",
+    result = engine.run(inputs=None, functional=False)
+    write_chrome_trace(result.trace, "run.json",
                        names={n.node_id: n.name for n in graph.nodes})
 
 or from the command line: ``repro profile resnet50 --trace run.json``.

@@ -126,13 +126,10 @@ def summary_csv(collector: TraceCollector,
                 names: Mapping[int, str] | None = None) -> str:
     """Per-node attribution summary as CSV (one row per graph node, plus a
     final row for residual/unattributed counters)."""
-    table = collector.per_node()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
-    keyed = sorted((k for k in table if k is not None))
-    for node_id in keyed + ([None] if None in table else []):
-        row = table[node_id]
+    for node_id, row in collector.per_node().items():
         name = (names or {}).get(node_id) or row["label"]
         writer.writerow([
             "" if node_id is None else node_id,

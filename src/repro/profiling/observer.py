@@ -11,18 +11,19 @@ Hook order for one run::
     on_alloc* / on_scope_begin / on_task_submit* / on_sync* /
     on_scope_end / ... / on_discard* / on_finish
 
-``on_task_submit`` receives the *counter delta* the task produced while its
-accesses were pushed through the memory hierarchy (keys ``l1_txns``,
-``l2_txns``, ``dram_txns``, ``atomics_compulsory``, ``atomics_conflict``),
-so per-task attribution needs no label parsing or snapshot bookkeeping.
-Counter growth that happens *outside* any task (e.g. the memoized
-scheduler's bulk conflict-CAS accounting) is picked up by observers at
-scope boundaries and at :meth:`on_finish` (the flush write-back).
+``on_task_submit`` receives the task *after* the device stamped it with its
+timeline position, plan entry and the counter delta its accesses produced
+(``l1_txns``, ``l2_txns``, ``dram_txns``; the atomics are the task's own),
+so per-task attribution needs no label parsing and no bookkeeping.  Counter
+growth *outside* any task (the memoized scheduler's bulk conflict-CAS
+accounting, the flush write-back) needs none either: an observer snapshots
+``device.counter_state()`` in ``on_scope_begin`` / ``on_scope_end`` and
+:meth:`on_finish`, and a scope's cost is the growth between its snapshots.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.gpusim.device import Device, RunMetrics
@@ -48,8 +49,7 @@ class DeviceObserver:
                      strategy: str | None) -> None:
         """The current attribution scope was exited."""
 
-    def on_task_submit(self, device: "Device", task: "Task",
-                       delta: Mapping[str, int]) -> None:
+    def on_task_submit(self, device: "Device", task: "Task") -> None:
         """A task ran through the memory hierarchy and joined the timeline."""
 
     def on_task_values(self, device: "Device", task: "Task | None",

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node, same_weights
-from repro.graph.ops import BatchNorm, Bias, Conv, FusedOp, OpSpec, Pool, flatten_stages
+from repro.graph.ops import BatchNorm, Bias, Conv, FusedOp, OpSpec, Pool
 from repro.graph.transforms import clone_weights
 from repro.rewrite.rule import RemovedNode, Rewrite, Rule
 

@@ -114,7 +114,7 @@ class ExecutionSanitizer(DeviceObserver):
         sub = self._scopes[-1] if self._scopes else None
         self.numeric.screen(task, node_id, values, sub)
 
-    def on_task_submit(self, device, task, delta) -> None:
+    def on_task_submit(self, device, task) -> None:
         self.shadow.saw_task = True
         seq = self._seq
         self._seq += 1

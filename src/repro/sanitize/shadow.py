@@ -154,6 +154,3 @@ class ShadowMemory:
         shadow = self.lookup(buffer)
         shadow.discarded_by = by
         return shadow
-
-    def shadows(self) -> list[BufferShadow]:
-        return list(self._shadows.values())

@@ -70,6 +70,17 @@ class TenantSpec:
             raise ValueError(f"tenant weight must be > 0, got {self.weight}")
 
 
+# What every scenario runs under (waits in units of the calibrated unit_s);
+# ``run_scenario(requests=, batching=)`` override the first two per run.
+_REQUESTS = 320
+_INTERACTIVE_BATCHING = "edf"
+_MAX_BATCH = 8
+_BATCH_WAIT_UNITS = 0.75           # coalescing window
+_FALLBACK_TIMEOUT_UNITS = 24.0
+_SATURATION_POLICY = "reject"
+_BURST_FRAC = 0.2                  # burst profile: fraction of T at rho_peak
+_MAX_DEVICES = 6                   # autoscaling ceiling
+
 _DEFAULT_TENANTS = (
     TenantSpec("web", weight=0.7, priority="interactive", deadline_units=12.0),
     TenantSpec("pipeline", weight=0.3, priority="batch", deadline_units=60.0),
@@ -82,9 +93,7 @@ class Scenario:
 
     name: str
     description: str
-    requests: int = 320
     devices: int = 2               # baseline fleet (min fleet when autoscaling)
-    max_batch: int = 8
     queue_depth: int = 64
     models: tuple[str, ...] = ("mobilenet_v1",)
     model_weights: tuple[float, ...] = (1.0,)
@@ -93,15 +102,8 @@ class Scenario:
     rho_profile: str = "steady"    # "steady" | "diurnal" | "burst"
     rho_base: float = 0.6
     rho_peak: float = 0.9
-    burst_frac: float = 0.2        # burst profile: fraction of T at rho_peak
-    # Fleet scheduling (units of the calibrated unit_s).
-    interactive_batching: str = "edf"
-    batch_wait_units: float = 0.75     # coalescing window
-    fallback_timeout_units: float = 24.0
-    saturation_policy: str = "reject"
     # Autoscaling (burst absorption); devices above is the minimum fleet.
     autoscale: bool = False
-    max_devices: int = 6
     # Fault injection: device 0 straggles by this many units per batch.
     straggler_device: int | None = None
     straggler_delay_units: float = 0.0
@@ -114,8 +116,6 @@ class Scenario:
             raise ValueError(f"unknown rho_profile {self.rho_profile!r}")
         if len(self.models) != len(self.model_weights):
             raise ValueError("models and model_weights must align")
-        if not 0 < self.burst_frac < 1:
-            raise ValueError(f"burst_frac must be in (0,1), got {self.burst_frac}")
 
     # -- the arrival-rate shape ---------------------------------------------
     def rho(self, t: float, duration: float) -> float:
@@ -125,8 +125,8 @@ class Scenario:
         if self.rho_profile == "diurnal":
             phase = 0.5 * (1.0 - math.cos(2.0 * math.pi * t / duration))
             return self.rho_base + (self.rho_peak - self.rho_base) * phase
-        lo = (0.5 - self.burst_frac / 2) * duration
-        hi = (0.5 + self.burst_frac / 2) * duration
+        lo = (0.5 - _BURST_FRAC / 2) * duration
+        hi = (0.5 + _BURST_FRAC / 2) * duration
         return self.rho_peak if lo <= t < hi else self.rho_base
 
     def mean_rho(self) -> float:
@@ -134,8 +134,7 @@ class Scenario:
             return self.rho_base
         if self.rho_profile == "diurnal":
             return (self.rho_base + self.rho_peak) / 2.0
-        return (self.rho_base * (1 - self.burst_frac)
-                + self.rho_peak * self.burst_frac)
+        return self.rho_base * (1 - _BURST_FRAC) + self.rho_peak * _BURST_FRAC
 
 
 @dataclass
@@ -261,8 +260,8 @@ _register(Scenario(
     name="burst",
     description="Flash crowd: 10x arrival spike mid-run; the autoscaler "
                 "must absorb it and then shrink back.",
-    rho_profile="burst", rho_base=0.25, rho_peak=2.5, burst_frac=0.2,
-    devices=1, autoscale=True, max_devices=6,
+    rho_profile="burst", rho_base=0.25, rho_peak=2.5,
+    devices=1, autoscale=True,
     queue_depth=96,
     objectives=(
         ("autoscaler.scale_ups", "min", 1),
@@ -357,15 +356,14 @@ def _plan_arrivals(scenario: Scenario, seed: int, requests: int,
     return arrivals, duration
 
 
-def _calibrate(graphs: Mapping[str, object], spec: GPUSpec,
-               max_batch: int) -> float:
+def _calibrate(graphs: Mapping[str, object], spec: GPUSpec) -> float:
     """Simulated service seconds of one full batch (max over models)."""
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
 
     unit = 0.0
     for graph in graphs.values():
-        engine = BrickDLEngine(graph, spec=spec).for_batch(max_batch)
+        engine = BrickDLEngine(graph, spec=spec).for_batch(_MAX_BATCH)
         plan = engine.compile()
         device = Device(adapt_sectors(spec, plan))
         result = engine.run(inputs=None, functional=False, device=device,
@@ -382,28 +380,28 @@ def build_scenario_config(scenario: Scenario, unit_s: float,
     u = unit_s
     interactive = PriorityClass(
         name="interactive", rank=0,
-        batching=batching or scenario.interactive_batching,
-        max_wait_s=scenario.batch_wait_units * u)
+        batching=batching or _INTERACTIVE_BATCHING,
+        max_wait_s=_BATCH_WAIT_UNITS * u)
     bulk = PriorityClass(
         name="batch", rank=1, batching="head",
-        max_wait_s=4 * scenario.batch_wait_units * u)
+        max_wait_s=4 * _BATCH_WAIT_UNITS * u)
     quotas = {t.name: t.quota for t in scenario.tenants if t.quota is not None}
     return ServeConfig(
         devices=scenario.devices,
-        max_batch=scenario.max_batch,
-        max_wait_s=scenario.batch_wait_units * u,
+        max_batch=_MAX_BATCH,
+        max_wait_s=_BATCH_WAIT_UNITS * u,
         queue_depth=scenario.queue_depth,
-        saturation_policy=scenario.saturation_policy,
+        saturation_policy=_SATURATION_POLICY,
         functional=False,
-        default_timeout_s=scenario.fallback_timeout_units * u,
+        default_timeout_s=_FALLBACK_TIMEOUT_UNITS * u,
         classes=(interactive, bulk),
         default_class="interactive",
         tenant_quotas=quotas or None,
         autoscaler=AutoscalerConfig(
             min_devices=scenario.devices,
-            max_devices=scenario.max_devices,
+            max_devices=_MAX_DEVICES,
             interval_s=2 * u,
-            scale_up_queue_per_device=2.0 * scenario.max_batch,
+            scale_up_queue_per_device=2.0 * _MAX_BATCH,
             scale_down_queue_per_device=0.5,
             hysteresis_ticks=2,
             cooldown_s=6 * u,
@@ -450,9 +448,9 @@ def run_scenario(
 
     graphs = {name: zoo.build(name, reduced=reduced)
               for name in scenario.models}
-    unit_s = _calibrate(graphs, spec, scenario.max_batch)
-    n_requests = requests if requests is not None else scenario.requests
-    capacity_rps = scenario.devices * scenario.max_batch / unit_s
+    unit_s = _calibrate(graphs, spec)
+    n_requests = requests if requests is not None else _REQUESTS
+    capacity_rps = scenario.devices * _MAX_BATCH / unit_s
     arrivals, duration = _plan_arrivals(scenario, seed, n_requests,
                                         capacity_rps)
     config = build_scenario_config(scenario, unit_s, batching=batching)
@@ -528,7 +526,7 @@ def run_scenario(
     return ScenarioReport(
         scenario=scenario.name,
         seed=seed,
-        batching=batching or scenario.interactive_batching,
+        batching=batching or _INTERACTIVE_BATCHING,
         unit_s=unit_s,
         duration_s=elapsed,
         requests=len(arrivals),

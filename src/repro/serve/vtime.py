@@ -41,12 +41,6 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
     def time(self) -> float:
         return self._vnow
 
-    def advance(self, delta_s: float) -> None:
-        """Manually move the clock (test hook; normal runs never need it)."""
-        if delta_s < 0:
-            raise ValueError(f"cannot rewind virtual time by {delta_s}")
-        self._vnow += delta_s
-
     def _run_once(self) -> None:
         # Discrete-event step: with nothing runnable now, jump straight to
         # the earliest timer instead of sleeping until it.  The base

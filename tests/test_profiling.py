@@ -9,10 +9,11 @@ import re
 import pytest
 
 from repro.core.engine import BrickDLEngine, EngineResult
-from repro.core.plan import Strategy
+from repro.core.plan import Strategy, adapt_sectors
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
-from repro.profiling import TraceCollector, chrome_trace, summary_csv
+from repro.models import zoo
+from repro.profiling import DeviceObserver, TraceCollector, chrome_trace, summary_csv
 
 from testlib import small_chain_graph
 
@@ -132,6 +133,157 @@ class TestCollector:
             live += ev.nbytes
             assert ev.live_bytes == live
             assert ev.live_bytes >= 0
+
+
+class _LedgerOracle(DeviceObserver):
+    """The per-task ledger the collector used to be, kept as the reference:
+    on every task and scope boundary it diffs ``counter_state()`` against the
+    previous event, subtracts the task's own delta and files the rest into a
+    residual bucket keyed by subgraph index, None (graph level) or "flush";
+    the rollups re-add tasks and buckets."""
+
+    def __init__(self):
+        self.records, self.syncs, self.residuals = [], [], {}
+        self._scopes, self._last, self.spec = [], None, None
+
+    def _settle(self, device, bucket_key, task=None):
+        now = device.counter_state()
+        if self._last is not None:
+            for key in COUNTERS + ("overhead_s",):
+                grown = now[key] - self._last[key]
+                if task is not None:
+                    grown -= getattr(task, key, 0)
+                if grown:
+                    bucket = self.residuals.setdefault(
+                        bucket_key, {k: 0 for k in COUNTERS} | {"overhead_s": 0.0})
+                    bucket[key] += grown
+        self._last = now
+
+    def _active(self):
+        return self._scopes[-1] if self._scopes else None
+
+    def on_scope_begin(self, device, subgraph_index, strategy):
+        self._settle(device, self._active())
+        self._scopes.append(subgraph_index)
+
+    def on_scope_end(self, device, subgraph_index, strategy):
+        self._settle(device, subgraph_index)
+        self._scopes.pop()
+
+    def on_task_submit(self, device, task):
+        self.spec = device.spec
+        self._settle(device, self._active(), task)
+        self.records.append(task)
+
+    def on_sync(self, device, time_s):
+        self.syncs.append(self._active())
+
+    def on_finish(self, device, metrics):
+        self._settle(device, "flush")
+
+    def _accumulate(self, row, r):
+        row["num_tasks"] += 1
+        row["calls"] += r.calls
+        row["flops"] += r.flops
+        row["busy_s"] += r.duration_s
+        for k in COUNTERS:
+            row[k] += getattr(r, k)
+
+    def per_node(self):
+        def blank(label):
+            return {"label": label, "num_tasks": 0, "calls": 0, "flops": 0.0,
+                    "busy_s": 0.0, "strategies": set(), "subgraphs": set(),
+                    **{k: 0 for k in COUNTERS}}
+        table = {}
+        for r in self.records:
+            row = table.setdefault(r.node_id, blank(r.label))
+            self._accumulate(row, r)
+            if r.strategy:
+                row["strategies"].add(r.strategy)
+            if r.subgraph_index is not None:
+                row["subgraphs"].add(r.subgraph_index)
+        for residual in self.residuals.values():
+            row = table.setdefault(None, blank("(residual)"))
+            for k in COUNTERS:
+                row[k] += residual[k]
+        for row in table.values():
+            row["dram_time_s"] = row["dram_txns"] / self.spec.txn_rate
+        return table
+
+    def per_subgraph(self, n):
+        rows = [{**{k: 0 for k in COUNTERS}, "num_tasks": 0, "calls": 0,
+                 "flops": 0.0, "busy_s": 0.0, "syncs": 0, "overhead_s": 0.0}
+                for _ in range(n)]
+        for r in self.records:
+            if r.subgraph_index is not None:
+                self._accumulate(rows[r.subgraph_index], r)
+        for key, residual in self.residuals.items():
+            if isinstance(key, int):
+                for k in COUNTERS + ("overhead_s",):
+                    rows[key][k] += residual[k]
+        for index in self.syncs:
+            if index is not None:
+                rows[index]["syncs"] += 1
+        for row in rows:
+            row["dram_time_s"] = row["dram_txns"] / self.spec.txn_rate
+        return rows
+
+    def totals(self):
+        out = {k: 0 for k in COUNTERS} | {"num_tasks": len(self.records), "flops": 0.0}
+        for r in self.records:
+            out["flops"] += r.flops
+            for k in COUNTERS:
+                out[k] += getattr(r, k)
+        for residual in self.residuals.values():
+            for k in COUNTERS:
+                out[k] += residual[k]
+        return out
+
+
+class TestScopeSnapshotsAgainstTheLedger:
+    """Attribution from two snapshots per scope equals the per-task ledger,
+    field for field and float for float."""
+
+    @pytest.mark.parametrize("strategy", [None, "padded", "memoized", "wavefront"])
+    @pytest.mark.parametrize("model", sorted(zoo.MODELS))
+    def test_zoo_rollups_equal_the_ledger(self, model, strategy):
+        graph = zoo.build(model, reduced=True)
+        engine = BrickDLEngine(
+            graph, strategy_override=Strategy(strategy) if strategy else None)
+        plan = engine.compile()
+        device = Device(adapt_sectors(A100, plan))
+        oracle = device.attach(_LedgerOracle())
+        result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+        assert result.per_subgraph == oracle.per_subgraph(len(plan.subgraphs))
+        assert result.trace.per_node() == oracle.per_node()
+        assert result.trace.totals() == oracle.totals()
+
+    def test_scopeless_run_is_tasks_plus_one_residual(self):
+        """A baseline run opens no scope: nothing lands in a subgraph row and
+        everything beyond the stamped tasks is the residual."""
+        from repro.baselines import CudnnBaseline
+
+        device = Device(A100)
+        collector = device.attach(TraceCollector())
+        oracle = device.attach(_LedgerOracle())
+        result = CudnnBaseline(zoo.build("mobilenet_v1", reduced=True)).run(
+            functional=False, device=device)
+        assert collector.scopes == [] and collector.per_subgraph(0) == []
+        assert collector.per_node() == oracle.per_node()
+        assert collector.totals() == oracle.totals()
+        residual = collector.per_node()[None]
+        assert residual["num_tasks"] == 0 and residual["dram_txns"] > 0
+        assert collector.totals()["dram_txns"] == result.metrics.memory.dram_txns
+
+    def test_counters_are_read_per_scope_not_per_task(self, monkeypatch):
+        reads = []
+        original = Device.counter_state
+        monkeypatch.setattr(Device, "counter_state",
+                            lambda self: reads.append(1) or original(self))
+        plan, collector, result = _profile(small_chain_graph(size=48))
+        assert len(collector.scopes) == len(plan.subgraphs)
+        assert 0 < len(reads) <= 2 * len(plan.subgraphs) + 1
+        assert len(reads) < result.metrics.num_tasks
 
 
 class TestExporters:
@@ -260,17 +412,6 @@ class TestWiring:
         run_brickdl(small_chain_graph(size=48), trace=out)
         doc = json.loads(out.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-
-    def test_bench_export_write_trace_formats(self, profiled_run, tmp_path):
-        from repro.bench.export import write_trace
-
-        _, _, collector, _ = profiled_run
-        jpath = write_trace(collector, tmp_path / "t.json")
-        assert json.loads(jpath.read_text())["traceEvents"]
-        cpath = write_trace(collector, tmp_path / "t.csv")
-        assert list(csv.DictReader(io.StringIO(cpath.read_text())))
-        with pytest.raises(ValueError):
-            write_trace(collector, tmp_path / "t.txt")
 
     def test_cli_profile_writes_trace_and_csv(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,11 +4,26 @@ The replay test is the serving analogue of the engine's bit-identity
 contract: a scenario is a pure function of ``(name, seed, knobs)``, so two
 runs must produce byte-identical serve manifests (compared via the
 volatile-field-stripped fingerprint).  Everything here runs on the
-virtual-time loop in profile mode, so wall time stays in seconds.
+virtual-time loop in profile mode, so wall time stays in seconds.  Tests
+that only *read* a report share one module-scoped run of it.
 """
+
+import pytest
 
 from repro.serve import SCENARIOS, run_scenario
 from repro.serve.scenarios import manifest_fingerprint
+
+
+@pytest.fixture(scope="module")
+def diurnal_replay():
+    return run_scenario("diurnal", seed=7, requests=80)
+
+
+@pytest.fixture(scope="module")
+def multitenant_default():
+    # One full-scale conformance sample in-suite; the CI scenario matrix
+    # runs the whole pack x both batching policies at default scale.
+    return run_scenario("multitenant", seed=0)
 
 
 def test_pack_covers_required_scenarios():
@@ -31,8 +46,8 @@ def test_manifest_fingerprint_ignores_volatile_fields():
     assert manifest_fingerprint(base) != manifest_fingerprint(different)
 
 
-def test_seeded_replay_is_bit_identical():
-    first = run_scenario("diurnal", seed=7, requests=80)
+def test_seeded_replay_is_bit_identical(diurnal_replay):
+    first = diurnal_replay
     second = run_scenario("diurnal", seed=7, requests=80)
     assert first.fingerprint == second.fingerprint
     assert first.summary() == second.summary()
@@ -45,12 +60,12 @@ def test_different_seed_changes_the_run():
     assert a.fingerprint != b.fingerprint
 
 
-def test_batching_policy_is_part_of_the_fingerprint_surface():
-    edf = run_scenario("diurnal", seed=3, requests=60)
-    head = run_scenario("diurnal", seed=3, requests=60, batching="head")
+def test_batching_policy_is_part_of_the_fingerprint_surface(diurnal_replay):
+    edf = diurnal_replay
+    head = run_scenario("diurnal", seed=7, requests=80, batching="head")
     assert edf.batching == "edf" and head.batching == "head"
     # Same arrivals either way; policy only reorders service.
-    assert edf.completed + edf.shed == head.completed + head.shed == 60
+    assert edf.completed + edf.shed == head.completed + head.shed == 80
 
 
 def test_burst_scenario_scales_up():
@@ -63,8 +78,8 @@ def test_burst_scenario_scales_up():
     assert "up" in directions
 
 
-def test_multitenant_quota_isolation():
-    report = run_scenario("multitenant", seed=0, requests=120)
+def test_multitenant_quota_isolation(multitenant_default):
+    report = multitenant_default
     tenants = report.stats["tenants"]
     assert tenants["greedy"]["shed"] > 0, "greedy tenant never hit its quota"
     assert tenants["paying"]["shed"] == 0, "quota shed leaked onto paying tenant"
@@ -76,17 +91,14 @@ def test_scenario_verify_bit_identity_under_edf():
     assert report.verified >= 1
 
 
-def test_multitenant_objectives_hold_at_default_scale():
-    # One full-scale conformance sample in-suite; the CI scenario matrix
-    # runs the whole pack x both batching policies at default scale.
-    report = run_scenario("multitenant", seed=0)
-    assert report.check() == [], report.render()
+def test_multitenant_objectives_hold_at_default_scale(multitenant_default):
+    assert multitenant_default.check() == [], multitenant_default.render()
 
 
-def test_report_render_and_check_shape():
-    report = run_scenario("straggler", seed=0, requests=60)
+def test_report_render_and_check_shape(multitenant_default):
+    report = multitenant_default
     text = report.render()
-    assert "straggler" in text and "fingerprint" in text
+    assert "multitenant" in text and "fingerprint" in text
     summary = report.summary()
-    assert summary["requests"] == 60
+    assert summary["requests"] == 320
     assert isinstance(report.check(), list)

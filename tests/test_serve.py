@@ -502,6 +502,20 @@ def test_serve_metrics_land_in_manifest():
     assert "serve_requests_failed" not in names
 
 
+@pytest.mark.parametrize("flags, fleet", [
+    ([], 2), (["--devices", "3"], 3), (["--autoscale", "1:3"], 1)])
+def test_cli_serve_reports_the_fleet_it_ran_on(capsys, flags, fleet):
+    """``--autoscale MIN:MAX`` starts MIN devices whatever ``--devices``
+    says; the summary line names the fleet the session ended with (two
+    requests cannot queue deep enough to trip a scale-up)."""
+    from repro.cli import main
+
+    assert main(["serve", "mobilenet_v1", "--requests", "2", "--profile",
+                 *flags]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"served 2 requests on {fleet} simulated device(s): ")
+
+
 def test_loadgen_poisson_seeded_inputs_are_deterministic():
     from repro.serve.loadgen import _request_input
 
