@@ -11,6 +11,11 @@ schedule: a ``run()`` that decides *when* :meth:`BrickTasks.emit` (padded:
 :meth:`BrickTasks.emit_fused`) runs and passes what its ordering rule already
 knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
+
+A brick's value does not depend on its schedule, so the values have one
+implementation each -- :meth:`BrickTasks.brick_value` and
+:meth:`BrickTasks.closure_values` -- which the emitters call in functional
+mode and ``values()`` calls with no task, tag or barrier at all.
 """
 
 from __future__ import annotations
@@ -95,12 +100,13 @@ class BrickTasks:
 
     :attr:`stored` maps the nodes whose output lives in a bricked tensor of
     this subgraph to their handles.  A functional run the kernel step cannot
-    evaluate is refused at construction, before the first task.
+    evaluate is refused at construction, before the first task.  Without a
+    ``device`` the handles get no buffers and only :meth:`values` can run.
     """
 
     subgraph: SubgraphView
     brick_shape: tuple[int, ...]
-    device: Device
+    device: Device | None
     entries: Mapping[int, Source]
     weight_buffers: Mapping[int, Buffer]
     functional: bool = True
@@ -122,8 +128,8 @@ class BrickTasks:
         self.batch = self.graph.node(self.subgraph.node_ids[0]).spec.batch
         self.stored: dict[int, BrickedHandle] = {}
         for node in map(self.graph.node, getattr(self.subgraph, stored)):
-            buf = self.device.allocate(f"{node.name}/{suffix}",
-                                       bricked_nbytes(node.spec, self.brick_shape), transient=True)
+            buf = None if self.device is None else self.device.allocate(
+                f"{node.name}/{suffix}", bricked_nbytes(node.spec, self.brick_shape), transient=True)
             self.stored[node.node_id] = BrickedHandle.create(
                 node.spec, self.brick_shape, buf, self.functional)
         # Padded redundancy accounting: elements computed on enlarged patches
@@ -189,6 +195,56 @@ class BrickTasks:
             self.device.note_values(task, nid, array)
         return task
 
+    # -- values -------------------------------------------------------------------
+    def brick_value(self, nid: int, gpos: tuple[int, ...], batch: int) -> np.ndarray:
+        """Compute brick ``gpos`` of ``nid`` for one sample from its sources'
+        values and store it: the functional half of :meth:`emit`."""
+        node = self.graph.node(nid)
+        value = kernel_step(
+            node, *patch_geometry(self.geom.rows(nid, gpos), len(node.inputs)),
+            lambda pred, need, fill: (self.stored.get(pred) or self.entries[pred]).gather(
+                batch, need, fill))
+        self.stored[nid].store_brick(batch, gpos, value)
+        return value
+
+    def closure_values(self, exit_id: int, gpos: tuple[int, ...], batch: int) -> dict[int, np.ndarray]:
+        """Every member's values on its private patch of the closure of one
+        exit brick, the exit's stored into its brick: the functional half of
+        :meth:`emit_fused`.  Patches cover their node's required interval
+        clipped to the feature map, so each starts at its ``origin``."""
+        rows = self.geom.closure_rows(exit_id, gpos)
+        patches: dict[int, np.ndarray] = {}
+        origin: dict[int, list[int]] = {}
+        for eid in rows[0].entries:
+            edges = [r.entries[eid] for r in rows]
+            origin[eid] = [max(e.need.lo, 0) for e in edges]
+            patches[eid] = self.entries[eid].gather(batch, [
+                Interval(lo, lo + e.length) for lo, e in zip(origin[eid], edges)])
+        values = {}
+        for nid in rows[0].members:
+            axis = [r.members[nid] for r in rows]
+            if not math.prod([a.length for a in axis]):
+                continue
+            node = self.graph.node(nid)
+            patches[nid] = values[nid] = kernel_step(
+                node, *patch_geometry(axis, len(node.inputs)),
+                lambda pred, need, fill: extract_patch(patches[pred], origin[pred], need, fill))
+            origin[nid] = [a.out.lo for a in axis]
+        # Exits other than `exit_id` are materialized by their own brick loops.
+        if exit_id in values:
+            self.stored[exit_id].store_brick(batch, gpos, values[exit_id])
+        return values
+
+    def values(self) -> dict[int, BrickedHandle]:
+        """The exits' values with no schedule: no task, no tag, no barrier.
+        Every member brick once, members in subgraph (topological) order, so
+        each brick's producers are stored before it is computed."""
+        for nid, handle in self.stored.items():
+            for gpos in handle.bricks():
+                for n in range(self.batch):
+                    self.brick_value(nid, gpos, n)
+        return {eid: self.stored[eid] for eid in self.subgraph.exit_ids}
+
     # -- one brick of one node ---------------------------------------------------
     def emit(self, nid: int, gpos: tuple[int, ...], batch: int,
              acquired: Sequence[Dep] | None = None,
@@ -218,13 +274,8 @@ class BrickTasks:
         task.flops = self.geom.flops(nid, node.spec.channels * math.prod([r.length for r in rows]))
         if acquired is not None:
             task.atomics_compulsory = 2  # the tag's acquire CAS and its release
-        values = {}
-        if self.functional:
-            values[nid] = kernel_step(
-                node, *patch_geometry(rows, len(node.inputs)),
-                lambda pred, need, fill: sources[pred].gather(batch, need, fill))
-            handle.store_brick(batch, gpos, values[nid])
-        return self._submit(task, values)
+        return self._submit(task, {nid: self.brick_value(nid, gpos, batch)}
+                            if self.functional else {})
 
     # -- the padded closure of one exit brick --------------------------------------
     def emit_fused(self, exit_id: int, gpos: tuple[int, ...], batch: int,
@@ -237,23 +288,14 @@ class BrickTasks:
         handle = self.stored[exit_id]
         rows = self.geom.closure_rows(exit_id, gpos)
         task = self._task(graph.node(exit_id), gpos, batch, worker)
-        # Private patches (functional mode): each covers its node's required
-        # interval clipped to the feature map, so it starts at ``origin``.
-        patches: dict[int, np.ndarray] = {}
-        origin: dict[int, list[int]] = {}
-
         for eid in rows[0].entries:
             edges = [r.entries[eid] for r in rows]
             source = self.entries[eid]
             self._read(task, source, batch, edges)
             self.entry_read_bytes += (source.spec.channels * math.prod([e.length for e in edges])
                                       * source.spec.itemsize)
-            if self.functional:
-                origin[eid] = [max(e.need.lo, 0) for e in edges]
-                patches[eid] = source.gather(batch, [
-                    Interval(lo, lo + e.length) for lo, e in zip(origin[eid], edges)])
 
-        values, calls = {}, 0
+        calls = 0
         for nid in rows[0].members:
             axis = [r.members[nid] for r in rows]
             size = math.prod([a.length for a in axis])
@@ -281,16 +323,9 @@ class BrickTasks:
             task.flops += self.geom.flops(nid, spec.channels * size)
             self.compute_elems += spec.channels * size
             calls += 1
-            if self.functional:
-                patches[nid] = values[nid] = kernel_step(
-                    node, *patch_geometry(axis, len(node.inputs)),
-                    lambda pred, need, fill: extract_patch(patches[pred], origin[pred], need, fill))
-                origin[nid] = [a.out.lo for a in axis]
 
         task.calls = max(calls, 1)
-        # Exits other than `exit_id` are materialized by their own brick loops.
-        if exit_id in values:
-            handle.store_brick(batch, gpos, values[exit_id])
         self.sync(task, handle, handle.brick_offset(batch, gpos),
                   [self.entries[eid] for eid in rows[0].entries])
-        return self._submit(task, values)
+        return self._submit(task, self.closure_values(exit_id, gpos, batch)
+                            if self.functional else {})

@@ -14,7 +14,8 @@ which the metrics include.
 
 Like all executors in this library, the engine runs either *functionally*
 (numerics checkable against :class:`~repro.core.reference.ReferenceExecutor`)
-or in *profile* mode (access streams and timing only).
+or in *profile* mode (access streams and timing only).  ``values`` is the
+third way: the functional outputs alone, with no device at all.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.bricked import BrickedTensor, bricked_nbytes
+from repro.core.bricktask import BrickTasks
 from repro.core.halo import padding_growth
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.core.memoized import MemoizedBrickExecutor
@@ -135,6 +137,17 @@ def _max_kernel_extent(graph: Graph, node_ids) -> int:
             dil = getattr(op, "dilation", (1,) * len(op.kernel))
             k = max(k, max((kk - 1) * d + 1 for kk, d in zip(op.kernel, dil)))
     return k
+
+
+def _executor_cls(sub: SubgraphPlan) -> type[BrickTasks]:
+    """The executor a merged plan entry runs under."""
+    from repro.core.wavefront import WavefrontBrickExecutor, is_chain_subgraph
+
+    if sub.strategy is Strategy.PADDED:
+        return PaddedBrickExecutor
+    if sub.strategy is Strategy.WAVEFRONT and is_chain_subgraph(sub.subgraph):
+        return WavefrontBrickExecutor
+    return MemoizedBrickExecutor  # branches need the dynamic runtime
 
 
 class BrickDLEngine:
@@ -340,10 +353,7 @@ class BrickDLEngine:
             boundary[node.node_id] = DenseHandle(node.spec, buf, data)
 
         weight_buffers = allocate_weights(device, graph)
-        remaining = {n.node_id: len(graph.consumers(n.node_id)) for n in graph.nodes}
-        for n in graph.output_nodes:
-            remaining[n.node_id] += 1
-
+        remaining = self._consumer_counts()
         for sub in plan.subgraphs:
             brick = "x".join(str(b) for b in sub.brick_shape) or None
             with device.scope(subgraph_index=sub.index, strategy=sub.strategy.value,
@@ -360,7 +370,10 @@ class BrickDLEngine:
                     wb = weight_buffers.get(nid)
                     if wb is not None:
                         device.memory.unpin(wb)
-                self._retire(device, sub, boundary, remaining)
+                # Release boundary buffers whose consumers have all executed.
+                for eid in self._retired(sub, remaining):
+                    if eid in boundary and boundary[eid].buffer.transient:
+                        device.discard(boundary[eid].buffer)
 
         # Graph outputs are materialized densely (and charged) in both modes.
         for node in graph.output_nodes:
@@ -389,6 +402,43 @@ class BrickDLEngine:
                             trace=collector, sanitizer_report=san_report,
                             registry=device.metrics_registry)
 
+    def values(self, inputs: Mapping[str, np.ndarray] | np.ndarray,
+               plan: ExecutionPlan | None = None) -> dict[str, np.ndarray]:
+        """The outputs ``run(inputs, functional=True, plan=plan)`` returns,
+        bit for bit, without simulating: no device, no task, no scheduler.
+
+        The counters of a plan do not depend on the values flowing through
+        it, so a caller that has them already needs only this.  Plan entries
+        run in order over dense activations -- gathering a patch from a dense
+        or a bricked copy of the same values is the same copy -- a merged one
+        through its executor's schedule-free ``values()``, a fallback one
+        through the tiled path's full-tensor arithmetic; an activation is
+        dropped once its consumers have run.
+        """
+        from repro.baselines.fusion import fuse_members
+        from repro.baselines.tiled import bind_input, compute_group_values
+
+        graph = self.graph
+        plan = plan if plan is not None else self.compile()
+        graph.init_weights()
+        dense = {n.node_id: bind_input(n, inputs) for n in graph.input_nodes}
+        remaining = self._consumer_counts()
+        for sub in plan.subgraphs:
+            if sub.strategy is Strategy.CUDNN:
+                for group in fuse_members(graph, sub.subgraph.node_ids):
+                    out = compute_group_values(graph, group, dense)
+                    for gnode in group.nodes:
+                        dense[gnode.node_id] = out
+            else:
+                entries = {eid: DenseHandle(graph.node(eid).spec, None, dense[eid])
+                           for eid in sub.subgraph.entry_ids}
+                executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, None, entries, {})
+                for nid, handle in executor.values().items():
+                    dense[nid] = handle.data.to_dense()
+            for eid in self._retired(sub, remaining):
+                del dense[eid]
+        return {n.name: dense[n.node_id] for n in graph.output_nodes}
+
     # -- merged subgraphs ---------------------------------------------------
     def _run_merged(self, device, sub: SubgraphPlan, boundary, weight_buffers, functional) -> None:
         entries: dict[int, BrickedHandle | DenseHandle] = {}
@@ -401,15 +451,8 @@ class BrickDLEngine:
                 entries[eid] = handle
             else:
                 entries[eid] = self._ensure_bricked(device, eid, sub.brick_shape, boundary, functional)
-        from repro.core.wavefront import WavefrontBrickExecutor, is_chain_subgraph
-
-        executor_cls = {Strategy.PADDED: PaddedBrickExecutor,
-                        Strategy.WAVEFRONT: WavefrontBrickExecutor}.get(
-                            sub.strategy, MemoizedBrickExecutor)
-        if executor_cls is WavefrontBrickExecutor and not is_chain_subgraph(sub.subgraph):
-            executor_cls = MemoizedBrickExecutor  # branches need the dynamic runtime
-        executor = executor_cls(sub.subgraph, sub.brick_shape, device, entries,
-                                weight_buffers, functional)
+        executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, device, entries,
+                                      weight_buffers, functional)
         exits = executor.run()
         # Interior memo tensors die with the subgraph: discard without
         # write-back (they never leave L2 -- the merged-execution payoff).
@@ -506,14 +549,21 @@ class BrickDLEngine:
         boundary[nid] = new
         return new
 
-    def _retire(self, device, sub: SubgraphPlan, boundary, remaining) -> None:
-        """Release boundary buffers whose consumers have all executed."""
+    def _consumer_counts(self) -> dict[int, int]:
+        """Per node, the consumers still to run (a graph output has one more:
+        the caller)."""
+        remaining = {n.node_id: len(self.graph.consumers(n.node_id)) for n in self.graph.nodes}
+        for n in self.graph.output_nodes:
+            remaining[n.node_id] += 1
+        return remaining
+
+    def _retired(self, sub: SubgraphPlan, remaining: dict[int, int]) -> list[int]:
+        """Count ``sub``'s reads off ``remaining``; the entries nothing reads
+        any more."""
         members = set(sub.subgraph.node_ids)
-        outputs = {n.node_id for n in self.graph.output_nodes}
+        retired = []
         for eid in sub.subgraph.entry_ids:
-            consumed = sum(1 for nid in members for i in self.graph.node(nid).inputs if i == eid)
-            remaining[eid] -= consumed
-            if remaining[eid] <= 0 and eid not in outputs and eid in boundary:
-                handle = boundary[eid]
-                if handle.buffer.transient:
-                    device.discard(handle.buffer)
+            remaining[eid] -= sum(1 for nid in members for i in self.graph.node(nid).inputs if i == eid)
+            if remaining[eid] <= 0:
+                retired.append(eid)
+        return retired

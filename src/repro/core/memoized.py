@@ -22,6 +22,7 @@ emergent property of the schedule, not an input.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -79,16 +80,22 @@ class MemoizedBrickExecutor(BrickTasks):
         # hits).  Both feed the metrics registry at the end of the run.
         self.total_reuses = 0
         self.coalesced_reads = 0
-        # Consumer-coalescing brick LRU: the 3-state protocol synchronizes a
-        # brick's consumers around its completion and the 108 workers run
-        # truly concurrently, so re-reads within the *concurrent* working
-        # window hit L2.  A strictly serialized replay of the worker streams
-        # would charge them as capacity misses, so the executor tracks brick
-        # recency itself, with an effective capacity of ``coalesce_factor``
-        # concurrent L2 windows (see DESIGN.md, "consumer coalescing").
-        # Window size: the fleet's concurrent dependency sets (one ~27-brick
-        # halo neighborhood per worker), floored by a multiple of the L2's
-        # own brick capacity.
+        self._recent: "OrderedDict[tuple[int, int], None]" = OrderedDict()
+        self._durations: list[float] = []
+
+    @functools.cached_property
+    def _recent_capacity(self) -> int:
+        """Bricks the consumer-coalescing LRU holds.
+
+        The 3-state protocol synchronizes a brick's consumers around its
+        completion and the 108 workers run truly concurrently, so re-reads
+        within the *concurrent* working window hit L2.  A strictly serialized
+        replay of the worker streams would charge them as capacity misses, so
+        the executor tracks brick recency itself, with an effective capacity
+        of ``coalesce_factor`` concurrent L2 windows (see DESIGN.md, "consumer
+        coalescing").  Window size: the fleet's concurrent dependency sets
+        (one ~27-brick halo neighborhood per worker), floored by a multiple of
+        the L2's own brick capacity."""
         max_brick_bytes = max(h.brick_nbytes for h in self.memo.values())
         l2_bricks = self.device.spec.l2_bytes // max(1, max_brick_bytes)
         # Deeper merged regions interleave more layers' bricks through the
@@ -96,9 +103,7 @@ class MemoizedBrickExecutor(BrickTasks):
         # shrinks with the square root of the merge depth.
         depth = max(1, self.subgraph.depth)
         wave = int(HALO_NEIGHBORHOOD_BRICKS * self.device.spec.num_sms * min(1.0, 3.0 / depth))
-        self._recent_capacity = max(8 * l2_bricks, wave, 64)
-        self._recent: "OrderedDict[tuple[int, int], None]" = OrderedDict()
-        self._durations: list[float] = []
+        return max(8 * l2_bricks, wave, 64)
 
     # -- public ----------------------------------------------------------------
     def run(self) -> dict[int, BrickedHandle]:

@@ -49,6 +49,14 @@ class PaddedBrickExecutor(BrickTasks):
         self.device.synchronize()
         return self.stored
 
+    def values(self) -> dict[int, BrickedHandle]:
+        """:meth:`run`'s exit bricks in its order, values only."""
+        for exit_id, handle in self.stored.items():
+            for grid_pos in handle.bricks():
+                for n in range(self.batch):
+                    self.closure_values(exit_id, grid_pos, n)
+        return self.stored
+
     def _allocate_scratch(self) -> tuple[list[Buffer], dict[int, int]]:
         """Per-worker scratch buffers and the byte slot of each member node
         in them, sized for the largest (interior) patch that node computes."""

@@ -23,8 +23,10 @@ import itertools
 import json
 import threading
 import time
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs.context import Span, TraceContext
 
@@ -32,10 +34,30 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.recorder import FlightRecorder
     from repro.gpusim.trace import Task
 
-__all__ = ["Tracer"]
+__all__ = ["TaskSpans", "Tracer"]
 
 # Device-task spans emitted per execute span; the rest are summarized.
 _MAX_TASK_SPANS = 2048
+# The fields of one :class:`~repro.gpusim.trace.Task` its span shows.
+_TaskRow = namedtuple("_TaskRow", "label seq node_id subgraph_index strategy worker "
+                      "start_s end_s dram_txns flops brick batch_index")
+
+
+@dataclass(frozen=True)
+class TaskSpans:
+    """What :meth:`Tracer.emit_task_spans` reads of an engine run's tasks:
+    the span fields of the first 2048, the simulated makespan and the task
+    count -- none of the access rows, so a plan cache can keep it."""
+
+    rows: tuple[_TaskRow, ...]
+    sim_span: float
+    count: int
+
+    @classmethod
+    def of(cls, records: "list[Task]") -> "TaskSpans":
+        return cls(tuple(_TaskRow(*(getattr(r, f) for f in _TaskRow._fields))
+                         for r in records[:_MAX_TASK_SPANS]),
+                   max((r.end_s for r in records), default=0.0), len(records))
 
 
 def _clean(value):
@@ -140,8 +162,7 @@ class Tracer:
         return entry
 
     # -- device-task fan-in --------------------------------------------------
-    def emit_task_spans(self, records: "Iterable[Task]", parent: Span,
-                        **attrs) -> int:
+    def emit_task_spans(self, tasks: TaskSpans, parent: Span, **attrs) -> int:
         """Turn an engine run's tasks into child spans of ``parent``.
 
         Tasks carry *simulated* device times; each is scaled into the
@@ -151,12 +172,11 @@ class Tracer:
         beyond the first 2048 are summarized in one overflow event rather
         than silently dropped.
         """
-        records = list(records)
         if parent.end_s is None:
             raise ValueError("emit_task_spans needs a finished parent span")
-        sim_span = max((r.end_s for r in records), default=0.0)
-        scale = (parent.end_s - parent.start_s) / sim_span if sim_span > 0 else 0.0
-        for r in records[:_MAX_TASK_SPANS]:
+        scale = ((parent.end_s - parent.start_s) / tasks.sim_span
+                 if tasks.sim_span > 0 else 0.0)
+        for r in tasks.rows:
             span = self.start_span(
                 r.label, parent=parent, kind="task",
                 start_s=parent.start_s + r.start_s * scale,
@@ -166,11 +186,11 @@ class Tracer:
                 dram_txns=r.dram_txns, flops=float(r.flops),
                 brick=r.brick, batch_index=r.batch_index, **attrs)
             self.end_span(span, end_s=parent.start_s + r.end_s * scale)
-        dropped = len(records) - _MAX_TASK_SPANS
+        dropped = tasks.count - len(tasks.rows)
         if dropped > 0:
             self.event("task_spans_truncated", ctx=parent, dropped=dropped,
                        limit=_MAX_TASK_SPANS)
-        return min(len(records), _MAX_TASK_SPANS)
+        return len(tasks.rows)
 
     # -- sinks ---------------------------------------------------------------
     def _record(self, entry: dict) -> None:

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.plan import ExecutionPlan, Strategy
     from repro.gpusim.spec import GPUSpec
     from repro.metrics.registry import MetricsRegistry
+    from repro.obs.tracer import TaskSpans
 
 __all__ = ["PlanKey", "CompiledEntry", "CachePartition", "PlanCache"]
 
@@ -65,7 +66,8 @@ class PlanKey:
 
 @dataclass
 class CompiledEntry:
-    """One cached compiled artifact: the batched engine + its plan."""
+    """One cached compiled artifact: the batched engine + its plan, and what
+    its first execution counted."""
 
     key: PlanKey
     engine: "BrickDLEngine"
@@ -78,6 +80,12 @@ class CompiledEntry:
     # Wall-clock seconds the compile took (0.0 until measured); surfaced in
     # manifests and the per-stage breakdown, never diffed (wall time).
     compile_s: float = 0.0
+    # What a simulated execution of the plan counted (None until one ran):
+    # a pure function of (plan, device_spec), so later executions that need
+    # only values reuse it.  ``task_spans`` is kept on traced servers only.
+    sim_time_s: float | None = None
+    num_tasks: int = 0
+    task_spans: "TaskSpans | None" = None
 
     def describe(self) -> dict:
         return {

@@ -14,8 +14,13 @@ Request lifecycle::
                 shrinks the fleet from queue-depth/burn-rate signals)
              -> PlanCache partition lookup by (model, batch bucket,
                 GPUSpec, override) -- per-model quotas, isolated eviction
-             -> BrickDLEngine.run on a fresh Device built from the cached
-                entry's sector-adapted spec
+             -> an entry's first batch, and every profile-mode batch: a
+                profile-mode BrickDLEngine.run on a fresh Device built from
+                the cached entry's sector-adapted spec; the entry keeps what
+                it counted (simulated time, task count, and on a traced
+                server the task spans' fields)
+             -> a functional batch: BrickDLEngine.values (no device) for
+                the outputs; the simulated time is the entry's kept one
              -> InferenceServer._finish: the one place a request ends
 
 A request ends in one of six ways, one row of the :class:`Outcome` table
@@ -69,6 +74,7 @@ from repro.metrics import (
     manifest_from_serve,
 )
 from repro.obs.slo import SLOConfig, SLOMonitor
+from repro.obs.tracer import TaskSpans
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig, DevicePool
 from repro.serve.plancache import CompiledEntry, PlanCache, PlanKey
 from repro.serve.request import (
@@ -346,8 +352,10 @@ class InferenceServer:
     ) -> InferenceResponse:
         """Admit one request and await its response.
 
-        ``x`` is the input activation (shape of the model's batch-1 input);
-        ``None`` is only valid on a profile-mode server.  ``timeout_s``
+        ``x`` is the input activation: the model's batch-1 input shape, with
+        or without its leading 1 (any other shape raises
+        :class:`~repro.errors.ExecutionError` before admission); ``None`` is
+        only valid on a profile-mode server.  ``timeout_s``
         (default: the class's, then :attr:`ServeConfig.default_timeout_s`)
         sets the queueing deadline: a request still waiting past it degrades
         to the fallback path rather than riding a batch.  ``model`` selects
@@ -364,6 +372,14 @@ class InferenceServer:
             raise ExecutionError(
                 f"model {model!r} is not resident "
                 f"(have {sorted(self.graphs)})")
+        if x is not None:
+            # One bad input must not take its batch-mates down with it.
+            spec = self.graphs[model].input_nodes[0].spec
+            x = np.asarray(x, dtype=np.float32)
+            if x.shape not in (spec.shape, spec.shape[1:]):
+                raise ExecutionError(
+                    f"input of shape {x.shape} does not fit model {model!r}: "
+                    f"expected {spec.shape} or {spec.shape[1:]}")
         class_name = priority if priority is not None else self.default_class
         cls = self.classes.get(class_name)
         if cls is None:
@@ -384,7 +400,7 @@ class InferenceServer:
                 **{"class": cls.name})
         req = InferenceRequest(
             request_id=request_id,
-            input=None if x is None else np.asarray(x, dtype=np.float32),
+            input=x,
             deadline_s=now + timeout_s if timeout_s is not None else None,
             enqueued_s=now,
             future=loop.create_future(),
@@ -750,7 +766,6 @@ class InferenceServer:
             for i, req in enumerate(batch):
                 stacked[i:i + 1] = req.input
             inputs = stacked
-        device = Device(entry.device_spec)
         exec_span = None
         if tracer is not None:
             exec_span = tracer.start_span(
@@ -758,18 +773,26 @@ class InferenceServer:
                 device=device_index, bucket=bucket,
                 plan_digest=entry.plan_digest,
                 strategy=strategy.value if strategy is not None else None)
-        result = entry.engine.run(
-            inputs=inputs, functional=self.config.functional,
-            device=device, plan=entry.plan,
-            trace_ctx=exec_span.context() if exec_span is not None else None)
+        if entry.sim_time_s is None or not self.config.functional:
+            # Counts depend on the plan alone, never on the values, so a
+            # functional entry simulates once; a profile batch has nothing
+            # else to do.
+            result = entry.engine.run(
+                functional=False, device=Device(entry.device_spec), plan=entry.plan,
+                trace_ctx=exec_span.context() if exec_span is not None else None)
+            # Threads racing on a cold entry store equal counts; sim_time_s
+            # goes last because the test above reads it.
+            if self.tracer is not None:
+                entry.task_spans = TaskSpans.of(result.trace.records)
+            entry.num_tasks = result.metrics.num_tasks
+            entry.sim_time_s = result.metrics.total_time
+        outputs = (entry.engine.values(inputs, plan=entry.plan)
+                   if self.config.functional else None)
         if exec_span is not None:
-            tracer.end_span(exec_span,
-                            sim_time_s=round(result.metrics.total_time, 6),
-                            num_tasks=result.metrics.num_tasks)
-            if result.trace is not None:
-                tracer.emit_task_spans(result.trace.records, exec_span,
-                                       device=device_index)
-        return result.outputs, bucket, hit, result.metrics.total_time
+            tracer.end_span(exec_span, sim_time_s=round(entry.sim_time_s, 6),
+                            num_tasks=entry.num_tasks)
+            tracer.emit_task_spans(entry.task_spans, exec_span, device=device_index)
+        return outputs, bucket, hit, entry.sim_time_s
 
     def _compile(self, key: PlanKey) -> CompiledEntry:
         engine = BrickDLEngine(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
@@ -11,8 +13,9 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
+from repro.models import zoo
 
-from testlib import input_for, residual_graph, small_chain_graph
+from testlib import input_for, random_dag, residual_graph, small_chain_graph
 
 
 class TestCompile:
@@ -170,7 +173,6 @@ def test_functional_run_stays_under_200_own_calls_per_task():
     import os
 
     import repro
-    from repro.models import zoo
 
     graph = zoo.build("mobilenet_v1", reduced=True, batch=2)
     graph.init_weights()
@@ -213,5 +215,67 @@ def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
     with pytest.raises(ExecutionError, match=r"'up'.*kernel \(1, 1\) < stride \(2, 2\).*profile mode"):
         engine.run(input_for(graph), plan=plan, device=device)
     assert not device.tasks
+    with pytest.raises(ExecutionError, match=r"'up'.*kernel \(1, 1\) < stride \(2, 2\).*profile mode"):
+        engine.values(input_for(graph), plan)
     assert engine.run(functional=False, plan=plan).metrics.num_tasks > 0
     assert analyze_effects(plan).ok
+
+
+# ---------------------------------------------------------------------------
+# values(): run()'s functional outputs without the simulation
+# ---------------------------------------------------------------------------
+
+def _assert_values_equal_run(engine, seed=7):
+    plan = engine.compile()
+    x = input_for(engine.graph, seed)
+    want = engine.run(x, functional=True, plan=plan).outputs
+    got = engine.values(x, plan)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("strategy", [None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT],
+                         ids=lambda s: s.value if s else "planned")
+@pytest.mark.parametrize("model", sorted(zoo.MODELS))
+def test_values_equal_functional_run_on_the_zoo(model, strategy):
+    engine = BrickDLEngine(zoo.build(model, reduced=True), strategy_override=strategy)
+    _assert_values_equal_run(engine)
+    _assert_values_equal_run(engine.for_batch(2))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_dag(), st.sampled_from([None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT]))
+def test_values_equal_functional_run_on_random_dags(graph, strategy):
+    _assert_values_equal_run(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
+
+
+def test_values_builds_no_device_task_or_schedule(monkeypatch):
+    from repro.core.memoized import MemoizedBrickExecutor
+    from repro.gpusim import trace
+
+    engine = BrickDLEngine(zoo.build("mobilenet_v1", reduced=True, batch=2))
+    plan = engine.compile()
+    assert {s.strategy for s in plan.subgraphs} >= {Strategy.MEMOIZED, Strategy.CUDNN}
+    x = input_for(engine.graph)
+    want = engine.run(x, plan=plan).outputs
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{owner.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(Device, "__init__"), (Device, "submit"), (trace.Task, "__init__"),
+                        (MemoizedBrickExecutor, "run"), (MemoizedBrickExecutor, "_step")]:
+        counting(owner, name)
+    got = engine.values(x, plan)
+    assert calls == []
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    engine.run(x, plan=plan)   # the counters do see a simulated run
+    assert {"Device.__init__", "Device.submit", "Task.__init__", "MemoizedBrickExecutor.run",
+            "MemoizedBrickExecutor._step"} <= set(calls)

@@ -156,6 +156,28 @@ def test_tracer_ids_are_deterministic():
     assert (sa.trace_id, sa.span_id) == (sb.trace_id, sb.span_id)
 
 
+def test_task_spans_keep_the_first_2048_tasks_and_the_whole_makespan():
+    from repro.gpusim.trace import Task
+    from repro.obs.tracer import TaskSpans
+
+    tasks = [Task(f"t{i}", flops=2, node_id=1, worker=i % 4, start_s=float(i), end_s=i + 1.0,
+                  brick=(i, 0), batch_index=0, seq=i, dram_txns=i)
+             for i in range(2050)]
+    kept = TaskSpans.of(tasks)
+    assert (len(kept.rows), kept.sim_span, kept.count) == (2048, 2050.0, 2050)
+    assert not hasattr(kept.rows[0], "accesses")
+
+    tracer = Tracer()
+    parent = tracer.start_span("execute", kind="execute", start_s=0.0)
+    tracer.end_span(parent, end_s=1.0)
+    assert tracer.emit_task_spans(kept, parent) == 2048
+    spans = [e for e in tracer.entries if e["type"] == "span" and e["kind"] == "task"]
+    assert spans[-1]["attrs"]["sim_end_s"] == 2048.0
+    assert spans[-1]["end_s"] == pytest.approx(2048 / 2050)
+    (event,) = [e for e in tracer.entries if e["type"] == "event"]
+    assert event["attrs"] == {"dropped": 2, "limit": 2048}
+
+
 def test_traced_loadgen_every_task_span_reaches_a_request_root(tmp_path):
     server, tracer = traced_server(tmp_path, devices=2, max_batch=4)
     report = loadgen(server, requests=16, mode="closed", concurrency=4)

@@ -89,6 +89,9 @@ def test_multitenant_quota_isolation(multitenant_default):
 def test_scenario_verify_bit_identity_under_edf():
     report = run_scenario("diurnal", seed=0, requests=48, verify=4)
     assert report.verified >= 1
+    # Functional serving reports the counts of the simulated first batch of
+    # each plan for every later one: the session is the profile-mode one.
+    assert report.fingerprint == run_scenario("diurnal", seed=0, requests=48).fingerprint
 
 
 def test_multitenant_objectives_hold_at_default_scale(multitenant_default):

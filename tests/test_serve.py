@@ -270,6 +270,122 @@ def test_serve_functional_batched_matches_single_shot():
     assert report.verified == 4
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_functional_cache_hits_compute_values_only(traced, monkeypatch):
+    """Three batches on one bucket: the first simulates, the hits run
+    ``BrickDLEngine.values`` and report what the first one counted -- the
+    same simulated time a fresh profile run of the entry gives, the same
+    span tree -- with outputs bit-identical to single-shot."""
+    from repro.gpusim.device import Device
+    from repro.obs import Tracer, check_completeness
+    from repro.serve.loadgen import _request_input, verify_served
+
+    graph = small_chain_graph(name="serve_hits")
+    tracer = Tracer() if traced else None
+    server = InferenceServer(graph, tracer=tracer, config=ServeConfig(
+        devices=1, max_batch=4, max_wait_s=0.005))
+    submits = []
+    real_submit = Device.submit
+    monkeypatch.setattr(Device, "submit",
+                        lambda self, task: submits.append(1) or real_submit(self, task))
+
+    async def scenario():
+        rounds = []
+        async with server:
+            for r in range(3):
+                rounds.append(await asyncio.gather(*[
+                    server.submit(_request_input(graph, 4 * r + i, 0)) for i in range(4)]))
+                rounds[-1] = (rounds[-1], len(submits))
+        return rounds
+
+    rounds = asyncio.run(scenario())
+    assert [len(batch) for batch, _ in rounds] == [4, 4, 4]
+    first_submits = rounds[0][1]
+    assert first_submits > 0 and all(n == first_submits for _, n in rounds)
+    responses = [(4 * r + i, resp) for r, (batch, _) in enumerate(rounds)
+                 for i, resp in enumerate(batch)]
+    assert [resp.cache_hit for _, resp in responses] == [False] * 4 + [True] * 8
+    assert {resp.batch_size for _, resp in responses} == {4}
+    assert verify_served(server, responses, 0) == 12
+
+    (entry,) = server.cache.partition(graph.name).entries.values()
+    fresh = entry.engine.run(functional=False, device=Device(entry.device_spec),
+                             plan=entry.plan).metrics
+    assert all(resp.sim_time_s == fresh.total_time for _, resp in responses)
+    assert entry.num_tasks == fresh.num_tasks
+    assert (entry.task_spans is not None) == traced
+
+    if traced:
+        report = check_completeness(tracer.entries)
+        assert report.ok, report.problems
+        spans = [e for e in tracer.entries if e["type"] == "span"]
+        executes = [s for s in spans if s["kind"] == "execute"]
+        assert len(executes) == 3
+        children = [sum(1 for s in spans if s["kind"] == "task"
+                        and s["parent_id"] == e["span_id"]) for e in executes]
+        assert children == [min(fresh.num_tasks, 2048)] * 3
+        assert all(e["attrs"]["num_tasks"] == fresh.num_tasks for e in executes)
+
+
+def test_device_threads_racing_on_a_cold_entry_agree():
+    """Four worker threads share each entry's kept counts: whichever thread
+    simulated first, every batch of a bucket reports the same simulated
+    time, and every response is bit-identical to single-shot."""
+    import sys
+
+    from repro.serve.loadgen import _request_input, verify_served
+
+    graph = small_chain_graph(name="serve_race")
+    server = InferenceServer(graph, config=ServeConfig(devices=4, max_batch=2, max_wait_s=0.001))
+
+    async def scenario():
+        async with server:
+            return await asyncio.wait_for(asyncio.gather(*[
+                server.submit(_request_input(graph, i, 0)) for i in range(32)]), timeout=120)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        responses = asyncio.run(scenario())
+    finally:
+        sys.setswitchinterval(interval)
+    entries = {e.key.batch_bucket: e for e in server.cache.partition(graph.name).entries.values()}
+    assert len({r.device for r in responses}) > 1
+    assert all(r.sim_time_s == entries[r.batch_bucket].sim_time_s for r in responses)
+    assert verify_served(server, list(enumerate(responses)), 0) == 32
+
+
+@pytest.mark.parametrize("bad",[np.zeros((1, 3, 49, 48), np.float32), np.float32(1.0)],
+                         ids=["wrong-spatial", "scalar"])
+def test_bad_input_is_refused_before_admission_and_spares_its_batch(bad):
+    """A request whose input does not fit the model fails alone, at submit,
+    like an unknown model: no series moves, no SLO debit, no future; the
+    requests it arrived with are served as if it had not come."""
+    from repro.errors import ExecutionError
+
+    graph = small_chain_graph(name="serve_shapes")
+    server = InferenceServer(graph, config=ServeConfig(
+        devices=1, max_batch=4, max_wait_s=0.005))
+    x = input_for(graph, seed=0)
+
+    async def scenario():
+        async with server:
+            results = await asyncio.gather(
+                server.submit(x), server.submit(bad), server.submit(x),
+                server.submit(x[0]), return_exceptions=True)
+            return results, len(server._pending)
+
+    results, pending = asyncio.run(scenario())
+    assert isinstance(results[1], ExecutionError) and "does not fit" in str(results[1])
+    good = [results[0], results[2], results[3]]
+    assert all(r.output.shape == (1, 10) and r.batch_size == 3 for r in good)
+    assert all(np.array_equal(r.output, good[0].output) for r in good)
+    assert pending == 0
+    stats = server.stats()
+    assert stats["requests"]["completed"] == 3 and stats["slo"]["events"] == 3
+    assert server.registry.total("serve_requests_failed") == 0
+
+
 def test_serve_backpressure_rejects_when_saturated():
     server = profile_server(devices=1, max_batch=2, queue_depth=1,
                             saturation_policy="reject")
