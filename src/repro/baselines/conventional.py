@@ -89,39 +89,41 @@ class ConventionalExecutor:
             return slab_tiles(extents, self.spec.num_sms)
         return adaptive_tiles(extents, self.tile, self.spec.num_sms)
 
+    def values(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> dict[str, np.ndarray]:
+        """The graph outputs, with no device: group by group at full-tensor
+        granularity (tiling shapes the access stream, not the math)."""
+        graph = self.graph
+        graph.init_weights()
+        values = {node.node_id: bind_input(node, inputs) for node in graph.input_nodes}
+        for group in self.groups:
+            # Fused intermediates are never materialized; the fusion rule
+            # guarantees they have no consumers outside the group.
+            values[group.output.node_id] = compute_group_values(graph, group, values)
+        return {n.name: values[n.node_id] for n in graph.output_nodes}
+
     def run(
         self,
         inputs: Mapping[str, np.ndarray] | np.ndarray | None = None,
         functional: bool = True,
         device: Device | None = None,
     ) -> BaselineResult:
+        """The counted group loop on ``device`` (a fresh one if None);
+        ``functional`` adds :meth:`values`' outputs, computed first."""
         graph = self.graph
         device = device if device is not None else Device(self.spec)
-        if functional:
-            graph.init_weights()
+        outputs = self.values(inputs) if functional else None
 
-        values: dict[int, np.ndarray] = {}
         handles: dict[int, DenseHandle] = {}
         for node in graph.input_nodes:
             buf = device.allocate(f"{graph.name}/{node.name}", node.spec.nbytes)
-            data = None
-            if functional:
-                data = bind_input(node, inputs)
-                values[node.node_id] = data
-            handles[node.node_id] = DenseHandle(node.spec, buf, data)
+            handles[node.node_id] = DenseHandle(node.spec, buf)
 
         weight_buffers = allocate_weights(device, graph)
 
         for gi, group in enumerate(self.groups):
             out_node = group.output
             out_buf = device.allocate(f"{graph.name}/{out_node.name}", out_node.spec.nbytes)
-            out_data = None
-            if functional:
-                out_data = compute_group_values(graph, group, values)
-                values[out_node.node_id] = out_data
-                # Fused intermediates are never materialized; the fusion rule
-                # guarantees they have no consumers outside the group.
-            out_handle = DenseHandle(out_node.spec, out_buf, out_data)
+            out_handle = DenseHandle(out_node.spec, out_buf)
 
             for node in group.nodes:
                 wb = weight_buffers.get(node.node_id)
@@ -141,9 +143,6 @@ class ConventionalExecutor:
             if (gi + 1) % self.sync_every == 0 or gi == len(self.groups) - 1:
                 device.synchronize()
 
-        outputs = None
-        if functional:
-            outputs = {n.name: values[n.node_id] for n in graph.output_nodes}
         return BaselineResult(
             name=self.name,
             outputs=outputs,

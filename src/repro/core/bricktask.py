@@ -12,10 +12,11 @@ schedule: a ``run()`` that decides *when* :meth:`BrickTasks.emit` (padded:
 knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
 
-A brick's value does not depend on its schedule, so the values have one
-implementation each -- :meth:`BrickTasks.brick_value` and
-:meth:`BrickTasks.closure_values` -- which the emitters call in functional
-mode and ``values()`` calls with no task, tag or barrier at all.
+The emitters count; they compute nothing.  A brick's value does not depend on
+its schedule, so values have one producer, ``values()``: every brick once with
+no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values` per
+exit brick).  An executor built without a ``device`` is that producer: its
+handles carry values and get no buffers.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ _NAMES = {"padded": ("padded", "bricked", "exit_ids"), "memoized": ("memo", "mem
 
 Dep = tuple[int, tuple[int, ...], int]  # (member node, grid position, flat index)
 Source = BrickedHandle | DenseHandle
+# A values pass's hook: (node, value, subgraph, brick, batch, label) per array
+# computed, naming the task that counts it (a fallback group: no brick/batch).
+Screen = Callable[[int, np.ndarray, int | None, tuple[int, ...] | None, int | None, str], None]
 
 
 def member_deps(geom: SubgraphGeometry, nid: int, gpos: Sequence[int]) -> list[Dep]:
@@ -78,13 +82,13 @@ def require_values(graph: Graph, node_ids: Iterable[int]) -> None:
             raise ExecutionError(
                 f"cannot compute values of {node.name!r}: transposed conv with kernel "
                 f"{op.kernel} < stride {op.stride}; profile mode, geometry and effects "
-                f"handle this graph, functional merged execution does not")
+                f"handle this graph, the values pass does not")
 
 
 def kernel_step(node: Node, shape: tuple[int, ...], needs: Sequence[Sequence[Interval]],
                 offsets: Sequence[Sequence[int]],
                 fetch: Callable[[int, Sequence[Interval], float], np.ndarray]) -> np.ndarray:
-    """The functional kernel step: ``fetch(pred, need, fill)`` one patch per
+    """The kernel step of one brick: ``fetch(pred, need, fill)`` one patch per
     input over its need intervals (neutral fill beyond the feature map), then
     the op's local kernel for an output of ``shape``.  Inputs may carry
     differing halos, so each patch is aligned by its own ``offsets``."""
@@ -99,9 +103,10 @@ class BrickTasks:
     ``strategy`` and adds the schedule.
 
     :attr:`stored` maps the nodes whose output lives in a bricked tensor of
-    this subgraph to their handles.  A functional run the kernel step cannot
-    evaluate is refused at construction, before the first task.  Without a
-    ``device`` the handles get no buffers and only :meth:`values` can run.
+    this subgraph to their handles.  With a ``device`` they get buffers and
+    :meth:`run` counts; without one they carry values and only :meth:`values`
+    can run -- a subgraph the kernel step cannot evaluate is refused then, at
+    construction.
     """
 
     subgraph: SubgraphView
@@ -109,7 +114,6 @@ class BrickTasks:
     device: Device | None
     entries: Mapping[int, Source]
     weight_buffers: Mapping[int, Buffer]
-    functional: bool = True
     strategy: ClassVar[str]
 
     def __post_init__(self) -> None:
@@ -120,7 +124,8 @@ class BrickTasks:
             if eid not in self.entries:
                 raise ExecutionError(
                     f"{self.strategy} executor missing entry handle for node {eid}")
-        if self.functional:
+        computes = self.device is None
+        if computes:
             require_values(self.graph, self.subgraph.node_ids)
         # Per-axis tables (see repro.core.geometry): every read, dependency,
         # sync edge and patch of a brick resolves from one row per axis.
@@ -128,10 +133,10 @@ class BrickTasks:
         self.batch = self.graph.node(self.subgraph.node_ids[0]).spec.batch
         self.stored: dict[int, BrickedHandle] = {}
         for node in map(self.graph.node, getattr(self.subgraph, stored)):
-            buf = None if self.device is None else self.device.allocate(
+            buf = None if computes else self.device.allocate(
                 f"{node.name}/{suffix}", bricked_nbytes(node.spec, self.brick_shape), transient=True)
             self.stored[node.node_id] = BrickedHandle.create(
-                node.spec, self.brick_shape, buf, self.functional)
+                node.spec, self.brick_shape, buf, computes)
         # Padded redundancy accounting: elements computed on enlarged patches
         # (vs the exact output volume) and halo bytes gathered from entry
         # bricks -- the paper's delta in measured form.
@@ -139,8 +144,11 @@ class BrickTasks:
         self.entry_read_bytes = 0
 
     # -- shared pieces -----------------------------------------------------------
+    def _label(self, nid: int, gpos: tuple[int, ...]) -> str:
+        return f"{self.prefix}/{self.graph.node(nid).name}/{gpos}"
+
     def _task(self, node: Node, gpos: tuple[int, ...], batch: int, worker: int | None) -> Task:
-        return Task(label=f"{self.prefix}/{node.name}/{gpos}", node_id=node.node_id,
+        return Task(label=self._label(node.node_id, gpos), node_id=node.node_id,
                     strategy=self.strategy, worker=worker, brick=gpos, batch_index=batch)
 
     def _read(self, task: Task, source: Source, batch: int, edges: Sequence[EdgeRow],
@@ -189,28 +197,11 @@ class BrickTasks:
         task.release(brick_token(handle.buffer, own_offset))
         task.release(buffer_token(handle.buffer))
 
-    def _submit(self, task: Task, values: Mapping[int, np.ndarray]) -> Task:
-        self.device.submit(task)
-        for nid, array in values.items():
-            self.device.note_values(task, nid, array)
-        return task
-
     # -- values -------------------------------------------------------------------
-    def brick_value(self, nid: int, gpos: tuple[int, ...], batch: int) -> np.ndarray:
-        """Compute brick ``gpos`` of ``nid`` for one sample from its sources'
-        values and store it: the functional half of :meth:`emit`."""
-        node = self.graph.node(nid)
-        value = kernel_step(
-            node, *patch_geometry(self.geom.rows(nid, gpos), len(node.inputs)),
-            lambda pred, need, fill: (self.stored.get(pred) or self.entries[pred]).gather(
-                batch, need, fill))
-        self.stored[nid].store_brick(batch, gpos, value)
-        return value
-
     def closure_values(self, exit_id: int, gpos: tuple[int, ...], batch: int) -> dict[int, np.ndarray]:
         """Every member's values on its private patch of the closure of one
-        exit brick, the exit's stored into its brick: the functional half of
-        :meth:`emit_fused`.  Patches cover their node's required interval
+        exit brick (what :meth:`emit_fused`'s task computes), the exit's
+        stored into its brick.  Patches cover their node's required interval
         clipped to the feature map, so each starts at its ``origin``."""
         rows = self.geom.closure_rows(exit_id, gpos)
         patches: dict[int, np.ndarray] = {}
@@ -235,14 +226,24 @@ class BrickTasks:
             self.stored[exit_id].store_brick(batch, gpos, values[exit_id])
         return values
 
-    def values(self) -> dict[int, BrickedHandle]:
+    def values(self, screen: Screen | None = None,
+               subgraph_index: int | None = None) -> dict[int, BrickedHandle]:
         """The exits' values with no schedule: no task, no tag, no barrier.
         Every member brick once, members in subgraph (topological) order, so
-        each brick's producers are stored before it is computed."""
+        each brick's producers are stored before it is computed; ``screen``
+        sees each brick with the identity of the task that counts it."""
         for nid, handle in self.stored.items():
+            node = self.graph.node(nid)
+            sources = {pred: self.stored.get(pred) or self.entries[pred] for pred in node.inputs}
             for gpos in handle.bricks():
+                shape, needs, offsets = patch_geometry(self.geom.rows(nid, gpos), len(node.inputs))
                 for n in range(self.batch):
-                    self.brick_value(nid, gpos, n)
+                    value = kernel_step(
+                        node, shape, needs, offsets,
+                        lambda pred, need, fill, n=n, s=sources: s[pred].gather(n, need, fill))
+                    handle.store_brick(n, gpos, value)
+                    if screen is not None:
+                        screen(nid, value, subgraph_index, gpos, n, self._label(nid, gpos))
         return {eid: self.stored[eid] for eid in self.subgraph.exit_ids}
 
     # -- one brick of one node ---------------------------------------------------
@@ -274,8 +275,8 @@ class BrickTasks:
         task.flops = self.geom.flops(nid, node.spec.channels * math.prod([r.length for r in rows]))
         if acquired is not None:
             task.atomics_compulsory = 2  # the tag's acquire CAS and its release
-        return self._submit(task, {nid: self.brick_value(nid, gpos, batch)}
-                            if self.functional else {})
+        self.device.submit(task)
+        return task
 
     # -- the padded closure of one exit brick --------------------------------------
     def emit_fused(self, exit_id: int, gpos: tuple[int, ...], batch: int,
@@ -327,5 +328,5 @@ class BrickTasks:
         task.calls = max(calls, 1)
         self.sync(task, handle, handle.brick_offset(batch, gpos),
                   [self.entries[eid] for eid in rows[0].entries])
-        return self._submit(task, self.closure_values(exit_id, gpos, batch)
-                            if self.functional else {})
+        self.device.submit(task)
+        return task

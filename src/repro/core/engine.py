@@ -12,10 +12,11 @@ vendor-library path (section 3.3.3).  Activations crossing representation
 boundaries are converted explicitly -- the paper's "cost of creating bricks",
 which the metrics include.
 
-Like all executors in this library, the engine runs either *functionally*
-(numerics checkable against :class:`~repro.core.reference.ReferenceExecutor`)
-or in *profile* mode (access streams and timing only).  ``values`` is the
-third way: the functional outputs alone, with no device at all.
+Every product has one producer.  The simulated run only counts: access
+streams, timing, attribution.  ``values`` computes the outputs (numerics
+checkable against :class:`~repro.core.reference.ReferenceExecutor`) with no
+device at all; a functional ``run`` is ``values`` followed by the same counted
+run a profile-mode one does.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.bricked import BrickedTensor, bricked_nbytes
-from repro.core.bricktask import BrickTasks
+from repro.core.bricked import bricked_nbytes
+from repro.core.bricktask import BrickTasks, Screen
 from repro.core.halo import padding_growth
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.core.memoized import MemoizedBrickExecutor
@@ -41,7 +42,6 @@ from repro.core.perfmodel import (
     parallelism,
 )
 from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
-from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError, PlanError
 from repro.graph.ir import Graph
 from repro.graph.regions import Region
@@ -319,9 +319,13 @@ class BrickDLEngine:
         plan: ExecutionPlan | None = None,
         trace_ctx=None,
     ) -> EngineResult:
+        """Simulate ``plan`` (compiled if None) on ``device`` (a fresh one if
+        None).  ``functional``: the result also carries :meth:`values`'
+        outputs, computed first, so a graph they refuse or a bad input fails
+        before the first task; the counted run is the same either way."""
         # Imported here: repro.baselines also consumes repro.core (handles),
         # so the engine pulls the shared tiled machinery in lazily.
-        from repro.baselines.tiled import allocate_weights, bind_input
+        from repro.baselines.tiled import allocate_weights
         from repro.profiling import TraceCollector
 
         graph = self.graph
@@ -343,14 +347,13 @@ class BrickDLEngine:
                               if isinstance(o, ExecutionSanitizer)), None)
             if sanitizer is None:
                 sanitizer = device.attach(ExecutionSanitizer(graph))
-        if functional:
-            graph.init_weights()
+        screen = sanitizer.numeric.screen if sanitizer is not None else None
+        outputs = self.values(inputs, plan, screen) if functional else None
 
         boundary: dict[int, DenseHandle | BrickedHandle] = {}
         for node in graph.input_nodes:
             buf = device.allocate(f"{graph.name}/{node.name}", node.spec.nbytes)
-            data = bind_input(node, inputs) if functional else None
-            boundary[node.node_id] = DenseHandle(node.spec, buf, data)
+            boundary[node.node_id] = DenseHandle(node.spec, buf)
 
         weight_buffers = allocate_weights(device, graph)
         remaining = self._consumer_counts()
@@ -363,9 +366,9 @@ class BrickDLEngine:
                     if wb is not None:
                         device.memory.pin(wb)
                 if sub.strategy is Strategy.CUDNN:
-                    self._run_fallback(device, sub, boundary, weight_buffers, functional)
+                    self._run_fallback(device, sub, boundary, weight_buffers)
                 else:
-                    self._run_merged(device, sub, boundary, weight_buffers, functional)
+                    self._run_merged(device, sub, boundary, weight_buffers)
                 for nid in sub.subgraph.node_ids:
                     wb = weight_buffers.get(nid)
                     if wb is not None:
@@ -375,12 +378,9 @@ class BrickDLEngine:
                     if eid in boundary and boundary[eid].buffer.transient:
                         device.discard(boundary[eid].buffer)
 
-        # Graph outputs are materialized densely (and charged) in both modes.
+        # Graph outputs are materialized densely (and charged).
         for node in graph.output_nodes:
-            self._ensure_dense(device, node.node_id, boundary, functional)
-        outputs = None
-        if functional:
-            outputs = {n.name: boundary[n.node_id].require_data() for n in graph.output_nodes}
+            self._ensure_dense(device, node.node_id, boundary)
         metrics = device.finish()
         if self.strict:
             from repro.analysis import replay_trace
@@ -403,17 +403,19 @@ class BrickDLEngine:
                             registry=device.metrics_registry)
 
     def values(self, inputs: Mapping[str, np.ndarray] | np.ndarray,
-               plan: ExecutionPlan | None = None) -> dict[str, np.ndarray]:
-        """The outputs ``run(inputs, functional=True, plan=plan)`` returns,
-        bit for bit, without simulating: no device, no task, no scheduler.
+               plan: ExecutionPlan | None = None,
+               screen: Screen | None = None) -> dict[str, np.ndarray]:
+        """The graph outputs of ``plan`` (compiled if None) on ``inputs``,
+        without simulating: no device, no task, no scheduler.
 
         The counters of a plan do not depend on the values flowing through
-        it, so a caller that has them already needs only this.  Plan entries
-        run in order over dense activations -- gathering a patch from a dense
-        or a bricked copy of the same values is the same copy -- a merged one
-        through its executor's schedule-free ``values()``, a fallback one
-        through the tiled path's full-tensor arithmetic; an activation is
-        dropped once its consumers have run.
+        it, so this is the only producer of outputs (a functional ``run``
+        calls it).  Plan entries run in order over dense activations --
+        gathering a patch from a dense or a bricked copy of the same values is
+        the same copy -- a merged one through its executor's schedule-free
+        ``values()``, a fallback one through the tiled path's full-tensor
+        arithmetic; an activation is dropped once its consumers have run.
+        ``screen`` sees every array computed (see :data:`Screen`).
         """
         from repro.baselines.fusion import fuse_members
         from repro.baselines.tiled import bind_input, compute_group_values
@@ -427,20 +429,22 @@ class BrickDLEngine:
             if sub.strategy is Strategy.CUDNN:
                 for group in fuse_members(graph, sub.subgraph.node_ids):
                     out = compute_group_values(graph, group, dense)
+                    if screen is not None:
+                        screen(group.output.node_id, out, sub.index, None, None, "(fallback kernel)")
                     for gnode in group.nodes:
                         dense[gnode.node_id] = out
             else:
                 entries = {eid: DenseHandle(graph.node(eid).spec, None, dense[eid])
                            for eid in sub.subgraph.entry_ids}
                 executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, None, entries, {})
-                for nid, handle in executor.values().items():
+                for nid, handle in executor.values(screen, sub.index).items():
                     dense[nid] = handle.data.to_dense()
             for eid in self._retired(sub, remaining):
                 del dense[eid]
         return {n.name: dense[n.node_id] for n in graph.output_nodes}
 
     # -- merged subgraphs ---------------------------------------------------
-    def _run_merged(self, device, sub: SubgraphPlan, boundary, weight_buffers, functional) -> None:
+    def _run_merged(self, device, sub: SubgraphPlan, boundary, weight_buffers) -> None:
         entries: dict[int, BrickedHandle | DenseHandle] = {}
         for eid in sub.subgraph.entry_ids:
             handle = boundary[eid]
@@ -450,9 +454,8 @@ class BrickDLEngine:
                 # no separate layout-conversion pass is charged.
                 entries[eid] = handle
             else:
-                entries[eid] = self._ensure_bricked(device, eid, sub.brick_shape, boundary, functional)
-        executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, device, entries,
-                                      weight_buffers, functional)
+                entries[eid] = self._ensure_bricked(device, eid, sub.brick_shape, boundary)
+        executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, device, entries, weight_buffers)
         exits = executor.run()
         # Interior memo tensors die with the subgraph: discard without
         # write-back (they never leave L2 -- the merged-execution payoff).
@@ -463,42 +466,30 @@ class BrickDLEngine:
         boundary.update(exits)
 
     # -- vendor-library fallback ------------------------------------------------
-    def _run_fallback(self, device, sub: SubgraphPlan, boundary, weight_buffers, functional) -> None:
+    def _run_fallback(self, device, sub: SubgraphPlan, boundary, weight_buffers) -> None:
         """Un-bricked execution of a subgraph via tiled vendor-library calls,
         with the same conv+pointwise fusion the cuDNN baseline enjoys."""
         from repro.baselines.fusion import fuse_members
-        from repro.baselines.tiled import adaptive_tiles, compute_group_values, run_group
+        from repro.baselines.tiled import adaptive_tiles, run_group
 
         graph = self.graph
-        values: dict[int, np.ndarray] = {}
         for group in fuse_members(graph, sub.subgraph.node_ids):
             node = group.output
-            handles: dict[int, DenseHandle] = {}
             group_ids = {n.node_id for n in group.nodes}
-            for gnode in group.nodes:
-                for pred in gnode.inputs:
-                    if pred in group_ids:
-                        continue
-                    handles[pred] = self._ensure_dense(device, pred, boundary, functional)
-                    if functional:
-                        values[pred] = handles[pred].require_data()
+            handles = {pred: self._ensure_dense(device, pred, boundary)
+                       for gnode in group.nodes for pred in gnode.inputs if pred not in group_ids}
             out_buf = device.allocate(f"{graph.name}/{node.name}", node.spec.nbytes)
-            out_data = compute_group_values(graph, group, values) if functional else None
-            out_handle = DenseHandle(node.spec, out_buf, out_data)
-            if functional:
-                values[node.node_id] = out_data
+            out_handle = DenseHandle(node.spec, out_buf)
             run_group(device, graph, group, handles, out_handle,
                       lambda extents: adaptive_tiles(extents, 16 if len(extents) >= 3 else 32,
                                                      device.spec.num_sms),
                       weight_buffers, label="fallback")
-            if functional:
-                device.note_values(None, node.node_id, out_data)
             device.synchronize()
             for gnode in group.nodes:
                 boundary[gnode.node_id] = out_handle
 
     # -- representation management ------------------------------------------------
-    def _ensure_bricked(self, device, nid: int, brick_shape, boundary, functional) -> BrickedHandle:
+    def _ensure_bricked(self, device, nid: int, brick_shape, boundary) -> BrickedHandle:
         handle = boundary[nid]
         if isinstance(handle, BrickedHandle) and handle.grid.brick_shape == tuple(brick_shape):
             return handle
@@ -506,7 +497,7 @@ class BrickDLEngine:
         shape = tuple(min(b, e) for b, e in zip(brick_shape, node.spec.spatial))
         buf = device.allocate(f"{node.name}/bricked", bricked_nbytes(node.spec, shape),
                               transient=True)
-        new = BrickedHandle.create(node.spec, shape, buf, functional)
+        new = BrickedHandle.create(node.spec, shape, buf, functional=False)
         # Brick creation cost (the paper notes it is minimal): one sweep of
         # the source plus per-brick writes so the brick-class residency model
         # sees the new layout.
@@ -521,13 +512,10 @@ class BrickDLEngine:
         # executors acquire.
         task.release(buffer_token(buf))
         device.submit(task)
-        if functional:
-            dense = handle.require_data() if isinstance(handle, DenseHandle) else handle.data.to_dense()
-            new.data = BrickedTensor.from_dense(dense, shape)
         boundary[nid] = new
         return new
 
-    def _ensure_dense(self, device, nid: int, boundary, functional) -> DenseHandle:
+    def _ensure_dense(self, device, nid: int, boundary) -> DenseHandle:
         handle = boundary[nid]
         if isinstance(handle, DenseHandle):
             return handle
@@ -544,8 +532,7 @@ class BrickDLEngine:
         task.write(buf, 0, node.spec.nbytes, dense=True)
         task.release(buffer_token(buf))
         device.submit(task)
-        data = handle.data.to_dense() if functional else None
-        new = DenseHandle(node.spec, buf, data)
+        new = DenseHandle(node.spec, buf)
         boundary[nid] = new
         return new
 

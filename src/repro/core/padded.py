@@ -20,7 +20,7 @@ The emitted access stream is:
 
 from __future__ import annotations
 
-from repro.core.bricktask import BrickTasks
+from repro.core.bricktask import BrickTasks, Screen
 from repro.core.handles import BrickedHandle
 from repro.graph.regions import Region
 from repro.gpusim.trace import Buffer
@@ -49,12 +49,16 @@ class PaddedBrickExecutor(BrickTasks):
         self.device.synchronize()
         return self.stored
 
-    def values(self) -> dict[int, BrickedHandle]:
-        """:meth:`run`'s exit bricks in its order, values only."""
+    def values(self, screen: Screen | None = None,
+               subgraph_index: int | None = None) -> dict[int, BrickedHandle]:
+        """:meth:`run`'s exit bricks in its order, values only; ``screen``
+        sees every member patch of a closure under its exit brick's task."""
         for exit_id, handle in self.stored.items():
             for grid_pos in handle.bricks():
                 for n in range(self.batch):
-                    self.closure_values(exit_id, grid_pos, n)
+                    for nid, value in self.closure_values(exit_id, grid_pos, n).items():
+                        if screen is not None:
+                            screen(nid, value, subgraph_index, grid_pos, n, self._label(exit_id, grid_pos))
         return self.stored
 
     def _allocate_scratch(self) -> tuple[list[Buffer], dict[int, int]]:

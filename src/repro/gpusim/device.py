@@ -5,16 +5,18 @@ run.  Executors allocate buffers, submit :class:`~repro.gpusim.trace.Task`
 objects (each task's accesses are pushed through the memory hierarchy as it
 is submitted, so L2 state evolves in issue order -- the property merged
 execution exploits), and finally call :meth:`finish` to obtain the
-:class:`RunMetrics` with counters and the paper-style time breakdown.
+:class:`RunMetrics` with counters and the paper-style time breakdown.  A
+device only counts: no value ever reaches it (outputs come from
+``BrickDLEngine.values``, which runs without one).
 
 Observability: the device maintains per-worker lane clocks and stamps every
 submitted task with an issue-order ``(start_s, end_s)`` from the
 ``spec.task_time`` model plus its submission index and counter delta, so
 each run yields a timeline of self-describing tasks.  Attached observers
 (see :mod:`repro.profiling`) are notified of allocations and discards, task
-submissions (the stamped task carries its own counter delta), functional
-kernel values (:meth:`note_values`), synchronizations, attribution scopes
-(where they snapshot :meth:`counter_state`), and run completion.  The
+submissions (the stamped task carries its own counter delta),
+synchronizations, attribution scopes (where they snapshot
+:meth:`counter_state`), and run completion.  The
 timeline is an *issue-order* view for tracing; the authoritative end-to-end
 time remains the :class:`TimeBreakdown` makespan model, which additionally
 accounts for memory/compute overlap.
@@ -207,16 +209,6 @@ class Device:
         row[-1].value += task.flops
         for obs in self.observers:
             obs.on_task_submit(self, task)
-
-    def note_values(self, task: Task | None, node_id: int | None, values) -> None:
-        """Announce a functional-mode kernel result to the observers.
-
-        Pure observability: no counters move.  Executors call this with the
-        NumPy patch a task computed so value-level observers (the numeric
-        sanitizer) can screen outputs with (node, subgraph, brick) identity.
-        """
-        for obs in self.observers:
-            obs.on_task_values(self, task, node_id, values)
 
     def synchronize(self) -> None:
         """Record one device-wide synchronization barrier."""

@@ -13,19 +13,9 @@ def flatten_forward(x: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """``y = x @ W.T + b`` with ``x (N, F_in)`` and ``W (F_out, F_in)``.
-
-    Rows are pushed through the GEMM one at a time: BLAS picks
-    shape-dependent kernels, so a batched ``(N, K) @ (K, M)`` is not
-    bit-identical to the same rows multiplied individually.  The serving
-    layer coalesces requests into batches and promises outputs identical to
-    the single-shot path, so every row must take the batch-1 code path
-    regardless of how many rides along with it.
-    """
-    if x.shape[0] == 1:
-        out = x @ weight.T
-    else:
-        out = np.concatenate([x[i:i + 1] @ weight.T for i in range(x.shape[0])], axis=0)
+    """``y = x @ W.T + b`` with ``x (N, F_in)`` and ``W (F_out, F_in)``
+    (``apply_node_full`` feeds it one row at a time)."""
+    out = x @ weight.T
     if bias is not None:
         out = out + bias
     return np.ascontiguousarray(out, dtype=x.dtype)

@@ -80,6 +80,12 @@ def apply_node_full(op: OpSpec, inputs: Sequence[np.ndarray], weights: dict[str,
         for stage, sw in zip(op.epilogue, per_stage[1:]):
             out = apply_node_full(stage, [out], sw)
         return out
+    if isinstance(op, (Conv, ConvTranspose, Dense)) and len(inputs[0]) > 1:
+        # BLAS picks its GEMM kernel by shape, so a batched product is not
+        # bit-identical to the same samples multiplied alone.  Every sample
+        # takes the batch-1 path: outputs never depend on their batch-mates.
+        x = inputs[0]
+        return np.concatenate([apply_node_full(op, [x[i:i + 1]], weights) for i in range(len(x))])
     if isinstance(op, Conv):
         return conv_forward(
             inputs[0], weights["weight"], weights.get("bias"),

@@ -19,6 +19,9 @@ growth *outside* any task (the memoized scheduler's bulk conflict-CAS
 accounting, the flush write-back) needs none either: an observer snapshots
 ``device.counter_state()`` in ``on_scope_begin`` / ``on_scope_end`` and
 :meth:`on_finish`, and a scope's cost is the growth between its snapshots.
+
+No hook carries values: the device only counts, and outputs come from
+``BrickDLEngine.values`` (whose ``screen`` callable observes them).
 """
 
 from __future__ import annotations
@@ -51,14 +54,6 @@ class DeviceObserver:
 
     def on_task_submit(self, device: "Device", task: "Task") -> None:
         """A task ran through the memory hierarchy and joined the timeline."""
-
-    def on_task_values(self, device: "Device", task: "Task | None",
-                       node_id: int | None, values) -> None:
-        """A functional-mode kernel produced ``values`` (a NumPy array) for
-        graph node ``node_id``.  ``task`` is the producing task when the
-        values are brick-granular (carrying ``brick``/``batch_index``
-        identity), or None for whole-tensor fallback kernels.  Only emitted
-        in functional mode; profile runs never see this hook."""
 
     def on_sync(self, device: "Device", time_s: float) -> None:
         """A device-wide synchronization barrier was recorded."""

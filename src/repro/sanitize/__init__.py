@@ -3,10 +3,10 @@
 Where :mod:`repro.analysis` checks models of execution (graph, plan,
 protocol state machine, recorded trace), this package validates *live* runs:
 an :class:`ExecutionSanitizer` attached to the device observes every
-allocation, task, barrier, and functional kernel result as it happens and
-reports shadow-memory violations, happens-before races, and numeric
-anomalies in the shared :class:`~repro.analysis.diagnostics.AnalysisReport`
-currency.
+allocation, task and barrier as it happens, screens every array the engine's
+values pass computes, and reports shadow-memory violations, happens-before
+races, and numeric anomalies in the shared
+:class:`~repro.analysis.diagnostics.AnalysisReport` currency.
 """
 
 from repro.sanitize.numeric import NumericFinding, NumericSanitizer

@@ -1,11 +1,12 @@
 """Numeric sanitizer: NaN/Inf/denormal screening of kernel outputs.
 
-Screens every functional-mode kernel result the device announces through
-``note_values`` and attributes the *first origin* of each anomaly class to
-the (node, subgraph, brick, batch) that produced it.  Downstream nodes that
-merely inherit a poisoned input are demoted to informational "derived"
-findings, so one NaN-producing kernel yields one error naming the true
-origin rather than an error per consumer.
+Screens every array a values pass computes -- ``BrickDLEngine.values`` calls
+:meth:`NumericSanitizer.screen` per brick (or per fallback group output) --
+and attributes the *first origin* of each anomaly class to the (node,
+subgraph, brick, batch) that produced it.  Downstream nodes that merely
+inherit a poisoned input are demoted to informational "derived" findings, so
+one NaN-producing kernel yields one error naming the true origin rather than
+an error per consumer.
 
 NaN and Inf are errors (a finite-input DNN forward pass should never
 produce either); denormals are warnings (they are numerically valid but
@@ -41,15 +42,17 @@ class NumericFinding:
 
 
 class NumericSanitizer:
-    """Accumulates numeric findings from ``on_task_values`` events."""
+    """Accumulates numeric findings from a values pass's ``screen`` calls."""
 
     def __init__(self, graph=None) -> None:
         self.graph = graph
         self.findings: dict[tuple[str, int | None], NumericFinding] = {}
         self._poisoned: set[int] = set()  # node ids that saw NaN/Inf
 
-    def screen(self, task, node_id: int | None, values,
-               subgraph_index: int | None) -> None:
+    def screen(self, node_id: int | None, values, subgraph_index: int | None,
+               brick: tuple[int, ...] | None, batch_index: int | None, label: str) -> None:
+        """A :data:`repro.core.bricktask.Screen`: one computed array of
+        ``node_id``, named by the task that counts it."""
         arr = np.asarray(values)
         if not np.issubdtype(arr.dtype, np.floating) or arr.size == 0:
             return
@@ -61,30 +64,19 @@ class NumericSanitizer:
         for kind, count in (("nan", nan_count), ("inf", inf_count),
                             ("denormal", denormal_count)):
             if count:
-                self._record(kind, count, task, node_id, subgraph_index)
-        if nan_count or inf_count:
-            if node_id is not None:
-                self._poisoned.add(node_id)
+                self._record(NumericFinding(kind, node_id, subgraph_index, brick,
+                                            batch_index, label, count))
+        if (nan_count or inf_count) and node_id is not None:
+            self._poisoned.add(node_id)
 
-    def _record(self, kind: str, count: int, task, node_id: int | None,
-                subgraph_index: int | None) -> None:
-        key = (kind, node_id)
+    def _record(self, finding: NumericFinding) -> None:
+        key = (finding.kind, finding.node_id)
         existing = self.findings.get(key)
         if existing is not None:
-            existing.count += count
+            existing.count += finding.count
             return
-        derived = kind != "denormal" and self._inherited(node_id)
-        self.findings[key] = NumericFinding(
-            kind=kind,
-            node_id=node_id,
-            subgraph_index=(task.subgraph_index if task is not None and
-                            task.subgraph_index is not None else subgraph_index),
-            brick=getattr(task, "brick", None),
-            batch_index=getattr(task, "batch_index", None),
-            label=getattr(task, "label", "(fallback kernel)"),
-            count=count,
-            derived=derived,
-        )
+        finding.derived = finding.kind != "denormal" and self._inherited(finding.node_id)
+        self.findings[key] = finding
 
     def _inherited(self, node_id: int | None) -> bool:
         """True when a predecessor of ``node_id`` already produced NaN/Inf,

@@ -15,7 +15,12 @@ against three dynamic-analysis models:
   memoized dependency edge); so is a write-after-write between unordered
   tasks (an exactly-once violation).
 * **numeric screening** (:mod:`repro.sanitize.numeric`) -- NaN/Inf/denormal
-  checks of functional-mode kernel outputs with first-origin attribution.
+  checks with first-origin attribution.  No value reaches the device, so a
+  functional run hands ``self.numeric.screen`` to ``BrickDLEngine.values``.
+
+The first two need no values: they check the *schedule*, in profile mode as
+in functional (a brick placed before its producers reads unwritten or
+unordered bytes).
 
 Findings are reported in the same :class:`AnalysisReport` currency as the
 static passes, so ``repro lint --sanitize``, strict mode, and CI all consume
@@ -109,10 +114,6 @@ class ExecutionSanitizer(DeviceObserver):
 
     def on_sync(self, device, time_s) -> None:
         self.hb.barrier()
-
-    def on_task_values(self, device, task, node_id, values) -> None:
-        sub = self._scopes[-1] if self._scopes else None
-        self.numeric.screen(task, node_id, values, sub)
 
     def on_task_submit(self, device, task) -> None:
         self.shadow.saw_task = True

@@ -235,7 +235,8 @@ def verify_served(server: InferenceServer,
     """Differential check: served outputs == single-shot engine outputs.
 
     ``picked`` is the caller's sample of ``(request index, response)``; each
-    is re-run single-shot from its seeded input on an engine built from the
+    is re-computed single-shot (``BrickDLEngine.values`` at batch 1, the one
+    producer of outputs) from its seeded input on an engine built from the
     server's own config, and must match bit for bit.  Callers sample
     non-degraded responses only: a degraded one took the cuDNN-fallback
     plan, a different (allclose but not bitwise-equal) arithmetic path, and
@@ -254,7 +255,7 @@ def verify_served(server: InferenceServer,
             engines[response.model] = (engine, engine.compile())
         engine, plan = engines[response.model]
         x = _request_input(graph, index, seed)
-        single = engine.run(x, functional=True, plan=plan).outputs
+        single = engine.values(x, plan)
         for name, want in single.items():
             got = response.outputs[name]
             if not np.array_equal(got, want):

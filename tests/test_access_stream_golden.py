@@ -9,7 +9,9 @@ task's identity, flops, access rows (in order) and acquire/release tokens.
 *before* the executors moved to per-axis geometry tables
 (``python tests/test_access_stream_golden.py --record`` rewrites it), so a
 refactor of the geometry layer that claims a bit-identical stream has to
-reproduce these hashes in profile mode and in functional mode.
+reproduce these hashes.  There is one count-only emitter: a functional run
+computes its outputs in a device-free values pass first and then counts
+exactly what a profile-mode run counts, which its case here pins.
 """
 
 import functools
@@ -98,12 +100,8 @@ def test_golden_file_covers_every_config(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_access_stream_golden.py --record")
-    recorded = {}
-    for model, strategy in CONFIGS:
-        profile = stream_digest(model, strategy, functional=False)
-        if stream_digest(model, strategy, functional=True) != profile:
-            sys.exit(f"{model}/{strategy}: functional and profile streams differ")
-        recorded[f"{model}/{strategy}"] = profile
+    recorded = {f"{model}/{strategy}": stream_digest(model, strategy, functional=False)
+                for model, strategy in CONFIGS}
     _GOLDEN.parent.mkdir(exist_ok=True)
     _GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} digests to {_GOLDEN}")

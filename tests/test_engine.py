@@ -163,12 +163,12 @@ class TestAttribution:
         assert "attribution" in capsys.readouterr().out
 
 
-def test_functional_run_stays_under_200_own_calls_per_task():
-    """The functional twin of the benchmark's ``core.py_calls_per_task``: one
-    batch-2 functional run of reduced mobilenet_v1 under the profiler hook,
+def test_values_pass_stays_under_60_own_calls_per_task():
+    """The values-pass twin of the benchmark's ``core.py_calls_per_task``:
+    ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
-    between versions).  325 per device task while values moved per overlapped
-    brick, 161 with per-axis copies."""
+    between versions), per task the counted run of the same plan submits
+    (37 today)."""
     import cProfile
     import os
 
@@ -179,19 +179,20 @@ def test_functional_run_stays_under_200_own_calls_per_task():
     engine = BrickDLEngine(graph)
     plan = engine.compile()
     x = np.random.default_rng(0).standard_normal(graph.input_nodes[0].spec.shape).astype(np.float32)
+    num_tasks = engine.run(functional=False, plan=plan).metrics.num_tasks
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = engine.run(x, functional=True, plan=plan)
+        engine.values(x, plan)
     finally:
         profiler.disable()
     own = os.path.dirname(repro.__file__) + os.sep
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
-    per_task = calls / result.metrics.num_tasks
-    assert per_task <= 200, (
-        f"{per_task:.0f} calls into src/repro per device task (budget 200): per-brick Python is "
-        "back on the functional path -- the usual culprits are Region algebra "
+    per_task = calls / num_tasks
+    assert per_task <= 60, (
+        f"{per_task:.0f} calls into src/repro per counted task (budget 60): per-brick Python is "
+        "back on the values path -- the usual culprits are Region algebra "
         "(graph/regions.py) and per-brick loops in core/bricked.py")
 
 
@@ -222,32 +223,38 @@ def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
 
 
 # ---------------------------------------------------------------------------
-# values(): run()'s functional outputs without the simulation
+# values(): the one producer of outputs, checked against what it must equal
 # ---------------------------------------------------------------------------
 
-def _assert_values_equal_run(engine, seed=7):
+def _assert_values_equal_functional_runs(engine, seed=7):
+    """Batch-2 ``values()`` equals the single-shot functional run of each
+    sample bit for bit (what a served batch promises), and is within the
+    conformance tolerance of the reference executor."""
+    batched = engine.for_batch(2)
+    x = np.concatenate([input_for(engine.graph, seed), input_for(engine.graph, seed + 1)])
+    got = batched.values(x, batched.compile())
     plan = engine.compile()
-    x = input_for(engine.graph, seed)
-    want = engine.run(x, functional=True, plan=plan).outputs
-    got = engine.values(x, plan)
-    assert got.keys() == want.keys()
-    for name in want:
-        assert np.array_equal(got[name], want[name]), name
+    for i in range(2):
+        single = engine.run(x[i:i + 1], functional=True, plan=plan).outputs
+        assert got.keys() == single.keys()
+        for name in single:
+            assert np.array_equal(got[name][i:i + 1], single[name]), (name, i)
+    for name, want in ReferenceExecutor(batched.graph).run(x).items():
+        np.testing.assert_allclose(got[name], want, atol=1e-4, rtol=1e-4, err_msg=name)
 
 
 @pytest.mark.parametrize("strategy", [None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT],
                          ids=lambda s: s.value if s else "planned")
 @pytest.mark.parametrize("model", sorted(zoo.MODELS))
 def test_values_equal_functional_run_on_the_zoo(model, strategy):
-    engine = BrickDLEngine(zoo.build(model, reduced=True), strategy_override=strategy)
-    _assert_values_equal_run(engine)
-    _assert_values_equal_run(engine.for_batch(2))
+    _assert_values_equal_functional_runs(
+        BrickDLEngine(zoo.build(model, reduced=True), strategy_override=strategy))
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_dag(), st.sampled_from([None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT]))
 def test_values_equal_functional_run_on_random_dags(graph, strategy):
-    _assert_values_equal_run(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
+    _assert_values_equal_functional_runs(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
 
 
 def test_values_builds_no_device_task_or_schedule(monkeypatch):

@@ -83,11 +83,7 @@ CASES = [
 class TestEquivalence:
     def test_padded_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        ex = PaddedBrickExecutor(
-            subgraph=view, brick_shape=(4, 4), device=device,
-            entries=entries, weight_buffers=wb, functional=True,
-        )
-        exits = ex.run()
+        exits = PaddedBrickExecutor(view, (4, 4), None, entries, {}).values()
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(
             exits[out_id].data.to_dense(), refs[out_name], atol=1e-4, rtol=1e-4
@@ -95,8 +91,7 @@ class TestEquivalence:
 
     def test_memoized_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=True)
-        exits = ex.run()
+        exits = MemoizedBrickExecutor(view, (4, 4), None, entries, {}).values()
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(
             exits[out_id].data.to_dense(), refs[out_name], atol=1e-4, rtol=1e-4
@@ -128,7 +123,7 @@ class TestDataPathEdgeCases:
     def _run(self, executor_cls, make_graph, members, brick, entry_brick, x=None):
         g, view, device, entries, wb, refs = build_subgraph_fixture(
             make_graph, members, brick=entry_brick, x=x)
-        exits = executor_cls(view, brick, device, entries, wb, functional=True).run()
+        exits = executor_cls(view, brick, None, entries, {}).values()
         return exits[g.node("out").node_id].data.to_dense(), refs["out"]
 
     def test_entry_on_its_own_grid(self, executor_cls):
@@ -166,7 +161,7 @@ class TestMemoizedProtocol:
         if workers:
             device = Device(GPUSpec(num_sms=workers))
             # re-register buffers on the new device (geometry only matters)
-        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=True)
+        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb)
         ex.run()
         return ex
 
@@ -200,7 +195,7 @@ def test_one_brick_task_under_tag_and_barrier_arguments():
     access rows and releases; only the acquired dependency bricks, the
     certified-L2 flags, the worker lane and the CAS pair differ."""
     g, view, device, entries, wb, _ = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
-    tasks = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=False)
+    tasks = MemoizedBrickExecutor(view, (4, 4), device, entries, wb)
     nid, gpos = g.node("conv2").node_id, (1, 1)
     deps = member_deps(tasks.geom, nid, gpos)
     assert len(deps) == 9 and {d[0] for d in deps} == {g.node("relu1").node_id}
@@ -228,7 +223,7 @@ class TestPaddedMetrics:
     def test_one_task_per_exit_brick(self):
         g, view, device, entries, wb, refs = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
         ex = PaddedBrickExecutor(subgraph=view, brick_shape=(4, 4), device=device,
-                                 entries=entries, weight_buffers=wb, functional=True)
+                                 entries=entries, weight_buffers=wb)
         exits = ex.run()
         out_id = g.node("conv2").node_id
         assert len(device.tasks) == exits[out_id].grid.num_bricks
@@ -236,15 +231,15 @@ class TestPaddedMetrics:
     def test_no_atomics(self):
         g, view, device, entries, wb, refs = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
         PaddedBrickExecutor(subgraph=view, brick_shape=(4, 4), device=device,
-                            entries=entries, weight_buffers=wb, functional=True).run()
+                            entries=entries, weight_buffers=wb).run()
         assert device.finish().atomics.total == 0
 
     def test_halo_shows_as_l1_overfetch(self):
         """Padded reads more L1 bytes than memoized for the same subgraph."""
         g1, v1, d1, e1, w1, _ = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
         PaddedBrickExecutor(subgraph=v1, brick_shape=(4, 4), device=d1,
-                            entries=e1, weight_buffers=w1, functional=True).run()
+                            entries=e1, weight_buffers=w1).run()
         g2, v2, d2, e2, w2, _ = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
-        MemoizedBrickExecutor(v2, (4, 4), d2, e2, w2, functional=True).run()
+        MemoizedBrickExecutor(v2, (4, 4), d2, e2, w2).run()
         assert d1.finish().memory.l1_txns > 0
         assert d2.finish().memory.l1_txns > 0

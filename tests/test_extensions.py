@@ -90,7 +90,7 @@ class TestWavefront:
 
         with pytest.raises(ExecutionError):
             WavefrontBrickExecutor(subgraph=view, brick_shape=(4, 4), device=Device(),
-                                   entries={}, weight_buffers={}, functional=False)
+                                   entries={}, weight_buffers={})
 
     def test_wave_count(self):
         g = chain_2d(2, 16)

@@ -60,7 +60,7 @@ class TestFig1RedundantComputation:
         bt = BrickedTensor.from_dense(x, (8,))
         entry = BrickedHandle(spec=g.node(0).spec, grid=bt.grid,
                               buffer=dev.allocate("in", bt.nbytes), data=bt)
-        ex = MemoizedBrickExecutor(view, (8,), dev, {0: entry}, {}, functional=True)
+        ex = MemoizedBrickExecutor(view, (8,), dev, {0: entry}, {})
         ex.run()
         total_bricks = sum(h.grid.num_bricks for h in ex.memo.values())
         assert len(dev.tasks) == total_bricks  # exactly once, never thrice

@@ -154,8 +154,7 @@ class TestExecutorPerInputOffsets:
         g = lopsided_graph()
         members = ("root", "left", "right", "join", "out")
         view, device, entries, wb, refs = _memoized_fixture(g, members)
-        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=True)
-        exits = ex.run()
+        exits = MemoizedBrickExecutor(view, (4, 4), None, entries, {}).values()
         out_id = g.node("out").node_id
         np.testing.assert_allclose(
             exits[out_id].data.to_dense(), refs["out"], atol=1e-4, rtol=1e-4
@@ -176,7 +175,7 @@ class TestExecutorPerInputOffsets:
         g = b.finish()
         g.node("join").op = HaloAdd()
         view, device, entries, wb, refs = _memoized_fixture(g, ("body", "join", "out"))
-        exits = executor_cls(view, (4, 4), device, entries, wb, functional=True).run()
+        exits = executor_cls(view, (4, 4), None, entries, {}).values()
         np.testing.assert_allclose(
             exits[g.node("out").node_id].data.to_dense(), refs["out"], atol=1e-5, rtol=1e-5)
 
@@ -192,7 +191,7 @@ class TestCoalescingWindow:
         members = ("root", "left", "right", "join", "out")
         spec = GPUSpec(name="tiny", num_sms=16, l2_bytes=4096)
         view, device, entries, wb, _ = _memoized_fixture(g, members, spec=spec)
-        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb, functional=False)
+        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb)
         depth = view.depth
         wave = int(HALO_NEIGHBORHOOD_BRICKS * spec.num_sms * min(1.0, 3.0 / depth))
         assert ex._recent_capacity >= wave

@@ -9,6 +9,8 @@ proving each detector actually fires on the failure it exists for:
   trips the race detector, and so does a wavefront run without its per-wave
   barrier;
 * skipping one halo brick write trips shadow memory as an uninitialized read;
+* a memoized or wavefront schedule that ignores member dependencies is
+  rejected in profile mode, where no value is computed to go wrong;
 * a NaN-poisoned kernel is attributed to the correct (node, brick).
 """
 
@@ -215,6 +217,32 @@ class TestMutants:
         assert races, report.summary()
         assert any("wave/" in d.detail["writer"] for d in races)
 
+    @pytest.mark.parametrize("strategy, codes, replay_codes", [
+        (Strategy.MEMOIZED, {"sanitize.uninit-read"}, {"replay.missing-producer"}),
+        (Strategy.WAVEFRONT, {"sanitize.race-read", "sanitize.uninit-read"}, set()),
+    ], ids=["memoized", "wavefront"])
+    def test_schedule_without_member_deps_is_rejected_in_profile_mode(
+            self, monkeypatch, strategy, codes, replay_codes):
+        """The counted run carries no values, so a brick scheduled before its
+        producers reads no zeros and fails no reference comparison: the
+        checkers that need no values must reject the schedule.  Without its
+        dependencies the memoized scheduler never computes the first layer,
+        and the wavefront puts every second-layer brick on wave 0."""
+        import repro.core.memoized
+        import repro.core.wavefront
+        from repro.analysis import replay_trace
+
+        for module in (repro.core.memoized, repro.core.wavefront):
+            monkeypatch.setattr(module, "member_deps", lambda geom, nid, gpos: [])
+        engine = BrickDLEngine(conv_chain(16, 4, 2), strategy_override=strategy,
+                               brick_override=4, sanitize=True)
+        res = engine.run(inputs=None, functional=False)
+        report = res.sanitizer_report
+        assert not report.ok
+        assert codes <= {d.code for d in report.errors}, report.summary()
+        replay = replay_trace(res.plan, res.trace.records)
+        assert replay_codes <= {d.code for d in replay.errors}, replay.summary()
+
     def test_skipped_halo_write_trips_shadow_memory(self, monkeypatch):
         g = conv_chain(16, 4, 2)
         orig = BrickedHandle.emit_brick_write
@@ -347,7 +375,7 @@ class TestObserverLevel:
         arr[0] = np.nan
         arr[1] = np.inf
         arr[2] = np.float32(1e-42)  # denormal
-        num.screen(None, 7, arr, subgraph_index=None)
+        num.screen(7, arr, None, None, None, "(fallback kernel)")
         kinds = {f.kind: f.count for f in num.findings.values()}
         assert kinds == {"nan": 1, "inf": 1, "denormal": 1}
         diags = num.diagnostics()

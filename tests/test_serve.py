@@ -270,6 +270,25 @@ def test_serve_functional_batched_matches_single_shot():
     assert report.verified == 4
 
 
+def test_batched_fallback_convs_match_single_shot():
+    """Reduced resnet50 runs its late convs through the fallback path's
+    full-tensor kernels; batched, each sample still takes the batch-1 GEMM,
+    so a served batch of 8 verifies bit for bit."""
+    from repro.models import zoo
+
+    server = InferenceServer(zoo.build("resnet50", reduced=True), config=ServeConfig(
+        devices=1, max_batch=8, max_wait_s=0.005))
+
+    async def scenario():
+        async with server:
+            return await run_loadgen(server, requests=16, mode="closed",
+                                     concurrency=8, verify=8)
+
+    report = asyncio.run(scenario())
+    assert report.mean_batch >= 2
+    assert report.verified == 8
+
+
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_functional_cache_hits_compute_values_only(traced, monkeypatch):
     """Three batches on one bucket: the first simulates, the hits run
