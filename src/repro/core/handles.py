@@ -52,12 +52,12 @@ class DenseHandle:
             raise ExecutionError(f"handle for {self.buffer.name!r} has no values (profile mode)")
         return self.data
 
-    def _region_access(self, batch: int, region: Region) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    def _region_access(self, batch: int, clipped: Region) -> tuple[int, int, tuple[tuple[int, int], ...]]:
         """(offset, segment_bytes, reps) for a row-major spatial region read
-        spanning all channels of one sample."""
+        spanning all channels of one sample; ``clipped`` lies inside the
+        feature map."""
         spec = self.spec
         item = spec.itemsize
-        clipped = region.clip(spec.spatial)
         spatial = spec.spatial
         nd = len(spatial)
         plane = math.prod(spatial) * item                      # one channel
@@ -160,9 +160,8 @@ class BrickedHandle:
         """Record reads of every brick overlapping ``region``; returns count.
 
         Each brick is one contiguous read -- the single-address-stream
-        property of the layout.  Emitted as one batch: the per-brick
-        ``Access`` rows are unchanged, and the task additionally carries the
-        columnar span for the vectorized memory path.
+        property of the layout -- and the bricks go out as one bounds-checked
+        run of rows (:meth:`~repro.gpusim.trace.Task.read_batch`).
         """
         offsets = self.region_offsets(batch, region)
         task.read_batch(self.buffer, offsets, self.brick_nbytes)

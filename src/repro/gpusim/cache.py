@@ -6,6 +6,11 @@ transaction counts stay exact-to-the-byte: the cache reports hit/miss *byte*
 spans per access, and the memory system converts byte spans into 32 B
 transactions.
 
+A resident sector is one int key, ``buffer_id << 40 | sector_index``, in an
+LRU-ordered dict of dirty byte counts; only this class knows that layout
+(buffers stay below 2**40 bytes).  An access walks its sector range in one
+loop, with no per-sector tuple or generator.
+
 Write policy is write-allocate with dirty-byte tracking; evictions report how
 many dirty bytes must be written downstream.  ``discard`` drops a buffer's
 sectors without write-back (transient data dying on-device).
@@ -14,31 +19,33 @@ sectors without write-back (transient data dying on-device).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Container, NamedTuple
 
 __all__ = ["SectorCache", "SpanResult"]
 
+_SECTOR_BITS = 40
 
-class SpanResult:
+
+class SpanResult(NamedTuple):
     """Byte accounting for one access: how much hit, how much missed."""
 
-    __slots__ = ("hit_bytes", "miss_bytes")
+    hit_bytes: int
+    miss_bytes: int
 
-    def __init__(self, hit_bytes: int = 0, miss_bytes: int = 0) -> None:
-        self.hit_bytes = hit_bytes
-        self.miss_bytes = miss_bytes
+
+_result = tuple.__new__
 
 
 class SectorCache:
-    """A fully-associative LRU cache over ``(buffer_id, sector)`` keys."""
+    """A fully-associative LRU cache over ``(buffer, sector)`` keys."""
 
     def __init__(self, capacity_bytes: int, sector_bytes: int) -> None:
         if sector_bytes <= 0 or capacity_bytes < sector_bytes:
             raise ValueError(f"bad cache geometry: capacity={capacity_bytes}, sector={sector_bytes}")
         self.sector_bytes = int(sector_bytes)
         self.capacity_sectors = int(capacity_bytes) // self.sector_bytes
-        # key -> dirty byte count for that sector (0 = clean)
-        self._lru: OrderedDict[tuple[int, int], int] = OrderedDict()
+        # sector key -> dirty byte count for that sector (0 = clean)
+        self._lru: OrderedDict[int, int] = OrderedDict()
         self.evicted_dirty_bytes = 0
         # Lifetime accounting (survives clear()/drain, feeds the metrics
         # registry): every accessed byte lands in exactly one of hit/miss,
@@ -53,47 +60,43 @@ class SectorCache:
     def __len__(self) -> int:
         return len(self._lru)
 
-    def _sectors(self, offset: int, nbytes: int) -> Iterator[tuple[int, int]]:
-        """Yield ``(sector_index, bytes_of_access_in_sector)``."""
-        sb = self.sector_bytes
-        first = offset // sb
-        last = (offset + nbytes - 1) // sb
-        if first == last:
-            yield first, nbytes
-            return
-        yield first, (first + 1) * sb - offset
-        for s in range(first + 1, last):
-            yield s, sb
-        yield last, offset + nbytes - last * sb
-
     def access(self, buffer_id: int, offset: int, nbytes: int, write: bool) -> SpanResult:
         """Touch a byte range; returns hit/miss byte accounting.
 
         Misses allocate the sector (write-allocate); LRU eviction accumulates
         ``evicted_dirty_bytes`` for downstream write-back accounting.
         """
-        result = SpanResult()
         if nbytes <= 0:
-            return result
+            return _result(SpanResult, (0, 0))
         lru = self._lru
-        for sector, span in self._sectors(offset, nbytes):
-            key = (buffer_id, sector)
+        sb = self.sector_bytes
+        capacity = self.capacity_sectors
+        end = offset + nbytes
+        sector = offset // sb
+        key = buffer_id << _SECTOR_BITS | sector
+        hit = miss = 0
+        while offset < end:
+            stop = (sector + 1) * sb
+            span = (stop if stop < end else end) - offset
             dirty = lru.get(key)
             if dirty is None:
-                result.miss_bytes += span
-                lru[key] = min(span, self.sector_bytes) if write else 0
-                if len(lru) > self.capacity_sectors:
+                miss += span
+                lru[key] = span if write else 0
+                if len(lru) > capacity:
                     _, evicted_dirty = lru.popitem(last=False)
                     self.evicted_dirty_bytes += evicted_dirty
                     self.evicted_dirty_bytes_total += evicted_dirty
             else:
-                result.hit_bytes += span
+                hit += span
                 lru.move_to_end(key)
                 if write:
-                    lru[key] = min(self.sector_bytes, dirty + span)
-        self.hit_bytes_total += result.hit_bytes
-        self.miss_bytes_total += result.miss_bytes
-        return result
+                    lru[key] = min(sb, dirty + span)
+            offset = stop
+            sector += 1
+            key += 1
+        self.hit_bytes_total += hit
+        self.miss_bytes_total += miss
+        return _result(SpanResult, (hit, miss))
 
     def discard(self, buffer_id: int) -> int:
         """Drop all sectors of a buffer without write-back; returns count.
@@ -102,10 +105,11 @@ class SectorCache:
         ``discarded_dirty_bytes`` (transient data dying on-device), never to
         the flushed/evicted write-back totals.
         """
-        doomed = [k for k in self._lru if k[0] == buffer_id]
+        lo = buffer_id << _SECTOR_BITS
+        hi = lo + (1 << _SECTOR_BITS)
+        doomed = [k for k in self._lru if lo <= k < hi]
         for k in doomed:
-            self.discarded_dirty_bytes += self._lru[k]
-            del self._lru[k]
+            self.discarded_dirty_bytes += self._lru.pop(k)
         return len(doomed)
 
     def flush(self) -> int:
@@ -114,6 +118,17 @@ class SectorCache:
         for key in self._lru:
             self._lru[key] = 0
         self.flushed_dirty_bytes += dirty
+        return dirty
+
+    def write_back(self, keep: Container[int]) -> int:
+        """Clean the dirty sectors of every buffer whose id is not in
+        ``keep``; returns their dirty bytes (the caller accounts them)."""
+        lru = self._lru
+        dirty = 0
+        for key, dirty_bytes in lru.items():
+            if dirty_bytes and key >> _SECTOR_BITS not in keep:
+                dirty += dirty_bytes
+                lru[key] = 0
         return dirty
 
     def drain_evicted_dirty(self) -> int:

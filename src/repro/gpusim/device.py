@@ -171,7 +171,7 @@ class Device:
         c = self.memory.counters
         before = (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns)
         self.memory.begin_task()
-        self.memory.process_batch(task.accesses, task.batch_spans)
+        self.memory.process_batch(task.accesses)
         self.atomics.compulsory += task.atomics_compulsory
         self.atomics.conflict += task.atomics_conflict
 

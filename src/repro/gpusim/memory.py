@@ -31,17 +31,23 @@ The two models each see the full capacity (they never evict each other);
 runs are dominated by one class at a time, and EXPERIMENTS.md notes the
 approximation.  The per-task L1 is reset per task: each fine-grained kernel
 invocation runs on a fresh thread block.
+
+Accounting is per :class:`~repro.gpusim.trace.Access` row, in stream order.
+:meth:`MemorySystem.process` is the per-access reference walk;
+:meth:`MemorySystem.process_batch` runs the same chain over a task's whole
+row list, unpacking each row once, summing the stateless charges in locals
+and sending blocked rows straight to the sector walks.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.gpusim.cache import SectorCache
 from repro.gpusim.spec import GPUSpec
-from repro.gpusim.trace import Access, BatchSpan, Buffer
+from repro.gpusim.trace import Access, Buffer
 
 __all__ = ["MemoryCounters", "MemorySystem", "AnalyticResidency"]
 
@@ -212,17 +218,6 @@ class MemorySystem:
         # pins one subgraph's weights at a time.
         self._pinned: set[int] = set()
         self._pinned_seen: set[int] = set()
-        # Signature memo for the vectorized path: pure (state-free) access
-        # classes -- on-chip, executor-certified L2 hits, already-resident
-        # pinned reads, streaming dense traffic -- have counter deltas that
-        # depend only on (class, offset alignment, nbytes, segments).  Bricks
-        # with identical shape/halo/layout and the same residency-state
-        # digest (the class code folds in pinned-seen membership and the
-        # streaming classification) therefore replay a precomputed delta.
-        # Keys never go stale: state-dependent classes bypass the memo, and
-        # the state that picks the class is re-read on every lookup.
-        self._sig_memo: dict[tuple[int, int, int, int],
-                             tuple[int, int, int, int]] = {}
 
     # -- allocation ---------------------------------------------------------
     def register(self, buffer: Buffer) -> Buffer:
@@ -246,186 +241,122 @@ class MemorySystem:
         self.l1.clear()
 
     def process(self, access: Access) -> None:
+        """The per-access reference walk: one row through the whole
+        classification chain (on-chip, certified L2 hit, pinned, dense,
+        blocked)."""
+        buffer, offset, nbytes, write, reps, dense, on_chip, assume_l2 = access
         c = self.counters
-        lines = _lines(access.offset, access.nbytes, self.line) * access.segments
+        lines = _lines(offset, nbytes, self.line) * access.segments
         c.l1_txns += lines
-        if access.on_chip:
+        if on_chip:
             return  # thread-block private: never leaves the SM
-        if access.assume_l2:
+        if assume_l2:
             # Executor-certified L2 hit (protocol-coalesced consumer read).
             c.l2_txns += lines
             return
-        if access.buffer.buffer_id in self._pinned:
+        if buffer.buffer_id in self._pinned:
             c.l2_txns += lines
-            if access.buffer.buffer_id not in self._pinned_seen:
-                self._pinned_seen.add(access.buffer.buffer_id)
-                c.dram_read_txns += _txns(access.buffer.nbytes, self.line)
+            if buffer.buffer_id not in self._pinned_seen:
+                self._pinned_seen.add(buffer.buffer_id)
+                c.dram_read_txns += _txns(buffer.nbytes, self.line)
             return
-        if access.dense or access.reps:
-            self._dense(access, lines)
-        elif access.write:
-            self._blocked_write(access)
+        if dense or reps:
+            self._dense(buffer, write, access.total_bytes, lines)
+        elif write:
+            self._blocked_write(buffer.buffer_id, offset, nbytes, lines)
         else:
-            self._blocked_read(access)
+            self._blocked_read(buffer.buffer_id, offset, nbytes, lines)
+
+    def process_batch(self, accesses: Sequence[Access]) -> None:
+        """Account a whole task's access stream, in stream order.
+
+        Counter-identical to :meth:`process` on each row: the same chain,
+        with the row unpacked once, the stateless classes summed in locals
+        and blocked rows sent straight to the sector walks."""
+        c = self.counters
+        line = self.line
+        pinned = self._pinned
+        seen = self._pinned_seen
+        blocked_read = self._blocked_read
+        blocked_write = self._blocked_write
+        l1 = l2 = dram_read = 0
+        for access in accesses:
+            buffer, offset, nbytes, write, reps, dense, on_chip, assume_l2 = access
+            lines = (offset + nbytes - 1) // line - offset // line + 1 if nbytes > 0 else 0
+            if reps:
+                lines *= access.segments
+            l1 += lines
+            if on_chip:
+                continue
+            if assume_l2:
+                l2 += lines
+                continue
+            bid = buffer.buffer_id
+            if bid in pinned:
+                l2 += lines
+                if bid not in seen:
+                    seen.add(bid)
+                    dram_read += _txns(buffer.nbytes, line)
+                continue
+            if dense or reps:
+                self._dense(buffer, write, access.total_bytes, lines)
+            elif write:
+                blocked_write(bid, offset, nbytes, lines)
+            else:
+                blocked_read(bid, offset, nbytes, lines)
+        c.l1_txns += l1
+        c.l2_txns += l2
+        c.dram_read_txns += dram_read
 
     # -- dense path ---------------------------------------------------------
-    def _dense(self, access: Access, lines: int) -> None:
+    def _dense(self, buffer: Buffer, write: bool, total: int, lines: int) -> None:
         c = self.counters
-        total = access.total_bytes
         c.l2_txns += lines  # write-through / L1 too small
-        if access.write:
-            spilled = self.analytic.write(access.buffer, total)
+        if write:
+            spilled = self.analytic.write(buffer, total)
             c.dram_write_txns += _txns(spilled, self.line)
         else:
-            _, miss, spilled = self.analytic.read(access.buffer, total)
+            _, miss, spilled = self.analytic.read(buffer, total)
             c.dram_read_txns += _txns(miss, self.line)
             if spilled:
                 c.dram_write_txns += _txns(spilled, self.line)
 
     # -- blocked (brick) path ----------------------------------------------
-    def _blocked_read(self, buffer_or_access: Access) -> None:
-        a = buffer_or_access
-        c = self.counters
-        if a.nbytes >= self._stream_threshold:
-            self._stream(a.offset, a.nbytes, write=False)
+    # ``lines`` is the row's offset-aware line count, which its caller has
+    # already charged to L1.
+    def _blocked_read(self, buffer_id: int, offset: int, nbytes: int, lines: int) -> None:
+        if nbytes >= self._stream_threshold:
+            self._stream(lines, write=False)
             return
-        r1 = self.l1.access(a.buffer.buffer_id, a.offset, a.nbytes, write=False)
-        if r1.miss_bytes:
-            c.l2_txns += (_lines(a.offset, a.nbytes, self.line)
-                          if r1.miss_bytes == a.nbytes
-                          else _txns(r1.miss_bytes, self.line))
-            r2 = self.l2.access(a.buffer.buffer_id, a.offset, a.nbytes, write=False)
-            if r2.miss_bytes:
-                c.dram_read_txns += (_lines(a.offset, a.nbytes, self.line)
-                                     if r2.miss_bytes == a.nbytes
-                                     else _txns(r2.miss_bytes, self.line))
+        _, miss = self.l1.access(buffer_id, offset, nbytes, False)
+        if miss:
+            c = self.counters
+            c.l2_txns += lines if miss == nbytes else _txns(miss, self.line)
+            _, miss = self.l2.access(buffer_id, offset, nbytes, False)
+            if miss:
+                c.dram_read_txns += lines if miss == nbytes else _txns(miss, self.line)
             self._drain_evictions()
 
-    def _blocked_write(self, a: Access) -> None:
-        c = self.counters
-        if a.nbytes >= self._stream_threshold:
-            self._stream(a.offset, a.nbytes, write=True)
+    def _blocked_write(self, buffer_id: int, offset: int, nbytes: int, lines: int) -> None:
+        if nbytes >= self._stream_threshold:
+            self._stream(lines, write=True)
             return
         # Write-through L1: stores always generate L2 traffic.
-        c.l2_txns += _lines(a.offset, a.nbytes, self.line)
-        self.l1.access(a.buffer.buffer_id, a.offset, a.nbytes, write=True)
-        self.l2.access(a.buffer.buffer_id, a.offset, a.nbytes, write=True)
+        self.counters.l2_txns += lines
+        self.l1.access(buffer_id, offset, nbytes, True)
+        self.l2.access(buffer_id, offset, nbytes, True)
         self._drain_evictions()
 
-    def _stream(self, offset: int, nbytes: int, write: bool) -> None:
+    def _stream(self, lines: int, write: bool) -> None:
         """Arithmetic accounting for accesses that sweep the entire L2."""
         c = self.counters
-        txns = _lines(offset, nbytes, self.line)
-        c.l2_txns += txns
+        c.l2_txns += lines
         if write:
-            c.dram_write_txns += txns
+            c.dram_write_txns += lines
         else:
-            c.dram_read_txns += txns
+            c.dram_read_txns += lines
         c.dram_write_txns += _txns(self.l2.flush(), self.line)
         self.l2.clear()
-
-    # -- vectorized path -----------------------------------------------------
-    def process_batch(self, accesses: Sequence[Access],
-                      batch_spans: Iterable[BatchSpan] = ()) -> None:
-        """Account a whole task's access stream at once.
-
-        Counter-identical to calling :meth:`process` on each access in
-        stream order -- rows are still consumed in order, but pure
-        (state-free) classes are charged through the signature memo, uniform
-        :class:`~repro.gpusim.trace.BatchSpan` runs are charged with numpy
-        array arithmetic, and only the blocked-LRU and fitting-dense classes
-        walk the exact cache models.
-        """
-        c = self.counters
-        memo = self._sig_memo
-        pinned = self._pinned
-        seen = self._pinned_seen
-        cap = self.analytic.capacity
-        line = self.line
-        process = self.process
-        l1 = l2 = dr = dw = 0
-        spans = ({s.start: s for s in batch_spans} if batch_spans else None)
-        i = 0
-        n = len(accesses)
-        while i < n:
-            if spans is not None:
-                span = spans.get(i)
-                if span is not None:
-                    delta = self._span_delta(span)
-                    if delta is not None:
-                        l1 += delta[0]
-                        l2 += delta[1]
-                        dr += delta[2]
-                        dw += delta[3]
-                        i += span.count
-                        continue
-            a = accesses[i]
-            i += 1
-            # Residency-state digest: which pure class (if any) this row is
-            # in *right now*.  -1 means state-dependent -> exact scalar walk.
-            if a.on_chip:
-                code = 0
-            elif a.assume_l2:
-                code = 1
-            elif a.buffer.buffer_id in pinned:
-                code = 1 if a.buffer.buffer_id in seen else -1
-            elif (a.dense or a.reps) and a.buffer.nbytes > cap:
-                code = 3 if a.write else 2
-            else:
-                code = -1
-            if code < 0:
-                process(a)
-                continue
-            key = (code, a.offset % line, a.nbytes, a.segments)
-            delta = memo.get(key)
-            if delta is None:
-                lines = _lines(a.offset, a.nbytes, line) * a.segments
-                txns = _txns(a.total_bytes, line)
-                delta = ((lines, 0, 0, 0) if code == 0
-                         else (lines, lines, 0, 0) if code == 1
-                         else (lines, lines, txns, 0) if code == 2
-                         else (lines, lines, 0, txns))
-                if len(memo) < (1 << 20):
-                    memo[key] = delta
-            l1 += delta[0]
-            l2 += delta[1]
-            dr += delta[2]
-            dw += delta[3]
-            if code == 3:
-                # Streaming dense write: the whole write spills (lifetime
-                # conservation ledger, same as the scalar path).
-                total = a.total_bytes
-                self.analytic.written_dirty_bytes += total
-                self.analytic.spilled_dirty_bytes += total
-        c.l1_txns += l1
-        c.l2_txns += l2
-        c.dram_read_txns += dr
-        c.dram_write_txns += dw
-
-    def _span_delta(self, span: BatchSpan) -> tuple[int, int, int, int] | None:
-        """Array-arithmetic delta for a uniform run, or ``None`` if the
-        run's class is state-dependent (blocked LRU, fitting dense, pinned
-        first touch) and must fall back to the exact per-row walk."""
-        line = self.line
-        offs = span.offsets
-        nb = span.nbytes
-        lines = int(((offs + (nb - 1)) // line - offs // line).sum()) + span.count
-        if span.on_chip:
-            return (lines, 0, 0, 0)
-        bid = span.buffer.buffer_id
-        if span.assume_l2 or (bid in self._pinned and bid in self._pinned_seen):
-            return (lines, lines, 0, 0)
-        if bid in self._pinned:
-            return None
-        if span.dense and span.buffer.nbytes > self.analytic.capacity:
-            txns = _txns(nb, line) * span.count
-            if span.write:
-                total = nb * span.count
-                self.analytic.written_dirty_bytes += total
-                self.analytic.spilled_dirty_bytes += total
-                return (lines, lines, 0, txns)
-            return (lines, lines, txns, 0)
-        return None
 
     def _drain_evictions(self) -> None:
         dirty = self.l2.drain_evicted_dirty()
@@ -455,11 +386,6 @@ class MemorySystem:
 
     def flush(self) -> None:
         """End of run: write back dirty data of *persistent* buffers."""
-        dirty = 0
-        for key, dirty_bytes in list(self.l2._lru.items()):
-            buf = self._buffers.get(key[0])
-            if dirty_bytes and (buf is None or not buf.transient):
-                dirty += dirty_bytes
-                self.l2._lru[key] = 0
-        dirty += self.analytic.flush(self._buffers)
+        transient = {bid for bid, buf in self._buffers.items() if buf.transient}
+        dirty = self.l2.write_back(transient) + self.analytic.flush(self._buffers)
         self.counters.dram_write_txns += _txns(dirty, self.line)

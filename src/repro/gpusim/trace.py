@@ -5,16 +5,23 @@ against named buffers; the memory system converts those streams into
 transaction counts.  A :class:`Task` is one fine-grained kernel invocation
 (a brick or tile computation) with its accesses, flop count and atomic
 activity -- the unit the SM scheduler places on the device.
+
+An access is a row: :class:`Access` is an immutable named tuple, a task's
+stream is a plain list of them, and the memory system unpacks each row
+directly.  ``Access(...)`` validates its geometry; the task's batch emitters
+(:meth:`Task.read_batch`, :meth:`Task.write_batch`, :meth:`Task.read_rows`)
+bounds-check a whole run of uniform rows once and build each row with
+``tuple.__new__``, which skips the per-row check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-import numpy as np
-
-__all__ = ["Buffer", "Access", "BatchSpan", "Task", "buffer_token", "brick_token"]
+__all__ = ["Buffer", "Access", "Task", "buffer_token", "brick_token"]
 
 _buffer_ids = itertools.count()
 
@@ -52,8 +59,18 @@ class Buffer:
         return Buffer(next(_buffer_ids), name, int(nbytes), transient)
 
 
-@dataclass(frozen=True)
-class Access:
+class _AccessRow(NamedTuple):
+    buffer: Buffer
+    offset: int
+    nbytes: int
+    write: bool = False
+    reps: tuple[tuple[int, int], ...] = ()
+    dense: bool = False
+    on_chip: bool = False
+    assume_l2: bool = False
+
+
+class Access(_AccessRow):
     """A byte-range load or store, possibly strided.
 
     ``reps`` describes nested repetition of the innermost contiguous segment
@@ -74,54 +91,41 @@ class Access:
     completion, so they read it while it is still cached; a serialized
     simulation would otherwise charge those temporally-coalesced reads as
     capacity misses (see the memoized executor's coalescing window).
+
+    Constructing one checks its geometry and raises ``ValueError``;
+    ``tuple.__new__(Access, row)`` builds a row without the check (the
+    batch emitters, after checking the run; hand-built corrupt traces).
     """
 
-    buffer: Buffer
-    offset: int
-    nbytes: int
-    write: bool = False
-    reps: tuple[tuple[int, int], ...] = ()
-    dense: bool = False
-    on_chip: bool = False
-    assume_l2: bool = False
-    # Derived geometry, precomputed once at construction: the memory system
-    # reads these on every access, so recomputing them per use was a
-    # measurable share of the per-task hot path.
-    segments: int = field(init=False, repr=False, compare=False)
-    total_bytes: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.nbytes < 0:
+    def __new__(cls, buffer: Buffer, offset: int, nbytes: int, write: bool = False,
+                reps: tuple[tuple[int, int], ...] = (), dense: bool = False,
+                on_chip: bool = False, assume_l2: bool = False) -> "Access":
+        self = tuple.__new__(cls, (buffer, offset, nbytes, write, reps, dense,
+                                   on_chip, assume_l2))
+        if offset < 0 or nbytes < 0:
             raise ValueError(f"negative access geometry: {self}")
-        if any(c < 1 or s < 0 for c, s in self.reps):
-            raise ValueError(f"invalid reps: {self.reps}")
-        n = 1
-        for c, _ in self.reps:
-            n *= c
-        object.__setattr__(self, "segments", n)
-        object.__setattr__(self, "total_bytes", n * self.nbytes)
-        if self.offset + self.span > self.buffer.nbytes:
+        end = offset + nbytes
+        for c, s in reps:
+            if c < 1 or s < 0:
+                raise ValueError(f"invalid reps: {reps}")
+            end += (c - 1) * s
+        if end > buffer.nbytes:
             raise ValueError(
-                f"access [{self.offset}, {self.offset + self.span}) exceeds "
-                f"buffer {self.buffer.name!r} of {self.buffer.nbytes} bytes"
+                f"access [{offset}, {end}) exceeds "
+                f"buffer {buffer.name!r} of {buffer.nbytes} bytes"
             )
+        return self
 
-    def __getattr__(self, name: str):
-        # Hand-built accesses (replayed or corrupted traces constructed via
-        # ``__new__``, as the sanitizer tests do) bypass ``__post_init__``;
-        # derive the cached geometry lazily so they still flow through the
-        # memory system.  Normal construction never reaches here.
-        if name == "segments":
-            n = 1
-            for c, _ in self.reps:
-                n *= c
-            object.__setattr__(self, "segments", n)
-            return n
-        if name == "total_bytes":
-            total = self.segments * self.nbytes
-            object.__setattr__(self, "total_bytes", total)
-            return total
-        raise AttributeError(name)
+    @property
+    def segments(self) -> int:
+        """Contiguous segments: the product of the ``reps`` counts."""
+        return math.prod([c for c, _ in self.reps])
+
+    @property
+    def total_bytes(self) -> int:
+        return self.segments * self.nbytes
 
     @property
     def span(self) -> int:
@@ -160,33 +164,25 @@ class Access:
         return merged, True
 
 
-@dataclass(frozen=True)
-class BatchSpan:
-    """A uniform run of accesses inside ``Task.accesses``, in columnar form.
-
-    Executors that emit many same-shaped accesses against one buffer (brick
-    conversion sweeps, multi-brick region reads) record the run's geometry
-    once as a numpy offset vector plus shared scalars.  The per-``Access``
-    objects still exist in ``Task.accesses`` (the sanitizers and the scalar
-    oracle consume them unchanged); the vectorized memory path instead reads
-    the span and computes transaction counts with array arithmetic.
-
-    ``start``/``count`` index into the owning task's access list; the rows
-    ``accesses[start:start + count]`` are exactly the expansion of this span.
-    """
-
-    start: int
-    count: int
-    buffer: Buffer
-    offsets: np.ndarray          # int64, one element per row
-    nbytes: int                  # uniform contiguous bytes per row
-    write: bool
-    dense: bool
-    on_chip: bool
-    assume_l2: bool
+def _run_fits(buffer: Buffer, offsets: Sequence[int], nbytes: int) -> bool:
+    """Whether a run of ``nbytes`` rows at ``offsets`` has rows to emit;
+    raises ``ValueError`` (before anything is emitted) if any row would
+    leave the buffer.  Checking the extreme offsets checks every row."""
+    if nbytes <= 0 or not offsets:
+        return False
+    lo = min(offsets)
+    hi = max(offsets) + nbytes
+    if lo < 0 or hi > buffer.nbytes:
+        raise ValueError(
+            f"batch access [{lo}, {hi}) exceeds buffer "
+            f"{buffer.name!r} of {buffer.nbytes} bytes")
+    return True
 
 
-@dataclass
+_row = tuple.__new__
+
+
+@dataclass(slots=True)
 class Task:
     """One fine-grained kernel invocation (brick/tile computation).
 
@@ -243,7 +239,6 @@ class Task:
     batch_index: int | None = None
     acquires: list[tuple] = field(default_factory=list)
     releases: list[tuple] = field(default_factory=list)
-    batch_spans: list[BatchSpan] = field(default_factory=list)
     # Distributed-trace provenance ``(trace_id, parent_span_id)``, stamped by
     # the device when a serve-layer trace context is active (see
     # ``Device.set_trace_context``); ``None`` on untraced runs.
@@ -280,75 +275,26 @@ class Task:
             self.accesses.append(Access(buffer, offset, nbytes, write=True, reps=reps,
                                         dense=dense, on_chip=on_chip))
 
-    def _append_rows(self, buffer: Buffer, offsets: list[int], nbytes: int,
-                     write: bool, dense: bool, on_chip: bool, assume_l2) -> None:
-        """Append one contiguous ``nbytes`` access per offset; ``assume_l2``
-        yields one flag per row.  The run is bounds-checked once on its
-        extreme offsets (uniform nbytes, reps=()), so the rows are constructed
-        directly: ``__post_init__`` would only repeat the same comparisons."""
-        lo = min(offsets)
-        hi = max(offsets) + nbytes
-        if lo < 0 or hi > buffer.nbytes:
-            raise ValueError(
-                f"batch access [{lo}, {hi}) exceeds buffer "
-                f"{buffer.name!r} of {buffer.nbytes} bytes")
-        append = self.accesses.append
-        new = Access.__new__
-        sa = object.__setattr__
-        for off, l2 in zip(offsets, assume_l2):
-            a = new(Access)
-            sa(a, "buffer", buffer)
-            sa(a, "offset", off)
-            sa(a, "nbytes", nbytes)
-            sa(a, "write", write)
-            sa(a, "reps", ())
-            sa(a, "dense", dense)
-            sa(a, "on_chip", on_chip)
-            sa(a, "assume_l2", l2)
-            sa(a, "segments", 1)
-            sa(a, "total_bytes", nbytes)
-            append(a)
+    def read_batch(self, buffer: Buffer, offsets: Sequence[int], nbytes: int) -> None:
+        """One contiguous ``nbytes`` read per offset: the rows :meth:`read`
+        would emit in a loop, with the run bounds-checked once."""
+        if _run_fits(buffer, offsets, nbytes):
+            self.accesses.extend([_row(Access, (buffer, off, nbytes, False, (), False, False, False))
+                                  for off in offsets])
 
-    def _emit_batch(self, buffer: Buffer, offsets, nbytes: int, write: bool,
-                    dense: bool, on_chip: bool, assume_l2: bool) -> None:
-        offs = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
-        if offs.size == 0 or nbytes <= 0:
-            return
-        start = len(self.accesses)
-        self._append_rows(buffer, offs.tolist(), nbytes, write, dense, on_chip,
-                          itertools.repeat(assume_l2))
-        self.batch_spans.append(BatchSpan(
-            start=start, count=offs.size, buffer=buffer,
-            offsets=offs, nbytes=nbytes, write=write, dense=dense,
-            on_chip=on_chip, assume_l2=assume_l2))
-
-    def read_rows(self, buffer: Buffer, offsets: list[int], nbytes: int,
-                  assume_l2: list[bool]) -> None:
-        """One ``nbytes`` read per offset with a per-row ``assume_l2`` flag.
-
-        Same rows as :meth:`read` in a loop (no :class:`BatchSpan`: a span is
-        uniform and these flags are scheduler state that differs per row),
-        validated once per run like :meth:`read_batch`."""
-        if offsets and nbytes > 0:
-            self._append_rows(buffer, offsets, nbytes, False, False, False, assume_l2)
-
-    def read_batch(self, buffer: Buffer, offsets, nbytes: int,
-                   dense: bool = False, on_chip: bool = False,
-                   assume_l2: bool = False) -> None:
-        """Emit one read per element of ``offsets`` (uniform ``nbytes`` each).
-
-        Equivalent to calling :meth:`read` in a loop, but additionally
-        records a :class:`BatchSpan` so the vectorized memory path can
-        account the run with array arithmetic instead of per-access work.
-        """
-        self._emit_batch(buffer, offsets, nbytes, write=False, dense=dense,
-                         on_chip=on_chip, assume_l2=assume_l2)
-
-    def write_batch(self, buffer: Buffer, offsets, nbytes: int,
-                    dense: bool = False, on_chip: bool = False) -> None:
+    def write_batch(self, buffer: Buffer, offsets: Sequence[int], nbytes: int) -> None:
         """Batched form of :meth:`write`; see :meth:`read_batch`."""
-        self._emit_batch(buffer, offsets, nbytes, write=True, dense=dense,
-                         on_chip=on_chip, assume_l2=False)
+        if _run_fits(buffer, offsets, nbytes):
+            self.accesses.extend([_row(Access, (buffer, off, nbytes, True, (), False, False, False))
+                                  for off in offsets])
+
+    def read_rows(self, buffer: Buffer, offsets: Sequence[int], nbytes: int,
+                  assume_l2: Sequence[bool]) -> None:
+        """:meth:`read_batch` with a per-row ``assume_l2`` flag (scheduler
+        state that differs from row to row)."""
+        if _run_fits(buffer, offsets, nbytes):
+            self.accesses.extend([_row(Access, (buffer, off, nbytes, False, (), False, False, l2))
+                                  for off, l2 in zip(offsets, assume_l2)])
 
     @property
     def bytes_read(self) -> int:

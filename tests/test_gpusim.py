@@ -1,6 +1,10 @@
 """Simulated-GPU substrate tests: caches, memory system, timing, device."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.gpusim.atomics import AtomicCounters, cas_microbenchmark_time
 from repro.gpusim.cache import SectorCache
@@ -251,3 +255,57 @@ class TestAccessValidation:
             Access(buf, 0, 100, reps=((5, 300),))  # span 1300 > 1000
         a = Access(buf, 0, 100, reps=((4, 300),))
         assert a.segments == 4 and a.total_bytes == 400 and a.span == 1000
+
+
+class TestBatchRows:
+    """The batch emitters build rows without the constructor; they must be
+    exactly the rows it would build, and refuse what it would refuse."""
+
+    buf = Buffer.new("rows", 4096)
+
+    @st.composite
+    def runs(draw, size=4096):
+        """(offsets, nbytes), with the offsets on either side of both buffer
+        edges drawn often."""
+        nbytes = draw(st.integers(1, 512))
+        edges = st.sampled_from([-1, 0, size - nbytes, size - nbytes + 1])
+        offsets = draw(st.lists(st.one_of(st.integers(-64, size + 64), edges), max_size=12))
+        return offsets, nbytes
+
+    @staticmethod
+    def _emit(kind, task, buf, offsets, nbytes):
+        if kind == "read_rows":
+            task.read_rows(buf, offsets, nbytes, [i % 2 == 1 for i in range(len(offsets))])
+        else:
+            getattr(task, kind)(buf, offsets, nbytes)
+
+    @pytest.mark.parametrize("kind", ["read_batch", "write_batch", "read_rows"])
+    @given(run=runs())
+    def test_rows_match_constructor_or_run_is_refused(self, kind, run):
+        offsets, nbytes = run
+        task = Task("t")
+        task.read(self.buf, 0, 8)
+        prior = list(task.accesses)
+        try:
+            expect = [Access(self.buf, off, nbytes, write=kind == "write_batch",
+                             assume_l2=kind == "read_rows" and i % 2 == 1)
+                      for i, off in enumerate(offsets)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                self._emit(kind, task, self.buf, offsets, nbytes)
+            assert task.accesses == prior          # nothing appended
+            return
+        self._emit(kind, task, self.buf, offsets, nbytes)
+        assert task.accesses == prior + expect
+        assert all(type(a) is Access for a in task.accesses)
+
+    def test_rows_are_immutable(self):
+        task = Task("t")
+        task.read_batch(self.buf, [0, 64], 32)
+        row = task.accesses[0]
+        for name in Access._fields:
+            with pytest.raises(AttributeError):
+                setattr(row, name, getattr(row, name))
+        with pytest.raises(AttributeError):
+            row.extra = 1
+        assert dataclasses.is_dataclass(Task) and not hasattr(task, "__dict__")

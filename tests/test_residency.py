@@ -171,25 +171,24 @@ class TestOffsetAwareCharging:
         assert ms_r.counters.dram_read_txns == expect   # full L2 miss
 
 
-def _counters(result):
-    m = result.metrics
-    return (m.memory.l1_txns, m.memory.l2_txns, m.memory.dram_read_txns,
-            m.memory.dram_write_txns, m.num_tasks, m.total_flops,
-            m.atomics.compulsory, m.atomics.conflict, m.time.total)
-
-
-def _run(graph_fn, strategy):
+def _outcome(graph_fn, strategy):
+    """Every counter, the modelled time and the cache models' ledgers of
+    one profile-mode run."""
     from repro.core.engine import BrickDLEngine
 
     engine = BrickDLEngine(graph_fn(), strategy_override=strategy)
     plan = engine.compile()
     device = Device(engine.spec)
-    return engine.run(inputs=None, functional=False, device=device, plan=plan)
+    m = engine.run(inputs=None, functional=False, device=device, plan=plan).metrics
+    return ((m.memory.l1_txns, m.memory.l2_txns, m.memory.dram_read_txns,
+             m.memory.dram_write_txns, m.num_tasks, m.total_flops,
+             m.atomics.compulsory, m.atomics.conflict, m.time.total),
+            device.memory.stats())
 
 
-def _per_access(self, accesses, batch_spans=()):
-    """The whole-run scalar oracle: every access through the exact
-    per-access walk, no signature memo, no batch spans."""
+def _per_access(self, accesses):
+    """The whole-run scalar oracle: every access through the per-access
+    reference walk."""
     for access in accesses:
         self.process(access)
 
@@ -210,12 +209,29 @@ def branchy_graph():
     return zoo.build("mobilenet_v1", reduced=True)
 
 
+def resnet_graph():
+    """Fallback convs (dense strided ``reps`` rows) next to merged ones."""
+    from repro.models import zoo
+
+    return zoo.build("resnet50", reduced=True)
+
+
+def vgg_graph():
+    """Bricks wider than one L2 sector."""
+    from repro.models import zoo
+
+    return zoo.build("vgg16", reduced=True)
+
+
 class TestSimPathEquivalence:
-    """``MemorySystem.process_batch`` is counter-identical to walking every
-    access through ``MemorySystem.process``.  The program only ever runs the
-    batched path; the whole-run scalar oracle is this class swapping it out
-    (the distributed runner is analytic and has no memory system, so the
-    three device-backed executors are the complete surface)."""
+    """``MemorySystem.process_batch`` is counter- and ledger-identical to
+    walking every access through ``MemorySystem.process``.  The program only
+    ever runs the batched path; the whole-run scalar oracle is this class
+    swapping it out (the distributed runner is analytic and has no memory
+    system, so the three device-backed executors are the complete surface).
+    Besides the counters and the modelled time it compares
+    ``MemorySystem.stats()``: hit, miss, evicted, flushed and discarded bytes
+    and resident sectors of both LRU levels, and the analytic ledger."""
 
     @staticmethod
     def _both_paths(graph_fn, strategy, monkeypatch):
@@ -223,10 +239,10 @@ class TestSimPathEquivalence:
         from repro.gpusim.memory import MemorySystem
 
         s = Strategy(strategy) if strategy else None
-        vector = _run(graph_fn, s)
+        vector = _outcome(graph_fn, s)
         monkeypatch.setattr(MemorySystem, "process_batch", _per_access)
-        scalar = _run(graph_fn, s)
-        return _counters(scalar), _counters(vector)
+        scalar = _outcome(graph_fn, s)
+        return scalar, vector
 
     @pytest.mark.parametrize("strategy", ["padded", "memoized", "wavefront"])
     def test_chain_all_executors(self, strategy, monkeypatch):
@@ -240,4 +256,13 @@ class TestSimPathEquivalence:
     @pytest.mark.parametrize("strategy", ["padded", "memoized"])
     def test_model_zoo_forced_strategy(self, strategy, monkeypatch):
         scalar, vector = self._both_paths(branchy_graph, strategy, monkeypatch)
+        assert scalar == vector
+
+    @pytest.mark.parametrize("strategy", [None, "padded", "memoized"])
+    def test_resnet50_fallback_and_merged(self, strategy, monkeypatch):
+        scalar, vector = self._both_paths(resnet_graph, strategy, monkeypatch)
+        assert scalar == vector
+
+    def test_vgg16_padded_multi_sector_bricks(self, monkeypatch):
+        scalar, vector = self._both_paths(vgg_graph, "padded", monkeypatch)
         assert scalar == vector

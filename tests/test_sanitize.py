@@ -53,14 +53,9 @@ def sanitized_run(graph, strategy=None, brick=4, strict=False):
 
 
 def raw_access(buffer, offset, nbytes, write=False):
-    """Build an Access bypassing __post_init__ bounds validation, the way a
-    corrupted replay or a hand-built trace could."""
-    a = Access.__new__(Access)
-    for k, v in (("buffer", buffer), ("offset", offset), ("nbytes", nbytes),
-                 ("write", write), ("reps", ()), ("dense", False),
-                 ("on_chip", False), ("assume_l2", False)):
-        object.__setattr__(a, k, v)
-    return a
+    """Build an Access row bypassing the constructor's bounds validation,
+    the way a corrupted replay or a hand-built trace could."""
+    return tuple.__new__(Access, (buffer, offset, nbytes, write, (), False, False, False))
 
 
 W1 = WriteRecord(seq=0, lane=0, epoch=1, label="w1")
