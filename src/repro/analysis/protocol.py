@@ -101,8 +101,8 @@ def _step(grid: GridModel, protocol: ProtocolModel, tags: tuple, owns: tuple,
 
     Returns ``(tags, owns, workers, event)`` where ``event`` is None or one
     of ``"double-compute"`` (this acquire is the second owner).  Mirrors
-    ``MemoizedBrickExecutor._step``: finish compute, else pull goals, else
-    scan the top frame's dependencies.
+    one worker turn of ``MemoizedBrickExecutor.schedule``: finish compute,
+    else pull goals, else scan the top frame's dependencies.
     """
     goals, stack, busy, computing, intent = workers[w]
     tags = list(tags)

@@ -291,8 +291,10 @@ def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:
     """Flat (row-major) indices of a box of bricks given, per axis, its brick
     indices times the grid stride (:meth:`BrickGrid.axis_terms`): every sum
     of one term per axis, in row-major order."""
-    flat: Sequence[int] = (0,)
-    for terms in axis_terms:
+    if not axis_terms:
+        return (0,)
+    flat = axis_terms[0]
+    for terms in axis_terms[1:]:
         flat = [f + t for f in flat for t in terms]
     return flat
 

@@ -17,12 +17,20 @@ its schedule, so values have one producer, ``values()``: every brick once with
 no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values` per
 exit brick).  An executor built without a ``device`` is that producer: its
 handles carry values and get no buffers.
+
+An emitter builds rows, not calls: what every task of a node shares (its
+weight row, its input sources, the whole-buffer tokens of its entries) is
+looked up once per subgraph, a brick's geometry rows once per task, and its
+tokens and on-chip rows are plain tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
@@ -37,10 +45,10 @@ from repro.graph.ops import ConvTranspose, FusedOp
 from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
-from repro.gpusim.trace import Buffer, Task, brick_token, buffer_token
+from repro.gpusim.trace import Access, Buffer, Task, buffer_token
 from repro.kernels import apply_node_local, pad_value_for
 
-__all__ = ["BrickTasks", "kernel_step", "member_deps", "require_values"]
+__all__ = ["BrickTasks", "Recency", "kernel_step", "member_deps", "require_values"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -52,6 +60,9 @@ Source = BrickedHandle | DenseHandle
 # A values pass's hook: (node, value, subgraph, brick, batch, label) per array
 # computed, naming the task that counts it (a fallback group: no brick/batch).
 Screen = Callable[[int, np.ndarray, int | None, tuple[int, ...] | None, int | None, str], None]
+
+_row = tuple.__new__
+_BRICKS, _TERMS = operator.attrgetter("bricks"), operator.attrgetter("terms")
 
 
 def member_deps(geom: SubgraphGeometry, nid: int, gpos: Sequence[int]) -> list[Dep]:
@@ -65,9 +76,8 @@ def member_deps(geom: SubgraphGeometry, nid: int, gpos: Sequence[int]) -> list[D
     for input_index, pred in enumerate(geom.graph.node(nid).inputs):
         if pred in geom.members:
             edges = [r.edges[input_index] for r in rows]
-            deps.extend(zip(itertools.repeat(pred),
-                            itertools.product(*[e.bricks for e in edges]),
-                            flat_bricks([e.terms for e in edges])))
+            deps.extend(zip(itertools.repeat(pred), itertools.product(*map(_BRICKS, edges)),
+                            flat_bricks(list(map(_TERMS, edges)))))
     return deps
 
 
@@ -95,6 +105,34 @@ def kernel_step(node: Node, shape: tuple[int, ...], needs: Sequence[Sequence[Int
     fill = pad_value_for(node.op)
     patches = [fetch(pred, need, fill) for pred, need in zip(node.inputs, needs)]
     return apply_node_local(node.op, patches, node.weights, shape, offsets)
+
+
+class Recency(OrderedDict):
+    """A schedule's recency filter: an LRU of the last ``capacity`` bricks
+    touched, keyed ``buffer_id << 40 | byte offset``.  A read of a brick it
+    holds is a certified L2 hit; ``hits`` counts them."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+        self.hits = 0
+
+    def touch(self, buffer_key: int, offsets: Iterable[int]) -> list[bool]:
+        """Refresh the bricks at ``offsets`` of one buffer (``buffer_id <<
+        40``), in order; whether each was held."""
+        hot = []
+        for offset in offsets:
+            key = buffer_key | offset
+            if key in self:
+                self.move_to_end(key)
+                self.hits += 1
+                hot.append(True)
+            else:
+                self[key] = None
+                if len(self) > self.capacity:
+                    self.popitem(last=False)
+                hot.append(False)
+        return hot
 
 
 @dataclass
@@ -144,39 +182,47 @@ class BrickTasks:
         self.entry_read_bytes = 0
 
     # -- shared pieces -----------------------------------------------------------
-    def _label(self, nid: int, gpos: tuple[int, ...]) -> str:
-        return f"{self.prefix}/{self.graph.node(nid).name}/{gpos}"
+    def _label(self, name: str, gpos: tuple[int, ...]) -> str:
+        return f"{self.prefix}/{name}/{gpos}"
 
-    def _task(self, node: Node, gpos: tuple[int, ...], batch: int, worker: int | None) -> Task:
-        return Task(label=self._label(node.node_id, gpos), node_id=node.node_id,
-                    strategy=self.strategy, worker=worker, brick=gpos, batch_index=batch)
+    @functools.cached_property
+    def _members(self) -> dict[int, tuple[Node, list[Source | None], Access | None, list[tuple], int]]:
+        """Per member, what all its brick tasks share: ``(node, the source of
+        each input -- None for a member kept in scratch --, its weight row --
+        checked once, shared by every task -- or None, the whole-buffer
+        tokens of the entries it reads, its bytes per output element)``."""
+        members = {}
+        for nid in self.subgraph.node_ids:
+            node = self.graph.node(nid)
+            sources = [self.stored.get(pred) or self.entries.get(pred) for pred in node.inputs]
+            wb = self.weight_buffers.get(nid)
+            weight = Access(wb, 0, wb.nbytes) if wb is not None and wb.nbytes else None
+            members[nid] = (node, sources, weight,
+                            [buffer_token(self.entries[pred].buffer)
+                             for pred in node.inputs if pred in self.entries],
+                            node.spec.channels * node.spec.itemsize)
+        return members
 
     def _read(self, task: Task, source: Source, batch: int, edges: Sequence[EdgeRow],
-              recent: Callable[[tuple[int, int]], bool] | None = None) -> None:
+              recent: Recency | None = None) -> None:
         """Read one producer through its edge rows: every overlapped brick in
         full, or -- a dense graph input, which brick tasks stream directly --
-        one strided region.  A brick the schedule's ``recent`` filter reports
-        hot is a certified L2 hit; that is scheduler state, so those rows
-        stay individual, while unfiltered reads are uniform and go out as one
+        one strided region.  A brick the schedule's ``recent`` filter holds
+        is a certified L2 hit; that is scheduler state, so those rows carry
+        their own flags, while unfiltered reads are uniform and go out as one
         batch."""
         if not isinstance(source, BrickedHandle):
             source.emit_region_read(task, batch, Region.trusted(tuple(e.need for e in edges)))
             return
-        offsets = source.brick_offsets(batch, [e.terms for e in edges])
+        offsets = source.brick_offsets(batch, list(map(_TERMS, edges)))
         if recent is None:
             task.read_batch(source.buffer, offsets, source.brick_nbytes)
         else:
-            bid = source.buffer.buffer_id
             task.read_rows(source.buffer, offsets, source.brick_nbytes,
-                           [recent((bid, offset)) for offset in offsets])
-
-    def _weights(self, task: Task, nid: int) -> None:
-        wb = self.weight_buffers.get(nid)
-        if wb is not None and wb.nbytes:
-            task.read(wb, 0, wb.nbytes)
+                           recent.touch(source.buffer.buffer_id << 40, offsets))
 
     def sync(self, task: Task, handle: BrickedHandle, own_offset: int,
-             entry_sources: Iterable[Source], acquired: Sequence[Dep] | None = None) -> None:
+             entry_tokens: list[tuple], acquired: Sequence[Dep] | None = None) -> None:
         """Stamp a brick task's happens-before edges.
 
         Acquires: the member dependency bricks the schedule checked tags of
@@ -188,14 +234,15 @@ class BrickTasks:
         mirror exactly what the simulated protocol synchronizes with -- the
         execution sanitizer's race detector trusts nothing else.
         """
-        for dnid, group in itertools.groupby(acquired or (), key=lambda dep: dep[0]):
-            dep = self.stored[dnid]
-            for offset in dep.flat_offsets(task.batch_index, [flat for _, _, flat in group]):
-                task.acquire(brick_token(dep.buffer, offset))
-        for source in entry_sources:
-            task.acquire(buffer_token(source.buffer))
-        task.release(brick_token(handle.buffer, own_offset))
-        task.release(buffer_token(handle.buffer))
+        if acquired:
+            stored, n = self.stored, task.batch_index
+            task.acquires = [("brick", stored[dnid].buffer.buffer_id,
+                              (n * stored[dnid].grid.num_bricks + flat) * stored[dnid].brick_nbytes)
+                             for dnid, _, flat in acquired] + entry_tokens
+        else:
+            task.acquires = list(entry_tokens)  # a copy: the node's tokens are shared
+        bid = handle.buffer.buffer_id
+        task.releases = [("brick", bid, own_offset), ("buf", bid)]
 
     # -- values -------------------------------------------------------------------
     def closure_values(self, exit_id: int, gpos: tuple[int, ...], batch: int) -> dict[int, np.ndarray]:
@@ -243,13 +290,12 @@ class BrickTasks:
                         lambda pred, need, fill, n=n, s=sources: s[pred].gather(n, need, fill))
                     handle.store_brick(n, gpos, value)
                     if screen is not None:
-                        screen(nid, value, subgraph_index, gpos, n, self._label(nid, gpos))
+                        screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
         return {eid: self.stored[eid] for eid in self.subgraph.exit_ids}
 
     # -- one brick of one node ---------------------------------------------------
     def emit(self, nid: int, gpos: tuple[int, ...], batch: int,
-             acquired: Sequence[Dep] | None = None,
-             recent: Callable[[tuple[int, int]], bool] | None = None,
+             acquired: Sequence[Dep] | None = None, recent: Recency | None = None,
              worker: int | None = None) -> Task:
         """Submit the task computing brick ``gpos`` of ``nid`` for one sample.
 
@@ -258,21 +304,28 @@ class BrickTasks:
         recency filter (see :meth:`_read`; the own brick is refreshed in it
         too); ``worker``: the lane it chose.
         """
-        node = self.graph.node(nid)
+        node, sources, weight, entry_tokens, _ = self._members[nid]
         handle = self.stored[nid]
         rows = self.geom.rows(nid, gpos)
-        task = self._task(node, gpos, batch, worker)
-        sources = {pred: self.stored.get(pred) or self.entries[pred] for pred in node.inputs}
-        for input_index, pred in enumerate(node.inputs):
-            self._read(task, sources[pred], batch, [r.edges[input_index] for r in rows], recent)
-        self._weights(task, nid)
-        own_offset = handle.brick_offset(batch, gpos)
+        task = Task(self._label(node.name, gpos), node_id=nid, strategy=self.strategy,
+                    worker=worker, brick=gpos, batch_index=batch)
+        for input_index, source in enumerate(sources):
+            self._read(task, source, batch, [r.edges[input_index] for r in rows], recent)
+        if weight is not None:
+            task.accesses.append(weight)
         handle.emit_brick_write(task, batch, gpos)
+        # The own brick's offset and volume; a counting executor's stored
+        # handles carry no brick map, so flat indices are physical.
+        own_offset = batch * handle.grid.num_bricks
+        volume = 1
+        for r, g, stride in zip(rows, gpos, handle.grid.strides):
+            own_offset += g * stride
+            volume *= r.length
+        own_offset *= handle.brick_nbytes
         if recent is not None:
-            recent((handle.buffer.buffer_id, own_offset))
-        self.sync(task, handle, own_offset,
-                  [sources[pred] for pred in node.inputs if pred not in self.stored], acquired)
-        task.flops = self.geom.flops(nid, node.spec.channels * math.prod([r.length for r in rows]))
+            recent.touch(handle.buffer.buffer_id << 40, (own_offset,))
+        self.sync(task, handle, own_offset, entry_tokens, acquired)
+        task.flops = self.geom.flops(nid, node.spec.channels * volume)
         if acquired is not None:
             task.atomics_compulsory = 2  # the tag's acquire CAS and its release
         self.device.submit(task)
@@ -285,48 +338,61 @@ class BrickTasks:
         halo copies of the entry bricks, then every member on its enlarged
         patch through ``scratch`` (one slot per member), the exit into its
         brick."""
-        graph = self.graph
+        members = self._members
         handle = self.stored[exit_id]
         rows = self.geom.closure_rows(exit_id, gpos)
-        task = self._task(graph.node(exit_id), gpos, batch, worker)
-        for eid in rows[0].entries:
+        task = Task(self._label(members[exit_id][0].name, gpos), node_id=exit_id,
+                    strategy=self.strategy, worker=worker, brick=gpos, batch_index=batch)
+        accesses = task.accesses
+        first = rows[0]
+        for eid in first.entries:
             edges = [r.entries[eid] for r in rows]
             source = self.entries[eid]
             self._read(task, source, batch, edges)
-            self.entry_read_bytes += (source.spec.channels * math.prod([e.length for e in edges])
-                                      * source.spec.itemsize)
+            size = source.spec.channels * source.spec.itemsize
+            for e in edges:
+                size *= e.length
+            self.entry_read_bytes += size
 
+        # Intermediate patches are thread-block private (registers / shared
+        # memory / L1): they never travel below the SM, but their volume
+        # shows up in the L1 (global) transaction count -- the paper's
+        # padded-brick overfetch.  Their rows are clamped to the slot's
+        # scratch, so they are in range by construction.
         calls = 0
-        for nid in rows[0].members:
+        for nid in first.members:
             axis = [r.members[nid] for r in rows]
-            size = math.prod([a.length for a in axis])
+            size = 1
+            for a in axis:
+                size *= a.length
             if size == 0:
                 continue
-            node = graph.node(nid)
-            spec = node.spec
+            node, _, weight, _, elem_bytes = members[nid]
             for input_index, pred in enumerate(node.inputs):
-                # Intermediate patches are thread-block private (registers /
-                # shared memory / L1): they never travel below the SM, but
-                # their volume shows up in the L1 (global) transaction count
-                # -- the paper's padded-brick overfetch.
                 if pred in slots:
-                    pred_spec = graph.node(pred).spec
-                    nbytes = (pred_spec.channels * pred_spec.itemsize
-                              * math.prod([a.edges[input_index].length for a in axis]))
-                    task.read(scratch, slots[pred], min(nbytes, scratch.nbytes - slots[pred]),
-                              on_chip=True)
-            self._weights(task, nid)
+                    nbytes = members[pred][4]
+                    for a in axis:
+                        nbytes *= a.edges[input_index].length
+                    slot = slots[pred]
+                    nbytes = min(nbytes, scratch.nbytes - slot)
+                    if nbytes > 0:
+                        accesses.append(_row(Access, (scratch, slot, nbytes, False, (), False, True, False)))
+            if weight is not None:
+                accesses.append(weight)
+            elems = node.spec.channels * size
             if nid == exit_id:
                 handle.emit_brick_write(task, batch, gpos)
             else:
-                task.write(scratch, slots[nid], min(spec.channels * size * spec.itemsize,
-                                                    scratch.nbytes - slots[nid]), on_chip=True)
-            task.flops += self.geom.flops(nid, spec.channels * size)
-            self.compute_elems += spec.channels * size
+                slot = slots[nid]
+                nbytes = min(size * elem_bytes, scratch.nbytes - slot)
+                if nbytes > 0:
+                    accesses.append(_row(Access, (scratch, slot, nbytes, True, (), False, True, False)))
+            task.flops += self.geom.flops(nid, elems)
+            self.compute_elems += elems
             calls += 1
 
         task.calls = max(calls, 1)
         self.sync(task, handle, handle.brick_offset(batch, gpos),
-                  [self.entries[eid] for eid in rows[0].entries])
+                  [buffer_token(self.entries[eid].buffer) for eid in first.entries])
         self.device.submit(task)
         return task

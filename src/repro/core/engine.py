@@ -497,7 +497,7 @@ class BrickDLEngine:
         shape = tuple(min(b, e) for b, e in zip(brick_shape, node.spec.spatial))
         buf = device.allocate(f"{node.name}/bricked", bricked_nbytes(node.spec, shape),
                               transient=True)
-        new = BrickedHandle.create(node.spec, shape, buf, functional=False)
+        new = BrickedHandle.create(node.spec, shape, buf, values=False)
         # Brick creation cost (the paper notes it is minimal): one sweep of
         # the source plus per-brick writes so the brick-class residency model
         # sees the new layout.

@@ -26,6 +26,7 @@ record it as ``void``; see :meth:`SubgraphGeometry.closure_rows`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -126,12 +127,11 @@ class SubgraphGeometry:
 
     def flops(self, nid: int, out_elems: int) -> float:
         key = (nid, out_elems)
-        value = self._flops.get(key)
-        if value is None:
+        if key not in self._flops:
             node = self.graph.node(nid)
             specs = [self.graph.node(i).spec for i in node.inputs]
-            value = self._flops[key] = node.op.flops(specs, out_elems)
-        return value
+            self._flops[key] = node.op.flops(specs, out_elems)
+        return self._flops[key]
 
     def grid(self, nid: int) -> BrickGrid | None:
         """The brick grid ``nid``'s output is stored in: the entry handle's
@@ -181,7 +181,8 @@ class SubgraphGeometry:
 
     def rows(self, nid: int, gpos: Sequence[int]) -> list[AxisRow]:
         """One :class:`AxisRow` per axis for the brick of ``nid`` at ``gpos``."""
-        return [rows[i] for rows, i in zip(self.table(nid), gpos)]
+        table = self._tables[nid] if nid in self._tables else self.table(nid)
+        return list(map(operator.getitem, table, gpos))
 
     def needs(self, nid: int, region: Region) -> tuple[tuple[Region, ...],
                                                        tuple[tuple[int, ...], ...]]:
@@ -255,9 +256,11 @@ class SubgraphGeometry:
         them the joint traversal drops no need either and equals them axis
         by axis; otherwise the brick's rows come from one joint traversal,
         which is what N-D region algebra computes."""
-        rows = [rows[i] for rows, i in zip(self.closure_table(exit_id), gpos)]
-        if any(r.void for r in rows):
-            rows = self._closure(exit_id, range(len(rows)), [r.out for r in rows])
+        table = self._closures[exit_id] if exit_id in self._closures else self.closure_table(exit_id)
+        rows = list(map(operator.getitem, table, gpos))
+        for r in rows:
+            if r.void:
+                return self._closure(exit_id, range(len(rows)), [r.out for r in rows])
         return rows
 
     def required(self, exit_id: int, out_region: Region) -> dict[int, Region]:

@@ -1,13 +1,11 @@
-"""Tensor handles: geometry + device buffer + (optional) values.
+"""Tensor handles: geometry plus a device buffer, or geometry plus values.
 
-Execution strategies manipulate activations through handles so the same code
-runs in two modes:
-
-* **functional** -- a backing array is present; kernels actually compute and
-  results are numerically checkable against the reference executor;
-* **profile** -- no values are materialized (large benchmark configurations
-  would not fit or would be too slow in NumPy); only geometry flows, and the
-  handles emit the identical access streams to the simulated device.
+Executors manipulate activations through handles.  A handle on a device only
+counts: it emits the accesses a kernel makes to the simulated device and
+materializes no values (large benchmark configurations would not fit or would
+be too slow in NumPy).  Only a device-free handle (no buffer) carries values:
+the values pass (``BrickDLEngine.values``, the executors' ``values()``)
+gathers patches from it and stores bricks into it, and emits nothing.
 
 :class:`BrickedHandle` also centralizes the translation from *regions* to
 *brick accesses*: reading a halo-expanded region means reading every
@@ -118,11 +116,11 @@ class BrickedHandle:
         spec: TensorSpec,
         brick_shape: tuple[int, ...],
         buffer: Buffer,
-        functional: bool,
+        values: bool,
         brick_map: BrickMap | None = None,
     ) -> "BrickedHandle":
         grid = BrickGrid(spec.spatial, brick_shape)
-        data = BrickedTensor(spec, brick_shape, brick_map) if functional else None
+        data = BrickedTensor(spec, brick_shape, brick_map) if values else None
         return cls(spec=spec, grid=grid, buffer=buffer, data=data)
 
     def nbytes(self) -> int:
@@ -136,19 +134,15 @@ class BrickedHandle:
     def brick_offset(self, batch: int, grid_pos: tuple[int, ...]) -> int:
         return (batch * self.grid.num_bricks + self.physical(grid_pos)) * self.brick_nbytes
 
-    def flat_offsets(self, batch: int, flat: Sequence[int]) -> list[int]:
-        """Byte offsets of the bricks with the given flat (row-major logical)
-        indices; the brick map (identity in profile mode) makes them physical."""
-        if self.data is not None:
-            flat = self.data.brick_map.physical_flat(flat)
-        base = batch * self.grid.num_bricks
-        nbytes = self.brick_nbytes
-        return [(base + f) * nbytes for f in flat]
-
     def brick_offsets(self, batch: int, axis_terms: Sequence[Sequence[int]]) -> list[int]:
         """Byte offsets of a box of bricks, row-major, from its per-axis
-        stride terms (:meth:`BrickGrid.axis_terms`, or a geometry table row)."""
-        return self.flat_offsets(batch, flat_bricks(axis_terms))
+        stride terms (:meth:`BrickGrid.axis_terms`, or a geometry table row);
+        a values-carrying handle's brick map makes the flat indices physical."""
+        base, nbytes = batch * self.grid.num_bricks, self.brick_nbytes
+        if self.data is not None:
+            return [(base + f) * nbytes for f in self.data.brick_map.physical_flat(flat_bricks(axis_terms))]
+        *outer, last = axis_terms
+        return [(base + f + t) * nbytes for f in flat_bricks(outer) for t in last]
 
     def region_offsets(self, batch: int, region: Region) -> list[int]:
         """:meth:`brick_offsets` of every brick overlapping ``region``."""

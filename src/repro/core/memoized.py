@@ -6,27 +6,34 @@ thread block working on an exit brick backtracks through the layers,
 computing whatever dependent bricks are still missing -- Fig. 2(d)'s
 recursive ``compConv2D``.
 
-Concurrency is simulated with a deterministic round-robin scheduler over
-``num_sms`` virtual workers.  Each brick carries the paper's three-state tag:
+Concurrency is simulated with a deterministic round-robin schedule over
+``num_sms`` virtual workers: in every round each worker takes one turn, in
+worker order.  Each brick carries the paper's three-state tag:
 
 * ``0`` not started -- a worker CASes it to 1 and owns it (compulsory atomic),
 * ``1`` in progress -- another worker observing this records a *conflict*
   atomic and either moves on to a different state-0 dependency or stalls,
 * ``2`` complete -- with a release CAS (the second compulsory atomic).
 
-A brick's computation occupies its worker for a number of scheduler turns
-proportional to the modeled kernel time, so overlapping workers genuinely
-collide on shared halo bricks: the conflict counts of Figs. 8/10/11 are an
-emergent property of the schedule, not an input.
+A brick's computation occupies its worker for a number of turns proportional
+to the modeled kernel time, so overlapping workers genuinely collide on
+shared halo bricks: the conflict counts of Figs. 8/10/11 are an emergent
+property of the schedule, not an input.
+
+``run()`` schedules first, on integers only, and then emits the brick tasks
+in the resulting issue order.  The schedule advances by events keyed ``round
+* num_sms + worker``: a computing worker takes no turn until its computation
+completes at its exact turn, with its busy turns counted at once, and rounds
+in which every worker is computing are never visited.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
+import heapq
 from dataclasses import dataclass, field
 
-from repro.core.bricktask import BrickTasks, Dep, member_deps
+from repro.core.bricktask import BrickTasks, Dep, Recency, member_deps
 from repro.core.handles import BrickedHandle
 
 __all__ = ["MemoizedBrickExecutor", "HALO_NEIGHBORHOOD_BRICKS"]
@@ -39,19 +46,8 @@ _NOT_STARTED, _IN_PROGRESS, _COMPLETE = 0, 1, 2
 # spans one such neighborhood per concurrently resident worker.
 HALO_NEIGHBORHOOD_BRICKS = 27
 
-
-@dataclass
-class _Frame:
-    """One owned brick on a worker's recursion stack."""
-
-    nid: int
-    gpos: tuple[int, ...]
-    batch: int
-    index: int  # of this brick's tag in ``states[nid]``
-    # Member bricks this brick reads (None until first scanned) and those
-    # not yet seen complete.
-    deps: list[Dep] | None = None
-    pending: list[Dep] = field(default_factory=list)
+# One issued brick task: (node, grid position, sample, worker, acquired deps).
+Issue = tuple[int, tuple[int, ...], int, int, list[Dep]]
 
 
 class MemoizedBrickExecutor(BrickTasks):
@@ -61,11 +57,17 @@ class MemoizedBrickExecutor(BrickTasks):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # Memo storage: a bricked tensor, and a tag per (sample, brick), per
-        # member node.
+        # Memo storage: a bricked tensor per member node, and one tag byte per
+        # (node, sample, brick): a brick's tag key is ``bases[sample][node]``
+        # plus its flat index.
         self.memo = self.stored
-        self.states = {nid: bytearray(self.batch * handle.grid.num_bricks)
-                       for nid, handle in self.memo.items()}
+        self.bases: list[dict[int, int]] = [{} for _ in range(self.batch)]
+        key = 0
+        for nid, handle in self.memo.items():
+            for n in range(self.batch):
+                self.bases[n][nid] = key
+                key += handle.grid.num_bricks
+        self.tags = bytearray(key)
 
         # Scheduler time quantum: set adaptively from the first task so a
         # brick computation spans a handful of rounds regardless of scale
@@ -80,8 +82,8 @@ class MemoizedBrickExecutor(BrickTasks):
         # hits).  Both feed the metrics registry at the end of the run.
         self.total_reuses = 0
         self.coalesced_reads = 0
-        self._recent: "OrderedDict[tuple[int, int], None]" = OrderedDict()
         self._durations: list[float] = []
+        self._workers: list[_WorkerState] = []
 
     @functools.cached_property
     def _recent_capacity(self) -> int:
@@ -107,27 +109,12 @@ class MemoizedBrickExecutor(BrickTasks):
 
     # -- public ----------------------------------------------------------------
     def run(self) -> dict[int, BrickedHandle]:
-        goals = self._sink_goals()
-        num_workers = self.device.spec.num_sms
-        # Clustered assignment: each worker owns a contiguous chunk of exit
-        # bricks (the paper's clustered thread blocks).
-        chunks: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(num_workers)]
-        per = -(-len(goals) // num_workers) if goals else 1
-        for i, g in enumerate(goals):
-            chunks[min(i // per, num_workers - 1)].append(g)
-
-        workers = [_WorkerState(index=i, queue=list(reversed(chunk)))
-                   for i, chunk in enumerate(chunks)]
-        self._workers = workers
-        active = [w for w in workers if w.queue]
-
-        while active:
-            still = []
-            for w in active:
-                self._step(w)
-                if w.queue or w.stack or w.busy:
-                    still.append(w)
-            active = still
+        # The tag check is the synchronization: each task acquires exactly
+        # the dependency bricks its frame saw complete.
+        recent = Recency(self._recent_capacity)
+        for nid, gpos, sample, worker, deps in self.schedule():
+            self.emit(nid, gpos, sample, acquired=deps, recent=recent, worker=worker)
+        self.coalesced_reads = recent.hits
         # Scheduler-level atomic conflicts and memo-table visits feed the
         # device's counters (compulsory atomics ride on the tasks).
         self.device.atomics.conflict += self.total_conflicts
@@ -157,110 +144,134 @@ class MemoizedBrickExecutor(BrickTasks):
         return {eid: self.memo[eid] for eid in self.subgraph.exit_ids}
 
     # -- scheduling ---------------------------------------------------------
-    def _step(self, w: "_WorkerState") -> None:
-        if w.busy > 0:
-            w.busy -= 1
-            w.busy_turns += 1
-            if w.busy == 0:
-                done = w.stack.pop()  # the brick this worker was computing
-                self.states[done.nid][done.index] = _COMPLETE
-            return
+    def schedule(self) -> list[Issue]:
+        """Run the tag protocol to its issue order.  A worker's turn: with no
+        brick, take the next exit brick of its chunk; else scan the pending
+        dependencies of its top brick, descending into a state-0 one, or
+        stalling on in-progress ones, or -- all complete -- computing it."""
+        spec = self.device.spec
+        num_workers = spec.num_sms
+        goals = self._sink_goals()
+        # Clustered assignment: each worker owns a contiguous chunk of exit
+        # bricks (the paper's clustered thread blocks).
+        chunks: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(num_workers)]
+        per = -(-len(goals) // num_workers) if goals else 1
+        for i, g in enumerate(goals):
+            chunks[min(i // per, num_workers - 1)].append(g)
+        workers = self._workers = [_WorkerState(i, chunk[::-1]) for i, chunk in enumerate(chunks)]
 
-        if not w.stack:
-            while w.queue:
-                goal = w.queue.pop()
-                state = self.states[goal[0]][goal[3]]
-                self.total_visits += 1
-                if state == _NOT_STARTED:
-                    self._acquire(w, *goal)
-                    return
-                if state == _IN_PROGRESS:
-                    # Our exit brick is being produced by another worker;
-                    # spin on it (conflict CAS) until it completes.
-                    self.total_conflicts += self._spins_per_turn()
-                    w.stall_turns += 1
-                    w.queue.append(goal)
-                    return
-                # _COMPLETE: someone already made it; take the next goal.
-                self.total_reuses += 1
-            return
+        geom, tags, bases = self.geom, self.tags, self.bases
+        # Per member and axis, the length of every brick's output interval:
+        # a brick's volume, hence its task's flops and duration.
+        lengths = {nid: [[r.length for r in axis] for axis in geom.table(nid)] for nid in self.memo}
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
+        events = [w.index for w in workers if w.queue]  # round 0, sorted: a heap
+        order: list[Issue] = []
+        durations = self._durations
+        timing: dict[tuple[int, int], tuple[float, int]] = {}  # (node, volume) -> (duration, busy)
+        visits = conflicts = reuses = compulsory = 0
+        spins = 1  # conflict CAS per stalled turn; fixed with the quantum
 
-        frame = w.stack[-1]
-        if frame.deps is None:
-            frame.deps = frame.pending = member_deps(self.geom, frame.nid, frame.gpos)
+        now = heappop(events) if events else -1
+        while now >= 0:
+            w = workers[now % num_workers]
+            stack = w.stack
+            after = now + num_workers  # this worker's next turn; -1: it is done
+            if w.computing:
+                # Completion: visible to every turn after this one.
+                w.computing = False
+                tags[stack.pop()[3]] = _COMPLETE
+            elif not stack:
+                queue = w.queue
+                while queue:
+                    goal = queue[-1]
+                    state = tags[goal[3]]
+                    visits += 1
+                    if state == _NOT_STARTED:
+                        queue.pop()
+                        tags[goal[3]] = _IN_PROGRESS
+                        compulsory += 2  # acquire now, release at completion
+                        stack.append([*goal, None, None])
+                        break
+                    if state == _IN_PROGRESS:
+                        # Our exit brick is being produced by another worker;
+                        # spin on it (conflict CAS) until it completes.
+                        conflicts += spins
+                        w.stall_turns += 1
+                        break
+                    # _COMPLETE: someone already made it; take the next goal.
+                    queue.pop()
+                    reuses += 1
+                else:
+                    after = -1  # no goals left
+            else:
+                # A frame: [node, grid position, sample, tag key, deps, pending].
+                frame = stack[-1]
+                nid, gpos, sample, _, deps, pending = frame
+                if deps is None:
+                    deps = pending = frame[4] = member_deps(geom, nid, gpos)
+                base = bases[sample]
+                # Scan pending dependencies; prefer state-0 work (descend),
+                # remember in-progress blocks for later, and only stall when
+                # nothing else is runnable.  Unscanned deps are retained for
+                # the next turn.
+                keep: list[Dep] = []
+                for idx, dep in enumerate(pending):
+                    dkey = base[dep[0]] + dep[2]
+                    state = tags[dkey]
+                    visits += 1
+                    if state == _COMPLETE:
+                        reuses += 1
+                        continue
+                    if state == _IN_PROGRESS:
+                        conflicts += spins
+                        keep.append(dep)
+                        continue
+                    # state 0: descend into this dependency this turn;
+                    # everything not yet scanned stays pending.
+                    frame[5] = keep + pending[idx + 1:]
+                    tags[dkey] = _IN_PROGRESS
+                    compulsory += 2
+                    stack.append([dep[0], dep[1], sample, dkey, None, None])
+                    break
+                else:
+                    frame[5] = keep
+                    if keep:
+                        w.stall_turns += 1  # the owners are progressing elsewhere
+                    else:
+                        # All dependencies complete: compute this brick for
+                        # the duration ``emit`` will give its task.
+                        volume = 1
+                        for axis_lengths, g in zip(lengths[nid], gpos):
+                            volume *= axis_lengths[g]
+                        cost = timing.get((nid, volume))
+                        if cost is None:
+                            channels = self.graph.node(nid).spec.channels
+                            duration = spec.task_time(geom.flops(nid, channels * volume))
+                            if self._quantum is None:
+                                self._quantum = max(spec.call_overhead_s, duration / 4.0)
+                                spins = max(1, round(self._quantum / spec.spin_interval_s))
+                            cost = timing[(nid, volume)] = (duration, max(1, round(duration / self._quantum)))
+                        duration, busy = cost
+                        durations.append(duration)
+                        order.append((nid, gpos, sample, w.index, deps))
+                        w.busy_turns += busy
+                        w.computing = True
+                        after = now + busy * num_workers
 
-        # Scan pending dependencies; prefer state-0 work (descend), remember
-        # in-progress blocks for later, and only stall when nothing else is
-        # runnable.  Unscanned deps are retained for the next turn.
-        pending = frame.pending
-        keep: list[Dep] = []
-        for idx, dep in enumerate(pending):
-            dnid, dgpos, dflat = dep
-            dindex = frame.batch * self.memo[dnid].grid.num_bricks + dflat
-            state = self.states[dnid][dindex]
-            self.total_visits += 1
-            if state == _COMPLETE:
-                self.total_reuses += 1
-                continue
-            if state == _IN_PROGRESS:
-                self.total_conflicts += self._spins_per_turn()
-                keep.append(dep)
-                continue
-            # state 0: descend into this dependency this turn; everything not
-            # yet scanned stays pending.
-            frame.pending = keep + pending[idx + 1:]
-            self._acquire(w, dnid, dgpos, frame.batch, dindex)
-            return
-        frame.pending = keep
-        if keep:
-            w.stall_turns += 1
-            return  # stall this turn; owners are progressing elsewhere
-        # All dependencies complete: compute this brick.
-        self._start_compute(w, frame)
+            if after >= 0:
+                now = heappushpop(events, after)
+            else:
+                now = heappop(events) if events else -1
 
-    def _spins_per_turn(self) -> int:
-        """Conflict CAS issued while stalled for one scheduler turn.
-
-        A stalled thread block re-issues its CAS at the hardware spin
-        interval; one scheduler turn spans one time quantum.
-        """
-        if self._quantum is None:
-            return 1
-        return max(1, round(self._quantum / self.device.spec.spin_interval_s))
-
-    def _acquire(self, w: "_WorkerState", nid: int, gpos: tuple[int, ...], batch: int,
-                 index: int) -> None:
-        self.states[nid][index] = _IN_PROGRESS
-        self.total_compulsory += 2  # acquire now, release at completion
-        w.stack.append(_Frame(nid, gpos, batch, index))
-
-    def _start_compute(self, w: "_WorkerState", frame: _Frame) -> None:
-        # The tag check is the synchronization: the task acquires exactly the
-        # dependency bricks this frame saw complete.
-        task = self.emit(frame.nid, frame.gpos, frame.batch,
-                         acquired=frame.deps, recent=self._touch, worker=w.index)
-        duration = self.device.spec.task_time(task.flops, task.calls)
-        self._durations.append(duration)
-        if self._quantum is None:
-            self._quantum = max(self.device.spec.call_overhead_s, duration / 4.0)
-        w.busy = max(1, round(duration / self._quantum))
-
-    def _touch(self, key: tuple[int, int]) -> bool:
-        """Refresh a brick (buffer id, byte offset) in the recency LRU;
-        returns True if it was hot.  A brick's own write is its first touch,
-        so every hot answer is a protocol-coalesced re-read."""
-        hot = key in self._recent
-        if hot:
-            self._recent.move_to_end(key)
-            self.coalesced_reads += 1
-        else:
-            self._recent[key] = None
-            if len(self._recent) > self._recent_capacity:
-                self._recent.popitem(last=False)
-        return hot
+        self.total_visits += visits
+        self.total_conflicts += conflicts
+        self.total_reuses += reuses
+        self.total_compulsory += compulsory
+        return order
 
     def _sink_goals(self) -> list[tuple[int, tuple[int, ...], int, int]]:
-        """Exit bricks ``(node, grid position, batch, tag index)`` in
+        """Exit bricks ``(node, grid position, sample, tag key)`` in
         spatially clustered order.
 
         Goals are sorted by coarse cubic cluster so each worker's contiguous
@@ -283,15 +294,15 @@ class MemoizedBrickExecutor(BrickTasks):
             for gpos in sorted(handle.bricks(), key=cluster_key):
                 flat = handle.grid.flat(gpos)
                 for n in range(self.batch):
-                    goals.append((eid, gpos, n, n * total + flat))
+                    goals.append((eid, gpos, n, self.bases[n][eid] + flat))
         return goals
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkerState:
     index: int
     queue: list[tuple[int, tuple[int, ...], int, int]]
-    stack: list[_Frame] = field(default_factory=list)
-    busy: int = 0
-    busy_turns: int = 0    # turns spent computing bricks
-    stall_turns: int = 0   # turns spent spinning on in-progress bricks
+    stack: list[list] = field(default_factory=list)
+    computing: bool = False  # the top frame's brick is being computed
+    busy_turns: int = 0      # turns spent computing bricks
+    stall_turns: int = 0     # turns spent spinning on in-progress bricks

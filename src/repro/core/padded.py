@@ -54,11 +54,12 @@ class PaddedBrickExecutor(BrickTasks):
         """:meth:`run`'s exit bricks in its order, values only; ``screen``
         sees every member patch of a closure under its exit brick's task."""
         for exit_id, handle in self.stored.items():
+            name = self.graph.node(exit_id).name
             for grid_pos in handle.bricks():
                 for n in range(self.batch):
                     for nid, value in self.closure_values(exit_id, grid_pos, n).items():
                         if screen is not None:
-                            screen(nid, value, subgraph_index, grid_pos, n, self._label(exit_id, grid_pos))
+                            screen(nid, value, subgraph_index, grid_pos, n, self._label(name, grid_pos))
         return self.stored
 
     def _allocate_scratch(self) -> tuple[list[Buffer], dict[int, int]]:

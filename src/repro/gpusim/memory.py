@@ -335,7 +335,8 @@ class MemorySystem:
             _, miss = self.l2.access(buffer_id, offset, nbytes, False)
             if miss:
                 c.dram_read_txns += lines if miss == nbytes else _txns(miss, self.line)
-            self._drain_evictions()
+            if self.l2.evicted_dirty_bytes:
+                self._drain_evictions()
 
     def _blocked_write(self, buffer_id: int, offset: int, nbytes: int, lines: int) -> None:
         if nbytes >= self._stream_threshold:
@@ -345,7 +346,8 @@ class MemorySystem:
         self.counters.l2_txns += lines
         self.l1.access(buffer_id, offset, nbytes, True)
         self.l2.access(buffer_id, offset, nbytes, True)
-        self._drain_evictions()
+        if self.l2.evicted_dirty_bytes:
+            self._drain_evictions()
 
     def _stream(self, lines: int, write: bool) -> None:
         """Arithmetic accounting for accesses that sweep the entire L2."""
@@ -359,9 +361,10 @@ class MemorySystem:
         self.l2.clear()
 
     def _drain_evictions(self) -> None:
-        dirty = self.l2.drain_evicted_dirty()
-        if dirty:
-            self.counters.dram_write_txns += _txns(dirty, self.line)
+        """Charge the dirty bytes the L2 evicted; callers check
+        ``l2.evicted_dirty_bytes`` first, since draining zero charges
+        nothing."""
+        self.counters.dram_write_txns += _txns(self.l2.drain_evicted_dirty(), self.line)
 
     # -- observability ------------------------------------------------------
     def stats(self) -> dict:

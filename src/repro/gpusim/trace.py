@@ -265,15 +265,21 @@ class Task:
 
     def read(self, buffer: Buffer, offset: int, nbytes: int, reps: tuple[tuple[int, int], ...] = (),
              dense: bool = False, on_chip: bool = False, assume_l2: bool = False) -> None:
+        """Append one row (none when ``nbytes`` is 0).  A contiguous row
+        inside its buffer is built directly; anything else goes through the
+        constructor, which checks it."""
         if nbytes > 0:
-            self.accesses.append(Access(buffer, offset, nbytes, write=False, reps=reps,
-                                        dense=dense, on_chip=on_chip, assume_l2=assume_l2))
+            row = (buffer, offset, nbytes, False, reps, dense, on_chip, assume_l2)
+            self.accesses.append(Access(*row) if reps or offset < 0 or offset + nbytes > buffer.nbytes
+                                 else _row(Access, row))
 
     def write(self, buffer: Buffer, offset: int, nbytes: int, reps: tuple[tuple[int, int], ...] = (),
               dense: bool = False, on_chip: bool = False) -> None:
+        """The store twin of :meth:`read`."""
         if nbytes > 0:
-            self.accesses.append(Access(buffer, offset, nbytes, write=True, reps=reps,
-                                        dense=dense, on_chip=on_chip))
+            row = (buffer, offset, nbytes, True, reps, dense, on_chip, False)
+            self.accesses.append(Access(*row) if reps or offset < 0 or offset + nbytes > buffer.nbytes
+                                 else _row(Access, row))
 
     def read_batch(self, buffer: Buffer, offsets: Sequence[int], nbytes: int) -> None:
         """One contiguous ``nbytes`` read per offset: the rows :meth:`read`

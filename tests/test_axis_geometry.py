@@ -167,7 +167,7 @@ def subgraph_case(draw, endings=ENDINGS):
         perm = draw(st.permutations(range(grid.num_bricks)))
         entries[eid] = BrickedHandle.create(
             spec, shape, Buffer.new(f"e{eid}", bricked_nbytes(spec, shape)),
-            functional=True, brick_map=BrickMap(grid.grid_shape, perm))
+            values=True, brick_map=BrickMap(grid.grid_shape, perm))
     return view, brick, entries
 
 
@@ -187,7 +187,7 @@ def test_brick_rows_equal_region_algebra(case):
     for nid in view.node_ids:
         spec = graph.node(nid).spec
         sources[nid] = BrickedHandle.create(
-            spec, brick, Buffer.new(f"m{nid}", bricked_nbytes(spec, brick)), functional=False)
+            spec, brick, Buffer.new(f"m{nid}", bricked_nbytes(spec, brick)), values=False)
     for nid in view.node_ids:
         node = graph.node(nid)
         grid = sources[nid].grid
@@ -345,7 +345,7 @@ def test_per_axis_hull_would_overcount():
 def test_bricked_bytes_have_one_spelling():
     spec = TensorSpec(2, 3, (10, 7))
     handle = BrickedHandle.create(spec, (4, 4), Buffer.new("b", bricked_nbytes(spec, (4, 4))),
-                                  functional=True)
+                                  values=True)
     assert handle.nbytes() == bricked_nbytes(spec, (4, 4)) == handle.data.nbytes
     assert handle.brick_nbytes == 3 * 16 * 4 == handle.data.brick_nbytes
     assert np.prod(handle.grid.grid_shape) * 2 * handle.brick_nbytes == handle.nbytes()

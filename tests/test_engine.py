@@ -196,6 +196,38 @@ def test_values_pass_stays_under_60_own_calls_per_task():
         "(graph/regions.py) and per-brick loops in core/bricked.py")
 
 
+@pytest.mark.parametrize("strategy, budget", [(Strategy.MEMOIZED, 140), (Strategy.PADDED, 170)],
+                         ids=["memoized", "padded"])
+def test_counted_run_stays_under_170_own_calls_per_task(strategy, budget):
+    """The counted-run twin of the values budget: ``engine.run(functional=
+    False)`` of reduced resnet50 under the profiler hook, calls into
+    ``src/repro`` only, per task (memoized 128 and padded 156 today; the
+    round-robin scheduler with per-dependency token calls made 141 and 160).
+    Fallback tiles and layout conversions are most of the reduced model's
+    tasks, so the budgets sit about 10 % above today's counts."""
+    import cProfile
+    import os
+
+    import repro
+
+    engine = BrickDLEngine(zoo.build("resnet50", reduced=True), strategy_override=strategy)
+    plan = engine.compile()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        num_tasks = engine.run(functional=False, plan=plan).metrics.num_tasks
+    finally:
+        profiler.disable()
+    own = os.path.dirname(repro.__file__) + os.sep
+    calls = sum(entry.callcount for entry in profiler.getstats()
+                if getattr(entry.code, "co_filename", "").startswith(own))
+    per_task = calls / num_tasks
+    assert per_task <= budget, (
+        f"{per_task:.0f} calls into src/repro per task (budget {budget}): per-brick calls are back "
+        "on the counted path -- the usual culprits are the memoized scheduler taking every turn "
+        "(core/memoized.py) and per-row or per-token calls in core/bricktask.py's emitters")
+
+
 @pytest.mark.parametrize("strategy", [Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT])
 def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
     """A transposed conv with kernel < stride has output positions no input
@@ -278,11 +310,11 @@ def test_values_builds_no_device_task_or_schedule(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [(Device, "__init__"), (Device, "submit"), (trace.Task, "__init__"),
-                        (MemoizedBrickExecutor, "run"), (MemoizedBrickExecutor, "_step")]:
+                        (MemoizedBrickExecutor, "run"), (MemoizedBrickExecutor, "schedule")]:
         counting(owner, name)
     got = engine.values(x, plan)
     assert calls == []
     assert all(np.array_equal(got[k], want[k]) for k in want)
     engine.run(x, plan=plan)   # the counters do see a simulated run
     assert {"Device.__init__", "Device.submit", "Task.__init__", "MemoizedBrickExecutor.run",
-            "MemoizedBrickExecutor._step"} <= set(calls)
+            "MemoizedBrickExecutor.schedule"} <= set(calls)

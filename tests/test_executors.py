@@ -1,11 +1,13 @@
 """Padded- and memoized-brick executor tests: numerical equivalence with the
 reference executor, protocol invariants, and emitted-metric sanity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.bricked import BrickedTensor, extract_patch, gather_dense
-from repro.core.bricktask import member_deps
+from repro.core.bricktask import Recency, member_deps
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
 from repro.core.padded import PaddedBrickExecutor
@@ -16,21 +18,22 @@ from repro.graph.regions import Interval
 from repro.graph.tensorspec import TensorSpec
 from repro.graph.traversal import subgraph_view
 from repro.gpusim.device import Device
-from repro.gpusim.spec import A100, GPUSpec
+from repro.gpusim.spec import A100
 
 from testlib import input_for
 
 
-def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None):
+def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None, spec=A100):
     """Run the reference on the full graph; set up a merged executor over the
-    named members with entries fed from reference activations."""
+    named members with entries fed from reference activations, on a device
+    of ``spec`` that holds the entry and weight buffers."""
     g = make_graph()
     g.init_weights()
     x = input_for(g, seed) if x is None else x
     refs = ReferenceExecutor(g).run_all(x)
     ids = [g.node(n).node_id for n in member_names]
     view = subgraph_view(g, ids)
-    device = Device(A100)
+    device = Device(spec)
     entries = {}
     for eid in view.entry_ids:
         node = g.node(eid)
@@ -156,36 +159,38 @@ def test_void_need_gathers_an_all_fill_patch_of_the_right_shape():
 
 
 class TestMemoizedProtocol:
-    def _run(self, workers=None):
-        g, view, device, entries, wb, refs = build_subgraph_fixture(two_conv, ("conv1", "relu1", "conv2"))
-        if workers:
-            device = Device(GPUSpec(num_sms=workers))
-            # re-register buffers on the new device (geometry only matters)
-        ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb)
-        ex.run()
-        return ex
+    """Each property at one, three and 108 workers (one worker serializes the
+    recursion; three contend on shared halo bricks; 108 leave most idle)."""
+
+    def _runs(self):
+        for workers in (1, 3, 108):
+            g, view, device, entries, wb, refs = build_subgraph_fixture(
+                two_conv, ("conv1", "relu1", "conv2"), spec=dataclasses.replace(A100, num_sms=workers))
+            ex = MemoizedBrickExecutor(view, (4, 4), device, entries, wb)
+            ex.run()
+            yield ex
 
     def test_all_bricks_complete(self):
-        ex = self._run()
-        for nid, states in ex.states.items():
-            assert all(s == _COMPLETE for s in states), f"node {nid} left incomplete bricks"
+        for ex in self._runs():
+            assert len(ex.tags) == sum(h.grid.num_bricks * h.spec.batch for h in ex.memo.values())
+            assert all(s == _COMPLETE for s in ex.tags), "incomplete bricks left"
 
     def test_exactly_once_compute(self):
         """Total submitted tasks == total bricks across member nodes."""
-        ex = self._run()
-        total_bricks = sum(
-            h.grid.num_bricks * h.spec.batch for h in ex.memo.values()
-        )
-        assert len(ex.device.tasks) == total_bricks
+        for ex in self._runs():
+            total_bricks = sum(
+                h.grid.num_bricks * h.spec.batch for h in ex.memo.values()
+            )
+            assert len(ex.device.tasks) == total_bricks
 
     def test_compulsory_atomics_two_per_brick(self):
-        ex = self._run()
-        metrics = ex.device.finish()
-        assert metrics.atomics.compulsory == 2 * len(ex.device.tasks)
+        for ex in self._runs():
+            metrics = ex.device.finish()
+            assert metrics.atomics.compulsory == 2 * len(ex.device.tasks)
 
     def test_visits_at_least_deps(self):
-        ex = self._run()
-        assert ex.total_visits >= len(ex.device.tasks)
+        for ex in self._runs():
+            assert ex.total_visits >= len(ex.device.tasks)
 
 
 def test_one_brick_task_under_tag_and_barrier_arguments():
@@ -200,7 +205,9 @@ def test_one_brick_task_under_tag_and_barrier_arguments():
     deps = member_deps(tasks.geom, nid, gpos)
     assert len(deps) == 9 and {d[0] for d in deps} == {g.node("relu1").node_id}
 
-    tagged = tasks.emit(nid, gpos, 0, acquired=deps, recent=lambda key: True, worker=5)
+    recent = Recency(capacity=64)
+    tasks.emit(nid, gpos, 0, acquired=deps, recent=recent, worker=5)  # the filter sees its bricks
+    tagged = tasks.emit(nid, gpos, 0, acquired=deps, recent=recent, worker=5)
     barrier = tasks.emit(nid, gpos, 0)
 
     def rows(task, flag):

@@ -299,6 +299,26 @@ class TestBatchRows:
         assert task.accesses == prior + expect
         assert all(type(a) is Access for a in task.accesses)
 
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    @given(run=runs(), strided=st.booleans())
+    def test_single_rows_match_constructor_or_are_refused(self, kind, run, strided):
+        """``Task.read`` / ``write`` build a contiguous in-range row without
+        the constructor; every row must still equal its, and a row it refuses
+        must raise and append nothing."""
+        offsets, nbytes = run
+        reps = ((2, nbytes),) if strided else ()
+        for offset in offsets:
+            task = Task("t")
+            try:
+                expect = [Access(self.buf, offset, nbytes, write=kind == "write", reps=reps)]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    getattr(task, kind)(self.buf, offset, nbytes, reps)
+                assert task.accesses == []
+                continue
+            getattr(task, kind)(self.buf, offset, nbytes, reps)
+            assert task.accesses == expect and type(task.accesses[0]) is Access
+
     def test_rows_are_immutable(self):
         task = Task("t")
         task.read_batch(self.buf, [0, 64], 32)
