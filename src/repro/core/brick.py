@@ -72,7 +72,6 @@ class BrickMap:
         if any(g < 1 for g in self.grid_shape):
             raise LayoutError(f"invalid brick grid {self.grid_shape}")
         n = math.prod(self.grid_shape)
-        self.identity = permutation is None
         if permutation is None:
             self._to_physical = np.arange(n, dtype=np.int64)
         else:
@@ -108,12 +107,6 @@ class BrickMap:
     def physical(self, grid_pos: Sequence[int]) -> int:
         """Physical slot of the brick at a logical grid position."""
         return int(self._to_physical[self.flatten(grid_pos)])
-
-    def physical_flat(self, flat: Sequence[int]) -> list[int]:
-        """Physical slots of bricks given by flat (row-major) logical index."""
-        if self.identity:
-            return list(flat)
-        return self._to_physical[np.asarray(flat, dtype=np.int64)].tolist()
 
     def logical(self, physical_index: int) -> tuple[int, ...]:
         """Logical grid position of the brick stored at a physical slot."""

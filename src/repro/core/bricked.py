@@ -8,8 +8,8 @@ whose extent overhangs the feature map are masked with zeros (section 3.3.4).
 The storage order of bricks is governed by a :class:`~repro.core.brick.BrickMap`
 (identity by default).  Values move per *axis*, not per brick: along one axis
 a copy between a patch and the bricks it overlaps is three slices
-(:func:`patch_spans`), so the primitives the merged executors need are a
-constant handful of NumPy calls whatever the number of bricks:
+(:func:`patch_spans`), so each primitive is a constant handful of NumPy calls
+whatever the number of bricks:
 
 * :meth:`BrickedTensor.gather` -- the dense patch over one need interval per
   axis, a neutral fill value beyond the feature map (the halo *copy* of

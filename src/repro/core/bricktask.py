@@ -13,10 +13,11 @@ knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
 
 The emitters count; they compute nothing.  A brick's value does not depend on
-its schedule, so values have one producer, ``values()``: every brick once with
-no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values` per
-exit brick).  An executor built without a ``device`` is that producer: its
-handles carry values and get no buffers.
+its schedule, so values have one producer, ``values()``: every member once
+with no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values`
+per exit brick).  An executor built without a ``device`` is that producer:
+its entries are dense ``(N, C, *S)`` arrays, each member's values are one
+such array, and its handles get no buffers -- they give grids only.
 
 An emitter builds rows, not calls: what every task of a node shares (its
 weight row, its input sources, the whole-buffer tokens of its entries) is
@@ -36,8 +37,8 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bricked import bricked_nbytes, extract_patch, flat_bricks
-from repro.core.geometry import EdgeRow, SubgraphGeometry, patch_geometry
+from repro.core.bricked import bricked_nbytes, extract_patch, flat_bricks, gather_dense
+from repro.core.geometry import AxisRow, EdgeRow, SubgraphGeometry, patch_geometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
 from repro.graph.ir import Graph, Node
@@ -46,9 +47,9 @@ from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
-from repro.kernels import apply_node_local, pad_value_for
+from repro.kernels import apply_node_full, apply_node_local, by_tensor, pad_value_for
 
-__all__ = ["BrickTasks", "Recency", "kernel_step", "member_deps", "require_values"]
+__all__ = ["BrickTasks", "Recency", "brick_box", "kernel_step", "member_deps", "require_values"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -107,6 +108,12 @@ def kernel_step(node: Node, shape: tuple[int, ...], needs: Sequence[Sequence[Int
     return apply_node_local(node.op, patches, node.weights, shape, offsets)
 
 
+def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
+    """The ``(C, *S)`` slices of one sample's array the brick ``rows``
+    describe cover (clipped to the feature map)."""
+    return (slice(None), *(slice(r.out.lo, r.out.hi) for r in rows))
+
+
 class Recency(OrderedDict):
     """A schedule's recency filter: an LRU of the last ``capacity`` bricks
     touched, keyed ``buffer_id << 40 | byte offset``.  A read of a brick it
@@ -141,16 +148,16 @@ class BrickTasks:
     ``strategy`` and adds the schedule.
 
     :attr:`stored` maps the nodes whose output lives in a bricked tensor of
-    this subgraph to their handles.  With a ``device`` they get buffers and
-    :meth:`run` counts; without one they carry values and only :meth:`values`
-    can run -- a subgraph the kernel step cannot evaluate is refused then, at
-    construction.
+    this subgraph to their handles.  With a ``device`` they get buffers,
+    ``entries`` are handles and :meth:`run` counts; without one ``entries``
+    are the dense entry arrays and only :meth:`values` can run -- a subgraph
+    the kernel step cannot evaluate is refused then, at construction.
     """
 
     subgraph: SubgraphView
     brick_shape: tuple[int, ...]
     device: Device | None
-    entries: Mapping[int, Source]
+    entries: Mapping[int, Source | np.ndarray]
     weight_buffers: Mapping[int, Buffer]
     strategy: ClassVar[str]
 
@@ -173,8 +180,7 @@ class BrickTasks:
         for node in map(self.graph.node, getattr(self.subgraph, stored)):
             buf = None if computes else self.device.allocate(
                 f"{node.name}/{suffix}", bricked_nbytes(node.spec, self.brick_shape), transient=True)
-            self.stored[node.node_id] = BrickedHandle.create(
-                node.spec, self.brick_shape, buf, computes)
+            self.stored[node.node_id] = BrickedHandle.create(node.spec, self.brick_shape, buf)
         # Padded redundancy accounting: elements computed on enlarged patches
         # (vs the exact output volume) and halo bytes gathered from entry
         # bricks -- the paper's delta in measured form.
@@ -247,16 +253,16 @@ class BrickTasks:
     # -- values -------------------------------------------------------------------
     def closure_values(self, exit_id: int, gpos: tuple[int, ...], batch: int) -> dict[int, np.ndarray]:
         """Every member's values on its private patch of the closure of one
-        exit brick (what :meth:`emit_fused`'s task computes), the exit's
-        stored into its brick.  Patches cover their node's required interval
-        clipped to the feature map, so each starts at its ``origin``."""
+        exit brick (what :meth:`emit_fused`'s task computes).  Patches cover
+        their node's required interval clipped to the feature map, so each
+        starts at its ``origin``."""
         rows = self.geom.closure_rows(exit_id, gpos)
         patches: dict[int, np.ndarray] = {}
         origin: dict[int, list[int]] = {}
         for eid in rows[0].entries:
             edges = [r.entries[eid] for r in rows]
             origin[eid] = [max(e.need.lo, 0) for e in edges]
-            patches[eid] = self.entries[eid].gather(batch, [
+            patches[eid] = gather_dense(self.entries[eid][batch], [
                 Interval(lo, lo + e.length) for lo, e in zip(origin[eid], edges)])
         values = {}
         for nid in rows[0].members:
@@ -268,30 +274,45 @@ class BrickTasks:
                 node, *patch_geometry(axis, len(node.inputs)),
                 lambda pred, need, fill: extract_patch(patches[pred], origin[pred], need, fill))
             origin[nid] = [a.out.lo for a in axis]
-        # Exits other than `exit_id` are materialized by their own brick loops.
-        if exit_id in values:
-            self.stored[exit_id].store_brick(batch, gpos, values[exit_id])
         return values
 
     def values(self, screen: Screen | None = None,
-               subgraph_index: int | None = None) -> dict[int, BrickedHandle]:
+               subgraph_index: int | None = None) -> dict[int, np.ndarray]:
         """The exits' values with no schedule: no task, no tag, no barrier.
-        Every member brick once, members in subgraph (topological) order, so
-        each brick's producers are stored before it is computed; ``screen``
-        sees each brick with the identity of the task that counts it."""
+        Members run in subgraph order, each into one dense ``(N, C, *S)``
+        array dropped after its last consumer here: one kernel call over the
+        batch for a member in :data:`~repro.kernels.BY_TENSOR`, else one per
+        brick and sample on a patch copied out of its producers' arrays.
+        ``screen`` sees every (node, brick, sample) in that order, named by
+        the task that counts it (a whole-tensor result: its brick's slice)."""
+        dense = dict(self.entries)
+        last = {pred: nid for nid in self.stored for pred in self.graph.node(nid).inputs}
         for nid, handle in self.stored.items():
             node = self.graph.node(nid)
-            sources = {pred: self.stored.get(pred) or self.entries[pred] for pred in node.inputs}
-            for gpos in handle.bricks():
-                shape, needs, offsets = patch_geometry(self.geom.rows(nid, gpos), len(node.inputs))
-                for n in range(self.batch):
-                    value = kernel_step(
-                        node, shape, needs, offsets,
-                        lambda pred, need, fill, n=n, s=sources: s[pred].gather(n, need, fill))
-                    handle.store_brick(n, gpos, value)
-                    if screen is not None:
-                        screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
-        return {eid: self.stored[eid] for eid in self.subgraph.exit_ids}
+            if by_tensor(node.op):
+                out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
+                if screen is not None:
+                    for gpos in handle.bricks():
+                        box, label = brick_box(self.geom.rows(nid, gpos)), self._label(node.name, gpos)
+                        for n in range(self.batch):
+                            screen(nid, out[n][box], subgraph_index, gpos, n, label)
+            else:
+                out = np.empty(node.spec.shape, node.spec.dtype)
+                for gpos in handle.bricks():
+                    rows = self.geom.rows(nid, gpos)
+                    shape, needs, offsets = patch_geometry(rows, len(node.inputs))
+                    box = brick_box(rows)
+                    for n in range(self.batch):
+                        out[n][box] = value = kernel_step(
+                            node, shape, needs, offsets,
+                            lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
+                        if screen is not None:
+                            screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
+            dense[nid] = out
+            for pred in set(node.inputs):
+                if last[pred] == nid and pred in self.stored and pred not in self.subgraph.exit_ids:
+                    del dense[pred]
+        return {eid: dense[eid] for eid in self.subgraph.exit_ids}
 
     # -- one brick of one node ---------------------------------------------------
     def emit(self, nid: int, gpos: tuple[int, ...], batch: int,

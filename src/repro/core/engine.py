@@ -410,10 +410,11 @@ class BrickDLEngine:
 
         The counters of a plan do not depend on the values flowing through
         it, so this is the only producer of outputs (a functional ``run``
-        calls it).  Plan entries run in order over dense activations --
-        gathering a patch from a dense or a bricked copy of the same values is
-        the same copy -- a merged one through its executor's schedule-free
-        ``values()``, a fallback one through the tiled path's full-tensor
+        calls it).  Plan entries run in order over dense ``(N, C, *S)``
+        arrays -- a brick's patch copied out of a dense array is the copy a
+        brick task gathers from its bricks -- a merged one through its
+        executor's schedule-free ``values()``, which returns its exits'
+        arrays, a fallback one through the tiled path's full-tensor
         arithmetic; an activation is dropped once its consumers have run.
         ``screen`` sees every array computed (see :data:`Screen`).
         """
@@ -434,11 +435,9 @@ class BrickDLEngine:
                     for gnode in group.nodes:
                         dense[gnode.node_id] = out
             else:
-                entries = {eid: DenseHandle(graph.node(eid).spec, None, dense[eid])
-                           for eid in sub.subgraph.entry_ids}
-                executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, None, entries, {})
-                for nid, handle in executor.values(screen, sub.index).items():
-                    dense[nid] = handle.data.to_dense()
+                executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, None,
+                                              {eid: dense[eid] for eid in sub.subgraph.entry_ids}, {})
+                dense.update(executor.values(screen, sub.index))
             for eid in self._retired(sub, remaining):
                 del dense[eid]
         return {n.name: dense[n.node_id] for n in graph.output_nodes}
@@ -497,7 +496,7 @@ class BrickDLEngine:
         shape = tuple(min(b, e) for b, e in zip(brick_shape, node.spec.spatial))
         buf = device.allocate(f"{node.name}/bricked", bricked_nbytes(node.spec, shape),
                               transient=True)
-        new = BrickedHandle.create(node.spec, shape, buf, values=False)
+        new = BrickedHandle.create(node.spec, shape, buf)
         # Brick creation cost (the paper notes it is minimal): one sweep of
         # the source plus per-brick writes so the brick-class residency model
         # sees the new layout.

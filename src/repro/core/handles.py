@@ -1,21 +1,16 @@
-"""Tensor handles: geometry plus a device buffer, or geometry plus values.
+"""Tensor handles: an activation's geometry bound to a device buffer.
 
-Executors manipulate activations through handles.  A handle on a device only
-counts: it emits the accesses a kernel makes to the simulated device and
-materializes no values (large benchmark configurations would not fit or would
-be too slow in NumPy).  Only a device-free handle (no buffer) carries values:
-the values pass (``BrickDLEngine.values``, the executors' ``values()``)
-gathers patches from it and stores bricks into it, and emits nothing.
+Executors manipulate activations through handles, and a handle only counts:
+it emits the accesses a kernel makes to the simulated device and holds no
+values (large benchmark configurations would not fit or would be too slow in
+NumPy).  Values never travel through a handle: the values pass
+(``BrickDLEngine.values``, the executors' ``values()``) moves plain dense
+``(N, C, *S)`` arrays, and a device-free executor's handles have no buffer
+and serve for their grid only.
 
 :class:`BrickedHandle` also centralizes the translation from *regions* to
 *brick accesses*: reading a halo-expanded region means reading every
 overlapping brick in full (the brick is the unit of data movement).
-
-Values move through one signature on both handle types: ``gather(batch,
-needs, fill)`` takes one absolute need interval per axis -- a geometry row's
-``need``s or a :class:`~repro.graph.regions.Region`, which is exactly that --
-and copies by :func:`~repro.core.bricked.patch_spans` (a dense activation is
-the grid of one brick per axis); a brick task stores the one brick it owns.
 """
 
 from __future__ import annotations
@@ -25,12 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from repro.core.brick import BrickMap
-from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes, flat_bricks, gather_dense
-from repro.errors import ExecutionError
-from repro.graph.regions import Interval, Region
+from repro.core.bricked import BrickGrid, bricked_nbytes, flat_bricks
+from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer, Task
 
@@ -43,12 +34,6 @@ class DenseHandle:
 
     spec: TensorSpec
     buffer: Buffer
-    data: np.ndarray | None = None
-
-    def require_data(self) -> np.ndarray:
-        if self.data is None:
-            raise ExecutionError(f"handle for {self.buffer.name!r} has no values (profile mode)")
-        return self.data
 
     def _region_access(self, batch: int, clipped: Region) -> tuple[int, int, tuple[tuple[int, int], ...]]:
         """(offset, segment_bytes, reps) for a row-major spatial region read
@@ -90,20 +75,15 @@ class DenseHandle:
     def emit_full_write(self, task: Task) -> None:
         task.write(self.buffer, 0, self.buffer.nbytes, dense=True)
 
-    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
-        """Dense ``(C, *need lengths)`` patch (API parity with BrickedHandle,
-        so merged executors can consume dense graph inputs directly)."""
-        return gather_dense(self.require_data()[batch], needs, fill)
-
 
 @dataclass
 class BrickedHandle:
-    """A brick-layout activation bound to a device buffer."""
+    """A brick-layout activation bound to a device buffer (None: geometry
+    only).  Bricks are stored row-major: a brick's flat index is physical."""
 
     spec: TensorSpec
     grid: BrickGrid
-    buffer: Buffer
-    data: BrickedTensor | None = None
+    buffer: Buffer | None
     brick_nbytes: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -111,36 +91,22 @@ class BrickedHandle:
                              * self.spec.itemsize)
 
     @classmethod
-    def create(
-        cls,
-        spec: TensorSpec,
-        brick_shape: tuple[int, ...],
-        buffer: Buffer,
-        values: bool,
-        brick_map: BrickMap | None = None,
-    ) -> "BrickedHandle":
-        grid = BrickGrid(spec.spatial, brick_shape)
-        data = BrickedTensor(spec, brick_shape, brick_map) if values else None
-        return cls(spec=spec, grid=grid, buffer=buffer, data=data)
+    def create(cls, spec: TensorSpec, brick_shape: tuple[int, ...], buffer: Buffer | None) -> "BrickedHandle":
+        return cls(spec=spec, grid=BrickGrid(spec.spatial, brick_shape), buffer=buffer)
 
     def nbytes(self) -> int:
         return bricked_nbytes(self.spec, self.grid.brick_shape)
 
     def physical(self, grid_pos: tuple[int, ...]) -> int:
-        if self.data is not None:
-            return self.data.brick_map.physical(grid_pos)
-        return self.grid.flat(grid_pos)  # profile mode: identity brick map
+        return self.grid.flat(grid_pos)
 
     def brick_offset(self, batch: int, grid_pos: tuple[int, ...]) -> int:
         return (batch * self.grid.num_bricks + self.physical(grid_pos)) * self.brick_nbytes
 
     def brick_offsets(self, batch: int, axis_terms: Sequence[Sequence[int]]) -> list[int]:
         """Byte offsets of a box of bricks, row-major, from its per-axis
-        stride terms (:meth:`BrickGrid.axis_terms`, or a geometry table row);
-        a values-carrying handle's brick map makes the flat indices physical."""
+        stride terms (:meth:`BrickGrid.axis_terms`, or a geometry table row)."""
         base, nbytes = batch * self.grid.num_bricks, self.brick_nbytes
-        if self.data is not None:
-            return [(base + f) * nbytes for f in self.data.brick_map.physical_flat(flat_bricks(axis_terms))]
         *outer, last = axis_terms
         return [(base + f + t) * nbytes for f in flat_bricks(outer) for t in last]
 
@@ -163,17 +129,6 @@ class BrickedHandle:
 
     def emit_brick_write(self, task: Task, batch: int, grid_pos: tuple[int, ...]) -> None:
         task.write(self.buffer, self.brick_offset(batch, grid_pos), self.brick_nbytes)
-
-    # -- values ---------------------------------------------------------------
-    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
-        if self.data is None:
-            raise ExecutionError(f"gather on profile-mode handle {self.buffer.name!r}")
-        return self.data.gather(batch, needs, fill)
-
-    def store_brick(self, batch: int, grid_pos: tuple[int, ...], values: np.ndarray) -> None:
-        if self.data is None:
-            raise ExecutionError(f"store on profile-mode handle {self.buffer.name!r}")
-        self.data.store_brick(batch, grid_pos, values)
 
     def bricks(self) -> Iterator[tuple[int, ...]]:
         """All grid positions, row-major."""

@@ -56,7 +56,22 @@ from repro.kernels.pointwise import (
 )
 from repro.kernels.pooling import global_avg_pool, pool_forward
 
-__all__ = ["apply_node_full", "apply_node_local", "pad_value_for"]
+__all__ = ["BY_TENSOR", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]
+
+BY_TENSOR = frozenset({"batchnorm", "bias", "add", "mul", "relu", "leaky_relu"})
+"""Ops (``kind``; an activation by its ``fn``) a values pass may run once over
+a whole tensor instead of once per brick: each output element of their kernels
+is one IEEE multiply / add / maximum / ``where`` of inputs at its position, so
+it gets the same bits at any array shape.  Not in it: ``sigmoid`` / ``tanh``
+(transcendental loops whose SIMD and scalar paths may round differently by
+array length), softmax (a channel sum whose order follows the layout), pools
+and convs (a window: a brick's patch is no slice of a whole-tensor call), and
+any subclass (another ``kind``: it may read a halo)."""
+
+
+def by_tensor(op: OpSpec) -> bool:
+    """Whether ``op`` is in :data:`BY_TENSOR`."""
+    return (op.fn if op.kind == "activation" else op.kind) in BY_TENSOR
 
 
 def pad_value_for(op: OpSpec) -> float:

@@ -2,7 +2,7 @@
 
 These build strided *views* (no copies, per the optimization guides) over the
 spatial dimensions of an ``(N, C, *spatial)`` activation, with stride and
-dilation applied by slicing.
+dilation folded into the view's strides.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
 
@@ -34,10 +34,12 @@ def spatial_windows(
     stride: Sequence[int],
     dilation: Sequence[int],
 ) -> np.ndarray:
-    """A view of shape ``(N, C, *out_spatial, *kernel)``.
+    """A read-only view of shape ``(N, C, *out_spatial, *kernel)``.
 
-    ``x`` must already include any padding.  Stride is applied by slicing the
-    output-position axes; dilation by slicing the window axes.
+    ``x`` must already include any padding.  The view is
+    ``sliding_window_view(x, k_eff)[..., ::stride, ::dilation]`` (stride on
+    the output-position axes, dilation on the window axes), built from its
+    shape and strides directly: the per-call cost of a brick's kernel.
     """
     nd = len(kernel)
     if x.ndim != 2 + nd:
@@ -46,7 +48,13 @@ def spatial_windows(
     for e, ke in zip(x.shape[2:], k_eff):
         if e < ke:
             raise ShapeError(f"window {k_eff} does not fit spatial extent {x.shape[2:]}")
-    v = sliding_window_view(x, k_eff, axis=tuple(range(2, 2 + nd)))
-    out_slices = tuple(slice(None, None, int(s)) for s in stride)
-    win_slices = tuple(slice(None, None, int(d)) for d in dilation)
-    return v[(slice(None), slice(None)) + out_slices + win_slices]
+    steps = x.strides[2:]
+    shape = (*x.shape[:2], *((e - ke) // s + 1 for e, ke, s in zip(x.shape[2:], k_eff, stride)), *kernel)
+    strides = (*x.strides[:2], *(t * s for t, s in zip(steps, stride)),
+               *(t * d for t, d in zip(steps, dilation)))
+    if not x.flags.c_contiguous:
+        return as_strided(x, shape, strides, writeable=False)
+    # A contiguous array is a buffer of its own: the cheapest constructor.
+    v = np.ndarray(shape, x.dtype, x, 0, strides)
+    v.flags.writeable = False
+    return v

@@ -6,7 +6,7 @@ lookups.  The oracle here never looks at an axis on its own: regions come
 from ``BrickGrid.brick_region``, needs from ``Region`` over ``op.rf_maps``,
 the padded closure from an N-D reverse traversal with ``Region.hull``, brick
 overlap from brute-force region intersection, and byte offsets from
-``BrickMap.physical`` one grid position at a time.
+``BrickGrid.flat`` one grid position at a time.
 """
 
 import itertools
@@ -17,8 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.brick import BrickMap
-from repro.core.bricked import BrickGrid, bricked_nbytes
+from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes
 from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.halo import padding_growth, required_regions
 from repro.core.handles import BrickedHandle
@@ -163,11 +162,7 @@ def subgraph_case(draw, endings=ENDINGS):
         # Clamped like the engine's conversion, or a shape of the entry's own.
         shape = (tuple(min(x, e) for x, e in zip(brick, spec.spatial)) if draw(st.booleans())
                  else tuple(draw(st.integers(1, 6)) for _ in range(rank)))
-        grid = BrickGrid(spec.spatial, shape)
-        perm = draw(st.permutations(range(grid.num_bricks)))
-        entries[eid] = BrickedHandle.create(
-            spec, shape, Buffer.new(f"e{eid}", bricked_nbytes(spec, shape)),
-            values=True, brick_map=BrickMap(grid.grid_shape, perm))
+        entries[eid] = BrickedHandle.create(spec, shape, Buffer.new(f"e{eid}", bricked_nbytes(spec, shape)))
     return view, brick, entries
 
 
@@ -186,8 +181,7 @@ def test_brick_rows_equal_region_algebra(case):
     sources = dict(entries)
     for nid in view.node_ids:
         spec = graph.node(nid).spec
-        sources[nid] = BrickedHandle.create(
-            spec, brick, Buffer.new(f"m{nid}", bricked_nbytes(spec, brick)), values=False)
+        sources[nid] = BrickedHandle.create(spec, brick, Buffer.new(f"m{nid}", bricked_nbytes(spec, brick)))
     for nid in view.node_ids:
         node = graph.node(nid)
         grid = sources[nid].grid
@@ -344,10 +338,10 @@ def test_per_axis_hull_would_overcount():
 
 def test_bricked_bytes_have_one_spelling():
     spec = TensorSpec(2, 3, (10, 7))
-    handle = BrickedHandle.create(spec, (4, 4), Buffer.new("b", bricked_nbytes(spec, (4, 4))),
-                                  values=True)
-    assert handle.nbytes() == bricked_nbytes(spec, (4, 4)) == handle.data.nbytes
-    assert handle.brick_nbytes == 3 * 16 * 4 == handle.data.brick_nbytes
+    handle = BrickedHandle.create(spec, (4, 4), Buffer.new("b", bricked_nbytes(spec, (4, 4))))
+    tensor = BrickedTensor(spec, (4, 4))
+    assert handle.nbytes() == bricked_nbytes(spec, (4, 4)) == tensor.nbytes
+    assert handle.brick_nbytes == 3 * 16 * 4 == tensor.brick_nbytes
     assert np.prod(handle.grid.grid_shape) * 2 * handle.brick_nbytes == handle.nbytes()
     with pytest.raises(ReproError):
         handle.grid.overlap_plan(Region([Interval(0, 1)]))

@@ -6,25 +6,34 @@ padding-free local kernel reproduces exactly the corresponding slice of the
 full-tensor result.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.bricked import BrickGrid, gather_dense
+from repro.core.bricktask import kernel_step
 from repro.errors import UnsupportedOpError
 from repro.graph.ops import (
     Activation,
     Add,
     BatchNorm,
+    Bias,
     Concat,
     Conv,
     ConvTranspose,
     Dense,
     GlobalAvgPool,
+    Mul,
     Pool,
     Softmax,
 )
 from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
-from repro.kernels import apply_node_full, apply_node_local, pad_value_for
+from repro.kernels import BY_TENSOR, apply_node_full, apply_node_local, by_tensor, pad_value_for
 
 
 def check_local_matches_full(op, input_arrays, out_region, rng):
@@ -129,3 +138,63 @@ def test_pad_value_only_maxpool_is_neg_inf():
     assert pad_value_for(Pool(kernel=(2, 2), mode="max")) == -np.inf
     assert pad_value_for(Pool(kernel=(2, 2), mode="avg")) == 0.0
     assert pad_value_for(Conv(out_channels=1, kernel=(3, 3))) == 0.0
+
+
+# -- whole-tensor members of a values pass ------------------------------------
+
+BY_TENSOR_OPS = {"batchnorm": BatchNorm(), "bias": Bias(), "add": Add(), "mul": Mul(),
+                 "relu": Activation("relu"), "leaky_relu": Activation("leaky_relu", 0.2)}
+# Values whose bits an inexact kernel would move: signed zeros, infinities,
+# NaN, denormals and the extremes of float32.
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-39,
+                    3.4e38, -3.4e38], np.float32)
+
+
+def test_by_tensor_is_the_exact_elementwise_set():
+    assert BY_TENSOR == set(BY_TENSOR_OPS)
+    assert all(by_tensor(op) for op in BY_TENSOR_OPS.values())
+    for op in (Activation("sigmoid"), Activation("tanh"), Softmax(), Concat(num_inputs=2),
+               Pool(kernel=(2, 2), mode="max"), Conv(out_channels=1, kernel=(1, 1))):
+        assert not by_tensor(op), op
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(BY_TENSOR)), st.data())
+def test_by_tensor_member_equals_its_bricks_bit_for_bit(kind, data):
+    """One whole-tensor ``apply_node_full`` is every brick's ``kernel_step``
+    (patches gathered as the values pass gathers them), slice by slice and
+    bit for bit, on 1-3-D maps whose boundary bricks overhang."""
+    op = BY_TENSOR_OPS[kind]
+    rank = data.draw(st.integers(1, 3), label="rank")
+    spatial = tuple(data.draw(st.lists(st.integers(1, 9), min_size=rank, max_size=rank), label="map"))
+    brick = tuple(data.draw(st.integers(1, e + 2), label="brick") for e in spatial)
+    batch, channels = data.draw(st.integers(1, 3), label="batch"), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    specs = [TensorSpec(batch, channels, spatial)] * op.arity
+    xs = []
+    for _ in specs:
+        x = rng.standard_normal((batch, channels, *spatial)).astype(np.float32)
+        special = rng.random(x.shape) < 0.2
+        x[special] = rng.choice(SPECIAL, int(special.sum()))
+        xs.append(x)
+    weights = op.init_weights(specs, rng)
+    node = SimpleNamespace(op=op, inputs=list(range(op.arity)), weights=weights)
+    with np.errstate(all="ignore"):
+        check_bricks_equal_whole(node, xs, BrickGrid(spatial, brick), specs)
+
+
+def check_bricks_equal_whole(node, xs, grid, specs):
+    op, batch = node.op, len(xs[0])
+    whole = apply_node_full(op, xs, node.weights)
+    for gpos in itertools.product(*map(range, grid.grid_shape)):
+        out = grid.brick_region(gpos, clipped=True)
+        maps = [op.rf_maps(specs, k) for k in range(op.arity)]
+        needs = [Region(m.in_interval(iv) for m, iv in zip(ms, out)) for ms in maps]
+        offsets = [tuple(m.local_out_offset(iv.lo, nv.lo) for m, iv, nv in zip(ms, out, need))
+                   for ms, need in zip(maps, needs)]
+        for n in range(batch):
+            value = kernel_step(node, out.shape, needs, offsets,
+                                lambda pred, need, fill: gather_dense(xs[pred][n], need, fill))
+            expected = whole[(n, slice(None), *out.slices())]
+            assert value.dtype == expected.dtype and value.shape == expected.shape
+            assert value.tobytes() == expected.tobytes(), (kind, gpos, n)

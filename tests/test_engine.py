@@ -163,22 +163,31 @@ class TestAttribution:
         assert "attribution" in capsys.readouterr().out
 
 
-def test_values_pass_stays_under_60_own_calls_per_task():
+def _warm_mobilenet_values(batch):
+    """Reduced mobilenet_v1 at ``batch``, its plan and an input, one
+    ``values()`` already run (weights drawn, geometry tables built)."""
+    graph = zoo.build("mobilenet_v1", reduced=True, batch=batch)
+    graph.init_weights()
+    engine = BrickDLEngine(graph)
+    plan = engine.compile()
+    x = np.random.default_rng(0).standard_normal(graph.input_nodes[0].spec.shape).astype(np.float32)
+    engine.values(x, plan)
+    return engine, plan, x
+
+
+def test_values_pass_stays_under_17_own_calls_per_task():
     """The values-pass twin of the benchmark's ``core.py_calls_per_task``:
     ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
     between versions), per task the counted run of the same plan submits
-    (37 today)."""
+    (15.4 today; 37 when every member ran brick by brick into a bricked
+    tensor)."""
     import cProfile
     import os
 
     import repro
 
-    graph = zoo.build("mobilenet_v1", reduced=True, batch=2)
-    graph.init_weights()
-    engine = BrickDLEngine(graph)
-    plan = engine.compile()
-    x = np.random.default_rng(0).standard_normal(graph.input_nodes[0].spec.shape).astype(np.float32)
+    engine, plan, x = _warm_mobilenet_values(2)
     num_tasks = engine.run(functional=False, plan=plan).metrics.num_tasks
     profiler = cProfile.Profile()
     profiler.enable()
@@ -190,10 +199,29 @@ def test_values_pass_stays_under_60_own_calls_per_task():
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
     per_task = calls / num_tasks
-    assert per_task <= 60, (
-        f"{per_task:.0f} calls into src/repro per counted task (budget 60): per-brick Python is "
-        "back on the values path -- the usual culprits are Region algebra "
-        "(graph/regions.py) and per-brick loops in core/bricked.py")
+    assert per_task <= 17, (
+        f"{per_task:.1f} calls into src/repro per counted task (budget 17): per-brick Python is "
+        "back on the values path -- the usual culprits are elementwise members run brick by "
+        "brick (kernels.BY_TENSOR), Region algebra (graph/regions.py) and per-brick loops in "
+        "core/bricked.py")
+
+
+def test_values_pass_peak_memory_stays_under_2_1_mb():
+    """tracemalloc peak of one warm batch-8 ``values()`` of reduced
+    mobilenet_v1: 1.9 MB today, 3.3 MB if members outlive their last
+    consumer, 5.0 MB when every member was a bricked tensor.  The benchmark
+    keeps every response, so a values pass that holds dead arrays shows up
+    in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
+    import tracemalloc
+
+    engine, plan, x = _warm_mobilenet_values(8)
+    tracemalloc.start()
+    try:
+        engine.values(x, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1e6, f"values() peaked at {peak / 1e6:.2f} MB (budget 2.1 MB)"
 
 
 @pytest.mark.parametrize("strategy, budget", [(Strategy.MEMOIZED, 140), (Strategy.PADDED, 170)],

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bricked import BrickedTensor, extract_patch, gather_dense
+from repro.core.bricked import BrickedTensor, bricked_nbytes, extract_patch, gather_dense
 from repro.core.bricktask import Recency, member_deps
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
@@ -20,7 +20,7 @@ from repro.graph.traversal import subgraph_view
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 
-from testlib import input_for
+from testlib import dense_entries, input_for
 
 
 def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None, spec=A100):
@@ -37,9 +37,8 @@ def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=Non
     entries = {}
     for eid in view.entry_ids:
         node = g.node(eid)
-        bt = BrickedTensor.from_dense(refs[node.name], brick)
-        buf = device.allocate(node.name, bt.nbytes)
-        entries[eid] = BrickedHandle(spec=node.spec, grid=bt.grid, buffer=buf, data=bt)
+        buf = device.allocate(node.name, bricked_nbytes(node.spec, brick))
+        entries[eid] = BrickedHandle.create(node.spec, brick, buf)
     weight_buffers = {}
     for nid in ids:
         node = g.node(nid)
@@ -86,19 +85,15 @@ CASES = [
 class TestEquivalence:
     def test_padded_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = PaddedBrickExecutor(view, (4, 4), None, entries, {}).values()
+        exits = PaddedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
         out_id = g.node(out_name).node_id
-        np.testing.assert_allclose(
-            exits[out_id].data.to_dense(), refs[out_name], atol=1e-4, rtol=1e-4
-        )
+        np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
     def test_memoized_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = MemoizedBrickExecutor(view, (4, 4), None, entries, {}).values()
+        exits = MemoizedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
         out_id = g.node(out_name).node_id
-        np.testing.assert_allclose(
-            exits[out_id].data.to_dense(), refs[out_name], atol=1e-4, rtol=1e-4
-        )
+        np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
 
 EXECUTORS = [PaddedBrickExecutor, MemoizedBrickExecutor, WavefrontBrickExecutor]
@@ -126,13 +121,14 @@ class TestDataPathEdgeCases:
     def _run(self, executor_cls, make_graph, members, brick, entry_brick, x=None):
         g, view, device, entries, wb, refs = build_subgraph_fixture(
             make_graph, members, brick=entry_brick, x=x)
-        exits = executor_cls(view, brick, None, entries, {}).values()
-        return exits[g.node("out").node_id].data.to_dense(), refs["out"]
+        exits = executor_cls(view, brick, None, dense_entries(g, view, refs), {}).values()
+        return exits[g.node("out").node_id], refs["out"]
 
     def test_entry_on_its_own_grid(self, executor_cls):
-        """The entry was bricked by a producer with brick 8 (one overhanging
-        brick over the 6x6 map); the consumer's bricks are 4.  The patch
-        slices must come from the *entry's* grid."""
+        """The entry's producer bricked it with brick 8 (one overhanging
+        brick over the 6x6 map); the consumer's bricks are 4.  Counting reads
+        the entry's grid, values gather from its dense array: the consumer's
+        patches must not depend on the entry's bricks."""
         out, ref = self._run(executor_cls, clamped_entry, ("conv", "out"), (4, 4), (8, 8))
         np.testing.assert_allclose(out, ref, atol=1e-5, rtol=1e-5)
 

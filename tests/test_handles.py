@@ -1,29 +1,30 @@
-"""Tensor handle tests: access emission geometry and mode guards."""
+"""Tensor handle tests: access emission geometry."""
 
 import numpy as np
-import pytest
 
+from repro.core.bricked import gather_dense
 from repro.core.handles import BrickedHandle, DenseHandle
-from repro.errors import ExecutionError
 from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer, Task
 
 
-def dense_handle(functional=True, spatial=(8, 12), c=2):
+def dense_handle(spatial=(8, 12), c=2):
     spec = TensorSpec(1, c, spatial)
-    buf = Buffer.new("d", spec.nbytes)
-    data = np.arange(spec.num_elements, dtype=np.float32).reshape(spec.shape) if functional else None
-    return DenseHandle(spec, buf, data)
+    return DenseHandle(spec, Buffer.new("d", spec.nbytes))
 
 
-def bricked_handle(functional=True, spatial=(8, 12), c=2, brick=(4, 4)):
+def dense_values(spatial=(8, 12), c=2):
+    return np.arange(c * np.prod(spatial), dtype=np.float32).reshape(1, c, *spatial)
+
+
+def bricked_handle(spatial=(8, 12), c=2, brick=(4, 4)):
     spec = TensorSpec(1, c, spatial)
     import math
 
     grid_bricks = math.prod(-(-e // b) for e, b in zip(spatial, brick))
     buf = Buffer.new("b", grid_bricks * c * math.prod(brick) * 4)
-    return BrickedHandle.create(spec, brick, buf, functional)
+    return BrickedHandle.create(spec, brick, buf)
 
 
 class TestDenseHandle:
@@ -52,19 +53,15 @@ class TestDenseHandle:
         assert not task.accesses
 
     def test_gather_matches_data(self):
-        h = dense_handle()
-        patch = h.gather(0, Region.from_bounds([1, 2], [4, 6]))
-        np.testing.assert_array_equal(patch, h.data[0][:, 1:4, 2:6])
+        """A dense activation's values are gathered from the array itself."""
+        data = dense_values()
+        patch = gather_dense(data[0], Region.from_bounds([1, 2], [4, 6]))
+        np.testing.assert_array_equal(patch, data[0][:, 1:4, 2:6])
 
     def test_gather_fill_outside(self):
-        h = dense_handle()
-        patch = h.gather(0, Region.from_bounds([-1, 0], [1, 2]), fill=-7.0)
+        patch = gather_dense(dense_values()[0], Region.from_bounds([-1, 0], [1, 2]), fill=-7.0)
         assert (patch[:, 0, :] == -7.0).all()
-
-    def test_profile_mode_guard(self):
-        h = dense_handle(functional=False)
-        with pytest.raises(ExecutionError):
-            h.require_data()
+        np.testing.assert_array_equal(patch[:, 1, :], dense_values()[0][:, 0, 0:2])
 
 
 class TestBrickedHandle:
@@ -89,14 +86,8 @@ class TestBrickedHandle:
         (a,) = task.accesses
         assert a.write and a.offset == h.brick_offset(0, (1, 2))
 
-    def test_profile_mode_has_no_data(self):
-        h = bricked_handle(functional=False)
-        assert h.data is None
-        with pytest.raises(ExecutionError):
-            h.gather(0, Region.from_bounds([0, 0], [2, 2]))
-
     def test_profile_physical_is_identity(self):
-        h = bricked_handle(functional=False)
+        h = bricked_handle()
         assert h.physical((1, 2)) == 1 * 3 + 2
 
     def test_bricks_enumerates_grid(self):

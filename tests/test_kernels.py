@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from repro.errors import ShapeError
@@ -206,3 +209,25 @@ class TestWindows:
         out = pad_spatial(x, (1, 1), value=-np.inf)
         assert np.isinf(out[0, 0, 0, 0])
         assert out.shape == (1, 1, 4, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_view_equals_the_sliced_sliding_window_view(self, data):
+        """Shape, strides, values and read-only flag of the reference view,
+        for C-contiguous and strided inputs."""
+        rank = data.draw(st.integers(1, 3), label="rank")
+        axes = st.lists(st.integers(1, 3), min_size=rank, max_size=rank)
+        kernel = tuple(data.draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank), label="kernel"))
+        stride, dilation = tuple(data.draw(axes, label="stride")), tuple(data.draw(axes, label="dilation"))
+        k_eff = tuple((k - 1) * d + 1 for k, d in zip(kernel, dilation))
+        spatial = tuple(data.draw(st.integers(ke, ke + 5)) for ke in k_eff)
+        x = np.arange(2 * 3 * np.prod(spatial), dtype=np.float32).reshape(2, 3, *spatial)
+        if data.draw(st.booleans(), label="strided"):
+            x = x[:, 1:]
+        ref = sliding_window_view(x, k_eff, axis=tuple(range(2, 2 + rank)))[
+            (slice(None), slice(None), *(slice(None, None, s) for s in stride),
+             *(slice(None, None, d) for d in dilation))]
+        got = spatial_windows(x, kernel, stride, dilation)
+        assert got.shape == ref.shape and got.strides == ref.strides
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, ref)

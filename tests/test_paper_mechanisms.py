@@ -48,18 +48,16 @@ class TestFig1RedundantComputation:
     def test_memoized_computes_each_brick_once(self):
         g = fig1_graph()
         g.init_weights()
-        from repro.core.bricked import BrickedTensor
+        from repro.core.bricked import bricked_nbytes
         from repro.core.handles import BrickedHandle
         from repro.core.memoized import MemoizedBrickExecutor
         from repro.graph.traversal import subgraph_view
         from repro.gpusim.device import Device
 
-        x = input_for(g)
         view = subgraph_view(g, [1, 2])
         dev = Device()
-        bt = BrickedTensor.from_dense(x, (8,))
-        entry = BrickedHandle(spec=g.node(0).spec, grid=bt.grid,
-                              buffer=dev.allocate("in", bt.nbytes), data=bt)
+        spec = g.node(0).spec
+        entry = BrickedHandle.create(spec, (8,), dev.allocate("in", bricked_nbytes(spec, (8,))))
         ex = MemoizedBrickExecutor(view, (8,), dev, {0: entry}, {})
         ex.run()
         total_bricks = sum(h.grid.num_bricks for h in ex.memo.values())

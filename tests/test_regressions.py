@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.core.bricked import BrickedTensor
+from repro.core.bricked import bricked_nbytes
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import HALO_NEIGHBORHOOD_BRICKS, MemoizedBrickExecutor
 from repro.core.padded import PaddedBrickExecutor
@@ -32,7 +32,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 from repro.kernels import apply_node_local
 
-from testlib import input_for
+from testlib import dense_entries, input_for
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,8 @@ def _memoized_fixture(g, members, brick=(4, 4), spec=A100):
     entries = {}
     for eid in view.entry_ids:
         node = g.node(eid)
-        bt = BrickedTensor.from_dense(refs[node.name], brick)
-        buf = device.allocate(node.name, bt.nbytes)
-        entries[eid] = BrickedHandle(spec=node.spec, grid=bt.grid, buffer=buf, data=bt)
+        buf = device.allocate(node.name, bricked_nbytes(node.spec, brick))
+        entries[eid] = BrickedHandle.create(node.spec, brick, buf)
     weight_buffers = {}
     for nid in ids:
         node = g.node(nid)
@@ -154,11 +153,9 @@ class TestExecutorPerInputOffsets:
         g = lopsided_graph()
         members = ("root", "left", "right", "join", "out")
         view, device, entries, wb, refs = _memoized_fixture(g, members)
-        exits = MemoizedBrickExecutor(view, (4, 4), None, entries, {}).values()
+        exits = MemoizedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
         out_id = g.node("out").node_id
-        np.testing.assert_allclose(
-            exits[out_id].data.to_dense(), refs["out"], atol=1e-4, rtol=1e-4
-        )
+        np.testing.assert_allclose(exits[out_id], refs["out"], atol=1e-4, rtol=1e-4)
 
 
     @pytest.mark.parametrize("executor_cls", [
@@ -175,9 +172,8 @@ class TestExecutorPerInputOffsets:
         g = b.finish()
         g.node("join").op = HaloAdd()
         view, device, entries, wb, refs = _memoized_fixture(g, ("body", "join", "out"))
-        exits = executor_cls(view, (4, 4), None, entries, {}).values()
-        np.testing.assert_allclose(
-            exits[g.node("out").node_id].data.to_dense(), refs["out"], atol=1e-5, rtol=1e-5)
+        exits = executor_cls(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
+        np.testing.assert_allclose(exits[g.node("out").node_id], refs["out"], atol=1e-5, rtol=1e-5)
 
 
 class TestCoalescingWindow:

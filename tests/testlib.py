@@ -51,6 +51,11 @@ def input_for(graph, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(spec.shape).astype(np.float32)
 
 
+def dense_entries(graph, view, refs) -> dict[int, np.ndarray]:
+    """A device-free executor's entries: the reference activations."""
+    return {eid: refs[graph.node(eid).name] for eid in view.entry_ids}
+
+
 @st.composite
 def random_dag(draw):
     """A random small DAG mixing convs, pointwise ops, adds and concats.
