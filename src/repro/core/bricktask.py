@@ -17,7 +17,9 @@ its schedule, so values have one producer, ``values()``: every member once
 with no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values`
 per exit brick).  An executor built without a ``device`` is that producer:
 its entries are dense ``(N, C, *S)`` arrays, each member's values are one
-such array, and its handles get no buffers -- they give grids only.
+such array, and its handles get no buffers -- they give grids only.  The
+emitters count one task per brick; the values pass dispatches per class of
+equal-geometry bricks, in stacks :data:`~repro.kernels.STACKABLE` proves exact.
 
 An emitter builds rows, not calls: what every task of a node shares (its
 weight row, its input sources, the whole-buffer tokens of its entries) is
@@ -37,7 +39,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bricked import bricked_nbytes, extract_patch, flat_bricks, gather_dense
+from repro.core.bricked import bricked_nbytes, extract_patch, flat_bricks, gather_dense, patch_spans
 from repro.core.geometry import AxisRow, EdgeRow, SubgraphGeometry, patch_geometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
@@ -47,7 +49,7 @@ from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
-from repro.kernels import apply_node_full, apply_node_local, by_tensor, pad_value_for
+from repro.kernels import STACKABLE, apply_node_full, apply_node_local, by_tensor, pad_value_for
 
 __all__ = ["BrickTasks", "Recency", "brick_box", "kernel_step", "member_deps", "require_values"]
 
@@ -104,8 +106,8 @@ def kernel_step(node: Node, shape: tuple[int, ...], needs: Sequence[Sequence[Int
     the op's local kernel for an output of ``shape``.  Inputs may carry
     differing halos, so each patch is aligned by its own ``offsets``."""
     fill = pad_value_for(node.op)
-    patches = [fetch(pred, need, fill) for pred, need in zip(node.inputs, needs)]
-    return apply_node_local(node.op, patches, node.weights, shape, offsets)
+    patches = [fetch(pred, need, fill)[None] for pred, need in zip(node.inputs, needs)]
+    return apply_node_local(node.op, patches, node.weights, shape, offsets)[0]
 
 
 def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
@@ -281,38 +283,57 @@ class BrickTasks:
         """The exits' values with no schedule: no task, no tag, no barrier.
         Members run in subgraph order, each into one dense ``(N, C, *S)``
         array dropped after its last consumer here: one kernel call over the
-        batch for a member in :data:`~repro.kernels.BY_TENSOR`, else one per
-        brick and sample on a patch copied out of its producers' arrays.
-        ``screen`` sees every (node, brick, sample) in that order, named by
-        the task that counts it (a whole-tensor result: its brick's slice)."""
+        batch for a member in :data:`~repro.kernels.BY_TENSOR`, else
+        :meth:`_fill_by_class`.  Once a member's array is filled, ``screen``
+        sees each of its (brick, sample) slices in brick order, named by the
+        task that counts it."""
         dense = dict(self.entries)
         last = {pred: nid for nid in self.stored for pred in self.graph.node(nid).inputs}
         for nid, handle in self.stored.items():
             node = self.graph.node(nid)
             if by_tensor(node.op):
                 out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
-                if screen is not None:
-                    for gpos in handle.bricks():
-                        box, label = brick_box(self.geom.rows(nid, gpos)), self._label(node.name, gpos)
-                        for n in range(self.batch):
-                            screen(nid, out[n][box], subgraph_index, gpos, n, label)
             else:
                 out = np.empty(node.spec.shape, node.spec.dtype)
+                self._fill_by_class(out, node, handle, [dense[pred] for pred in node.inputs])
+            if screen is not None:
                 for gpos in handle.bricks():
-                    rows = self.geom.rows(nid, gpos)
-                    shape, needs, offsets = patch_geometry(rows, len(node.inputs))
-                    box = brick_box(rows)
+                    box, label = brick_box(self.geom.rows(nid, gpos)), self._label(node.name, gpos)
                     for n in range(self.batch):
-                        out[n][box] = value = kernel_step(
-                            node, shape, needs, offsets,
-                            lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
-                        if screen is not None:
-                            screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
+                        screen(nid, out[n][box], subgraph_index, gpos, n, label)
             dense[nid] = out
             for pred in set(node.inputs):
                 if last[pred] == nid and pred in self.stored and pred not in self.subgraph.exit_ids:
                     del dense[pred]
         return {eid: dense[eid] for eid in self.subgraph.exit_ids}
+
+    def _fill_by_class(self, out: np.ndarray, node: Node, handle: BrickedHandle,
+                       sources: list[np.ndarray]) -> None:
+        """Fill ``out`` item by item -- a (brick, sample) with one patch per
+        input copied out of ``sources`` -- in one kernel call per stack of up
+        to :data:`~repro.kernels.STACKABLE` items of equal output shape,
+        offsets and need lengths.  The stacks and ``sources`` die with this
+        frame, so a producer the caller drops is freed before the next array."""
+        fill, limit = pad_value_for(node.op), STACKABLE.get(node.op.kind, 1)
+        classes: dict[tuple, list] = {}
+        for gpos in handle.bricks():
+            rows = self.geom.rows(node.node_id, gpos)
+            shape, needs, offsets = patch_geometry(rows, len(node.inputs))
+            spans = [patch_spans(need, src.shape[2:], src.shape[2:]) for need, src in zip(needs, sources)]
+            key = (shape, offsets, tuple(tuple(iv.hi - iv.lo for iv in need) for need in needs))
+            classes.setdefault(key, []).extend([(spans, brick_box(rows), n) for n in range(self.batch)])
+        for (shape, offsets, lengths), items in classes.items():
+            for at in range(0, len(items), limit):
+                part = items[at:at + limit]
+                patches = [np.full((len(part), src.shape[1], *length), fill, src.dtype)
+                           for src, length in zip(sources, lengths)]
+                for i, (spans, _, n) in enumerate(part):
+                    for patch, src, span in zip(patches, sources, spans):
+                        if span is not None:
+                            patch[i][span[2]] = src[n][span[1]]
+                results = apply_node_local(node.op, patches, node.weights, shape, offsets)
+                for (_, box, n), value in zip(part, results):
+                    out[n][box] = value
 
     # -- one brick of one node ---------------------------------------------------
     def emit(self, nid: int, gpos: tuple[int, ...], batch: int,

@@ -10,6 +10,7 @@ exactly.
 :mod:`repro.kernels.dispatch` is the entry point used by all executors.
 """
 
-from repro.kernels.dispatch import BY_TENSOR, apply_node_full, apply_node_local, by_tensor, pad_value_for
+from repro.kernels.dispatch import (BY_TENSOR, STACKABLE, apply_node_full, apply_node_local, by_tensor,
+                                    pad_value_for)
 
-__all__ = ["BY_TENSOR", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]
+__all__ = ["BY_TENSOR", "STACKABLE", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]

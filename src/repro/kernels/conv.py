@@ -1,9 +1,11 @@
 """N-dimensional convolution kernels (2-D and 3-D, strided/dilated/grouped).
 
 The forward pass builds a strided window view and contracts it with the
-weight tensor via a single ``einsum`` -- one fused multiply-accumulate sweep,
-no Python loops, matching the im2col+GEMM structure of cuDNN's implicit-GEMM
-algorithms.
+weight tensor in one ``einsum`` -- the im2col+GEMM structure of cuDNN's
+implicit-GEMM algorithms, no Python loops.  The sample axis is a batch letter
+of both operands (the weight broadcast along it), never folded into a GEMM's
+rows, whose blocking BLAS picks by shape: each sample gets the bits of a call
+on it alone, so a stack of brick patches runs as one call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ def conv_forward(
     """Convolve ``x (N, C, *S)`` with ``weight (O, C/groups, *K)``.
 
     Symmetric zero padding; returns a C-contiguous ``(N, O, *S_out)`` array
-    in ``x``'s dtype.
+    in ``x``'s dtype whose sample ``i`` is bit for bit that of
+    ``conv_forward(x[i:i + 1], ...)``.
     """
     nd = weight.ndim - 2
     kernel = weight.shape[2:]
@@ -52,16 +55,17 @@ def conv_forward(
 
     sp = SPATIAL_LETTERS[:nd]
     kl = KERNEL_LETTERS[:nd]
+    out_spatial = v.shape[2 : 2 + nd]
     if groups == 1:
-        out = np.einsum(f"nc{sp}{kl},oc{kl}->no{sp}", v, weight, optimize=True)
+        out = np.einsum(f"bnc{sp}{kl},boc{kl}->bno{sp}", v[:, None],
+                        np.broadcast_to(weight, (n, *weight.shape)), optimize=True)
     else:
-        out_spatial = v.shape[2 : 2 + nd]
-        vg = v.reshape(n, groups, c_per_group, *out_spatial, *kernel)
+        vg = v.reshape(n, 1, groups, c_per_group, *out_spatial, *kernel)
         wg = weight.reshape(groups, o // groups, c_per_group, *kernel)
-        og = np.einsum(f"ngc{sp}{kl},goc{kl}->ngo{sp}", vg, wg, optimize=True)
-        out = og.reshape(n, o, *out_spatial)
+        out = np.einsum(f"bngc{sp}{kl},bgoc{kl}->bngo{sp}", vg,
+                        np.broadcast_to(wg, (n, *wg.shape)), optimize=True)
 
-    out = np.ascontiguousarray(out, dtype=x.dtype)
+    out = np.ascontiguousarray(out.reshape(n, o, *out_spatial), dtype=x.dtype)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(x.dtype)
     return out

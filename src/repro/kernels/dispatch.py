@@ -7,11 +7,12 @@ Two entry points:
   the local path) and for the global ops (dense heads, global pooling) that
   BrickDL hands off to the vendor library (section 3.3.3).
 
-* :func:`apply_node_local` -- execute an op on a *patch*: the caller has
-  gathered exactly the input region reported by the op's receptive-field
-  maps (zero/neutral-filled beyond the feature map) and wants the outputs for
-  its target region.  This is the primitive both merged-execution strategies
-  call per brick, mirroring BrickDL's fine-grained cuDNN invocations.
+* :func:`apply_node_local` -- execute an op on a stack of *patches*: the
+  caller has gathered exactly the input region reported by the op's
+  receptive-field maps (zero/neutral-filled beyond the feature map) and wants
+  the outputs for its target region.  This is the primitive the merged
+  strategies call for bricks (one per call, or a :data:`STACKABLE` stack),
+  mirroring BrickDL's fine-grained cuDNN invocations.
 
 The local path never applies feature-map padding itself: implicit zeros are
 already materialized in the patch.  Transposed convolutions over-produce and
@@ -56,7 +57,7 @@ from repro.kernels.pointwise import (
 )
 from repro.kernels.pooling import global_avg_pool, pool_forward
 
-__all__ = ["BY_TENSOR", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]
+__all__ = ["BY_TENSOR", "STACKABLE", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]
 
 BY_TENSOR = frozenset({"batchnorm", "bias", "add", "mul", "relu", "leaky_relu"})
 """Ops (``kind``; an activation by its ``fn``) a values pass may run once over
@@ -72,6 +73,14 @@ any subclass (another ``kind``: it may read a halo)."""
 def by_tensor(op: OpSpec) -> bool:
     """Whether ``op`` is in :data:`BY_TENSOR`."""
     return (op.fn if op.kind == "activation" else op.kind) in BY_TENSOR
+
+
+STACKABLE = {"conv": 32}
+"""Op ``kind`` -> items a values pass may stack into one :func:`apply_node_local`
+call (one for any other op).  ``conv_forward`` makes the stack a GEMM batch
+axis, so each item of a ``Conv`` (plain, grouped, depthwise, strided, dilated,
+1-3-D) gets the bits of its own call; the bound keeps the stacked copy small.
+Pools, transposed convs, subclasses and fused ops would need their own proof."""
 
 
 def pad_value_for(op: OpSpec) -> float:
@@ -96,9 +105,12 @@ def apply_node_full(op: OpSpec, inputs: Sequence[np.ndarray], weights: dict[str,
             out = apply_node_full(stage, [out], sw)
         return out
     if isinstance(op, (Conv, ConvTranspose, Dense)) and len(inputs[0]) > 1:
-        # BLAS picks its GEMM kernel by shape, so a batched product is not
-        # bit-identical to the same samples multiplied alone.  Every sample
-        # takes the batch-1 path: outputs never depend on their batch-mates.
+        # BLAS picks its GEMM kernel by shape, so a batched ConvTranspose or
+        # Dense product is not bit-identical to the same samples multiplied
+        # alone: every sample takes the batch-1 path, and outputs never
+        # depend on their batch-mates.  conv_forward is per sample by
+        # construction; a Conv loops anyway to bound its im2col copy to one
+        # sample (a values pass's peak memory).
         x = inputs[0]
         return np.concatenate([apply_node_full(op, [x[i:i + 1]], weights) for i in range(len(x))])
     if isinstance(op, Conv):
@@ -157,10 +169,10 @@ def _per_input_offsets(
 
 
 def _align(patch: np.ndarray, offsets: tuple[int, ...], out_spatial: tuple[int, ...]) -> np.ndarray:
-    """Crop an elementwise input patch to its aligned output window."""
-    if patch.shape[1:] == tuple(out_spatial) and not any(offsets):
+    """Crop a ``(B, C, *P)`` stack of patches to its aligned output window."""
+    if patch.shape[2:] == tuple(out_spatial) and not any(offsets):
         return patch
-    crop = (slice(None),) + tuple(slice(o, o + e) for o, e in zip(offsets, out_spatial))
+    crop = (slice(None), slice(None)) + tuple(slice(o, o + e) for o, e in zip(offsets, out_spatial))
     return np.ascontiguousarray(patch[crop])
 
 
@@ -171,17 +183,18 @@ def apply_node_local(
     out_spatial: tuple[int, ...],
     offsets: Sequence,
 ) -> np.ndarray:
-    """Execute ``op`` on gathered patches for one output region.
+    """Execute ``op`` on gathered patches: ``(B, C_out, *out_spatial)``.
 
     Parameters
     ----------
     patches:
-        One ``(C, *patch_spatial)`` array per op input (a single batch
-        sample -- bricks belong to one sample), covering exactly the region
-        the op's :meth:`rf_maps` report for the target output region
-        (neutral-filled outside the feature map).
+        One ``(B, C, *patch_spatial)`` stack per op input: ``B`` items (a
+        brick of one sample each; more than one only as :data:`STACKABLE`
+        allows) of equal geometry, each covering exactly the region the op's
+        :meth:`rf_maps` report for its target output region (neutral-filled
+        outside the feature map).
     out_spatial:
-        Spatial shape of the requested output region.
+        Spatial shape of each item's requested output region.
     offsets:
         Offsets (from ``RFMap.local_out_offset``) at which the requested
         region starts inside the kernel's local output: either one per-dim
@@ -201,20 +214,16 @@ def apply_node_local(
             local = apply_node_local(stage, [local], sw, out_spatial, zero)
         return local
     per_input = _per_input_offsets(offsets, len(patches), ndim)
-    patches = [p[None] for p in patches]  # kernels expect a batch axis
     # Multi-input ops combine elementwise: each patch is positioned by its
     # *own* receptive-field map, so align every input to the requested output
     # window before combining (inputs may carry different halos).
     if isinstance(op, (Add, Mul, Concat)):
-        aligned = [
-            _align(p[0], off, out_spatial)[None]
-            for p, off in zip(patches, per_input)
-        ]
+        aligned = [_align(p, off, out_spatial) for p, off in zip(patches, per_input)]
         if isinstance(op, Add):
-            return elementwise_add(aligned[0], aligned[1])[0]
+            return elementwise_add(aligned[0], aligned[1])
         if isinstance(op, Mul):
-            return elementwise_mul(aligned[0], aligned[1])[0]
-        return np.ascontiguousarray(np.concatenate(list(aligned), axis=1))[0]
+            return elementwise_mul(aligned[0], aligned[1])
+        return np.ascontiguousarray(np.concatenate(aligned, axis=1))
 
     offsets = per_input[0]
     if isinstance(op, Conv):
@@ -236,11 +245,4 @@ def apply_node_local(
         local = channel_softmax(patches[0])
     else:
         raise UnsupportedOpError(f"op {op.kind!r} is not brick-local (global ops run un-bricked)")
-
-    local = local[0]  # drop the batch axis again
-    if local.shape[1:] == tuple(out_spatial) and not any(offsets):
-        return local
-    crop = (slice(None),) + tuple(
-        slice(o, o + e) for o, e in zip(offsets, out_spatial)
-    )
-    return np.ascontiguousarray(local[crop])
+    return _align(local, offsets, out_spatial)

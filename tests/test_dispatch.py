@@ -57,7 +57,7 @@ def check_local_matches_full(op, input_arrays, out_region, rng):
             patch[dst] = arr[src]
         patches.append(patch)
 
-    local = apply_node_local(op, patches, weights, out_region.shape, offsets)
+    local = apply_node_local(op, [p[None] for p in patches], weights, out_region.shape, offsets)[0]
     expected = full[(0, slice(None), *out_region.slices())]
     np.testing.assert_allclose(local, expected, atol=1e-4, rtol=1e-4)
 

@@ -1,11 +1,16 @@
 """BrickDL engine tests: compilation decisions and end-to-end execution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.bricked import gather_dense
+from repro.core.bricktask import brick_box, kernel_step
 from repro.core.engine import BrickDLEngine
+from repro.core.geometry import patch_geometry
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError
@@ -175,12 +180,13 @@ def _warm_mobilenet_values(batch):
     return engine, plan, x
 
 
-def test_values_pass_stays_under_17_own_calls_per_task():
+def test_values_pass_stays_under_7_own_calls_per_task():
     """The values-pass twin of the benchmark's ``core.py_calls_per_task``:
     ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
     between versions), per task the counted run of the same plan submits
-    (15.4 today; 37 when every member ran brick by brick into a bricked
+    (6.5 today; 14.3 when every conv brick gathered its patch and made its
+    own kernel call, 37 when every member ran brick by brick into a bricked
     tensor)."""
     import cProfile
     import os
@@ -199,19 +205,45 @@ def test_values_pass_stays_under_17_own_calls_per_task():
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
     per_task = calls / num_tasks
-    assert per_task <= 17, (
-        f"{per_task:.1f} calls into src/repro per counted task (budget 17): per-brick Python is "
+    assert per_task <= 7.1, (
+        f"{per_task:.1f} calls into src/repro per counted task (budget 7.1): per-item Python is "
         "back on the values path -- the usual culprits are elementwise members run brick by "
-        "brick (kernels.BY_TENSOR), Region algebra (graph/regions.py) and per-brick loops in "
-        "core/bricked.py")
+        "brick (kernels.BY_TENSOR), per-sample calls in BrickTasks._fill_by_class, Region "
+        "algebra (graph/regions.py) and per-brick loops in core/bricked.py")
+
+
+def test_values_pass_makes_at_most_150_kernel_calls_per_batch(monkeypatch):
+    """Kernel calls (``apply_node_local`` + ``apply_node_full``, every alias
+    patched, recursion included) of one warm batch-8 ``values()`` of reduced
+    mobilenet_v1: a conv member's bricks of equal geometry share stacked
+    calls (about 1,740 when every brick and sample made its own)."""
+    import sys
+
+    from repro.kernels import dispatch
+
+    engine, plan, x = _warm_mobilenet_values(8)
+    calls = []
+    for name in ("apply_node_local", "apply_node_full"):
+        real = getattr(dispatch, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real)
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    engine.values(x, plan)
+    assert 0 < len(calls) <= 150, f"{len(calls)} kernel calls per batch-8 values() (budget 150)"
 
 
 def test_values_pass_peak_memory_stays_under_2_1_mb():
     """tracemalloc peak of one warm batch-8 ``values()`` of reduced
     mobilenet_v1: 1.9 MB today, 3.3 MB if members outlive their last
-    consumer, 5.0 MB when every member was a bricked tensor.  The benchmark
-    keeps every response, so a values pass that holds dead arrays shows up
-    in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
+    consumer, 5.0 MB when every member was a bricked tensor, 6.4 MB when a
+    conv class ran as one stack (no ``kernels.STACKABLE`` bound).  The
+    benchmark keeps every response, so a values pass that holds dead arrays
+    shows up in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
     import tracemalloc
 
     engine, plan, x = _warm_mobilenet_values(8)
@@ -315,6 +347,57 @@ def test_values_equal_functional_run_on_the_zoo(model, strategy):
 @given(random_dag(), st.sampled_from([None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT]))
 def test_values_equal_functional_run_on_random_dags(graph, strategy):
     _assert_values_equal_functional_runs(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
+
+
+def _per_brick_values(self, screen=None, subgraph_index=None):
+    """Oracle for ``BrickTasks.values``: every member brick by brick and
+    sample by sample, one ``kernel_step`` each on a patch gathered from its
+    producers' dense arrays, screened as it is computed."""
+    dense = dict(self.entries)
+    for nid, handle in self.stored.items():
+        node = self.graph.node(nid)
+        out = np.empty(node.spec.shape, node.spec.dtype)
+        for gpos in handle.bricks():
+            rows = self.geom.rows(nid, gpos)
+            shape, needs, offsets = patch_geometry(rows, len(node.inputs))
+            for n in range(self.batch):
+                out[n][brick_box(rows)] = value = kernel_step(
+                    node, shape, needs, offsets,
+                    lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
+                if screen is not None:
+                    screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
+        dense[nid] = out
+    return {eid: dense[eid] for eid in self.subgraph.exit_ids}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("strategy", [Strategy.MEMOIZED, Strategy.WAVEFRONT], ids=lambda s: s.value)
+@pytest.mark.parametrize("model", sorted(zoo.MODELS))
+def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeypatch):
+    """The class-stacked values pass (stacked convs, whole-tensor elementwise
+    members, overhanging boundary bricks in classes of their own) gives the
+    bytes of one ``kernel_step`` per (brick, sample), and ``screen`` sees the
+    same (node, subgraph, brick, sample, label) sequence with the same bytes."""
+    from repro.core.bricktask import BrickTasks
+
+    engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
+    plan = engine.compile()
+    x = np.random.default_rng(batch).standard_normal(engine.graph.input_nodes[0].spec.shape)
+    x = x.astype(np.float32)
+
+    def screened():
+        seen = []
+        out = engine.values(x, plan, screen=lambda nid, value, *where: seen.append(
+            (nid, *where, value.shape, hashlib.sha256(np.ascontiguousarray(value)).hexdigest())))
+        return out, seen
+
+    got, got_seen = screened()
+    monkeypatch.setattr(BrickTasks, "values", _per_brick_values)
+    want, want_seen = screened()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert got_seen == want_seen
 
 
 def test_values_builds_no_device_task_or_schedule(monkeypatch):

@@ -8,7 +8,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from repro.errors import ShapeError
+from repro.graph.ops import (
+    Activation,
+    Add,
+    BatchNorm,
+    Concat,
+    Conv,
+    ConvTranspose,
+    FusedOp,
+    Pool,
+    Softmax,
+)
 from repro.kernels.conv import conv_forward
+from repro.kernels.dispatch import STACKABLE
 from repro.kernels.conv_transpose import conv_transpose_forward, conv_transpose_full
 from repro.kernels.dense import dense_forward, flatten_forward
 from repro.kernels.pointwise import (
@@ -93,6 +105,55 @@ class TestConv:
         w = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
         with pytest.raises(ShapeError):
             conv_forward(x, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_conv_item_equals_its_own_call_bit_for_bit(data):
+    """Item ``i`` of a stacked ``conv_forward`` has the bytes of
+    ``conv_forward`` on that item alone, for every conv a values pass may
+    stack: 1-3-D, plain / grouped / depthwise, strided, dilated, with and
+    without bias, 1-40 items.  The stack is a GEMM batch axis; folding the
+    items into one GEMM's rows lets BLAS block them differently."""
+    rank = data.draw(st.integers(1, 3), label="rank")
+    groups = data.draw(st.sampled_from([1, 2, 4, "depthwise"]), label="groups")
+    if groups == "depthwise":
+        groups = channels = data.draw(st.integers(1, 16), label="channels")
+        out_channels = channels * data.draw(st.integers(1, 2), label="multiplier")
+    else:
+        channels = groups * data.draw(st.integers(1, 6), label="channels per group")
+        out_channels = groups * data.draw(st.integers(1, 5), label="outputs per group")
+    kernel = tuple(data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank), label="kernel"))
+    stride = tuple(data.draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank), label="stride"))
+    dilation = tuple(data.draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank), label="dilation"))
+    span = (8, 8, 3)[rank - 1]
+    spatial = tuple((k - 1) * d + 1 + data.draw(st.integers(0, span), label="extra")
+                    for k, d in zip(kernel, dilation))
+    items = data.draw(st.integers(1, 40 if rank < 3 else 12), label="items")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = rng.standard_normal((items, channels, *spatial)).astype(np.float32)
+    w = rng.standard_normal((out_channels, channels // groups, *kernel)).astype(np.float32)
+    bias = rng.standard_normal(out_channels).astype(np.float32) if data.draw(st.booleans()) else None
+    stacked = conv_forward(x, w, bias, stride=stride, dilation=dilation, groups=groups)
+    for i in range(items):
+        alone = conv_forward(x[i:i + 1], w, bias, stride=stride, dilation=dilation, groups=groups)
+        assert stacked[i:i + 1].tobytes() == alone.tobytes(), (i, items)
+
+
+def test_stackable_is_the_exact_set():
+    """Only a plain ``Conv`` -- any rank, groups, stride or dilation -- runs
+    stacked, up to 32 items per call; every other op (windowed, transposed,
+    elementwise, fused) runs one item per call."""
+    assert STACKABLE == {"conv": 32}
+    for op in (Conv(out_channels=4, kernel=(3, 3)), Conv(out_channels=4, kernel=(3,), stride=(2,)),
+               Conv(out_channels=4, kernel=(3, 3, 3), dilation=(2, 2, 2)),
+               Conv(out_channels=4, kernel=(3, 3), groups=4), Conv(out_channels=8, kernel=(1, 1), groups=2)):
+        assert STACKABLE.get(op.kind, 1) == 32, op
+    for op in (ConvTranspose(out_channels=4, kernel=(2, 2), stride=(2, 2)), Pool(kernel=(2, 2), mode="max"),
+               Pool(kernel=(3, 3), mode="avg"), Activation("relu"), Activation("sigmoid"), BatchNorm(),
+               Add(), Concat(num_inputs=2), Softmax(),
+               FusedOp(Conv(out_channels=4, kernel=(3, 3)), (BatchNorm(), Activation("relu")))):
+        assert STACKABLE.get(op.kind, 1) == 1, op
 
 
 class TestConvTranspose:

@@ -82,28 +82,28 @@ class TestApplyNodeLocalOffsets:
 
     def test_per_input_offsets_align_each_patch(self):
         patch_a, patch_b, expected = self._patches()
-        out = apply_node_local(Add(), [patch_a, patch_b], {}, (6, 6),
-                               [(2, 2), (0, 0)])
+        out = apply_node_local(Add(), [patch_a[None], patch_b[None]], {}, (6, 6),
+                               [(2, 2), (0, 0)])[0]
         np.testing.assert_allclose(out, expected, rtol=1e-6)
 
     def test_single_offset_convention_misaligns(self):
         """The historical calling convention (one offset tuple for all
         inputs) cannot express differing halos: it shifts input 0."""
         patch_a, patch_b, expected = self._patches()
-        legacy = apply_node_local(Add(), [patch_a, patch_b], {}, (6, 6), (0, 0))
+        legacy = apply_node_local(Add(), [patch_a[None], patch_b[None]], {}, (6, 6), (0, 0))[0]
         assert not np.allclose(legacy, expected)
 
     def test_uniform_offsets_unchanged(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 5, 5)).astype(np.float32)
         b = rng.standard_normal((2, 5, 5)).astype(np.float32)
-        out = apply_node_local(Add(), [a, b], {}, (5, 5), (0, 0))
+        out = apply_node_local(Add(), [a[None], b[None]], {}, (5, 5), (0, 0))[0]
         np.testing.assert_allclose(out, a + b, rtol=1e-6)
 
     def test_concat_aligns_per_input(self):
         patch_a, patch_b, _ = self._patches()
-        out = apply_node_local(Concat(), [patch_a, patch_b], {}, (6, 6),
-                               [(2, 2), (0, 0)])
+        out = apply_node_local(Concat(), [patch_a[None], patch_b[None]], {}, (6, 6),
+                               [(2, 2), (0, 0)])[0]
         assert out.shape == (6, 6, 6)
         np.testing.assert_allclose(out[:3], patch_a[:, 2:8, 2:8], rtol=1e-6)
         np.testing.assert_allclose(out[3:], patch_b[:, 0:6, 0:6], rtol=1e-6)
@@ -111,7 +111,7 @@ class TestApplyNodeLocalOffsets:
     def test_offset_count_must_match_inputs(self):
         patch_a, patch_b, _ = self._patches()
         with pytest.raises(Exception):
-            apply_node_local(Add(), [patch_a, patch_b], {}, (6, 6), [(2, 2)])
+            apply_node_local(Add(), [patch_a[None], patch_b[None]], {}, (6, 6), [(2, 2)])
 
 
 def lopsided_graph():
