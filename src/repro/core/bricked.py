@@ -43,7 +43,7 @@ from repro.core.brick import Brick, BrickInfo, BrickMap
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "extract_patch", "flat_bricks", "gather_dense",
+__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "flat_bricks", "gather_dense",
            "patch_spans"]
 
 
@@ -273,18 +273,6 @@ def gather_dense(data: np.ndarray, needs: Sequence[Interval], fill: float = 0.0)
         _, src, dst = spans
         out[dst] = data[src]
     return out
-
-
-def extract_patch(values: np.ndarray, origin: Sequence[int], needs: Sequence[Interval],
-                  fill: float) -> np.ndarray:
-    """The patch over ``needs`` (absolute, one interval per axis) out of a
-    dense ``(C, ...)`` patch whose first element sits at ``origin``: a view
-    where that patch holds all of it, else a copy with ``fill`` (implicit
-    feature-map padding) beyond it."""
-    local = [Interval(need.lo - o, need.hi - o) for need, o in zip(needs, origin)]
-    if all(0 <= iv.lo and iv.hi <= n for iv, n in zip(local, values.shape[1:])):
-        return values[(slice(None), *(slice(iv.lo, iv.hi) for iv in local))]
-    return gather_dense(values, local, fill)
 
 
 def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:

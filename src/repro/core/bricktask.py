@@ -13,12 +13,13 @@ knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
 
 The emitters count; they compute nothing.  A brick's value does not depend on
-its schedule, so values have one producer, ``values()``: every member once
-with no device, task, tag or barrier (padded: :meth:`BrickTasks.closure_values`
-per exit brick).  An executor built without a ``device`` is that producer:
-its entries are dense ``(N, C, *S)`` arrays, each member's values are one
-such array, and its handles get no buffers -- they give grids only.  The
-emitters count one task per brick; the values pass dispatches per class of
+its schedule, so values have one producer, :meth:`BrickTasks.values`: every
+member once, with no device, task, tag or barrier, under every strategy --
+padded's redundant recompute is a cost of its schedule, which the counted run
+models, not a different value.  An executor built without a ``device`` is
+that producer: its entries are dense ``(N, C, *S)`` arrays, each member's
+values are one such array, and its handles get no buffers.  The emitters
+count one task per brick; the values pass dispatches per class of
 equal-geometry bricks, in stacks :data:`~repro.kernels.STACKABLE` proves exact.
 
 An emitter builds rows, not calls: what every task of a node shares (its
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,19 +39,19 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bricked import bricked_nbytes, extract_patch, flat_bricks, gather_dense, patch_spans
+from repro.core.bricked import bricked_nbytes, flat_bricks, patch_spans
 from repro.core.geometry import AxisRow, EdgeRow, SubgraphGeometry, patch_geometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import ConvTranspose, FusedOp
-from repro.graph.regions import Interval, Region
+from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
 from repro.kernels import STACKABLE, apply_node_full, apply_node_local, by_tensor, pad_value_for
 
-__all__ = ["BrickTasks", "Recency", "brick_box", "kernel_step", "member_deps", "require_values"]
+__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "require_values"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -61,7 +61,9 @@ _NAMES = {"padded": ("padded", "bricked", "exit_ids"), "memoized": ("memo", "mem
 Dep = tuple[int, tuple[int, ...], int]  # (member node, grid position, flat index)
 Source = BrickedHandle | DenseHandle
 # A values pass's hook: (node, value, subgraph, brick, batch, label) per array
-# computed, naming the task that counts it (a fallback group: no brick/batch).
+# computed, naming the task that counts it (a fallback group: no brick/batch;
+# padded: the member brick, which the exit tasks whose closures cover it
+# recompute).
 Screen = Callable[[int, np.ndarray, int | None, tuple[int, ...] | None, int | None, str], None]
 
 _row = tuple.__new__
@@ -85,10 +87,10 @@ def member_deps(geom: SubgraphGeometry, nid: int, gpos: Sequence[int]) -> list[D
 
 
 def require_values(graph: Graph, node_ids: Iterable[int]) -> None:
-    """Refuse members :func:`kernel_step` cannot evaluate: a transposed conv
+    """Refuse members the values pass cannot evaluate: a transposed conv
     with kernel < stride has output positions no input feeds (bias in the
     holes), and placing them takes absolute coordinates a brick-local kernel
-    call does not get."""
+    call (:func:`~repro.kernels.apply_node_local`) does not get."""
     for node in map(graph.node, node_ids):
         op = node.op.primary if isinstance(node.op, FusedOp) else node.op
         if isinstance(op, ConvTranspose) and any(k < s for k, s in zip(op.kernel, op.stride)):
@@ -96,18 +98,6 @@ def require_values(graph: Graph, node_ids: Iterable[int]) -> None:
                 f"cannot compute values of {node.name!r}: transposed conv with kernel "
                 f"{op.kernel} < stride {op.stride}; profile mode, geometry and effects "
                 f"handle this graph, the values pass does not")
-
-
-def kernel_step(node: Node, shape: tuple[int, ...], needs: Sequence[Sequence[Interval]],
-                offsets: Sequence[Sequence[int]],
-                fetch: Callable[[int, Sequence[Interval], float], np.ndarray]) -> np.ndarray:
-    """The kernel step of one brick: ``fetch(pred, need, fill)`` one patch per
-    input over its need intervals (neutral fill beyond the feature map), then
-    the op's local kernel for an output of ``shape``.  Inputs may carry
-    differing halos, so each patch is aligned by its own ``offsets``."""
-    fill = pad_value_for(node.op)
-    patches = [fetch(pred, need, fill)[None] for pred, need in zip(node.inputs, needs)]
-    return apply_node_local(node.op, patches, node.weights, shape, offsets)[0]
 
 
 def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
@@ -153,7 +143,8 @@ class BrickTasks:
     this subgraph to their handles.  With a ``device`` they get buffers,
     ``entries`` are handles and :meth:`run` counts; without one ``entries``
     are the dense entry arrays and only :meth:`values` can run -- a subgraph
-    the kernel step cannot evaluate is refused then, at construction.
+    it cannot evaluate (:func:`require_values`) is refused then, at
+    construction.
     """
 
     subgraph: SubgraphView
@@ -253,61 +244,39 @@ class BrickTasks:
         task.releases = [("brick", bid, own_offset), ("buf", bid)]
 
     # -- values -------------------------------------------------------------------
-    def closure_values(self, exit_id: int, gpos: tuple[int, ...], batch: int) -> dict[int, np.ndarray]:
-        """Every member's values on its private patch of the closure of one
-        exit brick (what :meth:`emit_fused`'s task computes).  Patches cover
-        their node's required interval clipped to the feature map, so each
-        starts at its ``origin``."""
-        rows = self.geom.closure_rows(exit_id, gpos)
-        patches: dict[int, np.ndarray] = {}
-        origin: dict[int, list[int]] = {}
-        for eid in rows[0].entries:
-            edges = [r.entries[eid] for r in rows]
-            origin[eid] = [max(e.need.lo, 0) for e in edges]
-            patches[eid] = gather_dense(self.entries[eid][batch], [
-                Interval(lo, lo + e.length) for lo, e in zip(origin[eid], edges)])
-        values = {}
-        for nid in rows[0].members:
-            axis = [r.members[nid] for r in rows]
-            if not math.prod([a.length for a in axis]):
-                continue
-            node = self.graph.node(nid)
-            patches[nid] = values[nid] = kernel_step(
-                node, *patch_geometry(axis, len(node.inputs)),
-                lambda pred, need, fill: extract_patch(patches[pred], origin[pred], need, fill))
-            origin[nid] = [a.out.lo for a in axis]
-        return values
-
     def values(self, screen: Screen | None = None,
                subgraph_index: int | None = None) -> dict[int, np.ndarray]:
         """The exits' values with no schedule: no task, no tag, no barrier.
-        Members run in subgraph order, each into one dense ``(N, C, *S)``
-        array dropped after its last consumer here: one kernel call over the
-        batch for a member in :data:`~repro.kernels.BY_TENSOR`, else
+        Every member runs once, in subgraph order, into one dense ``(N, C,
+        *S)`` array dropped after its last consumer here: one kernel call
+        over the batch for a member in :data:`~repro.kernels.BY_TENSOR`, else
         :meth:`_fill_by_class`.  Once a member's array is filled, ``screen``
         sees each of its (brick, sample) slices in brick order, named by the
-        task that counts it."""
+        member brick's task (under padded: the member brick the exit tasks
+        recompute)."""
         dense = dict(self.entries)
-        last = {pred: nid for nid in self.stored for pred in self.graph.node(nid).inputs}
-        for nid, handle in self.stored.items():
+        members = self.subgraph.node_ids
+        last = {pred: nid for nid in members for pred in self.graph.node(nid).inputs}
+        for nid in members:
             node = self.graph.node(nid)
+            bricks = list(itertools.product(*map(range, self.geom.grid(nid).grid_shape)))
             if by_tensor(node.op):
                 out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
             else:
                 out = np.empty(node.spec.shape, node.spec.dtype)
-                self._fill_by_class(out, node, handle, [dense[pred] for pred in node.inputs])
+                self._fill_by_class(out, node, bricks, [dense[pred] for pred in node.inputs])
             if screen is not None:
-                for gpos in handle.bricks():
+                for gpos in bricks:
                     box, label = brick_box(self.geom.rows(nid, gpos)), self._label(node.name, gpos)
                     for n in range(self.batch):
                         screen(nid, out[n][box], subgraph_index, gpos, n, label)
             dense[nid] = out
             for pred in set(node.inputs):
-                if last[pred] == nid and pred in self.stored and pred not in self.subgraph.exit_ids:
+                if last[pred] == nid and pred in self.geom.members and pred not in self.subgraph.exit_ids:
                     del dense[pred]
         return {eid: dense[eid] for eid in self.subgraph.exit_ids}
 
-    def _fill_by_class(self, out: np.ndarray, node: Node, handle: BrickedHandle,
+    def _fill_by_class(self, out: np.ndarray, node: Node, bricks: Iterable[tuple[int, ...]],
                        sources: list[np.ndarray]) -> None:
         """Fill ``out`` item by item -- a (brick, sample) with one patch per
         input copied out of ``sources`` -- in one kernel call per stack of up
@@ -316,7 +285,7 @@ class BrickTasks:
         frame, so a producer the caller drops is freed before the next array."""
         fill, limit = pad_value_for(node.op), STACKABLE.get(node.op.kind, 1)
         classes: dict[tuple, list] = {}
-        for gpos in handle.bricks():
+        for gpos in bricks:
             rows = self.geom.rows(node.node_id, gpos)
             shape, needs, offsets = patch_geometry(rows, len(node.inputs))
             spans = [patch_spans(need, src.shape[2:], src.shape[2:]) for need, src in zip(needs, sources)]

@@ -20,9 +20,7 @@ The emitted access stream is:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.bricktask import BrickTasks, Screen, brick_box
+from repro.core.bricktask import BrickTasks
 from repro.core.handles import BrickedHandle
 from repro.graph.regions import Region
 from repro.gpusim.trace import Buffer
@@ -50,25 +48,6 @@ class PaddedBrickExecutor(BrickTasks):
         # One reduction/synchronization closes the subgraph (Fig. 3(b)).
         self.device.synchronize()
         return self.stored
-
-    def values(self, screen: Screen | None = None,
-               subgraph_index: int | None = None) -> dict[int, np.ndarray]:
-        """:meth:`run`'s exit bricks in its order, values only, each exit
-        into one dense ``(N, C, *S)`` array; ``screen`` sees every member
-        patch of a closure under its exit brick's task."""
-        exits = {}
-        for exit_id, handle in self.stored.items():
-            name = self.graph.node(exit_id).name
-            out = exits[exit_id] = np.empty(handle.spec.shape, handle.spec.dtype)
-            for grid_pos in handle.bricks():
-                box = brick_box(self.geom.rows(exit_id, grid_pos))
-                for n in range(self.batch):
-                    values = self.closure_values(exit_id, grid_pos, n)
-                    out[n][box] = values[exit_id]
-                    if screen is not None:
-                        for nid, value in values.items():
-                            screen(nid, value, subgraph_index, grid_pos, n, self._label(name, grid_pos))
-        return exits
 
     def _allocate_scratch(self) -> tuple[list[Buffer], dict[int, int]]:
         """Per-worker scratch buffers and the byte slot of each member node

@@ -11,7 +11,11 @@ partitioning the single-GPU engine uses):
    subgraph per entry activation) through the
    :class:`~repro.distributed.comm.CommModel`;
 3. each rank computes its output slab locally -- including the redundant
-   halo recomputation, exactly like one giant padded brick.
+   halo recomputation, exactly like one giant padded brick.  That is a cost
+   of the schedule, not a different value: the run counts each rank's flops
+   and its outputs come from the engine's one value producer,
+   :meth:`~repro.core.engine.BrickDLEngine.values`, so a rank's slab is a
+   slice of them.
 
 Merging more layers per subgraph therefore trades *more* halo volume and
 redundant compute per exchange for *fewer* exchanges -- the
@@ -29,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bricked import extract_patch
-from repro.core.bricktask import kernel_step, require_values
+from repro.core.engine import BrickDLEngine
 from repro.core.geometry import SubgraphGeometry
 from repro.core.partition import partition_graph
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
@@ -111,6 +114,7 @@ class DistributedRunner:
         self.graph = graph
         self.num_ranks = num_ranks
         self.spec = spec
+        self.config = config
         self.comm = comm if comm is not None else CommModel()
         # Halo-exchange metrics: an explicitly passed registry wins; a comm
         # model that already carries one keeps it.
@@ -121,24 +125,11 @@ class DistributedRunner:
 
     # -- execution ---------------------------------------------------------
     def run(self, x: np.ndarray | None = None, functional: bool = True) -> DistributedResult:
+        """Count the halo exchanges and per-rank compute of every subgraph;
+        ``functional``: the result also carries the graph outputs, computed
+        first so a refused graph or a bad input fails before any count."""
         graph = self.graph
-        if functional:
-            graph.init_weights()
-            if x is None:
-                raise ExecutionError("functional distributed run requires an input array")
-            for view in self.subgraphs:
-                require_values(graph, view.node_ids)
-            x = np.asarray(x, dtype=np.float32)
-
-        # Per boundary node: list over ranks of (row_lo, slab array|None).
-        input_node = graph.input_nodes[0]
-        extent0 = input_node.spec.spatial[0]
-        slabs: dict[int, list[tuple[int, int, np.ndarray | None]]] = {}
-        slabs[input_node.node_id] = [
-            (lo, hi, x[:, :, lo:hi] if functional else None)
-            for lo, hi in _partition_rows(extent0, self.num_ranks)
-        ]
-
+        outputs = BrickDLEngine(graph, self.spec, self.config).values(x) if functional else None
         compute_time = 0.0
         halo_rows_total = 0
         per_rank_flops = [0.0] * self.num_ranks
@@ -150,20 +141,15 @@ class DistributedRunner:
             for exit_id in view.exit_ids:
                 exit_node = graph.node(exit_id)
                 rows = _partition_rows(exit_node.spec.spatial[0], self.num_ranks)
-                new_slabs = []
                 for rank, (olo, ohi) in enumerate(rows):
                     out_region = Region.from_bounds(
                         [olo] + [0] * (exit_node.spec.spatial_ndim - 1),
                         [ohi] + list(exit_node.spec.spatial[1:]),
                     )
-                    patch, halo_rows, msg_sizes, flops = self._rank_compute(
-                        geom, exit_id, rank, out_region, slabs, functional
-                    )
-                    new_slabs.append((olo, ohi, patch))
+                    halo_rows, msg_sizes, flops = self._rank_compute(geom, exit_id, rank, out_region)
                     halo_rows_total += halo_rows
                     messages.extend(msg_sizes)
                     step_flops[rank] += flops
-                slabs[exit_id] = new_slabs
             # One neighbor-exchange step per subgraph (all entry halos move
             # together), then all ranks compute; the step cost is the max.
             self.comm.exchange_step(messages)
@@ -173,12 +159,6 @@ class DistributedRunner:
             for r in range(self.num_ranks):
                 per_rank_flops[r] += step_flops[r]
 
-        outputs = None
-        if functional:
-            outputs = {}
-            for out_node in graph.output_nodes:
-                pieces = [p for _, _, p in slabs[out_node.node_id]]
-                outputs[out_node.name] = np.concatenate(pieces, axis=2)
         return DistributedResult(
             outputs=outputs,
             comm=self.comm.counters,
@@ -189,11 +169,14 @@ class DistributedRunner:
             per_rank_flops=per_rank_flops,
         )
 
-    # -- per-rank subgraph evaluation -----------------------------------------
-    def _rank_compute(self, geom, exit_id, rank, out_region, slabs, functional):
-        """Evaluate one rank's output slab for one subgraph exit.
+    # -- per-rank subgraph costs ---------------------------------------------
+    def _rank_compute(self, geom, exit_id, rank, out_region):
+        """Count one rank's work on its output slab of one subgraph exit:
+        the halo rows it receives, one message per contributing neighbor and
+        direction, and the flops of every member over its (clipped) required
+        region -- halo recompute included, like one giant padded brick.
 
-        Returns ``(patch, halo_rows, message_sizes, flops)``.
+        Returns ``(halo_rows, message_sizes, flops)``.
         """
         graph = self.graph
         view = geom.subgraph
@@ -201,22 +184,14 @@ class DistributedRunner:
         halo_rows = 0
         msg_sizes: list[int] = []
         flops = 0.0
-        # Per node, one sample's values over its (clipped) required region
-        # and that region's origin.
-        values: dict[int, np.ndarray] = {}
-        origin: dict[int, list[int]] = {}
-
-        def fetch(pred, need, fill):
-            return extract_patch(values[pred], origin[pred], need, fill)
-
         # Entry halos: rows needed beyond this rank's slab of each entry.
         for eid in view.entry_ids:
             if eid not in required:
                 continue
             spec = graph.node(eid).spec
             need = required[eid].clip(spec.spatial)
-            rank_slabs = slabs[eid]
-            olo, ohi, _ = rank_slabs[rank]
+            rank_rows = _partition_rows(spec.spatial[0], self.num_ranks)
+            olo, ohi = rank_rows[rank]
             lo_halo = max(0, olo - need[0].lo)
             hi_halo = max(0, need[0].hi - ohi)
             halo_rows += lo_halo + hi_halo
@@ -225,47 +200,17 @@ class DistributedRunner:
             for direction, width in ((-1, lo_halo), (+1, hi_halo)):
                 remaining, neighbor = width, rank + direction
                 while remaining > 0 and 0 <= neighbor < self.num_ranks:
-                    nlo, nhi, _ = rank_slabs[neighbor]
+                    nlo, nhi = rank_rows[neighbor]
                     take = min(remaining, nhi - nlo)
                     msg_sizes.append(take * row_bytes)
                     remaining -= take
                     neighbor += direction
-            if functional:
-                values[eid] = self._gather_rows(eid, need, rank_slabs)[0]
-                origin[eid] = [iv.lo for iv in need]
 
-        # Evaluate the subgraph on the halo-extended slab (one giant padded
-        # brick), accumulating the per-rank flops including halo recompute.
         for nid in view.node_ids:
             if nid not in required:
                 continue
-            node = graph.node(nid)
-            spec = node.spec
+            spec = graph.node(nid).spec
             region = required[nid].clip(spec.spatial)
-            if region.is_empty():
-                continue
-            flops += geom.flops(nid, spec.channels * region.size)
-            if functional:
-                values[nid] = kernel_step(node, region.shape, *geom.needs(nid, region), fetch)
-                origin[nid] = [iv.lo for iv in region]
-
-        patch = None
-        if functional:
-            sl = out_region.slices(origin=origin[exit_id])
-            patch = np.ascontiguousarray(values[exit_id][(slice(None), *sl)])[None]
-        return patch, halo_rows, msg_sizes, flops
-
-    def _gather_rows(self, eid: int, need: Region, rank_slabs) -> np.ndarray:
-        """Assemble the needed rows of an entry from the owning ranks."""
-        spec = self.graph.node(eid).spec
-        shape = (spec.batch, spec.channels, *need.shape)
-        out = np.zeros(shape, np.float32)
-        for lo, hi, slab in rank_slabs:
-            olo = max(lo, need[0].lo)
-            ohi = min(hi, need[0].hi)
-            if olo >= ohi:
-                continue
-            rest = tuple(slice(iv.lo, iv.hi) for iv in need[1:])
-            out[:, :, olo - need[0].lo:ohi - need[0].lo] = slab[(slice(None), slice(None),
-                                                                 slice(olo - lo, ohi - lo), *rest)]
-        return out
+            if not region.is_empty():
+                flops += geom.flops(nid, spec.channels * region.size)
+        return halo_rows, msg_sizes, flops

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bricked import BrickGrid, gather_dense
-from repro.core.bricktask import kernel_step
 from repro.errors import UnsupportedOpError
 from repro.graph.ops import (
     Activation,
@@ -34,6 +33,8 @@ from repro.graph.ops import (
 from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
 from repro.kernels import BY_TENSOR, apply_node_full, apply_node_local, by_tensor, pad_value_for
+
+from testlib import kernel_step
 
 
 def check_local_matches_full(op, input_arrays, out_region, rng):

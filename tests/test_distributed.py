@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import BrickDLEngine
 from repro.core.reference import ReferenceExecutor
 from repro.distributed import CommModel, DistributedRunner
 from repro.errors import ExecutionError
@@ -13,8 +14,8 @@ from repro.stencil import build_heat_graph, build_vcycle_graph, reference_heat, 
 from testlib import input_for
 
 
-def conv_trunk(size=24):
-    b = GraphBuilder("trunk", TensorSpec(1, 3, (size, size)))
+def conv_trunk(size=24, batch=1):
+    b = GraphBuilder("trunk", TensorSpec(batch, 3, (size, size)))
     b.conv_bn_relu(8, 3, prefix="c1")
     b.conv_bn_relu(8, 3, prefix="c2")
     b.conv(8, 3, stride=2, padding=1, name="down")
@@ -23,14 +24,19 @@ def conv_trunk(size=24):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
-    def test_conv_trunk(self, ranks):
-        g = conv_trunk()
+    # Batch-1 cases keep plain rank ids.
+    @pytest.mark.parametrize("ranks, batch", [
+        pytest.param(ranks, batch, id=str(ranks) if batch == 1 else f"{ranks}-batch{batch}")
+        for batch in (1, 2) for ranks in (1, 2, 3, 4)])
+    def test_conv_trunk(self, ranks, batch):
+        """Every sample of a batch comes back."""
+        g = conv_trunk(batch=batch)
         g.init_weights()
         x = input_for(g)
         ref = ReferenceExecutor(g).run(x)
-        res = DistributedRunner(conv_trunk(), num_ranks=ranks).run(x)
+        res = DistributedRunner(conv_trunk(batch=batch), num_ranks=ranks).run(x)
         for k in ref:
+            assert res.outputs[k].shape == ref[k].shape
             np.testing.assert_allclose(res.outputs[k], ref[k], atol=1e-4, rtol=1e-4)
 
     @pytest.mark.parametrize("ranks", [2, 4])
@@ -75,15 +81,21 @@ class TestValidation:
         with pytest.raises(ExecutionError):
             DistributedRunner(conv_trunk(), num_ranks=2).run(None, functional=True)
 
-    def test_kernel_below_stride_deconv_refused_in_functional_mode_only(self):
-        """Slabs go through the same kernel step as brick tasks, so the same
-        graphs are refused (it used to die in a NumPy broadcast)."""
+    def test_kernel_below_stride_deconv_outputs_are_the_engine_values(self):
+        """The runner's outputs are the engine's values: the engine plans
+        this graph onto the fallback path and computes it exactly (merged
+        execution refuses it, see ``tests/test_engine.py``)."""
         b = GraphBuilder("holes", TensorSpec(1, 4, (8, 8)))
         b.conv(4, 3, padding=1, name="conv")
         b.deconv(4, 1, stride=2, name="up")
         runner = DistributedRunner(b.finish(), num_ranks=2)
-        with pytest.raises(ExecutionError, match="'up'.*kernel .* < stride"):
-            runner.run(input_for(runner.graph))
+        x = input_for(runner.graph)
+        got = runner.run(x).outputs
+        want = BrickDLEngine(runner.graph).values(x)
+        assert got.keys() == want.keys()
+        for name, ref in ReferenceExecutor(runner.graph).run(x).items():
+            assert got[name].tobytes() == want[name].tobytes(), name
+            np.testing.assert_allclose(got[name], ref, atol=1e-4, rtol=1e-4, err_msg=name)
         assert runner.run(functional=False).compute_time_s > 0
 
 

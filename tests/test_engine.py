@@ -1,6 +1,7 @@
 """BrickDL engine tests: compilation decisions and end-to-end execution."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bricked import gather_dense
-from repro.core.bricktask import brick_box, kernel_step
+from repro.core.bricktask import brick_box
 from repro.core.engine import BrickDLEngine
 from repro.core.geometry import patch_geometry
 from repro.core.plan import Strategy
@@ -20,7 +21,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 from repro.models import zoo
 
-from testlib import input_for, random_dag, residual_graph, small_chain_graph
+from testlib import input_for, kernel_step, random_dag, residual_graph, small_chain_graph
 
 
 class TestCompile:
@@ -168,12 +169,13 @@ class TestAttribution:
         assert "attribution" in capsys.readouterr().out
 
 
-def _warm_mobilenet_values(batch):
-    """Reduced mobilenet_v1 at ``batch``, its plan and an input, one
-    ``values()`` already run (weights drawn, geometry tables built)."""
+def _warm_mobilenet_values(batch, strategy):
+    """Reduced mobilenet_v1 at ``batch`` under ``strategy`` (None: planned),
+    its plan and an input, one ``values()`` already run (weights drawn,
+    geometry tables built)."""
     graph = zoo.build("mobilenet_v1", reduced=True, batch=batch)
     graph.init_weights()
-    engine = BrickDLEngine(graph)
+    engine = BrickDLEngine(graph, strategy_override=strategy)
     plan = engine.compile()
     x = np.random.default_rng(0).standard_normal(graph.input_nodes[0].spec.shape).astype(np.float32)
     engine.values(x, plan)
@@ -193,7 +195,7 @@ def test_values_pass_stays_under_7_own_calls_per_task():
 
     import repro
 
-    engine, plan, x = _warm_mobilenet_values(2)
+    engine, plan, x = _warm_mobilenet_values(2, None)
     num_tasks = engine.run(functional=False, plan=plan).metrics.num_tasks
     profiler = cProfile.Profile()
     profiler.enable()
@@ -212,16 +214,22 @@ def test_values_pass_stays_under_7_own_calls_per_task():
         "algebra (graph/regions.py) and per-brick loops in core/bricked.py")
 
 
-def test_values_pass_makes_at_most_150_kernel_calls_per_batch(monkeypatch):
+_PLANNED_AND_PADDED = pytest.mark.parametrize("strategy", [None, Strategy.PADDED],
+                                              ids=lambda s: s.value if s else "planned")
+
+
+@_PLANNED_AND_PADDED
+def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypatch):
     """Kernel calls (``apply_node_local`` + ``apply_node_full``, every alias
     patched, recursion included) of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1: a conv member's bricks of equal geometry share stacked
-    calls (about 1,740 when every brick and sample made its own)."""
+    mobilenet_v1, planned and all padded: a conv member's bricks of equal
+    geometry share stacked calls (about 1,740 when every brick and sample
+    made its own, and when padded walked every exit brick's closure)."""
     import sys
 
     from repro.kernels import dispatch
 
-    engine, plan, x = _warm_mobilenet_values(8)
+    engine, plan, x = _warm_mobilenet_values(8, strategy)
     calls = []
     for name in ("apply_node_local", "apply_node_full"):
         real = getattr(dispatch, name)
@@ -237,16 +245,18 @@ def test_values_pass_makes_at_most_150_kernel_calls_per_batch(monkeypatch):
     assert 0 < len(calls) <= 150, f"{len(calls)} kernel calls per batch-8 values() (budget 150)"
 
 
-def test_values_pass_peak_memory_stays_under_2_1_mb():
+@_PLANNED_AND_PADDED
+def test_values_pass_peak_memory_stays_under_2_1_mb(strategy):
     """tracemalloc peak of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1: 1.9 MB today, 3.3 MB if members outlive their last
-    consumer, 5.0 MB when every member was a bricked tensor, 6.4 MB when a
-    conv class ran as one stack (no ``kernels.STACKABLE`` bound).  The
-    benchmark keeps every response, so a values pass that holds dead arrays
-    shows up in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
+    mobilenet_v1, planned and all padded: 1.9 MB today, 3.3 MB if members
+    outlive their last consumer, 5.0 MB when every member was a bricked
+    tensor, 6.4 MB when a conv class ran as one stack (no
+    ``kernels.STACKABLE`` bound).  The benchmark keeps every response, so a
+    values pass that holds dead arrays shows up in ``serve_closed``'s
+    ``peak_rss_mb``; here it fails first."""
     import tracemalloc
 
-    engine, plan, x = _warm_mobilenet_values(8)
+    engine, plan, x = _warm_mobilenet_values(8, strategy)
     tracemalloc.start()
     try:
         engine.values(x, plan)
@@ -354,10 +364,10 @@ def _per_brick_values(self, screen=None, subgraph_index=None):
     sample by sample, one ``kernel_step`` each on a patch gathered from its
     producers' dense arrays, screened as it is computed."""
     dense = dict(self.entries)
-    for nid, handle in self.stored.items():
+    for nid in self.subgraph.node_ids:
         node = self.graph.node(nid)
         out = np.empty(node.spec.shape, node.spec.dtype)
-        for gpos in handle.bricks():
+        for gpos in itertools.product(*map(range, self.geom.grid(nid).grid_shape)):
             rows = self.geom.rows(nid, gpos)
             shape, needs, offsets = patch_geometry(rows, len(node.inputs))
             for n in range(self.batch):
@@ -371,14 +381,17 @@ def _per_brick_values(self, screen=None, subgraph_index=None):
 
 
 @pytest.mark.parametrize("batch", [1, 2, 8])
-@pytest.mark.parametrize("strategy", [Strategy.MEMOIZED, Strategy.WAVEFRONT], ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", [Strategy.MEMOIZED, Strategy.WAVEFRONT, Strategy.PADDED],
+                         ids=lambda s: s.value)
 @pytest.mark.parametrize("model", sorted(zoo.MODELS))
 def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeypatch):
     """The class-stacked values pass (stacked convs, whole-tensor elementwise
     members, overhanging boundary bricks in classes of their own) gives the
     bytes of one ``kernel_step`` per (brick, sample), and ``screen`` sees the
     same (node, subgraph, brick, sample, label) sequence with the same bytes."""
-    from repro.core.bricktask import BrickTasks
+    from repro.core.memoized import MemoizedBrickExecutor
+    from repro.core.padded import PaddedBrickExecutor
+    from repro.core.wavefront import WavefrontBrickExecutor
 
     engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
     plan = engine.compile()
@@ -392,7 +405,9 @@ def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeyp
         return out, seen
 
     got, got_seen = screened()
-    monkeypatch.setattr(BrickTasks, "values", _per_brick_values)
+    # On every executor class, so an override of ``values`` is replaced too.
+    for cls in (PaddedBrickExecutor, MemoizedBrickExecutor, WavefrontBrickExecutor):
+        monkeypatch.setattr(cls, "values", _per_brick_values)
     want, want_seen = screened()
     assert got.keys() == want.keys()
     for name in want:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bricked import BrickedTensor, bricked_nbytes, extract_patch, gather_dense
+from repro.core.bricked import BrickedTensor, bricked_nbytes, gather_dense
 from repro.core.bricktask import Recency, member_deps
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
@@ -149,8 +149,7 @@ def test_void_need_gathers_an_all_fill_patch_of_the_right_shape():
     x = np.arange(2 * 6 * 6, dtype=np.float32).reshape(1, 2, 6, 6)
     needs = (Interval(3, 3), Interval(-1, 5))
     for patch in (BrickedTensor.from_dense(x, (4, 4)).gather(0, needs, -np.inf),
-                  gather_dense(x[0], needs, -np.inf),
-                  extract_patch(x[0, :, 1:5, 0:4], (1, 0), needs, -np.inf)):
+                  gather_dense(x[0], needs, -np.inf)):
         assert patch.shape == (2, 0, 6) and patch.dtype == np.float32
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.tensorspec import TensorSpec
+from repro.kernels import apply_node_local, pad_value_for
 
 
 def small_chain_graph(size: int = 48, channels: int = 3, name: str = "chain"):
@@ -49,6 +50,17 @@ def residual_graph(size: int = 32, name: str = "residual"):
 def input_for(graph, seed: int = 0) -> np.ndarray:
     spec = graph.input_nodes[0].spec
     return np.random.default_rng(seed).standard_normal(spec.shape).astype(np.float32)
+
+
+def kernel_step(node, shape, needs, offsets, fetch) -> np.ndarray:
+    """The per-brick oracle of the values pass: ``fetch(pred, need, fill)``
+    one patch per input over its need intervals (neutral fill beyond the
+    feature map), then the op's local kernel for one brick of ``shape``.
+    Inputs may carry differing halos, so each patch is aligned by its own
+    ``offsets``."""
+    fill = pad_value_for(node.op)
+    patches = [fetch(pred, need, fill)[None] for pred, need in zip(node.inputs, needs)]
+    return apply_node_local(node.op, patches, node.weights, shape, offsets)[0]
 
 
 def dense_entries(graph, view, refs) -> dict[int, np.ndarray]:
