@@ -26,7 +26,7 @@ def test_distributed_merge_depth(benchmark):
         for depth in (1, 2, 3, 6):
             runner = DistributedRunner(six_layer_proxy(size=size), num_ranks=4,
                                        layer_schedule=(depth,), comm=CommModel())
-            results[depth] = runner.run(functional=False)
+            results[depth] = runner.run()
         return results
 
     results = run_once(benchmark, experiment)

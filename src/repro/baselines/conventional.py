@@ -36,10 +36,9 @@ TilePolicy = Callable[[tuple[int, ...], GPUSpec], Iterator[Region]]
 
 @dataclass
 class BaselineResult:
-    """Outputs and simulator metrics of one baseline run."""
+    """Simulator metrics of one baseline run."""
 
     name: str
-    outputs: dict[str, np.ndarray] | None
     metrics: RunMetrics
     num_groups: int
 
@@ -101,17 +100,11 @@ class ConventionalExecutor:
             values[group.output.node_id] = compute_group_values(graph, group, values)
         return {n.name: values[n.node_id] for n in graph.output_nodes}
 
-    def run(
-        self,
-        inputs: Mapping[str, np.ndarray] | np.ndarray | None = None,
-        functional: bool = True,
-        device: Device | None = None,
-    ) -> BaselineResult:
-        """The counted group loop on ``device`` (a fresh one if None);
-        ``functional`` adds :meth:`values`' outputs, computed first."""
+    def run(self, device: Device | None = None) -> BaselineResult:
+        """The counted group loop on ``device`` (a fresh one if None); it
+        computes no value (:meth:`values` does)."""
         graph = self.graph
         device = device if device is not None else Device(self.spec)
-        outputs = self.values(inputs) if functional else None
 
         handles: dict[int, DenseHandle] = {}
         for node in graph.input_nodes:
@@ -143,9 +136,4 @@ class ConventionalExecutor:
             if (gi + 1) % self.sync_every == 0 or gi == len(self.groups) - 1:
                 device.synchronize()
 
-        return BaselineResult(
-            name=self.name,
-            outputs=outputs,
-            metrics=device.finish(),
-            num_groups=len(self.groups),
-        )
+        return BaselineResult(name=self.name, metrics=device.finish(), num_groups=len(self.groups))

@@ -9,9 +9,9 @@ fallback for tiny layers and global operators (section 3.3.3).
 Every tile is one task: it reads its (halo-enlarged) input region from the
 producer's dense buffer with strided row-major accesses -- the address-stream
 cost the brick layout exists to avoid -- reads the group's weights, and
-writes its output tile.  Numerical results in functional mode are computed
-once per group at full-tensor granularity (identical math, the tiling only
-affects the access stream).
+writes its output tile.  Values (the baselines' and the engine's
+``values()``) are computed once per group at full-tensor granularity
+(identical math, the tiling only affects the access stream).
 """
 
 from __future__ import annotations

@@ -214,5 +214,5 @@ def run_conventional(
 ) -> BreakdownRow:
     """Profile one conventional baseline."""
     executor = executor_cls(graph, spec=spec, **kwargs)
-    result = executor.run(inputs=None, functional=False)
+    result = executor.run()
     return BreakdownRow.from_metrics(label or executor.name, result.metrics)

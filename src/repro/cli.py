@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
     if args.compare:
         from repro.baselines import CudnnBaseline
 
-        base = CudnnBaseline(_build_model(args)).run(functional=False)
+        base = CudnnBaseline(_build_model(args)).run()
         print()
         print(profile_report(base.metrics, A100, title=f"{args.model} / cudnn baseline"))
         ratio = result.metrics.total_time / base.metrics.total_time

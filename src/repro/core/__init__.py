@@ -1,10 +1,13 @@
 """BrickDL core: the paper's contribution.
 
-* :mod:`repro.core.brick` / :mod:`repro.core.bricked` -- the brick data
-  layout (Brick, BrickMap, BrickInfo; section 3.3.4),
+* :mod:`repro.core.brick` / :mod:`repro.core.bricked` /
+  :mod:`repro.core.handles` -- the brick data layout: Brick, BrickMap,
+  BrickInfo (section 3.3.4), the brick grid and patch spans, and the bricked
+  buffers the simulator addresses (section 3.1),
 * :mod:`repro.core.halo` -- static halo analysis (section 3.2.1),
-* :mod:`repro.core.bricktask` -- what a brick task reads, writes, synchronizes
-  with and computes, under every merged schedule (section 3.2),
+* :mod:`repro.core.bricktask` -- what a brick task reads, writes and
+  synchronizes with under every merged schedule (section 3.2), and the one
+  schedule-free values pass of a merged subgraph,
 * :mod:`repro.core.padded` / :mod:`repro.core.memoized` -- the two merged
   execution strategies (sections 3.2.1-3.2.2), as schedules over it,
 * :mod:`repro.core.partition` -- DNN graph partitioning (section 3.3.1),
@@ -18,7 +21,7 @@
 """
 
 from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map
-from repro.core.bricked import BrickedTensor, BrickGrid
+from repro.core.bricked import BrickGrid
 from repro.core.engine import BrickDLEngine, EngineResult
 from repro.core.partition import partition_graph
 from repro.core.perfmodel import PerfModelConfig, choose_brick_size, choose_strategy
@@ -31,7 +34,6 @@ __all__ = [
     "BrickMap",
     "BrickInfo",
     "BrickGrid",
-    "BrickedTensor",
     "BrickDLEngine",
     "EngineResult",
     "partition_graph",

@@ -1,35 +1,26 @@
-"""Bricked activation tensors: dense <-> fine-grained blocked layout.
+"""The brick data layout's geometry: grids, patch spans, dense patches.
 
-A :class:`BrickedTensor` stores an ``(N, C, *spatial)`` activation as a grid
-of bricks, each a contiguous ``(C, *brick_shape)`` block (BrickDL blocks
-along batch and spatial dimensions, never channels -- section 3.2).  Bricks
-whose extent overhangs the feature map are masked with zeros (section 3.3.4).
+BrickDL stores an ``(N, C, *spatial)`` activation as a grid of bricks, each a
+contiguous ``(C, *brick_shape)`` block (it blocks along batch and spatial
+dimensions, never channels -- section 3.2); a brick whose extent overhangs
+the feature map is stored in full and masked (section 3.3.4).  The simulator
+addresses that layout through :class:`~repro.core.handles.BrickedHandle`
+over a buffer of :func:`bricked_nbytes`; values never live in it.  This
+module holds what both need:
 
-The storage order of bricks is governed by a :class:`~repro.core.brick.BrickMap`
-(identity by default).  Values move per *axis*, not per brick: along one axis
-a copy between a patch and the bricks it overlaps is three slices
-(:func:`patch_spans`), so each primitive is a constant handful of NumPy calls
-whatever the number of bricks:
-
-* :meth:`BrickedTensor.gather` -- the dense patch over one need interval per
-  axis, a neutral fill value beyond the feature map (the halo *copy* of
-  section 3.2.1): the box of overlapped bricks is selected through the brick
-  map in one indexing operation -- the map is consulted once per box, not
-  once per brick -- interleaved into a dense block and placed with one slice
-  assignment.  ``gather_region`` is the same method, since a
-  :class:`~repro.graph.regions.Region` *is* one interval per axis, and
-  :meth:`~BrickedTensor.scatter_region` its inverse over the same spans;
-* :meth:`BrickedTensor.store_brick` -- one slice assignment of the brick a
-  task owns.  (The paper's per-brick neighbour table, Fig. 6(c), is built on
-  first read of :attr:`BrickedTensor.brick_info`; nothing here needs it.)
-
-Each brick's bytes are contiguous in the underlying buffer, which is what
-gives the layout its single-address-stream property in the simulator.
+* :class:`BrickGrid` -- the brick decomposition of a spatial domain: grid
+  shape, row-major strides, the bricks a region overlaps, per axis;
+* :func:`patch_spans` -- how a patch over one need interval per axis copies
+  from the bricks it overlaps: three slices per axis, whatever the number of
+  bricks, stopping at the extent so an overhang's mask never reaches a patch;
+* :func:`gather_dense` -- the halo *copy* of section 3.2.1 out of a dense
+  array, a neutral fill value beyond the feature map;
+* :func:`flat_bricks` / :func:`bricked_nbytes` -- flat brick indices of a
+  box and the bytes of a bricked buffer.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -39,12 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import LayoutError
-from repro.core.brick import Brick, BrickInfo, BrickMap
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["BrickGrid", "BrickedTensor", "bricked_nbytes", "flat_bricks", "gather_dense",
-           "patch_spans"]
+__all__ = ["BrickGrid", "bricked_nbytes", "flat_bricks", "gather_dense", "patch_spans"]
 
 
 @dataclass(frozen=True)
@@ -116,126 +105,6 @@ class BrickGrid:
     bricks_overlapping = overlap_plan
 
 
-class BrickedTensor:
-    """An activation stored in the brick data layout."""
-
-    def __init__(
-        self,
-        spec: TensorSpec,
-        brick_shape: Sequence[int],
-        brick_map: BrickMap | None = None,
-    ) -> None:
-        if spec.spatial_ndim != len(tuple(brick_shape)):
-            raise LayoutError(f"brick rank {len(tuple(brick_shape))} vs spatial rank {spec.spatial_ndim}")
-        self.spec = spec
-        self.grid = BrickGrid(spec.spatial, tuple(int(b) for b in brick_shape))
-        self.brick_map = brick_map if brick_map is not None else BrickMap(self.grid.grid_shape)
-        if self.brick_map.grid_shape != self.grid.grid_shape:
-            raise LayoutError(
-                f"brick map grid {self.brick_map.grid_shape} does not match {self.grid.grid_shape}"
-            )
-        # One contiguous slab: (N, num_bricks, C, *brick_shape).
-        self.storage = np.zeros(
-            (spec.batch, self.grid.num_bricks, spec.channels, *self.grid.brick_shape),
-            dtype=spec.dtype,
-        )
-        # A box of bricks (k_1..k_n, C, B_1..B_n) <-> (C, k_1, B_1, ..., k_n, B_n).
-        nd = self.grid.ndim
-        self._interleave = (nd, *(x for d in range(nd) for x in (d, nd + 1 + d)))
-
-    @functools.cached_property
-    def brick_info(self) -> BrickInfo:
-        """Per-brick neighbour adjacency (Fig. 6(c)), built on first read."""
-        return BrickInfo(self.brick_map)
-
-    # -- geometry -----------------------------------------------------------
-    @property
-    def brick_nbytes(self) -> int:
-        """Bytes of one brick: C * prod(brick_shape) * itemsize (contiguous)."""
-        return self.spec.channels * math.prod(self.grid.brick_shape) * self.spec.itemsize
-
-    @property
-    def nbytes(self) -> int:
-        return self.storage.nbytes
-
-    def byte_offset(self, batch: int, physical_index: int) -> int:
-        """Byte offset of a brick inside this tensor's buffer."""
-        return (batch * self.grid.num_bricks + physical_index) * self.brick_nbytes
-
-    def brick(self, batch: int, grid_pos: Sequence[int]) -> Brick:
-        phys = self.brick_map.physical(grid_pos)
-        return Brick(phys, self.storage[batch, phys])
-
-    # -- dense conversion -----------------------------------------------------
-    @classmethod
-    def from_dense(
-        cls,
-        array: np.ndarray,
-        brick_shape: Sequence[int],
-        brick_map: BrickMap | None = None,
-    ) -> "BrickedTensor":
-        """Decompose a dense ``(N, C, *spatial)`` array into bricks."""
-        n, c = array.shape[:2]
-        bt = cls(TensorSpec(n, c, array.shape[2:], array.dtype), brick_shape, brick_map)
-        whole = Region.from_extents(bt.spec.spatial)
-        for batch in range(n):
-            bt.scatter_region(batch, whole, array[batch])
-        return bt
-
-    def to_dense(self) -> np.ndarray:
-        """Reassemble the dense activation (mask padding removed)."""
-        whole = Region.from_extents(self.spec.spatial)
-        return np.stack([self.gather(batch, whole) for batch in range(self.spec.batch)])
-
-    # -- value movement ---------------------------------------------------------
-    def _dense(self, batch: int, slots: np.ndarray) -> np.ndarray:
-        """Dense ``(C, k_1*B_1, ..., k_n*B_n)`` copy of the box of bricks
-        stored at ``slots`` (a box of the brick map's slot grid)."""
-        return self.storage[batch, slots].transpose(self._interleave).reshape(
-            self.spec.channels, *(k * b for k, b in zip(slots.shape, self.grid.brick_shape)))
-
-    def gather(self, batch: int, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
-        """Dense ``(C, *need lengths)`` patch over one absolute interval per
-        axis; parts beyond the feature map get ``fill`` (implicit zero padding
-        of convolutions; ``-inf`` for max pooling)."""
-        out = new_patch(self.spec.channels, needs, fill, self.spec.dtype)
-        spans = patch_spans(needs, self.grid.extents, self.grid.brick_shape)
-        if spans is not None:
-            box, src, dst = spans
-            out[dst] = self._dense(batch, self.brick_map.slots[box])[src]
-        return out
-
-    gather_region = gather  # a Region is one need interval per axis
-
-    def store_brick(self, batch: int, grid_pos: Sequence[int], values: np.ndarray) -> None:
-        """Write the brick at ``grid_pos`` -- all a brick task ever writes --
-        from its dense ``(C, *clipped brick shape)`` values.  The overhang of
-        a boundary brick is never written, so its zero mask holds."""
-        grid = self.grid
-        lengths = [min(b, e - p * b) for p, b, e in zip(grid_pos, grid.brick_shape, grid.extents)]
-        if values.shape != (self.spec.channels, *lengths):
-            raise LayoutError(f"brick {tuple(grid_pos)} is {lengths}, got values {values.shape}")
-        self.storage[(batch, self.brick_map.slots[tuple(grid_pos)], slice(None),
-                      *map(slice, lengths))] = values
-
-    def scatter_region(self, batch: int, region: Region, values: np.ndarray) -> None:
-        """Write a dense ``(C, *region.shape)`` patch into the bricks: the
-        inverse of :meth:`gather` over the same spans (read the box, place
-        the in-map part, write the box back)."""
-        if values.shape != (self.spec.channels, *region.shape):
-            raise LayoutError(f"scatter shape {values.shape} vs region {region.shape}")
-        spans = patch_spans(region, self.grid.extents, self.grid.brick_shape)
-        if spans is None:
-            return
-        box, src, dst = spans
-        slots = self.brick_map.slots[box]
-        dense = self._dense(batch, slots)
-        dense[src] = values[dst]
-        split = (x for kb in zip(slots.shape, self.grid.brick_shape) for x in kb)
-        self.storage[batch, slots] = dense.reshape(self.spec.channels, *split).transpose(
-            np.argsort(self._interleave))
-
-
 def patch_spans(needs: Sequence[Interval], extents: Sequence[int], brick_shape: Sequence[int]
                 ) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]] | None:
     """How a ``(C, *need lengths)`` patch copies from / to the bricks it
@@ -259,15 +128,13 @@ def patch_spans(needs: Sequence[Interval], extents: Sequence[int], brick_shape: 
     return tuple(box), tuple(src), tuple(dst)
 
 
-def new_patch(channels: int, needs: Sequence[Interval], fill: float, dtype) -> np.ndarray:
-    """A ``(C, *need lengths)`` patch holding ``fill`` everywhere."""
-    shape = (channels, *(max(0, iv.hi - iv.lo) for iv in needs))
-    return np.zeros(shape, dtype) if fill == 0 else np.full(shape, fill, dtype)
-
-
 def gather_dense(data: np.ndarray, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
-    """:meth:`BrickedTensor.gather` out of a dense ``(C, *extents)`` array."""
-    out = new_patch(data.shape[0], needs, fill, data.dtype)
+    """The dense ``(C, *need lengths)`` patch over one absolute interval per
+    axis of a dense ``(C, *extents)`` array; parts beyond the feature map get
+    ``fill`` (implicit zero padding of convolutions; ``-inf`` for max
+    pooling)."""
+    shape = (data.shape[0], *(max(0, iv.hi - iv.lo) for iv in needs))
+    out = np.zeros(shape, data.dtype) if fill == 0 else np.full(shape, fill, data.dtype)
     spans = patch_spans(needs, data.shape[1:], data.shape[1:])
     if spans is not None:
         _, src, dst = spans

@@ -13,14 +13,13 @@ knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
 
 The emitters count; they compute nothing.  A brick's value does not depend on
-its schedule, so values have one producer, :meth:`BrickTasks.values`: every
+its schedule, so values have one producer, :func:`subgraph_values`: every
 member once, with no device, task, tag or barrier, under every strategy --
 padded's redundant recompute is a cost of its schedule, which the counted run
-models, not a different value.  An executor built without a ``device`` is
-that producer: its entries are dense ``(N, C, *S)`` arrays, each member's
-values are one such array, and its handles get no buffers.  The emitters
-count one task per brick; the values pass dispatches per class of
-equal-geometry bricks, in stacks :data:`~repro.kernels.STACKABLE` proves exact.
+models, not a different value.  It takes the entries as dense ``(N, C, *S)``
+arrays and makes each member's values one such array.  The emitters count one
+task per brick; the values pass dispatches per class of equal-geometry
+bricks, in stacks :data:`~repro.kernels.STACKABLE` proves exact.
 
 An emitter builds rows, not calls: what every task of a node shares (its
 weight row, its input sources, the whole-buffer tokens of its entries) is
@@ -51,7 +50,8 @@ from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
 from repro.kernels import STACKABLE, apply_node_full, apply_node_local, by_tensor, pad_value_for
 
-__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "require_values"]
+__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "require_values",
+           "subgraph_values"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -106,6 +106,74 @@ def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
     return (slice(None), *(slice(r.out.lo, r.out.hi) for r in rows))
 
 
+def subgraph_values(subgraph: SubgraphView, brick_shape: Sequence[int], strategy: str,
+                    entries: Mapping[int, np.ndarray], screen: Screen | None = None,
+                    subgraph_index: int | None = None) -> dict[int, np.ndarray]:
+    """The exits' values of one merged subgraph from its dense ``(N, C, *S)``
+    ``entries``, with no schedule: no device, task, tag or barrier.  Every
+    member runs once, in subgraph order, into one dense array dropped after
+    its last consumer here: one kernel call over the batch for a member in
+    :data:`~repro.kernels.BY_TENSOR`, else :func:`_fill_by_class`.  Once a
+    member's array is filled, ``screen`` sees each of its (brick, sample)
+    slices in brick order, labelled as the ``strategy``'s task for that member
+    brick (under padded: the member brick the exit tasks recompute).  A
+    subgraph the pass cannot evaluate is refused first (:func:`require_values`)."""
+    graph, members = subgraph.graph, subgraph.node_ids
+    require_values(graph, members)
+    geom = SubgraphGeometry(subgraph, tuple(brick_shape))
+    prefix = _NAMES[strategy][0]
+    batch = graph.node(members[0]).spec.batch
+    dense = dict(entries)
+    last = {pred: nid for nid in members for pred in graph.node(nid).inputs}
+    for nid in members:
+        node = graph.node(nid)
+        bricks = list(itertools.product(*map(range, geom.grid(nid).grid_shape)))
+        if by_tensor(node.op):
+            out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
+        else:
+            out = np.empty(node.spec.shape, node.spec.dtype)
+            _fill_by_class(out, node, bricks, [dense[pred] for pred in node.inputs], geom, batch)
+        if screen is not None:
+            for gpos in bricks:
+                box, label = brick_box(geom.rows(nid, gpos)), f"{prefix}/{node.name}/{gpos}"
+                for n in range(batch):
+                    screen(nid, out[n][box], subgraph_index, gpos, n, label)
+        dense[nid] = out
+        for pred in set(node.inputs):
+            if last[pred] == nid and pred in geom.members and pred not in subgraph.exit_ids:
+                del dense[pred]
+    return {eid: dense[eid] for eid in subgraph.exit_ids}
+
+
+def _fill_by_class(out: np.ndarray, node: Node, bricks: Iterable[tuple[int, ...]],
+                   sources: list[np.ndarray], geom: SubgraphGeometry, batch: int) -> None:
+    """Fill ``out`` item by item -- a (brick, sample) with one patch per input
+    copied out of ``sources`` -- in one kernel call per stack of up to
+    :data:`~repro.kernels.STACKABLE` items of equal output shape, offsets and
+    need lengths.  The stacks and ``sources`` die with this frame, so a
+    producer the caller drops is freed before the next array."""
+    fill, limit = pad_value_for(node.op), STACKABLE.get(node.op.kind, 1)
+    classes: dict[tuple, list] = {}
+    for gpos in bricks:
+        rows = geom.rows(node.node_id, gpos)
+        shape, needs, offsets = patch_geometry(rows, len(node.inputs))
+        spans = [patch_spans(need, src.shape[2:], src.shape[2:]) for need, src in zip(needs, sources)]
+        key = (shape, offsets, tuple(tuple(iv.hi - iv.lo for iv in need) for need in needs))
+        classes.setdefault(key, []).extend([(spans, brick_box(rows), n) for n in range(batch)])
+    for (shape, offsets, lengths), items in classes.items():
+        for at in range(0, len(items), limit):
+            part = items[at:at + limit]
+            patches = [np.full((len(part), src.shape[1], *length), fill, src.dtype)
+                       for src, length in zip(sources, lengths)]
+            for i, (spans, _, n) in enumerate(part):
+                for patch, src, span in zip(patches, sources, spans):
+                    if span is not None:
+                        patch[i][span[2]] = src[n][span[1]]
+            results = apply_node_local(node.op, patches, node.weights, shape, offsets)
+            for (_, box, n), value in zip(part, results):
+                out[n][box] = value
+
+
 class Recency(OrderedDict):
     """A schedule's recency filter: an LRU of the last ``capacity`` bricks
     touched, keyed ``buffer_id << 40 | byte offset``.  A read of a brick it
@@ -140,17 +208,14 @@ class BrickTasks:
     ``strategy`` and adds the schedule.
 
     :attr:`stored` maps the nodes whose output lives in a bricked tensor of
-    this subgraph to their handles.  With a ``device`` they get buffers,
-    ``entries`` are handles and :meth:`run` counts; without one ``entries``
-    are the dense entry arrays and only :meth:`values` can run -- a subgraph
-    it cannot evaluate (:func:`require_values`) is refused then, at
-    construction.
+    this subgraph to their handles, each bound to a ``device`` buffer;
+    ``entries`` are the handles the entry activations are read through.
     """
 
     subgraph: SubgraphView
     brick_shape: tuple[int, ...]
-    device: Device | None
-    entries: Mapping[int, Source | np.ndarray]
+    device: Device
+    entries: Mapping[int, Source]
     weight_buffers: Mapping[int, Buffer]
     strategy: ClassVar[str]
 
@@ -162,16 +227,13 @@ class BrickTasks:
             if eid not in self.entries:
                 raise ExecutionError(
                     f"{self.strategy} executor missing entry handle for node {eid}")
-        computes = self.device is None
-        if computes:
-            require_values(self.graph, self.subgraph.node_ids)
         # Per-axis tables (see repro.core.geometry): every read, dependency,
         # sync edge and patch of a brick resolves from one row per axis.
         self.geom = SubgraphGeometry(self.subgraph, self.brick_shape, self.entries)
         self.batch = self.graph.node(self.subgraph.node_ids[0]).spec.batch
         self.stored: dict[int, BrickedHandle] = {}
         for node in map(self.graph.node, getattr(self.subgraph, stored)):
-            buf = None if computes else self.device.allocate(
+            buf = self.device.allocate(
                 f"{node.name}/{suffix}", bricked_nbytes(node.spec, self.brick_shape), transient=True)
             self.stored[node.node_id] = BrickedHandle.create(node.spec, self.brick_shape, buf)
         # Padded redundancy accounting: elements computed on enlarged patches
@@ -242,67 +304,6 @@ class BrickTasks:
             task.acquires = list(entry_tokens)  # a copy: the node's tokens are shared
         bid = handle.buffer.buffer_id
         task.releases = [("brick", bid, own_offset), ("buf", bid)]
-
-    # -- values -------------------------------------------------------------------
-    def values(self, screen: Screen | None = None,
-               subgraph_index: int | None = None) -> dict[int, np.ndarray]:
-        """The exits' values with no schedule: no task, no tag, no barrier.
-        Every member runs once, in subgraph order, into one dense ``(N, C,
-        *S)`` array dropped after its last consumer here: one kernel call
-        over the batch for a member in :data:`~repro.kernels.BY_TENSOR`, else
-        :meth:`_fill_by_class`.  Once a member's array is filled, ``screen``
-        sees each of its (brick, sample) slices in brick order, named by the
-        member brick's task (under padded: the member brick the exit tasks
-        recompute)."""
-        dense = dict(self.entries)
-        members = self.subgraph.node_ids
-        last = {pred: nid for nid in members for pred in self.graph.node(nid).inputs}
-        for nid in members:
-            node = self.graph.node(nid)
-            bricks = list(itertools.product(*map(range, self.geom.grid(nid).grid_shape)))
-            if by_tensor(node.op):
-                out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
-            else:
-                out = np.empty(node.spec.shape, node.spec.dtype)
-                self._fill_by_class(out, node, bricks, [dense[pred] for pred in node.inputs])
-            if screen is not None:
-                for gpos in bricks:
-                    box, label = brick_box(self.geom.rows(nid, gpos)), self._label(node.name, gpos)
-                    for n in range(self.batch):
-                        screen(nid, out[n][box], subgraph_index, gpos, n, label)
-            dense[nid] = out
-            for pred in set(node.inputs):
-                if last[pred] == nid and pred in self.geom.members and pred not in self.subgraph.exit_ids:
-                    del dense[pred]
-        return {eid: dense[eid] for eid in self.subgraph.exit_ids}
-
-    def _fill_by_class(self, out: np.ndarray, node: Node, bricks: Iterable[tuple[int, ...]],
-                       sources: list[np.ndarray]) -> None:
-        """Fill ``out`` item by item -- a (brick, sample) with one patch per
-        input copied out of ``sources`` -- in one kernel call per stack of up
-        to :data:`~repro.kernels.STACKABLE` items of equal output shape,
-        offsets and need lengths.  The stacks and ``sources`` die with this
-        frame, so a producer the caller drops is freed before the next array."""
-        fill, limit = pad_value_for(node.op), STACKABLE.get(node.op.kind, 1)
-        classes: dict[tuple, list] = {}
-        for gpos in bricks:
-            rows = self.geom.rows(node.node_id, gpos)
-            shape, needs, offsets = patch_geometry(rows, len(node.inputs))
-            spans = [patch_spans(need, src.shape[2:], src.shape[2:]) for need, src in zip(needs, sources)]
-            key = (shape, offsets, tuple(tuple(iv.hi - iv.lo for iv in need) for need in needs))
-            classes.setdefault(key, []).extend([(spans, brick_box(rows), n) for n in range(self.batch)])
-        for (shape, offsets, lengths), items in classes.items():
-            for at in range(0, len(items), limit):
-                part = items[at:at + limit]
-                patches = [np.full((len(part), src.shape[1], *length), fill, src.dtype)
-                           for src, length in zip(sources, lengths)]
-                for i, (spans, _, n) in enumerate(part):
-                    for patch, src, span in zip(patches, sources, spans):
-                        if span is not None:
-                            patch[i][span[2]] = src[n][span[1]]
-                results = apply_node_local(node.op, patches, node.weights, shape, offsets)
-                for (_, box, n), value in zip(part, results):
-                    out[n][box] = value
 
     # -- one brick of one node ---------------------------------------------------
     def emit(self, nid: int, gpos: tuple[int, ...], batch: int,

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.bricked import bricked_nbytes
-from repro.core.bricktask import BrickTasks, Screen
+from repro.core.bricktask import BrickTasks, Screen, subgraph_values
 from repro.core.halo import padding_growth
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.core.memoized import MemoizedBrickExecutor
@@ -412,10 +412,11 @@ class BrickDLEngine:
         it, so this is the only producer of outputs (a functional ``run``
         calls it).  Plan entries run in order over dense ``(N, C, *S)``
         arrays -- a brick's patch copied out of a dense array is the copy a
-        brick task gathers from its bricks -- a merged one through its
-        executor's schedule-free ``values()``, which returns its exits'
-        arrays, a fallback one through the tiled path's full-tensor
-        arithmetic; an activation is dropped once its consumers have run.
+        brick task gathers from its bricks -- a merged one through
+        :func:`~repro.core.bricktask.subgraph_values` under its executor's
+        strategy, which returns its exits' arrays, a fallback one through the
+        tiled path's full-tensor arithmetic; an activation is dropped once its
+        consumers have run.
         ``screen`` sees every array computed (see :data:`Screen`).
         """
         from repro.baselines.fusion import fuse_members
@@ -435,9 +436,9 @@ class BrickDLEngine:
                     for gnode in group.nodes:
                         dense[gnode.node_id] = out
             else:
-                executor = _executor_cls(sub)(sub.subgraph, sub.brick_shape, None,
-                                              {eid: dense[eid] for eid in sub.subgraph.entry_ids}, {})
-                dense.update(executor.values(screen, sub.index))
+                dense.update(subgraph_values(
+                    sub.subgraph, sub.brick_shape, _executor_cls(sub).strategy,
+                    {eid: dense[eid] for eid in sub.subgraph.entry_ids}, screen, sub.index))
             for eid in self._retired(sub, remaining):
                 del dense[eid]
         return {n.name: dense[n.node_id] for n in graph.output_nodes}

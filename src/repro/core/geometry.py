@@ -12,8 +12,8 @@ O(sum of grid dims x nodes): an :class:`AxisRow` per (node, axis, grid
 index), and for the padded strategy's reverse halo closure (section 3.2.1,
 Fig. 4's per-axis ``B + 2p, B + 4p`` telescoping) a :class:`ClosureRow` per
 (exit, axis, grid index).  Executors index rows by grid position and
-assemble sizes as products of lengths, flat brick indices as sums of
-per-axis terms and -- in functional mode -- patches from the rows' need
+assemble sizes as products of lengths and flat brick indices as sums of
+per-axis terms, and the values pass its patches from the rows' need
 intervals; nothing on the per-brick path builds or hashes a region.
 :meth:`SubgraphGeometry.needs` / :meth:`~SubgraphGeometry.required` are
 Region-in/Region-out views over the same rows for the static analyses.

@@ -4,9 +4,14 @@ Executors manipulate activations through handles, and a handle only counts:
 it emits the accesses a kernel makes to the simulated device and holds no
 values (large benchmark configurations would not fit or would be too slow in
 NumPy).  Values never travel through a handle: the values pass
-(``BrickDLEngine.values``, the executors' ``values()``) moves plain dense
-``(N, C, *S)`` arrays, and a device-free executor's handles have no buffer
-and serve for their grid only.
+(``BrickDLEngine.values``, :func:`~repro.core.bricktask.subgraph_values`)
+moves plain dense ``(N, C, *S)`` arrays and builds no handle.
+
+A bricked buffer holds ``N x num_bricks`` bricks of ``C x prod(brick)``
+elements each, boundary overhang included (:func:`~repro.core.bricked.bricked_nbytes`):
+brick ``flat`` of sample ``n`` starts at byte ``(n * num_bricks + flat) *
+brick_nbytes`` and its bytes are contiguous -- the layout's single address
+stream, which is what the simulator addresses.
 
 :class:`BrickedHandle` also centralizes the translation from *regions* to
 *brick accesses*: reading a halo-expanded region means reading every
@@ -78,12 +83,12 @@ class DenseHandle:
 
 @dataclass
 class BrickedHandle:
-    """A brick-layout activation bound to a device buffer (None: geometry
-    only).  Bricks are stored row-major: a brick's flat index is physical."""
+    """A brick-layout activation bound to a device buffer.  Bricks are
+    stored row-major: a brick's flat index is physical."""
 
     spec: TensorSpec
     grid: BrickGrid
-    buffer: Buffer | None
+    buffer: Buffer
     brick_nbytes: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -91,7 +96,7 @@ class BrickedHandle:
                              * self.spec.itemsize)
 
     @classmethod
-    def create(cls, spec: TensorSpec, brick_shape: tuple[int, ...], buffer: Buffer | None) -> "BrickedHandle":
+    def create(cls, spec: TensorSpec, brick_shape: tuple[int, ...], buffer: Buffer) -> "BrickedHandle":
         return cls(spec=spec, grid=BrickGrid(spec.spatial, brick_shape), buffer=buffer)
 
     def nbytes(self) -> int:

@@ -12,10 +12,10 @@ partitioning the single-GPU engine uses):
    :class:`~repro.distributed.comm.CommModel`;
 3. each rank computes its output slab locally -- including the redundant
    halo recomputation, exactly like one giant padded brick.  That is a cost
-   of the schedule, not a different value: the run counts each rank's flops
-   and its outputs come from the engine's one value producer,
-   :meth:`~repro.core.engine.BrickDLEngine.values`, so a rank's slab is a
-   slice of them.
+   of the schedule, not a different value: the run only counts each rank's
+   flops, and the outputs come from the engine's one value producer,
+   :meth:`~repro.core.engine.BrickDLEngine.values`, of which a rank's slab
+   is a slice.
 
 Merging more layers per subgraph therefore trades *more* halo volume and
 redundant compute per exchange for *fewer* exchanges -- the
@@ -31,9 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.engine import BrickDLEngine
 from repro.core.geometry import SubgraphGeometry
 from repro.core.partition import partition_graph
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
@@ -48,9 +45,8 @@ __all__ = ["DistributedRunner", "DistributedResult"]
 
 @dataclass
 class DistributedResult:
-    """Outputs and cost summary of one distributed run."""
+    """Cost summary of one distributed run."""
 
-    outputs: dict[str, np.ndarray] | None
     comm: CommCounters
     compute_time_s: float
     num_ranks: int
@@ -124,12 +120,9 @@ class DistributedRunner:
         self.subgraphs = partition_graph(graph, spec, config, max_layers, layer_schedule)
 
     # -- execution ---------------------------------------------------------
-    def run(self, x: np.ndarray | None = None, functional: bool = True) -> DistributedResult:
-        """Count the halo exchanges and per-rank compute of every subgraph;
-        ``functional``: the result also carries the graph outputs, computed
-        first so a refused graph or a bad input fails before any count."""
+    def run(self) -> DistributedResult:
+        """Count the halo exchanges and per-rank compute of every subgraph."""
         graph = self.graph
-        outputs = BrickDLEngine(graph, self.spec, self.config).values(x) if functional else None
         compute_time = 0.0
         halo_rows_total = 0
         per_rank_flops = [0.0] * self.num_ranks
@@ -160,7 +153,6 @@ class DistributedRunner:
                 per_rank_flops[r] += step_flops[r]
 
         return DistributedResult(
-            outputs=outputs,
             comm=self.comm.counters,
             compute_time_s=compute_time,
             num_ranks=self.num_ranks,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bricked import BrickedTensor, BrickGrid, bricked_nbytes
+from repro.core.bricked import BrickGrid, bricked_nbytes
 from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.halo import padding_growth, required_regions
 from repro.core.handles import BrickedHandle
@@ -339,9 +339,8 @@ def test_per_axis_hull_would_overcount():
 def test_bricked_bytes_have_one_spelling():
     spec = TensorSpec(2, 3, (10, 7))
     handle = BrickedHandle.create(spec, (4, 4), Buffer.new("b", bricked_nbytes(spec, (4, 4))))
-    tensor = BrickedTensor(spec, (4, 4))
-    assert handle.nbytes() == bricked_nbytes(spec, (4, 4)) == tensor.nbytes
-    assert handle.brick_nbytes == 3 * 16 * 4 == tensor.brick_nbytes
+    assert handle.nbytes() == bricked_nbytes(spec, (4, 4)) == handle.buffer.nbytes
+    assert handle.brick_nbytes == 3 * 16 * 4
     assert np.prod(handle.grid.grid_shape) * 2 * handle.brick_nbytes == handle.nbytes()
     with pytest.raises(ReproError):
         handle.grid.overlap_plan(Region([Interval(0, 1)]))

@@ -68,21 +68,20 @@ class TestBaselineExecution:
         g = small_chain_graph(size=32)
         x = input_for(g)
         ref = ReferenceExecutor(g).run(x)
-        res = cls(small_chain_graph(size=32)).run(x)
+        got = cls(small_chain_graph(size=32)).values(x)
         for name, expected in ref.items():
-            np.testing.assert_allclose(res.outputs[name], expected, atol=1e-4, rtol=1e-3)
+            np.testing.assert_allclose(got[name], expected, atol=1e-4, rtol=1e-3)
 
     def test_residual_matches_reference(self, cls):
         g = residual_graph()
         x = input_for(g)
         ref = ReferenceExecutor(g).run(x)
-        res = cls(residual_graph()).run(x)
+        got = cls(residual_graph()).values(x)
         for name, expected in ref.items():
-            np.testing.assert_allclose(res.outputs[name], expected, atol=1e-4, rtol=1e-3)
+            np.testing.assert_allclose(got[name], expected, atol=1e-4, rtol=1e-3)
 
     def test_profile_mode(self, cls):
-        res = cls(small_chain_graph(size=32)).run(functional=False)
-        assert res.outputs is None
+        res = cls(small_chain_graph(size=32)).run()
         assert res.metrics.total_time > 0
         assert res.metrics.memory.dram_txns > 0
 
@@ -92,8 +91,8 @@ class TestBaselineCharacter:
         """XLA amortizes barriers over group clusters."""
         g1 = small_chain_graph(size=32)
         g2 = small_chain_graph(size=32)
-        c = CudnnBaseline(g1).run(functional=False)
-        x = XlaBaseline(g2).run(functional=False)
+        c = CudnnBaseline(g1).run()
+        x = XlaBaseline(g2).run()
         # Same graph, same groups; the sync cadence differs -> XLA's "other"
         # overhead cannot exceed cuDNN's.
         assert x.metrics.time.total <= c.metrics.time.total + 1e-9
@@ -102,7 +101,7 @@ class TestBaselineCharacter:
         from repro.baselines.conventional import ConventionalExecutor
 
         g1 = small_chain_graph(size=48)
-        fused = ConventionalExecutor(g1, fuse=True).run(functional=False)
+        fused = ConventionalExecutor(g1, fuse=True).run()
         g2 = small_chain_graph(size=48)
-        unfused = ConventionalExecutor(g2, fuse=False).run(functional=False)
+        unfused = ConventionalExecutor(g2, fuse=False).run()
         assert unfused.metrics.memory.l1_txns > fused.metrics.memory.l1_txns

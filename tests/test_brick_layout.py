@@ -1,4 +1,5 @@
-"""Brick, BrickMap, BrickInfo and BrickedTensor tests (paper Fig. 6)."""
+"""Brick layout tests: Brick, BrickMap, BrickInfo (paper Fig. 6), the brick grid,
+the bricked byte layout and the dense halo copy."""
 
 import itertools
 
@@ -8,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map, neighbor_offsets
-from repro.core.bricked import BrickedTensor, BrickGrid, gather_dense
+from repro.core.bricked import BrickGrid, bricked_nbytes, gather_dense
+from repro.core.handles import BrickedHandle
 from repro.errors import LayoutError
 from repro.graph.regions import Interval, Region
+from repro.graph.tensorspec import TensorSpec
+from repro.gpusim.trace import Buffer
 
 
 class TestBrickMap:
@@ -75,15 +79,6 @@ class TestBrickInfo:
                     expected[phys, d_idx] = bm.physical(npos)
         np.testing.assert_array_equal(info.adjacency, expected)
 
-    def test_tensor_builds_it_on_first_read_only(self, monkeypatch):
-        built = []
-        monkeypatch.setattr("repro.core.bricked.BrickInfo",
-                            lambda brick_map: built.append(brick_map) or "info")
-        bt = BrickedTensor.from_dense(np.zeros((1, 1, 8, 8), np.float32), (4, 4))
-        bt.gather_region(0, Region.from_bounds([1, 1], [6, 6]))
-        assert built == []
-        assert bt.brick_info == bt.brick_info == "info" and built == [bt.brick_map]
-
 
 class TestBrickGrid:
     def test_grid_shape_with_remainder(self):
@@ -102,82 +97,48 @@ class TestBrickGrid:
         assert over == [(0, 1)]
 
 
-class TestBrickedTensor:
-    def test_roundtrip_2d(self, rng):
-        x = rng.standard_normal((2, 3, 13, 17)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4))
-        np.testing.assert_array_equal(bt.to_dense(), x)
+def _handle(spec: TensorSpec, brick: tuple[int, ...]) -> BrickedHandle:
+    return BrickedHandle.create(spec, brick, Buffer.new("b", bricked_nbytes(spec, brick)))
 
-    def test_roundtrip_3d(self, rng):
-        x = rng.standard_normal((1, 2, 9, 6, 7)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4, 4))
-        np.testing.assert_array_equal(bt.to_dense(), x)
 
-    def test_roundtrip_permuted_map(self, rng):
-        x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        base = BrickedTensor.from_dense(x, (4, 4))
-        perm = np.random.default_rng(7).permutation(base.grid.num_bricks)
-        bt = BrickedTensor.from_dense(x, (4, 4), BrickMap(base.grid.grid_shape, perm))
-        np.testing.assert_array_equal(bt.to_dense(), x)
+class TestBrickedLayout:
+    """The byte layout the simulator addresses, and the halo copy."""
 
-    def test_brick_contiguous_bytes(self, rng):
-        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4))
-        assert bt.brick_nbytes == 3 * 16 * 4
-        assert bt.storage[0, 0].flags["C_CONTIGUOUS"]
+    def test_brick_contiguous_bytes(self):
+        handle = _handle(TensorSpec(1, 3, (8, 8)), (4, 4))
+        assert handle.brick_nbytes == 3 * 16 * 4
+        # The bricks tile the buffer back to back: each is one contiguous run.
+        offsets = [handle.brick_offset(0, gpos) for gpos in handle.bricks()]
+        assert offsets == [i * handle.brick_nbytes for i in range(4)]
+        assert handle.buffer.nbytes == handle.nbytes() == 4 * handle.brick_nbytes
 
     def test_brick_access_interface(self, rng):
         x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4))
-        brick = bt.brick(0, (1, 1))
+        handle = _handle(TensorSpec(1, 2, (8, 8)), (4, 4))
+        brick = Brick(handle.physical((1, 1)), x[0, :, 4:8, 4:8].copy())
+        assert brick.physical_index == 3 and brick.nbytes == handle.brick_nbytes
         np.testing.assert_array_equal(brick[(2, 3)], x[0, :, 6, 7])
 
     def test_gather_with_halo_and_fill(self, rng):
         x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4))
-        patch = bt.gather_region(0, Region.from_bounds([-1, 6], [3, 10]), fill=0.0)
+        patch = gather_dense(x[0], Region.from_bounds([-1, 6], [3, 10]), fill=0.0)
         assert patch.shape == (2, 4, 4)
         assert (patch[:, 0, :] == 0).all()          # above the map
         assert (patch[:, :, 2:] == 0).all()         # right of the map
         np.testing.assert_array_equal(patch[:, 1:, :2], x[0, :, 0:3, 6:8])
 
-    def test_scatter_then_gather(self, rng):
-        bt = BrickedTensor.from_dense(np.zeros((1, 2, 8, 8), np.float32), (4, 4))
-        vals = rng.standard_normal((2, 3, 5)).astype(np.float32)
-        region = Region.from_bounds([2, 1], [5, 6])
-        bt.scatter_region(0, region, vals)
-        np.testing.assert_array_equal(bt.gather_region(0, region), vals)
-
-    def test_scatter_shape_check(self):
-        bt = BrickedTensor.from_dense(np.zeros((1, 2, 8, 8), np.float32), (4, 4))
-        with pytest.raises(LayoutError):
-            bt.scatter_region(0, Region.from_bounds([0, 0], [2, 2]), np.zeros((2, 3, 3), np.float32))
-
     def test_rank_mismatch(self):
         with pytest.raises(LayoutError):
-            BrickedTensor.from_dense(np.zeros((1, 2, 8, 8), np.float32), (4, 4, 4))
+            BrickGrid((8, 8), (4, 4, 4))
 
-    def test_byte_offset_layout(self, rng):
-        x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4))
+    def test_byte_offset_layout(self):
+        handle = _handle(TensorSpec(2, 2, (8, 8)), (4, 4))
         # Batches are the outermost stride; bricks contiguous within.
-        assert bt.byte_offset(1, 0) == bt.grid.num_bricks * bt.brick_nbytes
-        assert bt.byte_offset(0, 2) == 2 * bt.brick_nbytes
+        assert handle.brick_offset(1, (0, 0)) == handle.grid.num_bricks * handle.brick_nbytes
+        assert handle.brick_offset(0, (1, 0)) == 2 * handle.brick_nbytes
 
 
 # -- the per-axis copy primitive against a per-element oracle ------------------
-
-def _overhang_is_zero(bt: BrickedTensor) -> bool:
-    """The part of every boundary brick beyond the feature map (its mask)."""
-    for gpos in itertools.product(*(range(g) for g in bt.grid.grid_shape)):
-        inside = tuple(slice(0, iv.length) for iv in bt.grid.brick_region(gpos, clipped=True))
-        for n in range(bt.spec.batch):
-            masked = bt.brick(n, gpos).data.copy()
-            masked[(slice(None), *inside)] = 0
-            if masked.any():
-                return False
-    return True
-
 
 def _oracle_gather(dense, batch, region, fill):
     """Point by point: the dense value inside the map, else ``fill``."""
@@ -189,77 +150,28 @@ def _oracle_gather(dense, batch, region, fill):
     return out
 
 
-def _oracle_scatter(dense, batch, region, values):
-    for point in itertools.product(*region):
-        if all(0 <= p < e for p, e in zip(point, dense.shape[2:])):
-            local = tuple(p - iv.lo for p, iv in zip(point, region))
-            dense[(batch, slice(None), *point)] = values[(slice(None), *local)]
-
-
 @st.composite
 def layout_case(draw):
-    """A rank 1-3 tensor (extents not multiples of the brick, bricks larger
-    than an extent) behind an identity, Morton or random brick map, plus
-    regions hanging off any side, wholly outside, or empty."""
+    """A rank 1-3 tensor plus regions hanging off any side, wholly outside,
+    or empty."""
     rank = draw(st.integers(1, 3))
     extents = tuple(draw(st.integers(1, 9)) for _ in range(rank))
-    brick = tuple(draw(st.integers(1, 5)) for _ in range(rank))
-    grid = BrickGrid(extents, brick)
-    kind = draw(st.sampled_from(["identity", "morton", "random"]))
-    brick_map = {"identity": lambda: None, "morton": lambda: morton_map(grid.grid_shape),
-                 "random": lambda: BrickMap(grid.grid_shape, draw(st.permutations(
-                     range(grid.num_bricks))))}[kind]()
     interval = st.tuples(st.integers(-6, 12), st.integers(0, 8)).map(
         lambda t: Interval(t[0], t[0] + t[1]))
     regions = draw(st.lists(st.tuples(*[interval] * rank).map(Region), min_size=1, max_size=4))
     seed = draw(st.integers(0, 2 ** 16))
-    return extents, brick, brick_map, regions, seed
+    return extents, regions, seed
 
 
 @settings(max_examples=150, deadline=None)
 @given(layout_case(), st.sampled_from([0.0, -np.inf, 5.0]))
-def test_gather_and_scatter_equal_the_per_element_oracle(case, fill):
-    extents, brick, brick_map, regions, seed = case
+def test_gather_dense_equals_the_per_element_oracle(case, fill):
+    extents, regions, seed = case
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((2, 3, *extents)).astype(np.float32)
-    bt = BrickedTensor.from_dense(dense, brick, brick_map)
     for region in regions:
         batch = int(rng.integers(2))
         expected = _oracle_gather(dense, batch, region, fill)
-        for patch in (bt.gather(batch, tuple(region), fill), bt.gather_region(batch, region, fill),
-                      gather_dense(dense[batch], region, fill)):
-            assert patch.shape == expected.shape and patch.dtype == expected.dtype
-            np.testing.assert_array_equal(patch, expected)
-        values = rng.standard_normal((3, *region.shape)).astype(np.float32)
-        bt.scatter_region(batch, region, values)
-        _oracle_scatter(dense, batch, region, values)
-        assert _overhang_is_zero(bt)
-        np.testing.assert_array_equal(bt.to_dense(), dense)
-
-
-@settings(max_examples=100, deadline=None)
-@given(layout_case())
-def test_store_brick_equals_the_per_element_oracle(case):
-    extents, brick, brick_map, _, seed = case
-    rng = np.random.default_rng(seed)
-    dense = rng.standard_normal((2, 3, *extents)).astype(np.float32)
-    bt = BrickedTensor.from_dense(dense, brick, brick_map)
-    assert _overhang_is_zero(bt)
-    for gpos in itertools.product(*(range(g) for g in bt.grid.grid_shape)):
-        region = bt.grid.brick_region(gpos, clipped=True)
-        inside = (slice(None), *region.slices(origin=[iv.lo for iv in region]))
-        for n in range(2):  # from_dense put every brick in the slot the map names
-            np.testing.assert_array_equal(bt.brick(n, gpos).data[inside],
-                                          dense[(n, slice(None), *region.slices())])
-        batch = int(rng.integers(2))
-        values = rng.standard_normal((3, *region.shape)).astype(np.float32)
-        bt.store_brick(batch, gpos, values)
-        _oracle_scatter(dense, batch, region, values)
-        assert _overhang_is_zero(bt)
-        np.testing.assert_array_equal(bt.to_dense(), dense)
-        np.testing.assert_array_equal(bt.brick(batch, gpos).data[inside], values)
-    gpos = tuple(g - 1 for g in bt.grid.grid_shape)
-    with pytest.raises(LayoutError):  # a full brick's worth for a clipped brick, or vice versa
-        bt.store_brick(0, gpos, np.zeros((3, *(b + 1 for b in brick)), np.float32))
-    with pytest.raises(LayoutError):
-        bt.gather(0, (Interval(0, 1),) * (len(extents) + 1))
+        patch = gather_dense(dense[batch], region, fill)
+        assert patch.shape == expected.shape and patch.dtype == expected.dtype
+        np.testing.assert_array_equal(patch, expected)

@@ -1,14 +1,13 @@
 """Differential conformance corpus: every executor vs the reference.
 
 Hypothesis generates small random DAGs of *local* (mergeable) ops and runs
-each through all four execution paths -- the padded, memoized, and
-wavefront merged executors plus the distributed halo-exchange runner --
+each through four execution paths -- the padded, memoized, and wavefront
+merged executors forced on every subgraph, plus the engine's own plan --
 asserting element-wise agreement with the naive
 :class:`~repro.core.reference.ReferenceExecutor`.
 
 Agreement is element-wise at a tight float32 tolerance: the merged
-executors tile convolutions into bricks (and the distributed runner into
-row slabs), and BLAS GEMM results are shape-dependent at the ulp level, so
+executors tile convolutions into bricks, and BLAS GEMM results are shape-dependent at the ulp level, so
 bit-identity across *tilings* is not a contract here (batched-vs-single-shot
 on the same plan is -- ``tests/test_serve.py`` covers that one bitwise).
 
@@ -27,16 +26,14 @@ from hypothesis import strategies as st
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
-from repro.distributed.engine import DistributedRunner
 from repro.graph.builder import GraphBuilder
 from repro.graph.serialize import save_graph
 from repro.graph.tensorspec import TensorSpec
 
 FAILURE_DIR = pathlib.Path(__file__).parent / "_conformance_failures"
 
-# The distributed runner refuses global ops (dense heads, global pooling),
-# so the corpus is local-op DAGs: convs, pointwise ops, joins, branches.
-NUM_RANKS = 2
+# The corpus is local-op DAGs (convs, pointwise ops, joins, branches): the
+# ops a merged subgraph may hold.
 
 
 @st.composite
@@ -81,8 +78,8 @@ def local_dag(draw):
 
 
 def _run_executor(name: str, graph, x):
-    if name == "distributed":
-        return DistributedRunner(graph, num_ranks=NUM_RANKS).run(x).outputs
+    if name == "planned":
+        return BrickDLEngine(graph).values(x)
     strategy = {"padded": Strategy.PADDED, "memoized": Strategy.MEMOIZED,
                 "wavefront": Strategy.WAVEFRONT}[name]
     engine = BrickDLEngine(graph, strategy_override=strategy,
@@ -120,7 +117,7 @@ def _assert_conformant(graph, executor: str) -> None:
 # 4 executors x 15 examples = 60 generated graphs, over the ISSUE's >= 50
 # corpus floor.
 @pytest.mark.parametrize("executor",
-                         ["padded", "memoized", "wavefront", "distributed"])
+                         ["padded", "memoized", "wavefront", "planned"])
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])

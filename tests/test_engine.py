@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bricked import gather_dense
-from repro.core.bricktask import brick_box
+from repro.core.bricktask import BrickTasks, brick_box
 from repro.core.engine import BrickDLEngine
-from repro.core.geometry import patch_geometry
+from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError
@@ -210,7 +210,7 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     assert per_task <= 7.1, (
         f"{per_task:.1f} calls into src/repro per counted task (budget 7.1): per-item Python is "
         "back on the values path -- the usual culprits are elementwise members run brick by "
-        "brick (kernels.BY_TENSOR), per-sample calls in BrickTasks._fill_by_class, Region "
+        "brick (kernels.BY_TENSOR), per-sample calls in bricktask._fill_by_class, Region "
         "algebra (graph/regions.py) and per-brick loops in core/bricked.py")
 
 
@@ -359,25 +359,28 @@ def test_values_equal_functional_run_on_random_dags(graph, strategy):
     _assert_values_equal_functional_runs(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
 
 
-def _per_brick_values(self, screen=None, subgraph_index=None):
-    """Oracle for ``BrickTasks.values``: every member brick by brick and
-    sample by sample, one ``kernel_step`` each on a patch gathered from its
+def _per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, subgraph_index=None):
+    """Oracle for ``subgraph_values``: every member brick by brick and sample
+    by sample, one ``kernel_step`` each on a patch gathered from its
     producers' dense arrays, screened as it is computed."""
-    dense = dict(self.entries)
-    for nid in self.subgraph.node_ids:
-        node = self.graph.node(nid)
+    graph = subgraph.graph
+    geom = SubgraphGeometry(subgraph, brick_shape)
+    prefix = {"padded": "padded", "memoized": "memo", "wavefront": "wave"}[strategy]
+    dense = dict(entries)
+    for nid in subgraph.node_ids:
+        node = graph.node(nid)
         out = np.empty(node.spec.shape, node.spec.dtype)
-        for gpos in itertools.product(*map(range, self.geom.grid(nid).grid_shape)):
-            rows = self.geom.rows(nid, gpos)
+        for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
+            rows = geom.rows(nid, gpos)
             shape, needs, offsets = patch_geometry(rows, len(node.inputs))
-            for n in range(self.batch):
+            for n in range(node.spec.batch):
                 out[n][brick_box(rows)] = value = kernel_step(
                     node, shape, needs, offsets,
                     lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
                 if screen is not None:
-                    screen(nid, value, subgraph_index, gpos, n, self._label(node.name, gpos))
+                    screen(nid, value, subgraph_index, gpos, n, f"{prefix}/{node.name}/{gpos}")
         dense[nid] = out
-    return {eid: dense[eid] for eid in self.subgraph.exit_ids}
+    return {eid: dense[eid] for eid in subgraph.exit_ids}
 
 
 @pytest.mark.parametrize("batch", [1, 2, 8])
@@ -389,10 +392,6 @@ def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeyp
     members, overhanging boundary bricks in classes of their own) gives the
     bytes of one ``kernel_step`` per (brick, sample), and ``screen`` sees the
     same (node, subgraph, brick, sample, label) sequence with the same bytes."""
-    from repro.core.memoized import MemoizedBrickExecutor
-    from repro.core.padded import PaddedBrickExecutor
-    from repro.core.wavefront import WavefrontBrickExecutor
-
     engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
     plan = engine.compile()
     x = np.random.default_rng(batch).standard_normal(engine.graph.input_nodes[0].spec.shape)
@@ -405,9 +404,7 @@ def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeyp
         return out, seen
 
     got, got_seen = screened()
-    # On every executor class, so an override of ``values`` is replaced too.
-    for cls in (PaddedBrickExecutor, MemoizedBrickExecutor, WavefrontBrickExecutor):
-        monkeypatch.setattr(cls, "values", _per_brick_values)
+    monkeypatch.setattr("repro.core.engine.subgraph_values", _per_brick_values)
     want, want_seen = screened()
     assert got.keys() == want.keys()
     for name in want:
@@ -436,11 +433,12 @@ def test_values_builds_no_device_task_or_schedule(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [(Device, "__init__"), (Device, "submit"), (trace.Task, "__init__"),
-                        (MemoizedBrickExecutor, "run"), (MemoizedBrickExecutor, "schedule")]:
+                        (BrickTasks, "__post_init__"), (MemoizedBrickExecutor, "run"),
+                        (MemoizedBrickExecutor, "schedule")]:
         counting(owner, name)
     got = engine.values(x, plan)
     assert calls == []
     assert all(np.array_equal(got[k], want[k]) for k in want)
     engine.run(x, plan=plan)   # the counters do see a simulated run
-    assert {"Device.__init__", "Device.submit", "Task.__init__", "MemoizedBrickExecutor.run",
-            "MemoizedBrickExecutor.schedule"} <= set(calls)
+    assert {"Device.__init__", "Device.submit", "Task.__init__", "BrickTasks.__post_init__",
+            "MemoizedBrickExecutor.run", "MemoizedBrickExecutor.schedule"} <= set(calls)

@@ -6,8 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bricked import BrickedTensor, bricked_nbytes, gather_dense
-from repro.core.bricktask import Recency, member_deps
+from repro.core.bricked import bricked_nbytes, gather_dense
+from repro.core.bricktask import Recency, member_deps, subgraph_values
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
 from repro.core.padded import PaddedBrickExecutor
@@ -85,13 +85,13 @@ CASES = [
 class TestEquivalence:
     def test_padded_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = PaddedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
+        exits = subgraph_values(view, (4, 4), PaddedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
     def test_memoized_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = MemoizedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
+        exits = subgraph_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
@@ -121,7 +121,7 @@ class TestDataPathEdgeCases:
     def _run(self, executor_cls, make_graph, members, brick, entry_brick, x=None):
         g, view, device, entries, wb, refs = build_subgraph_fixture(
             make_graph, members, brick=entry_brick, x=x)
-        exits = executor_cls(view, brick, None, dense_entries(g, view, refs), {}).values()
+        exits = subgraph_values(view, brick, executor_cls.strategy, dense_entries(g, view, refs))
         return exits[g.node("out").node_id], refs["out"]
 
     def test_entry_on_its_own_grid(self, executor_cls):
@@ -143,14 +143,12 @@ class TestDataPathEdgeCases:
 
 
 def test_void_need_gathers_an_all_fill_patch_of_the_right_shape():
-    """A need that is empty along one axis only (PR 17's void rows: a kernel <
-    stride transposed conv) is the empty set: every source hands back a patch
+    """A need that is empty along one axis only (the void rows of a kernel <
+    stride transposed conv) is the empty set: the gather hands back a patch
     with that axis of length 0, whatever the other axis asks for."""
     x = np.arange(2 * 6 * 6, dtype=np.float32).reshape(1, 2, 6, 6)
-    needs = (Interval(3, 3), Interval(-1, 5))
-    for patch in (BrickedTensor.from_dense(x, (4, 4)).gather(0, needs, -np.inf),
-                  gather_dense(x[0], needs, -np.inf)):
-        assert patch.shape == (2, 0, 6) and patch.dtype == np.float32
+    patch = gather_dense(x[0], (Interval(3, 3), Interval(-1, 5)), -np.inf)
+    assert patch.shape == (2, 0, 6) and patch.dtype == np.float32
 
 
 class TestMemoizedProtocol:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.proxies import conv_chain_3d
 from repro.core.brick import morton_map, morton_permutation
-from repro.core.bricked import BrickedTensor
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
@@ -135,11 +134,6 @@ class TestMortonOrder:
         bm = morton_map((4, 4))
         assert sorted(bm.physical(p) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]) == [0, 1, 2, 3]
         assert sorted(bm.physical(p) for p in [(2, 2), (2, 3), (3, 2), (3, 3)]) == [12, 13, 14, 15]
-
-    def test_roundtrip_through_bricked_tensor(self):
-        x = np.random.default_rng(0).standard_normal((1, 3, 16, 16)).astype(np.float32)
-        bt = BrickedTensor.from_dense(x, (4, 4), morton_map((4, 4)))
-        np.testing.assert_array_equal(bt.to_dense(), x)
 
     def test_3d(self):
         perm = morton_permutation((2, 2, 2))

@@ -88,9 +88,9 @@ class TestFunctionalEquivalence:
         g = build(name, reduced=True)
         x = input_for(g)
         ref = ReferenceExecutor(g).run(x)
-        res = CudnnBaseline(build(name, reduced=True)).run(x)
+        got = CudnnBaseline(build(name, reduced=True)).values(x)
         for key, expected in ref.items():
-            np.testing.assert_allclose(res.outputs[key], expected, atol=2e-3, rtol=1e-2)
+            np.testing.assert_allclose(got[key], expected, atol=2e-3, rtol=1e-2)
 
 
 class TestForcedStrategies:

@@ -111,7 +111,7 @@ class TestFig3Synchronization:
 
         g1 = fig1_graph(length=128)
         dev1 = Device()
-        CudnnBaseline(g1).run(functional=False, device=dev1)
+        CudnnBaseline(g1).run(device=dev1)
         g2 = fig1_graph(length=128)
         eng = BrickDLEngine(g2, strategy_override=Strategy.PADDED, brick_override=8,
                             layer_schedule=(2,))
@@ -138,12 +138,11 @@ class TestMixedPrecision:
         assert out["c2"].dtype == np.float16
 
     def test_fp16_halves_brick_bytes(self):
-        from repro.core.bricked import BrickedTensor
+        from repro.core.bricked import bricked_nbytes
 
-        x32 = np.zeros((1, 8, 48, 48), np.float32)
-        x16 = x32.astype(np.float16)
-        assert BrickedTensor.from_dense(x16, (4, 4)).brick_nbytes * 2 == \
-            BrickedTensor.from_dense(x32, (4, 4)).brick_nbytes
+        spec32 = TensorSpec(1, 8, (48, 48), dtype=np.float32)
+        spec16 = TensorSpec(1, 8, (48, 48), dtype=np.float16)
+        assert bricked_nbytes(spec16, (4, 4)) * 2 == bricked_nbytes(spec32, (4, 4))
 
     def test_fp16_reduces_dram_traffic(self):
         res32 = BrickDLEngine(self._graph(np.float32), strategy_override=Strategy.MEMOIZED,

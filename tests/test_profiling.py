@@ -266,8 +266,7 @@ class TestScopeSnapshotsAgainstTheLedger:
         device = Device(A100)
         collector = device.attach(TraceCollector())
         oracle = device.attach(_LedgerOracle())
-        result = CudnnBaseline(zoo.build("mobilenet_v1", reduced=True)).run(
-            functional=False, device=device)
+        result = CudnnBaseline(zoo.build("mobilenet_v1", reduced=True)).run(device=device)
         assert collector.scopes == [] and collector.per_subgraph(0) == []
         assert collector.per_node() == oracle.per_node()
         assert collector.totals() == oracle.totals()

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.bricked import bricked_nbytes
+from repro.core.bricktask import subgraph_values
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import HALO_NEIGHBORHOOD_BRICKS, MemoizedBrickExecutor
 from repro.core.padded import PaddedBrickExecutor
@@ -153,7 +154,7 @@ class TestExecutorPerInputOffsets:
         g = lopsided_graph()
         members = ("root", "left", "right", "join", "out")
         view, device, entries, wb, refs = _memoized_fixture(g, members)
-        exits = MemoizedBrickExecutor(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
+        exits = subgraph_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node("out").node_id
         np.testing.assert_allclose(exits[out_id], refs["out"], atol=1e-4, rtol=1e-4)
 
@@ -172,7 +173,7 @@ class TestExecutorPerInputOffsets:
         g = b.finish()
         g.node("join").op = HaloAdd()
         view, device, entries, wb, refs = _memoized_fixture(g, ("body", "join", "out"))
-        exits = executor_cls(view, (4, 4), None, dense_entries(g, view, refs), {}).values()
+        exits = subgraph_values(view, (4, 4), executor_cls.strategy, dense_entries(g, view, refs))
         np.testing.assert_allclose(exits[g.node("out").node_id], refs["out"], atol=1e-5, rtol=1e-5)
 
 

@@ -60,9 +60,9 @@ class TestSpecs:
         from repro.baselines import CudnnBaseline
 
         g1 = small_chain_graph(size=64)
-        big = CudnnBaseline(g1, spec=A100).run(functional=False)
+        big = CudnnBaseline(g1, spec=A100).run()
         g2 = small_chain_graph(size=64)
-        tiny = CudnnBaseline(g2, spec=A100.with_l2(128 * 1024)).run(functional=False)
+        tiny = CudnnBaseline(g2, spec=A100.with_l2(128 * 1024)).run()
         assert tiny.metrics.memory.dram_txns > big.metrics.memory.dram_txns
 
 

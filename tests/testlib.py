@@ -64,7 +64,7 @@ def kernel_step(node, shape, needs, offsets, fetch) -> np.ndarray:
 
 
 def dense_entries(graph, view, refs) -> dict[int, np.ndarray]:
-    """A device-free executor's entries: the reference activations."""
+    """``subgraph_values``' entries: the reference activations."""
     return {eid: refs[graph.node(eid).name] for eid in view.entry_ids}
 
 
