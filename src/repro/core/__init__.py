@@ -2,12 +2,13 @@
 
 * :mod:`repro.core.brick` / :mod:`repro.core.bricked` /
   :mod:`repro.core.handles` -- the brick data layout: Brick, BrickMap,
-  BrickInfo (section 3.3.4), the brick grid and patch spans, and the bricked
-  buffers the simulator addresses (section 3.1),
+  BrickInfo (section 3.3.4), the brick grid, and the bricked buffers the
+  simulator addresses (section 3.1),
 * :mod:`repro.core.halo` -- static halo analysis (section 3.2.1),
 * :mod:`repro.core.bricktask` -- what a brick task reads, writes and
   synchronizes with under every merged schedule (section 3.2), and the one
-  schedule-free values pass of a merged subgraph,
+  schedule-free values pass of a merged subgraph (one whole-tensor kernel
+  call per member),
 * :mod:`repro.core.padded` / :mod:`repro.core.memoized` -- the two merged
   execution strategies (sections 3.2.1-3.2.2), as schedules over it,
 * :mod:`repro.core.partition` -- DNN graph partitioning (section 3.3.1),

@@ -1,20 +1,17 @@
-"""The brick data layout's geometry: grids, patch spans, dense patches.
+"""The brick data layout's geometry: grids, brick indices, buffer sizes.
 
 BrickDL stores an ``(N, C, *spatial)`` activation as a grid of bricks, each a
 contiguous ``(C, *brick_shape)`` block (it blocks along batch and spatial
 dimensions, never channels -- section 3.2); a brick whose extent overhangs
 the feature map is stored in full and masked (section 3.3.4).  The simulator
 addresses that layout through :class:`~repro.core.handles.BrickedHandle`
-over a buffer of :func:`bricked_nbytes`; values never live in it.  This
-module holds what both need:
+over a buffer of :func:`bricked_nbytes`; values never live in it (they are
+dense ``(N, C, *spatial)`` arrays, see
+:func:`~repro.core.bricktask.subgraph_values`).  This module holds the
+layout's geometry:
 
 * :class:`BrickGrid` -- the brick decomposition of a spatial domain: grid
   shape, row-major strides, the bricks a region overlaps, per axis;
-* :func:`patch_spans` -- how a patch over one need interval per axis copies
-  from the bricks it overlaps: three slices per axis, whatever the number of
-  bricks, stopping at the extent so an overhang's mask never reaches a patch;
-* :func:`gather_dense` -- the halo *copy* of section 3.2.1 out of a dense
-  array, a neutral fill value beyond the feature map;
 * :func:`flat_bricks` / :func:`bricked_nbytes` -- flat brick indices of a
   box and the bytes of a bricked buffer.
 """
@@ -27,13 +24,11 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import LayoutError
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 
-__all__ = ["BrickGrid", "bricked_nbytes", "flat_bricks", "gather_dense", "patch_spans"]
+__all__ = ["BrickGrid", "bricked_nbytes", "flat_bricks"]
 
 
 @dataclass(frozen=True)
@@ -103,43 +98,6 @@ class BrickGrid:
             *(self.axis_bricks(d, iv.lo, iv.hi) for d, iv in enumerate(region))))
 
     bricks_overlapping = overlap_plan
-
-
-def patch_spans(needs: Sequence[Interval], extents: Sequence[int], brick_shape: Sequence[int]
-                ) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]] | None:
-    """How a ``(C, *need lengths)`` patch copies from / to the bricks it
-    overlaps: ``box`` indexes the overlapped bricks in the grid, ``dst`` the
-    part of the patch inside the feature map and ``src`` the same part inside
-    the ``(C, ...)`` concatenation of those bricks.  ``src`` stops at the
-    *extent*, not at the brick end, so the zero mask of an overhanging brick
-    never reaches a patch.  ``None`` when no point of the patch is inside the
-    map.  A dense array is the grid of one brick per axis."""
-    if len(needs) != len(extents):
-        raise LayoutError(f"patch rank {len(needs)} vs tensor rank {len(extents)}")
-    box, src, dst = [], [slice(None)], [slice(None)]
-    for need, extent, brick in zip(needs, extents, brick_shape):
-        lo, hi = max(need.lo, 0), min(need.hi, extent)
-        if hi <= lo:
-            return None
-        first = lo // brick
-        box.append(slice(first, -(-hi // brick)))
-        src.append(slice(lo - first * brick, hi - first * brick))
-        dst.append(slice(lo - need.lo, hi - need.lo))
-    return tuple(box), tuple(src), tuple(dst)
-
-
-def gather_dense(data: np.ndarray, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
-    """The dense ``(C, *need lengths)`` patch over one absolute interval per
-    axis of a dense ``(C, *extents)`` array; parts beyond the feature map get
-    ``fill`` (implicit zero padding of convolutions; ``-inf`` for max
-    pooling)."""
-    shape = (data.shape[0], *(max(0, iv.hi - iv.lo) for iv in needs))
-    out = np.zeros(shape, data.dtype) if fill == 0 else np.full(shape, fill, data.dtype)
-    spans = patch_spans(needs, data.shape[1:], data.shape[1:])
-    if spans is not None:
-        _, src, dst = spans
-        out[dst] = data[src]
-    return out
 
 
 def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:

@@ -17,9 +17,11 @@ its schedule, so values have one producer, :func:`subgraph_values`: every
 member once, with no device, task, tag or barrier, under every strategy --
 padded's redundant recompute is a cost of its schedule, which the counted run
 models, not a different value.  It takes the entries as dense ``(N, C, *S)``
-arrays and makes each member's values one such array.  The emitters count one
-task per brick; the values pass dispatches per class of equal-geometry
-bricks, in stacks :data:`~repro.kernels.STACKABLE` proves exact.
+arrays and makes each member's values one such array with one whole-tensor
+kernel call: a brick's value does not depend on its blocking either, so the
+layer-by-layer sweep is the producer.  The emitters count one task (one
+vendor-kernel call) per brick, which is where the paper's per-brick cuDNN
+invocations live; the per-brick walk itself is the test suite's oracle.
 
 An emitter builds rows, not calls: what every task of a node shares (its
 weight row, its input sources, the whole-buffer tokens of its entries) is
@@ -38,20 +40,18 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bricked import bricked_nbytes, flat_bricks, patch_spans
-from repro.core.geometry import AxisRow, EdgeRow, SubgraphGeometry, patch_geometry
+from repro.core.bricked import bricked_nbytes, flat_bricks
+from repro.core.geometry import AxisRow, EdgeRow, SubgraphGeometry
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.errors import ExecutionError
-from repro.graph.ir import Graph, Node
-from repro.graph.ops import ConvTranspose, FusedOp
+from repro.graph.ir import Node
 from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
-from repro.kernels import STACKABLE, apply_node_full, apply_node_local, by_tensor, pad_value_for
+from repro.kernels import apply_node_full
 
-__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "require_values",
-           "subgraph_values"]
+__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "subgraph_values"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -86,20 +86,6 @@ def member_deps(geom: SubgraphGeometry, nid: int, gpos: Sequence[int]) -> list[D
     return deps
 
 
-def require_values(graph: Graph, node_ids: Iterable[int]) -> None:
-    """Refuse members the values pass cannot evaluate: a transposed conv
-    with kernel < stride has output positions no input feeds (bias in the
-    holes), and placing them takes absolute coordinates a brick-local kernel
-    call (:func:`~repro.kernels.apply_node_local`) does not get."""
-    for node in map(graph.node, node_ids):
-        op = node.op.primary if isinstance(node.op, FusedOp) else node.op
-        if isinstance(op, ConvTranspose) and any(k < s for k, s in zip(op.kernel, op.stride)):
-            raise ExecutionError(
-                f"cannot compute values of {node.name!r}: transposed conv with kernel "
-                f"{op.kernel} < stride {op.stride}; profile mode, geometry and effects "
-                f"handle this graph, the values pass does not")
-
-
 def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
     """The ``(C, *S)`` slices of one sample's array the brick ``rows``
     describe cover (clipped to the feature map)."""
@@ -111,67 +97,29 @@ def subgraph_values(subgraph: SubgraphView, brick_shape: Sequence[int], strategy
                     subgraph_index: int | None = None) -> dict[int, np.ndarray]:
     """The exits' values of one merged subgraph from its dense ``(N, C, *S)``
     ``entries``, with no schedule: no device, task, tag or barrier.  Every
-    member runs once, in subgraph order, into one dense array dropped after
-    its last consumer here: one kernel call over the batch for a member in
-    :data:`~repro.kernels.BY_TENSOR`, else :func:`_fill_by_class`.  Once a
-    member's array is filled, ``screen`` sees each of its (brick, sample)
-    slices in brick order, labelled as the ``strategy``'s task for that member
-    brick (under padded: the member brick the exit tasks recompute).  A
-    subgraph the pass cannot evaluate is refused first (:func:`require_values`)."""
+    member runs once, in subgraph order, as one whole-tensor kernel call
+    (:func:`~repro.kernels.apply_node_full`) dropped after its last consumer
+    here.  ``screen`` then sees each of its (brick, sample) slices in brick
+    order, labelled as the ``strategy``'s task for that member brick (under
+    padded: the member brick the exit tasks recompute)."""
     graph, members = subgraph.graph, subgraph.node_ids
-    require_values(graph, members)
     geom = SubgraphGeometry(subgraph, tuple(brick_shape))
     prefix = _NAMES[strategy][0]
-    batch = graph.node(members[0]).spec.batch
     dense = dict(entries)
     last = {pred: nid for nid in members for pred in graph.node(nid).inputs}
+    interior = set(members).difference(subgraph.exit_ids)
     for nid in members:
         node = graph.node(nid)
-        bricks = list(itertools.product(*map(range, geom.grid(nid).grid_shape)))
-        if by_tensor(node.op):
-            out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
-        else:
-            out = np.empty(node.spec.shape, node.spec.dtype)
-            _fill_by_class(out, node, bricks, [dense[pred] for pred in node.inputs], geom, batch)
+        dense[nid] = out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
         if screen is not None:
-            for gpos in bricks:
+            for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
                 box, label = brick_box(geom.rows(nid, gpos)), f"{prefix}/{node.name}/{gpos}"
-                for n in range(batch):
+                for n in range(len(out)):
                     screen(nid, out[n][box], subgraph_index, gpos, n, label)
-        dense[nid] = out
         for pred in set(node.inputs):
-            if last[pred] == nid and pred in geom.members and pred not in subgraph.exit_ids:
+            if last[pred] == nid and pred in interior:
                 del dense[pred]
     return {eid: dense[eid] for eid in subgraph.exit_ids}
-
-
-def _fill_by_class(out: np.ndarray, node: Node, bricks: Iterable[tuple[int, ...]],
-                   sources: list[np.ndarray], geom: SubgraphGeometry, batch: int) -> None:
-    """Fill ``out`` item by item -- a (brick, sample) with one patch per input
-    copied out of ``sources`` -- in one kernel call per stack of up to
-    :data:`~repro.kernels.STACKABLE` items of equal output shape, offsets and
-    need lengths.  The stacks and ``sources`` die with this frame, so a
-    producer the caller drops is freed before the next array."""
-    fill, limit = pad_value_for(node.op), STACKABLE.get(node.op.kind, 1)
-    classes: dict[tuple, list] = {}
-    for gpos in bricks:
-        rows = geom.rows(node.node_id, gpos)
-        shape, needs, offsets = patch_geometry(rows, len(node.inputs))
-        spans = [patch_spans(need, src.shape[2:], src.shape[2:]) for need, src in zip(needs, sources)]
-        key = (shape, offsets, tuple(tuple(iv.hi - iv.lo for iv in need) for need in needs))
-        classes.setdefault(key, []).extend([(spans, brick_box(rows), n) for n in range(batch)])
-    for (shape, offsets, lengths), items in classes.items():
-        for at in range(0, len(items), limit):
-            part = items[at:at + limit]
-            patches = [np.full((len(part), src.shape[1], *length), fill, src.dtype)
-                       for src, length in zip(sources, lengths)]
-            for i, (spans, _, n) in enumerate(part):
-                for patch, src, span in zip(patches, sources, spans):
-                    if span is not None:
-                        patch[i][span[2]] = src[n][span[1]]
-            results = apply_node_local(node.op, patches, node.weights, shape, offsets)
-            for (_, box, n), value in zip(part, results):
-                out[n][box] = value
 
 
 class Recency(OrderedDict):

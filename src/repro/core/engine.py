@@ -411,12 +411,11 @@ class BrickDLEngine:
         The counters of a plan do not depend on the values flowing through
         it, so this is the only producer of outputs (a functional ``run``
         calls it).  Plan entries run in order over dense ``(N, C, *S)``
-        arrays -- a brick's patch copied out of a dense array is the copy a
-        brick task gathers from its bricks -- a merged one through
-        :func:`~repro.core.bricktask.subgraph_values` under its executor's
-        strategy, which returns its exits' arrays, a fallback one through the
-        tiled path's full-tensor arithmetic; an activation is dropped once its
-        consumers have run.
+        arrays, every node as one whole-tensor kernel call -- a merged one
+        through :func:`~repro.core.bricktask.subgraph_values` under its
+        executor's strategy, which returns its exits' arrays, a fallback one
+        through the tiled path's full-tensor arithmetic; an activation is
+        dropped once its consumers have run.
         ``screen`` sees every array computed (see :data:`Screen`).
         """
         from repro.baselines.fusion import fuse_members

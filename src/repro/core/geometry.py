@@ -13,8 +13,8 @@ index), and for the padded strategy's reverse halo closure (section 3.2.1,
 Fig. 4's per-axis ``B + 2p, B + 4p`` telescoping) a :class:`ClosureRow` per
 (exit, axis, grid index).  Executors index rows by grid position and
 assemble sizes as products of lengths and flat brick indices as sums of
-per-axis terms, and the values pass its patches from the rows' need
-intervals; nothing on the per-brick path builds or hashes a region.
+per-axis terms, and a brick-local kernel call its patches from the rows'
+need intervals; nothing on the per-brick path builds or hashes a region.
 :meth:`SubgraphGeometry.needs` / :meth:`~SubgraphGeometry.required` are
 Region-in/Region-out views over the same rows for the static analyses.
 
@@ -78,7 +78,7 @@ class ClosureRow:
 def patch_geometry(rows: Sequence[AxisRow], num_inputs: int
                    ) -> tuple[tuple[int, ...], tuple[tuple[Interval, ...], ...], tuple[tuple[int, ...], ...]]:
     """``(out shape, per-input need intervals, per-input local offsets)`` of
-    the brick ``rows`` describe: what a functional-mode kernel call and the
+    the brick ``rows`` describe: what a brick-local kernel call and the
     gathers feeding it take."""
     return (tuple(r.length for r in rows),
             tuple(tuple(r.edges[k].need for r in rows) for k in range(num_inputs)),

@@ -2,17 +2,19 @@
 
 Two entry points:
 
-* :func:`apply_node_full` -- execute an op on complete activations.  Used by
-  the naive reference executor, the tiled cuDNN-style baseline (per tile, via
-  the local path) and for the global ops (dense heads, global pooling) that
-  BrickDL hands off to the vendor library (section 3.3.3).
+* :func:`apply_node_full` -- execute an op on complete activations.  Every
+  value the library produces comes from it: the reference executor, the
+  tiled and fusion baselines, the fallback groups BrickDL hands to the vendor
+  library (section 3.3.3) and every member of a merged subgraph
+  (:func:`~repro.core.bricktask.subgraph_values`).
 
 * :func:`apply_node_local` -- execute an op on a stack of *patches*: the
   caller has gathered exactly the input region reported by the op's
   receptive-field maps (zero/neutral-filled beyond the feature map) and wants
-  the outputs for its target region.  This is the primitive the merged
-  strategies call for bricks (one per call, or a :data:`STACKABLE` stack),
-  mirroring BrickDL's fine-grained cuDNN invocations.
+  the outputs for its target region.  It mirrors BrickDL's fine-grained
+  per-brick cuDNN invocations, whose cost the simulator counts; it is the
+  primitive of the test suite's per-brick oracle and the benchmark's patch
+  point for kernel time.
 
 The local path never applies feature-map padding itself: implicit zeros are
 already materialized in the patch.  Transposed convolutions over-produce and
@@ -57,30 +59,7 @@ from repro.kernels.pointwise import (
 )
 from repro.kernels.pooling import global_avg_pool, pool_forward
 
-__all__ = ["BY_TENSOR", "STACKABLE", "apply_node_full", "apply_node_local", "by_tensor", "pad_value_for"]
-
-BY_TENSOR = frozenset({"batchnorm", "bias", "add", "mul", "relu", "leaky_relu"})
-"""Ops (``kind``; an activation by its ``fn``) a values pass may run once over
-a whole tensor instead of once per brick: each output element of their kernels
-is one IEEE multiply / add / maximum / ``where`` of inputs at its position, so
-it gets the same bits at any array shape.  Not in it: ``sigmoid`` / ``tanh``
-(transcendental loops whose SIMD and scalar paths may round differently by
-array length), softmax (a channel sum whose order follows the layout), pools
-and convs (a window: a brick's patch is no slice of a whole-tensor call), and
-any subclass (another ``kind``: it may read a halo)."""
-
-
-def by_tensor(op: OpSpec) -> bool:
-    """Whether ``op`` is in :data:`BY_TENSOR`."""
-    return (op.fn if op.kind == "activation" else op.kind) in BY_TENSOR
-
-
-STACKABLE = {"conv": 32}
-"""Op ``kind`` -> items a values pass may stack into one :func:`apply_node_local`
-call (one for any other op).  ``conv_forward`` makes the stack a GEMM batch
-axis, so each item of a ``Conv`` (plain, grouped, depthwise, strided, dilated,
-1-3-D) gets the bits of its own call; the bound keeps the stacked copy small.
-Pools, transposed convs, subclasses and fused ops would need their own proof."""
+__all__ = ["apply_node_full", "apply_node_local", "pad_value_for"]
 
 
 def pad_value_for(op: OpSpec) -> float:
@@ -189,10 +168,9 @@ def apply_node_local(
     ----------
     patches:
         One ``(B, C, *patch_spatial)`` stack per op input: ``B`` items (a
-        brick of one sample each; more than one only as :data:`STACKABLE`
-        allows) of equal geometry, each covering exactly the region the op's
-        :meth:`rf_maps` report for its target output region (neutral-filled
-        outside the feature map).
+        brick of one sample each) of equal geometry, each covering exactly
+        the region the op's :meth:`rf_maps` report for its target output
+        region (neutral-filled outside the feature map).
     out_spatial:
         Spatial shape of each item's requested output region.
     offsets:

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map, neighbor_offsets
-from repro.core.bricked import BrickGrid, bricked_nbytes, gather_dense
+from repro.core.bricked import BrickGrid, bricked_nbytes
 from repro.core.handles import BrickedHandle
 from repro.errors import LayoutError
 from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer
+
+from testlib import gather_dense
 
 
 class TestBrickMap:

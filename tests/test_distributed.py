@@ -86,8 +86,8 @@ class TestValidation:
 
     def test_kernel_below_stride_deconv_outputs_are_the_engine_values(self):
         """The runner counts this graph, and its outputs are the engine's
-        values: the engine plans it onto the fallback path and computes it
-        exactly (merged execution refuses it, see ``tests/test_engine.py``)."""
+        values, which equal the reference's (merged values of the same
+        deconv: ``tests/test_engine.py``)."""
         b = GraphBuilder("holes", TensorSpec(1, 4, (8, 8)))
         b.conv(4, 3, padding=1, name="conv")
         b.deconv(4, 1, stride=2, name="up")

@@ -8,20 +8,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bricked import gather_dense
-from repro.core.bricktask import BrickTasks, brick_box
+from repro.core.bricktask import BrickTasks, brick_box, subgraph_values
 from repro.core.engine import BrickDLEngine
 from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError
 from repro.graph.builder import GraphBuilder
+from repro.graph.ops import ConvTranspose, FusedOp
+from repro.graph.regions import Interval
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 from repro.models import zoo
 
-from testlib import input_for, kernel_step, random_dag, residual_graph, small_chain_graph
+from testlib import (dense_entries, gather_dense, input_for, kernel_step, random_dag, residual_graph,
+                     small_chain_graph)
 
 
 class TestCompile:
@@ -299,12 +301,13 @@ def test_counted_run_stays_under_170_own_calls_per_task(strategy, budget):
 
 
 @pytest.mark.parametrize("strategy", [Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT])
-def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
+def test_kernel_below_stride_deconv_values_equal_the_reference(strategy):
     """A transposed conv with kernel < stride has output positions no input
-    feeds; the brick-local kernel step cannot place them (it used to die
-    mid-run in ``store_brick`` with a ``LayoutError``).  Functional merged
-    execution refuses the subgraph up front and names the node; profile mode
-    and the effect analysis handle the same plan."""
+    feeds (only its bias lands there), which a brick-local kernel call cannot
+    place.  The values pass runs every member over the whole tensor, so the
+    merged subgraph holding it computes: ``values()`` and a functional run
+    give the reference's bytes, and profile mode and the effect analysis
+    handle the same plan."""
     from repro.analysis import analyze_effects
 
     b = GraphBuilder("holes", TensorSpec(1, 4, (8, 8)))
@@ -314,12 +317,14 @@ def test_kernel_below_stride_deconv_is_refused_before_the_first_task(strategy):
     graph = b.finish()
     engine = BrickDLEngine(graph, strategy_override=strategy, brick_override=4)
     plan = engine.compile()
-    device = Device(A100)
-    with pytest.raises(ExecutionError, match=r"'up'.*kernel \(1, 1\) < stride \(2, 2\).*profile mode"):
-        engine.run(input_for(graph), plan=plan, device=device)
-    assert not device.tasks
-    with pytest.raises(ExecutionError, match=r"'up'.*kernel \(1, 1\) < stride \(2, 2\).*profile mode"):
-        engine.values(input_for(graph), plan)
+    up = graph.node("up").node_id
+    assert any(s.strategy is strategy and up in s.subgraph.node_ids for s in plan.subgraphs)
+    x = input_for(graph)
+    want = ReferenceExecutor(graph).run(x)
+    for got in (engine.values(x, plan), engine.run(x, plan=plan).outputs):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
     assert engine.run(functional=False, plan=plan).metrics.num_tasks > 0
     assert analyze_effects(plan).ok
 
@@ -359,10 +364,41 @@ def test_values_equal_functional_run_on_random_dags(graph, strategy):
     _assert_values_equal_functional_runs(BrickDLEngine(graph, strategy_override=strategy, brick_override=8))
 
 
+_FORCED_AND_PLANNED = (None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT)
+
+
+def _assert_values_equal_the_reference(graph, x, strategies=_FORCED_AND_PLANNED, **engine_args):
+    want = ReferenceExecutor(graph).run(x)
+    for strategy in strategies:
+        got = BrickDLEngine(graph, strategy_override=strategy, **engine_args).values(x)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), (strategy, name)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("model", sorted(zoo.MODELS))
+def test_values_equal_the_reference_bit_for_bit(model, batch):
+    """``values()`` is the layer-by-layer sweep with dead arrays dropped: under
+    the planned strategy and forced padded, memoized and wavefront it gives
+    ``ReferenceExecutor``'s bytes."""
+    graph = zoo.build(model, reduced=True, batch=batch)
+    x = np.random.default_rng(batch).standard_normal(graph.input_nodes[0].spec.shape)
+    _assert_values_equal_the_reference(graph, x.astype(np.float32))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_dag(), st.sampled_from(_FORCED_AND_PLANNED))
+def test_values_equal_the_reference_on_random_dags(graph, strategy):
+    _assert_values_equal_the_reference(graph, input_for(graph), [strategy], brick_override=8)
+
+
 def _per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, subgraph_index=None):
     """Oracle for ``subgraph_values``: every member brick by brick and sample
     by sample, one ``kernel_step`` each on a patch gathered from its
-    producers' dense arrays, screened as it is computed."""
+    producers' dense arrays, screened as it is computed.  Under padded, each
+    exit brick of sample 0 is also recomputed the way its fused task does,
+    through its closure (:func:`_closure_value`)."""
     graph = subgraph.graph
     geom = SubgraphGeometry(subgraph, brick_shape)
     prefix = {"padded": "padded", "memoized": "memo", "wavefront": "wave"}[strategy]
@@ -380,7 +416,87 @@ def _per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, sub
                 if screen is not None:
                     screen(nid, value, subgraph_index, gpos, n, f"{prefix}/{node.name}/{gpos}")
         dense[nid] = out
+    if strategy == "padded":
+        for eid in subgraph.exit_ids:
+            for gpos in itertools.product(*map(range, geom.grid(eid).grid_shape)):
+                np.testing.assert_allclose(
+                    _closure_value(geom, entries, eid, gpos, 0), dense[eid][0][brick_box(geom.rows(eid, gpos))],
+                    atol=1e-4, rtol=1e-4, err_msg=f"closure of {graph.node(eid).name} {gpos}")
     return {eid: dense[eid] for eid in subgraph.exit_ids}
+
+
+def _closure_value(geom, entries, exit_id, gpos, n):
+    """The brick ``gpos`` of ``exit_id`` for sample ``n``, computed as a padded
+    task does (section 3.2.1): every member on its patch of the exit brick's
+    closure (``geom.closure_rows``), from entry patches copied out of the dense
+    ``entries``.  A patch starts at its ``origin``, its node's required
+    interval clipped to the feature map.  An enlarged patch is another GEMM
+    shape, so it meets the member-by-member value within the conformance
+    tolerance, not bit for bit."""
+    rows = geom.closure_rows(exit_id, gpos)
+    patches, origin = {}, {}
+    for eid in rows[0].entries:
+        edges = [r.entries[eid] for r in rows]
+        origin[eid] = [max(e.need.lo, 0) for e in edges]
+        patches[eid] = gather_dense(entries[eid][n], [Interval(lo, lo + e.length)
+                                                      for lo, e in zip(origin[eid], edges)])
+
+    def fetch(pred, need, fill):
+        return gather_dense(patches[pred], [Interval(iv.lo - o, iv.hi - o)
+                                            for iv, o in zip(need, origin[pred])], fill)
+
+    for nid in rows[0].members:
+        axis = [r.members[nid] for r in rows]
+        if all(a.length for a in axis):
+            node = geom.graph.node(nid)
+            patches[nid] = kernel_step(node, *patch_geometry(axis, len(node.inputs)), fetch)
+            origin[nid] = [a.out.lo for a in axis]
+    return patches[exit_id]
+
+
+def _screened(values, *args, **kwargs):
+    """``values(*args, screen=...)`` and the (node, subgraph, brick, sample,
+    label, shape, sha256) rows its ``screen`` saw."""
+    seen = []
+    out = values(*args, **kwargs, screen=lambda nid, value, *where: seen.append(
+        (nid, *where, value.shape, hashlib.sha256(np.ascontiguousarray(value)).hexdigest())))
+    return out, seen
+
+
+# Merged subgraphs, by their ConvTranspose member, whose per-brick kernel steps
+# round differently from the whole-tensor sweep: a transposed conv's product
+# over a brick's patch is no slice of the whole map's (4e-8 apart here).
+_PER_BRICK_INEXACT = {"deepcam": {"dec2/deconv"}}
+
+
+def _assert_subgraphs_equal_the_per_brick_kernel_steps(engine, plan, x, inexact):
+    """Every merged subgraph of ``plan`` on the reference's entry activations:
+    ``subgraph_values`` gives the oracle's bytes and ``screen`` rows, except
+    the subgraphs holding a member named in ``inexact`` (each a
+    ConvTranspose), which keep the oracle's screen sequence and come within
+    1e-6 of its values."""
+    graph = engine.graph
+    refs = ReferenceExecutor(graph).run_all(x)
+    excluded = set()
+    for sub in filter(lambda sub: sub.is_merged, plan.subgraphs):
+        args = (sub.subgraph, sub.brick_shape, sub.strategy.value, dense_entries(graph, sub.subgraph, refs))
+        got, got_seen = _screened(subgraph_values, *args, subgraph_index=sub.index)
+        want, want_seen = _screened(_per_brick_values, *args, subgraph_index=sub.index)
+        assert got.keys() == want.keys()
+        named = {graph.node(nid).name for nid in sub.subgraph.node_ids} & inexact
+        if named:
+            for name in named:
+                op = graph.node(name).op
+                assert isinstance(op.primary if isinstance(op, FusedOp) else op, ConvTranspose), name
+            excluded |= named
+            assert [row[:-1] for row in got_seen] == [row[:-1] for row in want_seen]
+            for eid in want:
+                np.testing.assert_allclose(got[eid], want[eid], rtol=1e-6, atol=1e-6)
+            continue
+        for eid in want:
+            assert got[eid].tobytes() == want[eid].tobytes(), (sub.index, graph.node(eid).name)
+        assert got_seen == want_seen, sub.index
+    assert excluded == inexact
 
 
 @pytest.mark.parametrize("batch", [1, 2, 8])
@@ -388,24 +504,22 @@ def _per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, sub
                          ids=lambda s: s.value)
 @pytest.mark.parametrize("model", sorted(zoo.MODELS))
 def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeypatch):
-    """The class-stacked values pass (stacked convs, whole-tensor elementwise
-    members, overhanging boundary bricks in classes of their own) gives the
-    bytes of one ``kernel_step`` per (brick, sample), and ``screen`` sees the
-    same (node, subgraph, brick, sample, label) sequence with the same bytes."""
+    """The whole-tensor values pass gives the bytes of one ``kernel_step`` per
+    (brick, sample) -- a brick's value does not depend on its blocking -- and
+    ``screen`` sees the same (node, subgraph, brick, sample, label) sequence
+    with the same bytes.  A model in :data:`_PER_BRICK_INEXACT` is compared
+    subgraph by subgraph instead, so its excluded subgraph's rounding does
+    not reach the others' entries."""
     engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
     plan = engine.compile()
     x = np.random.default_rng(batch).standard_normal(engine.graph.input_nodes[0].spec.shape)
     x = x.astype(np.float32)
-
-    def screened():
-        seen = []
-        out = engine.values(x, plan, screen=lambda nid, value, *where: seen.append(
-            (nid, *where, value.shape, hashlib.sha256(np.ascontiguousarray(value)).hexdigest())))
-        return out, seen
-
-    got, got_seen = screened()
+    if model in _PER_BRICK_INEXACT:
+        _assert_subgraphs_equal_the_per_brick_kernel_steps(engine, plan, x, _PER_BRICK_INEXACT[model])
+        return
+    got, got_seen = _screened(engine.values, x, plan)
     monkeypatch.setattr("repro.core.engine.subgraph_values", _per_brick_values)
-    want, want_seen = screened()
+    want, want_seen = _screened(engine.values, x, plan)
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bricked import bricked_nbytes, gather_dense
+from repro.core.bricked import bricked_nbytes
 from repro.core.bricktask import Recency, member_deps, subgraph_values
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
@@ -20,7 +20,7 @@ from repro.graph.traversal import subgraph_view
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 
-from testlib import dense_entries, input_for
+from testlib import dense_entries, gather_dense, input_for
 
 
 def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None, spec=A100):

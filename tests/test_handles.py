@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from repro.core.bricked import gather_dense
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.graph.regions import Region
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer, Task
+
+from testlib import gather_dense
 
 
 def dense_handle(spatial=(8, 12), c=2):

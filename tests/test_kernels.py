@@ -8,19 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from repro.errors import ShapeError
-from repro.graph.ops import (
-    Activation,
-    Add,
-    BatchNorm,
-    Concat,
-    Conv,
-    ConvTranspose,
-    FusedOp,
-    Pool,
-    Softmax,
-)
 from repro.kernels.conv import conv_forward
-from repro.kernels.dispatch import STACKABLE
 from repro.kernels.conv_transpose import conv_transpose_forward, conv_transpose_full
 from repro.kernels.dense import dense_forward, flatten_forward
 from repro.kernels.pointwise import (
@@ -111,10 +99,11 @@ class TestConv:
 @given(st.data())
 def test_stacked_conv_item_equals_its_own_call_bit_for_bit(data):
     """Item ``i`` of a stacked ``conv_forward`` has the bytes of
-    ``conv_forward`` on that item alone, for every conv a values pass may
-    stack: 1-3-D, plain / grouped / depthwise, strided, dilated, with and
-    without bias, 1-40 items.  The stack is a GEMM batch axis; folding the
-    items into one GEMM's rows lets BLAS block them differently."""
+    ``conv_forward`` on that item alone, for every conv: 1-3-D, plain /
+    grouped / depthwise, strided, dilated, with and without bias, 1-40 items.
+    The stack is a GEMM batch axis; folding the items into one GEMM's rows
+    lets BLAS block them differently.  A batched values pass rests on it: a
+    sample's outputs never depend on its batch-mates."""
     rank = data.draw(st.integers(1, 3), label="rank")
     groups = data.draw(st.sampled_from([1, 2, 4, "depthwise"]), label="groups")
     if groups == "depthwise":
@@ -138,22 +127,6 @@ def test_stacked_conv_item_equals_its_own_call_bit_for_bit(data):
     for i in range(items):
         alone = conv_forward(x[i:i + 1], w, bias, stride=stride, dilation=dilation, groups=groups)
         assert stacked[i:i + 1].tobytes() == alone.tobytes(), (i, items)
-
-
-def test_stackable_is_the_exact_set():
-    """Only a plain ``Conv`` -- any rank, groups, stride or dilation -- runs
-    stacked, up to 32 items per call; every other op (windowed, transposed,
-    elementwise, fused) runs one item per call."""
-    assert STACKABLE == {"conv": 32}
-    for op in (Conv(out_channels=4, kernel=(3, 3)), Conv(out_channels=4, kernel=(3,), stride=(2,)),
-               Conv(out_channels=4, kernel=(3, 3, 3), dilation=(2, 2, 2)),
-               Conv(out_channels=4, kernel=(3, 3), groups=4), Conv(out_channels=8, kernel=(1, 1), groups=2)):
-        assert STACKABLE.get(op.kind, 1) == 32, op
-    for op in (ConvTranspose(out_channels=4, kernel=(2, 2), stride=(2, 2)), Pool(kernel=(2, 2), mode="max"),
-               Pool(kernel=(3, 3), mode="avg"), Activation("relu"), Activation("sigmoid"), BatchNorm(),
-               Add(), Concat(num_inputs=2), Softmax(),
-               FusedOp(Conv(out_channels=4, kernel=(3, 3)), (BatchNorm(), Activation("relu")))):
-        assert STACKABLE.get(op.kind, 1) == 1, op
 
 
 class TestConvTranspose:

@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bricked import gather_dense
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
@@ -13,6 +12,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.regions import Interval, Region, StencilMap, TransposedMap
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.cache import SectorCache
+
+from testlib import gather_dense
 
 SLOW = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.errors import LayoutError
 from repro.graph.builder import GraphBuilder
+from repro.graph.regions import Interval
 from repro.graph.tensorspec import TensorSpec
 from repro.kernels import apply_node_local, pad_value_for
 
@@ -50,6 +54,43 @@ def residual_graph(size: int = 32, name: str = "residual"):
 def input_for(graph, seed: int = 0) -> np.ndarray:
     spec = graph.input_nodes[0].spec
     return np.random.default_rng(seed).standard_normal(spec.shape).astype(np.float32)
+
+
+def patch_spans(needs: Sequence[Interval], extents: Sequence[int], brick_shape: Sequence[int]
+                ) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]] | None:
+    """How a ``(C, *need lengths)`` patch copies from / to the bricks it
+    overlaps: ``box`` indexes the overlapped bricks in the grid, ``dst`` the
+    part of the patch inside the feature map and ``src`` the same part inside
+    the ``(C, ...)`` concatenation of those bricks.  ``src`` stops at the
+    *extent*, not at the brick end, so the zero mask of an overhanging brick
+    never reaches a patch.  ``None`` when no point of the patch is inside the
+    map.  A dense array is the grid of one brick per axis."""
+    if len(needs) != len(extents):
+        raise LayoutError(f"patch rank {len(needs)} vs tensor rank {len(extents)}")
+    box, src, dst = [], [slice(None)], [slice(None)]
+    for need, extent, brick in zip(needs, extents, brick_shape):
+        lo, hi = max(need.lo, 0), min(need.hi, extent)
+        if hi <= lo:
+            return None
+        first = lo // brick
+        box.append(slice(first, -(-hi // brick)))
+        src.append(slice(lo - first * brick, hi - first * brick))
+        dst.append(slice(lo - need.lo, hi - need.lo))
+    return tuple(box), tuple(src), tuple(dst)
+
+
+def gather_dense(data: np.ndarray, needs: Sequence[Interval], fill: float = 0.0) -> np.ndarray:
+    """The halo copy of section 3.2.1: the dense ``(C, *need lengths)`` patch
+    over one absolute interval per axis of a dense ``(C, *extents)`` array;
+    parts beyond the feature map get ``fill`` (implicit zero padding of
+    convolutions; ``-inf`` for max pooling)."""
+    shape = (data.shape[0], *(max(0, iv.hi - iv.lo) for iv in needs))
+    out = np.zeros(shape, data.dtype) if fill == 0 else np.full(shape, fill, data.dtype)
+    spans = patch_spans(needs, data.shape[1:], data.shape[1:])
+    if spans is not None:
+        _, src, dst = spans
+        out[dst] = data[src]
+    return out
 
 
 def kernel_step(node, shape, needs, offsets, fetch) -> np.ndarray:
