@@ -37,7 +37,8 @@ from __future__ import annotations
 import math
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.core.halo import chain_padded_sizes, padding_growth, required_regions
+from repro.core.geometry import SubgraphGeometry
+from repro.core.halo import chain_padded_sizes, padding_growth
 from repro.core.partition import merged_footprint_bytes
 from repro.core.perfmodel import (
     DEFAULT_CONFIG,
@@ -223,6 +224,9 @@ def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport,
     from repro.core.bricked import BrickGrid
 
     members = set(sub.subgraph.node_ids)
+    # One geometry for every sampled brick: its receptive-field maps are
+    # computed once, and ``required`` runs the joint reverse traversal.
+    geom = SubgraphGeometry(sub.subgraph)
     for exit_id in sub.subgraph.exit_ids:
         exit_spec = graph.node(exit_id).spec
         if not exit_spec.spatial or not sub.brick_shape:
@@ -250,7 +254,7 @@ def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport,
         for gpos in _sample_bricks(grid.grid_shape, max_region_bricks):
             out_region = grid.brick_region(gpos, clipped=True)
             try:
-                required = required_regions(sub.subgraph, exit_id, out_region)
+                required = geom.required(exit_id, out_region)
             except ReproError as exc:
                 _diag(report, "plan.regions", Severity.ERROR,
                       f"subgraph {sub.index}: halo analysis failed for exit "
@@ -294,8 +298,7 @@ def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport,
         # Cross-check the Fig. 4 telescoping report against the same table
         # (chain_padded_sizes uses the unclipped central brick region).
         center = tuple(g // 2 for g in grid.grid_shape)
-        required = required_regions(sub.subgraph, exit_id,
-                                    grid.brick_region(center))
+        required = geom.required(exit_id, grid.brick_region(center))
         chain = dict(chain_padded_sizes(sub.subgraph, exit_id, shape))
         for nid, region in required.items():
             name = graph.node(nid).name

@@ -16,7 +16,9 @@ assemble sizes as products of lengths and flat brick indices as sums of
 per-axis terms, and a brick-local kernel call its patches from the rows'
 need intervals; nothing on the per-brick path builds or hashes a region.
 :meth:`SubgraphGeometry.needs` / :meth:`~SubgraphGeometry.required` are
-Region-in/Region-out views over the same rows for the static analyses.
+Region-in/Region-out views over the same rows for the static analyses.  The
+planner's delta needs interval lengths only, so it reads
+:meth:`SubgraphGeometry.traverse` itself and builds no row.
 
 Rows compose per axis except where a need is *empty* along one axis only (a
 transposed conv with kernel < stride): in N-D that need is the empty set and
@@ -162,7 +164,7 @@ class SubgraphGeometry:
             edges.append(self._edge(pred, axis, need, offset))
         return AxisRow(out, out.length, tuple(edges))
 
-    def _brick_intervals(self, nid: int):
+    def brick_intervals(self, nid: int):
         """Per axis, the clipped interval of every brick index of ``nid``."""
         grid = self.grid(nid)
         if grid is None:
@@ -176,7 +178,7 @@ class SubgraphGeometry:
         if table is None:
             table = self._tables[nid] = tuple(
                 [self.axis_row(nid, axis, iv) for iv in ivs]
-                for axis, ivs in self._brick_intervals(nid))
+                for axis, ivs in self.brick_intervals(nid))
         return table
 
     def rows(self, nid: int, gpos: Sequence[int]) -> list[AxisRow]:
@@ -195,8 +197,8 @@ class SubgraphGeometry:
         return tuple(Region.trusted(need) for need in needs), offsets
 
     # -- the padded closure --------------------------------------------------------
-    def _traverse(self, exit_id: int, axes: Sequence[int],
-                  out: Sequence[Interval]) -> tuple[dict[int, tuple[Interval, ...]], bool]:
+    def traverse(self, exit_id: int, axes: Sequence[int],
+                 out: Sequence[Interval]) -> tuple[dict[int, tuple[Interval, ...]], bool]:
         """The queue-based reverse traversal of section 3.2.1 over ``axes``
         jointly: per node (members and entries) the intervals needed to
         produce ``out`` of the exit, hulled where a node feeds several
@@ -226,7 +228,7 @@ class SubgraphGeometry:
     def _closure(self, exit_id: int, axes: Sequence[int],
                  out: Sequence[Interval]) -> list[ClosureRow]:
         """One :class:`ClosureRow` per axis of one (joint) traversal."""
-        required, void = self._traverse(exit_id, axes, out)
+        required, void = self.traverse(exit_id, axes, out)
         node = self.graph.node
         rows = []
         for j, axis in enumerate(axes):
@@ -246,7 +248,7 @@ class SubgraphGeometry:
         if table is None:
             table = self._closures[exit_id] = tuple(
                 [self._closure(exit_id, (axis,), (iv,))[0] for iv in ivs]
-                for axis, ivs in self._brick_intervals(exit_id))
+                for axis, ivs in self.brick_intervals(exit_id))
         return table
 
     def closure_rows(self, exit_id: int, gpos: Sequence[int]) -> list[ClosureRow]:
@@ -273,5 +275,5 @@ class SubgraphGeometry:
             if rows and not any(r is None or r.void for r in rows):
                 return {nid: Region.trusted(tuple(r.required[nid] for r in rows))
                         for nid in rows[0].required}
-        required, _ = self._traverse(exit_id, range(len(out_region)), out_region)
+        required, _ = self.traverse(exit_id, range(len(out_region)), out_region)
         return {nid: Region.trusted(ivs) for nid, ivs in required.items()}

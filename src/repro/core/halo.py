@@ -10,22 +10,25 @@ node's requirement grows by that operator's halo, producing the telescoping
 Two consumers:
 
 * the **padded-bricks executor** uses the per-node regions directly as the
-  enlarged regions each brick task computes;
+  enlarged regions each brick task computes, through the closure rows
+  :class:`~repro.core.geometry.SubgraphGeometry` tabulates from them;
 * the **performance model** (section 3.3.2) uses the aggregate *data growth*
   ``delta`` -- the fraction of extra activation data the padding introduces
   across the subgraph -- to choose between padded and memoized execution
-  (memoized when ``delta > 15 %``).
+  (memoized when ``delta > 15 %``).  It reads only the traversal's clipped
+  interval lengths (:func:`padding_growth`), never a closure row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from repro.core.bricked import BrickGrid
-from repro.core.geometry import ClosureRow, SubgraphGeometry
+from repro.core.geometry import SubgraphGeometry
 from repro.errors import PlanError
-from repro.graph.regions import Region
+from repro.graph.regions import Interval, Region
 from repro.graph.traversal import SubgraphView
 
 __all__ = ["required_regions", "padding_growth", "chain_padded_sizes"]
@@ -52,45 +55,53 @@ def padding_growth(subgraph: SubgraphView, exit_id: int | None, brick_shape: tup
     Corner/edge/center bricks contribute their different (clipped) padding,
     as the paper notes; multi-exit subgraphs accumulate each exit's
     (redundant) requirements, which is what the padded executor really does.
+    Only the lengths of the traversal's intervals are read
+    (:meth:`SubgraphGeometry.traverse`); no closure row is built.
 
     ``exit_id`` restricts the analysis to one exit (None = all exits).
     """
     graph = subgraph.graph
     exit_ids = [exit_id] if exit_id is not None else list(subgraph.exit_ids)
     geom = SubgraphGeometry(subgraph, brick_shape)
+    spatial = {nid: graph.node(nid).spec.spatial
+               for nid in (*subgraph.node_ids, *subgraph.entry_ids)}
 
     padded_elems = 0
     for eid in exit_ids:
         extents = graph.node(eid).spec.spatial
         if len(brick_shape) != len(extents):
             raise PlanError(f"brick rank {len(brick_shape)} vs exit spatial rank {len(extents)}")
-        table = geom.closure_table(eid)
-        # Closure rows compose per axis, so the bricks whose rows are all
-        # clean sum multiplicatively without being enumerated:
+        # One traversal per (axis, brick index).  They compose per axis, so
+        # the bricks whose traversals are all clean sum multiplicatively
+        # without being enumerated:
         #   padded_elems(node) = prod_d ( sum_i clipped_len_{d,i}(node) ).
-        # Bricks touching a void row (an empty need: see repro.core.geometry)
-        # do not decompose and are summed one by one.
-        clean = [[r for r in rows if not r.void] for rows in table]
-        sums = [[sum(lens) for lens in zip(*map(_lengths, rows))] for rows in clean]
-        padded_elems += sum(map(math.prod, zip(*sums)))
-        if any(len(c) < len(rows) for c, rows in zip(clean, table)):
-            for gpos in itertools.product(*(range(len(rows)) for rows in table)):
-                if any(rows[i].void for rows, i in zip(table, gpos)):
-                    padded_elems += sum(map(math.prod, zip(*map(
-                        _lengths, geom.closure_rows(eid, gpos)))))
+        table = [[(iv, *geom.traverse(eid, (axis,), (iv,))) for iv in ivs]
+                 for axis, ivs in geom.brick_intervals(eid)]
+        sums = [Counter() for _ in table]
+        for axis, rows in enumerate(table):
+            for _, required, void in rows:
+                if not void:
+                    for nid, (iv,) in required.items():
+                        sums[axis][nid] += _clipped(iv, spatial[nid][axis])
+        padded_elems += sum(math.prod(s[nid] for s in sums) for nid in sums[0])
+        # Bricks touching a void traversal (an empty need: see
+        # repro.core.geometry) do not decompose: one joint traversal each.
+        if any(void for rows in table for *_, void in rows):
+            for brick in itertools.product(*table):
+                if any(void for *_, void in brick):
+                    required, _ = geom.traverse(eid, range(len(brick)), [iv for iv, *_ in brick])
+                    padded_elems += sum(math.prod(map(_clipped, ivs, spatial[nid]))
+                                        for nid, ivs in required.items())
 
-    exact_elems = 0
-    for nid in list(subgraph.node_ids) + list(subgraph.entry_ids):
-        spec = graph.node(nid).spec
-        exact_elems += int(spec.num_elements // (spec.batch * spec.channels))
+    exact_elems = sum(map(math.prod, spatial.values()))
     if exact_elems == 0:
         return 0.0
     return padded_elems / exact_elems - 1.0
 
 
-def _lengths(row: ClosureRow) -> list[int]:
-    """Clipped length of every closure node along the row's axis."""
-    return [r.length for r in (*row.members.values(), *row.entries.values())]
+def _clipped(iv: Interval, extent: int) -> int:
+    """Length of ``iv`` inside a feature map of ``extent``."""
+    return max(0, min(iv.hi, extent) - max(iv.lo, 0))
 
 
 def chain_padded_sizes(subgraph: SubgraphView, exit_id: int, brick_shape: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:

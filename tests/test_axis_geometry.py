@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bricked import BrickGrid, bricked_nbytes
+from repro.core.engine import BrickDLEngine
 from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.core.halo import padding_growth, required_regions
 from repro.core.handles import BrickedHandle
@@ -27,6 +28,7 @@ from repro.graph.regions import Interval, Region
 from repro.graph.tensorspec import TensorSpec
 from repro.graph.traversal import subgraph_view
 from repro.gpusim.trace import Buffer
+from repro.models import zoo
 
 CASES = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -75,9 +77,11 @@ def nd_offsets(handle, batch, positions):
             for g in positions]
 
 
-def nd_padded_elems(view, brick_shape):
+def nd_padded_elems(view, brick_shape, exit_ids=None):
+    """Clipped required-region sizes summed over every brick of each exit
+    (all exits by default): the padded strategy's data, brick by brick."""
     total = 0
-    for exit_id in view.exit_ids:
+    for exit_id in view.exit_ids if exit_ids is None else exit_ids:
         grid = BrickGrid(view.graph.node(exit_id).spec.spatial, brick_shape)
         for gpos in itertools.product(*(range(n) for n in grid.grid_shape)):
             required = nd_required(view, exit_id, grid.brick_region(gpos, clipped=True))
@@ -285,6 +289,32 @@ def test_required_view_on_arbitrary_regions(case, data):
     if not out_region.is_empty():
         needs, offsets = SubgraphGeometry(view, brick).needs(nid, out_region)
         assert list(zip(needs, offsets)) == nd_needs(view.graph, nid, out_region)
+
+
+# -- delta on real plans ------------------------------------------------------------
+
+def test_padding_growth_equals_the_nd_oracle_on_planned_subgraphs():
+    """The planner's delta reads only traversal lengths; on every merged
+    subgraph of the reduced zoo's plans, at its planned brick shape, it
+    equals the brute-force N-D sum of clipped required regions, for all
+    exits together and for each exit alone."""
+    exits = []
+    for model in sorted(zoo.MODELS):
+        graph = zoo.build(model, reduced=True)
+        for sub in BrickDLEngine(graph).compile().subgraphs:
+            if not sub.brick_shape:
+                continue
+            view, brick = sub.subgraph, sub.brick_shape
+            exact = sum(math.prod(graph.node(n).spec.spatial)
+                        for n in (*view.node_ids, *view.entry_ids))
+            assert padding_growth(view, None, brick) == sub.delta
+            assert sub.delta == nd_padded_elems(view, brick) / exact - 1.0
+            for exit_id in view.exit_ids:
+                assert (padding_growth(view, exit_id, brick)
+                        == nd_padded_elems(view, brick, [exit_id]) / exact - 1.0)
+            exits.append(len(view.exit_ids))
+    # 22 merged subgraphs today, some with several exits.
+    assert len(exits) >= 20 and max(exits) > 1
 
 
 # -- the padding_growth / required_regions disagreement ---------------------------

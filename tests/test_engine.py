@@ -189,9 +189,10 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
     between versions), per task the counted run of the same plan submits
-    (6.5 today; 14.3 when every conv brick gathered its patch and made its
-    own kernel call, 37 when every member ran brick by brick into a bricked
-    tensor)."""
+    (0.61 today, one whole-tensor call per member; 6.5 with per-class conv
+    stacks, 14.3 when every conv brick gathered its patch and made its own
+    kernel call, 37 when every member ran brick by brick into a bricked
+    tensor).  The budget sits about 10 % above today's count."""
     import cProfile
     import os
 
@@ -209,11 +210,12 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
     per_task = calls / num_tasks
-    assert per_task <= 7.1, (
-        f"{per_task:.1f} calls into src/repro per counted task (budget 7.1): per-item Python is "
-        "back on the values path -- the usual culprits are elementwise members run brick by "
-        "brick (kernels.BY_TENSOR), per-sample calls in bricktask._fill_by_class, Region "
-        "algebra (graph/regions.py) and per-brick loops in core/bricked.py")
+    assert per_task <= 0.7, (
+        f"{per_task:.2f} calls into src/repro per counted task (budget 0.7): per-item Python is "
+        "back on the values path -- the usual culprits are per-brick or per-sample loops in "
+        "bricktask.subgraph_values (each member should be one apply_node_full call), more ops "
+        "split per sample in kernels.dispatch.apply_node_full, geometry rows or Region algebra "
+        "(core/geometry.py, graph/regions.py) built without a screen")
 
 
 _PLANNED_AND_PADDED = pytest.mark.parametrize("strategy", [None, Strategy.PADDED],
@@ -224,9 +226,11 @@ _PLANNED_AND_PADDED = pytest.mark.parametrize("strategy", [None, Strategy.PADDED
 def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypatch):
     """Kernel calls (``apply_node_local`` + ``apply_node_full``, every alias
     patched, recursion included) of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1, planned and all padded: a conv member's bricks of equal
-    geometry share stacked calls (about 1,740 when every brick and sample
-    made its own, and when padded walked every exit brick's closure)."""
+    mobilenet_v1, planned and all padded: one ``apply_node_full`` per member
+    plus its per-sample Conv / ConvTranspose / Dense recursion, 111 today
+    under both (127 with per-class conv stacks, about 1,740 when every brick
+    and sample made its own call, and when padded walked every exit brick's
+    closure).  The budget sits about 10 % above today's count."""
     import sys
 
     from repro.kernels import dispatch
@@ -244,18 +248,18 @@ def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypa
             if getattr(module, "__name__", "").startswith("repro") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     engine.values(x, plan)
-    assert 0 < len(calls) <= 150, f"{len(calls)} kernel calls per batch-8 values() (budget 150)"
+    assert 0 < len(calls) <= 122, f"{len(calls)} kernel calls per batch-8 values() (budget 122)"
 
 
 @_PLANNED_AND_PADDED
 def test_values_pass_peak_memory_stays_under_2_1_mb(strategy):
     """tracemalloc peak of one warm batch-8 ``values()`` of reduced
     mobilenet_v1, planned and all padded: 1.9 MB today, 3.3 MB if members
-    outlive their last consumer, 5.0 MB when every member was a bricked
-    tensor, 6.4 MB when a conv class ran as one stack (no
-    ``kernels.STACKABLE`` bound).  The benchmark keeps every response, so a
-    values pass that holds dead arrays shows up in ``serve_closed``'s
-    ``peak_rss_mb``; here it fails first."""
+    outlive their last consumer (``subgraph_values`` drops each interior
+    member after its last consumer), 5.6 MB if ``apply_node_full`` ran a
+    batch-8 Conv as one im2col instead of sample by sample.  The benchmark
+    keeps every response, so a values pass that holds dead arrays shows up
+    in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
     import tracemalloc
 
     engine, plan, x = _warm_mobilenet_values(8, strategy)
