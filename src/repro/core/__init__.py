@@ -1,9 +1,8 @@
 """BrickDL core: the paper's contribution.
 
-* :mod:`repro.core.brick` / :mod:`repro.core.bricked` /
-  :mod:`repro.core.handles` -- the brick data layout: Brick, BrickMap,
-  BrickInfo (section 3.3.4), the brick grid, and the bricked buffers the
-  simulator addresses (section 3.1),
+* :mod:`repro.core.bricked` / :mod:`repro.core.handles` -- the brick data
+  layout (sections 3.1, 3.3.4): the brick grid, and the bricked buffers the
+  simulator addresses, stored row-major,
 * :mod:`repro.core.halo` -- static halo analysis (section 3.2.1),
 * :mod:`repro.core.bricktask` -- what a brick task reads, writes and
   synchronizes with under every merged schedule (section 3.2), and the one
@@ -21,7 +20,6 @@
 * :mod:`repro.core.reference` -- naive layer-by-layer ground truth.
 """
 
-from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map
 from repro.core.bricked import BrickGrid
 from repro.core.engine import BrickDLEngine, EngineResult
 from repro.core.partition import partition_graph
@@ -31,9 +29,6 @@ from repro.core.reference import ReferenceExecutor
 from repro.core.tuner import tune_plan
 
 __all__ = [
-    "Brick",
-    "BrickMap",
-    "BrickInfo",
     "BrickGrid",
     "BrickDLEngine",
     "EngineResult",
@@ -45,6 +40,5 @@ __all__ = [
     "SubgraphPlan",
     "Strategy",
     "ReferenceExecutor",
-    "morton_map",
     "tune_plan",
 ]

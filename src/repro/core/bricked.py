@@ -97,8 +97,6 @@ class BrickGrid:
         return tuple(itertools.product(
             *(self.axis_bricks(d, iv.lo, iv.hi) for d, iv in enumerate(region))))
 
-    bricks_overlapping = overlap_plan
-
 
 def flat_bricks(axis_terms: Sequence[Sequence[int]]) -> Sequence[int]:
     """Flat (row-major) indices of a box of bricks given, per axis, its brick

@@ -82,7 +82,7 @@ def weight_array(weight: "np.ndarray | WeightDesc") -> np.ndarray:
 def same_weights(a: Mapping[str, "np.ndarray | WeightDesc"],
                  b: Mapping[str, "np.ndarray | WeightDesc"], *,
                  shared: bool = False) -> bool:
-    """The one weight-equality primitive (rules, transforms, validator).
+    """The one weight-equality primitive (rules, validator).
 
     Same object or same description => same values, with nothing drawn;
     two *different* descriptions are conservatively unequal (distinct

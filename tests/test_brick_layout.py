@@ -1,5 +1,5 @@
-"""Brick layout tests: Brick, BrickMap, BrickInfo (paper Fig. 6), the brick grid,
-the bricked byte layout and the dense halo copy."""
+"""Brick layout tests: the brick grid, the bricked byte layout (paper
+section 3.3.4, Fig. 6) and the dense halo copy."""
 
 import itertools
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.brick import Brick, BrickInfo, BrickMap, morton_map, neighbor_offsets
 from repro.core.bricked import BrickGrid, bricked_nbytes
 from repro.core.handles import BrickedHandle
 from repro.errors import LayoutError
@@ -17,69 +16,6 @@ from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.trace import Buffer
 
 from testlib import gather_dense
-
-
-class TestBrickMap:
-    def test_identity_roundtrip(self):
-        bm = BrickMap((3, 4))
-        for flat in range(12):
-            pos = bm.unflatten(flat)
-            assert bm.flatten(pos) == flat
-            assert bm.logical(bm.physical(pos)) == pos
-
-    def test_permuted_roundtrip(self):
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(12)
-        bm = BrickMap((3, 4), perm)
-        for pos, phys in bm:
-            assert bm.logical(phys) == pos
-
-    def test_bad_permutation(self):
-        with pytest.raises(LayoutError):
-            BrickMap((2, 2), [0, 0, 1, 2])
-
-    def test_out_of_grid(self):
-        with pytest.raises(LayoutError):
-            BrickMap((2, 2)).physical((2, 0))
-
-
-class TestBrickInfo:
-    def test_fig6_neighbor_structure(self):
-        """A 4x4 grid: the brick at (1,1) has 8 neighbors (Fig. 6(c))."""
-        bm = BrickMap((4, 4))
-        info = BrickInfo(bm)
-        phys = bm.physical((1, 1))
-        neighbors = info.neighbors(phys)
-        assert len(neighbors) == 8
-        assert neighbors[(-1, -1)] == bm.physical((0, 0))
-        assert neighbors[(1, 1)] == bm.physical((2, 2))
-
-    def test_corner_has_three(self):
-        info = BrickInfo(BrickMap((4, 4)))
-        assert len(info.neighbors(0)) == 3
-
-    def test_unknown_direction(self):
-        info = BrickInfo(BrickMap((2, 2)))
-        with pytest.raises(LayoutError):
-            info.neighbor(0, (2, 0))
-
-    def test_offsets_3d(self):
-        assert len(neighbor_offsets(3)) == 26
-
-    @pytest.mark.parametrize("grid", [(1,), (5,), (1, 1), (3, 4), (4, 1), (2, 3, 2), (1, 3, 1)])
-    @pytest.mark.parametrize("make_map", [BrickMap, morton_map], ids=["identity", "morton"])
-    def test_shifted_adjacency_equals_the_per_brick_walk(self, grid, make_map):
-        """The adjacency table is built with array shifts of the slot grid;
-        the reference is Fig. 6(c) spelled out brick by brick."""
-        bm = make_map(grid)
-        info = BrickInfo(bm)
-        expected = np.full((bm.num_bricks, len(info.directions)), -1, dtype=np.int64)
-        for grid_pos, phys in bm:
-            for d_idx, delta in enumerate(info.directions):
-                npos = tuple(p + dd for p, dd in zip(grid_pos, delta))
-                if all(0 <= p < g for p, g in zip(npos, grid)):
-                    expected[phys, d_idx] = bm.physical(npos)
-        np.testing.assert_array_equal(info.adjacency, expected)
 
 
 class TestBrickGrid:
@@ -93,9 +29,9 @@ class TestBrickGrid:
         r = g.brick_region((3, 4), clipped=True)
         assert r.shape == (1, 1)
 
-    def test_bricks_overlapping_clips_to_map(self):
+    def test_overlap_plan_clips_to_map(self):
         g = BrickGrid((8, 8), (4, 4))
-        over = list(g.bricks_overlapping(Region.from_bounds([-3, 5], [2, 12])))
+        over = list(g.overlap_plan(Region.from_bounds([-3, 5], [2, 12])))
         assert over == [(0, 1)]
 
 
@@ -114,12 +50,11 @@ class TestBrickedLayout:
         assert offsets == [i * handle.brick_nbytes for i in range(4)]
         assert handle.buffer.nbytes == handle.nbytes() == 4 * handle.brick_nbytes
 
-    def test_brick_access_interface(self, rng):
-        x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
+    def test_brick_access_interface(self):
         handle = _handle(TensorSpec(1, 2, (8, 8)), (4, 4))
-        brick = Brick(handle.physical((1, 1)), x[0, :, 4:8, 4:8].copy())
-        assert brick.physical_index == 3 and brick.nbytes == handle.brick_nbytes
-        np.testing.assert_array_equal(brick[(2, 3)], x[0, :, 6, 7])
+        # Bricks are stored row-major: grid position (1, 1) is slot 3.
+        assert handle.physical((1, 1)) == 3
+        assert handle.brick_nbytes == 2 * 16 * 4
 
     def test_gather_with_halo_and_fill(self, rng):
         x = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)

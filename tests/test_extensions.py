@@ -1,11 +1,10 @@
 """Tests for the section-6 extension features: wavefront execution, the
-empirical tuner, Morton brick ordering, the profiler report, and the CLI."""
+empirical tuner, the profiler report, and the CLI."""
 
 import numpy as np
 import pytest
 
 from repro.bench.proxies import conv_chain_3d
-from repro.core.brick import morton_map, morton_permutation
 from repro.core.engine import BrickDLEngine
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
@@ -123,27 +122,6 @@ class TestTuner:
         text = report.summary()
         assert "agreement" in text and "subgraph" in text
         assert 0.0 <= report.strategy_agreement <= 1.0
-
-
-class TestMortonOrder:
-    def test_permutation_is_bijection(self):
-        perm = morton_permutation((4, 6))
-        assert sorted(perm) == list(range(24))
-
-    def test_z_order_quads(self):
-        bm = morton_map((4, 4))
-        assert sorted(bm.physical(p) for p in [(0, 0), (0, 1), (1, 0), (1, 1)]) == [0, 1, 2, 3]
-        assert sorted(bm.physical(p) for p in [(2, 2), (2, 3), (3, 2), (3, 3)]) == [12, 13, 14, 15]
-
-    def test_3d(self):
-        perm = morton_permutation((2, 2, 2))
-        assert sorted(perm) == list(range(8))
-
-    def test_non_power_of_two(self):
-        bm = morton_map((3, 5))
-        assert bm.num_bricks == 15
-        for pos, phys in bm:
-            assert bm.logical(phys) == pos
 
 
 class TestReportAndCli:

@@ -25,7 +25,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.ir import WeightDesc, same_weights
 from repro.graph.ops import Conv, FusedOp, OpSpec
 from repro.graph.tensorspec import TensorSpec
-from repro.graph.transforms import eliminate_common_subexpressions, rebatch_graph
+from repro.graph.transforms import rebatch_graph
 from repro.models import zoo
 from repro.rewrite import (
     LayoutAwareCSE,
@@ -255,7 +255,6 @@ def test_cse_merges_equal_but_distinct_attached_arrays(no_draw):
     assert validate_rewrite(g, rewrite, LayoutAwareCSE()).ok
     assert rewrite.graph.node("a").weights["weight"] is attached
     assert isinstance(rewrite.graph.node("seeded").weights["weight"], WeightDesc)
-    assert len(eliminate_common_subexpressions(g)) == len(g) - 1
 
 
 def test_attached_arrays_untouched_and_unequal_ones_not_merged():
