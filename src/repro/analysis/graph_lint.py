@@ -27,6 +27,7 @@ from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node
 from repro.graph.regions import GlobalMap, Interval
+from repro.graph.traversal import ancestors
 
 __all__ = ["lint_graph"]
 
@@ -143,14 +144,8 @@ def _check_contract(graph: Graph, node: Node, report: AnalysisReport) -> None:
 # -- reachability ------------------------------------------------------------
 def _check_reachability(graph: Graph, report: AnalysisReport) -> None:
     """Nodes feeding no graph output are dead weight (warning, not error)."""
-    live: set[int] = set()
-    stack = [n.node_id for n in graph.output_nodes]
-    while stack:
-        nid = stack.pop()
-        if nid in live:
-            continue
-        live.add(nid)
-        stack.extend(graph.node(nid).inputs)
+    outputs = {n.node_id for n in graph.output_nodes}
+    live = outputs | ancestors(graph, outputs)
     for node in graph.nodes:
         if node.node_id not in live:
             report.add(_diag("graph.unreachable", Severity.WARNING,

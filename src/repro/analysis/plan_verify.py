@@ -51,12 +51,15 @@ from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
 from repro.errors import ReproError
 from repro.graph.ir import Graph
 from repro.graph.regions import Region
-from repro.graph.traversal import subgraph_view
+from repro.graph.traversal import ancestors, descendants, subgraph_view
 from repro.gpusim.spec import A100, GPUSpec
 
 __all__ = ["verify_plan"]
 
 _PASS = "plan-verify"
+#: Exit grids with more bricks than this have their halo regions checked on
+#: a sample (center, corners, edge midpoints) instead of every brick.
+MAX_REGION_BRICKS = 32
 
 
 def _diag(report: AnalysisReport, code: str, severity: Severity, message: str,
@@ -74,7 +77,6 @@ def verify_plan(
     strategy_override: Strategy | None = None,
     brick_override: int | None = None,
     layer_schedule: tuple[int, ...] | None = None,
-    max_region_bricks: int = 32,
 ) -> AnalysisReport:
     """Re-derive and check every invariant of ``plan``; see module docstring."""
     report = AnalysisReport()
@@ -85,7 +87,7 @@ def verify_plan(
         if sub.is_merged:
             _check_footprint(graph, sub, spec, config, report,
                              scheduled=layer_schedule is not None)
-            _check_regions(graph, sub, report, max_region_bricks)
+            _check_regions(graph, sub, report)
         _check_model(graph, sub, config, report,
                      strategy_override=strategy_override,
                      brick_override=brick_override)
@@ -138,23 +140,8 @@ def _check_membership(graph: Graph, sub: SubgraphPlan, report: AnalysisReport) -
     # Dependency convexity: no node outside the subgraph lies on a path
     # between two members.  A violator is any non-member that is both
     # reachable from a member and an ancestor of a member.
-    downstream: set[int] = set()
-    stack = [c for nid in members for c in graph.consumers(nid)]
-    while stack:
-        nid = stack.pop()
-        if nid in downstream:
-            continue
-        downstream.add(nid)
-        stack.extend(graph.consumers(nid))
-    upstream: set[int] = set()
-    stack = [i for nid in members for i in graph.node(nid).inputs]
-    while stack:
-        nid = stack.pop()
-        if nid in upstream:
-            continue
-        upstream.add(nid)
-        stack.extend(graph.node(nid).inputs)
-    for nid in sorted((downstream & upstream) - members):
+    between = descendants(graph, members) & ancestors(graph, members)
+    for nid in sorted(between - members):
         _diag(report, "plan.convexity", Severity.ERROR,
               f"subgraph {sub.index}: node {graph.node(nid).name!r} lies on a "
               f"path between members but is not a member", sub.index, nid)
@@ -219,8 +206,7 @@ def _sample_bricks(grid_shape: tuple[int, ...], limit: int) -> list[tuple[int, .
     return sorted(picks)
 
 
-def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport,
-                   max_region_bricks: int) -> None:
+def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport) -> None:
     from repro.core.bricked import BrickGrid
 
     members = set(sub.subgraph.node_ids)
@@ -251,7 +237,7 @@ def _check_regions(graph: Graph, sub: SubgraphPlan, report: AnalysisReport,
                     needed.add(i)
                     stack.append(i)
 
-        for gpos in _sample_bricks(grid.grid_shape, max_region_bricks):
+        for gpos in _sample_bricks(grid.grid_shape, MAX_REGION_BRICKS):
             out_region = grid.brick_region(gpos, clipped=True)
             try:
                 required = geom.required(exit_id, out_region)

@@ -47,6 +47,7 @@ from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node, same_weights
 from repro.graph.ops import BatchNorm, Bias, FusedOp, OpSpec, Pool
+from repro.graph.traversal import ancestors, descendants
 
 if TYPE_CHECKING:
     from repro.graph.tensorspec import TensorSpec
@@ -65,7 +66,6 @@ def validate_rewrite(
     step: int | None = None,
     differential: bool = False,
     seeds: Sequence[int] = (0,),
-    check_partition: bool = True,
 ) -> AnalysisReport:
     """Prove (or refute) that ``rewrite`` soundly transforms ``before``."""
     report = AnalysisReport()
@@ -85,8 +85,7 @@ def validate_rewrite(
     _check_removals(ctx)
     _check_fusions(ctx)
     _check_dataflow(ctx)
-    if check_partition:
-        _check_convexity(ctx)
+    _check_convexity(ctx)
     if differential:
         _check_differential(ctx, seeds)
     return report
@@ -184,15 +183,8 @@ def _check_interface(ctx: _Context) -> None:
 
 # -- removals ----------------------------------------------------------------
 def _live_ids(graph: Graph) -> set[int]:
-    live: set[int] = set()
-    stack = [n.node_id for n in graph.output_nodes]
-    while stack:
-        nid = stack.pop()
-        if nid in live:
-            continue
-        live.add(nid)
-        stack.extend(graph.node(nid).inputs)
-    return live
+    outputs = {n.node_id for n in graph.output_nodes}
+    return outputs | ancestors(graph, outputs)
 
 
 def _provably_identity(node: Node) -> bool:
@@ -447,23 +439,8 @@ def _check_convexity(ctx: _Context) -> None:
         members = set(view.node_ids)
         if not members:
             continue
-        downstream: set[int] = set()
-        stack = [c for nid in members for c in after.consumers(nid)]
-        while stack:
-            nid = stack.pop()
-            if nid in downstream:
-                continue
-            downstream.add(nid)
-            stack.extend(after.consumers(nid))
-        upstream: set[int] = set()
-        stack = [i for nid in members for i in after.node(nid).inputs]
-        while stack:
-            nid = stack.pop()
-            if nid in upstream:
-                continue
-            upstream.add(nid)
-            stack.extend(after.node(nid).inputs)
-        for nid in sorted((downstream & upstream) - members):
+        between = descendants(after, members) & ancestors(after, members)
+        for nid in sorted(between - members):
             ctx.diag("rewrite.convexity",
                      f"planner subgraph {index} on the rewritten graph is not "
                      f"convex: node {after.node(nid).name!r} lies on a path "

@@ -16,9 +16,9 @@ __all__ = ["XlaBaseline"]
 
 
 class XlaBaseline(ConventionalExecutor):
-    """Whole-layer kernels + fusion, barriers amortized across the graph."""
+    """Whole-layer kernels + fusion, one barrier per 8 operator groups."""
 
     name = "xla"
 
-    def __init__(self, graph: Graph, spec: GPUSpec = A100, cluster: int = 8) -> None:
-        super().__init__(graph, spec=spec, fuse=True, tile=None, sync_every=cluster)
+    def __init__(self, graph: Graph, spec: GPUSpec = A100) -> None:
+        super().__init__(graph, spec=spec, fuse=True, tile=None, sync_every=8)

@@ -86,7 +86,7 @@ def run_brickdl(
     plan = engine.compile()
     device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(device=device, plan=plan)
     sim_wall_s = time.perf_counter() - t0
     if trace is not None:
         from repro.profiling import write_chrome_trace
@@ -135,7 +135,7 @@ def record_bench_manifest(
     plan = engine.compile(optimize=optimize or rules is not None, rules=rules)
     device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(device=device, plan=plan)
     sim_wall_s = time.perf_counter() - t0
     if label is None:
         label = strategy.value if strategy else ""

@@ -71,7 +71,7 @@ def cmd_run(args) -> int:
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
     plan = engine.compile()
     device = Device(adapt_sectors(A100, plan))
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(device=device, plan=plan)
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     if args.per_subgraph:
         print()
@@ -100,7 +100,7 @@ def cmd_profile(args) -> int:
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
     plan = engine.compile()
     device = Device(adapt_sectors(A100, plan))
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(device=device, plan=plan)
     trace = result.trace
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     print()
@@ -133,7 +133,7 @@ def _sanitized_run(graph, plan, strategy, brick):
     rng = np.random.default_rng(0)
     inputs = {n.name: rng.standard_normal(n.spec.shape).astype(n.spec.dtype)
               for n in graph.input_nodes}
-    return engine.run(inputs=inputs, functional=True, device=device, plan=plan)
+    return engine.run(inputs, device=device, plan=plan)
 
 
 def cmd_sanitize(args) -> int:
@@ -188,7 +188,7 @@ def cmd_lint(args) -> int:
         from repro.gpusim.device import Device
 
         device = Device(adapt_sectors(A100, plan))
-        result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+        result = engine.run(device=device, plan=plan)
         report.extend(replay_trace(plan, result.trace.records))
     if args.sanitize:
         result = _sanitized_run(graph, plan, strategy, args.brick)

@@ -160,7 +160,6 @@ class BrickDLEngine:
         config: PerfModelConfig = DEFAULT_CONFIG,
         strategy_override: Strategy | None = None,
         brick_override: int | None = None,
-        max_layers: int | None = None,
         layer_schedule: tuple[int, ...] | None = None,
         strict: bool = False,
         sanitize: bool = False,
@@ -171,7 +170,6 @@ class BrickDLEngine:
         self.config = config
         self.strategy_override = strategy_override
         self.brick_override = brick_override
-        self.max_layers = max_layers
         self.layer_schedule = layer_schedule
         self.strict = strict
         self.sanitize = sanitize
@@ -196,7 +194,6 @@ class BrickDLEngine:
             config=self.config,
             strategy_override=self.strategy_override,
             brick_override=self.brick_override,
-            max_layers=self.max_layers,
             layer_schedule=self.layer_schedule,
             strict=self.strict,
             sanitize=self.sanitize,
@@ -215,9 +212,7 @@ class BrickDLEngine:
         """
         if optimize:
             self._optimize_graph(rules)
-        views = partition_graph(
-            self.graph, self.spec, self.config, self.max_layers, self.layer_schedule
-        )
+        views = partition_graph(self.graph, self.spec, self.config, self.layer_schedule)
         plan = ExecutionPlan(self.graph)
         for index, view in enumerate(views):
             plan.subgraphs.append(self._decide(index, view))
@@ -314,15 +309,16 @@ class BrickDLEngine:
     def run(
         self,
         inputs: Mapping[str, np.ndarray] | np.ndarray | None = None,
-        functional: bool = True,
+        functional: bool | None = None,
         device: Device | None = None,
         plan: ExecutionPlan | None = None,
         trace_ctx=None,
     ) -> EngineResult:
         """Simulate ``plan`` (compiled if None) on ``device`` (a fresh one if
-        None).  ``functional``: the result also carries :meth:`values`'
-        outputs, computed first, so a graph they refuse or a bad input fails
-        before the first task; the counted run is the same either way."""
+        None).  ``functional`` (default: ``inputs`` were given): the result
+        also carries :meth:`values`' outputs, computed first, so a graph they
+        refuse or a bad input fails before the first task; the counted run
+        is the same either way."""
         # Imported here: repro.baselines also consumes repro.core (handles),
         # so the engine pulls the shared tiled machinery in lazily.
         from repro.baselines.tiled import allocate_weights
@@ -348,6 +344,8 @@ class BrickDLEngine:
             if sanitizer is None:
                 sanitizer = device.attach(ExecutionSanitizer(graph))
         screen = sanitizer.numeric.screen if sanitizer is not None else None
+        if functional is None:
+            functional = inputs is not None
         outputs = self.values(inputs, plan, screen) if functional else None
 
         boundary: dict[int, DenseHandle | BrickedHandle] = {}

@@ -96,14 +96,12 @@ def partition_graph(
     graph: Graph,
     spec: GPUSpec = A100,
     config: PerfModelConfig = DEFAULT_CONFIG,
-    max_layers: int | None = None,
     layer_schedule: Sequence[int] | None = None,
 ) -> list[SubgraphView]:
     """Partition ``graph`` into subgraphs for merged execution.
 
-    ``max_layers`` optionally caps the number of operators per merged
-    subgraph.  ``layer_schedule`` forces exact group sizes in order (cycling
-    the last entry), which is how the microbenchmarks realize the paper's
+    ``layer_schedule`` forces exact group sizes in order (cycling the last
+    entry), which is how the microbenchmarks realize the paper's
     2+2+2 / 3+3 / 4+2 / 6 merge configurations of Fig. 10; when given, the
     footprint and reduction rules are suspended (the sweep deliberately
     explores configurations the model would reject).
@@ -122,11 +120,6 @@ def partition_graph(
             current.clear()
             schedule_pos += 1
 
-    def quota() -> int | None:
-        if schedule is None:
-            return max_layers
-        return schedule[min(schedule_pos, len(schedule) - 1)]
-
     for node in graph.nodes:
         if node.is_input:
             continue
@@ -135,24 +128,20 @@ def partition_graph(
             views.append(subgraph_view(graph, [node.node_id]))
             continue
 
-        candidate = current + [node.node_id]
-        if schedule is None:
-            entries = _entries_of(graph, candidate)
-            footprint = merged_footprint_bytes(
-                graph, candidate, entries, min(config.brick_candidates))
-            if current and footprint > budget:
+        if schedule is not None:
+            current.append(node.node_id)
+            if len(current) >= schedule[min(schedule_pos, len(schedule) - 1)]:
                 close()
-                candidate = [node.node_id]
-        cap = quota()
-        if cap is not None and len(candidate) > cap:
+            continue
+
+        candidate = current + [node.node_id]
+        entries = _entries_of(graph, candidate)
+        footprint = merged_footprint_bytes(
+            graph, candidate, entries, min(config.brick_candidates))
+        if current and footprint > budget:
             close()
             candidate = [node.node_id]
         current[:] = candidate
-
-        if schedule is not None:
-            if len(current) >= quota():
-                close()
-            continue
 
         # Rule 2: resolution changes end their subgraph -- pooling and
         # strided convolutions shrink the layer (the paper: "the analysis

@@ -35,18 +35,12 @@ class ReferenceExecutor:
         ``inputs`` may be a single array (bound to the unique graph input) or
         a mapping from input-node name to array.
         """
-        feeds = self._normalize_inputs(inputs)
-        values: dict[int, np.ndarray] = {}
-        for node in topological_order(self.graph):
-            if node.is_input:
-                values[node.node_id] = feeds[node.name]
-                continue
-            args = [values[i] for i in node.inputs]
-            values[node.node_id] = apply_node_full(node.op, args, node.weights)
-        return {n.name: values[n.node_id] for n in self.graph.output_nodes}
+        every = self.run_all(inputs)
+        return {n.name: every[n.name] for n in self.graph.output_nodes}
 
     def run_all(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> dict[str, np.ndarray]:
-        """Like :meth:`run` but returns every node's activation (for tests)."""
+        """Every node's activation, ``{node_name: activation}``: one sweep,
+        one full-tensor kernel call per operator."""
         feeds = self._normalize_inputs(inputs)
         values: dict[int, np.ndarray] = {}
         for node in topological_order(self.graph):

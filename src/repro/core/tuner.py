@@ -125,7 +125,7 @@ def _profile_subgraph(
     )
     plan = engine.compile()
     device = Device(adapt_sectors(spec, plan))
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(device=device, plan=plan)
     return result.metrics.total_time
 
 

@@ -87,7 +87,6 @@ class DistributedRunner:
         spec: GPUSpec = A100,
         config: PerfModelConfig = DEFAULT_CONFIG,
         comm: CommModel | None = None,
-        max_layers: int | None = None,
         layer_schedule: tuple[int, ...] | None = None,
         registry=None,
     ) -> None:
@@ -117,7 +116,7 @@ class DistributedRunner:
         if registry is not None:
             self.comm.registry = registry
             registry.set_base(model=graph.name)
-        self.subgraphs = partition_graph(graph, spec, config, max_layers, layer_schedule)
+        self.subgraphs = partition_graph(graph, spec, config, layer_schedule)
 
     # -- execution ---------------------------------------------------------
     def run(self) -> DistributedResult:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.gpusim.atomics import AtomicCounters
 from repro.gpusim.memory import MemoryCounters, MemorySystem
@@ -60,16 +60,15 @@ class RunMetrics:
 class Device:
     """A simulated GPU for the duration of one execution run."""
 
-    def __init__(self, spec: GPUSpec = A100, observers: Iterable = (),
-                 registry: MetricsRegistry | None = None) -> None:
+    def __init__(self, spec: GPUSpec = A100) -> None:
         self.spec = spec
         self.memory = MemorySystem(spec)
         self.atomics = AtomicCounters()
-        self.observers: list = list(observers)
+        self.observers: list = []
         # Always-on metrics: every run leaves a labelled registry, whether or
-        # not anyone attached observers.  The engine passes a shared registry
-        # (with model/strategy/subgraph scopes); standalone devices own one.
-        self.metrics_registry = registry if registry is not None else MetricsRegistry()
+        # not anyone attached observers.  Each device owns its registry; the
+        # engine labels it (model, then strategy/subgraph scopes).
+        self.metrics_registry = MetricsRegistry()
         # Resolved counter-handle rows per (context_token, node_id): label
         # scopes change rarely relative to task submission, so the hot path
         # is one dict hit plus attribute adds.

@@ -8,15 +8,15 @@ computation as a data-flow DAG:
 * :mod:`repro.graph.ops` -- operator specifications (conv, pool, ...),
 * :mod:`repro.graph.ir` -- the :class:`Graph` / :class:`Node` DAG itself,
 * :mod:`repro.graph.builder` -- a fluent construction API,
-* :mod:`repro.graph.traversal` -- topological / reverse traversals and
-  subgraph views used by the BrickDL partitioner.
+* :mod:`repro.graph.traversal` -- topological order, ancestor / descendant
+  walks and subgraph views used by the BrickDL partitioner.
 """
 
 from repro.graph.tensorspec import TensorSpec
-from repro.graph.regions import Interval, Region, StencilMap, IdentityMap, TransposedMap, GlobalMap, compose_required
+from repro.graph.regions import Interval, Region, StencilMap, IdentityMap, TransposedMap, GlobalMap
 from repro.graph.ir import Graph, Node
 from repro.graph.builder import GraphBuilder
-from repro.graph.traversal import topological_order, reverse_order, subgraph_view
+from repro.graph.traversal import topological_order, subgraph_view
 
 __all__ = [
     "TensorSpec",
@@ -26,11 +26,9 @@ __all__ = [
     "IdentityMap",
     "TransposedMap",
     "GlobalMap",
-    "compose_required",
     "Graph",
     "Node",
     "GraphBuilder",
     "topological_order",
-    "reverse_order",
     "subgraph_view",
 ]

@@ -13,9 +13,10 @@ This module implements that algebra over half-open integer intervals:
 * :class:`Region` -- an n-dimensional box (one interval per spatial dim),
 * receptive-field maps (:class:`StencilMap`, :class:`TransposedMap`,
   :class:`GlobalMap`) that answer ``required input interval for this output
-  interval``, and
-* :func:`compose_required` which folds a chain of maps in reverse order, the
-  core of the static halo analysis (Fig. 4 of the paper).
+  interval``.
+
+The static halo analysis composes these maps in reverse over a subgraph
+(Fig. 4 of the paper) in :meth:`repro.core.geometry.SubgraphGeometry.traverse`.
 
 Everything is exact integer arithmetic; boundary clipping against the actual
 feature-map extent is performed by callers (executors materialize implicit
@@ -38,7 +39,6 @@ __all__ = [
     "IdentityMap",
     "TransposedMap",
     "GlobalMap",
-    "compose_required",
 ]
 
 
@@ -353,30 +353,3 @@ class GlobalMap(RFMap):
     def local_out_offset(self, out_lo: int, in_lo: int) -> int:
         # The patch is the whole input, so the local output is the whole output.
         return out_lo
-
-
-def compose_required(maps: Sequence[Sequence[RFMap]], out_region: Region) -> list[Region]:
-    """Fold receptive-field maps of an operator chain in reverse.
-
-    ``maps[l]`` holds one :class:`RFMap` per spatial dimension for layer ``l``
-    of a chain (layer 0 consumes the chain input).  Given the ``out_region``
-    produced by the *last* layer, returns a list of length ``len(maps) + 1``
-    where entry ``l`` is the region of layer ``l``'s *input* activation that
-    the chain touches; entry ``len(maps)`` is ``out_region`` itself.
-
-    This is the queue-based reverse traversal of section 3.2.1: each step
-    grows the region by that layer's halo, yielding the
-    ``B + 2p, B + 4p, ...`` telescoping of Fig. 4.
-    """
-
-    regions: list[Region] = [out_region]
-    current = out_region
-    for layer_maps in reversed(maps):
-        if len(layer_maps) != current.ndim:
-            raise ShapeError(
-                f"layer has {len(layer_maps)} dim maps but region rank is {current.ndim}"
-            )
-        current = Region(m.in_interval(iv) for m, iv in zip(layer_maps, current))
-        regions.append(current)
-    regions.reverse()
-    return regions

@@ -5,7 +5,9 @@ in reverse accumulating data footprints (section 3.3.1), and the halo
 analysis walks each subgraph in reverse composing receptive-field maps
 (section 3.2.1).  This module provides the shared machinery:
 
-* :func:`topological_order` / :func:`reverse_order`,
+* :func:`topological_order`,
+* :func:`ancestors` / :func:`descendants` -- the one transitive walk over
+  input or consumer edges (liveness, planner convexity),
 * :class:`SubgraphView` -- a contiguous-by-dependency slice of a graph with
   its own notion of entry/exit nodes, which is what the partitioner emits and
   both merged executors consume.
@@ -14,12 +16,12 @@ analysis walks each subgraph in reverse composing receptive-field maps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import GraphError
 from repro.graph.ir import Graph, Node
 
-__all__ = ["topological_order", "reverse_order", "SubgraphView", "subgraph_view"]
+__all__ = ["topological_order", "ancestors", "descendants", "SubgraphView", "subgraph_view"]
 
 
 def topological_order(graph: Graph) -> list[Node]:
@@ -37,9 +39,28 @@ def topological_order(graph: Graph) -> list[Node]:
     return nodes
 
 
-def reverse_order(graph: Graph) -> list[Node]:
-    """Nodes in reverse dependency order (the paper's reverse traversal)."""
-    return list(reversed(topological_order(graph)))
+def ancestors(graph: Graph, ids: Iterable[int]) -> set[int]:
+    """Ids of every node with a path of one or more edges to a node in
+    ``ids`` (so a start is included only if it feeds another start)."""
+    return _closure(ids, lambda nid: graph.node(nid).inputs)
+
+
+def descendants(graph: Graph, ids: Iterable[int]) -> set[int]:
+    """Ids of every node a path of one or more edges reaches from a node in
+    ``ids`` (so a start is included only if another start feeds it)."""
+    return _closure(ids, graph.consumers)
+
+
+def _closure(ids: Iterable[int], step: Callable[[int], Iterable[int]]) -> set[int]:
+    seen: set[int] = set()
+    stack = [nxt for nid in ids for nxt in step(nid)]
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        stack.extend(step(nid))
+    return seen
 
 
 @dataclass(frozen=True)

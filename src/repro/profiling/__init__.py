@@ -12,7 +12,7 @@ Typical use (the engine attaches the collector; ``result.trace`` is it)::
 
     from repro.profiling import write_chrome_trace
 
-    result = engine.run(inputs=None, functional=False)
+    result = engine.run()   # no inputs: counts only, no values
     write_chrome_trace(result.trace, "run.json",
                        names={n.node_id: n.name for n in graph.nodes})
 

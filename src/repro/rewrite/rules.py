@@ -86,6 +86,8 @@ def _rebuild(
 
 
 def _live_ids(graph: Graph) -> set[int]:
+    # Its own walk, not graph.traversal's: the validator re-derives liveness
+    # there, and must not share the derivation of the rule it checks.
     live: set[int] = set()
     stack = [n.node_id for n in graph.output_nodes]
     while stack:

@@ -40,10 +40,10 @@ __all__ = [
     "batches_from_names",
 ]
 
-#: Validation levels: "off" trusts the rules, "static" re-derives structure
-#: and provenance, "full" additionally discharges the differential
-#: obligation through the reference executor.
-VALIDATE_LEVELS = ("off", "static", "full")
+#: Validation levels: "static" re-derives structure and provenance, "full"
+#: additionally discharges the differential obligation through the
+#: reference executor.  Every rule application is validated.
+VALIDATE_LEVELS = ("static", "full")
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,11 @@ class RewriteStep:
     nodes_before: int
     nodes_after: int
     rewrite: Rewrite
-    validation: AnalysisReport | None = None
+    validation: AnalysisReport
 
     @property
     def ok(self) -> bool:
-        return self.validation is None or self.validation.ok
+        return self.validation.ok
 
 
 @dataclass
@@ -113,7 +113,7 @@ class RewriteReport:
 
     graph: Graph
     nodes_before: int
-    validated: str = "off"
+    validated: str
     steps: list[RewriteStep] = field(default_factory=list)
     validation: AnalysisReport = field(default_factory=AnalysisReport)
 
@@ -186,7 +186,7 @@ class RewriteReport:
 class RuleRunner:
     """Run rule batches over a graph, validating every application.
 
-    ``validate`` is one of ``"off"``, ``"static"``, or ``"full"`` (static
+    ``validate`` is ``"static"`` or ``"full"`` (static
     checks plus the differential obligation, run for each seed in
     ``seeds``).  The runner never raises on an unsound rewrite -- it keeps
     the diagnostics in the report (``report.ok``) so callers choose the
@@ -225,15 +225,13 @@ class RuleRunner:
                     rewrite = rule.apply(current)
                     if rewrite is None:
                         continue
+                    verdict = validate_rewrite(
+                        current, rewrite, rule, step=step_index,
+                        differential=self.validate == "full", seeds=self.seeds)
                     step = RewriteStep(batch.name, iteration, rule.name,
-                                       len(current), len(rewrite.graph), rewrite)
-                    if self.validate != "off":
-                        verdict = validate_rewrite(
-                            current, rewrite, rule, step=step_index,
-                            differential=self.validate == "full",
-                            seeds=self.seeds)
-                        step.validation = verdict
-                        report.validation.extend(verdict)
+                                       len(current), len(rewrite.graph), rewrite,
+                                       verdict)
+                    report.validation.extend(verdict)
                     report.steps.append(step)
                     step_index += 1
                     if not step.ok:

@@ -97,7 +97,6 @@ async def run_loadgen(
     rate: float = 100.0,
     concurrency: int = 8,
     seed: int = 0,
-    timeout_s: float | None = None,
     verify: int = 0,
     latency_csv: "str | Path | None" = None,
 ) -> LoadgenReport:
@@ -125,7 +124,7 @@ async def run_loadgen(
         x = _request_input(graph, index, seed) if functional else None
         arrivals[index] = loop.time()
         try:
-            responses[index] = await server.submit(x, timeout_s=timeout_s)
+            responses[index] = await server.submit(x)
         except QueueSaturatedError as err:
             rejected += 1
             rejections[index] = err

@@ -8,7 +8,7 @@ bucket* and reuses the plan for every batch that lands in the bucket.
 
 A fleet holds many models, and one model's compile storm must not evict
 another's hot plans -- so the cache is *partitioned by model*: each
-partition is its own LRU with its own capacity quota, and eviction never
+partition is its own LRU of the same capacity, and eviction never
 crosses a partition boundary.  Aggregate ``hits``/``misses``/``evictions``
 stay available for the single-model manifest shape, while per-partition
 counters land in the registry under a ``partition`` label.
@@ -28,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from repro.metrics.manifest import spec_dict
 
@@ -103,7 +103,7 @@ class CompiledEntry:
 
 @dataclass
 class CachePartition:
-    """One model's slice of the plan cache: an isolated LRU with a quota."""
+    """One model's slice of the plan cache: an isolated LRU."""
 
     name: str
     capacity: int
@@ -128,9 +128,9 @@ class CachePartition:
 class PlanCache:
     """Partitioned LRU cache of :class:`CompiledEntry`, worker-thread safe.
 
-    ``capacity`` is the *per-partition* quota every model gets unless
-    ``quotas`` names a different one; eviction is strictly intra-partition,
-    so model A filling its quota can never push model B's plans out.  The
+    ``capacity`` is the *per-partition* size every model gets; eviction is
+    strictly intra-partition, so model A filling its partition can never
+    push model B's plans out.  The
     aggregate ``hits``/``misses``/``evictions`` properties sum partitions
     (the PR-5 single-model shape is the one-partition special case).
 
@@ -144,7 +144,6 @@ class PlanCache:
 
     capacity: int = 16
     registry: "MetricsRegistry | None" = None
-    quotas: Mapping[str, int] | None = None
     timer: Callable[[], float] = time.perf_counter
     _partitions: "OrderedDict[str, CachePartition]" = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -153,10 +152,6 @@ class PlanCache:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {self.capacity}")
-        for name, quota in dict(self.quotas or {}).items():
-            if quota < 1:
-                raise ValueError(
-                    f"cache quota for {name!r} must be >= 1, got {quota}")
 
     def __len__(self) -> int:
         return sum(len(p.entries) for p in self._partitions.values())
@@ -180,11 +175,10 @@ class PlanCache:
         return self.hits / total if total else 0.0
 
     def partition(self, model: str) -> CachePartition:
-        """The model's partition, created at its quota on first touch."""
+        """The model's partition, created on first touch."""
         part = self._partitions.get(model)
         if part is None:
-            quota = dict(self.quotas or {}).get(model, self.capacity)
-            part = self._partitions[model] = CachePartition(model, quota)
+            part = self._partitions[model] = CachePartition(model, self.capacity)
         return part
 
     def partition_stats(self) -> dict[str, dict]:

@@ -366,8 +366,7 @@ def _calibrate(graphs: Mapping[str, object], spec: GPUSpec) -> float:
         engine = BrickDLEngine(graph, spec=spec).for_batch(_MAX_BATCH)
         plan = engine.compile()
         device = Device(adapt_sectors(spec, plan))
-        result = engine.run(inputs=None, functional=False, device=device,
-                            plan=plan)
+        result = engine.run(device=device, plan=plan)
         unit = max(unit, result.metrics.total_time)
     if unit <= 0:
         raise ExecutionError("calibration produced a non-positive unit time")
@@ -420,7 +419,6 @@ def run_scenario(
     seed: int = 0,
     batching: str | None = None,
     requests: int | None = None,
-    functional: bool = False,
     verify: int = 0,
     spec: GPUSpec = A100,
     reduced: bool = True,
@@ -432,8 +430,9 @@ def run_scenario(
     ``batching`` overrides the interactive class's mode (the CI matrix runs
     each scenario under both ``edf`` and ``head``).  ``verify`` samples that
     many served responses and re-runs them single-shot, asserting
-    bit-identical outputs (forces ``functional``).  Everything runs under a
-    virtual-time loop: wall cost is simulation only, and the returned
+    bit-identical outputs; it is the one thing that serves in functional
+    mode, else the fleet profiles.  Everything runs under a virtual-time
+    loop: wall cost is simulation only, and the returned
     ``fingerprint`` is stable across replays of the same ``(scenario,
     seed, batching, requests)``.
     """
@@ -442,8 +441,6 @@ def run_scenario(
             raise KeyError(f"unknown scenario {scenario!r} "
                            f"(have {sorted(SCENARIOS)})")
         scenario = SCENARIOS[scenario]
-    if verify:
-        functional = True
     from repro.models import zoo
 
     graphs = {name: zoo.build(name, reduced=reduced)
@@ -454,7 +451,7 @@ def run_scenario(
     arrivals, duration = _plan_arrivals(scenario, seed, n_requests,
                                         capacity_rps)
     config = build_scenario_config(scenario, unit_s, batching=batching)
-    if functional:
+    if verify:
         config = dataclasses.replace(config, functional=True)
 
     tracer = None

@@ -13,7 +13,7 @@ Request lifecycle::
              -> DevicePool (idle FIFO rotation; the autoscaler grows and
                 shrinks the fleet from queue-depth/burn-rate signals)
              -> PlanCache partition lookup by (model, batch bucket,
-                GPUSpec, override) -- per-model quotas, isolated eviction
+                GPUSpec, override) -- one LRU per model, isolated eviction
              -> an entry's first batch, and every profile-mode batch: a
                 profile-mode BrickDLEngine.run on a fresh Device built from
                 the cached entry's sector-adapted spec; the entry keeps what
@@ -124,12 +124,8 @@ class ServeConfig:
     classes: tuple[PriorityClass, ...] = ()
     default_class: str | None = None     # class used when submit() omits one
     batching: str = "head"               # default class's mode: head | edf
-    # Per-tenant in-flight admission quotas; ``default_tenant_quota`` caps
-    # tenants not named (None = unlimited).
+    # Per-tenant in-flight admission quotas; tenants not named are unlimited.
     tenant_quotas: Mapping[str, int] | None = None
-    default_tenant_quota: int | None = None
-    # Per-model plan-cache capacity overrides (else ``cache_capacity``).
-    cache_quotas: Mapping[str, int] | None = None
     # Autoscaler; None pins the fleet at ``devices``.
     autoscaler: AutoscalerConfig | None = None
     # "thread": simulate in a worker thread (wall-clock serving).
@@ -243,7 +239,6 @@ class InferenceServer:
                                        buckets=LATENCY_BUCKETS_S)
         self.cache = PlanCache(
             capacity=config.cache_capacity, registry=self.registry,
-            quotas=config.cache_quotas,
             timer=(self._loop_time if config.execution == "inline"
                    else time.perf_counter))
         # Priority classes: explicit set, or one default class built from
@@ -434,10 +429,7 @@ class InferenceServer:
         return await req.future
 
     def _tenant_quota(self, tenant: str) -> int | None:
-        quotas = self.config.tenant_quotas or {}
-        if tenant in quotas:
-            return quotas[tenant]
-        return self.config.default_tenant_quota
+        return (self.config.tenant_quotas or {}).get(tenant)
 
     def _release_tenant(self, tenant: str) -> None:
         left = self._tenant_inflight.get(tenant, 0) - 1
@@ -778,7 +770,7 @@ class InferenceServer:
             # functional entry simulates once; a profile batch has nothing
             # else to do.
             result = entry.engine.run(
-                functional=False, device=Device(entry.device_spec), plan=entry.plan,
+                device=Device(entry.device_spec), plan=entry.plan,
                 trace_ctx=exec_span.context() if exec_span is not None else None)
             # Threads racing on a cold entry store equal counts; sim_time_s
             # goes last because the test above reads it.

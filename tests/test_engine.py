@@ -143,6 +143,15 @@ class TestRun:
         assert res.metrics.num_tasks == len(dev.tasks)
 
 
+def test_bare_run_counts_without_inputs():
+    """``functional`` follows ``inputs``: a bare run counts, computes nothing."""
+    bare = BrickDLEngine(small_chain_graph(size=48)).run()
+    counted = BrickDLEngine(small_chain_graph(size=48)).run(inputs=None, functional=False)
+    assert bare.outputs is None
+    assert bare.metrics == counted.metrics
+    assert bare.metrics.num_tasks > 0
+
+
 class TestAttribution:
     def test_per_subgraph_covers_totals(self):
         from testlib import small_chain_graph

@@ -100,8 +100,3 @@ class TestSchedules:
         g = self.proxy(6)
         views = partition_graph(g, layer_schedule=(2,))
         assert [len(v) for v in views] == [2, 2, 2]
-
-    def test_max_layers(self):
-        g = self.proxy(6)
-        views = partition_graph(g, max_layers=4)
-        assert max(len(v) for v in views) <= 4

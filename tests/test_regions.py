@@ -10,7 +10,6 @@ from repro.graph.regions import (
     Region,
     StencilMap,
     TransposedMap,
-    compose_required,
 )
 
 
@@ -157,24 +156,3 @@ class TestGlobalMap:
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
             GlobalMap(extent=8).out_extent(9)
-
-
-class TestComposeRequired:
-    def test_two_conv_chain_matches_paper_fig4(self):
-        """Two 3x3 convs: brick B needs B+2p then B+4p (paper Fig. 4)."""
-        conv = StencilMap(1, 1, 3)
-        out = Region.from_bounds([0, 0], [8, 8])
-        regions = compose_required([[conv, conv], [conv, conv]], out)
-        assert regions[-1].shape == (8, 8)
-        assert regions[1].shape == (10, 10)   # B + 2p
-        assert regions[0].shape == (12, 12)   # B + 4p
-
-    def test_pointwise_chain_is_identity(self):
-        maps = [[IdentityMap(), IdentityMap()]] * 4
-        out = Region.from_bounds([4, 4], [8, 8])
-        regions = compose_required(maps, out)
-        assert all(r == out for r in regions)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ShapeError):
-            compose_required([[IdentityMap()]], Region.from_extents((4, 4)))

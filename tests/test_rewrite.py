@@ -212,6 +212,18 @@ class TestRebatchRule:
 
 
 # -- the runner ---------------------------------------------------------------
+def test_validation_cannot_be_switched_off():
+    """Every rule application carries its verdict: there is no "off" level."""
+    from repro.rewrite.runner import VALIDATE_LEVELS
+
+    assert VALIDATE_LEVELS == ("static", "full")
+    with pytest.raises(ReproError, match="validate"):
+        RuleRunner(validate="off")
+    report = RuleRunner(default_batches()).run(residual_graph())
+    assert report.steps
+    assert all(step.validation is not None for step in report.steps)
+
+
 class TestRuleRunner:
     def test_default_pipeline_on_residual_graph(self):
         g = residual_graph()

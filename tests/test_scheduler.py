@@ -214,7 +214,7 @@ def test_preemption_cuts_lower_class_coalescing_window():
 def test_tenant_quota_sheds_flood_but_not_other_tenants():
     graph = small_chain_graph(name="serve_chain")
     config = ServeConfig(devices=1, max_batch=4, max_wait_s=0.02,
-                         functional=False, default_tenant_quota=2)
+                         functional=False, tenant_quotas={"greedy": 2})
     server = InferenceServer(graph, config=config)
 
     async def run():

@@ -718,11 +718,11 @@ def test_rebatch_graph_shares_weights_and_engine_for_batch():
 # ---------------------------------------------------------------------------
 
 def test_partition_compile_storm_cannot_evict_other_model():
-    """Model A churning through its quota never touches B's hot plans."""
-    cache = PlanCache(capacity=8, quotas={"a": 2, "b": 2})
+    """Model A churning through its partition never touches B's hot plans."""
+    cache = PlanCache(capacity=2)
     cache.put(_entry(_key(1, model="b")))
     cache.put(_entry(_key(2, model="b")))
-    for bucket in (1, 2, 4, 8, 16, 32):   # A's compile storm: 6 plans, quota 2
+    for bucket in (1, 2, 4, 8, 16, 32):   # A's compile storm: 6 plans, room for 2
         cache.put(_entry(_key(bucket, model="a")))
     parts = cache.partition_stats()
     assert parts["a"]["evictions"] == 4 and parts["a"]["size"] == 2
@@ -772,11 +772,12 @@ def test_partition_counters_accurate_across_wraparound():
 
 
 def test_partition_quota_defaults_and_validation():
-    cache = PlanCache(capacity=5, quotas={"special": 1})
+    """Every partition gets the cache's uniform capacity."""
+    cache = PlanCache(capacity=5)
     assert cache.partition("anyone").capacity == 5
-    assert cache.partition("special").capacity == 1
-    with pytest.raises(ValueError, match="quota"):
-        PlanCache(capacity=4, quotas={"m": 0})
+    assert cache.partition("special").capacity == 5
+    with pytest.raises(ValueError, match="capacity"):
+        PlanCache(capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +790,7 @@ def test_multi_model_server_routes_and_partitions():
     server = InferenceServer(
         {"chain_a": chain, "chain_b": other},
         config=ServeConfig(functional=False, max_wait_s=0.005,
-                           cache_quotas={"chain_b": 1}))
+                           cache_capacity=1))
 
     async def run():
         async with server:
@@ -804,7 +805,7 @@ def test_multi_model_server_routes_and_partitions():
     assert set(stats["models"]) == {"chain_a", "chain_b"}
     assert stats["models"]["chain_b"]["completed"] == 2
     parts = stats["plan_cache"]["partitions"]
-    assert parts["chain_a"]["misses"] >= 1
+    assert parts["chain_a"]["misses"] >= 1 and parts["chain_a"]["capacity"] == 1
     assert parts["chain_b"]["capacity"] == 1 and parts["chain_b"]["hits"] >= 1
 
 

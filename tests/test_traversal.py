@@ -6,8 +6,9 @@ import pytest
 from repro.core import ReferenceExecutor
 from repro.errors import GraphError
 from repro.graph.traversal import (
+    ancestors,
+    descendants,
     materialize_subgraph,
-    reverse_order,
     subgraph_view,
     topological_order,
 )
@@ -24,9 +25,19 @@ class TestOrders:
             assert all(i in seen for i in node.inputs)
             seen.add(node.node_id)
 
-    def test_reverse(self):
-        g = small_chain_graph()
-        assert reverse_order(g) == list(reversed(topological_order(g)))
+    def test_ancestors_and_descendants(self):
+        g = residual_graph()
+        stem = g.node("stem/relu").node_id
+        add = g.node("b1/add").node_id
+        up = ancestors(g, [add])
+        assert stem in up and add not in up
+        assert all(i in up for i in g.node(add).inputs)
+        down = descendants(g, [stem])
+        assert add in down and stem not in down
+        # The nodes strictly between two members: both walks meet there.
+        between = descendants(g, [stem]) & ancestors(g, [add])
+        assert {g.node(n).name for n in between} >= {"b1/conv1", "b1/conv2"}
+        assert stem not in between and add not in between
 
 
 class TestSubgraphView:
