@@ -13,8 +13,8 @@ Three passes behind one :class:`Diagnostic`/:class:`AnalysisReport` API:
   exactly-once and happens-before;
 * :func:`validate_rewrite` -- translation validation for graph rewrites:
   re-derives well-formedness, interface preservation, removal/fusion
-  provenance, planner convexity, and (optionally) a bit-identical
-  differential run for every :class:`~repro.rewrite.Rewrite`;
+  provenance, dataflow, and (optionally) a bit-identical differential run
+  for every :class:`~repro.rewrite.Rewrite`;
 * :func:`analyze_effects` -- schedule-independent effect analysis: per
   (subgraph, node, brick) read/write region summaries proving race freedom
   over all interleavings and exactly-once write coverage, plus static

@@ -1257,7 +1257,7 @@ def effect_prune(
     config: PerfModelConfig,
     best_time: float | None,
 ) -> bool:
-    """The default ``tune_plan`` pruning hook: skip a candidate when its
+    """``tune_plan``'s pruning test (``prune=True``): skip a candidate when its
     static time lower bound already meets or exceeds the best measured time
     (the tuner replaces only on strictly better, so the winner is preserved)."""
     if best_time is None:

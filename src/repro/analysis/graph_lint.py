@@ -39,7 +39,7 @@ def _diag(code: str, severity: Severity, message: str, node_id: int | None = Non
                       message=message, node_id=node_id)
 
 
-def lint_graph(graph: Graph, check_serialization: bool = True) -> AnalysisReport:
+def lint_graph(graph: Graph) -> AnalysisReport:
     """Run every graph check; returns the full :class:`AnalysisReport`."""
     report = AnalysisReport()
     _check_structure(graph, report)
@@ -53,8 +53,7 @@ def lint_graph(graph: Graph, check_serialization: bool = True) -> AnalysisReport
         _check_shapes(graph, node, report)
         _check_contract(graph, node, report)
     _check_reachability(graph, report)
-    if check_serialization:
-        _check_roundtrip(graph, report)
+    _check_roundtrip(graph, report)
     return report
 
 

@@ -25,12 +25,12 @@ claim holds:
   resolve to the same producers as before (``rewrite.op-changed``,
   ``rewrite.dataflow``, ``rewrite.weights-changed``,
   ``rewrite.weights-not-shared``);
-* **convexity** -- the planner still produces convex subgraphs on the
-  rewritten graph (``rewrite.convexity``, re-using the plan verifier's
-  ancestor/descendant intersection argument);
 * **differential** (optional) -- the before and after graphs are run
   through the reference executor on seeded random inputs and compared
   bit-for-bit when the rule declares ``exact`` (``rewrite.differential``).
+
+The pass never plans: ``verify_plan`` proves subgraph convexity on the plan
+that runs (``plan.contiguity``, ``plan.convexity``).
 
 Every diagnostic names the offending rule and (when the caller supplies
 it) the runner step, so an unsound rewrite in a long pipeline is pinned to
@@ -47,7 +47,7 @@ from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node, same_weights
 from repro.graph.ops import BatchNorm, Bias, FusedOp, OpSpec, Pool
-from repro.graph.traversal import ancestors, descendants
+from repro.graph.traversal import ancestors
 
 if TYPE_CHECKING:
     from repro.graph.tensorspec import TensorSpec
@@ -85,7 +85,6 @@ def validate_rewrite(
     _check_removals(ctx)
     _check_fusions(ctx)
     _check_dataflow(ctx)
-    _check_convexity(ctx)
     if differential:
         _check_differential(ctx, seeds)
     return report
@@ -111,14 +110,13 @@ class _Context:
         self.after_by_name = {n.name: n for n in self.after.nodes}
 
     def diag(self, code: str, message: str, severity: Severity = Severity.ERROR,
-             node_id: int | None = None, subgraph_index: int | None = None) -> None:
+             node_id: int | None = None) -> None:
         where = f"rule {self.rule!r}"
         if self.step is not None:
             where += f" (step {self.step})"
         self.report.add(Diagnostic(
             pass_name=PASS_NAME, code=code, severity=severity,
             message=f"{where}: {message}", node_id=node_id,
-            subgraph_index=subgraph_index,
             detail={"rule": self.rule, "step": self.step}))
 
     def resolve(self, name: str) -> str | None:
@@ -140,7 +138,7 @@ class _Context:
 def _check_wellformed(ctx: _Context) -> None:
     from repro.analysis.graph_lint import lint_graph
 
-    inner = lint_graph(ctx.after, check_serialization=True)
+    inner = lint_graph(ctx.after)
     for diag in inner.errors:
         ctx.diag("rewrite.malformed",
                  f"rewritten graph fails {diag.code}: {diag.message}",
@@ -422,29 +420,6 @@ def _check_dataflow(ctx: _Context) -> None:
             ctx.diag("rewrite.weights-changed",
                      f"node {node.name!r} weights differ from the source "
                      f"graph", node_id=node.node_id)
-
-
-# -- planner convexity --------------------------------------------------------
-def _check_convexity(ctx: _Context) -> None:
-    from repro.core.partition import partition_graph
-
-    after = ctx.after
-    try:
-        views = partition_graph(after)
-    except ReproError as exc:
-        ctx.diag("rewrite.partition-failure",
-                 f"planner cannot partition the rewritten graph: {exc}")
-        return
-    for index, view in enumerate(views):
-        members = set(view.node_ids)
-        if not members:
-            continue
-        between = descendants(after, members) & ancestors(after, members)
-        for nid in sorted(between - members):
-            ctx.diag("rewrite.convexity",
-                     f"planner subgraph {index} on the rewritten graph is not "
-                     f"convex: node {after.node(nid).name!r} lies on a path "
-                     f"between members", node_id=nid, subgraph_index=index)
 
 
 # -- differential ------------------------------------------------------------

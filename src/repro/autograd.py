@@ -79,8 +79,8 @@ def _convtranspose_vjp_weights(node: Node) -> dict[str, np.ndarray]:
     return {"weight": w}
 
 
-def build_input_gradient_graph(graph: Graph, wrt_output: str | None = None) -> Graph:
-    """The VJP graph: d(output)/d(input) contracted with an upstream grad.
+def build_input_gradient_graph(graph: Graph) -> Graph:
+    """The VJP graph: d(first output)/d(input) contracted with an upstream grad.
 
     Inputs of the returned graph:
 
@@ -93,7 +93,7 @@ def build_input_gradient_graph(graph: Graph, wrt_output: str | None = None) -> G
     """
     graph.validate()
     graph.init_weights()
-    out_node = graph.node(wrt_output) if wrt_output else graph.output_nodes[0]
+    out_node = graph.output_nodes[0]
     in_node = graph.input_nodes[0]
 
     bwd = Graph(f"{graph.name}/grad")
@@ -203,12 +203,12 @@ def build_input_gradient_graph(graph: Graph, wrt_output: str | None = None) -> G
 
 
 def gradient_feeds(graph: Graph, forward_values: dict[str, np.ndarray],
-                   upstream: np.ndarray, wrt_output: str | None = None) -> dict[str, np.ndarray]:
+                   upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Assemble the backward graph's input dict from a forward run.
 
     ``forward_values`` is :meth:`ReferenceExecutor.run_all` output (or any
     executor's full activation map)."""
-    out_node = graph.node(wrt_output) if wrt_output else graph.output_nodes[0]
+    out_node = graph.output_nodes[0]
     feeds: dict[str, np.ndarray] = {f"grad/{out_node.name}": upstream}
     for node in graph.nodes:
         if isinstance(node.op, Activation) and node.op.fn in ("relu", "leaky_relu"):

@@ -287,10 +287,15 @@ def fig11_brick_size(
 # Ablations of the design constants (DESIGN.md section 5)
 # ---------------------------------------------------------------------------
 
+# The candidate values each ablation sweeps.
+_DELTA_THRESHOLDS = (0.05, 0.10, 0.15, 0.25, 0.50)
+_TAUS = (2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14)
+_L2_SIZES_MB = (10, 20, 40, 80)
+
+
 def ablation_delta_threshold(
     spec: GPUSpec = A100,
     scale: str | None = None,
-    thresholds: tuple[float, ...] = (0.05, 0.10, 0.15, 0.25, 0.50),
     num_subgraphs: int = 5,
 ) -> str:
     """How often does the delta rule pick the measured-faster strategy?
@@ -309,18 +314,14 @@ def ablation_delta_threshold(
         padded_faster.append(padded.total <= memo.total)
     headers = ["threshold", "agreement", "detail"]
     rows = []
-    for th in thresholds:
+    for th in _DELTA_THRESHOLDS:
         agree = sum(1 for d, pf in zip(deltas, padded_faster) if (d <= th) == pf)
         rows.append([f"{th:.0%}", f"{agree}/{len(deltas)}",
                      " ".join("P" if pf else "M" for pf in padded_faster)])
     return format_table(headers, rows, title="Ablation: delta threshold vs measured best strategy")
 
 
-def ablation_tau(
-    spec: GPUSpec = A100,
-    scale: str | None = None,
-    taus: tuple[int, ...] = (2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14),
-) -> str:
+def ablation_tau(spec: GPUSpec = A100, scale: str | None = None) -> str:
     """Brick side chosen by the tau model vs the measured-fastest brick."""
     from repro.core.perfmodel import choose_brick_size
 
@@ -333,24 +334,20 @@ def ablation_tau(
     size = _FIG11_SIZE[scale or scale_preset()]
     headers = ["tau", "model brick", "measured best"]
     rows = []
-    for tau in taus:
+    for tau in _TAUS:
         cfg = PerfModelConfig(tau=tau)
         decision = choose_brick_size((size,) * 3, cfg, kernel_extent=3)
         rows.append([tau, decision.brick, best_measured])
     return format_table(headers, rows, title=f"Ablation: tau vs measured-best brick (size={size}^3)")
 
 
-def ablation_l2_capacity(
-    spec: GPUSpec = A100,
-    scale: str | None = None,
-    l2_sizes_mb: tuple[int, ...] = (10, 20, 40, 80),
-) -> str:
+def ablation_l2_capacity(spec: GPUSpec = A100, scale: str | None = None) -> str:
     """Effect of L2 capacity on the best Fig. 10 merge configuration."""
     scale = scale or scale_preset()
     size = _FIG10_SIZE[scale]
     headers = ["L2 (MB)", "config", "strategy", "total (ms)", "dram txns"]
     rows = []
-    for mb in l2_sizes_mb:
+    for mb in _L2_SIZES_MB:
         dspec = spec.with_l2(mb * 1024 * 1024)
         best = None
         for label, schedule in MERGE_CONFIGS:

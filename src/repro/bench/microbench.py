@@ -24,6 +24,9 @@ from repro.gpusim.spec import A100, GPUSpec
 
 __all__ = ["AtomicBenchResult", "ComputeBenchResult", "atomic_microbenchmark", "compute_microbenchmark"]
 
+# The CAS benchmark's array: 32 x 64K bytes, one 32 B cache line per thread.
+_ARRAY_BYTES = 32 * 64 * 1024
+
 
 @dataclass(frozen=True)
 class AtomicBenchResult:
@@ -44,11 +47,10 @@ class ComputeBenchResult:
 
 def atomic_microbenchmark(
     spec: GPUSpec = A100,
-    array_bytes: int = 32 * 64 * 1024,
     ops_per_thread: int = 10**6,
 ) -> AtomicBenchResult:
     """Reproduce T_atomic via the paper's CAS microbenchmark (section 4.3.1)."""
-    num_threads = array_bytes // spec.transaction_bytes
+    num_threads = _ARRAY_BYTES // spec.transaction_bytes
     total, per_op = cas_microbenchmark_time(spec, num_threads, ops_per_thread)
     return AtomicBenchResult(
         num_threads=num_threads,

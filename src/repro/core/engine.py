@@ -254,7 +254,9 @@ class BrickDLEngine:
         ))
         # Schedule-independent proofs: race freedom over all interleavings
         # and exactly-once write coverage for the plan about to be handed out.
-        report.extend(analyze_effects(plan, self.spec, self.config))
+        # They presume a well-formed plan, so they run only if lint and verify pass.
+        if report.ok:
+            report.extend(analyze_effects(plan, self.spec, self.config))
         if not report.ok:
             raise PlanError(
                 "strict compile failed verification:\n"

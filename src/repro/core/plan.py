@@ -47,10 +47,6 @@ class SubgraphPlan:
     def is_merged(self) -> bool:
         return self.strategy in (Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT)
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.subgraph)
-
     def describe(self) -> str:
         names = [self.subgraph.graph.node(i).name for i in self.subgraph.node_ids]
         brick = "x".join(map(str, self.brick_shape)) if self.brick_shape else "-"

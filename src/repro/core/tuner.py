@@ -17,7 +17,6 @@ the measured winner (see ``benchmarks/bench_tuner.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.engine import BrickDLEngine
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
@@ -27,18 +26,9 @@ from repro.graph.traversal import materialize_subgraph
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 
-__all__ = ["PruneHook", "TunedChoice", "TuningReport", "tune_plan"]
+__all__ = ["TunedChoice", "TuningReport", "tune_plan"]
 
 MERGED_STRATEGIES = (Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT)
-
-# prune(sub, strategy, brick, spec, config, best_time) -> True to skip the
-# candidate without simulating it.  Hooks must be *winner-preserving*: only
-# skip candidates provably unable to beat ``best_time`` (the tuner replaces
-# the incumbent only on strictly smaller measured time).
-PruneHook = Callable[
-    [SubgraphPlan, Strategy, int, GPUSpec, PerfModelConfig, "float | None"], bool
-]
-
 
 @dataclass(frozen=True)
 class TunedChoice:
@@ -73,7 +63,7 @@ class TuningReport:
     """Outcome of tuning a whole plan."""
 
     choices: list[TunedChoice] = field(default_factory=list)
-    # Candidates skipped without simulation by the prune hook.
+    # Candidates skipped without simulation by ``effect_prune``.
     pruned: int = 0
 
     @property
@@ -135,26 +125,21 @@ def tune_plan(
     config: PerfModelConfig = DEFAULT_CONFIG,
     bricks: tuple[int, ...] | None = None,
     strategies: tuple[Strategy, ...] = MERGED_STRATEGIES,
-    prune: PruneHook | bool | None = None,
+    prune: bool = True,
 ) -> tuple[ExecutionPlan, TuningReport]:
     """Compile ``graph`` and replace each merged subgraph's configuration
     with the measured-best (strategy, brick); returns the tuned plan and a
     report comparing against the static models.
 
-    ``prune`` controls candidate pruning: ``None`` (the default) skips
-    candidates whose static effect-analysis time lower bound already meets
-    the incumbent's measured time (:func:`repro.analysis.effect_prune` --
-    provably winner-preserving), ``False`` disables pruning, and a callable
-    supplies a custom :data:`PruneHook`.
+    With ``prune`` (the default) a candidate is skipped unsimulated when its
+    static effect-analysis time lower bound already meets the incumbent's
+    measured time (:func:`repro.analysis.effect_prune` -- provably
+    winner-preserving: the incumbent is replaced only on a strictly smaller
+    measured time); ``prune=False`` simulates every candidate.
     """
-    if prune is None or prune is True:
-        from repro.analysis.effects import effect_prune
+    # Imported lazily: repro.analysis depends on repro.core.
+    from repro.analysis.effects import effect_prune
 
-        prune_hook: PruneHook | None = effect_prune
-    elif prune is False:
-        prune_hook = None
-    else:
-        prune_hook = prune
     bricks = bricks if bricks is not None else config.brick_candidates
     base_plan = BrickDLEngine(graph, spec=spec, config=config).compile()
     report = TuningReport()
@@ -173,8 +158,7 @@ def tune_plan(
                     continue
                 if (strategy, brick) == (sub.strategy, model_brick):
                     continue
-                if (prune_hook is not None
-                        and prune_hook(sub, strategy, brick, spec, config, best[2])):
+                if prune and effect_prune(sub, strategy, brick, spec, config, best[2]):
                     report.pruned += 1
                     continue
                 t = _profile_subgraph(sub, strategy, brick, spec, config)

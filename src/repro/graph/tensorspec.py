@@ -70,12 +70,6 @@ class TensorSpec:
     def nbytes(self) -> int:
         return self.num_elements * self.itemsize
 
-    def with_channels(self, channels: int) -> "TensorSpec":
-        return TensorSpec(self.batch, channels, self.spatial, self.dtype)
-
-    def with_spatial(self, spatial: tuple[int, ...]) -> "TensorSpec":
-        return TensorSpec(self.batch, self.channels, tuple(spatial), self.dtype)
-
     def zeros(self) -> np.ndarray:
         """Allocate a zero activation with this spec (C-contiguous)."""
         return np.zeros(self.shape, dtype=self.dtype)

@@ -19,7 +19,6 @@ from repro.metrics.attribute import (
     RooflinePoint,
     attribute_run,
     attribute_subgraphs,
-    attribution_table,
 )
 from repro.metrics.diff import (
     DEFAULT_TOLERANCES,
@@ -50,7 +49,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Sample",
     "LABEL_HIERARCHY", "LATENCY_BUCKETS_S", "BATCH_BUCKETS",
     "BottleneckReport", "RooflinePoint", "COMPONENTS",
-    "attribute_run", "attribute_subgraphs", "attribution_table",
+    "attribute_run", "attribute_subgraphs",
     "RunManifest", "MANIFEST_VERSION", "manifest_from_result",
     "manifest_from_serve", "bench_manifest_path", "plan_digest",
     "DiffReport", "MetricDelta", "DEFAULT_TOLERANCES", "diff_manifests",

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only (avoids an import cycle:
     from repro.gpusim.spec import GPUSpec
 
 __all__ = ["RooflinePoint", "BottleneckReport", "attribute_run",
-           "attribute_subgraphs", "attribution_table", "COMPONENTS"]
+           "attribute_subgraphs", "COMPONENTS"]
 
 COMPONENTS = ("dram", "compute", "atomic", "idle")
 
@@ -181,24 +181,3 @@ def attribute_subgraphs(per_subgraph: Sequence[dict], spec: "GPUSpec",
             dram_bytes=row["dram_txns"] * spec.transaction_bytes,
         ))
     return reports
-
-
-def attribution_table(reports: Sequence[BottleneckReport],
-                      title: str = "bottleneck attribution") -> str:
-    """Render reports as the harness's fixed-width table."""
-    from repro.bench.reporting import format_table
-
-    rows = []
-    for r in reports:
-        rows.append([
-            r.label, r.bound,
-            f"{r.total_s * 1e3:.3f}",
-            *(f"{r.shares[k]:.0%}" for k in COMPONENTS),
-            f"{r.roofline.arithmetic_intensity:.2f}",
-            "mem" if r.roofline.memory_bound else "comp",
-            f"{r.speedup_ceiling:.2f}x",
-        ])
-    return format_table(
-        ["what", "bound", "total ms", "dram", "compute", "atomic", "idle",
-         "AI", "roofline", "ceiling"],
-        rows, title=title)

@@ -18,6 +18,10 @@ from repro.graph.tensorspec import TensorSpec
 __all__ = ["build_deepcam"]
 
 
+# Dilation rates of the ASPP's parallel 3x3 branches.
+_ASPP_RATES = (1, 2, 4)
+
+
 def _enc_block(b: GraphBuilder, channels: int, stride: int, prefix: str) -> Node:
     b.conv(channels, 3, stride=stride, padding=1, bias=False, name=f"{prefix}/conv")
     b.batchnorm(name=f"{prefix}/bn")
@@ -29,7 +33,6 @@ def build_deepcam(
     in_channels: int = 16,
     num_classes: int = 3,
     width_scale: float = 1.0,
-    aspp_rates: tuple[int, ...] = (1, 2, 4),
     batch: int = 1,
 ) -> Graph:
     """DeepCAM-style segmenter.
@@ -56,7 +59,7 @@ def build_deepcam(
     b.conv(c64, 1, bias=False, src=bottom, name="aspp/point")
     b.batchnorm(name="aspp/point_bn")
     branches.append(b.relu(name="aspp/point_relu"))
-    for rate in aspp_rates:
+    for rate in _ASPP_RATES:
         b.conv(c64, 3, padding=rate, dilation=rate, bias=False, src=bottom, name=f"aspp/rate{rate}")
         b.batchnorm(name=f"aspp/rate{rate}_bn")
         branches.append(b.relu(name=f"aspp/rate{rate}_relu"))

@@ -29,6 +29,10 @@ __all__ = ["load_entries", "spans_of", "CompletenessReport",
 
 # Root-span kinds beyond serve requests: fleet control-plane decisions.
 _FLEET_ROOT_KINDS = ("scale", "preempt")
+#: Problems a completeness report lists; later ones are dropped.
+MAX_PROBLEMS = 20
+#: Children a span-tree node shows before its sibling tasks collapse.
+MAX_CHILDREN = 12
 
 
 def load_entries(path: "str | Path") -> list[dict]:
@@ -72,15 +76,14 @@ class CompletenessReport:
                 f"{self.events} event(s)")
 
 
-def check_completeness(entries: list[dict],
-                       max_problems: int = 20) -> CompletenessReport:
+def check_completeness(entries: list[dict]) -> CompletenessReport:
     """Verify the span-tree invariants over a trace log.
 
     Checked: parents exist and share the child's trace (no orphans), spans
     are finished, each trace has exactly one root and it is ``kind ==
     "request"`` (or a fleet control-plane root: ``scale``/``preempt``),
     and every ``task`` span reaches a request root by walking parents.
-    Problems are capped at ``max_problems`` per report.
+    Problems are capped at :data:`MAX_PROBLEMS` per report.
     """
     spans = spans_of(entries)
     report = CompletenessReport(
@@ -90,7 +93,7 @@ def check_completeness(entries: list[dict],
     roots_by_trace: dict[str, list[Span]] = {}
 
     def problem(msg: str) -> None:
-        if len(report.problems) < max_problems:
+        if len(report.problems) < MAX_PROBLEMS:
             report.problems.append(msg)
 
     for s in spans:
@@ -164,10 +167,9 @@ def list_traces(entries: list[dict]) -> list[dict]:
     return [rows[t] for t in sorted(rows)]
 
 
-def render_span_tree(entries: list[dict], trace_id: str,
-                     max_children: int = 12) -> str:
+def render_span_tree(entries: list[dict], trace_id: str) -> str:
     """ASCII span tree of one trace; sibling ``task`` spans beyond
-    ``max_children`` collapse into a single summary line."""
+    :data:`MAX_CHILDREN` collapse into a single summary line."""
     spans = [s for s in spans_of(entries) if s.trace_id == trace_id]
     if not spans:
         return f"no spans for trace {trace_id}"
@@ -196,10 +198,10 @@ def render_span_tree(entries: list[dict], trace_id: str,
         kids = children.get(span.span_id, [])
         shown = kids
         dropped = 0
-        if len(kids) > max_children:
+        if len(kids) > MAX_CHILDREN:
             tasks = [k for k in kids if k.kind == "task"]
-            if len(tasks) > max_children // 2:
-                keep = max_children // 2
+            if len(tasks) > MAX_CHILDREN // 2:
+                keep = MAX_CHILDREN // 2
                 dropped = len(tasks) - keep
                 drop_ids = {k.span_id for k in tasks[keep:]}
                 shown = [k for k in kids if k.span_id not in drop_ids]

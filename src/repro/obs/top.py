@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = ["render_dashboard", "run_top"]
 
+#: Width of the dashboard's rule lines, in characters.
+WIDTH = 72
+
 
 def _bar(value: float, peak: float, width: int = 24) -> str:
     if peak <= 0:
@@ -29,7 +32,7 @@ def _bar(value: float, peak: float, width: int = 24) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def render_dashboard(server: "InferenceServer", width: int = 72) -> str:
+def render_dashboard(server: "InferenceServer") -> str:
     """One frame: the serving session's vitals as aligned text lines."""
     stats = server.stats()
     reqs = stats["requests"]
@@ -51,7 +54,7 @@ def render_dashboard(server: "InferenceServer", width: int = 72) -> str:
     lines = [
         f"repro top · {title} · {fleet} "
         f"· wall {stats['wall_s']:.1f} s",
-        "-" * width,
+        "-" * WIDTH,
         f"requests   completed {reqs['completed']:>6}   degraded "
         f"{reqs['degraded']:>5}   timed out {reqs['timed_out']:>5}   "
         f"rejected {reqs['rejected']:>5}",
@@ -94,7 +97,7 @@ def render_dashboard(server: "InferenceServer", width: int = 72) -> str:
         lines.append(
             f"slo        attainment {slo['attainment']:>7.2%} "
             f"(objective {slo['objective']:.2%})   burn {burn_bits}   {state}")
-    lines.append("-" * width)
+    lines.append("-" * WIDTH)
     return "\n".join(lines)
 
 

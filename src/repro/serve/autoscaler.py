@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = ["AutoscalerConfig", "ScaleEvent", "DevicePool", "Autoscaler"]
 
+#: Short-window burn rate that means "harm": at or above it the autoscaler
+#: wants a device, whatever the queue depth.
+SCALE_UP_BURN = 2.0
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -46,7 +50,6 @@ class AutoscalerConfig:
     max_devices: int = 8
     interval_s: float = 0.25          # tick period
     scale_up_queue_per_device: float = 4.0   # depth/devices that means "behind"
-    scale_up_burn: float = 2.0        # short-window burn rate that means "harm"
     scale_down_queue_per_device: float = 0.5
     hysteresis_ticks: int = 2         # consecutive ticks before acting
     cooldown_s: float = 1.0           # quiet period after any scale action
@@ -241,12 +244,12 @@ class Autoscaler:
         size = self.pool.size
         self.ticks += 1
         queue_hot = depth >= cfg.scale_up_queue_per_device * max(size, 1)
-        burn_hot = burn >= cfg.scale_up_burn
+        burn_hot = burn >= SCALE_UP_BURN
         want_up = queue_hot or burn_hot
         want_down = (not want_up
                      and depth <= cfg.scale_down_queue_per_device * max(size, 1)
                      and self.pool.busy == 0
-                     and burn < cfg.scale_up_burn)
+                     and burn < SCALE_UP_BURN)
         self._up_ticks = self._up_ticks + 1 if want_up else 0
         self._down_ticks = self._down_ticks + 1 if want_down else 0
         cooling = (self._last_scale_s is not None

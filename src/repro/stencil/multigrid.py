@@ -30,16 +30,20 @@ from repro.graph.tensorspec import TensorSpec
 __all__ = ["build_vcycle_graph", "reference_vcycle"]
 
 _OMEGA = 0.8  # weighted-Jacobi damping
+# Jacobi sweeps before restriction, on the coarse grid, and after correction.
+_PRE_SMOOTH = 2
+_COARSE_SMOOTH = 4
+_POST_SMOOTH = 2
 
 
-def _smooth_weights(omega: float = _OMEGA) -> np.ndarray:
+def _smooth_weights() -> np.ndarray:
     """(2, 2, 3, 3): channel 0 <- jacobi(u, f), channel 1 <- f."""
     w = np.zeros((2, 2, 3, 3), np.float32)
     # u' = (1 - omega) u + omega/4 (f + sum of u neighbors)
-    w[0, 0, 1, 1] = 1.0 - omega
+    w[0, 0, 1, 1] = 1.0 - _OMEGA
     for (i, j) in ((0, 1), (2, 1), (1, 0), (1, 2)):
-        w[0, 0, i, j] = omega / 4.0
-    w[0, 1, 1, 1] = omega / 4.0
+        w[0, 0, i, j] = _OMEGA / 4.0
+    w[0, 1, 1, 1] = _OMEGA / 4.0
     w[1, 1, 1, 1] = 1.0  # pass f through
     return w
 
@@ -80,8 +84,7 @@ def _prolong_weights() -> np.ndarray:
     return np.outer(k1, k1).reshape(1, 1, 4, 4)
 
 
-def build_vcycle_graph(size: int, pre_smooth: int = 2, coarse_smooth: int = 4,
-                       post_smooth: int = 2, omega: float = _OMEGA) -> Graph:
+def build_vcycle_graph(size: int) -> Graph:
     """Two-level V-cycle on an ``size x size`` fine grid (``size`` even).
 
     Input: 2 channels, ``(u0, f)``.  Output node ``"u_out"``: the corrected,
@@ -92,9 +95,9 @@ def build_vcycle_graph(size: int, pre_smooth: int = 2, coarse_smooth: int = 4,
     b = GraphBuilder(f"vcycle_{size}", TensorSpec(1, 2, (size, size)))
 
     pair = b.current
-    for i in range(pre_smooth):
+    for i in range(_PRE_SMOOTH):
         pair = b.conv(2, 3, padding=1, bias=False, src=pair, name=f"pre_smooth{i}")
-        pair.weights = {"weight": _smooth_weights(omega)}
+        pair.weights = {"weight": _smooth_weights()}
 
     r = b.conv(1, 3, padding=1, bias=False, src=pair, name="residual")
     r.weights = {"weight": _residual_weights()}
@@ -103,9 +106,9 @@ def build_vcycle_graph(size: int, pre_smooth: int = 2, coarse_smooth: int = 4,
 
     coarse = b.conv(2, 1, bias=False, src=rc, name="lift_pair")
     coarse.weights = {"weight": _pair_weights()}
-    for i in range(coarse_smooth):
+    for i in range(_COARSE_SMOOTH):
         coarse = b.conv(2, 3, padding=1, bias=False, src=coarse, name=f"coarse_smooth{i}")
-        coarse.weights = {"weight": _smooth_weights(omega)}
+        coarse.weights = {"weight": _smooth_weights()}
     e_c = b.conv(1, 1, bias=False, src=coarse, name="take_error")
     e_c.weights = {"weight": _take_channel(0)}
 
@@ -119,9 +122,9 @@ def build_vcycle_graph(size: int, pre_smooth: int = 2, coarse_smooth: int = 4,
     f_chan = b.conv(1, 1, bias=False, src=pair, name="take_f")
     f_chan.weights = {"weight": _take_channel(1)}
     pair2 = b.concat([corrected, f_chan], name="repair")
-    for i in range(post_smooth):
+    for i in range(_POST_SMOOTH):
         pair2 = b.conv(2, 3, padding=1, bias=False, src=pair2, name=f"post_smooth{i}")
-        pair2.weights = {"weight": _smooth_weights(omega)}
+        pair2.weights = {"weight": _smooth_weights()}
     out = b.conv(1, 1, bias=False, src=pair2, name="u_out")
     out.weights = {"weight": _take_channel(0)}
     return b.finish()
@@ -131,12 +134,12 @@ def build_vcycle_graph(size: int, pre_smooth: int = 2, coarse_smooth: int = 4,
 # Direct NumPy reference
 # ---------------------------------------------------------------------------
 
-def _jacobi(u: np.ndarray, f: np.ndarray, sweeps: int, omega: float) -> np.ndarray:
+def _jacobi(u: np.ndarray, f: np.ndarray, sweeps: int) -> np.ndarray:
     for _ in range(sweeps):
         padded = np.pad(u, 1)
         neighbors = (padded[:-2, 1:-1] + padded[2:, 1:-1] +
                      padded[1:-1, :-2] + padded[1:-1, 2:])
-        u = (1.0 - omega) * u + (omega / 4.0) * (f + neighbors)
+        u = (1.0 - _OMEGA) * u + (_OMEGA / 4.0) * (f + neighbors)
     return u.astype(np.float32)
 
 
@@ -169,13 +172,11 @@ def _prolong(e: np.ndarray, fine: int) -> np.ndarray:
     return full[1:1 + fine, 1:1 + fine]
 
 
-def reference_vcycle(u0: np.ndarray, f: np.ndarray, pre_smooth: int = 2,
-                     coarse_smooth: int = 4, post_smooth: int = 2,
-                     omega: float = _OMEGA) -> np.ndarray:
+def reference_vcycle(u0: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Direct NumPy two-level V-cycle matching :func:`build_vcycle_graph`."""
-    u = _jacobi(u0.astype(np.float32), f.astype(np.float32), pre_smooth, omega)
+    u = _jacobi(u0.astype(np.float32), f.astype(np.float32), _PRE_SMOOTH)
     r = f - _apply_a(u)
     rc = _restrict(r)
-    e = _jacobi(np.zeros_like(rc), rc, coarse_smooth, omega)
+    e = _jacobi(np.zeros_like(rc), rc, _COARSE_SMOOTH)
     u = u + _prolong(e, u.shape[0])
-    return _jacobi(u, f, post_smooth, omega)
+    return _jacobi(u, f, _POST_SMOOTH)

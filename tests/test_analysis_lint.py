@@ -114,7 +114,3 @@ class TestLintFindsSeededDefects:
         report = lint_graph(residual_graph())
         assert report.ok
         assert not report.by_code("graph.roundtrip-unstable")
-
-    def test_roundtrip_can_be_skipped(self):
-        report = lint_graph(residual_graph(), check_serialization=False)
-        assert report.ok

@@ -278,6 +278,63 @@ class TestRuleRunner:
         assert engine.graph is g  # the unsound rewrite was not adopted
 
 
+# -- convexity has one prover: plan verify on the plan compile builds ---------
+# The models CI's rewrite job validates.
+REWRITE_ZOO = ("darknet53", "deepcam", "drn26", "inception_v4", "mobilenet_v1",
+               "resnet101", "resnet50", "resnet3d34", "vgg16", "vgg19")
+
+
+def _partition_never_called(*args, **kwargs):
+    raise AssertionError("translation validation built a partition")
+
+
+def test_validation_builds_no_partition(monkeypatch):
+    import repro.core.partition as partition
+    from repro.models import zoo
+
+    monkeypatch.setattr(partition, "partition_graph", _partition_never_called)
+    for graph in (residual_graph(), zoo.build("resnet50", reduced=True)):
+        report = RuleRunner(default_batches()).run(graph)
+        assert report.ok, report.summary()
+        assert report.steps
+
+
+def test_nonconvex_partition_fails_strict_compile_in_plan_verify(monkeypatch):
+    """A partitioner that splits a chain around its middle must be caught by
+    the strict compile's plan verify, not by rewrite validation."""
+    import repro.core.partition as partition
+    from repro.core.engine import BrickDLEngine
+    from repro.errors import PlanError
+    from repro.graph.traversal import subgraph_view
+
+    real = partition.partition_graph
+
+    def nonconvex(graph, *args, **kwargs):
+        views = real(graph, *args, **kwargs)
+        i = next(k for k, v in enumerate(views) if len(v) >= 3)
+        ids = list(views[i].node_ids)
+        return (views[:i] + [subgraph_view(graph, [ids[0], ids[-1]]),
+                             subgraph_view(graph, ids[1:-1])] + views[i + 1:])
+
+    monkeypatch.setattr(partition, "partition_graph", nonconvex)
+    monkeypatch.setattr("repro.core.engine.partition_graph", nonconvex)
+    with pytest.raises(PlanError, match="plan.convexity"):
+        BrickDLEngine(residual_graph(), strict=True).compile(optimize=True)
+
+
+@pytest.mark.parametrize("model", REWRITE_ZOO)
+def test_rewritten_zoo_plans_pass_strict_compile(model):
+    """Lint, plan verify and effects accept the plan of every rewritten zoo
+    graph (a strict compile raises PlanError otherwise)."""
+    from repro.core.engine import BrickDLEngine
+    from repro.models import zoo
+
+    report = RuleRunner(default_batches()).run(zoo.build(model, reduced=True))
+    assert report.ok, report.summary()
+    plan = BrickDLEngine(report.graph, strict=True).compile()
+    assert plan.graph is report.graph
+
+
 # -- injected-unsound mutants: one per seed rule ------------------------------
 def _mutant_graph():
     g = residual_graph()

@@ -348,7 +348,7 @@ def test_autoscaler_burn_signal_scales_up():
         pool = DevicePool(_idle_worker)
         pool.spawn()
         config = AutoscalerConfig(min_devices=1, max_devices=2,
-                                  hysteresis_ticks=1, scale_up_burn=2.0)
+                                  hysteresis_ticks=1)
         scaler = Autoscaler(config, pool, lambda: (0, 5.0))
         event = scaler.tick(1.0)
         assert event.direction == "up" and event.reason == "burn"
