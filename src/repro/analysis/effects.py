@@ -1150,6 +1150,13 @@ def analyze_effects(
     graph = plan.graph
     seen: dict[int, int] = {}
     for sub in plan.subgraphs:
+        for eid in sub.subgraph.entry_ids:
+            # A non-convex or misordered plan: no layout models the entry yet.
+            if eid not in seen and not graph.node(eid).is_input:
+                _diag(report, "effects.unproduced-entry", Severity.ERROR,
+                      f"subgraph {sub.index} reads entry {eid} ({graph.node(eid).name}), "
+                      f"which no earlier subgraph produces",
+                      node_id=eid, subgraph_index=sub.index)
         for nid in sub.subgraph.node_ids:
             if nid in seen:
                 _diag(report, "effects.plan-coverage", Severity.ERROR,

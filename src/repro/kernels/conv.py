@@ -1,11 +1,17 @@
-"""N-dimensional convolution kernels (2-D and 3-D, strided/dilated/grouped).
+"""N-dimensional convolution kernels (1-D to 3-D, strided/dilated/grouped).
 
-The forward pass builds a strided window view and contracts it with the
+A conv with one input channel per group (depthwise, any channel multiplier)
+is a sum of per-tap, per-channel products: it runs as one elementwise
+multiply-add per kernel tap over the whole batch, taps in C order, so every
+output element is the same float32 sequence wherever it sits -- in a batch,
+alone, or in a padding-0 call on a gathered brick patch.
+
+Every other conv builds a strided window view and contracts it with the
 weight tensor in one ``einsum`` -- the im2col+GEMM structure of cuDNN's
-implicit-GEMM algorithms, no Python loops.  The sample axis is a batch letter
-of both operands (the weight broadcast along it), never folded into a GEMM's
-rows, whose blocking BLAS picks by shape: each sample gets the bits of a call
-on it alone, so a stack of brick patches runs as one call.
+implicit-GEMM algorithms.  The sample axis is a batch letter of both operands
+(the weight broadcast along it), never folded into a GEMM's rows, whose
+blocking BLAS picks by shape: each sample gets the bits of a call on it
+alone, so a stack of brick patches runs as one call.
 """
 
 from __future__ import annotations
@@ -52,20 +58,43 @@ def conv_forward(
 
     xp = pad_spatial(x, padding)
     v = spatial_windows(xp, kernel, stride, dilation)  # (N, C, *out, *K)
-
-    sp = SPATIAL_LETTERS[:nd]
-    kl = KERNEL_LETTERS[:nd]
-    out_spatial = v.shape[2 : 2 + nd]
-    if groups == 1:
-        out = np.einsum(f"bnc{sp}{kl},boc{kl}->bno{sp}", v[:, None],
-                        np.broadcast_to(weight, (n, *weight.shape)), optimize=True)
+    if c_per_group == 1:
+        out = _depthwise(v, weight)
     else:
-        vg = v.reshape(n, 1, groups, c_per_group, *out_spatial, *kernel)
-        wg = weight.reshape(groups, o // groups, c_per_group, *kernel)
-        out = np.einsum(f"bngc{sp}{kl},bgoc{kl}->bngo{sp}", vg,
-                        np.broadcast_to(wg, (n, *wg.shape)), optimize=True)
-
-    out = np.ascontiguousarray(out.reshape(n, o, *out_spatial), dtype=x.dtype)
+        sp = SPATIAL_LETTERS[:nd]
+        kl = KERNEL_LETTERS[:nd]
+        out_spatial = v.shape[2 : 2 + nd]
+        if groups == 1:
+            out = np.einsum(f"bnc{sp}{kl},boc{kl}->bno{sp}", v[:, None],
+                            np.broadcast_to(weight, (n, *weight.shape)), optimize=True)
+        else:
+            vg = v.reshape(n, 1, groups, c_per_group, *out_spatial, *kernel)
+            wg = weight.reshape(groups, o // groups, c_per_group, *kernel)
+            out = np.einsum(f"bngc{sp}{kl},bgoc{kl}->bngo{sp}", vg,
+                            np.broadcast_to(wg, (n, *wg.shape)), optimize=True)
+        out = np.ascontiguousarray(out.reshape(n, o, *out_spatial), dtype=x.dtype)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(x.dtype)
     return out
+
+
+def _depthwise(v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``(N, C * M, *S_out)`` from the windows ``v (N, C, *S_out, *K)`` and
+    ``weight (C * M, 1, *K)``: output channel ``c * M + j`` reads input
+    channel ``c``.  One multiply into a scratch array and one in-place add
+    per tap; the output-sized scratch is the only temporary."""
+    kernel = weight.shape[2:]
+    nd = len(kernel)
+    n, c, *extent = v.shape[:2 + nd]
+    m = weight.shape[0] // c
+    taps = weight.reshape(1, c, m, -1, *(1,) * nd)
+    out = np.empty((n, c, m, *extent), v.dtype)
+    scratch = np.empty_like(out)
+    for t, tap in enumerate(np.ndindex(*kernel)):
+        window = v[(Ellipsis, *tap)][:, :, None]
+        if t == 0:
+            np.multiply(window, taps[:, :, :, t], out=out)
+        else:
+            np.multiply(window, taps[:, :, :, t], out=scratch)
+            out += scratch
+    return out.reshape(n, c * m, *extent)

@@ -83,13 +83,15 @@ def apply_node_full(op: OpSpec, inputs: Sequence[np.ndarray], weights: dict[str,
         for stage, sw in zip(op.epilogue, per_stage[1:]):
             out = apply_node_full(stage, [out], sw)
         return out
-    if isinstance(op, (Conv, ConvTranspose, Dense)) and len(inputs[0]) > 1:
+    if (isinstance(op, (Conv, ConvTranspose, Dense)) and len(inputs[0]) > 1
+            and not (isinstance(op, Conv) and inputs[0].shape[1] == op.groups)):
         # BLAS picks its GEMM kernel by shape, so a batched ConvTranspose or
         # Dense product is not bit-identical to the same samples multiplied
         # alone: every sample takes the batch-1 path, and outputs never
         # depend on their batch-mates.  conv_forward is per sample by
-        # construction; a Conv loops anyway to bound its im2col copy to one
-        # sample (a values pass's peak memory).
+        # construction; a Conv with C / groups > 1 loops anyway to bound its
+        # im2col copy to one sample (a values pass's peak memory).  A
+        # depthwise Conv runs batch-wide: its taps are elementwise.
         x = inputs[0]
         return np.concatenate([apply_node_full(op, [x[i:i + 1]], weights) for i in range(len(x))])
     if isinstance(op, Conv):

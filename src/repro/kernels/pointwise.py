@@ -61,19 +61,21 @@ def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
 
 def batchnorm_inference(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Folded inference BN: ``scale * x + shift`` per channel."""
-    return (x * _per_channel(scale, x.ndim) + _per_channel(shift, x.ndim)).astype(x.dtype)
+    out = x * _per_channel(scale, x.ndim)
+    out += _per_channel(shift, x.ndim)
+    return out.astype(x.dtype, copy=False)
 
 
 def add_bias(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return (x + _per_channel(bias, x.ndim)).astype(x.dtype)
+    return (x + _per_channel(bias, x.ndim)).astype(x.dtype, copy=False)
 
 
 def elementwise_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a + b).astype(a.dtype)
+    return (a + b).astype(a.dtype, copy=False)
 
 
 def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).astype(a.dtype)
+    return (a * b).astype(a.dtype, copy=False)
 
 
 def channel_softmax(x: np.ndarray) -> np.ndarray:

@@ -21,11 +21,15 @@ KERNEL_LETTERS = "uvw"
 
 
 def pad_spatial(x: np.ndarray, padding: Sequence[int], value: float = 0.0) -> np.ndarray:
-    """Symmetrically pad the spatial dims of an ``(N, C, *spatial)`` array."""
+    """Symmetrically pad the spatial dims of an ``(N, C, *spatial)`` array.
+
+    A filled array with ``x`` copied into its interior: the bytes of
+    ``np.pad(mode="constant")`` at a fraction of its per-call cost."""
     if not any(padding):
         return x
-    widths = [(0, 0), (0, 0)] + [(int(p), int(p)) for p in padding]
-    return np.pad(x, widths, mode="constant", constant_values=value)
+    out = np.full((*x.shape[:2], *(e + 2 * p for e, p in zip(x.shape[2:], padding))), value, x.dtype)
+    out[(slice(None), slice(None), *(slice(p, p + e) for e, p in zip(x.shape[2:], padding)))] = x
+    return out
 
 
 def spatial_windows(

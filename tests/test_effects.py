@@ -269,3 +269,50 @@ def test_distributed_skip_on_global_head():
     report = analyze_effects(plan)
     assert report.by_code("effects.distributed-skip")
     assert not report.by_code("effects.distributed")
+
+
+# -- plans that read before they write ------------------------------------------
+
+
+def _split_around_middle(graph, views):
+    """``views`` with the first group of 3+ members split into {first, last}
+    and {the rest}: a non-convex pair that reads what the rest produces."""
+    from repro.graph.traversal import subgraph_view
+
+    i = next(k for k, v in enumerate(views) if len(v) >= 3)
+    ids = list(views[i].node_ids)
+    return i, (views[:i] + [subgraph_view(graph, [ids[0], ids[-1]]),
+                            subgraph_view(graph, ids[1:-1])] + views[i + 1:])
+
+
+def test_unproduced_entry_is_reported_not_raised():
+    """A subgraph that reads an entry no earlier subgraph produced is an
+    error diagnostic naming both; like a coverage error, it stops the
+    analysis before any subgraph is modelled."""
+    from dataclasses import replace
+
+    from repro.core.plan import ExecutionPlan
+
+    _, plan = _compiled(residual_graph())
+    i, views = _split_around_middle(plan.graph, [s.subgraph for s in plan.subgraphs])
+    bad = ExecutionPlan(plan.graph)
+    template = plan.subgraphs[i]
+    bad.subgraphs = [replace(template if k in (i, i + 1) else plan.subgraphs[k - (k > i)],
+                             index=k, subgraph=view) for k, view in enumerate(views)]
+    report = analyze_effects(bad)
+    first = report.by_code("effects.unproduced-entry")[0]
+    assert not report.ok
+    assert first.subgraph_index == i
+    assert f"subgraph {i} reads entry {views[i].entry_ids[-1]}" in first.message
+    assert not report.subgraphs
+
+
+def test_lint_effects_reports_an_unproduced_entry(monkeypatch, capsys):
+    import repro.core.engine as engine_module
+    from repro.cli import main
+
+    real = engine_module.partition_graph
+    monkeypatch.setattr(engine_module, "partition_graph",
+                        lambda graph, *a, **k: _split_around_middle(graph, real(graph, *a, **k))[1])
+    assert main(["lint", "mobilenet_v1", "--reduced", "--effects"]) != 0
+    assert "effects.unproduced-entry" in capsys.readouterr().out

@@ -1,11 +1,10 @@
-"""NumPy kernel tests against scipy / manual references."""
+"""NumPy kernel tests against float64 loop / manual references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal
 
 from repro.errors import ShapeError
 from repro.kernels.conv import conv_forward
@@ -25,26 +24,38 @@ from repro.kernels.pooling import global_avg_pool, pool_forward
 from repro.kernels.windows import pad_spatial, spatial_windows
 
 
-def scipy_conv2d(x, w, padding):
-    n, c, h, ww = x.shape
-    o = w.shape[0]
-    xp = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)])
-    out = np.zeros((n, o, h + 2 * padding - w.shape[2] + 1, ww + 2 * padding - w.shape[3] + 1), np.float32)
-    for ni in range(n):
-        for oi in range(o):
-            acc = np.zeros(out.shape[2:])
-            for ci in range(c):
-                acc += signal.correlate(xp[ni, ci], w[oi, ci], mode="valid")
-            out[ni, oi] = acc
+def _tuple(value, nd):
+    return (value,) * nd if isinstance(value, int) else tuple(value)
+
+
+def reference_conv(x, w, bias=None, stride=1, padding=0, dilation=1, groups=1):
+    """Direct convolution in float64: one loop over output channels and
+    kernel taps, each tap a product-sum over the group's input channels."""
+    nd = w.ndim - 2
+    stride, padding, dilation = (_tuple(v, nd) for v in (stride, padding, dilation))
+    xp = np.pad(x.astype(np.float64), [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    o, c_per_group, *kernel = w.shape
+    extent = [(e - (k - 1) * d - 1) // s + 1
+              for e, k, d, s in zip(xp.shape[2:], kernel, dilation, stride)]
+    out = np.zeros((len(x), o, *extent))
+    for oc in range(o):
+        first = oc // (o // groups) * c_per_group
+        for tap in np.ndindex(*kernel):
+            window = xp[(slice(None), slice(first, first + c_per_group), *(
+                slice(i * d, i * d + (e - 1) * s + 1, s)
+                for i, d, e, s in zip(tap, dilation, extent, stride)))]
+            out[:, oc] += np.einsum("nc...,c->n...", window, w[(oc, slice(None), *tap)].astype(np.float64))
+    if bias is not None:
+        out += bias.reshape((1, -1) + (1,) * nd)
     return out
 
 
 class TestConv:
-    def test_vs_scipy(self, rng):
+    def test_vs_float64_reference(self, rng):
         x = rng.standard_normal((2, 3, 11, 9)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         out = conv_forward(x, w, padding=1)
-        np.testing.assert_allclose(out, scipy_conv2d(x, w, 1), atol=1e-4)
+        np.testing.assert_allclose(out, reference_conv(x, w, padding=1), atol=1e-4)
 
     def test_bias(self, rng):
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
@@ -127,6 +138,50 @@ def test_stacked_conv_item_equals_its_own_call_bit_for_bit(data):
     for i in range(items):
         alone = conv_forward(x[i:i + 1], w, bias, stride=stride, dilation=dilation, groups=groups)
         assert stacked[i:i + 1].tobytes() == alone.tobytes(), (i, items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_depthwise_patch_call_equals_the_padded_call_bit_for_bit(data):
+    """A conv with one input channel per group (channel multiplier 1-2;
+    1-3-D, strided, dilated, with and without bias) sums its taps
+    elementwise in a fixed order.  So a padding-0 call on a gathered halo
+    patch, zero-filled beyond the feature map as a brick's gather is, has
+    the bytes of the matching slice of the padded whole-tensor call; and
+    every output stays within the conv tolerance of the float64 reference."""
+    rank = data.draw(st.integers(1, 3), label="rank")
+    channels = data.draw(st.integers(1, 8), label="channels")
+    multiplier = data.draw(st.integers(1, 2), label="multiplier")
+    kernel = tuple(data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank), label="kernel"))
+    stride = tuple(data.draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank), label="stride"))
+    dilation = tuple(data.draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank), label="dilation"))
+    k_eff = [(k - 1) * d + 1 for k, d in zip(kernel, dilation)]
+    padding = tuple(data.draw(st.integers(0, ke - 1), label="padding") for ke in k_eff)
+    span = (10, 8, 3)[rank - 1]
+    spatial = tuple(data.draw(st.integers(max(1, ke - 2 * p), max(1, ke - 2 * p) + span), label="extent")
+                    for ke, p in zip(k_eff, padding))
+    batch = data.draw(st.integers(1, 4), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = rng.standard_normal((batch, channels, *spatial)).astype(np.float32)
+    w = rng.standard_normal((channels * multiplier, 1, *kernel)).astype(np.float32)
+    bias = rng.standard_normal(channels * multiplier).astype(np.float32) if data.draw(st.booleans()) else None
+    conv = dict(stride=stride, dilation=dilation, groups=channels)
+    full = conv_forward(x, w, bias, padding=padding, **conv)
+    np.testing.assert_allclose(full, reference_conv(x, w, bias, padding=padding, **conv), atol=1e-4)
+
+    region = []
+    for e in full.shape[2:]:
+        lo = data.draw(st.integers(0, e - 1), label="lo")
+        region.append((lo, data.draw(st.integers(lo + 1, e), label="hi")))
+    starts = [lo * s - p for (lo, _), s, p in zip(region, stride, padding)]
+    stops = [(hi - 1) * s + ke - p for (_, hi), s, ke, p in zip(region, stride, k_eff, padding)]
+    inside = [(max(a, 0), min(b, e)) for a, b, e in zip(starts, stops, spatial)]
+    patch = np.zeros((batch, channels, *(b - a for a, b in zip(starts, stops))), np.float32)
+    patch[(..., *(slice(lo - a, hi - a) for (lo, hi), a in zip(inside, starts)))] = \
+        x[(..., *(slice(lo, hi) for lo, hi in inside))]
+    local = conv_forward(patch, w, bias, padding=0, **conv)
+    sliced = full[(..., *(slice(lo, hi) for lo, hi in region))]
+    assert local.tobytes() == np.ascontiguousarray(sliced).tobytes()
 
 
 class TestConvTranspose:
@@ -243,6 +298,13 @@ class TestWindows:
         out = pad_spatial(x, (1, 1), value=-np.inf)
         assert np.isinf(out[0, 0, 0, 0])
         assert out.shape == (1, 1, 4, 4)
+
+    @pytest.mark.parametrize("padding", [(2,), (0, 1), (1, 0, 2)])
+    @pytest.mark.parametrize("value", [0.0, -np.inf])
+    def test_pad_equals_np_pad(self, rng, padding, value):
+        x = rng.standard_normal((2, 3, *(4 + i for i in range(len(padding))))).astype(np.float32)[:, 1:]
+        ref = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding], constant_values=value)
+        assert pad_spatial(x, padding, value).tobytes() == ref.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
