@@ -6,22 +6,25 @@ multiply-add per kernel tap over the whole batch, taps in C order, so every
 output element is the same float32 sequence wherever it sits -- in a batch,
 alone, or in a padding-0 call on a gathered brick patch.
 
-Every other conv builds a strided window view and contracts it with the
-weight tensor in one ``einsum`` -- the im2col+GEMM structure of cuDNN's
-implicit-GEMM algorithms.  The sample axis is a batch letter of both operands
-(the weight broadcast along it), never folded into a GEMM's rows, whose
-blocking BLAS picks by shape: each sample gets the bits of a call on it
-alone, so a stack of brick patches runs as one call.
+Every other conv copies its strided window view once into im2col columns
+``(N, G, C/G * prod(K), prod(S_out))`` and multiplies them by the weight
+``(G, O/G, C/G * prod(K))`` in one ``np.matmul`` -- the im2col+GEMM structure
+of cuDNN's implicit-GEMM algorithms.  Sample and group are matmul batch axes,
+never folded into a GEMM's rows, whose blocking BLAS picks by shape: every
+(sample, group) is its own GEMM of the shape a batch-1 call makes, so each
+sample gets the bits of a call on it alone and a stack of brick patches runs
+as one call.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.kernels.windows import KERNEL_LETTERS, SPATIAL_LETTERS, pad_spatial, spatial_windows
+from repro.kernels.windows import pad_spatial, spatial_windows
 
 __all__ = ["conv_forward"]
 
@@ -61,18 +64,12 @@ def conv_forward(
     if c_per_group == 1:
         out = _depthwise(v, weight)
     else:
-        sp = SPATIAL_LETTERS[:nd]
-        kl = KERNEL_LETTERS[:nd]
         out_spatial = v.shape[2 : 2 + nd]
-        if groups == 1:
-            out = np.einsum(f"bnc{sp}{kl},boc{kl}->bno{sp}", v[:, None],
-                            np.broadcast_to(weight, (n, *weight.shape)), optimize=True)
-        else:
-            vg = v.reshape(n, 1, groups, c_per_group, *out_spatial, *kernel)
-            wg = weight.reshape(groups, o // groups, c_per_group, *kernel)
-            out = np.einsum(f"bngc{sp}{kl},bgoc{kl}->bngo{sp}", vg,
-                            np.broadcast_to(wg, (n, *wg.shape)), optimize=True)
-        out = np.ascontiguousarray(out.reshape(n, o, *out_spatial), dtype=x.dtype)
+        # (N, C, *S_out, *K) -> (N, G, C/G * prod(K), prod(S_out)), copied at most once.
+        order = (0, 1, *range(2 + nd, 2 + 2 * nd), *range(2, 2 + nd))
+        cols = v.transpose(order).reshape(n, groups, -1, math.prod(out_spatial))
+        out = np.matmul(weight.reshape(groups, o // groups, -1), cols)
+        out = out.reshape(n, o, *out_spatial).astype(x.dtype, copy=False)
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * nd).astype(x.dtype)
     return out

@@ -72,7 +72,11 @@ def pad_value_for(op: OpSpec) -> float:
 
 
 def apply_node_full(op: OpSpec, inputs: Sequence[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
-    """Execute ``op`` on full activations (feature-map padding applied)."""
+    """Execute ``op`` on full activations (feature-map padding applied).
+
+    One batch-wide kernel call per op: every kernel gives sample ``i`` the
+    bits of a call on that sample alone (GEMMs keep the sample on a matmul
+    batch axis), so outputs never depend on their batch-mates."""
     if isinstance(op, InputOp):
         return inputs[0] if inputs else op.spec.zeros()
     if isinstance(op, FusedOp):
@@ -83,17 +87,6 @@ def apply_node_full(op: OpSpec, inputs: Sequence[np.ndarray], weights: dict[str,
         for stage, sw in zip(op.epilogue, per_stage[1:]):
             out = apply_node_full(stage, [out], sw)
         return out
-    if (isinstance(op, (Conv, ConvTranspose, Dense)) and len(inputs[0]) > 1
-            and not (isinstance(op, Conv) and inputs[0].shape[1] == op.groups)):
-        # BLAS picks its GEMM kernel by shape, so a batched ConvTranspose or
-        # Dense product is not bit-identical to the same samples multiplied
-        # alone: every sample takes the batch-1 path, and outputs never
-        # depend on their batch-mates.  conv_forward is per sample by
-        # construction; a Conv with C / groups > 1 loops anyway to bound its
-        # im2col copy to one sample (a values pass's peak memory).  A
-        # depthwise Conv runs batch-wide: its taps are elementwise.
-        x = inputs[0]
-        return np.concatenate([apply_node_full(op, [x[i:i + 1]], weights) for i in range(len(x))])
     if isinstance(op, Conv):
         return conv_forward(
             inputs[0], weights["weight"], weights.get("bias"),

@@ -14,10 +14,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
 
-__all__ = ["spatial_windows", "pad_spatial", "SPATIAL_LETTERS", "KERNEL_LETTERS"]
-
-SPATIAL_LETTERS = "xyz"
-KERNEL_LETTERS = "uvw"
+__all__ = ["spatial_windows", "pad_spatial"]
 
 
 def pad_spatial(x: np.ndarray, padding: Sequence[int], value: float = 0.0) -> np.ndarray:

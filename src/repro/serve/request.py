@@ -89,13 +89,14 @@ class InferenceRequest:
         return self.trace.trace_id if self.trace is not None else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceResponse:
     """How one request was served."""
 
     request_id: int
-    # Primary graph output for this request (its slice of the batch), or
-    # ``None`` on a profile-mode server.
+    # Primary graph output for this request (its slice of the batch): the
+    # first entry of ``outputs``, the same view, or ``None`` on a
+    # profile-mode server.
     output: np.ndarray | None
     # All graph outputs by name (same slicing), or ``None`` in profile mode.
     outputs: dict[str, np.ndarray] | None

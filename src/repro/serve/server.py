@@ -659,10 +659,11 @@ class InferenceServer:
         response = None
         if result is not None:
             outputs, bucket, hit, sim_s = result
+            mine = None if outputs is None else _slice(outputs, index)
             response = InferenceResponse(
                 request_id=req.request_id,
-                output=None if outputs is None else _primary(outputs, index),
-                outputs=None if outputs is None else _slice(outputs, index),
+                output=None if mine is None else next(iter(mine.values())),
+                outputs=mine,
                 batch_size=size,
                 batch_bucket=bucket,
                 cache_hit=hit,
@@ -951,7 +952,3 @@ class InferenceServer:
 
 def _slice(outputs: dict[str, np.ndarray], i: int) -> dict[str, np.ndarray]:
     return {k: v[i:i + 1] for k, v in outputs.items()}
-
-
-def _primary(outputs: dict[str, np.ndarray], i: int) -> np.ndarray:
-    return next(iter(outputs.values()))[i:i + 1]

@@ -198,7 +198,8 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
     between versions), per task the counted run of the same plan submits
-    (0.60 today, one whole-tensor call per member; 6.5 with per-class conv
+    (0.505 today, one whole-tensor call per member; 0.579 when convs with
+    ``C / groups > 1`` ran one sample at a time, 6.5 with per-class conv
     stacks, 14.3 when every conv brick gathered its patch and made its own
     kernel call, 37 when every member ran brick by brick into a bricked
     tensor).  The budget sits about 10 % above today's count."""
@@ -219,8 +220,8 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
     per_task = calls / num_tasks
-    assert per_task <= 0.7, (
-        f"{per_task:.2f} calls into src/repro per counted task (budget 0.7): per-item Python is "
+    assert per_task <= 0.56, (
+        f"{per_task:.3f} calls into src/repro per counted task (budget 0.56): per-item Python is "
         "back on the values path -- the usual culprits are per-brick or per-sample loops in "
         "bricktask.subgraph_values (each member should be one apply_node_full call), more ops "
         "split per sample in kernels.dispatch.apply_node_full, geometry rows or Region algebra "
@@ -235,13 +236,13 @@ _PLANNED_AND_PADDED = pytest.mark.parametrize("strategy", [None, Strategy.PADDED
 def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypatch):
     """Kernel calls (``apply_node_local`` + ``apply_node_full``, every alias
     patched, recursion included) of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1, planned and all padded: one ``apply_node_full`` per member
-    plus its per-sample recursion for ``Conv`` with ``C / groups > 1``,
-    ``ConvTranspose`` and ``Dense``, 79 today under both (111 when depthwise
-    convs were split per sample too, 127 with per-class conv stacks, about
-    1,740 when every brick and sample made its own call, and when padded
-    walked every exit brick's closure).  The budget sits about 10 % above
-    today's count."""
+    mobilenet_v1, planned and all padded: one batch-wide ``apply_node_full``
+    per member and fused stage, 31 today under both (79 when ``Conv`` with
+    ``C / groups > 1``, ``ConvTranspose`` and ``Dense`` ran one sample at a
+    time, 111 when depthwise convs were split per sample too, 127 with
+    per-class conv stacks, about 1,740 when every brick and sample made its
+    own call, and when padded walked every exit brick's closure).  The
+    budget sits about 10 % above today's count."""
     import sys
 
     from repro.kernels import dispatch
@@ -259,21 +260,21 @@ def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypa
             if getattr(module, "__name__", "").startswith("repro") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     engine.values(x, plan)
-    assert 0 < len(calls) <= 87, (
-        f"{len(calls)} kernel calls per batch-8 values() (budget 87): per-item calls are back on "
-        "the values path -- only Conv with C / groups > 1, ConvTranspose and Dense should run "
-        "one sample at a time in kernels.dispatch.apply_node_full")
+    assert 0 < len(calls) <= 35, (
+        f"{len(calls)} kernel calls per batch-8 values() (budget 35): per-item calls are back on "
+        "the values path -- kernels.dispatch.apply_node_full should run every op as one "
+        "batch-wide call")
 
 
 @_PLANNED_AND_PADDED
 def test_values_pass_peak_memory_stays_under_2_1_mb(strategy):
     """tracemalloc peak of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1, planned and all padded: 1.7 MB today, 3.3 MB if members
+    mobilenet_v1, planned and all padded: 1.71 MB today, 3.3 MB if members
     outlive their last consumer (``subgraph_values`` drops each interior
-    member after its last consumer), 5.6 MB if ``apply_node_full`` ran a
-    batch-8 Conv with ``C / groups > 1`` as one im2col instead of sample by
-    sample (a depthwise conv runs batch-wide: its only temporaries are a
-    padded input and one output-sized scratch).  The benchmark
+    member after its last consumer).  Every conv runs batch-wide: a conv
+    with ``C / groups > 1`` copies one im2col array for the whole batch, a
+    depthwise conv's only temporaries are a padded input and one
+    output-sized scratch.  The benchmark
     keeps every response, so a values pass that holds dead arrays shows up
     in ``serve_closed``'s ``peak_rss_mb``; here it fails first."""
     import tracemalloc

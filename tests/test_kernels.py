@@ -140,6 +140,53 @@ def test_stacked_conv_item_equals_its_own_call_bit_for_bit(data):
         assert stacked[i:i + 1].tobytes() == alone.tobytes(), (i, items)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stacked_conv_transpose_item_equals_its_own_call_bit_for_bit(data):
+    """The ``conv_transpose_forward`` twin of the stacked conv property
+    (1-3-D, stride 1-2, padding, output padding, with and without bias,
+    1-40 items): zero-stuffing and cropping are per item, and the conv they
+    feed keeps the item on a matmul batch axis."""
+    rank = data.draw(st.integers(1, 3), label="rank")
+    channels = data.draw(st.integers(1, 8), label="channels")
+    out_channels = data.draw(st.integers(1, 8), label="out channels")
+    kernel = tuple(data.draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank), label="kernel"))
+    stride = tuple(data.draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank), label="stride"))
+    padding = tuple(data.draw(st.integers(0, k - 1), label="padding") for k in kernel)
+    output_padding = tuple(data.draw(st.integers(0, s - 1), label="output padding") for s in stride)
+    span = (8, 6, 3)[rank - 1]
+    spatial = tuple(data.draw(st.lists(st.integers(1, span), min_size=rank, max_size=rank), label="spatial"))
+    items = data.draw(st.integers(1, 40 if rank < 3 else 12), label="items")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = rng.standard_normal((items, channels, *spatial)).astype(np.float32)
+    w = rng.standard_normal((channels, out_channels, *kernel)).astype(np.float32)
+    bias = rng.standard_normal(out_channels).astype(np.float32) if data.draw(st.booleans()) else None
+    stacked = conv_transpose_forward(x, w, bias, stride=stride, padding=padding, output_padding=output_padding)
+    for i in range(items):
+        alone = conv_transpose_forward(x[i:i + 1], w, bias, stride=stride, padding=padding,
+                                       output_padding=output_padding)
+        assert stacked[i:i + 1].tobytes() == alone.tobytes(), (i, items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stacked_dense_row_equals_its_own_call_bit_for_bit(data):
+    """The ``dense_forward`` twin of the stacked conv property (1-40 rows,
+    up to 600 inputs and 300 outputs, with and without bias): each row is
+    its own product on a matmul batch axis, never a row of one GEMM, whose
+    blocking BLAS picks by the row count."""
+    items = data.draw(st.integers(1, 40), label="items")
+    f_in = data.draw(st.integers(1, 600), label="inputs")
+    f_out = data.draw(st.integers(1, 300), label="outputs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = rng.standard_normal((items, f_in)).astype(np.float32)
+    w = rng.standard_normal((f_out, f_in)).astype(np.float32)
+    bias = rng.standard_normal(f_out).astype(np.float32) if data.draw(st.booleans()) else None
+    stacked = dense_forward(x, w, bias)
+    for i in range(items):
+        assert stacked[i:i + 1].tobytes() == dense_forward(x[i:i + 1], w, bias).tobytes(), (i, items)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_depthwise_patch_call_equals_the_padded_call_bit_for_bit(data):

@@ -270,6 +270,24 @@ def test_serve_functional_batched_matches_single_shot():
     assert report.verified == 4
 
 
+def test_served_response_holds_one_view_of_its_primary_output():
+    """A functional response's ``output`` is its ``outputs`` entry of the
+    graph's primary output, the same object, and the response has slots,
+    no ``__dict__``: a client keeping responses keeps one view per output."""
+    graph = small_chain_graph(name="serve_one_view")
+    server = InferenceServer(graph, config=ServeConfig(devices=1, max_batch=4, max_wait_s=0.005))
+
+    async def scenario():
+        async with server:
+            return await asyncio.gather(*[server.submit(input_for(graph, seed=i)) for i in range(4)])
+
+    for response in asyncio.run(scenario()):
+        primary = next(iter(response.outputs))
+        assert response.output is response.outputs[primary]
+        assert response.output.shape[0] == 1
+        assert not hasattr(response, "__dict__")
+
+
 def test_batched_fallback_convs_match_single_shot():
     """Reduced resnet50 runs its late convs through the fallback path's
     full-tensor kernels; batched, each sample still takes the batch-1 GEMM,
