@@ -450,7 +450,7 @@ def _check_differential(ctx: _Context, seeds: Sequence[int]) -> None:
                 _compare_outputs(ctx, name, expected, out_after.get(name), seed)
         else:
             # Rebatch: sample k of the batched run must equal a single-shot
-            # run on sample k (the PR-5 batch-invariance contract).
+            # run on sample k (the serve path's batch-invariance contract).
             samples = [
                 {n.name: rng.standard_normal(n.spec.shape).astype(n.spec.dtype)
                  for n in ctx.before.input_nodes}

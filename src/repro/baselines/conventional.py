@@ -10,16 +10,12 @@ baselines are thin configurations of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
-
-import numpy as np
+from typing import Callable, Iterator
 
 from repro.baselines.fusion import fuse_graph
 from repro.baselines.tiled import (
     adaptive_tiles,
     allocate_weights,
-    bind_input,
-    compute_group_values,
     run_group,
     slab_tiles,
 )
@@ -88,21 +84,10 @@ class ConventionalExecutor:
             return slab_tiles(extents, self.spec.num_sms)
         return adaptive_tiles(extents, self.tile, self.spec.num_sms)
 
-    def values(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> dict[str, np.ndarray]:
-        """The graph outputs, with no device: group by group at full-tensor
-        granularity (tiling shapes the access stream, not the math)."""
-        graph = self.graph
-        graph.init_weights()
-        values = {node.node_id: bind_input(node, inputs) for node in graph.input_nodes}
-        for group in self.groups:
-            # Fused intermediates are never materialized; the fusion rule
-            # guarantees they have no consumers outside the group.
-            values[group.output.node_id] = compute_group_values(graph, group, values)
-        return {n.name: values[n.node_id] for n in graph.output_nodes}
-
     def run(self, device: Device | None = None) -> BaselineResult:
         """The counted group loop on ``device`` (a fresh one if None); it
-        computes no value (:meth:`values` does)."""
+        computes no value (a baseline's math is the reference's:
+        :class:`~repro.core.reference.ReferenceExecutor`)."""
         graph = self.graph
         device = device if device is not None else Device(self.spec)
 

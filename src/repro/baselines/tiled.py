@@ -9,9 +9,9 @@ fallback for tiny layers and global operators (section 3.3.3).
 Every tile is one task: it reads its (halo-enlarged) input region from the
 producer's dense buffer with strided row-major accesses -- the address-stream
 cost the brick layout exists to avoid -- reads the group's weights, and
-writes its output tile.  Values (the baselines' and the engine's
-``values()``) are computed once per group at full-tensor granularity
-(identical math, the tiling only affects the access stream).
+writes its output tile.  It computes no value: tiling shapes the access
+stream, not the math, so the engine's fallback entries get theirs from the
+same layer-by-layer sweep as its merged ones (``BrickDLEngine.values``).
 """
 
 from __future__ import annotations
@@ -20,30 +20,15 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping
 
-import numpy as np
-
 from repro.baselines.fusion import FusionGroup
 from repro.core.handles import DenseHandle
-from repro.errors import ExecutionError
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Graph
 from repro.graph.regions import Interval, Region
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Buffer, Task, buffer_token
-from repro.kernels import apply_node_full
 
 __all__ = ["spatial_tiles", "slab_tiles", "run_group", "run_group_tiled", "run_group_global",
-           "compute_group_values", "bind_input", "allocate_weights"]
-
-
-def bind_input(node: Node, inputs: Mapping[str, np.ndarray] | np.ndarray | None) -> np.ndarray:
-    """The array a functional run feeds graph input ``node``."""
-    if inputs is None:
-        raise ExecutionError("functional run requires input arrays")
-    arr = inputs if isinstance(inputs, np.ndarray) else inputs[node.name]
-    arr = np.asarray(arr, dtype=node.spec.dtype)
-    if arr.shape != node.spec.shape:
-        raise ExecutionError(f"input {node.name!r}: expected {node.spec.shape}, got {arr.shape}")
-    return arr
+           "allocate_weights"]
 
 
 def allocate_weights(device: Device, graph: Graph) -> dict[int, Buffer]:
@@ -98,21 +83,6 @@ def slab_tiles(extents: tuple[int, ...], num_slabs: int) -> Iterator[Region]:
             [lo] + [0] * (len(extents) - 1),
             [min(lo + step, first)] + list(extents[1:]),
         )
-
-
-def compute_group_values(
-    graph: Graph, group: FusionGroup, values: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Full-tensor numerical result of a fusion group."""
-    local: dict[int, np.ndarray] = dict(values)
-    out = None
-    for node in group.nodes:
-        args = [local[i] for i in node.inputs]
-        out = apply_node_full(node.op, args, node.weights)
-        local[node.node_id] = out
-    if out is None:
-        raise ExecutionError(f"empty fusion group {group.describe()}")
-    return out
 
 
 def group_flops_per_out_element(graph: Graph, group: FusionGroup) -> float:

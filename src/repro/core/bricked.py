@@ -6,9 +6,8 @@ dimensions, never channels -- section 3.2); a brick whose extent overhangs
 the feature map is stored in full and masked (section 3.3.4).  The simulator
 addresses that layout through :class:`~repro.core.handles.BrickedHandle`
 over a buffer of :func:`bricked_nbytes`; values never live in it (they are
-dense ``(N, C, *spatial)`` arrays, see
-:func:`~repro.core.bricktask.subgraph_values`).  This module holds the
-layout's geometry:
+dense ``(N, C, *spatial)`` arrays, see ``BrickDLEngine.values``).  This
+module holds the layout's geometry:
 
 * :class:`BrickGrid` -- the brick decomposition of a spatial domain: grid
   shape, row-major strides, the bricks a region overlaps, per axis;

@@ -12,16 +12,17 @@ schedule: a ``run()`` that decides *when* :meth:`BrickTasks.emit` (padded:
 knows -- the member bricks acquired through tags, which reads it certifies
 L2-resident, the worker lane.
 
-The emitters count; they compute nothing.  A brick's value does not depend on
-its schedule, so values have one producer, :func:`subgraph_values`: every
-member once, with no device, task, tag or barrier, under every strategy --
-padded's redundant recompute is a cost of its schedule, which the counted run
-models, not a different value.  It takes the entries as dense ``(N, C, *S)``
-arrays and makes each member's values one such array with one whole-tensor
-kernel call: a brick's value does not depend on its blocking either, so the
-layer-by-layer sweep is the producer.  The emitters count one task (one
-vendor-kernel call) per brick, which is where the paper's per-brick cuDNN
-invocations live; the per-brick walk itself is the test suite's oracle.
+The emitters count; they compute nothing.  A brick's value depends on
+neither its schedule nor its blocking, so values have one producer, the
+engine's layer-by-layer sweep (``BrickDLEngine.values``): every member once,
+as one whole-tensor kernel call, with no device, task, tag or barrier, under
+every strategy -- padded's redundant recompute is a cost of its schedule,
+which the counted run models, not a different value.  What a strategy does
+name there is how ``screen`` sees a member's values: :func:`screen_bricks`
+hands it each (brick, sample) slice labelled as the task that counts it.
+The emitters count one task (one vendor-kernel call) per brick, which is
+where the paper's per-brick cuDNN invocations live; the per-brick walk
+itself is the test suite's oracle.
 
 An emitter builds rows, not calls: what every task of a node shares (its
 weight row, its input sources, the whole-buffer tokens of its entries) is
@@ -49,9 +50,8 @@ from repro.graph.regions import Region
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device
 from repro.gpusim.trace import Access, Buffer, Task, buffer_token
-from repro.kernels import apply_node_full
 
-__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "subgraph_values"]
+__all__ = ["BrickTasks", "Recency", "brick_box", "member_deps", "screen_bricks"]
 
 # Per strategy: task label prefix, suffix of the bricked buffers it stores
 # into, and which nodes those are (padded keeps intermediates in scratch).
@@ -92,34 +92,17 @@ def brick_box(rows: Sequence[AxisRow]) -> tuple[slice, ...]:
     return (slice(None), *(slice(r.out.lo, r.out.hi) for r in rows))
 
 
-def subgraph_values(subgraph: SubgraphView, brick_shape: Sequence[int], strategy: str,
-                    entries: Mapping[int, np.ndarray], screen: Screen | None = None,
-                    subgraph_index: int | None = None) -> dict[int, np.ndarray]:
-    """The exits' values of one merged subgraph from its dense ``(N, C, *S)``
-    ``entries``, with no schedule: no device, task, tag or barrier.  Every
-    member runs once, in subgraph order, as one whole-tensor kernel call
-    (:func:`~repro.kernels.apply_node_full`) dropped after its last consumer
-    here.  ``screen`` then sees each of its (brick, sample) slices in brick
-    order, labelled as the ``strategy``'s task for that member brick (under
-    padded: the member brick the exit tasks recompute)."""
-    graph, members = subgraph.graph, subgraph.node_ids
-    geom = SubgraphGeometry(subgraph, tuple(brick_shape))
-    prefix = _NAMES[strategy][0]
-    dense = dict(entries)
-    last = {pred: nid for nid in members for pred in graph.node(nid).inputs}
-    interior = set(members).difference(subgraph.exit_ids)
-    for nid in members:
-        node = graph.node(nid)
-        dense[nid] = out = apply_node_full(node.op, [dense[pred] for pred in node.inputs], node.weights)
-        if screen is not None:
-            for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
-                box, label = brick_box(geom.rows(nid, gpos)), f"{prefix}/{node.name}/{gpos}"
-                for n in range(len(out)):
-                    screen(nid, out[n][box], subgraph_index, gpos, n, label)
-        for pred in set(node.inputs):
-            if last[pred] == nid and pred in interior:
-                del dense[pred]
-    return {eid: dense[eid] for eid in subgraph.exit_ids}
+def screen_bricks(geom: SubgraphGeometry, strategy: str, screen: Screen, subgraph_index: int,
+                  nid: int, value: np.ndarray) -> None:
+    """``screen`` member ``nid``'s whole-tensor ``value`` as the ``strategy``
+    tasks count it: each (brick, sample) slice in brick order, labelled as
+    that member brick's task (under padded: the member brick the exit tasks
+    whose closures cover it recompute)."""
+    prefix, name = _NAMES[strategy][0], geom.graph.node(nid).name
+    for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
+        box, label = brick_box(geom.rows(nid, gpos)), f"{prefix}/{name}/{gpos}"
+        for n in range(len(value)):
+            screen(nid, value[n][box], subgraph_index, gpos, n, label)
 
 
 class Recency(OrderedDict):

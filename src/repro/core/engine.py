@@ -21,14 +21,16 @@ run a profile-mode one does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.bricked import bricked_nbytes
-from repro.core.bricktask import BrickTasks, Screen, subgraph_values
+from repro.core.bricktask import BrickTasks, Screen, screen_bricks
+from repro.core.geometry import SubgraphGeometry
 from repro.core.halo import padding_growth
 from repro.core.handles import BrickedHandle, DenseHandle
 from repro.core.memoized import MemoizedBrickExecutor
@@ -43,13 +45,14 @@ from repro.core.perfmodel import (
 )
 from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
 from repro.errors import ExecutionError, PlanError
-from repro.graph.ir import Graph
+from repro.graph.ir import Graph, Node
 from repro.graph.regions import Region
 from repro.graph.ops import Conv, ConvTranspose, FusedOp, Pool
 from repro.graph.traversal import SubgraphView
 from repro.gpusim.device import Device, RunMetrics
 from repro.gpusim.spec import A100, GPUSpec
 from repro.gpusim.trace import Task, buffer_token
+from repro.kernels import apply_node_full
 
 __all__ = ["BrickDLEngine", "EngineResult"]
 
@@ -148,6 +151,35 @@ def _executor_cls(sub: SubgraphPlan) -> type[BrickTasks]:
     if sub.strategy is Strategy.WAVEFRONT and is_chain_subgraph(sub.subgraph):
         return WavefrontBrickExecutor
     return MemoizedBrickExecutor  # branches need the dynamic runtime
+
+
+def _bind_input(node: Node, inputs: Mapping[str, np.ndarray] | np.ndarray | None) -> np.ndarray:
+    """The array a functional run feeds graph input ``node``."""
+    if inputs is None:
+        raise ExecutionError("functional run requires input arrays")
+    arr = inputs if isinstance(inputs, np.ndarray) else inputs[node.name]
+    arr = np.asarray(arr, dtype=node.spec.dtype)
+    if arr.shape != node.spec.shape:
+        raise ExecutionError(f"input {node.name!r}: expected {node.spec.shape}, got {arr.shape}")
+    return arr
+
+
+def _screen_rows(sub: SubgraphPlan, screen: Screen) -> Callable[[int, np.ndarray], None]:
+    """``screen`` per member value of plan entry ``sub``, as the tasks that
+    count it see it: a fallback entry's fusion-group outputs whole, labelled
+    ``"(fallback kernel)"``; a merged entry's members brick by brick and
+    sample by sample (:func:`~repro.core.bricktask.screen_bricks`)."""
+    if sub.strategy is not Strategy.CUDNN:
+        geom = SubgraphGeometry(sub.subgraph, sub.brick_shape)
+        return functools.partial(screen_bricks, geom, _executor_cls(sub).strategy, screen, sub.index)
+    from repro.baselines.fusion import fuse_members
+
+    outputs = {group.output.node_id for group in fuse_members(sub.subgraph.graph, sub.subgraph.node_ids)}
+
+    def rows(nid: int, value: np.ndarray) -> None:
+        if nid in outputs:
+            screen(nid, value, sub.index, None, None, "(fallback kernel)")
+    return rows
 
 
 class BrickDLEngine:
@@ -410,36 +442,29 @@ class BrickDLEngine:
 
         The counters of a plan do not depend on the values flowing through
         it, so this is the only producer of outputs (a functional ``run``
-        calls it).  Plan entries run in order over dense ``(N, C, *S)``
-        arrays, every node as one whole-tensor kernel call -- a merged one
-        through :func:`~repro.core.bricktask.subgraph_values` under its
-        executor's strategy, which returns its exits' arrays, a fallback one
-        through the tiled path's full-tensor arithmetic; an activation is
-        dropped once its consumers have run.
-        ``screen`` sees every array computed (see :data:`Screen`).
+        calls it).  A strategy decides where and when a brick is computed,
+        not what it computes, so this is one layer-by-layer sweep: the
+        members of the plan entries in order, each one whole-tensor kernel
+        call over dense ``(N, C, *S)`` arrays, an array dropped once its
+        last consumer has run.  The plan only names what ``screen`` sees
+        (see :func:`_screen_rows`).
         """
-        from repro.baselines.fusion import fuse_members
-        from repro.baselines.tiled import bind_input, compute_group_values
-
         graph = self.graph
         plan = plan if plan is not None else self.compile()
         graph.init_weights()
-        dense = {n.node_id: bind_input(n, inputs) for n in graph.input_nodes}
+        dense = {n.node_id: _bind_input(n, inputs) for n in graph.input_nodes}
         remaining = self._consumer_counts()
         for sub in plan.subgraphs:
-            if sub.strategy is Strategy.CUDNN:
-                for group in fuse_members(graph, sub.subgraph.node_ids):
-                    out = compute_group_values(graph, group, dense)
-                    if screen is not None:
-                        screen(group.output.node_id, out, sub.index, None, None, "(fallback kernel)")
-                    for gnode in group.nodes:
-                        dense[gnode.node_id] = out
-            else:
-                dense.update(subgraph_values(
-                    sub.subgraph, sub.brick_shape, _executor_cls(sub).strategy,
-                    {eid: dense[eid] for eid in sub.subgraph.entry_ids}, screen, sub.index))
-            for eid in self._retired(sub, remaining):
-                del dense[eid]
+            rows = _screen_rows(sub, screen) if screen is not None else None
+            for node in map(graph.node, sub.subgraph.node_ids):
+                dense[node.node_id] = out = apply_node_full(
+                    node.op, [dense[pred] for pred in node.inputs], node.weights)
+                if rows is not None:
+                    rows(node.node_id, out)
+                for pred in node.inputs:
+                    remaining[pred] -= 1
+                    if not remaining[pred]:
+                        del dense[pred]
         return {n.name: dense[n.node_id] for n in graph.output_nodes}
 
     # -- merged subgraphs ---------------------------------------------------

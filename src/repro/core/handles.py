@@ -4,8 +4,8 @@ Executors manipulate activations through handles, and a handle only counts:
 it emits the accesses a kernel makes to the simulated device and holds no
 values (large benchmark configurations would not fit or would be too slow in
 NumPy).  Values never travel through a handle: the values pass
-(``BrickDLEngine.values``, :func:`~repro.core.bricktask.subgraph_values`)
-moves plain dense ``(N, C, *S)`` arrays and builds no handle.
+(``BrickDLEngine.values``) moves plain dense ``(N, C, *S)`` arrays and
+builds no handle.
 
 A bricked buffer holds ``N x num_bricks`` bricks of ``C x prod(brick)``
 elements each, boundary overhang included (:func:`~repro.core.bricked.bricked_nbytes`):

@@ -3,10 +3,10 @@
 Two entry points:
 
 * :func:`apply_node_full` -- execute an op on complete activations.  Every
-  value the library produces comes from it: the reference executor, the
-  tiled and fusion baselines, the fallback groups BrickDL hands to the vendor
-  library (section 3.3.3) and every member of a merged subgraph
-  (:func:`~repro.core.bricktask.subgraph_values`).
+  value the library produces comes from it: the reference executor and
+  BrickDL's values pass (``BrickDLEngine.values``), which sweeps every node
+  of every plan entry -- merged subgraph or vendor-library fallback
+  (section 3.3.3) -- through it layer by layer.
 
 * :func:`apply_node_local` -- execute an op on a stack of *patches*: the
   caller has gathered exactly the input region reported by the op's

@@ -262,8 +262,8 @@ def manifest_from_serve(
     Unlike :func:`manifest_from_result` (one engine execution), a serving
     manifest aggregates many batched executions: its ``metrics`` carry the
     serve-path rollup (request counts, latency quantiles, cache hit ratio),
-    its ``plan`` lists every plan-cache entry (keyed digest + the PR-4 plan
-    digest per batch bucket), and its ``registry`` is the server's registry
+    its ``plan`` lists every plan-cache entry (keyed digest + the plan digest
+    per batch bucket), and its ``registry`` is the server's registry
     dump -- so a loadgen run leaves the same kind of diffable record a
     benchmark run does.
     """

@@ -10,8 +10,8 @@ the three read paths:
 * :func:`render_span_tree` / :func:`list_traces` -- the ``repro trace
   show`` terminal view;
 * :func:`merged_chrome_trace` -- one Trace Event Format file uniting the
-  serve-layer spans with the device task lanes (PR 1's view), loadable in
-  Perfetto.
+  serve-layer spans with the device task lanes (the profiler's view),
+  loadable in Perfetto.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def merged_chrome_trace(entries: list[dict]) -> dict:
     Serve-layer spans render as process 0 with one thread per trace
     (requests stack visibly); ``task`` spans render as one process per
     simulated device with one thread per worker lane -- the same layout as
-    the PR-1 device trace, now wall-aligned under the serve spans.
+    the profiler's device trace, now wall-aligned under the serve spans.
     Timestamps are microseconds from the first span's start.
     """
     spans = spans_of(entries)

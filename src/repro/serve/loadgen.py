@@ -237,9 +237,9 @@ def verify_served(server: InferenceServer,
     is re-computed single-shot (``BrickDLEngine.values`` at batch 1, the one
     producer of outputs) from its seeded input on an engine built from the
     server's own config, and must match bit for bit.  Callers sample
-    non-degraded responses only: a degraded one took the cuDNN-fallback
-    plan, a different (allclose but not bitwise-equal) arithmetic path, and
-    the bit-identity contract is batched-vs-single-shot on the *same* plan.
+    non-degraded responses only.  A degraded one took the cuDNN-fallback
+    plan, but a plan decides where and when values are computed, not what
+    they are, so its outputs are these same bytes too.
     Returns how many were verified (all of ``picked``, or it raised).
     """
     from repro.core.engine import BrickDLEngine

@@ -15,7 +15,7 @@ counters land in the registry under a ``partition`` label.
 
 Cache keys digest everything that determines the compiled artifact --
 ``(model, batch_bucket, GPUSpec, strategy/brick override)`` -- and each
-entry records the PR-4 :func:`~repro.metrics.manifest.plan_digest` of its
+entry records the :func:`~repro.metrics.manifest.plan_digest` of its
 compiled plan, so manifests and diffs can correlate a served batch with the
 exact plan that ran it.
 """
@@ -132,7 +132,7 @@ class PlanCache:
     strictly intra-partition, so model A filling its partition can never
     push model B's plans out.  The
     aggregate ``hits``/``misses``/``evictions`` properties sum partitions
-    (the PR-5 single-model shape is the one-partition special case).
+    (the single-model shape is the one-partition special case).
 
     ``registry`` (optional) receives the aggregate ``serve_plan_cache_
     {hits,misses,evictions}`` counters and ``serve_plan_cache_size`` gauge,

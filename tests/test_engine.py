@@ -1,29 +1,25 @@
 """BrickDL engine tests: compilation decisions and end-to-end execution."""
 
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bricktask import BrickTasks, brick_box, subgraph_values
-from repro.core.engine import BrickDLEngine
-from repro.core.geometry import SubgraphGeometry, patch_geometry
+from repro.core.bricktask import BrickTasks
+from repro.core.engine import BrickDLEngine, _executor_cls
 from repro.core.plan import Strategy
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError
 from repro.graph.builder import GraphBuilder
 from repro.graph.ops import ConvTranspose, FusedOp
-from repro.graph.regions import Interval
 from repro.graph.tensorspec import TensorSpec
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 from repro.models import zoo
 
-from testlib import (dense_entries, gather_dense, input_for, kernel_step, random_dag, residual_graph,
-                     small_chain_graph)
+from testlib import dense_entries, input_for, per_brick_values, random_dag, residual_graph, small_chain_graph
 
 
 class TestCompile:
@@ -198,11 +194,12 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     ``values()`` of batch-2 reduced mobilenet_v1 under the profiler hook,
     counting calls into ``src/repro`` only (NumPy's own Python helpers differ
     between versions), per task the counted run of the same plan submits
-    (0.505 today, one whole-tensor call per member; 0.579 when convs with
-    ``C / groups > 1`` ran one sample at a time, 6.5 with per-class conv
-    stacks, 14.3 when every conv brick gathered its patch and made its own
-    kernel call, 37 when every member ran brick by brick into a bricked
-    tensor).  The budget sits about 10 % above today's count."""
+    (0.379 today, one sweep with one whole-tensor call per member; 0.505
+    when merged and fallback entries had loops of their own; 0.579 when
+    convs with ``C / groups > 1`` ran one sample at a time, 6.5 with
+    per-class conv stacks, 14.3 when every conv brick gathered its patch and
+    made its own kernel call, 37 when every member ran brick by brick into a
+    bricked tensor).  The budget sits about 10 % above today's count."""
     import cProfile
     import os
 
@@ -220,10 +217,10 @@ def test_values_pass_stays_under_7_own_calls_per_task():
     calls = sum(entry.callcount for entry in profiler.getstats()
                 if getattr(entry.code, "co_filename", "").startswith(own))
     per_task = calls / num_tasks
-    assert per_task <= 0.56, (
-        f"{per_task:.3f} calls into src/repro per counted task (budget 0.56): per-item Python is "
+    assert per_task <= 0.42, (
+        f"{per_task:.3f} calls into src/repro per counted task (budget 0.42): per-item Python is "
         "back on the values path -- the usual culprits are per-brick or per-sample loops in "
-        "bricktask.subgraph_values (each member should be one apply_node_full call), more ops "
+        "BrickDLEngine.values (each member should be one apply_node_full call), more ops "
         "split per sample in kernels.dispatch.apply_node_full, geometry rows or Region algebra "
         "(core/geometry.py, graph/regions.py) built without a screen")
 
@@ -269,9 +266,10 @@ def test_values_pass_makes_at_most_150_kernel_calls_per_batch(strategy, monkeypa
 @_PLANNED_AND_PADDED
 def test_values_pass_peak_memory_stays_under_2_1_mb(strategy):
     """tracemalloc peak of one warm batch-8 ``values()`` of reduced
-    mobilenet_v1, planned and all padded: 1.71 MB today, 3.3 MB if members
-    outlive their last consumer (``subgraph_values`` drops each interior
-    member after its last consumer).  Every conv runs batch-wide: a conv
+    mobilenet_v1, planned and all padded: 1.57 MB today (1.71 MB when entry
+    arrays lived until their whole consumer subgraph had run), 3.3 MB if
+    members outlive their last consumer (``values()`` drops every array after
+    its last consumer).  Every conv runs batch-wide: a conv
     with ``C / groups > 1`` copies one im2col array for the whole batch, a
     depthwise conv's only temporaries are a padded input and one
     output-sized scratch.  The benchmark
@@ -414,67 +412,6 @@ def test_values_equal_the_reference_on_random_dags(graph, strategy):
     _assert_values_equal_the_reference(graph, input_for(graph), [strategy], brick_override=8)
 
 
-def _per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, subgraph_index=None):
-    """Oracle for ``subgraph_values``: every member brick by brick and sample
-    by sample, one ``kernel_step`` each on a patch gathered from its
-    producers' dense arrays, screened as it is computed.  Under padded, each
-    exit brick of sample 0 is also recomputed the way its fused task does,
-    through its closure (:func:`_closure_value`)."""
-    graph = subgraph.graph
-    geom = SubgraphGeometry(subgraph, brick_shape)
-    prefix = {"padded": "padded", "memoized": "memo", "wavefront": "wave"}[strategy]
-    dense = dict(entries)
-    for nid in subgraph.node_ids:
-        node = graph.node(nid)
-        out = np.empty(node.spec.shape, node.spec.dtype)
-        for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
-            rows = geom.rows(nid, gpos)
-            shape, needs, offsets = patch_geometry(rows, len(node.inputs))
-            for n in range(node.spec.batch):
-                out[n][brick_box(rows)] = value = kernel_step(
-                    node, shape, needs, offsets,
-                    lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
-                if screen is not None:
-                    screen(nid, value, subgraph_index, gpos, n, f"{prefix}/{node.name}/{gpos}")
-        dense[nid] = out
-    if strategy == "padded":
-        for eid in subgraph.exit_ids:
-            for gpos in itertools.product(*map(range, geom.grid(eid).grid_shape)):
-                np.testing.assert_allclose(
-                    _closure_value(geom, entries, eid, gpos, 0), dense[eid][0][brick_box(geom.rows(eid, gpos))],
-                    atol=1e-4, rtol=1e-4, err_msg=f"closure of {graph.node(eid).name} {gpos}")
-    return {eid: dense[eid] for eid in subgraph.exit_ids}
-
-
-def _closure_value(geom, entries, exit_id, gpos, n):
-    """The brick ``gpos`` of ``exit_id`` for sample ``n``, computed as a padded
-    task does (section 3.2.1): every member on its patch of the exit brick's
-    closure (``geom.closure_rows``), from entry patches copied out of the dense
-    ``entries``.  A patch starts at its ``origin``, its node's required
-    interval clipped to the feature map.  An enlarged patch is another GEMM
-    shape, so it meets the member-by-member value within the conformance
-    tolerance, not bit for bit."""
-    rows = geom.closure_rows(exit_id, gpos)
-    patches, origin = {}, {}
-    for eid in rows[0].entries:
-        edges = [r.entries[eid] for r in rows]
-        origin[eid] = [max(e.need.lo, 0) for e in edges]
-        patches[eid] = gather_dense(entries[eid][n], [Interval(lo, lo + e.length)
-                                                      for lo, e in zip(origin[eid], edges)])
-
-    def fetch(pred, need, fill):
-        return gather_dense(patches[pred], [Interval(iv.lo - o, iv.hi - o)
-                                            for iv, o in zip(need, origin[pred])], fill)
-
-    for nid in rows[0].members:
-        axis = [r.members[nid] for r in rows]
-        if all(a.length for a in axis):
-            node = geom.graph.node(nid)
-            patches[nid] = kernel_step(node, *patch_geometry(axis, len(node.inputs)), fetch)
-            origin[nid] = [a.out.lo for a in axis]
-    return patches[exit_id]
-
-
 def _screened(values, *args, **kwargs):
     """``values(*args, screen=...)`` and the (node, subgraph, brick, sample,
     label, shape, sha256) rows its ``screen`` saw."""
@@ -490,61 +427,46 @@ def _screened(values, *args, **kwargs):
 _PER_BRICK_INEXACT = {"deepcam": {"dec2/deconv"}}
 
 
-def _assert_subgraphs_equal_the_per_brick_kernel_steps(engine, plan, x, inexact):
-    """Every merged subgraph of ``plan`` on the reference's entry activations:
-    ``subgraph_values`` gives the oracle's bytes and ``screen`` rows, except
-    the subgraphs holding a member named in ``inexact`` (each a
-    ConvTranspose), which keep the oracle's screen sequence and come within
-    1e-6 of its values."""
-    graph = engine.graph
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("strategy", [Strategy.MEMOIZED, Strategy.WAVEFRONT, Strategy.PADDED],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("model", sorted(zoo.MODELS))
+def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch):
+    """The whole-tensor values pass gives the bytes of one ``kernel_step`` per
+    (brick, sample) -- a brick's value does not depend on its blocking.  Each
+    merged subgraph's ``screen`` rows from ``values()`` are the (node,
+    subgraph, brick, sample, label) sequence and bytes of the per-brick
+    oracle (``testlib.per_brick_values``) run on the reference's entry
+    activations, and the oracle's exits are the reference's bytes.  A
+    subgraph holding a member named in :data:`_PER_BRICK_INEXACT` (each a
+    ConvTranspose) keeps the oracle's screen sequence and comes within 1e-6
+    of its values."""
+    engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
+    graph, plan = engine.graph, engine.compile()
+    x = np.random.default_rng(batch).standard_normal(graph.input_nodes[0].spec.shape)
+    x = x.astype(np.float32)
     refs = ReferenceExecutor(graph).run_all(x)
-    excluded = set()
+    _, got_seen = _screened(engine.values, x, plan)
+    inexact, excluded = _PER_BRICK_INEXACT.get(model, set()), set()
     for sub in filter(lambda sub: sub.is_merged, plan.subgraphs):
-        args = (sub.subgraph, sub.brick_shape, sub.strategy.value, dense_entries(graph, sub.subgraph, refs))
-        got, got_seen = _screened(subgraph_values, *args, subgraph_index=sub.index)
-        want, want_seen = _screened(_per_brick_values, *args, subgraph_index=sub.index)
-        assert got.keys() == want.keys()
+        want, want_seen = _screened(
+            per_brick_values, sub.subgraph, sub.brick_shape, _executor_cls(sub).strategy,
+            dense_entries(graph, sub.subgraph, refs), subgraph_index=sub.index)
+        seen = [row for row in got_seen if row[1] == sub.index]
         named = {graph.node(nid).name for nid in sub.subgraph.node_ids} & inexact
         if named:
             for name in named:
                 op = graph.node(name).op
                 assert isinstance(op.primary if isinstance(op, FusedOp) else op, ConvTranspose), name
             excluded |= named
-            assert [row[:-1] for row in got_seen] == [row[:-1] for row in want_seen]
+            assert [row[:-1] for row in seen] == [row[:-1] for row in want_seen]
             for eid in want:
-                np.testing.assert_allclose(got[eid], want[eid], rtol=1e-6, atol=1e-6)
+                np.testing.assert_allclose(refs[graph.node(eid).name], want[eid], rtol=1e-6, atol=1e-6)
             continue
         for eid in want:
-            assert got[eid].tobytes() == want[eid].tobytes(), (sub.index, graph.node(eid).name)
-        assert got_seen == want_seen, sub.index
+            assert refs[graph.node(eid).name].tobytes() == want[eid].tobytes(), (sub.index, eid)
+        assert seen == want_seen, sub.index
     assert excluded == inexact
-
-
-@pytest.mark.parametrize("batch", [1, 2, 8])
-@pytest.mark.parametrize("strategy", [Strategy.MEMOIZED, Strategy.WAVEFRONT, Strategy.PADDED],
-                         ids=lambda s: s.value)
-@pytest.mark.parametrize("model", sorted(zoo.MODELS))
-def test_values_equal_the_per_brick_kernel_steps(model, strategy, batch, monkeypatch):
-    """The whole-tensor values pass gives the bytes of one ``kernel_step`` per
-    (brick, sample) -- a brick's value does not depend on its blocking -- and
-    ``screen`` sees the same (node, subgraph, brick, sample, label) sequence
-    with the same bytes.  A model in :data:`_PER_BRICK_INEXACT` is compared
-    subgraph by subgraph instead, so its excluded subgraph's rounding does
-    not reach the others' entries."""
-    engine = BrickDLEngine(zoo.build(model, reduced=True, batch=batch), strategy_override=strategy)
-    plan = engine.compile()
-    x = np.random.default_rng(batch).standard_normal(engine.graph.input_nodes[0].spec.shape)
-    x = x.astype(np.float32)
-    if model in _PER_BRICK_INEXACT:
-        _assert_subgraphs_equal_the_per_brick_kernel_steps(engine, plan, x, _PER_BRICK_INEXACT[model])
-        return
-    got, got_seen = _screened(engine.values, x, plan)
-    monkeypatch.setattr("repro.core.engine.subgraph_values", _per_brick_values)
-    want, want_seen = _screened(engine.values, x, plan)
-    assert got.keys() == want.keys()
-    for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
-    assert got_seen == want_seen
 
 
 def test_values_builds_no_device_task_or_schedule(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.bricked import bricked_nbytes
-from repro.core.bricktask import Recency, member_deps, subgraph_values
+from repro.core.bricktask import Recency, member_deps
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import MemoizedBrickExecutor, _COMPLETE
 from repro.core.padded import PaddedBrickExecutor
@@ -20,7 +20,7 @@ from repro.graph.traversal import subgraph_view
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 
-from testlib import dense_entries, gather_dense, input_for
+from testlib import dense_entries, gather_dense, input_for, per_brick_values
 
 
 def build_subgraph_fixture(make_graph, member_names, brick=(4, 4), seed=0, x=None, spec=A100):
@@ -85,13 +85,13 @@ CASES = [
 class TestEquivalence:
     def test_padded_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = subgraph_values(view, (4, 4), PaddedBrickExecutor.strategy, dense_entries(g, view, refs))
+        exits = per_brick_values(view, (4, 4), PaddedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
     def test_memoized_matches_reference(self, make_graph, members, out_name):
         g, view, device, entries, wb, refs = build_subgraph_fixture(make_graph, members)
-        exits = subgraph_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
+        exits = per_brick_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node(out_name).node_id
         np.testing.assert_allclose(exits[out_id], refs[out_name], atol=1e-4, rtol=1e-4)
 
@@ -121,7 +121,7 @@ class TestDataPathEdgeCases:
     def _run(self, executor_cls, make_graph, members, brick, entry_brick, x=None):
         g, view, device, entries, wb, refs = build_subgraph_fixture(
             make_graph, members, brick=entry_brick, x=x)
-        exits = subgraph_values(view, brick, executor_cls.strategy, dense_entries(g, view, refs))
+        exits = per_brick_values(view, brick, executor_cls.strategy, dense_entries(g, view, refs))
         return exits[g.node("out").node_id], refs["out"]
 
     def test_entry_on_its_own_grid(self, executor_cls):

@@ -1,11 +1,11 @@
 """Model zoo tests: all seven networks build, shape-check, and (reduced)
-run identically under the reference executor, BrickDL and the baseline."""
+run identically under the reference executor, BrickDL and an all-fallback
+(cuDNN baseline) plan."""
 
 
 import numpy as np
 import pytest
 
-from repro.baselines import CudnnBaseline
 from repro.core import BrickDLEngine, ReferenceExecutor
 from repro.core.plan import Strategy
 from repro.errors import ReproError
@@ -85,12 +85,16 @@ class TestFunctionalEquivalence:
             np.testing.assert_allclose(res.outputs[key], expected, atol=2e-3, rtol=1e-2)
 
     def test_cudnn_baseline_matches_reference(self, name):
+        """An all-vendor-library plan (the engine's cuDNN fallback on every
+        entry) gives the reference's bytes: tiling shapes the access stream,
+        not the math."""
         g = build(name, reduced=True)
         x = input_for(g)
         ref = ReferenceExecutor(g).run(x)
-        got = CudnnBaseline(build(name, reduced=True)).values(x)
+        got = BrickDLEngine(build(name, reduced=True), strategy_override=Strategy.CUDNN).values(x)
+        assert got.keys() == ref.keys()
         for key, expected in ref.items():
-            np.testing.assert_allclose(got[key], expected, atol=2e-3, rtol=1e-2)
+            assert got[key].tobytes() == expected.tobytes(), key
 
 
 class TestForcedStrategies:

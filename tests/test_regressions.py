@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.bricked import bricked_nbytes
-from repro.core.bricktask import subgraph_values
 from repro.core.handles import BrickedHandle
 from repro.core.memoized import HALO_NEIGHBORHOOD_BRICKS, MemoizedBrickExecutor
 from repro.core.padded import PaddedBrickExecutor
@@ -33,7 +32,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 from repro.kernels import apply_node_local
 
-from testlib import dense_entries, input_for
+from testlib import dense_entries, input_for, per_brick_values
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class TestExecutorPerInputOffsets:
         g = lopsided_graph()
         members = ("root", "left", "right", "join", "out")
         view, device, entries, wb, refs = _memoized_fixture(g, members)
-        exits = subgraph_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
+        exits = per_brick_values(view, (4, 4), MemoizedBrickExecutor.strategy, dense_entries(g, view, refs))
         out_id = g.node("out").node_id
         np.testing.assert_allclose(exits[out_id], refs["out"], atol=1e-4, rtol=1e-4)
 
@@ -173,7 +172,7 @@ class TestExecutorPerInputOffsets:
         g = b.finish()
         g.node("join").op = HaloAdd()
         view, device, entries, wb, refs = _memoized_fixture(g, ("body", "join", "out"))
-        exits = subgraph_values(view, (4, 4), executor_cls.strategy, dense_entries(g, view, refs))
+        exits = per_brick_values(view, (4, 4), executor_cls.strategy, dense_entries(g, view, refs))
         np.testing.assert_allclose(exits[g.node("out").node_id], refs["out"], atol=1e-5, rtol=1e-5)
 
 

@@ -281,6 +281,26 @@ class TestMutants:
         assert {d.node_id for d in derived} == {g.node("conv1").node_id,
                                                g.node("conv2").node_id}
 
+    def test_fallback_nan_screened_per_fusion_group(self):
+        """A fallback entry is screened one fusion-group output at a time:
+        conv0's NaN weights show on act0, the output of its conv+relu group,
+        with no brick and the fallback label, and conv1 inherits them."""
+        b = GraphBuilder("san", TensorSpec(1, 4, (16, 16)))
+        b.conv(4, 3, padding=1, bias=False, name="conv0")
+        b.relu(name="act0")
+        b.conv(4, 3, padding=1, bias=False, name="conv1")
+        g = b.finish()
+        g.init_weights()
+        for w in g.node("conv0").weights.values():
+            w[...] = np.nan
+        report = sanitized_run(g, Strategy.CUDNN).sanitizer_report
+        nans = report.by_code("sanitize.numeric-nan")
+        assert [d.node_id for d in nans] == [g.node("act0").node_id], report.summary()
+        assert nans[0].detail["brick"] is None
+        assert "first seen in task '(fallback kernel)'" in nans[0].message
+        derived = report.by_code("sanitize.numeric-derived")
+        assert [d.node_id for d in derived] == [g.node("conv1").node_id]
+
     def test_strict_mode_raises_on_sanitizer_error(self, monkeypatch):
         orig = BrickedHandle.emit_brick_write
 

@@ -478,6 +478,36 @@ def test_serve_timeout_degrades_to_fallback():
     assert stats["requests"]["degraded"] == 6
 
 
+@pytest.mark.parametrize("overrides", [{"queue_depth": 1, "saturation_policy": "degrade"},
+                                       {"default_timeout_s": 0.0}], ids=["saturated", "timed-out"])
+def test_degraded_responses_equal_single_shot_values(overrides):
+    """A degraded response took the all-cuDNN fallback plan, whose values
+    come from the same layer-by-layer sweep as the merged plan's: its
+    outputs equal a single-shot ``engine.values`` of the server's own plan
+    bit for bit."""
+    from repro.core.engine import BrickDLEngine
+
+    graph = small_chain_graph(name="serve_degraded")
+    server = InferenceServer(graph, config=ServeConfig(devices=1, max_batch=2, max_wait_s=0.005,
+                                                       **overrides))
+    xs = [input_for(graph, seed=i) for i in range(16)]
+
+    async def scenario():
+        async with server:
+            return await asyncio.gather(*[server.submit(x) for x in xs])
+
+    degraded = [(x, r) for x, r in zip(xs, asyncio.run(scenario())) if r.degraded]
+    assert degraded
+    engine = BrickDLEngine(server.graphs[degraded[0][1].model], spec=server.spec)
+    plan = engine.compile()
+    assert plan.merged_count >= 1  # the fallback plan is another plan
+    for x, response in degraded:
+        want = engine.values(x, plan)
+        assert response.outputs.keys() == want.keys()
+        for name in want:
+            assert response.outputs[name].tobytes() == want[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # every request ends in one place: failures, and a mixed-outcome session
 # ---------------------------------------------------------------------------

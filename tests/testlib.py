@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core.bricktask import brick_box
+from repro.core.geometry import SubgraphGeometry, patch_geometry
 from repro.errors import LayoutError
 from repro.graph.builder import GraphBuilder
 from repro.graph.regions import Interval
@@ -105,8 +108,70 @@ def kernel_step(node, shape, needs, offsets, fetch) -> np.ndarray:
 
 
 def dense_entries(graph, view, refs) -> dict[int, np.ndarray]:
-    """``subgraph_values``' entries: the reference activations."""
+    """:func:`per_brick_values`' entries: the reference activations."""
     return {eid: refs[graph.node(eid).name] for eid in view.entry_ids}
+
+
+def per_brick_values(subgraph, brick_shape, strategy, entries, screen=None, subgraph_index=None):
+    """The values pass's oracle for one merged subgraph: the exits' values
+    from its dense ``entries``, every member brick by brick and sample by
+    sample, one ``kernel_step`` each on a patch gathered from its
+    producers' dense arrays, screened as it is computed.  Under padded, each
+    exit brick of sample 0 is also recomputed the way its fused task does,
+    through its closure (:func:`closure_value`)."""
+    graph = subgraph.graph
+    geom = SubgraphGeometry(subgraph, brick_shape)
+    prefix = {"padded": "padded", "memoized": "memo", "wavefront": "wave"}[strategy]
+    dense = dict(entries)
+    for nid in subgraph.node_ids:
+        node = graph.node(nid)
+        out = np.empty(node.spec.shape, node.spec.dtype)
+        for gpos in itertools.product(*map(range, geom.grid(nid).grid_shape)):
+            rows = geom.rows(nid, gpos)
+            shape, needs, offsets = patch_geometry(rows, len(node.inputs))
+            for n in range(node.spec.batch):
+                out[n][brick_box(rows)] = value = kernel_step(
+                    node, shape, needs, offsets,
+                    lambda pred, need, fill, n=n: gather_dense(dense[pred][n], need, fill))
+                if screen is not None:
+                    screen(nid, value, subgraph_index, gpos, n, f"{prefix}/{node.name}/{gpos}")
+        dense[nid] = out
+    if strategy == "padded":
+        for eid in subgraph.exit_ids:
+            for gpos in itertools.product(*map(range, geom.grid(eid).grid_shape)):
+                np.testing.assert_allclose(
+                    closure_value(geom, entries, eid, gpos, 0), dense[eid][0][brick_box(geom.rows(eid, gpos))],
+                    atol=1e-4, rtol=1e-4, err_msg=f"closure of {graph.node(eid).name} {gpos}")
+    return {eid: dense[eid] for eid in subgraph.exit_ids}
+
+
+def closure_value(geom, entries, exit_id, gpos, n):
+    """The brick ``gpos`` of ``exit_id`` for sample ``n``, computed as a padded
+    task does (section 3.2.1): every member on its patch of the exit brick's
+    closure (``geom.closure_rows``), from entry patches copied out of the dense
+    ``entries``.  A patch starts at its ``origin``, its node's required
+    interval clipped to the feature map.  An enlarged patch is another GEMM
+    shape, so it meets the member-by-member value within the conformance
+    tolerance, not bit for bit."""
+    rows = geom.closure_rows(exit_id, gpos)
+    patches, origin = {}, {}
+    for eid in rows[0].entries:
+        edges = [r.entries[eid] for r in rows]
+        origin[eid] = [max(e.need.lo, 0) for e in edges]
+        patches[eid] = gather_dense(entries[eid][n], [Interval(lo, lo + e.length)
+                                                      for lo, e in zip(origin[eid], edges)])
+
+    def fetch(pred, need, fill):
+        return gather_dense(patches[pred], [Interval(iv.lo - o, iv.hi - o)
+                                            for iv, o in zip(need, origin[pred])], fill)
+
+    for nid in rows[0].members:
+        axis = [r.members[nid] for r in rows]
+        if all(a.length for a in axis):
+            node = geom.graph.node(nid)
+            patches[nid] = kernel_step(node, *patch_geometry(axis, len(node.inputs)), fetch)
+            origin[nid] = [a.out.lo for a in axis]
+    return patches[exit_id]
 
 
 @st.composite
