@@ -176,24 +176,19 @@ def run_serve_loadgen(
     :class:`~repro.metrics.RunManifest`.
 
     ``trace`` enables request-scoped distributed tracing (``repro.obs``):
-    the JSONL span log lands at the given path, and a flight recorder dumps
+    the JSONL span log lands at the given path, and the tracer dumps
     ``flightrec-<reason>.json`` next to it on error/reject/timeout/SLO
     breach.  ``latency_csv`` dumps one row per request.
     """
-    from pathlib import Path
-
     from repro.models import zoo
     from repro.serve import InferenceServer, loadgen
 
     graph = zoo.build(model, **build_kwargs)
     tracer = None
     if trace is not None:
-        from repro.obs import FlightRecorder, Tracer
+        from repro.obs import Tracer
 
-        trace_path = Path(trace)
-        tracer = Tracer(log_path=trace_path,
-                        recorder=FlightRecorder(
-                            out_dir=trace_path.parent or Path(".")))
+        tracer = Tracer(log_path=trace)
     server = InferenceServer(graph, spec=spec, config=config, tracer=tracer)
     report = loadgen(server, requests=requests, mode=mode, rate=rate,
                      concurrency=concurrency, seed=seed, verify=verify,

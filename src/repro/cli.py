@@ -441,8 +441,8 @@ def _print_obs_summary(args, server) -> None:
               f"{alert['long_window_s']:g}s burn "
               f"{alert['short_burn']:.1f}x/{alert['long_burn']:.1f}x "
               f"(threshold {alert['threshold']:g}x)")
-    if server.recorder is not None:
-        for reason, path in sorted(server.recorder.paths.items()):
+    if server.tracer is not None:
+        for reason, path in sorted(server.tracer.paths.items()):
             print(f"flight-recorder dump ({reason}): {path}")
 
 

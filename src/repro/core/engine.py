@@ -346,7 +346,6 @@ class BrickDLEngine:
         functional: bool | None = None,
         device: Device | None = None,
         plan: ExecutionPlan | None = None,
-        trace_ctx=None,
     ) -> EngineResult:
         """Simulate ``plan`` (compiled if None) on ``device`` (a fresh one if
         None).  ``functional`` (default: ``inputs`` were given): the result
@@ -362,10 +361,6 @@ class BrickDLEngine:
         plan = plan if plan is not None else self.compile()
         device = device if device is not None else Device(self.spec)
         device.metrics_registry.set_base(model=graph.name)
-        if trace_ctx is not None:
-            # Serve-layer distributed tracing (repro.obs): every task this
-            # run submits is stamped with the execute span's context.
-            device.set_trace_context(trace_ctx.trace_id, trace_ctx.span_id)
         collector = next((o for o in device.observers if isinstance(o, TraceCollector)), None)
         if collector is None:
             collector = device.attach(TraceCollector())

@@ -79,20 +79,6 @@ class Device:
         self._finished = False
         self._lanes: list[float] = [0.0] * max(1, spec.num_sms)
         self._scope: tuple[int | None, str | None] = (None, None)
-        # Serve-layer trace provenance ``(trace_id, parent_span_id)``; when
-        # set, every submitted task is stamped with it.  One None-check per
-        # submit -- the accounting hot path is untouched.
-        self._trace_ctx: tuple[str, str] | None = None
-
-    def set_trace_context(self, trace_id: str | None,
-                          span_id: str | None) -> None:
-        """Stamp subsequent tasks with a serve-request trace context (both
-        ``None`` clears it).  Called once per run by the engine, never from
-        the per-task path."""
-        if trace_id is None or span_id is None:
-            self._trace_ctx = None
-        else:
-            self._trace_ctx = (trace_id, span_id)
 
     # -- observers -----------------------------------------------------------
     def attach(self, observer):
@@ -189,8 +175,6 @@ class Device:
             task.subgraph_index = self._scope[0]
         if task.strategy is None:
             task.strategy = self._scope[1]
-        if self._trace_ctx is not None:
-            task.trace = self._trace_ctx
 
         task.seq = len(self._tasks)
         self._tasks.append(task)

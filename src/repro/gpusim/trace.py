@@ -210,6 +210,9 @@ class Task:
       the identity the trace-replay checker uses to assert the
       exactly-once and happens-before protocol properties.
 
+    A task names no serve request: the serve tracer parents an entry's
+    task spans on the batch's execute span (``Tracer.emit_task_spans``).
+
     Synchronization edges (consumed by the execution sanitizer's
     happens-before race detector, :mod:`repro.sanitize`):
 
@@ -239,10 +242,6 @@ class Task:
     batch_index: int | None = None
     acquires: list[tuple] = field(default_factory=list)
     releases: list[tuple] = field(default_factory=list)
-    # Distributed-trace provenance ``(trace_id, parent_span_id)``, stamped by
-    # the device when a serve-layer trace context is active (see
-    # ``Device.set_trace_context``); ``None`` on untraced runs.
-    trace: tuple[str, str] | None = None
     seq: int | None = None
     l1_txns: int = 0
     l2_txns: int = 0

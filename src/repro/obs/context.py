@@ -1,27 +1,19 @@
-"""Trace currency: contexts and spans.
+"""Trace currency: the span.
 
-A :class:`TraceContext` is the minimal propagation token -- which trace an
-operation belongs to and which span is its parent -- minted at serve
-admission and threaded through the batcher, the plan cache, the engine,
-and down to every simulated-device task.  A :class:`Span` is one timed,
-attributed operation in that tree.  Both are plain data: the clock, the
-sinks, and the id minting live in :class:`~repro.obs.tracer.Tracer`.
+A :class:`Span` is one timed, attributed operation in a serve request's
+trace tree: the request root opened at admission, its queued stage, the
+batch, plan and execute spans, and one span per simulated-device task.
+Spans are plain data; the clock, the sinks and the id minting live in
+:class:`~repro.obs.tracer.Tracer`.  Trace ids never leave the serve layer:
+a child names its parent span directly, and device tasks are parented on
+their execute span by the tracer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TraceContext", "Span"]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """What crosses a boundary: trace identity plus the parent span."""
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
+__all__ = ["Span"]
 
 
 @dataclass
@@ -43,10 +35,6 @@ class Span:
     end_s: float | None = None
     status: str = "ok"
     attrs: dict = field(default_factory=dict)
-
-    def context(self) -> TraceContext:
-        """This span as a propagation token (children parent onto it)."""
-        return TraceContext(self.trace_id, self.span_id, self.parent_id)
 
     @property
     def duration_s(self) -> float:

@@ -11,11 +11,12 @@ threshold -- the short window makes the alert responsive, the long window
 keeps a transient spike from paging.
 
 :class:`SLOMonitor` is always on (recording one event per request is two
-appends), while the tracer/recorder side effects only exist when those
-sinks are attached -- a tracing-off server records burn rates into the
-registry and nothing else.  Windows default to seconds (5 s / 30 s) rather
-than the production 5 m / 1 h, because a loadgen session lives seconds --
-the math is identical, only the horizon scales.
+appends), while the tracer side effects (the ``slo_breach`` event and
+flight dump) only exist when a tracer is attached -- a tracing-off server
+records burn rates into the registry and nothing else.  Windows default
+to seconds (5 s / 30 s) rather than the production 5 m / 1 h, because a
+loadgen session lives seconds -- the math is identical, only the horizon
+scales.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.metrics.registry import MetricsRegistry
-    from repro.obs.recorder import FlightRecorder
     from repro.obs.tracer import Tracer
 
 __all__ = ["SLOConfig", "BurnAlert", "SLOMonitor", "burn_rate"]
@@ -116,12 +116,10 @@ class SLOMonitor:
         config: SLOConfig | None = None,
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
-        recorder: "FlightRecorder | None" = None,
     ) -> None:
         self.config = config if config is not None else SLOConfig()
         self.registry = registry
         self.tracer = tracer
-        self.recorder = recorder
         self.alerts: list[BurnAlert] = []
         self.horizon_s = max(long_s for _, long_s in self.config.windows)
         self._events: deque[tuple[float, bool]] = deque()
@@ -196,8 +194,7 @@ class SLOMonitor:
                 attrs = alert.as_dict()
                 self.tracer.event("slo_breach", time_s=attrs.pop("time_s"),
                                   **attrs)
-            if self.recorder is not None:
-                self.recorder.trigger(
+                self.tracer.dump(
                     "slo_breach",
                     detail=(f"burn {alert.short_burn:.1f}x/"
                             f"{alert.long_burn:.1f}x over threshold "

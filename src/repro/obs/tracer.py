@@ -4,13 +4,15 @@ One :class:`Tracer` serves one serving session.  It mints deterministic
 ids (``itertools.count``, no randomness -- two identical runs produce
 identical trace files), timestamps with ``time.monotonic()`` (the same
 basis as the asyncio event loop's ``loop.time()``, so serve code can pass
-loop timestamps straight in), and fans every finished span and event out
-to three sinks:
+loop timestamps straight in), and records every finished span and event
+in one in-memory entry list (what :func:`repro.obs.export.check_completeness`
+and the tests consume), which :meth:`Tracer.flush` appends to an optional
+JSONL file (``--trace PATH``; one JSON object per line).
 
-* an in-memory entry list (what :func:`repro.obs.export.check_completeness`
-  and the tests consume),
-* an optional JSONL file (``--trace PATH``; one JSON object per line),
-* an optional :class:`~repro.obs.recorder.FlightRecorder` ring.
+Flight dumps are read from that same list: on a fault (``error``,
+``reject``, ``timeout``, ``slo_breach``) :meth:`Tracer.dump` freezes its
+last :data:`DUMP_ENTRIES` entries -- the context *around* a shed request
+or a p99 outlier -- into ``flightrec-<reason>.json`` beside the log.
 
 Entries are recorded on span *end* (finished spans only), so the log is
 completion-ordered; parents therefore usually appear after their children,
@@ -28,13 +30,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.obs.context import Span, TraceContext
+from repro.obs.context import Span
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.obs.recorder import FlightRecorder
     from repro.gpusim.trace import Task
 
-__all__ = ["TaskSpans", "Tracer"]
+__all__ = ["DUMP_ENTRIES", "TaskSpans", "Tracer"]
+
+# Trace entries a flight dump keeps: the tail of the log before the fault.
+DUMP_ENTRIES = 512
 
 # Device-task spans emitted per execute span; the rest are summarized.
 _MAX_TASK_SPANS = 2048
@@ -74,16 +78,14 @@ def _clean(value):
 class Tracer:
     """Mint, finish, and persist spans for one serving session."""
 
-    def __init__(
-        self,
-        log_path: "str | Path | None" = None,
-        recorder: "FlightRecorder | None" = None,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, log_path: "str | Path | None" = None,
+                 clock=time.monotonic) -> None:
         self.clock = clock
-        self.recorder = recorder
         self.log_path = Path(log_path) if log_path is not None else None
         self.entries: list[dict] = []
+        # Flight dumps by reason, and where each was written.
+        self.dumps: dict[str, dict] = {}
+        self.paths: dict[str, Path] = {}
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -96,7 +98,7 @@ class Tracer:
     def start_span(
         self,
         name: str,
-        parent: "Span | TraceContext | None" = None,
+        parent: "Span | None" = None,
         kind: str = "span",
         start_s: float | None = None,
         **attrs,
@@ -134,7 +136,7 @@ class Tracer:
     def record_span(
         self,
         name: str,
-        parent: "Span | TraceContext | None",
+        parent: "Span | None",
         start_s: float,
         end_s: float,
         kind: str = "span",
@@ -147,7 +149,7 @@ class Tracer:
                                start_s=start_s, **attrs)
         return self.end_span(span, end_s=end_s, status=status)
 
-    def event(self, name: str, ctx: "Span | TraceContext | None" = None,
+    def event(self, name: str, ctx: "Span | None" = None,
               time_s: float | None = None, **attrs) -> dict:
         """Record a point-in-time event, optionally bound to a trace."""
         entry = {
@@ -196,8 +198,33 @@ class Tracer:
     def _record(self, entry: dict) -> None:
         with self._lock:
             self.entries.append(entry)
-        if self.recorder is not None:
-            self.recorder.note(entry)
+
+    def dump(self, reason: str, detail: str = "",
+             trace_id: str | None = None, request_id: int | None = None,
+             time_s: float | None = None) -> dict | None:
+        """Freeze the last :data:`DUMP_ENTRIES` entries for ``reason``;
+        returns the dump, or ``None`` if this reason already fired.
+
+        Each reason fires at most once per tracer: the first reject is the
+        interesting one; later ones would only bury its context.
+        """
+        with self._lock:
+            if reason in self.dumps:
+                return None
+            dump = {
+                "reason": reason,
+                "detail": detail,
+                "trace_id": trace_id,
+                "request_id": request_id,
+                "time_s": time_s,
+                "entries": self.entries[-DUMP_ENTRIES:],
+            }
+            self.dumps[reason] = dump
+        if self.log_path is not None:
+            path = self.log_path.parent / f"flightrec-{reason}.json"
+            path.write_text(json.dumps(dump, indent=1))
+            self.paths[reason] = path
+        return dump
 
     def flush(self) -> None:
         """Append entries recorded since the last flush to the JSONL file."""

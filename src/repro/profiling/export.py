@@ -79,8 +79,6 @@ def chrome_trace(collector: TraceCollector,
         if r.atomics_compulsory or r.atomics_conflict:
             args["atomics_compulsory"] = r.atomics_compulsory
             args["atomics_conflict"] = r.atomics_conflict
-        if r.trace is not None:
-            args["trace_id"], args["parent_span"] = r.trace
         events.append({
             "ph": "X", "pid": _PID, "tid": r.worker,
             "name": _task_name(r, names),

@@ -456,13 +456,9 @@ def run_scenario(
 
     tracer = None
     if trace_path is not None:
-        from pathlib import Path
+        from repro.obs import Tracer
 
-        from repro.obs import FlightRecorder, Tracer
-
-        tp = Path(trace_path)
-        tracer = Tracer(log_path=tp,
-                        recorder=FlightRecorder(out_dir=tp.parent or Path(".")))
+        tracer = Tracer(log_path=trace_path)
 
     server = InferenceServer(list(graphs.values()), spec=spec, config=config,
                              tracer=tracer)

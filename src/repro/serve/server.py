@@ -247,15 +247,14 @@ class InferenceServer:
             PriorityClass(name="standard", rank=0, batching=config.batching),)
         self.classes: dict[str, PriorityClass] = {c.name: c for c in classes}
         self.default_class = config.default_class or classes[0].name
-        # Observability: the tracer (and its flight recorder) are optional;
+        # Observability: the tracer (and its flight dumps) are optional;
         # the SLO monitor is always on -- recording one outcome per request
         # is two appends, and burn rates belong in every manifest.
         self.tracer = tracer
-        self.recorder = tracer.recorder if tracer is not None else None
         self.slo = SLOMonitor(
             SLOConfig(objective=config.slo_objective,
                       latency_target_s=config.slo_latency_target_s),
-            registry=self.registry, tracer=tracer, recorder=self.recorder)
+            registry=self.registry, tracer=tracer)
         if config.functional:
             for g in graphs:
                 g.init_weights()
@@ -453,11 +452,10 @@ class InferenceServer:
                 f"request {req.request_id}: admission queue full "
                 f"({self.config.queue_depth}); retry later",
                 request_id=req.request_id, trace_id=req.trace_id)
-        if self.recorder is not None:
-            self.recorder.trigger("reject", detail=str(error),
-                                  trace_id=req.trace_id,
-                                  request_id=req.request_id, time_s=now_s)
         if self.tracer is not None:
+            self.tracer.dump("reject", detail=str(error),
+                             trace_id=req.trace_id,
+                             request_id=req.request_id, time_s=now_s)
             self.tracer.event("reject", ctx=req.trace,
                               request_id=req.request_id, reason=outcome.reason,
                               queue_depth=self.config.queue_depth)
@@ -517,8 +515,7 @@ class InferenceServer:
                     self.tracer.event(
                         "timeout", ctx=req.trace, request_id=req.request_id,
                         queued_s=round(now - req.enqueued_s, 6), device=index)
-                if self.recorder is not None:
-                    self.recorder.trigger(
+                    self.tracer.dump(
                         "timeout",
                         detail=(f"request {req.request_id}: deadline lapsed "
                                 f"after {now - req.enqueued_s:.4f}s queued"),
@@ -558,8 +555,8 @@ class InferenceServer:
                     self.tracer.end_span(span, end_s=now, status="error")
             for req in batch:
                 self._finish(req, FAILED, now, error=exc)
-            if self.recorder is not None:
-                self.recorder.trigger(
+            if self.tracer is not None:   # after _finish: holds the closed roots
+                self.tracer.dump(
                     "error",
                     detail=(f"batch on device {device} failed serving "
                             f"request(s) {request_ids}: {exc!r}"),
@@ -770,9 +767,8 @@ class InferenceServer:
             # Counts depend on the plan alone, never on the values, so a
             # functional entry simulates once; a profile batch has nothing
             # else to do.
-            result = entry.engine.run(
-                device=Device(entry.device_spec), plan=entry.plan,
-                trace_ctx=exec_span.context() if exec_span is not None else None)
+            result = entry.engine.run(device=Device(entry.device_spec),
+                                      plan=entry.plan)
             # Threads racing on a cold entry store equal counts; sim_time_s
             # goes last because the test above reads it.
             if self.tracer is not None:

@@ -10,7 +10,6 @@ import pytest
 
 from repro.metrics import MetricsRegistry
 from repro.obs import (
-    FlightRecorder,
     Tracer,
     check_completeness,
     list_traces,
@@ -21,6 +20,7 @@ from repro.obs import (
     run_top,
 )
 from repro.obs.context import Span
+from repro.obs import tracer as tracer_module
 from repro.obs.slo import SLOConfig, SLOMonitor, burn_rate
 from repro.serve import InferenceServer, QueueSaturatedError, ServeConfig, loadgen
 from repro.serve.loadgen import LATENCY_CSV_COLUMNS, run_loadgen
@@ -33,11 +33,21 @@ def traced_server(tmp_path, **overrides):
     graph = small_chain_graph(name="obs_chain")
     overrides.setdefault("functional", False)
     overrides.setdefault("max_wait_s", 0.005)
-    tracer = Tracer(log_path=tmp_path / "spans.jsonl",
-                    recorder=FlightRecorder(out_dir=tmp_path))
+    tracer = Tracer(log_path=tmp_path / "spans.jsonl")
     server = InferenceServer(graph, config=ServeConfig(**overrides),
                              tracer=tracer)
     return server, tracer
+
+
+def assert_log_slice(dump, entries):
+    """A flight dump's entries are one contiguous run of the tracer's log:
+    its last ``DUMP_ENTRIES`` entries when taken, all of it if shorter."""
+    got = dump["entries"]
+    start = (0 if len(got) < tracer_module.DUMP_ENTRIES
+             else next(i for i, e in enumerate(entries) if e is got[0]))
+    window = entries[start:start + len(got)]
+    assert len(window) == len(got)
+    assert all(a is b for a, b in zip(window, got))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +226,16 @@ def test_traced_responses_carry_trace_ids(tmp_path):
 # flight recorder
 # ---------------------------------------------------------------------------
 
-def test_flight_recorder_fires_exactly_once_per_reason(tmp_path):
-    rec = FlightRecorder(capacity=3, out_dir=tmp_path)
+def test_flight_recorder_fires_exactly_once_per_reason(tmp_path, monkeypatch):
+    monkeypatch.setattr(tracer_module, "DUMP_ENTRIES", 3)
+    tracer = Tracer(log_path=tmp_path / "spans.jsonl")
     for i in range(5):
-        rec.note({"type": "event", "name": f"e{i}"})
-    dump = rec.trigger("timeout", detail="first", trace_id="t1", request_id=9)
+        tracer.event(f"e{i}")
+    dump = tracer.dump("timeout", detail="first", trace_id="t1", request_id=9)
     assert dump is not None
-    assert [e["name"] for e in dump["entries"]] == ["e2", "e3", "e4"]  # ring
-    assert rec.trigger("timeout", detail="second") is None   # exactly once
-    assert rec.trigger("error") is not None                  # other reasons ok
+    assert [e["name"] for e in dump["entries"]] == ["e2", "e3", "e4"]  # tail
+    assert tracer.dump("timeout", detail="second") is None   # exactly once
+    assert tracer.dump("error") is not None                  # other reasons ok
 
     on_disk = json.loads((tmp_path / "flightrec-timeout.json").read_text())
     assert on_disk == dump      # the dump round-trips through JSON
@@ -251,10 +262,11 @@ def test_reject_names_the_offending_request(tmp_path):
     assert f"request {err.request_id}" in str(err)
     assert err.trace_id is not None
     # The flight recorder froze context for the *first* reject, by name.
-    dump = server.recorder.dumps["reject"]
+    dump = server.tracer.dumps["reject"]
     assert dump["request_id"] is not None
     assert str(dump["request_id"]) in dump["detail"]
     assert (tmp_path / "flightrec-reject.json").exists()
+    assert_log_slice(dump, tracer.entries)
     # Rejected request's root span closed with the rejection status.
     rejected_roots = [e for e in tracer.entries
                       if e["type"] == "span" and e["status"] == "rejected"]
@@ -271,7 +283,7 @@ def test_timeout_path_marks_deadline_and_dumps(tmp_path):
     responses = asyncio.run(scenario())
     assert all(r.timed_out and r.degraded for r in responses)
     assert all(not r.deadline_met for r in responses)
-    assert "timeout" in server.recorder.dumps
+    assert "timeout" in server.tracer.dumps
     assert (tmp_path / "flightrec-timeout.json").exists()
     events = [e for e in tracer.entries if e["type"] == "event"]
     assert any(e["name"] == "timeout" for e in events)
@@ -298,8 +310,9 @@ def test_straggler_device_trips_burn_alert_and_flight_dump(tmp_path):
     assert slo["attainment"] < 0.5          # straggler made latencies bad
     assert slo["alerts_fired"] >= 1
     assert slo["alerts"][0]["short_burn"] > slo["threshold"]
-    assert "slo_breach" in server.recorder.dumps
+    assert "slo_breach" in server.tracer.dumps
     assert (tmp_path / "flightrec-slo_breach.json").exists()
+    assert_log_slice(server.tracer.dumps["slo_breach"], tracer.entries)
     assert any(e["type"] == "event" and e["name"] == "slo_breach"
                for e in tracer.entries)
     assert server.registry.counter("slo_burn_alerts").value >= 1
@@ -311,7 +324,7 @@ def test_healthy_run_fires_no_alert(tmp_path):
     slo = server.stats()["slo"]
     assert slo["attainment"] == 1.0
     assert slo["alerts_fired"] == 0
-    assert "slo_breach" not in server.recorder.dumps
+    assert "slo_breach" not in server.tracer.dumps
 
 
 def test_latency_exemplars_link_histograms_to_traces(tmp_path):

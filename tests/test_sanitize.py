@@ -126,11 +126,6 @@ class TestVectorClocks:
         c = hb.begin_task(2, [])
         assert c.dominates(0, e0) and c.dominates(1, e1)
 
-    def test_missing_acquire_is_tracked(self):
-        hb = HBState()
-        hb.begin_task(0, [("never-released",)])
-        assert ("never-released",) in hb.missing_acquires
-
 
 class TestAccessIntervals:
     def test_contiguous(self):

@@ -529,10 +529,9 @@ def _fail_engine_runs(monkeypatch, should_fail):
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_failed_batch_is_accounted_once_and_server_keeps_serving(
         traced, tmp_path, monkeypatch):
-    from repro.obs import FlightRecorder, Tracer, check_completeness
+    from repro.obs import Tracer, check_completeness
 
-    tracer = (Tracer(recorder=FlightRecorder(out_dir=tmp_path))
-              if traced else None)
+    tracer = Tracer(log_path=tmp_path / "spans.jsonl") if traced else None
     server = InferenceServer(
         small_chain_graph(name="serve_fail"), tracer=tracer,
         config=ServeConfig(devices=1, max_batch=4, functional=False,
@@ -589,8 +588,13 @@ def test_failed_batch_is_accounted_once_and_server_keeps_serving(
                   if e["type"] == "event" and e["name"] == "error"]
         assert len(errors) == 1                     # one failed batch
         # ... and one flight dump for it, naming the batch's head request.
-        assert server.recorder.dumps["error"]["request_id"] == 0
+        dump = server.tracer.dumps["error"]
+        assert dump["request_id"] == 0
         assert (tmp_path / "flightrec-error.json").exists()
+        # Taken after the batch's requests resolved: it holds their roots.
+        dumped = [e for e in dump["entries"] if e["type"] == "span"
+                  and e["kind"] == "request" and e["status"] == "error"]
+        assert len(dumped) == 4
 
 
 def test_mixed_outcomes_each_request_reaches_the_terminal_once(monkeypatch):
