@@ -29,7 +29,7 @@ from repro.bench.harness import run_brickdl, run_conventional, scale_preset
 from repro.bench.proxies import six_layer_proxy, three_layer_proxy
 from repro.bench.reporting import BreakdownRow, format_breakdowns, format_table
 from repro.core.engine import BrickDLEngine
-from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
+from repro.core.perfmodel import PerfModelConfig
 from repro.core.plan import Strategy
 from repro.graph.traversal import materialize_subgraph
 from repro.gpusim.spec import A100, GPUSpec
@@ -154,14 +154,13 @@ def fig8_resnet_case_study(
     spec: GPUSpec = A100,
     scale: str | None = None,
     num_subgraphs: int = 7,
-    config: PerfModelConfig = DEFAULT_CONFIG,
     manifest_dir: "str | os.PathLike | None" = None,
 ) -> FigureResult:
     """First ``num_subgraphs`` merged ResNet-50 subgraphs under
     cuDNN / padded / memoized (each subgraph run in isolation)."""
     scale = scale or scale_preset()
     graph = zoo.MODELS["resnet50"](image_size=_FIG8_SIZE[scale])
-    plan = BrickDLEngine(graph, spec=spec, config=config).compile()
+    plan = BrickDLEngine(graph, spec=spec).compile()
     merged = [s for s in plan.subgraphs if s.is_merged][:num_subgraphs]
 
     groups: dict[str, list[BreakdownRow]] = {}

@@ -27,11 +27,11 @@ from typing import TYPE_CHECKING
 
 from repro.bench.reporting import BreakdownRow
 from repro.core.engine import BrickDLEngine
+# adapt_sectors is re-exported: benchmark workloads that build their own
+# Device import it from here.
 from repro.core.plan import ExecutionPlan, Strategy, adapt_sectors
-from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
 from repro.baselines.conventional import ConventionalExecutor
 from repro.graph.ir import Graph
-from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 
 if TYPE_CHECKING:  # pragma: no cover - types only (repro.serve is imported lazily)
@@ -54,39 +54,31 @@ def scale_preset() -> str:
 def run_brickdl(
     graph: Graph,
     spec: GPUSpec = A100,
-    config: PerfModelConfig = DEFAULT_CONFIG,
     strategy: Strategy | None = None,
     brick: int | None = None,
     layer_schedule: tuple[int, ...] | None = None,
     label: str | None = None,
     trace: "str | os.PathLike | None" = None,
-    verify: bool = False,
     manifest: "str | os.PathLike | None" = None,
 ) -> tuple[BreakdownRow, ExecutionPlan]:
     """Profile one BrickDL configuration; returns (row, plan).
 
     ``trace`` optionally names a file to receive the run's task timeline as
-    Chrome-trace/Perfetto JSON (see :mod:`repro.profiling`).  ``verify``
-    turns on the engine's strict mode: the compiled plan is checked against
-    the analysis passes (:mod:`repro.analysis`) and the run's trace is
-    replay-verified, so a benchmark number can only come from a run the
-    checkers accept.  ``manifest`` optionally names a file to receive the
-    run's :class:`~repro.metrics.RunManifest` (spec + plan digest + full
-    metric dump), the record the perf-diff gate compares across commits.
+    Chrome-trace/Perfetto JSON (see :mod:`repro.profiling`).  ``manifest``
+    optionally names a file to receive the run's
+    :class:`~repro.metrics.RunManifest` (spec + plan digest + full metric
+    dump), the record the perf-diff gate compares across commits.
     """
     engine = BrickDLEngine(
         graph,
         spec=spec,
-        config=config,
         strategy_override=strategy,
         brick_override=brick,
         layer_schedule=layer_schedule,
-        strict=verify,
     )
     plan = engine.compile()
-    device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
-    result = engine.run(device=device, plan=plan)
+    result = engine.run(plan=plan)
     sim_wall_s = time.perf_counter() - t0
     if trace is not None:
         from repro.profiling import write_chrome_trace
@@ -98,7 +90,7 @@ def run_brickdl(
         from repro.metrics import manifest_from_result
 
         manifest_from_result(
-            graph.name, result, device.spec, label=name, scale=scale_preset(),
+            graph.name, result, result.spec, label=name, scale=scale_preset(),
             wall={"sim_wall_s": round(sim_wall_s, 4)},
         ).save(manifest)
     return BreakdownRow.from_metrics(name, result.metrics), plan
@@ -107,8 +99,6 @@ def run_brickdl(
 def record_bench_manifest(
     model: str,
     out_dir: "str | os.PathLike" = ".",
-    spec: GPUSpec = A100,
-    config: PerfModelConfig = DEFAULT_CONFIG,
     strategy: Strategy | None = None,
     brick: int | None = None,
     label: str | None = None,
@@ -130,17 +120,15 @@ def record_bench_manifest(
     from repro.models import zoo
 
     graph = zoo.build(model, **build_kwargs)
-    engine = BrickDLEngine(graph, spec=spec, config=config,
-                           strategy_override=strategy, brick_override=brick)
+    engine = BrickDLEngine(graph, strategy_override=strategy, brick_override=brick)
     plan = engine.compile(optimize=optimize or rules is not None, rules=rules)
-    device = Device(adapt_sectors(spec, plan))
     t0 = time.perf_counter()
-    result = engine.run(device=device, plan=plan)
+    result = engine.run(plan=plan)
     sim_wall_s = time.perf_counter() - t0
     if label is None:
         label = strategy.value if strategy else ""
     manifest = manifest_from_result(
-        model, result, device.spec, label=label, scale=scale_preset(),
+        model, result, result.spec, label=label, scale=scale_preset(),
         build_args=build_kwargs,
         wall={"sim_wall_s": round(sim_wall_s, 4)},
         rewrite=(engine.rewrite_report.manifest_dict()
@@ -159,7 +147,6 @@ def run_serve_loadgen(
     concurrency: int = 8,
     seed: int = 0,
     verify: int = 0,
-    spec: GPUSpec = A100,
     manifest: "str | os.PathLike | None" = None,
     trace: "str | os.PathLike | None" = None,
     latency_csv: "str | os.PathLike | None" = None,
@@ -189,7 +176,7 @@ def run_serve_loadgen(
         from repro.obs import Tracer
 
         tracer = Tracer(log_path=trace)
-    server = InferenceServer(graph, spec=spec, config=config, tracer=tracer)
+    server = InferenceServer(graph, config=config, tracer=tracer)
     report = loadgen(server, requests=requests, mode=mode, rate=rate,
                      concurrency=concurrency, seed=seed, verify=verify,
                      latency_csv=latency_csv)

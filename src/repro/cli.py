@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.plan import adapt_sectors
 from repro.gpusim.spec import A100
 
 
@@ -64,14 +63,11 @@ def cmd_plan(args) -> int:
 
 def cmd_run(args) -> int:
     from repro.core.engine import BrickDLEngine
-    from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
 
     graph = _build_model(args)
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
-    plan = engine.compile()
-    device = Device(adapt_sectors(A100, plan))
-    result = engine.run(device=device, plan=plan)
+    result = engine.run()
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     if args.per_subgraph:
         print()
@@ -92,15 +88,12 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.core.engine import BrickDLEngine
-    from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
     from repro.profiling import write_chrome_trace, write_summary_csv
 
     graph = _build_model(args)
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
-    plan = engine.compile()
-    device = Device(adapt_sectors(A100, plan))
-    result = engine.run(device=device, plan=plan)
+    result = engine.run()
     trace = result.trace
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     print()
@@ -125,15 +118,13 @@ def _sanitized_run(graph, plan, strategy, brick):
     import numpy as np
 
     from repro.core.engine import BrickDLEngine
-    from repro.gpusim.device import Device
 
     engine = BrickDLEngine(graph, strategy_override=strategy,
                            brick_override=brick, sanitize=True)
-    device = Device(adapt_sectors(A100, plan))
     rng = np.random.default_rng(0)
     inputs = {n.name: rng.standard_normal(n.spec.shape).astype(n.spec.dtype)
               for n in graph.input_nodes}
-    return engine.run(inputs, device=device, plan=plan)
+    return engine.run(inputs, plan=plan)
 
 
 def cmd_sanitize(args) -> int:
@@ -185,10 +176,7 @@ def cmd_lint(args) -> int:
         doc = json.loads(pathlib.Path(args.replay).read_text())
         report.extend(replay_trace(plan, replay_tasks_from_chrome_trace(doc)))
     elif args.run:
-        from repro.gpusim.device import Device
-
-        device = Device(adapt_sectors(A100, plan))
-        result = engine.run(device=device, plan=plan)
+        result = engine.run(plan=plan)
         report.extend(replay_trace(plan, result.trace.records))
     if args.sanitize:
         result = _sanitized_run(graph, plan, strategy, args.brick)

@@ -43,7 +43,7 @@ from repro.core.perfmodel import (
     choose_strategy,
     parallelism,
 )
-from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
+from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan, adapt_sectors
 from repro.errors import ExecutionError, PlanError
 from repro.graph.ir import Graph, Node
 from repro.graph.regions import Region
@@ -72,6 +72,7 @@ class EngineResult:
     outputs: dict[str, np.ndarray] | None
     metrics: RunMetrics
     plan: ExecutionPlan
+    spec: GPUSpec   # of the device the run was counted on
     per_subgraph: list[dict] = field(default_factory=list)
     trace: "TraceCollector | None" = None
     # When the engine ran with ``sanitize=True``: the execution sanitizer's
@@ -347,11 +348,12 @@ class BrickDLEngine:
         device: Device | None = None,
         plan: ExecutionPlan | None = None,
     ) -> EngineResult:
-        """Simulate ``plan`` (compiled if None) on ``device`` (a fresh one if
-        None).  ``functional`` (default: ``inputs`` were given): the result
-        also carries :meth:`values`' outputs, computed first, so a graph they
-        refuse or a bad input fails before the first task; the counted run
-        is the same either way."""
+        """Simulate ``plan`` (compiled if None) on ``device``, by default a
+        fresh one whose L2 sector matches the plan's bricks
+        (:func:`~repro.core.plan.adapt_sectors`).  ``functional`` (default:
+        ``inputs`` were given): the result also carries :meth:`values`'
+        outputs, computed first, so a graph they refuse or a bad input fails
+        before the first task; the counted run is the same either way."""
         # Imported here: repro.baselines also consumes repro.core (handles),
         # so the engine pulls the shared tiled machinery in lazily.
         from repro.baselines.tiled import allocate_weights
@@ -359,7 +361,8 @@ class BrickDLEngine:
 
         graph = self.graph
         plan = plan if plan is not None else self.compile()
-        device = device if device is not None else Device(self.spec)
+        if device is None:
+            device = Device(adapt_sectors(self.spec, plan))
         device.metrics_registry.set_base(model=graph.name)
         collector = next((o for o in device.observers if isinstance(o, TraceCollector)), None)
         if collector is None:
@@ -427,7 +430,7 @@ class BrickDLEngine:
         return EngineResult(outputs=outputs, metrics=metrics, plan=plan,
                             per_subgraph=collector.per_subgraph(len(plan.subgraphs)),
                             trace=collector, sanitizer_report=san_report,
-                            registry=device.metrics_registry)
+                            registry=device.metrics_registry, spec=device.spec)
 
     def values(self, inputs: Mapping[str, np.ndarray] | np.ndarray,
                plan: ExecutionPlan | None = None,

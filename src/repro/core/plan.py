@@ -95,8 +95,9 @@ def adapt_sectors(spec: GPUSpec, plan: ExecutionPlan) -> GPUSpec:
     (``tests/test_bench.py`` pins that over the zoo); ``l2_txns`` does, by a
     few percent: it is charged per L1 miss, and whether a re-read inside a
     task hits L1 is judged per (adapted) L1 sector.  Compare L2 counts only
-    between runs on the same spec.  Clamped so degenerate plans cannot
-    produce absurd sectors.
+    between runs on the same spec; ``BrickDLEngine.run`` counts on this one
+    when it is given no device.  Clamped so degenerate plans cannot produce
+    absurd sectors.
     """
     brick_bytes = []
     for sub in plan.subgraphs:

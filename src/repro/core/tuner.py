@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import BrickDLEngine
 from repro.core.perfmodel import DEFAULT_CONFIG, PerfModelConfig
-from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan, adapt_sectors
+from repro.core.plan import ExecutionPlan, Strategy, SubgraphPlan
 from repro.graph.ir import Graph
 from repro.graph.traversal import materialize_subgraph
-from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 
 __all__ = ["TunedChoice", "TuningReport", "tune_plan"]
@@ -113,10 +112,7 @@ def _profile_subgraph(
         strategy_override=strategy, brick_override=brick,
         layer_schedule=(len(sub.subgraph),),
     )
-    plan = engine.compile()
-    device = Device(adapt_sectors(spec, plan))
-    result = engine.run(device=device, plan=plan)
-    return result.metrics.total_time
+    return engine.run().metrics.total_time
 
 
 def tune_plan(

@@ -170,17 +170,15 @@ def _context_warnings(base: "RunManifest", new: "RunManifest") -> list[str]:
 
 
 def diff_manifests(base: "RunManifest", new: "RunManifest",
-                   tolerances: Mapping[str, float] | None = None,
-                   base_label: str | None = None,
-                   new_label: str | None = None) -> DiffReport:
+                   tolerances: Mapping[str, float] | None = None) -> DiffReport:
     """Compare two manifests; ``tolerances`` overrides/extends the defaults."""
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tols.update(tolerances)
 
     report = DiffReport(
-        base_label=base_label or base.summary().split(":")[0],
-        new_label=new_label or new.summary().split(":")[0],
+        base_label=base.summary().split(":")[0],
+        new_label=new.summary().split(":")[0],
         warnings=_context_warnings(base, new),
     )
     flat_base = flatten_metrics(base.metrics)

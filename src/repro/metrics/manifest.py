@@ -255,7 +255,6 @@ def manifest_from_serve(
     serve_stats: Mapping | None = None,
     label: str = "serve",
     scale: str | None = None,
-    build_args: Mapping | None = None,
 ) -> RunManifest:
     """Build the manifest for one serving session.
 
@@ -273,7 +272,6 @@ def manifest_from_serve(
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         git_sha=git_sha(),
         scale=scale,
-        build_args=dict(build_args or {}),
         spec=spec_dict(spec),
         plan={"cached": [dict(p) for p in cached_plans]},
         metrics={"serve": dict(serve_stats or {})},

@@ -203,12 +203,11 @@ class SLOMonitor:
                     trace_id=trace_id, time_s=alert.time_s)
         return fired
 
-    def stats(self, now_s: float | None = None) -> dict:
+    def stats(self) -> dict:
         """The ``metrics.serve.slo`` block of the serving manifest."""
-        if now_s is None:
-            # Latest event time: stats after the loop closed must not need a
-            # live clock on the same basis.
-            now_s = self._events[-1][0] if self._events else 0.0
+        # Latest event time: stats after the loop closed must not need a
+        # live clock on the same basis.
+        now_s = self._events[-1][0] if self._events else 0.0
         return {
             "objective": self.config.objective,
             "latency_target_s": self.config.latency_target_s,

@@ -140,14 +140,13 @@ class Tracer:
         start_s: float,
         end_s: float,
         kind: str = "span",
-        status: str = "ok",
         **attrs,
     ) -> Span:
         """Record a retroactive span whose window is already known (e.g. the
         ``queued`` stage, reconstructed at resolve time)."""
         span = self.start_span(name, parent=parent, kind=kind,
                                start_s=start_s, **attrs)
-        return self.end_span(span, end_s=end_s, status=status)
+        return self.end_span(span, end_s=end_s)
 
     def event(self, name: str, ctx: "Span | None" = None,
               time_s: float | None = None, **attrs) -> dict:

@@ -12,7 +12,7 @@ Typical use (the engine attaches the collector; ``result.trace`` is it)::
 
     from repro.profiling import write_chrome_trace
 
-    result = engine.run()   # no inputs: counts only, no values
+    result = engine.run()   # no inputs: counts only, on the plan's device
     write_chrome_trace(result.trace, "run.json",
                        names={n.node_id: n.name for n in graph.nodes})
 

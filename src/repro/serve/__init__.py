@@ -23,7 +23,7 @@ Entry points: :class:`InferenceServer` (async API), :func:`loadgen` /
 
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig, DevicePool, ScaleEvent
 from repro.serve.loadgen import LoadgenReport, loadgen, run_loadgen
-from repro.serve.plancache import CachePartition, CompiledEntry, PlanCache, PlanKey
+from repro.serve.plancache import CompiledEntry, PlanCache, PlanKey
 from repro.serve.request import (
     InferenceRequest,
     InferenceResponse,
@@ -39,7 +39,7 @@ from repro.serve.vtime import VirtualTimeLoop, run_virtual
 __all__ = [
     "InferenceServer", "ServeConfig",
     "PriorityClass", "AdmissionQueue", "FleetBatcher", "batch_bucket",
-    "PlanCache", "PlanKey", "CompiledEntry", "CachePartition",
+    "PlanCache", "PlanKey", "CompiledEntry",
     "AutoscalerConfig", "Autoscaler", "DevicePool", "ScaleEvent",
     "InferenceRequest", "InferenceResponse",
     "QueueSaturatedError", "TenantQuotaError", "ServerClosedError",

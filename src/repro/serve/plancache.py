@@ -9,9 +9,9 @@ bucket* and reuses the plan for every batch that lands in the bucket.
 A fleet holds many models, and one model's compile storm must not evict
 another's hot plans -- so the cache is *partitioned by model*: each
 partition is its own LRU of the same capacity, and eviction never
-crosses a partition boundary.  Aggregate ``hits``/``misses``/``evictions``
-stay available for the single-model manifest shape, while per-partition
-counters land in the registry under a ``partition`` label.
+crosses a partition boundary.  The registry is the one tally: every hit,
+miss and eviction bumps an aggregate series (the single-model manifest
+shape) and the same series per partition, under a ``partition`` label.
 
 Cache keys digest everything that determines the compiled artifact --
 ``(model, batch_bucket, GPUSpec, strategy/brick override)`` -- and each
@@ -26,7 +26,7 @@ import hashlib
 import json
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.metrics.registry import MetricsRegistry
     from repro.obs.tracer import TaskSpans
 
-__all__ = ["PlanKey", "CompiledEntry", "CachePartition", "PlanCache"]
+__all__ = ["PlanKey", "CompiledEntry", "PlanCache"]
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,12 @@ class CompiledEntry:
     engine: "BrickDLEngine"
     plan: "ExecutionPlan"
     plan_digest: str
-    # Device spec with cache-sector granularity adapted to this plan's
-    # bricks (what executions of this entry should run against).
-    device_spec: "GPUSpec" = None
     uses: int = 0
     # Wall-clock seconds the compile took (0.0 until measured); surfaced in
     # manifests and the per-stage breakdown, never diffed (wall time).
     compile_s: float = 0.0
     # What a simulated execution of the plan counted (None until one ran):
-    # a pure function of (plan, device_spec), so later executions that need
+    # a pure function of the plan, so later executions that need
     # only values reuse it.  ``task_spans`` is kept on traced servers only.
     sim_time_s: float | None = None
     num_tasks: int = 0
@@ -102,50 +99,27 @@ class CompiledEntry:
 
 
 @dataclass
-class CachePartition:
-    """One model's slice of the plan cache: an isolated LRU."""
-
-    name: str
-    capacity: int
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: "OrderedDict[str, CompiledEntry]" = field(default_factory=OrderedDict)
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "capacity": self.capacity,
-            "size": len(self.entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": self.hits / total if total else 0.0,
-        }
-
-
-@dataclass
 class PlanCache:
     """Partitioned LRU cache of :class:`CompiledEntry`, worker-thread safe.
 
     ``capacity`` is the *per-partition* size every model gets; eviction is
     strictly intra-partition, so model A filling its partition can never
-    push model B's plans out.  The
-    aggregate ``hits``/``misses``/``evictions`` properties sum partitions
-    (the single-model shape is the one-partition special case).
+    push model B's plans out.
 
-    ``registry`` (optional) receives the aggregate ``serve_plan_cache_
+    ``registry`` holds the only tallies: the aggregate ``serve_plan_cache_
     {hits,misses,evictions}`` counters and ``serve_plan_cache_size`` gauge,
-    plus the same per-partition under ``serve_plan_cache_partition_*``
+    plus the same per partition under ``serve_plan_cache_partition_*``
     with a ``partition`` label.  ``timer`` measures compile seconds
     (injectable: virtual-time servers pin it so manifests stay
     bit-deterministic).
     """
 
+    registry: "MetricsRegistry"
     capacity: int = 16
-    registry: "MetricsRegistry | None" = None
     timer: Callable[[], float] = time.perf_counter
-    _partitions: "OrderedDict[str, CachePartition]" = field(default_factory=OrderedDict)
+    # One LRU per model, created on first touch.
+    _partitions: "defaultdict[str, OrderedDict[str, CompiledEntry]]" = field(
+        default_factory=lambda: defaultdict(OrderedDict))
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _compile_locks: dict = field(default_factory=dict, repr=False)
 
@@ -154,68 +128,49 @@ class PlanCache:
             raise ValueError(f"cache capacity must be >= 1, got {self.capacity}")
 
     def __len__(self) -> int:
-        return sum(len(p.entries) for p in self._partitions.values())
-
-    # -- aggregates (the single-model manifest shape) -----------------------
-    @property
-    def hits(self) -> int:
-        return sum(p.hits for p in self._partitions.values())
-
-    @property
-    def misses(self) -> int:
-        return sum(p.misses for p in self._partitions.values())
-
-    @property
-    def evictions(self) -> int:
-        return sum(p.evictions for p in self._partitions.values())
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def partition(self, model: str) -> CachePartition:
-        """The model's partition, created on first touch."""
-        part = self._partitions.get(model)
-        if part is None:
-            part = self._partitions[model] = CachePartition(model, self.capacity)
-        return part
+        return sum(len(p) for p in self._partitions.values())
 
     def partition_stats(self) -> dict[str, dict]:
+        """Each model's LRU size and tallies, read off the registry with
+        ``total`` (a read that creates no series)."""
+        out = {}
         with self._lock:
-            return {name: p.stats()
-                    for name, p in sorted(self._partitions.items())}
+            for model, entries in sorted(self._partitions.items()):
+                hits, misses, evictions = (
+                    int(self.registry.total(f"serve_plan_cache_partition_{event}",
+                                            partition=model))
+                    for event in ("hits", "misses", "evictions"))
+                out[model] = {
+                    "capacity": self.capacity, "size": len(entries),
+                    "hits": hits, "misses": misses, "evictions": evictions,
+                    "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
+                }
+        return out
 
     # -- lookup / insert ----------------------------------------------------
     def get(self, key: PlanKey) -> CompiledEntry | None:
         digest = key.digest()
         with self._lock:
-            part = self.partition(key.model)
-            entry = part.entries.get(digest)
+            part = self._partitions[key.model]
+            entry = part.get(digest)
             if entry is None:
-                part.misses += 1
-                self._count("serve_plan_cache_misses")
-                self._count("serve_plan_cache_partition_misses", part.name)
+                self._count("misses", key.model)
                 return None
-            part.entries.move_to_end(digest)
+            part.move_to_end(digest)
             entry.uses += 1
-            part.hits += 1
-            self._count("serve_plan_cache_hits")
-            self._count("serve_plan_cache_partition_hits", part.name)
+            self._count("hits", key.model)
             return entry
 
     def put(self, entry: CompiledEntry) -> None:
         digest = entry.key.digest()
         with self._lock:
-            part = self.partition(entry.key.model)
-            part.entries[digest] = entry
-            part.entries.move_to_end(digest)
-            while len(part.entries) > part.capacity:
-                part.entries.popitem(last=False)
-                part.evictions += 1
-                self._count("serve_plan_cache_evictions")
-                self._count("serve_plan_cache_partition_evictions", part.name)
-            self._gauge("serve_plan_cache_size", len(self))
+            part = self._partitions[entry.key.model]
+            part[digest] = entry
+            part.move_to_end(digest)
+            while len(part) > self.capacity:
+                part.popitem(last=False)
+                self._count("evictions", entry.key.model)
+            self.registry.gauge("serve_plan_cache_size").set(len(self))
 
     def get_or_compile(self, key: PlanKey,
                        compile_fn: Callable[[PlanKey], CompiledEntry]) -> tuple[CompiledEntry, bool]:
@@ -236,8 +191,7 @@ class PlanCache:
             t0 = self.timer()
             entry = compile_fn(key)
             entry.compile_s = self.timer() - t0
-            if self.registry is not None:
-                self.registry.counter("serve_plan_compile_s").inc(entry.compile_s)
+            self.registry.counter("serve_plan_compile_s").inc(entry.compile_s)
             self.put(entry)
             return entry, False
 
@@ -246,12 +200,10 @@ class PlanCache:
         with self._lock:
             return [e.describe()
                     for _, part in sorted(self._partitions.items())
-                    for e in part.entries.values()]
+                    for e in part.values()]
 
-    def _count(self, name: str, partition: str | None = None) -> None:
-        if self.registry is not None:
-            self.registry.counter(name, partition=partition).inc()
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.gauge(name).set(value)
+    def _count(self, event: str, model: str) -> None:
+        """One hit, miss or eviction: the aggregate and the partition series."""
+        self.registry.counter(f"serve_plan_cache_{event}").inc()
+        self.registry.counter(f"serve_plan_cache_partition_{event}",
+                              partition=model).inc()

@@ -37,9 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.plan import adapt_sectors
 from repro.errors import ExecutionError
-from repro.gpusim.spec import A100, GPUSpec
 from repro.serve.autoscaler import AutoscalerConfig
 from repro.serve.loadgen import _request_input, verify_served
 from repro.serve.request import QueueSaturatedError, TenantQuotaError
@@ -356,17 +354,13 @@ def _plan_arrivals(scenario: Scenario, seed: int, requests: int,
     return arrivals, duration
 
 
-def _calibrate(graphs: Mapping[str, object], spec: GPUSpec) -> float:
+def _calibrate(graphs: Mapping[str, object]) -> float:
     """Simulated service seconds of one full batch (max over models)."""
     from repro.core.engine import BrickDLEngine
-    from repro.gpusim.device import Device
 
     unit = 0.0
     for graph in graphs.values():
-        engine = BrickDLEngine(graph, spec=spec).for_batch(_MAX_BATCH)
-        plan = engine.compile()
-        device = Device(adapt_sectors(spec, plan))
-        result = engine.run(device=device, plan=plan)
+        result = BrickDLEngine(graph).for_batch(_MAX_BATCH).run()
         unit = max(unit, result.metrics.total_time)
     if unit <= 0:
         raise ExecutionError("calibration produced a non-positive unit time")
@@ -420,7 +414,6 @@ def run_scenario(
     batching: str | None = None,
     requests: int | None = None,
     verify: int = 0,
-    spec: GPUSpec = A100,
     reduced: bool = True,
     manifest_path=None,
     trace_path=None,
@@ -445,7 +438,7 @@ def run_scenario(
 
     graphs = {name: zoo.build(name, reduced=reduced)
               for name in scenario.models}
-    unit_s = _calibrate(graphs, spec)
+    unit_s = _calibrate(graphs)
     n_requests = requests if requests is not None else _REQUESTS
     capacity_rps = scenario.devices * _MAX_BATCH / unit_s
     arrivals, duration = _plan_arrivals(scenario, seed, n_requests,
@@ -460,8 +453,7 @@ def run_scenario(
 
         tracer = Tracer(log_path=trace_path)
 
-    server = InferenceServer(list(graphs.values()), spec=spec, config=config,
-                             tracer=tracer)
+    server = InferenceServer(list(graphs.values()), config=config, tracer=tracer)
     responses: dict[int, object] = {}
     shed_by_reason: dict[str, int] = {}
 

@@ -240,8 +240,6 @@ class FleetBatcher:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.on_preempt = on_preempt
-        self.batches_formed = 0
-        self.preemptions = 0
 
     def _flush_at(self, now_s: float, cls: PriorityClass,
                   head: InferenceRequest) -> float:
@@ -279,7 +277,6 @@ class FleetBatcher:
             if top is not None and top.rank < cls.rank:
                 # Urgent work arrived mid-window: stop coalescing and ship
                 # what we have so the higher class is next off the queue.
-                self.preemptions += 1
                 if self.on_preempt is not None:
                     self.on_preempt(cls, top, len(batch))
                 break
@@ -288,5 +285,4 @@ class FleetBatcher:
         formed_at = loop.time()
         for req in batch:
             req.batched_s = formed_at
-        self.batches_formed += 1
         return cls, batch

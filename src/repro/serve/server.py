@@ -15,10 +15,10 @@ Request lifecycle::
              -> PlanCache partition lookup by (model, batch bucket,
                 GPUSpec, override) -- one LRU per model, isolated eviction
              -> an entry's first batch, and every profile-mode batch: a
-                profile-mode BrickDLEngine.run on a fresh Device built from
-                the cached entry's sector-adapted spec; the entry keeps what
-                it counted (simulated time, task count, and on a traced
-                server the task spans' fields)
+                profile-mode BrickDLEngine.run of the cached plan on its
+                sector-adapted device; the entry keeps what it counted
+                (simulated time, task count, and on a traced server the task
+                spans' fields)
              -> a functional batch: BrickDLEngine.values (no device) for
                 the outputs; the simulated time is the entry's kept one
              -> InferenceServer._finish: the one place a request ends
@@ -60,10 +60,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.engine import BrickDLEngine
-from repro.core.plan import Strategy, adapt_sectors
+from repro.core.plan import Strategy
 from repro.errors import ExecutionError
 from repro.graph.ir import Graph
-from repro.gpusim.device import Device
 from repro.gpusim.spec import A100, GPUSpec
 from repro.metrics import (
     BATCH_BUCKETS,
@@ -767,8 +766,7 @@ class InferenceServer:
             # Counts depend on the plan alone, never on the values, so a
             # functional entry simulates once; a profile batch has nothing
             # else to do.
-            result = entry.engine.run(device=Device(entry.device_spec),
-                                      plan=entry.plan)
+            result = entry.engine.run(plan=entry.plan)
             # Threads racing on a cold entry store equal counts; sim_time_s
             # goes last because the test above reads it.
             if self.tracer is not None:
@@ -789,10 +787,8 @@ class InferenceServer:
             strategy_override=key.strategy, brick_override=key.brick,
         ).for_batch(key.batch_bucket)
         plan = engine.compile()
-        return CompiledEntry(
-            key=key, engine=engine, plan=plan, plan_digest=plan.digest(),
-            device_spec=adapt_sectors(key.spec, plan),
-        )
+        return CompiledEntry(key=key, engine=engine, plan=plan,
+                             plan_digest=plan.digest())
 
     # -- reporting ----------------------------------------------------------
     def _wall_s(self) -> float:
@@ -824,6 +820,8 @@ class InferenceServer:
         wall = self._wall_s()
         batch_hist = self.registry.histogram("serve_batch_size", buckets=BATCH_BUCKETS)
         completed = self._count("serve_requests_completed")
+        hits = self._count("serve_plan_cache_hits")
+        misses = self._count("serve_plan_cache_misses")
         return {
             "requests": {
                 "completed": completed,
@@ -838,14 +836,13 @@ class InferenceServer:
             "batches": {
                 "count": self._count("serve_batches"),
                 "mean_size": batch_hist.mean,
-                "preemptions": (self._batcher.preemptions
-                                if self._batcher is not None else 0),
+                "preemptions": self._count("serve_preemptions"),
             },
             "plan_cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "evictions": self.cache.evictions,
-                "hit_ratio": self.cache.hit_ratio,
+                "hits": hits,
+                "misses": misses,
+                "evictions": self._count("serve_plan_cache_evictions"),
+                "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
                 # Fraction of requests whose batch rode an already-compiled
                 # plan: the serving-level number (a warm max-batch bucket
                 # serves 8 requests per lookup).

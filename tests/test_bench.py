@@ -96,9 +96,9 @@ class TestHarness:
         """The sector choice is residency-tracking granularity: L1 and DRAM
         transactions are byte-derived and the modelled time follows them, so
         they must not depend on it; the L2 count (one per sector touched)
-        may.  A run on the default ``Device(spec)`` and one on the adapted
-        spec the CLI / harness / server use therefore agree on everything
-        but ``l2_txns``."""
+        may.  A run on an explicit ``Device(spec)`` (the spec's own sector)
+        and one on the adapted spec that ``engine.run()`` builds by default
+        therefore agree on everything but ``l2_txns``."""
         engine = BrickDLEngine(zoo.build(model, reduced=True), strategy_override=strategy)
         plan = engine.compile()
         plain = engine.run(functional=False, plan=plan, device=Device(engine.spec)).metrics

@@ -1,5 +1,6 @@
 """BrickDL engine tests: compilation decisions and end-to-end execution."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.bricktask import BrickTasks
 from repro.core.engine import BrickDLEngine, _executor_cls
-from repro.core.plan import Strategy
+from repro.core.plan import Strategy, adapt_sectors
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ExecutionError
 from repro.graph.builder import GraphBuilder
@@ -146,6 +147,18 @@ def test_bare_run_counts_without_inputs():
     assert bare.outputs is None
     assert bare.metrics == counted.metrics
     assert bare.metrics.num_tasks > 0
+
+
+def test_bare_run_counts_what_the_cli_counts():
+    """With no device, ``run`` counts on the plan's sector-adapted spec, the
+    device ``repro run`` / ``profile`` and the harness report, so a bare
+    run's ``l2_txns`` are theirs too (the spec's own sector moves them)."""
+    engine = BrickDLEngine(zoo.build("mobilenet_v1", reduced=True))
+    plan = engine.compile()
+    bare = engine.run()
+    adapted = engine.run(device=Device(adapt_sectors(A100, plan)), plan=plan)
+    assert dataclasses.asdict(bare.metrics) == dataclasses.asdict(adapted.metrics)
+    assert bare.spec == adapt_sectors(A100, plan) == adapted.spec
 
 
 class TestAttribution:

@@ -349,8 +349,10 @@ class TestExporters:
 class TestEngineResult:
     def test_per_subgraph_defaults_to_independent_lists(self, profiled_run):
         _, _, _, result = profiled_run
-        a = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan)
-        b = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan)
+        a = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan,
+                         spec=result.spec)
+        b = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan,
+                         spec=result.spec)
         assert a.per_subgraph == [] and b.per_subgraph == []
         assert a.per_subgraph is not b.per_subgraph
         a.per_subgraph.append({"num_tasks": 0})
@@ -360,7 +362,8 @@ class TestEngineResult:
         _, _, _, result = profiled_run
         assert "per-subgraph attribution" in result.attribution_table()
         assert "per-node attribution" in result.node_attribution_table()
-        bare = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan)
+        bare = EngineResult(outputs=None, metrics=result.metrics, plan=result.plan,
+                            spec=result.spec)
         assert "per-subgraph attribution" in bare.attribution_table()
         assert bare.node_attribution_table() == "(no trace collected)"
 

@@ -76,14 +76,13 @@ def test_batcher_coalesces_queued_requests():
         batcher = FleetBatcher(queue, max_batch=4, max_wait_s=0.05)
         for i in range(6):
             queue.put_nowait(_request(loop, i), "standard")
-        _, first = await batcher.next_batch()
-        _, second = await batcher.next_batch()
-        return first, second, batcher.batches_formed
+        batches = [(await batcher.next_batch())[1] for _ in range(2)]
+        return batches, queue.qsize()
 
-    first, second, formed = asyncio.run(scenario())
+    (first, second), left = asyncio.run(scenario())
     assert [r.request_id for r in first] == [0, 1, 2, 3]  # capped at max_batch
     assert [r.request_id for r in second] == [4, 5]       # flushed on timeout
-    assert formed == 2
+    assert left == 0   # the two batches drained the queue
     assert all(r.batched_s is not None for r in first + second)
 
 
@@ -140,8 +139,7 @@ def _entry(key: PlanKey) -> CompiledEntry:
     class _Plan:
         subgraphs = ()
 
-    return CompiledEntry(key=key, engine=None, plan=_Plan(),
-                         plan_digest="d" * 16, device_spec=A100)
+    return CompiledEntry(key=key, engine=None, plan=_Plan(), plan_digest="d" * 16)
 
 
 def _key(bucket: int, model: str = "m", **kwargs) -> PlanKey:
@@ -161,7 +159,7 @@ def test_plan_key_digest_covers_every_field():
 
 def test_plan_cache_hit_after_warmup_and_counters():
     registry = MetricsRegistry()
-    cache = PlanCache(capacity=4, registry=registry)
+    cache = PlanCache(registry, capacity=4)
     key = _key(2)
     compiles = []
 
@@ -173,19 +171,19 @@ def test_plan_cache_hit_after_warmup_and_counters():
     assert not hit and len(compiles) == 1
     entry2, hit2 = cache.get_or_compile(key, compile_fn)
     assert hit2 and entry2 is entry and len(compiles) == 1  # warm: no recompile
-    assert cache.hits == 1 and cache.misses == 1
-    assert cache.hit_ratio == 0.5
-    assert registry.counter("serve_plan_cache_hits").value == 1
-    assert registry.counter("serve_plan_cache_misses").value == 1
+    assert registry.total("serve_plan_cache_hits") == 1
+    assert registry.total("serve_plan_cache_misses") == 1
+    assert cache.partition_stats()["m"]["hit_ratio"] == 0.5
 
 
 def test_plan_cache_lru_eviction():
-    cache = PlanCache(capacity=2)
+    registry = MetricsRegistry()
+    cache = PlanCache(registry, capacity=2)
     cache.put(_entry(_key(1)))
     cache.put(_entry(_key(2)))
     assert cache.get(_key(1)) is not None  # touch 1 -> 2 becomes LRU
     cache.put(_entry(_key(4)))             # evicts bucket 2
-    assert cache.evictions == 1
+    assert registry.total("serve_plan_cache_evictions") == 1
     assert cache.get(_key(2)) is None
     assert cache.get(_key(1)) is not None
     assert cache.get(_key(4)) is not None
@@ -193,7 +191,7 @@ def test_plan_cache_lru_eviction():
 
 
 def test_plan_cache_snapshot_describes_entries():
-    cache = PlanCache(capacity=2)
+    cache = PlanCache(MetricsRegistry(), capacity=2)
     cache.put(_entry(_key(2, strategy=Strategy.WAVEFRONT)))
     (desc,) = cache.snapshot()
     assert desc["batch_bucket"] == 2
@@ -203,7 +201,7 @@ def test_plan_cache_snapshot_describes_entries():
 
 def test_plan_cache_rejects_zero_capacity():
     with pytest.raises(ValueError):
-        PlanCache(capacity=0)
+        PlanCache(MetricsRegistry(), capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +311,7 @@ def test_functional_cache_hits_compute_values_only(traced, monkeypatch):
     ``BrickDLEngine.values`` and report what the first one counted -- the
     same simulated time a fresh profile run of the entry gives, the same
     span tree -- with outputs bit-identical to single-shot."""
+    from repro.core.plan import adapt_sectors
     from repro.gpusim.device import Device
     from repro.obs import Tracer, check_completeness
     from repro.serve.loadgen import _request_input, verify_served
@@ -345,8 +344,8 @@ def test_functional_cache_hits_compute_values_only(traced, monkeypatch):
     assert {resp.batch_size for _, resp in responses} == {4}
     assert verify_served(server, responses, 0) == 12
 
-    (entry,) = server.cache.partition(graph.name).entries.values()
-    fresh = entry.engine.run(functional=False, device=Device(entry.device_spec),
+    (entry,) = server.cache._partitions[graph.name].values()
+    fresh = entry.engine.run(device=Device(adapt_sectors(server.spec, entry.plan)),
                              plan=entry.plan).metrics
     assert all(resp.sim_time_s == fresh.total_time for _, resp in responses)
     assert entry.num_tasks == fresh.num_tasks
@@ -386,10 +385,16 @@ def test_device_threads_racing_on_a_cold_entry_agree():
         responses = asyncio.run(scenario())
     finally:
         sys.setswitchinterval(interval)
-    entries = {e.key.batch_bucket: e for e in server.cache.partition(graph.name).entries.values()}
+    entries = {e.key.batch_bucket: e for e in server.cache._partitions[graph.name].values()}
     assert len({r.device for r in responses}) > 1
     assert all(r.sim_time_s == entries[r.batch_bucket].sim_time_s for r in responses)
     assert verify_served(server, list(enumerate(responses)), 0) == 32
+    # One plan-cache lookup per batch, however the devices raced: a lost
+    # registry update would break the sum.
+    stats = server.stats()
+    cache = stats["plan_cache"]
+    assert cache["hits"] + cache["misses"] == stats["batches"]["count"]
+    assert cache["partitions"][graph.name]["misses"] == cache["misses"] == len(entries)
 
 
 @pytest.mark.parametrize("bad",[np.zeros((1, 3, 49, 48), np.float32), np.float32(1.0)],
@@ -771,7 +776,8 @@ def test_rebatch_graph_shares_weights_and_engine_for_batch():
 
 def test_partition_compile_storm_cannot_evict_other_model():
     """Model A churning through its partition never touches B's hot plans."""
-    cache = PlanCache(capacity=2)
+    registry = MetricsRegistry()
+    cache = PlanCache(registry, capacity=2)
     cache.put(_entry(_key(1, model="b")))
     cache.put(_entry(_key(2, model="b")))
     for bucket in (1, 2, 4, 8, 16, 32):   # A's compile storm: 6 plans, room for 2
@@ -782,14 +788,14 @@ def test_partition_compile_storm_cannot_evict_other_model():
     assert cache.get(_key(1, model="b")) is not None
     assert cache.get(_key(2, model="b")) is not None
     # Aggregates are exactly the partition sums (single-model manifest shape).
-    assert cache.evictions == 4
+    assert registry.total("serve_plan_cache_evictions") == 4
     assert len(cache) == 4
 
 
 def test_partition_counters_accurate_across_wraparound():
     """Hit/miss/eviction counters stay exact while an LRU partition wraps."""
     registry = MetricsRegistry()
-    cache = PlanCache(capacity=2, registry=registry)
+    cache = PlanCache(registry, capacity=2)
     compiled = []
 
     def compile_fn(k):
@@ -819,17 +825,20 @@ def test_partition_counters_accurate_across_wraparound():
     assert registry.counter("serve_plan_cache_partition_evictions",
                             partition="wrap").value == 7
     # Aggregate counters (no partition label) match the partition's.
-    assert registry.counter("serve_plan_cache_hits").value == cache.hits == 2
-    assert registry.counter("serve_plan_cache_misses").value == cache.misses == 8
+    assert registry.counter("serve_plan_cache_hits").value == 2
+    assert registry.counter("serve_plan_cache_misses").value == 8
 
 
 def test_partition_quota_defaults_and_validation():
     """Every partition gets the cache's uniform capacity."""
-    cache = PlanCache(capacity=5)
-    assert cache.partition("anyone").capacity == 5
-    assert cache.partition("special").capacity == 5
+    cache = PlanCache(MetricsRegistry(), capacity=5)
+    for model in ("anyone", "special"):
+        cache.get(_key(1, model=model))   # first touch creates the partition
+    parts = cache.partition_stats()
+    assert parts["anyone"]["capacity"] == 5
+    assert parts["special"]["capacity"] == 5
     with pytest.raises(ValueError, match="capacity"):
-        PlanCache(capacity=0)
+        PlanCache(MetricsRegistry(), capacity=0)
 
 
 # ---------------------------------------------------------------------------
